@@ -14,8 +14,11 @@ flat row-major arrays of such pairs. A problem file looks like
 with each coefficient array of length n^2. ``nodes`` is present exactly
 when the basis is "newton". Pencil files reuse the schema with a "blocks"
 object holding L1/L2/L0 (monomial) or A1/A2/A3 (newton), each of length
-(3n)^2, plus an optional "provenance" object. Serialization uses Python's
-shortest round-trip float repr, so writing and re-reading is lossless.
+(3n)^2, plus an optional "provenance" object. Writers emit single-line JSON
+with sorted keys and shortest round-trip float reprs, so output is
+byte-deterministic and re-reading is lossless (signed zeros included).
+Readers accept any whitespace, including older indented files. Non-finite or
+out-of-double-range numbers raise a FileFormatError naming the entry.
 """
 
 from __future__ import annotations
@@ -49,22 +52,21 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the offending field."""
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _pair_to_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
         raise FileFormatError(f"{where}: expected a [re, im] number pair, got {value!r}")
-    z = complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:
+        raise FileFormatError(f"{where}: value out of double range {value!r}") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise FileFormatError(f"{where}: non-finite value {value!r}")
     return z
 
 
 def _matrix_to_flat(mat: np.ndarray) -> list:
-    return [_complex_to_pair(z) for z in np.asarray(mat).ravel()]
+    return np.ascontiguousarray(mat, complex).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
@@ -74,6 +76,15 @@ def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
             f"{where}: expected {rows * cols} [re, im] pairs (row-major "
             f"{rows}x{cols}), got {got}"
         )
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged nesting; the per-entry scan below names the entry
+        pairs = None
+    # Kinds "biuf" are exactly the bool/int/float entries the scan accepts; the
+    # complex view keeps signed zeros, which re + 1j*im would lose.
+    if (pairs is not None and pairs.shape == (rows * cols, 2)
+            and pairs.dtype.kind in "biuf" and np.isfinite(pairs).all()):
+        return np.ascontiguousarray(pairs, np.float64).view(np.complex128).reshape(rows, cols)
     values = [_pair_to_complex(entry, f"{where}[{k}]") for k, entry in enumerate(data)]
     return np.array(values, dtype=complex).reshape(rows, cols)
 
@@ -93,7 +104,8 @@ def _load_json(path) -> dict:
 
 
 def _dump_json(path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # indent=None lets CPython use its C encoder.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -127,8 +139,8 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes | None]:
 
 def _nodes_to_dict(nodes: NewtonNodes) -> dict:
     return {
-        "alpha": [_complex_to_pair(nodes.alpha1), _complex_to_pair(nodes.alpha2)],
-        "beta": [_complex_to_pair(nodes.beta1), _complex_to_pair(nodes.beta2)],
+        "alpha": _matrix_to_flat([nodes.alpha1, nodes.alpha2]),
+        "beta": _matrix_to_flat([nodes.beta1, nodes.beta2]),
     }
 
 

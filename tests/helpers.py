@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, complex_normal
@@ -64,3 +66,27 @@ def kron_oracle(a, b):
         for j in range(ca):
             out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = a[i, j] * b
     return out
+
+
+def flat_to_matrix_reference(data, rows, cols, where):
+    """Entry-by-entry parse of a flat [re, im] pair list (oracle for fileio)."""
+    from newton2pep.fileio import FileFormatError
+
+    if not isinstance(data, list) or len(data) != rows * cols:
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise FileFormatError(f"{where}: expected {rows * cols} [re, im] pairs "
+                              f"(row-major {rows}x{cols}), got {got}")
+    values = []
+    for k, value in enumerate(data):
+        at = f"{where}[{k}]"
+        if (not isinstance(value, (list, tuple)) or len(value) != 2
+                or not all(isinstance(x, (int, float)) for x in value)):
+            raise FileFormatError(f"{at}: expected a [re, im] number pair, got {value!r}")
+        try:
+            z = complex(value[0], value[1])
+        except OverflowError:
+            raise FileFormatError(f"{at}: value out of double range {value!r}") from None
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise FileFormatError(f"{at}: non-finite value {value!r}")
+        values.append(z)
+    return np.array(values, dtype=complex).reshape(rows, cols)

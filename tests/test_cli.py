@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ class TestConstruct:
                                "--out", str(tmp_path / "p.json")])
         assert code == 2
 
+    def test_out_of_range_number_in_problem_is_usage_error(self, tmp_path, qfile, capsys):
+        doc = json.loads(Path(qfile).read_text())
+        doc["coefficients"]["A10"][3] = [10 ** 400, 0]
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["construct", str(bad), "--companion", "--out", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "coefficients.A10[3]: value out of double range" in err
+
     def test_params_as_seed(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         code, _ = run(capsys, ["construct", qfile, "--ansatz", "2,0,0",
@@ -129,6 +140,17 @@ class TestVerify:
         code, report = run(capsys, ["verify", qfile, str(out)])
         assert code == 1
         assert "verdict: FAIL" in report
+
+    def test_out_of_range_number_in_pencil_is_usage_error(self, tmp_path, qfile, capsys):
+        out = tmp_path / "pencil.json"
+        run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc["blocks"]["A2"][5] = [0, -(10 ** 400)]
+        out.write_text(json.dumps(doc))
+        code = main(["verify", qfile, str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "blocks.A2[5]: value out of double range" in err
 
     def test_too_few_samples_is_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
@@ -268,10 +290,14 @@ class TestDeterminism:
     def test_roundtrip_without_loss(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
-        pencil, _ = load_pencil(out)
+        pencil, provenance = load_pencil(out)
         resaved = tmp_path / "pencil2.json"
         from newton2pep.fileio import save_pencil
-        save_pencil(resaved, pencil)
+        save_pencil(resaved, pencil, provenance)
+        assert resaved.read_bytes() == out.read_bytes()
         again, _ = load_pencil(resaved)
         for a, b in zip(pencil.blocks(), again.blocks()):
             np.testing.assert_array_equal(a, b)
+            # assert_array_equal treats -0.0 == 0.0; signed zeros must survive too.
+            np.testing.assert_array_equal(np.signbit(a.real), np.signbit(b.real))
+            np.testing.assert_array_equal(np.signbit(a.imag), np.signbit(b.imag))
