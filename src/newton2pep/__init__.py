@@ -20,10 +20,8 @@ from .errors import (
 from .linalg import (
     Eigenpair,
     annulus_points,
-    commutation_matrix,
     complex_normal,
     det,
-    kron,
     small_dense_eigen,
     smallest_singular_value,
 )

@@ -203,8 +203,6 @@ def _cmd_construct(args) -> int:
 # ------------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    if args.samples < 6:
-        raise FileFormatError(f"--samples must be at least 6, got {args.samples}")
     seed = _resolve_seed(args)
     q = load_problem(args.problem)
     pencil, provenance = load_pencil(args.pencil)
@@ -404,6 +402,23 @@ def _cmd_spectrum(args) -> int:
 
 # --------------------------------------------------------------------- main
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite tolerance > 0 (NaN would make every check pass)."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _samples(text: str) -> int:
+    """argparse type: sample count; a quadratic in (lam, mu) has 6 coefficients,
+    so fewer points cannot certify an identity between two of them."""
+    value = int(text)
+    if value < 6:
+        raise argparse.ArgumentTypeError(f"must be at least 6, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newton2pep",
@@ -415,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"run seed (default: ${ENV_SEED} or 0)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="relative tolerance for identity checks")
 
     p = sub.add_parser("construct", help="build a pencil from a problem file")
@@ -428,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", metavar="SEED|FILE", default=None,
                    help="free parameters: integer seed for a random draw or "
                         "a JSON file with Y11/Z1/Z2")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
     p.add_argument("--out", required=True, help="output pencil file")
     common(p)
     p.set_defaults(func=_cmd_construct)
@@ -436,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a pencil against a problem file")
     p.add_argument("problem")
     p.add_argument("pencil")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -448,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-singular", action="store_true",
                    help="exit nonzero unless Delta0 is certified singular")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="singularity threshold relative to ||Delta0||_F")
     p.set_defaults(func=_cmd_delta)
 
@@ -458,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=5)
     p.add_argument("--pair", metavar="Q2FILE", default=None,
                    help="second problem file: run the joint-spectrum oracle")
-    p.add_argument("--match-tol", type=float, default=1e-6)
+    p.add_argument("--match-tol", type=_tolerance, default=1e-6)
     p.add_argument("--out", default=None, help="CSV output path")
     common(p)
     p.set_defaults(func=_cmd_spectrum)

@@ -2,7 +2,9 @@
 
 Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
-all factorizations go straight to LAPACK through numpy/scipy.
+all factorizations go straight to LAPACK through numpy. scipy is needed only
+for the QZ algorithm in :func:`small_dense_eigen` (``spectrum`` slice mode)
+and is imported on its first call.
 """
 
 from __future__ import annotations
@@ -10,19 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonSquareError, SingularPencilError
 
 __all__ = [
     "as_matrix",
     "freeze",
-    "kron",
     "det",
     "smallest_singular_value",
     "Eigenpair",
     "small_dense_eigen",
-    "commutation_matrix",
     "complex_normal",
     "annulus_points",
 ]
@@ -51,11 +50,6 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (delegates to numpy)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def det(a) -> complex:
@@ -105,6 +99,9 @@ def small_dense_eigen(a, b, *, infinite_tol: float = 1e-10,
     if a.shape != b.shape:
         raise ValueError(f"A and B must have the same shape: {a.shape} vs {b.shape}")
 
+    # Imported here: scipy.linalg loads slower than the rest of the package.
+    import scipy.linalg
+
     (alpha, beta), vr = scipy.linalg.eig(a, b, right=True, homogeneous_eigvals=True)
     scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
 
@@ -128,18 +125,6 @@ def small_dense_eigen(a, b, *, infinite_tol: float = 1e-10,
     pairs.sort(key=lambda p: (p.infinite, p.value.real if not p.infinite else 0.0,
                               p.value.imag if not p.infinite else 0.0))
     return pairs
-
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """Perfect-shuffle permutation P with P (X kron Y) P^T = Y kron X.
-
-    X is m x m and Y is n x n.
-    """
-    p = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            p[j * m + i, i * n + j] = 1.0
-    return p
 
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:

@@ -68,6 +68,18 @@ def kron_oracle(a, b):
     return out
 
 
+def commutation_matrix(m, n):
+    """Perfect-shuffle permutation P with P (X kron Y) P^T = Y kron X.
+
+    X is m x m and Y is n x n.
+    """
+    p = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            p[j * m + i, i * n + j] = 1.0
+    return p
+
+
 def flat_to_matrix_reference(data, rows, cols, where):
     """Entry-by-entry parse of a flat [re, im] pair list (oracle for fileio)."""
     from newton2pep.fileio import FileFormatError

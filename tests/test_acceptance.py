@@ -20,7 +20,6 @@ from newton2pep import (
     construct_general_ansatz,
     delta_operators,
     det,
-    kron,
     membership_monomial,
     membership_newton,
     pair_linearize,
@@ -55,8 +54,8 @@ def test_criterion_01_companion_identity():
         pts = annulus_points(rng, 24)
         eye = np.eye(n)
         for lam, mu in zip(pts[:12], pts[12:]):
-            lhs = c.eval(lam, mu) @ kron(np.array([[lam], [mu], [1.0]]), eye)
-            rhs = kron(e1, q.eval(lam, mu))
+            lhs = c.eval(lam, mu) @ np.kron(np.array([[lam], [mu], [1.0]]), eye)
+            rhs = np.kron(e1, q.eval(lam, mu))
             rel = np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1e-300)
             assert rel < 1e-10, (trial, rel)
     _passed(1, "companion identity C(l,m)(Lambda kron I) = e1 kron Q, rel < 1e-10")

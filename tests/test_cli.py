@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import newton2pep
 from newton2pep import NewtonNodes, companion_pencil
 from newton2pep.cli import main
 from newton2pep.fileio import load_pencil, load_problem, save_problem
@@ -120,6 +124,23 @@ class TestConstruct:
         assert code == 0
         code, report = run(capsys, ["verify", qfile, str(out)])
         assert code == 0 and "verdict: PASS" in report
+
+    @pytest.mark.parametrize("samples", ["0", "1", "5"])
+    def test_too_few_samples_is_usage_error(self, tmp_path, qfile, capsys, samples):
+        # One sample at n=1 already gives 3 equations for the 3 unknowns of
+        # the membership fit, so any pencil would fit with residual 0.
+        out = tmp_path / "pencil.json"
+        code = main(["construct", qfile, "--companion", "--samples", samples,
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "argument --samples: must be at least 6" in captured.err
+        assert not out.exists()
+        code, report = run(capsys, ["construct", qfile, "--companion",
+                                    "--samples", "6", "--out", str(out)])
+        assert code == 0
+        assert "membership: member" in report
 
 
 class TestVerify:
@@ -301,3 +322,72 @@ class TestDeterminism:
             # assert_array_equal treats -0.0 == 0.0; signed zeros must survive too.
             np.testing.assert_array_equal(np.signbit(a.real), np.signbit(b.real))
             np.testing.assert_array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+class TestToleranceFlags:
+    ARGV = {
+        "construct": ["construct", "{q}", "--companion", "--out", "{out}", "--tol"],
+        "verify": ["verify", "{q}", "{pencil}", "--tol"],
+        "delta": ["delta", "{p1}", "{p2}", "--check-singular", "--tol"],
+        "spectrum": ["spectrum", "{q}", "{pencil}", "--tol"],
+        "spectrum-match": ["spectrum", "{q}", "{pencil}", "--match-tol"],
+    }
+
+    def _argv(self, kind, tmp_path, qfile, scalar_pair_files, capsys):
+        pencil = tmp_path / "pencil.json"
+        run(capsys, ["construct", qfile, "--companion", "--out", str(pencil)])
+        p1, p2 = scalar_pair_files
+        paths = {"q": qfile, "pencil": str(pencil), "p1": p1, "p2": p2,
+                 "out": str(tmp_path / "new.json")}
+        return [arg.format(**paths) for arg in self.ARGV[kind]]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("kind", list(ARGV))
+    def test_nonfinite_or_nonpositive_is_usage_error(self, tmp_path, qfile,
+                                                     scalar_pair_files, capsys,
+                                                     kind, value):
+        argv = self._argv(kind, tmp_path, qfile, scalar_pair_files, capsys)
+        code = main(argv + [value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-1]}: must be finite and > 0" in captured.err
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("kind", list(ARGV))
+    def test_finite_positive_value_accepted(self, tmp_path, qfile,
+                                            scalar_pair_files, capsys, kind):
+        argv = self._argv(kind, tmp_path, qfile, scalar_pair_files, capsys)
+        code, report = run(capsys, argv + ["1e-5"])
+        assert code == 0
+        assert report
+
+
+_FRESH_PROCESS_SCRIPT = """
+import sys
+from newton2pep.cli import main
+
+q, pencil, p1, p2 = sys.argv[1:]
+codes = [main(["construct", q, "--companion", "--out", pencil]),
+         main(["verify", q, pencil]),
+         main(["delta", p1, p2, "--check-singular"]),
+         main(["spectrum", p1, "--pair", p2])]
+assert codes == [0, 0, 0, 0], codes
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert main(["spectrum", q, pencil, "--slices", "2"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_fresh_process_imports_scipy_only_for_qz(tmp_path, qfile, scalar_pair_files):
+    # A subprocess, because this test process has scipy loaded already.
+    src = str(Path(newton2pep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_SCRIPT, qfile,
+         str(tmp_path / "pencil.json"), *scalar_pair_files],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,6 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     det,
-    kron,
     membership_monomial,
     membership_newton,
     newton_companion,
@@ -239,7 +238,7 @@ class TestVerifyLinearization:
         qn = random_newton(rng, 2)
         pencil = construct_e1_newton(qn, E1FreeParams.random(2, rng))
         m = complex_normal(rng, 3, 3)
-        t = kron(m, np.eye(2))
+        t = np.kron(m, np.eye(2))
         moved = NewtonPencil.from_blocks(qn.nodes, t @ pencil.A1,
                                          t @ pencil.A2, t @ pencil.A3)
         v = membership_newton(moved, qn).ansatz.vector

@@ -16,7 +16,6 @@ from newton2pep import (
     construct_e1_monomial,
     E1FreeParams,
     gamma_blocks,
-    kron,
     membership_monomial,
     membership_newton,
     newton_scalars,
@@ -63,10 +62,10 @@ class TestGammaBlocks:
             n = int(rng.integers(1, 4))
             lam, mu = annulus_points(rng, 2)
             g, gt = gamma_blocks(nodes, n, lam, mu)
-            stack = kron(newton_triple(nodes, lam, mu).reshape(3, 1), np.eye(n))
+            stack = np.kron(newton_triple(nodes, lam, mu).reshape(3, 1), np.eye(n))
             _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
-            left = kron(np.array([n2, n1 * m1, n1]).reshape(3, 1), np.eye(n))
-            right = kron(np.array([n1 * m1, m2, m1]).reshape(3, 1), np.eye(n))
+            left = np.kron(np.array([n2, n1 * m1, n1]).reshape(3, 1), np.eye(n))
+            right = np.kron(np.array([n1 * m1, m2, m1]).reshape(3, 1), np.eye(n))
             np.testing.assert_allclose(g @ stack, left, atol=1e-12)
             np.testing.assert_allclose(gt @ stack, right, atol=1e-12)
 
@@ -192,8 +191,8 @@ class TestIsomorphism:
         pts = annulus_points(rng, 24)
         eye = np.eye(2)
         for lam, mu in zip(pts[:12], pts[12:]):
-            lhs = image.eval(lam, mu) @ kron(newton_triple(nodes, lam, mu).reshape(3, 1), eye)
-            rhs = kron(np.array([[1.0], [0], [0]]), q.eval(lam, mu))
+            lhs = image.eval(lam, mu) @ np.kron(newton_triple(nodes, lam, mu).reshape(3, 1), eye)
+            rhs = np.kron(np.array([[1.0], [0], [0]]), q.eval(lam, mu))
             assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_round_trip_is_identity_on_blocks(self):

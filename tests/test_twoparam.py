@@ -13,7 +13,6 @@ from newton2pep import (
     SharedFactorError,
     annulus_points,
     certify_singular,
-    commutation_matrix,
     complex_normal,
     delta_operators,
     det,
@@ -27,7 +26,8 @@ from newton2pep import (
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 
-from helpers import kron_oracle, random_newton, random_nodes, scalar_newton
+from helpers import (commutation_matrix, kron_oracle, random_newton, random_nodes,
+                     scalar_newton)
 
 
 def random_pair(rng, p1, p2, nodes=None):
