@@ -50,9 +50,9 @@ from .spaces import (
     membership_newton,
 )
 from .twoparam import (
+    KERNEL_WITNESS,
     QtepPair,
     certify_singular,
-    delta_operators,
     pair_linearize,
     spectrum_pair_oracle,
     verify_spectrum_match,
@@ -158,7 +158,7 @@ def _cmd_construct(args) -> int:
         ansatz_note = "e1 (companion)"
     else:
         v = _parse_ansatz(args.ansatz)
-        if np.abs(v).max() <= args.tol:
+        if not v.any():
             raise FileFormatError("--ansatz must be a nonzero vector")
         params_raw = None
         if args.params is not None:
@@ -292,8 +292,7 @@ def _cmd_delta(args) -> int:
         params_note = f"random(seed={draw_seed})"
 
     ln1, ln2 = pair_linearize(pair, params1, params2)
-    delta = delta_operators(ln1, ln2)
-    cert = certify_singular(delta, tol=args.tol, pencils=(ln1, ln2))
+    cert = certify_singular(ln1, ln2, tol=args.tol)
 
     report = Report()
     report.add("command: delta")
@@ -302,11 +301,14 @@ def _cmd_delta(args) -> int:
     report.add(f"singularity tolerance: {_fmt_f(args.tol)}")
     report.add(f"pair: p1={pair.p1} p2={pair.p2}")
     report.add(f"params: {params_note}")
-    size = delta.k1 * delta.k2
-    report.add(f"delta operators: three {size}x{size} matrices (k1={delta.k1}, k2={delta.k2})")
-    report.add(f"sigma_min(Delta0): {_fmt_f(cert.sigma_min)}")
+    k1, k2 = 3 * pair.p1, 3 * pair.p2
+    report.add(f"delta operators: three {k1 * k2}x{k1 * k2} matrices (k1={k1}, k2={k2})")
+    relation = "<=" if cert.route == KERNEL_WITNESS else "="
+    report.add(f"certificate: {cert.route}, sigma_min(Delta0) {relation} "
+               f"{_fmt_f(cert.value)}")
     report.add(f"frobenius(Delta0): {_fmt_f(cert.frobenius)}")
     report.add(f"threshold: {_fmt_f(cert.threshold)}")
+    report.add(f"margin: {_fmt_f(cert.margin)}")
     report.add(f"structural zero pattern: "
                f"{'yes' if cert.evidence.get('structural_zero_pattern') else 'no'}")
     report.add(f"singular: {'yes' if cert.is_singular else 'no'}")

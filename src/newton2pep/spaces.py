@@ -137,7 +137,9 @@ class AnsatzVector:
     """An ansatz vector in C^3 with its zero/nonzero pattern.
 
     ``pattern[i]`` is True when component i is nonzero under the shared
-    classification tolerance (relative to the largest component).
+    classification tolerance (relative to the largest component). Only the
+    exact zero vector has an all-False pattern: every nonzero multiple of an
+    ansatz vector is one too.
     """
 
     vector: np.ndarray
@@ -147,7 +149,7 @@ class AnsatzVector:
     def classify(cls, v, tol: float = DEFAULT_TOL) -> "AnsatzVector":
         v = np.asarray(v, dtype=complex).reshape(3)
         scale = float(np.abs(v).max())
-        if scale <= tol:
+        if scale == 0:
             pattern = (False, False, False)
         else:
             pattern = tuple(bool(abs(x) > tol * scale) for x in v)

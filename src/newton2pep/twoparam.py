@@ -17,10 +17,14 @@ coupled through the operator determinants
 where (Ai, Bi, Ci) are the Gamma2 coefficient, the Gamma2t coefficient and
 the constant term of pencil i. For pencils in e1 form Delta0 is singular by
 construction: the Gamma2t coefficient has its two lower block rows supported
-on the last block column only, so both factors of the first Kronecker term
-are rank deficient in a compatible way. The pair is therefore a *singular*
-two-parameter problem; this module constructs and certifies it but does not
-attempt to solve the coupled singular system.
+on the last block column only, so B1 and B2 have kernels, and for B1 u = 0
+and B2 v = 0 the Kronecker vector u kron v annihilates both terms of Delta0.
+The pair is therefore a *singular* two-parameter problem; this module
+constructs and certifies it but does not attempt to solve the coupled
+singular system. The certificate uses that kernel vector as a witness and
+works on the 3p x 3p blocks, so it never forms the (9 p1 p2)^2 operators
+unless the witness fails (Muhic and Plestenjak, "On the singular
+two-parameter eigenvalue problem", ELA 18, 2009).
 
 Spectra are instead validated directly: one-parameter slices reduce to
 generalized eigenvalue problems, and a resultant-based oracle computes the
@@ -108,6 +112,12 @@ class DeltaTriple:
     k2: int
 
 
+def _coefficients(ln) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of a pencil (fields A1, A2, A3) or of a raw triple."""
+    return tuple(np.asarray(x, dtype=complex) for x in
+                 (ln.blocks() if hasattr(ln, "blocks") else ln))
+
+
 def delta_operators(ln1, ln2) -> DeltaTriple:
     """Kronecker operator determinants of the pencil pair.
 
@@ -116,10 +126,8 @@ def delta_operators(ln1, ln2) -> DeltaTriple:
     Raw coefficient triples of square matrices are accepted in place of
     pencils, so the formulas can be exercised at any block size.
     """
-    a1, b1, c1 = (np.asarray(x, dtype=complex) for x in
-                  (ln1.blocks() if hasattr(ln1, "blocks") else ln1))
-    a2, b2, c2 = (np.asarray(x, dtype=complex) for x in
-                  (ln2.blocks() if hasattr(ln2, "blocks") else ln2))
+    a1, b1, c1 = _coefficients(ln1)
+    a2, b2, c2 = _coefficients(ln2)
     d0 = np.kron(b1, c2) - np.kron(c1, b2)
     d1 = np.kron(c1, a2) - np.kron(a1, c2)
     d2 = np.kron(a1, b2) - np.kron(b1, a2)
@@ -134,42 +142,90 @@ def _lower_rows_supported_on_last_column(block: np.ndarray, p: int,
     return bool(np.abs(block[p:, : 2 * p]).max() <= rel_tol * scale)
 
 
+def _delta0_frobenius(b1, c1, b2, c2) -> float:
+    """||B1 kron C2 - C1 kron B2||_F without forming either Kronecker product.
+
+    Delta0 is a perfect shuffle of the rank-2 matrix X Y^T with
+    X = [vec B1, vec C1] and Y = [vec C2, -vec B2], and a shuffle keeps the
+    Frobenius norm. With X = QR it equals ||R Y^T||_F. The Gram identity
+    ||X Y^T||_F^2 = trace(X^H X Y^T conj(Y)) would subtract squares and
+    lose half the digits when Delta0 is small next to ||B1|| ||C2||.
+    """
+    r = np.linalg.qr(np.column_stack([b1.ravel(), c1.ravel()]), mode="r")
+    return float(np.linalg.norm(r @ np.vstack([c2.ravel(), -b2.ravel()])))
+
+
+KERNEL_WITNESS = "kernel witness"
+DENSE_SIGMA_MIN = "dense sigma_min"
+
+
 @dataclass(frozen=True)
 class SingularityCertificate:
+    """Verdict on Delta0 with the quantity that decided it.
+
+    ``route`` is :data:`KERNEL_WITNESS`, where ``value`` is
+    ||Delta0 (u kron v)||_2 for a unit vector u kron v and so an upper bound
+    on sigma_min(Delta0), or :data:`DENSE_SIGMA_MIN`, where ``value`` is
+    sigma_min(Delta0) itself. The pair is singular when
+    ``value <= threshold = tol * frobenius``.
+    """
+
     is_singular: bool
-    sigma_min: float
+    route: str
+    value: float
     frobenius: float
     threshold: float
     evidence: dict
 
+    @property
+    def margin(self) -> float:
+        """value / threshold; at most 1 exactly when the verdict is singular."""
+        if self.threshold > 0:
+            return self.value / self.threshold
+        return 0.0 if self.value == 0 else float("inf")
 
-def certify_singular(delta: DeltaTriple, *, tol: float = 1e-7,
-                     pencils: tuple[NewtonPencil, NewtonPencil] | None = None
-                     ) -> SingularityCertificate:
-    """Certify whether Delta0 is singular.
 
-    The numerical criterion is sigma_min(Delta0) <= tol * ||Delta0||_F. When
-    the pencil pair is supplied, the structural zero pattern behind the
-    singularity is recorded as evidence: if both Gamma2t coefficients have
-    their lower block rows supported only on the last block column, their
-    kernels are nonempty and a Kronecker vector u kron v with
-    A2^(1) u = 0 and A2^(2) v = 0 annihilates Delta0 exactly (each Kronecker
-    term loses its left or right factor), which is the block-triangular
-    zero-diagonal-block mechanism.
+def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
+    """Certify whether Delta0 = B1 kron C2 - C1 kron B2 is singular.
+
+    The criterion is sigma_min(Delta0) <= tol * ||Delta0||_F, with the
+    Frobenius norm computed from the blocks (:func:`_delta0_frobenius`).
+    Pencils or raw (A, B, C) triples are accepted, as in
+    :func:`delta_operators`.
+
+    Kernel witness first: u and v are the unit right singular vectors of
+    the smallest singular values of B1 and B2, and
+    rho = ||(B1 u) kron (C2 v) - (C1 u) kron (B2 v)||_2 = ||Delta0 (u kron v)||_2.
+    Since sigma_min(Delta0) <= rho, rho <= threshold certifies singular at
+    O(p^3) cost. For e1 pencils B1 u = B2 v = 0 up to rounding: both
+    Gamma2t coefficients have their lower block rows supported on the last
+    block column only, which leaves them rank deficient.
+
+    Only when the witness does not certify is the dense operator formed and
+    its sigma_min compared with the same threshold; so a "not singular"
+    verdict always rests on the dense sigma_min.
+
+    For a pencil pair the structural zero pattern behind the e1 singularity
+    is recorded as ``evidence["structural_zero_pattern"]``.
     """
-    frob = float(np.linalg.norm(delta.delta0))
-    smin = smallest_singular_value(delta.delta0)
+    _, b1, c1 = _coefficients(ln1)
+    _, b2, c2 = _coefficients(ln2)
+    frob = _delta0_frobenius(b1, c1, b2, c2)
     threshold = tol * frob
-    evidence = {"sigma_min": smin, "frobenius": frob, "threshold": threshold}
-    if pencils is not None:
-        ln1, ln2 = pencils
-        structural = (
+    u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
+    route = KERNEL_WITNESS
+    value = float(np.linalg.norm(np.kron(b1 @ u, c2 @ v) - np.kron(c1 @ u, b2 @ v)))
+    if value > threshold:
+        route = DENSE_SIGMA_MIN
+        value = smallest_singular_value(delta_operators(ln1, ln2).delta0)
+    evidence = {}
+    if isinstance(ln1, NewtonPencil) and isinstance(ln2, NewtonPencil):
+        evidence["structural_zero_pattern"] = (
             _lower_rows_supported_on_last_column(ln1.A2, ln1.n)
             and _lower_rows_supported_on_last_column(ln2.A2, ln2.n)
         )
-        evidence["structural_zero_pattern"] = structural
-    return SingularityCertificate(is_singular=bool(smin <= threshold),
-                                  sigma_min=smin, frobenius=frob,
+    return SingularityCertificate(is_singular=bool(value <= threshold),
+                                  route=route, value=value, frobenius=frob,
                                   threshold=threshold, evidence=evidence)
 
 

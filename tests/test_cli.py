@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,19 @@ class TestConstruct:
                                "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    def test_small_nonzero_ansatz_accepted(self, tmp_path, qfile, capsys):
+        # Every nonzero multiple of an ansatz vector is an ansatz vector.
+        out = tmp_path / "pencil.json"
+        code, report = run(capsys, ["construct", qfile, "--ansatz=1e-10,0,0",
+                                    "--out", str(out)])
+        assert code == 0
+        assert "membership: member" in report
+        line = next(x for x in report.splitlines() if x.startswith("ansatz recovered:"))
+        values = [complex(float(a), float(b))
+                  for a, b in re.findall(r"\(([^,()]+), ([^,()]+)\)", line)]
+        scale = max(abs(v) for v in values)
+        assert tuple(abs(v) > 1e-8 * scale for v in values) == (True, False, False)
 
     def test_malformed_file_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -240,11 +254,31 @@ class TestDelta:
         assert "singular: yes" in report
 
     def test_identity_delta_reported_nonsingular(self):
-        # The CLI certifier itself, on an injected identity triple.
-        from newton2pep import DeltaTriple, certify_singular
-        eye = np.eye(9)
-        cert = certify_singular(DeltaTriple(eye, eye, eye, 3, 3))
+        # The CLI certifier itself, on triples with Delta0 = I9
+        # (B1 = C2 = I3, C1 = 0).
+        from newton2pep import certify_singular
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        cert = certify_singular((eye, eye, zero), (eye, zero, eye))
         assert not cert.is_singular
+
+    def test_e1_pair_never_forms_dense_delta(self, tmp_path, capsys, monkeypatch):
+        import newton2pep.twoparam as twoparam
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Delta0 path taken for an e1 pair")
+
+        monkeypatch.setattr(twoparam, "delta_operators", refuse)
+        monkeypatch.setattr(twoparam, "smallest_singular_value", refuse)
+        rng = np.random.default_rng(8)
+        nodes = NewtonNodes(0.5, -1, 2j, 1 + 1j)
+        paths = [tmp_path / "p1.json", tmp_path / "p2.json"]
+        for path in paths:
+            save_problem(path, random_newton(rng, 4, nodes))
+        code, report = run(capsys, ["delta", *map(str, paths), "--check-singular"])
+        assert code == 0
+        assert "delta operators: three 144x144 matrices (k1=12, k2=12)" in report
+        assert "certificate: kernel witness, sigma_min(Delta0) <= " in report
+        assert "singular: yes" in report
 
 
 class TestSpectrum:

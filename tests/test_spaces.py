@@ -284,4 +284,6 @@ class TestSelectM:
         v = AnsatzVector.classify(np.array([1e-12, 1.0, 1.0]))
         assert v.pattern == (False, True, True)
         tiny = AnsatzVector.classify(np.array([1e-12, 1e-13, 0.0]))
-        assert tiny.is_zero
+        assert tiny.pattern == AnsatzVector.classify(np.array([1.0, 0.1, 0.0])).pattern
+        assert tiny.pattern == (True, True, False)
+        assert AnsatzVector.classify(np.zeros(3)).is_zero

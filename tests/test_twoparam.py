@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2pep import (
-    DeltaTriple,
     E1FreeParams,
     MatrixPoly2,
     NewtonNodes,
@@ -25,9 +26,10 @@ from newton2pep import (
 )
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
+from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (commutation_matrix, kron_oracle, random_newton, random_nodes,
-                     scalar_newton)
+from helpers import (commutation_matrix, kron_oracle, random_coeffs, random_newton,
+                     random_nodes, scalar_newton)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -135,16 +137,97 @@ class TestCertifySingular:
             pair = random_pair(rng, int(p1), int(p2))
             ln1, ln2 = pair_linearize(pair, E1FreeParams.random(int(p1), rng),
                                       E1FreeParams.random(int(p2), rng))
-            cert = certify_singular(delta_operators(ln1, ln2), pencils=(ln1, ln2))
+            cert = certify_singular(ln1, ln2)
             assert cert.is_singular
             assert cert.evidence["structural_zero_pattern"]
 
     def test_identity_delta0_not_singular(self):
-        eye = np.eye(9)
-        cert = certify_singular(DeltaTriple(delta0=eye, delta1=eye,
-                                            delta2=eye, k1=3, k2=3))
+        # B1 = C2 = I3 and C1 = 0 give Delta0 = I9.
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        cert = certify_singular((eye, eye, zero), (eye, zero, eye))
         assert not cert.is_singular
-        assert cert.sigma_min == pytest.approx(1.0)
+        assert cert.route == DENSE_SIGMA_MIN
+        assert cert.value == pytest.approx(1.0)
+        assert cert.frobenius == pytest.approx(3.0)
+        assert cert.margin == pytest.approx(1.0 / (1e-7 * 3.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.integers(-60, 60))
+    def test_e1_witness_bounds_dense_sigma_min(self, p1, p2, seed, k):
+        rng = np.random.default_rng(seed)
+        nodes = random_nodes(rng)
+        coeffs1, coeffs2 = random_coeffs(rng, p1), random_coeffs(rng, p2)
+        params1, params2 = E1FreeParams.random(p1, rng), E1FreeParams.random(p2, rng)
+
+        def certificate(scale):
+            q1, q2 = (MatrixPoly2.newton({key: scale * c for key, c in coeffs.items()},
+                                         nodes) for coeffs in (coeffs1, coeffs2))
+            ln1, ln2 = pair_linearize(QtepPair(q1, q2), params1, params2)
+            return ln1, ln2, certify_singular(ln1, ln2)
+
+        ln1, ln2, cert = certificate(1.0)
+        assert cert.route == KERNEL_WITNESS
+        assert cert.is_singular
+        assert cert.evidence["structural_zero_pattern"]
+        d0 = delta_operators(ln1, ln2).delta0
+        sigma_min = np.linalg.svd(d0, compute_uv=False)[-1]
+        assert sigma_min <= cert.value * (1 + 1e-12) + 1e-15 * cert.frobenius
+        scaled = certificate(2.0 ** k)[2]
+        assert (scaled.route, scaled.is_singular) == (cert.route, cert.is_singular)
+
+    def test_non_e1_triples_take_dense_route(self):
+        rng = np.random.default_rng(17)
+        for k1, k2 in ((1, 1), (3, 3), (3, 6), (6, 3)):
+            t1 = [complex_normal(rng, k1, k1) for _ in range(3)]
+            t2 = [complex_normal(rng, k2, k2) for _ in range(3)]
+            cert = certify_singular(t1, t2)
+            assert cert.route == DENSE_SIGMA_MIN
+            assert not cert.is_singular
+            d0 = delta_operators(t1, t2).delta0
+            assert cert.value == np.linalg.svd(d0, compute_uv=False)[-1]
+            assert cert.evidence == {}
+
+    def test_shared_c_kernels_found_by_dense_route(self):
+        # C1 x = 0 and C2 y = 0 give Delta0 (x kron y) = 0, but B1 and B2 are
+        # nonsingular, so the B-kernel witness cannot see it.
+        rng = np.random.default_rng(18)
+        for k1, k2 in ((3, 3), (3, 6)):
+            x = complex_normal(rng, k1)
+            y = complex_normal(rng, k2)
+            x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+            c1 = complex_normal(rng, k1, k1) @ (np.eye(k1) - np.outer(x, x.conj()))
+            c2 = complex_normal(rng, k2, k2) @ (np.eye(k2) - np.outer(y, y.conj()))
+            b1, b2 = complex_normal(rng, k1, k1), complex_normal(rng, k2, k2)
+            assert np.linalg.svd(b1, compute_uv=False)[-1] > 1e-3
+            assert np.linalg.svd(b2, compute_uv=False)[-1] > 1e-3
+            cert = certify_singular((b1, b1, c1), (b2, b2, c2))
+            assert cert.route == DENSE_SIGMA_MIN
+            assert cert.is_singular
+
+    @pytest.mark.parametrize("case", ["generic", "unbalanced", "near-commuting"])
+    def test_matrix_free_frobenius_matches_dense(self, case):
+        rng = np.random.default_rng(19)
+        for k1, k2 in ((1, 1), (3, 3), (3, 9), (12, 6)):
+            c1, c2, e = (complex_normal(rng, k, k) for k in (k1, k2, k1))
+            if case == "near-commuting":
+                alpha = 0.7 + 0.3j
+                b1, b2 = alpha * c1 + 1e-9 * e, alpha * c2
+            else:
+                b1, b2 = complex_normal(rng, k1, k1), complex_normal(rng, k2, k2)
+                if case == "unbalanced":
+                    c1 = c1 * 1e3
+            got = _delta0_frobenius(b1, c1, b2, c2)
+            ref = np.linalg.norm(delta_operators((b1, b1, c1), (b2, b2, c2)).delta0)
+            # Rounding the Kronecker products already moves the dense
+            # reference by about eps (||B1|| ||C2|| + ||C1|| ||B2||), which is
+            # ~1e-8 of ||Delta0||_F in the near-commuting case; the Gram
+            # identity would be off by sqrt(eps) of that scale.
+            scale = (np.linalg.norm(b1) * np.linalg.norm(c2)
+                     + np.linalg.norm(c1) * np.linalg.norm(b2))
+            assert abs(got - ref) <= 1e-13 * scale
+            if case != "near-commuting":
+                assert abs(got - ref) <= 1e-13 * ref
 
     def test_structural_null_vector(self):
         # u in ker A2(1), v in ker A2(2) gives Delta0 (u kron v) = 0 exactly.
