@@ -1,15 +1,15 @@
 """Linearizations of quadratic two-parameter matrix polynomials in Newton bases.
 
 The package builds companion and e1-ansatz pencils for quadratic matrix
-polynomials in monomial or Newton form, certifies the linearization property
-numerically (determinant-ratio sampling plus explicit unimodular factors),
-and assembles the Kronecker operator determinants coupling a pair of such
-problems, together with desk-scale spectrum oracles.
+polynomials in Newton form (monomial form is the zero-node case), certifies
+the linearization property numerically (determinant-ratio sampling plus
+explicit unimodular factors), and assembles the Kronecker operator
+determinants coupling a pair of such problems, together with desk-scale
+spectrum oracles.
 """
 
 from .errors import (
     AdmissibilityError,
-    BasisMismatchError,
     DegenerateProblemError,
     Newton2PepError,
     NodeMismatchError,
@@ -31,8 +31,6 @@ from .matpoly import (
     NEWTON,
     MatrixPoly2,
     NewtonNodes,
-    monomial_six,
-    monomial_triple,
     newton_scalars,
     newton_six,
     newton_triple,
@@ -40,10 +38,8 @@ from .matpoly import (
 from .spaces import (
     AnsatzVector,
     MembershipResult,
-    MonomialPencil,
     NewtonPencil,
     gamma_blocks,
-    membership_monomial,
     membership_newton,
     s_map,
     select_M,
@@ -58,10 +54,8 @@ from .linearize import (
     UnimodularWitnessPair,
     assemble_e1_blocks,
     companion_pencil,
-    construct_e1_monomial,
     construct_e1_newton,
     construct_general_ansatz,
-    newton_companion,
     unimodular_witnesses,
     verify_linearization,
 )

@@ -37,18 +37,11 @@ from .linearize import (
     E1FreeParams,
     companion_pencil,
     construct_general_ansatz,
-    newton_companion,
     unimodular_witnesses,
     verify_linearization,
 )
-from .matpoly import MONOMIAL, NEWTON, MatrixPoly2, NewtonNodes
-from .spaces import (
-    DEFAULT_SAMPLES,
-    DEFAULT_TOL,
-    MonomialPencil,
-    NewtonPencil,
-    membership_newton,
-)
+from .matpoly import MatrixPoly2
+from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, membership_newton
 from .twoparam import (
     KERNEL_WITNESS,
     QtepPair,
@@ -113,15 +106,13 @@ def _params_for(n: int, source: str | None, fallback_seed: int) -> E1FreeParams:
     return load_params(source, n)
 
 
-def _as_newton(q: MatrixPoly2) -> MatrixPoly2:
-    """Zero-node Newton view of a monomial polynomial (same coefficients)."""
-    return q if q.basis == NEWTON else q.newton_partner(NewtonNodes())
-
-
-def _pencil_as_newton(pencil, nodes: NewtonNodes) -> NewtonPencil:
-    if isinstance(pencil, NewtonPencil):
-        return pencil
-    return NewtonPencil.from_blocks(nodes, pencil.L1, pencil.L2, pencil.L0)
+def _require_matching_files(q: MatrixPoly2, pencil: NewtonPencil) -> None:
+    """Problem and pencil files must carry the same basis label and nodes."""
+    if pencil.basis != q.basis:
+        raise FileFormatError(f"basis mismatch: problem is {q.basis}, "
+                              f"pencil is {pencil.basis}")
+    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
+        raise NodeMismatchError("problem and pencil carry different nodes")
 
 
 class Report:
@@ -147,14 +138,10 @@ def _cmd_construct(args) -> int:
     report.add(f"tolerance: {_fmt_f(args.tol)}")
     report.add(f"problem: basis={q.basis} n={q.n}")
 
-    eye3 = np.eye(3, dtype=complex)
     if args.companion:
-        m_used = eye3
+        m_used = np.eye(3, dtype=complex)
         params = E1FreeParams.companion(q)
-        if q.basis == MONOMIAL:
-            pencil = companion_pencil(q)
-        else:
-            pencil = newton_companion(q)
+        pencil = companion_pencil(q)
         ansatz_note = "e1 (companion)"
     else:
         v = _parse_ansatz(args.ansatz)
@@ -163,16 +150,10 @@ def _cmd_construct(args) -> int:
         params_raw = None
         if args.params is not None:
             params_raw = _params_for(q.n, args.params, seed)
-        qn = _as_newton(q)
-        built = construct_general_ansatz(qn, v, params_raw, tol=args.tol, seed=seed)
+        built = construct_general_ansatz(q, v, params_raw, tol=args.tol, seed=seed)
         m_used = built.M
         params = built.params_hat
-        pencil_v = built.pencil_v
-        if q.basis == MONOMIAL:
-            # Zero nodes: the Newton pencil evaluates as lam A1 + mu A2 + A3.
-            pencil = MonomialPencil.from_blocks(*pencil_v.blocks())
-        else:
-            pencil = pencil_v
+        pencil = built.pencil_v
         ansatz_note = _fmt_cvec(v)
         report.add("M:")
         for row in m_used:
@@ -180,9 +161,7 @@ def _cmd_construct(args) -> int:
 
     report.add(f"ansatz requested: {ansatz_note}")
 
-    qn = _as_newton(q)
-    pn = _pencil_as_newton(pencil, qn.nodes)
-    membership = membership_newton(pn, qn, samples=args.samples, tol=args.tol,
+    membership = membership_newton(pencil, q, samples=args.samples, tol=args.tol,
                                    seed=seed)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
@@ -206,19 +185,7 @@ def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     q = load_problem(args.problem)
     pencil, provenance = load_pencil(args.pencil)
-
-    q_is_newton = q.basis == NEWTON
-    p_is_newton = isinstance(pencil, NewtonPencil)
-    if q_is_newton != p_is_newton:
-        raise FileFormatError(
-            f"basis mismatch: problem is {q.basis}, pencil is "
-            f"{'newton' if p_is_newton else 'monomial'}"
-        )
-    if q_is_newton and pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError("problem and pencil carry different nodes")
-
-    qn = _as_newton(q)
-    pn = _pencil_as_newton(pencil, qn.nodes)
+    _require_matching_files(q, pencil)
 
     report = Report()
     report.add("command: verify")
@@ -227,13 +194,13 @@ def _cmd_verify(args) -> int:
     report.add(f"tolerance: {_fmt_f(args.tol)}")
     report.add(f"samples: {args.samples}")
 
-    membership = membership_newton(pn, qn, samples=args.samples, tol=args.tol,
+    membership = membership_newton(pencil, q, samples=args.samples, tol=args.tol,
                                    seed=seed)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
 
-    lin = verify_linearization(pn, qn, samples=args.samples, tol=args.tol, seed=seed)
+    lin = verify_linearization(pencil, q, samples=args.samples, tol=args.tol, seed=seed)
     report.add(f"gamma estimate: {_fmt_c(lin.gamma_estimate)}")
     report.add(f"max relative deviation: {_fmt_f(lin.max_relative_deviation)}")
     report.add("determinant samples:")
@@ -244,14 +211,15 @@ def _cmd_verify(args) -> int:
 
     witness_ok = True
     if "params" in provenance and "M" in provenance:
-        params = params_from_dict(provenance["params"], qn.n, where="provenance.params")
+        params = params_from_dict(provenance["params"], q.n, where="provenance.params")
         m_used = _flat_to_matrix(provenance["M"], 3, 3, "provenance.M")
-        t = np.kron(m_used, np.eye(qn.n))
-        e1_pencil = NewtonPencil.from_blocks(qn.nodes, t @ pn.A1, t @ pn.A2, t @ pn.A3)
-        witnesses = unimodular_witnesses(qn, e1_pencil, params,
+        t = np.kron(m_used, np.eye(q.n))
+        e1_pencil = NewtonPencil.from_blocks(q.nodes, t @ pencil.A1, t @ pencil.A2,
+                                             t @ pencil.A3)
+        witnesses = unimodular_witnesses(q, e1_pencil, params,
                                          samples=args.samples, tol=args.tol,
                                          seed=seed)
-        predicted = witnesses.predicted_gamma() / np.linalg.det(m_used) ** qn.n
+        predicted = witnesses.predicted_gamma() / np.linalg.det(m_used) ** q.n
         report.add(f"witness reduction residual: {_fmt_f(witnesses.max_reduction_residual)}")
         report.add(f"witness gamma prediction: {_fmt_c(predicted)}")
         rel = (abs(lin.gamma_estimate - predicted) / abs(predicted)
@@ -272,7 +240,7 @@ def _cmd_delta(args) -> int:
     seed = _resolve_seed(args)
     q1 = load_problem(args.problem1)
     q2 = load_problem(args.problem2)
-    pair = QtepPair(_as_newton(q1), _as_newton(q2))
+    pair = QtepPair(q1, q2)
 
     if args.params is not None and not (args.params.isdigit()
                                         or (args.params.startswith("-")
@@ -340,7 +308,7 @@ def _cmd_spectrum(args) -> int:
         if args.pencil is not None:
             raise FileFormatError("pair mode does not take a pencil file")
         q2 = load_problem(args.pair)
-        pair = QtepPair(_as_newton(q), _as_newton(q2))
+        pair = QtepPair(q, q2)
         report.add("mode: pair")
         report.add(f"inputs: {args.problem} {args.pair}")
         report.add(f"seed: {seed}")
@@ -367,20 +335,14 @@ def _cmd_spectrum(args) -> int:
         raise FileFormatError(f"--slices must be at least 1, got {args.slices}")
 
     pencil, _ = load_pencil(args.pencil)
-    if (q.basis == NEWTON) != isinstance(pencil, NewtonPencil):
-        raise FileFormatError("basis mismatch between problem and pencil files")
-    if isinstance(pencil, NewtonPencil) and q.basis == NEWTON:
-        if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-            raise NodeMismatchError("problem and pencil carry different nodes")
-    qn = _as_newton(q)
-    pn = _pencil_as_newton(pencil, qn.nodes)
+    _require_matching_files(q, pencil)
 
     report.add("mode: slice")
     report.add(f"inputs: {args.problem} {args.pencil}")
     report.add(f"seed: {seed}")
     report.add(f"slices: {args.slices}")
     report.add(f"match tolerance: {_fmt_f(args.match_tol)}")
-    result = verify_spectrum_match(qn, pn, slices=args.slices, seed=seed,
+    result = verify_spectrum_match(q, pencil, slices=args.slices, seed=seed,
                                    match_tol=args.match_tol)
     rows = []
     for idx, rec in enumerate(result.records, start=1):

@@ -9,12 +9,8 @@ class NonSquareError(Newton2PepError):
     """A square matrix was required."""
 
 
-class BasisMismatchError(Newton2PepError):
-    """An operation received a polynomial or pencil with the wrong basis tag."""
-
-
 class NodeMismatchError(Newton2PepError):
-    """Two Newton-basis objects were combined but carry different nodes."""
+    """Two polynomials or pencils were combined but carry different nodes."""
 
 
 class SingularPencilError(Newton2PepError):

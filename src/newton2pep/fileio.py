@@ -12,12 +12,14 @@ flat row-major arrays of such pairs. A problem file looks like
     }
 
 with each coefficient array of length n^2. ``nodes`` is present exactly
-when the basis is "newton". Pencil files reuse the schema with a "blocks"
-object holding L1/L2/L0 (monomial) or A1/A2/A3 (newton), each of length
-(3n)^2, plus an optional "provenance" object. Writers emit single-line JSON
-with sorted keys and shortest round-trip float reprs, so output is
-byte-deterministic and re-reading is lossless (signed zeros included).
-Readers accept any whitespace, including older indented files. Non-finite or
+when the basis is "newton"; a "monomial" file is read as zero nodes, and
+``basis`` is kept on the loaded object only to write the same layout back.
+Pencil files reuse the schema with a "blocks" object holding L1/L2/L0
+(monomial) or A1/A2/A3 (newton), each of length (3n)^2, plus an optional
+"provenance" object. Writers emit single-line JSON with sorted keys and
+shortest round-trip float reprs, so output is byte-deterministic and
+re-reading is lossless (signed zeros included). Readers accept any
+whitespace, including older indented files. Non-finite or
 out-of-double-range numbers raise a FileFormatError naming the entry.
 """
 
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .matpoly import MONOMIAL, NEWTON, MatrixPoly2, NewtonNodes
-from .spaces import MonomialPencil, NewtonPencil
+from .spaces import NewtonPencil
 
 COEFF_NAMES = {"A20": (2, 0), "A11": (1, 1), "A02": (0, 2),
                "A10": (1, 0), "A01": (0, 1), "A00": (0, 0)}
@@ -109,7 +111,7 @@ def _dump_json(path, doc: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes | None]:
+def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FileFormatError(f"{path}: field 'n' must be a positive integer")
@@ -117,7 +119,7 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes | None]:
     if basis not in (MONOMIAL, NEWTON):
         raise FileFormatError(f"{path}: field 'basis' must be 'monomial' or "
                               f"'newton', got {basis!r}")
-    nodes = None
+    nodes = NewtonNodes()
     if basis == NEWTON:
         raw = doc.get("nodes")
         if not isinstance(raw, dict):
@@ -137,11 +139,16 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes | None]:
     return n, basis, nodes
 
 
-def _nodes_to_dict(nodes: NewtonNodes) -> dict:
-    return {
-        "alpha": _matrix_to_flat([nodes.alpha1, nodes.alpha2]),
-        "beta": _matrix_to_flat([nodes.beta1, nodes.beta2]),
-    }
+def _header(obj) -> dict:
+    """n, basis and (for newton files) nodes of a polynomial or pencil."""
+    doc = {"n": obj.n, "basis": obj.basis}
+    if obj.basis == NEWTON:
+        nodes = obj.nodes
+        doc["nodes"] = {"alpha": _matrix_to_flat([nodes.alpha1, nodes.alpha2]),
+                        "beta": _matrix_to_flat([nodes.beta1, nodes.beta2])}
+    elif not obj.nodes.is_zero:
+        raise ValueError(f"basis 'monomial' cannot record nonzero nodes {obj.nodes.as_tuple()}")
+    return doc
 
 
 def load_problem(path) -> MatrixPoly2:
@@ -161,14 +168,9 @@ def load_problem(path) -> MatrixPoly2:
 
 
 def save_problem(path, poly: MatrixPoly2) -> None:
-    doc = {
-        "n": poly.n,
-        "basis": poly.basis,
-        "coefficients": {name: _matrix_to_flat(poly.coeff(*key))
-                         for name, key in COEFF_NAMES.items()},
-    }
-    if poly.basis == NEWTON:
-        doc["nodes"] = _nodes_to_dict(poly.nodes)
+    doc = _header(poly)
+    doc["coefficients"] = {name: _matrix_to_flat(poly.coeff(*key))
+                           for name, key in COEFF_NAMES.items()}
     _dump_json(path, doc)
 
 
@@ -188,30 +190,14 @@ def load_pencil(path):
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise FileFormatError(f"{path}: 'provenance' must be an object")
-    if basis == MONOMIAL:
-        return MonomialPencil.from_blocks(*mats), provenance
-    return NewtonPencil.from_blocks(nodes, *mats), provenance
+    return NewtonPencil.from_blocks(nodes, *mats, basis=basis), provenance
 
 
-def save_pencil(path, pencil, provenance: dict | None = None) -> None:
-    if isinstance(pencil, NewtonPencil):
-        basis = NEWTON
-        names = NEWTON_BLOCKS
-        blocks = pencil.blocks()
-    elif isinstance(pencil, MonomialPencil):
-        basis = MONOMIAL
-        names = MONOMIAL_BLOCKS
-        blocks = pencil.blocks()
-    else:
-        raise TypeError(f"cannot serialize pencil of type {type(pencil).__name__}")
-    doc = {
-        "n": pencil.n,
-        "basis": basis,
-        "blocks": {name: _matrix_to_flat(block)
-                   for name, block in zip(names, blocks)},
-    }
-    if basis == NEWTON:
-        doc["nodes"] = _nodes_to_dict(pencil.nodes)
+def save_pencil(path, pencil: NewtonPencil, provenance: dict | None = None) -> None:
+    doc = _header(pencil)
+    names = MONOMIAL_BLOCKS if pencil.basis == MONOMIAL else NEWTON_BLOCKS
+    doc["blocks"] = {name: _matrix_to_flat(block)
+                     for name, block in zip(names, pencil.blocks())}
     if provenance:
         doc["provenance"] = provenance
     _dump_json(path, doc)

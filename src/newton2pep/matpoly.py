@@ -1,33 +1,32 @@
-"""Quadratic bivariate matrix polynomials tagged with a scalar basis.
+"""Quadratic bivariate matrix polynomials in a Newton basis.
 
 A polynomial is a sum of six n x n coefficient blocks weighted by the scalar
-basis functions of total degree at most two in (lambda, mu). Two bases are
-supported:
+Newton basis functions of total degree at most two on the nodes
+(alpha1, alpha2, beta1, beta2):
 
-* monomial:  1, lambda, mu, lambda^2, lambda*mu, mu^2
-* Newton, on nodes (alpha1, alpha2, beta1, beta2):
+    n_0 = 1, n_1 = lambda - alpha1, n_2 = n_1 * (lambda - alpha2)
+    m_0 = 1, m_1 = mu - beta1,      m_2 = m_1 * (mu - beta2)
 
-      n_0 = 1, n_1 = lambda - alpha1, n_2 = n_1 * (lambda - alpha2)
-      m_0 = 1, m_1 = mu - beta1,      m_2 = m_1 * (mu - beta2)
-
-Nodes may coincide; the Newton basis degenerates gracefully, and with all
-nodes zero it reduces to the monomial basis exactly.
+Nodes may coincide; the Newton basis degenerates gracefully. With all nodes
+zero it is the monomial basis 1, lambda, mu, lambda^2, lambda*mu, mu^2 bit
+for bit, so monomial input is the zero-node case and needs no second type.
+The ``basis`` tag ("monomial" or "newton") only records the file layout a
+polynomial was read from or is written to; no computation reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError
 from .linalg import as_matrix, freeze
 
 MONOMIAL = "monomial"
 NEWTON = "newton"
 
 # Coefficient keys (i, j) for the lambda-degree-i, mu-degree-j basis function.
-# The order matches the six-vector returned by monomial_six / newton_six.
+# The order matches the six-vector returned by newton_six.
 COEFF_KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 __all__ = [
@@ -36,9 +35,7 @@ __all__ = [
     "COEFF_KEYS",
     "NewtonNodes",
     "newton_scalars",
-    "monomial_triple",
     "newton_triple",
-    "monomial_six",
     "newton_six",
     "MatrixPoly2",
 ]
@@ -82,25 +79,16 @@ def newton_scalars(nodes: NewtonNodes, lam: complex, mu: complex):
     return (1.0 + 0j, n1, n2, 1.0 + 0j, m1, m2)
 
 
-def monomial_triple(lam: complex, mu: complex) -> np.ndarray:
-    """The vector (lambda, mu, 1)."""
-    return np.array([lam, mu, 1.0], dtype=complex)
-
-
 def newton_triple(nodes: NewtonNodes, lam: complex, mu: complex) -> np.ndarray:
     """The vector (n1(lambda), m1(mu), 1)."""
     return np.array([lam - nodes.alpha1, mu - nodes.beta1, 1.0], dtype=complex)
 
 
-def monomial_six(lam: complex, mu: complex) -> np.ndarray:
-    """Degree-two monomials (lambda^2, lambda*mu, mu^2, lambda, mu, 1)."""
-    return np.array([lam * lam, lam * mu, mu * mu, lam, mu, 1.0], dtype=complex)
-
-
 def newton_six(nodes: NewtonNodes, lam: complex, mu: complex) -> np.ndarray:
     """Degree-two Newton basis (n2, n1*m1, m2, n1, m1, 1).
 
-    With all nodes zero this equals ``monomial_six`` entry for entry.
+    With all nodes zero this equals (lambda^2, lambda*mu, mu^2, lambda, mu, 1)
+    entry for entry.
     """
     _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
     return np.array([n2, n1 * m1, m2, n1, m1, 1.0], dtype=complex)
@@ -108,21 +96,22 @@ def newton_six(nodes: NewtonNodes, lam: complex, mu: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixPoly2:
-    """Quadratic two-parameter matrix polynomial with a basis tag.
+    """Quadratic two-parameter matrix polynomial in the Newton basis on ``nodes``.
 
     ``coeffs`` maps (i, j) in COEFF_KEYS to the n x n block multiplying the
     basis function of lambda-degree i and mu-degree j. All six blocks are
-    stored explicitly (zero blocks included).
+    stored explicitly (zero blocks included). ``basis`` is the file-format
+    label; a monomial polynomial is the one with all nodes zero.
     """
 
     n: int
     basis: str
     coeffs: dict
-    nodes: NewtonNodes | None = field(default=None)
+    nodes: NewtonNodes = NewtonNodes()
 
     @classmethod
     def monomial(cls, coeffs) -> "MatrixPoly2":
-        return cls._build(MONOMIAL, coeffs, None)
+        return cls._build(MONOMIAL, coeffs, NewtonNodes())
 
     @classmethod
     def newton(cls, coeffs, nodes: NewtonNodes) -> "MatrixPoly2":
@@ -146,15 +135,9 @@ class MatrixPoly2:
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
 
-    def basis_weights(self, lam: complex, mu: complex) -> np.ndarray:
-        """Six scalar basis values at (lam, mu), ordered like COEFF_KEYS."""
-        if self.basis == MONOMIAL:
-            return monomial_six(lam, mu)
-        return newton_six(self.nodes, lam, mu)
-
     def eval(self, lam: complex, mu: complex) -> np.ndarray:
         """Value of the polynomial at (lam, mu) as an n x n matrix."""
-        w = self.basis_weights(lam, mu)
+        w = newton_six(self.nodes, lam, mu)
         out = np.zeros((self.n, self.n), dtype=complex)
         for weight, key in zip(w, COEFF_KEYS):
             out += weight * self.coeffs[key]
@@ -164,7 +147,7 @@ class MatrixPoly2:
         return self.eval(lam, mu)
 
     def to_monomial(self) -> "MatrixPoly2":
-        """Expand a Newton-tagged polynomial into the monomial basis.
+        """Expand the polynomial into the monomial basis (zero nodes).
 
         Uses the expansions
             n2    = lambda^2 - (a1 + a2) lambda + a1 a2
@@ -172,10 +155,12 @@ class MatrixPoly2:
             m2    = mu^2 - (b1 + b2) mu + b1 b2
             n1    = lambda - a1
             m1    = mu - b1
-        so the result evaluates identically everywhere.
+        so the result evaluates identically everywhere. With all nodes zero
+        the expansion is the identity and the blocks are returned as they
+        are, signed zeros included.
         """
-        if self.basis != NEWTON:
-            raise BasisMismatchError("to_monomial expects a newton-tagged polynomial")
+        if self.nodes.is_zero:
+            return MatrixPoly2.monomial(self.coeffs)
         a1, a2, b1, b2 = self.nodes.as_tuple()
         c = self.coeffs
         out = {
@@ -189,14 +174,6 @@ class MatrixPoly2:
                     + c[(0, 0)],
         }
         return MatrixPoly2.monomial(out)
-
-    def monomial_partner(self) -> "MatrixPoly2":
-        """Monomial-tagged polynomial with the same coefficient blocks."""
-        return MatrixPoly2.monomial(dict(self.coeffs))
-
-    def newton_partner(self, nodes: NewtonNodes | None = None) -> "MatrixPoly2":
-        """Newton-tagged polynomial with the same coefficient blocks."""
-        return MatrixPoly2.newton(dict(self.coeffs), nodes or NewtonNodes())
 
     def coefficient_scale(self) -> float:
         """Largest Frobenius norm among the six blocks."""

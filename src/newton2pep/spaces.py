@@ -1,16 +1,17 @@
-"""Pencil spaces attached to a quadratic polynomial and its Newton form.
+"""Pencil spaces attached to a quadratic polynomial in Newton form.
 
-A monomial pencil L(lam, mu) = lam L1 + mu L2 + L0 belongs to the space of Q
-when L(lam, mu) (Lambda kron I_n) = v kron Q(lam, mu) identically for some
-ansatz vector v in C^3, with Lambda = (lam, mu, 1). The Newton analogue
-replaces Lambda by N = (n1, m1, 1) and evaluates pencils as
-A1 Gamma2(lam) + A2 Gamma2t(mu) + A3 with the block-diagonal node factors
+A pencil is evaluated as A1 Gamma2(lam) + A2 Gamma2t(mu) + A3 with 3n x 3n
+blocks and the block-diagonal node factors
 
     Gamma2(lam) = diag((lam - a2) I, (lam - a1) I, (lam - a1) I)
     Gamma2t(mu) = diag((mu - b1) I,  (mu - b2) I,  (mu - b1) I)
 
 which satisfy Gamma2 (N kron I) = (n2, n1 m1, n1) kron I and
-Gamma2t (N kron I) = (n1 m1, m2, m1) kron I.
+Gamma2t (N kron I) = (n1 m1, m2, m1) kron I for N = (n1, m1, 1). The pencil
+belongs to the space of Q when L(lam, mu) (N kron I_n) = v kron Q(lam, mu)
+identically for some ansatz vector v in C^3. With all nodes zero,
+Gamma2 = lam I, Gamma2t = mu I and N = (lam, mu, 1), so the pencil is
+lam A1 + mu A2 + A3 and the space is the monomial one, bit for bit.
 
 Membership is decided numerically: the ansatz vector is recovered by block
 least squares over a set of random sample points and the defining identity is
@@ -23,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, DegenerateProblemError, NodeMismatchError
+from .errors import DegenerateProblemError, NodeMismatchError
 from .linalg import annulus_points, as_matrix, freeze
-from .matpoly import (
-    MONOMIAL,
-    NEWTON,
-    MatrixPoly2,
-    NewtonNodes,
-    monomial_triple,
-    newton_triple,
-)
+from .matpoly import NEWTON, MatrixPoly2, NewtonNodes, newton_triple
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 12
@@ -41,11 +35,9 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_SAMPLES",
     "gamma_blocks",
-    "MonomialPencil",
     "NewtonPencil",
     "AnsatzVector",
     "MembershipResult",
-    "membership_monomial",
     "membership_newton",
     "s_map",
     "to_newton_space",
@@ -67,44 +59,23 @@ def gamma_blocks(nodes: NewtonNodes, n: int, lam: complex, mu: complex):
 
 
 @dataclass(frozen=True)
-class MonomialPencil:
-    """Linear pencil lam L1 + mu L2 + L0 with 3n x 3n blocks."""
-
-    n: int
-    L1: np.ndarray
-    L2: np.ndarray
-    L0: np.ndarray
-
-    @classmethod
-    def from_blocks(cls, l1, l2, l0) -> "MonomialPencil":
-        l1 = np.asarray(l1, dtype=complex)
-        if l1.ndim != 2 or l1.shape[0] % 3 != 0:
-            raise ValueError(f"pencil blocks must be 3n x 3n, got {l1.shape}")
-        n = l1.shape[0] // 3
-        l1 = freeze(as_matrix(l1, 3 * n, 3 * n, name="L1"))
-        l2 = freeze(as_matrix(l2, 3 * n, 3 * n, name="L2"))
-        l0 = freeze(as_matrix(l0, 3 * n, 3 * n, name="L0"))
-        return cls(n=n, L1=l1, L2=l2, L0=l0)
-
-    def eval(self, lam: complex, mu: complex) -> np.ndarray:
-        return lam * self.L1 + mu * self.L2 + self.L0
-
-    def blocks(self):
-        return (self.L1, self.L2, self.L0)
-
-
-@dataclass(frozen=True)
 class NewtonPencil:
-    """Newton-form pencil A1 Gamma2(lam) + A2 Gamma2t(mu) + A3."""
+    """Newton-form pencil A1 Gamma2(lam) + A2 Gamma2t(mu) + A3.
+
+    With all nodes zero this is the monomial pencil lam A1 + mu A2 + A3.
+    ``basis`` is the file-format label: a "monomial" pencil file stores the
+    blocks as L1/L2/L0 and carries no nodes.
+    """
 
     n: int
     nodes: NewtonNodes
     A1: np.ndarray
     A2: np.ndarray
     A3: np.ndarray
+    basis: str = NEWTON
 
     @classmethod
-    def from_blocks(cls, nodes, a1, a2, a3) -> "NewtonPencil":
+    def from_blocks(cls, nodes, a1, a2, a3, basis: str = NEWTON) -> "NewtonPencil":
         if not isinstance(nodes, NewtonNodes):
             nodes = NewtonNodes(*nodes)
         a1 = np.asarray(a1, dtype=complex)
@@ -114,7 +85,7 @@ class NewtonPencil:
         a1 = freeze(as_matrix(a1, 3 * n, 3 * n, name="A1"))
         a2 = freeze(as_matrix(a2, 3 * n, 3 * n, name="A2"))
         a3 = freeze(as_matrix(a3, 3 * n, 3 * n, name="A3"))
-        return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3)
+        return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3, basis=basis)
 
     def eval(self, lam: complex, mu: complex) -> np.ndarray:
         # Gamma2 / Gamma2t are block-diagonal with scalar blocks, so the
@@ -130,6 +101,11 @@ class NewtonPencil:
 
     def blocks(self):
         return (self.A1, self.A2, self.A3)
+
+
+# The benchmark tracer (perfbench/tracing.py) looks this name up; it has no
+# other user.
+MonomialPencil = NewtonPencil
 
 
 @dataclass(frozen=True)
@@ -175,8 +151,17 @@ class MembershipResult:
     tol: float
 
 
-def _membership(pencil_eval, triple_fn, q: MatrixPoly2, samples: int,
-                tol: float, seed: int) -> MembershipResult:
+def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
+                      samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
+                      seed: int = 0) -> MembershipResult:
+    """Test L(lam, mu) (N kron I) = v kron Q(lam, mu) and recover v."""
+    if pencil.n != q.n:
+        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
+    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
+        raise NodeMismatchError(
+            f"pencil nodes {pencil.nodes.as_tuple()} differ from "
+            f"polynomial nodes {q.nodes.as_tuple()}"
+        )
     n = q.n
     rng = np.random.default_rng(seed)
     pts = annulus_points(rng, 2 * samples)
@@ -186,7 +171,8 @@ def _membership(pencil_eval, triple_fn, q: MatrixPoly2, samples: int,
     rvals = []
     qvals = []
     for lam, mu in zip(lams, mus):
-        rvals.append(pencil_eval(lam, mu) @ np.kron(triple_fn(lam, mu).reshape(3, 1), eye))
+        triple = newton_triple(pencil.nodes, lam, mu).reshape(3, 1)
+        rvals.append(pencil.eval(lam, mu) @ np.kron(triple, eye))
         qvals.append(q.eval(lam, mu))
 
     qscale = max(float(np.linalg.norm(qv)) for qv in qvals)
@@ -217,34 +203,6 @@ def _membership(pencil_eval, triple_fn, q: MatrixPoly2, samples: int,
                             residual=rel, sample_count=samples, tol=tol)
 
 
-def membership_monomial(pencil: MonomialPencil, q: MatrixPoly2, *,
-                        samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                        seed: int = 0) -> MembershipResult:
-    """Test L(lam, mu) (Lambda kron I) = v kron Q(lam, mu) and recover v."""
-    if q.basis != MONOMIAL:
-        raise BasisMismatchError("membership_monomial expects a monomial-tagged polynomial")
-    if pencil.n != q.n:
-        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
-    return _membership(pencil.eval, monomial_triple, q, samples, tol, seed)
-
-
-def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
-                      samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                      seed: int = 0) -> MembershipResult:
-    """Test L_N(lam, mu) (N kron I) = v kron Q_N(lam, mu) and recover v."""
-    if q.basis != NEWTON:
-        raise BasisMismatchError("membership_newton expects a newton-tagged polynomial")
-    if pencil.n != q.n:
-        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
-    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError(
-            f"pencil nodes {pencil.nodes.as_tuple()} differ from "
-            f"polynomial nodes {q.nodes.as_tuple()}"
-        )
-    return _membership(pencil.eval, lambda lam, mu: newton_triple(pencil.nodes, lam, mu),
-                       q, samples, tol, seed)
-
-
 def s_map(nodes: NewtonNodes):
     """Change of basis S with S Lambda = N, together with its exact inverse.
 
@@ -256,40 +214,41 @@ def s_map(nodes: NewtonNodes):
     return s, sinv
 
 
-def to_newton_space(pencil: MonomialPencil, nodes: NewtonNodes) -> MonomialPencil:
-    """Right-multiply by S^{-1} kron I: the image satisfies the N-identity.
-
-    If the input satisfies the Lambda-identity with ansatz v, the returned
-    pencil (still evaluated as lam L1 + mu L2 + L0) satisfies
-    image(lam, mu) (N kron I) = v kron Q(lam, mu) with the same v. With all
-    nodes zero this is the identity map.
-    """
-    _, sinv = s_map(nodes)
-    t = np.kron(sinv, np.eye(pencil.n))
-    return MonomialPencil.from_blocks(pencil.L1 @ t, pencil.L2 @ t, pencil.L0 @ t)
-
-
-def to_monomial_space(pencil: MonomialPencil, nodes: NewtonNodes) -> MonomialPencil:
-    """Inverse of :func:`to_newton_space` (right-multiply by S kron I)."""
-    s, _ = s_map(nodes)
+def _right_multiply(pencil: NewtonPencil, s: np.ndarray) -> NewtonPencil:
     t = np.kron(s, np.eye(pencil.n))
-    return MonomialPencil.from_blocks(pencil.L1 @ t, pencil.L2 @ t, pencil.L0 @ t)
+    return NewtonPencil.from_blocks(pencil.nodes, pencil.A1 @ t, pencil.A2 @ t,
+                                    pencil.A3 @ t, basis=pencil.basis)
 
 
-def transfer_to_newton(pencil: MonomialPencil, q_newton: MatrixPoly2) -> NewtonPencil:
-    """Reinterpret monomial pencil blocks as a Newton-form pencil.
+def to_newton_space(pencil: NewtonPencil, nodes: NewtonNodes) -> NewtonPencil:
+    """Right-multiply the blocks by S^{-1} kron I: the image satisfies the N-identity.
 
-    If lam A1 + mu A2 + A3 satisfies the Lambda-identity for the monomial
-    partner of ``q_newton`` (same coefficient blocks), the returned pencil
-    A1 Gamma2 + A2 Gamma2t + A3 satisfies the N-identity for ``q_newton``
-    with the same ansatz vector. The precondition is not checked here; run
-    :func:`membership_newton` on the result to certify it.
+    If a zero-node pencil satisfies the Lambda-identity with ansatz v, the
+    returned pencil (on the same zero nodes, so still evaluated as
+    lam A1 + mu A2 + A3) satisfies image(lam, mu) (N kron I) = v kron Q(lam, mu)
+    with the same v, N taken on ``nodes``. With all nodes zero this is the
+    identity map.
     """
-    if q_newton.basis != NEWTON:
-        raise BasisMismatchError("transfer_to_newton expects a newton-tagged polynomial")
+    return _right_multiply(pencil, s_map(nodes)[1])
+
+
+def to_monomial_space(pencil: NewtonPencil, nodes: NewtonNodes) -> NewtonPencil:
+    """Inverse of :func:`to_newton_space` (right-multiply by S kron I)."""
+    return _right_multiply(pencil, s_map(nodes)[0])
+
+
+def transfer_to_newton(pencil: NewtonPencil, q_newton: MatrixPoly2) -> NewtonPencil:
+    """The blocks of a zero-node pencil, put on the nodes of ``q_newton``.
+
+    If lam A1 + mu A2 + A3 satisfies the Lambda-identity for the zero-node
+    polynomial with the coefficient blocks of ``q_newton``, the returned
+    pencil A1 Gamma2 + A2 Gamma2t + A3 satisfies the N-identity for
+    ``q_newton`` with the same ansatz vector. The precondition is not
+    checked here; run :func:`membership_newton` on the result to certify it.
+    """
     if pencil.n != q_newton.n:
         raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q_newton.n}")
-    return NewtonPencil.from_blocks(q_newton.nodes, pencil.L1, pencil.L2, pencil.L0)
+    return NewtonPencil.from_blocks(q_newton.nodes, *pencil.blocks(), basis=q_newton.basis)
 
 
 def select_M(v, *, tol: float = DEFAULT_TOL, alternate_ac: bool = False) -> np.ndarray:

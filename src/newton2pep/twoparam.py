@@ -1,7 +1,7 @@
 """Two-parameter eigenvalue problem pairs in Newton form.
 
-A pair of Newton-tagged quadratic polynomials Q1 (p1 x p1) and Q2 (p2 x p2)
-over one shared node set defines the joint spectrum
+A pair of quadratic polynomials Q1 (p1 x p1) and Q2 (p2 x p2) over one
+shared node set defines the joint spectrum
 
     { (lam, mu) : det Q1(lam, mu) = det Q2(lam, mu) = 0 }.
 
@@ -37,14 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasisMismatchError,
-    NodeMismatchError,
-    SharedFactorError,
-    SingularPencilError,
-)
+from .errors import NodeMismatchError, SharedFactorError, SingularPencilError
 from .linalg import annulus_points, det, small_dense_eigen, smallest_singular_value
-from .matpoly import NEWTON, MatrixPoly2
+from .matpoly import MatrixPoly2
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, gamma_blocks
 
@@ -69,15 +64,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QtepPair:
-    """Two Newton-tagged quadratic polynomials sharing one node set."""
+    """Two quadratic polynomials sharing one node set (zero for monomial input)."""
 
     q1: MatrixPoly2
     q2: MatrixPoly2
 
     def __post_init__(self):
-        for q, name in ((self.q1, "q1"), (self.q2, "q2")):
-            if q.basis != NEWTON:
-                raise BasisMismatchError(f"{name} must be newton-tagged")
         if self.q1.nodes.as_tuple() != self.q2.nodes.as_tuple():
             raise NodeMismatchError("pair polynomials must share one node set")
 
@@ -231,7 +223,7 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
 
 def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
     """Coefficients (K2, K1, K0) of lam^2 K2 + lam K1 + K0 = Q(lam, mu0)."""
-    qm = q.to_monomial() if q.basis == NEWTON else q
+    qm = q.to_monomial()
     k2 = qm.coeff(2, 0)
     k1 = mu0 * qm.coeff(1, 1) + qm.coeff(1, 0)
     k0 = mu0 * mu0 * qm.coeff(0, 2) + mu0 * qm.coeff(0, 1) + qm.coeff(0, 0)

@@ -31,8 +31,24 @@ def scalar_monomial(a20, a11, a02, a10, a01, a00):
 
 
 def scalar_newton(a20, a11, a02, a10, a01, a00, nodes=None):
-    return scalar_monomial(a20, a11, a02, a10, a01, a00).newton_partner(
-        nodes or NewtonNodes())
+    return MatrixPoly2.newton(scalar_monomial(a20, a11, a02, a10, a01, a00).coeffs,
+                              nodes or NewtonNodes())
+
+
+def with_zero_nodes(q):
+    """The coefficient blocks of q read in the monomial basis (zero nodes)."""
+    return MatrixPoly2.monomial(dict(q.coeffs))
+
+
+def monomial_triple(lam, mu):
+    """The vector (lambda, mu, 1): the zero-node reference for newton_triple."""
+    return np.array([lam, mu, 1.0], dtype=complex)
+
+
+def monomial_six(lam, mu):
+    """Degree-two monomials (lambda^2, lambda*mu, mu^2, lambda, mu, 1): the
+    zero-node reference for newton_six."""
+    return np.array([lam * lam, lam * mu, mu * mu, lam, mu, 1.0], dtype=complex)
 
 
 def annulus_scalar(rng, count=1):

@@ -19,7 +19,6 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     det,
-    membership_monomial,
     membership_newton,
     pair_linearize,
     select_M,
@@ -33,7 +32,8 @@ from newton2pep.cli import main
 from newton2pep.fileio import save_problem
 from newton2pep.spaces import NewtonPencil
 
-from helpers import cofactor_det, random_monomial, random_newton, random_nodes
+from helpers import (cofactor_det, random_monomial, random_newton, random_nodes,
+                     with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -77,7 +77,7 @@ def test_criterion_02_scalar_companion_determinant():
 def test_criterion_03_newton_reduction_zero_nodes():
     rng = np.random.default_rng(103)
     q = random_newton(rng, 2, NewtonNodes())
-    c = companion_pencil(q.monomial_partner())
+    c = companion_pencil(with_zero_nodes(q))
     pencil = transfer_to_newton(c, q)
     pts = annulus_points(rng, 200)
     for lam, mu in zip(pts[:100], pts[100:]):
@@ -90,10 +90,10 @@ def test_criterion_04_lemma_transfer_same_ansatz():
     for trial in range(100):
         n = int(rng.integers(1, 4))
         qn = random_newton(rng, n)
-        q = qn.monomial_partner()
-        pencil = assemble_e1_blocks(q, *_random_raw_params(rng, n))
-        mono = _monomial_pencil_from_blocks(pencil)
-        v1 = membership_monomial(mono, q).ansatz.vector
+        q = with_zero_nodes(qn)
+        mono = NewtonPencil.from_blocks(q.nodes,
+                                        *assemble_e1_blocks(q, *_random_raw_params(rng, n)))
+        v1 = membership_newton(mono, q).ansatz.vector
         v2 = membership_newton(transfer_to_newton(mono, qn), qn).ansatz.vector
         assert np.abs(v1 - v2).max() < 1e-8, trial
     _passed(4, "monomial and transferred Newton pencils share the ansatz, 1e-8")
@@ -102,11 +102,6 @@ def test_criterion_04_lemma_transfer_same_ansatz():
 def _random_raw_params(rng, n):
     return (complex_normal(rng, n, n), complex_normal(rng, 3 * n, n),
             complex_normal(rng, 3 * n, n))
-
-
-def _monomial_pencil_from_blocks(blocks):
-    from newton2pep.spaces import MonomialPencil
-    return MonomialPencil.from_blocks(*blocks)
 
 
 def test_criterion_05_e1_newton_linearization():

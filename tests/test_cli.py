@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import newton2pep
-from newton2pep import NewtonNodes, companion_pencil
+from newton2pep import MatrixPoly2, NewtonNodes, companion_pencil
 from newton2pep.cli import main
 from newton2pep.fileio import load_pencil, load_problem, save_problem
 
@@ -88,7 +88,8 @@ class TestConstruct:
         assert not out.exists()
 
     def test_small_nonzero_ansatz_accepted(self, tmp_path, qfile, capsys):
-        # Every nonzero multiple of an ansatz vector is an ansatz vector.
+        # Every nonzero multiple of an ansatz vector is an ansatz vector, and
+        # its pencil a linearization (gamma ~ 1e-20 here).
         out = tmp_path / "pencil.json"
         code, report = run(capsys, ["construct", qfile, "--ansatz=1e-10,0,0",
                                     "--out", str(out)])
@@ -99,6 +100,9 @@ class TestConstruct:
                   for a, b in re.findall(r"\(([^,()]+), ([^,()]+)\)", line)]
         scale = max(abs(v) for v in values)
         assert tuple(abs(v) > 1e-8 * scale for v in values) == (True, False, False)
+        code, report = run(capsys, ["verify", qfile, str(out)])
+        assert code == 0
+        assert "verdict: PASS" in report
 
     def test_malformed_file_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -318,6 +322,43 @@ class TestSpectrum:
         save_problem(b, q)
         code, _ = run(capsys, ["spectrum", str(a), "--pair", str(b)])
         assert code == 3
+
+
+PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
+            (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+CONSTRUCT_MODES = ["--companion"] + [
+    "--ansatz=" + ",".join("1.5-0.5j" if nonzero else "0" for nonzero in pattern)
+    for pattern in PATTERNS]
+
+
+@pytest.mark.parametrize("mode", CONSTRUCT_MODES)
+def test_monomial_file_is_zero_node_newton_file(tmp_path, capsys, mode):
+    # Same coefficients, once as a monomial file and once as a Newton file
+    # with all nodes zero: the reports differ only in the basis label and
+    # the file paths, and the pencils only in the block names.
+    q = random_monomial(np.random.default_rng(30), 2)
+    zero_node = MatrixPoly2.newton(q.coeffs, NewtonNodes())
+    files = {}
+    for label, poly in (("mono", q), ("newt", zero_node)):
+        problem, pencil = str(tmp_path / f"{label}.json"), str(tmp_path / f"{label}-p.json")
+        save_problem(problem, poly)
+        reports = []
+        for argv in (["construct", problem, mode, "--out", pencil],
+                     ["verify", problem, pencil],
+                     ["spectrum", problem, pencil, "--slices", "3"]):
+            code, out = run(capsys, argv)
+            assert code == 0, (argv, out)
+            reports.append([line for line in out.splitlines()
+                            if not line.startswith(("input:", "inputs:", "output:",
+                                                    "problem: basis="))])
+        files[label] = (reports, load_pencil(pencil)[0])
+    (mono_reports, mono_pencil), (newt_reports, newt_pencil) = files["mono"], files["newt"]
+    assert mono_reports == newt_reports
+    assert (mono_pencil.basis, newt_pencil.basis) == ("monomial", "newton")
+    written = json.loads((tmp_path / "mono-p.json").read_text())
+    assert set(written["blocks"]) == {"L1", "L2", "L0"} and "nodes" not in written
+    for a, b in zip(mono_pencil.blocks(), newt_pencil.blocks()):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestDeterminism:

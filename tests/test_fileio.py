@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import (COEFF_KEYS, MatrixPoly2, NewtonNodes, companion_pencil,
-                        newton_companion)
+from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil
 from newton2pep.fileio import (
     FileFormatError,
     _flat_to_matrix,
@@ -110,10 +109,6 @@ def node_values(nodes):
     return [nodes.alpha1, nodes.alpha2, nodes.beta1, nodes.beta2]
 
 
-def companion(q):
-    return companion_pencil(q) if q.nodes is None else newton_companion(q)
-
-
 def assert_bitwise(a, b):
     a = np.ascontiguousarray(a, complex)
     b = np.ascontiguousarray(b, complex)
@@ -140,7 +135,7 @@ def test_indented_problem_and_pencil_files_load_identically(tmp_path, nodes):
     if nodes is not None:
         assert_bitwise(node_values(b.nodes), node_values(nodes))
 
-    pencil = companion(a)
+    pencil = companion_pencil(a)
     compact, indented = tmp_path / "p.json", tmp_path / "p_old.json"
     save_pencil(compact, pencil, {"note": "x"})
     rewrite_indented(compact, indented)
@@ -170,10 +165,20 @@ def test_monomial_file_rejects_nodes(tmp_path, kind):
     if kind == "problem":
         save_problem(path, q)
     else:
-        save_pencil(path, companion(q))
+        save_pencil(path, companion_pencil(q))
     doc = json.loads(path.read_text())
     doc["nodes"] = {"alpha": [[0, 0], [0, 0]], "beta": [[0, 0], [0, 0]]}
     path.write_text(json.dumps(doc))
     loader = load_problem if kind == "problem" else load_pencil
     with pytest.raises(FileFormatError, match="'nodes' is only valid with basis 'newton'"):
         loader(path)
+
+
+def test_monomial_label_with_nonzero_nodes_is_not_written(tmp_path):
+    # A monomial file has no place for nodes; writing one would drop them.
+    q = tricky_poly(None)
+    blocks = companion_pencil(q).blocks()
+    pencil = NewtonPencil.from_blocks(NewtonNodes(1, 0, 0, 0), *blocks, basis="monomial")
+    with pytest.raises(ValueError, match="cannot record nonzero nodes"):
+        save_pencil(tmp_path / "p.json", pencil)
+    assert not (tmp_path / "p.json").exists()

@@ -14,13 +14,10 @@ from newton2pep import (
     assemble_e1_blocks,
     companion_pencil,
     complex_normal,
-    construct_e1_monomial,
     construct_e1_newton,
     construct_general_ansatz,
     det,
-    membership_monomial,
     membership_newton,
-    newton_companion,
     newton_triple,
     select_M,
     unimodular_witnesses,
@@ -38,7 +35,7 @@ class TestCompanion:
         rng = np.random.default_rng(0)
         for _ in range(5):
             q = random_monomial(rng, 3)
-            res = membership_monomial(companion_pencil(q), q)
+            res = membership_newton(companion_pencil(q), q)
             assert res.member
             np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
 
@@ -76,7 +73,7 @@ class TestE1Monomial:
     def test_companion_params_reproduce_companion(self):
         rng = np.random.default_rng(3)
         q = random_monomial(rng, 2)
-        pencil = construct_e1_monomial(q, E1FreeParams.companion(q))
+        pencil = construct_e1_newton(q, E1FreeParams.companion(q))
         c = companion_pencil(q)
         for a, b in zip(pencil.blocks(), c.blocks()):
             np.testing.assert_array_equal(a, b)
@@ -85,8 +82,8 @@ class TestE1Monomial:
         rng = np.random.default_rng(4)
         for _ in range(10):
             q = random_monomial(rng, 2)
-            pencil = construct_e1_monomial(q, E1FreeParams.random(2, rng))
-            res = membership_monomial(pencil, q)
+            pencil = construct_e1_newton(q, E1FreeParams.random(2, rng))
+            res = membership_newton(pencil, q)
             assert res.member
             np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-10)
 
@@ -105,7 +102,7 @@ class TestE1Monomial:
         z = np.vstack([np.ones((n, n)), zero, zero])
         params = E1FreeParams.build(zero, z, z)
         with pytest.raises(AdmissibilityError, match="sigma_min"):
-            construct_e1_monomial(random_monomial(np.random.default_rng(5), 2), params)
+            construct_e1_newton(random_monomial(np.random.default_rng(5), 2), params)
 
 
 class TestE1Newton:
@@ -114,20 +111,31 @@ class TestE1Newton:
         qn = random_newton(rng, 2, NewtonNodes())
         params = E1FreeParams.random(2, rng)
         pn = construct_e1_newton(qn, params)
-        pm = construct_e1_monomial(qn.monomial_partner(), params)
         pts = annulus_points(rng, 20)
         for lam, mu in zip(pts[:10], pts[10:]):
-            np.testing.assert_array_equal(pn.eval(lam, mu), pm.eval(lam, mu))
+            np.testing.assert_array_equal(pn.eval(lam, mu),
+                                          lam * pn.A1 + mu * pn.A2 + pn.A3)
 
     def test_companion_params_give_transferred_companion(self):
         rng = np.random.default_rng(7)
         qn = random_newton(rng, 2)
         pn = construct_e1_newton(qn, E1FreeParams.companion(qn))
-        cn = newton_companion(qn)
+        cn = companion_pencil(qn)
         for a, b in zip(pn.blocks(), cn.blocks()):
             np.testing.assert_array_equal(a, b)
         res = membership_newton(pn, qn)
         assert res.member
+
+    def test_scaled_z_is_admissible_and_verifies(self):
+        # Every nonzero multiple of an admissible Z is admissible. gamma =
+        # det Z shrinks as the multiple to the power 2n and has no floor.
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            qn = random_newton(rng, n)
+            params = E1FreeParams.random(n, rng)
+            small = E1FreeParams.build(params.y11, 1e-8 * params.z1, 1e-8 * params.z2)
+            small.require_admissible()
+            assert verify_linearization(construct_e1_newton(qn, small), qn).passed
 
     def test_random_admissible_verifies(self):
         rng = np.random.default_rng(8)
@@ -197,7 +205,7 @@ class TestVerifyLinearization:
     def test_companion_gamma_minus_one_scalar(self):
         rng = np.random.default_rng(13)
         qn = random_newton(rng, 1, NewtonNodes())
-        pencil = newton_companion(qn)
+        pencil = companion_pencil(qn)
         report = verify_linearization(pencil, qn)
         assert report.passed
         assert report.gamma_estimate == pytest.approx(-1.0, rel=1e-10)
@@ -228,7 +236,7 @@ class TestVerifyLinearization:
             block[:, 0] = complex_normal(rng, 2)
             coeffs[k] = block
         qn = MatrixPoly2.newton(coeffs, NewtonNodes())
-        pencil = newton_companion(qn)
+        pencil = companion_pencil(qn)
         with pytest.raises(DegenerateProblemError):
             verify_linearization(pencil, qn)
 
@@ -282,6 +290,15 @@ class TestGeneralAnsatz:
         res = membership_newton(built.pencil_v, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz.vector, v, atol=1e-8)
+
+    def test_large_ansatz_takes_deterministic_z(self):
+        # M's trailing 2 x 2 block has determinant 1/(bc): tiny here, not zero.
+        rng = np.random.default_rng(24)
+        qn = random_newton(rng, 2)
+        for v in ([1.0, 1.0, 1.0], [1e5, 1e5, 1e5]):
+            built = construct_general_ansatz(qn, np.array(v))
+            assert not built.z1_hat[:2].any() and not built.z2_hat[:2].any()
+            assert verify_linearization(built.pencil, qn).passed
 
     def test_explicit_params_respected(self):
         rng = np.random.default_rng(21)

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from newton2pep import (
-    BasisMismatchError,
     COEFF_KEYS,
     MatrixPoly2,
     NewtonNodes,
     annulus_points,
-    monomial_six,
-    monomial_triple,
     newton_scalars,
     newton_six,
     newton_triple,
 )
 
-from helpers import random_monomial, random_newton, random_nodes, scalar_newton
+from helpers import (monomial_six, monomial_triple, random_monomial, random_newton,
+                     random_nodes, scalar_newton)
 
 
 class TestNewtonScalars:
@@ -78,9 +76,12 @@ class TestEval:
     def test_newton_zero_nodes_equals_monomial(self):
         rng = np.random.default_rng(3)
         q = random_monomial(rng, 2)
-        qn = q.newton_partner(NewtonNodes())
+        assert q.nodes.is_zero
         for lam, mu in zip(annulus_points(rng, 5), annulus_points(rng, 5)):
-            np.testing.assert_array_equal(q.eval(lam, mu), qn.eval(lam, mu))
+            expected = np.zeros((2, 2), dtype=complex)
+            for weight, key in zip(monomial_six(lam, mu), COEFF_KEYS):
+                expected += weight * q.coeff(*key)
+            np.testing.assert_array_equal(q.eval(lam, mu), expected)
 
     def test_scalar_newton_value(self):
         qn = scalar_newton(1, 1, 1, 1, 1, 1, NewtonNodes(1, 2, 0, 0))
@@ -117,10 +118,14 @@ class TestToMonomial:
 
     def test_zero_nodes_leaves_coefficients(self):
         rng = np.random.default_rng(4)
-        qn = random_newton(rng, 2, NewtonNodes())
-        qm = qn.to_monomial()
-        for key in COEFF_KEYS:
-            np.testing.assert_array_equal(qm.coeff(*key), qn.coeff(*key))
+        coeffs = dict(random_newton(rng, 2).coeffs)
+        coeffs[(1, 0)] = np.array([[-0.0, 1.0], [2.0, complex(-0.0, -0.0)]])
+        for qn in (MatrixPoly2.newton(coeffs, NewtonNodes()), MatrixPoly2.monomial(coeffs)):
+            qm = qn.to_monomial()
+            for key in COEFF_KEYS:
+                # Bitwise, so signed zeros count too.
+                np.testing.assert_array_equal(qm.coeff(*key).view(np.uint64),
+                                              qn.coeff(*key).view(np.uint64))
 
     def test_evaluation_preserved_at_random_points(self):
         rng = np.random.default_rng(5)
@@ -132,8 +137,3 @@ class TestToMonomial:
                 a = qn.eval(lam, mu)
                 b = qm.eval(lam, mu)
                 assert np.abs(a - b).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
-
-    def test_wrong_tag_rejected(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(BasisMismatchError):
-            random_monomial(rng, 1).to_monomial()

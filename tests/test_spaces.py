@@ -7,16 +7,14 @@ from newton2pep import (
     AnsatzVector,
     DegenerateProblemError,
     MatrixPoly2,
-    MonomialPencil,
     NewtonNodes,
     NewtonPencil,
     NodeMismatchError,
     annulus_points,
     companion_pencil,
-    construct_e1_monomial,
+    construct_e1_newton,
     E1FreeParams,
     gamma_blocks,
-    membership_monomial,
     membership_newton,
     newton_scalars,
     newton_triple,
@@ -27,7 +25,7 @@ from newton2pep import (
     transfer_to_newton,
 )
 
-from helpers import random_monomial, random_newton, random_nodes
+from helpers import random_monomial, random_newton, random_nodes, with_zero_nodes
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -78,7 +76,7 @@ class TestMembershipMonomial:
     def test_companion_has_e1_ansatz(self):
         rng = np.random.default_rng(2)
         q = random_monomial(rng, 3)
-        res = membership_monomial(companion_pencil(q), q)
+        res = membership_newton(companion_pencil(q), q)
         assert res.member
         np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
         assert res.ansatz.pattern == (True, False, False)
@@ -87,7 +85,7 @@ class TestMembershipMonomial:
         rng = np.random.default_rng(3)
         q = random_monomial(rng, 2)
         zero = np.zeros((6, 6))
-        res = membership_monomial(MonomialPencil.from_blocks(zero, zero, zero), q)
+        res = membership_newton(NewtonPencil.from_blocks(q.nodes, zero, zero, zero), q)
         assert res.member
         assert res.ansatz.is_zero
 
@@ -95,9 +93,9 @@ class TestMembershipMonomial:
         rng = np.random.default_rng(4)
         q = random_monomial(rng, 2)
         c = companion_pencil(q)
-        l0 = c.L0.copy()
-        l0[0, 0] += 1e-3
-        res = membership_monomial(MonomialPencil.from_blocks(c.L1, c.L2, l0), q)
+        a3 = c.A3.copy()
+        a3[0, 0] += 1e-3
+        res = membership_newton(NewtonPencil.from_blocks(q.nodes, c.A1, c.A2, a3), q)
         assert not res.member
         assert res.residual > 1e-9
 
@@ -105,16 +103,16 @@ class TestMembershipMonomial:
         zero = np.zeros((2, 2))
         q = MatrixPoly2.monomial({k: zero for k in
                                   ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))})
-        c = MonomialPencil.from_blocks(np.eye(6), np.eye(6), np.eye(6))
+        c = NewtonPencil.from_blocks(q.nodes, np.eye(6), np.eye(6), np.eye(6))
         with pytest.raises(DegenerateProblemError):
-            membership_monomial(c, q)
+            membership_newton(c, q)
 
 
 class TestMembershipNewton:
     def test_transferred_companion_has_e1_ansatz(self):
         rng = np.random.default_rng(5)
         qn = random_newton(rng, 2)
-        pencil = transfer_to_newton(companion_pencil(qn.monomial_partner()), qn)
+        pencil = transfer_to_newton(companion_pencil(with_zero_nodes(qn)), qn)
         res = membership_newton(pencil, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
@@ -130,7 +128,7 @@ class TestMembershipNewton:
     def test_node_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         qn = random_newton(rng, 2, NewtonNodes(1, 2, 3, 4))
-        pencil = transfer_to_newton(companion_pencil(qn.monomial_partner()), qn)
+        pencil = transfer_to_newton(companion_pencil(with_zero_nodes(qn)), qn)
         other = random_newton(rng, 2, NewtonNodes(0, 0, 0, 1))
         with pytest.raises(NodeMismatchError):
             membership_newton(pencil, other)
@@ -139,9 +137,9 @@ class TestMembershipNewton:
         # Sum of two members has the sum of the ansatz vectors.
         rng = np.random.default_rng(7)
         qn = random_newton(rng, 2)
-        pencil1 = transfer_to_newton(companion_pencil(qn.monomial_partner()), qn)
+        pencil1 = transfer_to_newton(companion_pencil(with_zero_nodes(qn)), qn)
         params = E1FreeParams.random(2, rng)
-        mono = construct_e1_monomial(qn.monomial_partner(), params)
+        mono = construct_e1_newton(with_zero_nodes(qn), params)
         pencil2 = transfer_to_newton(mono, qn)
         s = NewtonPencil.from_blocks(qn.nodes,
                                      2.0 * pencil1.A1 + pencil2.A1,
@@ -211,9 +209,10 @@ class TestIsomorphism:
         qb = random_monomial(rng, 2)
         ca, cb = companion_pencil(qa), companion_pencil(qb)
         c1, c2 = 1.5 - 0.5j, -2.0 + 1j
-        combo = MonomialPencil.from_blocks(c1 * ca.L1 + c2 * cb.L1,
-                                           c1 * ca.L2 + c2 * cb.L2,
-                                           c1 * ca.L0 + c2 * cb.L0)
+        combo = NewtonPencil.from_blocks(NewtonNodes(),
+                                         c1 * ca.A1 + c2 * cb.A1,
+                                         c1 * ca.A2 + c2 * cb.A2,
+                                         c1 * ca.A3 + c2 * cb.A3)
         f_combo = to_newton_space(combo, nodes)
         fa, fb = to_newton_space(ca, nodes), to_newton_space(cb, nodes)
         for got, xa, xb in zip(f_combo.blocks(), fa.blocks(), fb.blocks()):
@@ -224,7 +223,7 @@ class TestTransfer:
     def test_zero_nodes_evaluation_preserved(self):
         rng = np.random.default_rng(13)
         qn = random_newton(rng, 2, NewtonNodes())
-        c = companion_pencil(qn.monomial_partner())
+        c = companion_pencil(with_zero_nodes(qn))
         pencil = transfer_to_newton(c, qn)
         pts = annulus_points(rng, 200)
         for lam, mu in zip(pts[:100], pts[100:]):
@@ -235,9 +234,9 @@ class TestTransfer:
         for _ in range(20):
             n = int(rng.integers(1, 4))
             qn = random_newton(rng, n)
-            q = qn.monomial_partner()
-            mono = construct_e1_monomial(q, E1FreeParams.random(n, rng))
-            v_mono = membership_monomial(mono, q).ansatz.vector
+            q = with_zero_nodes(qn)
+            mono = construct_e1_newton(q, E1FreeParams.random(n, rng))
+            v_mono = membership_newton(mono, q).ansatz.vector
             v_newt = membership_newton(transfer_to_newton(mono, qn), qn).ansatz.vector
             np.testing.assert_allclose(v_mono, v_newt, atol=1e-8)
 

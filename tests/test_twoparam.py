@@ -14,10 +14,10 @@ from newton2pep import (
     SharedFactorError,
     annulus_points,
     certify_singular,
+    companion_pencil,
     complex_normal,
     delta_operators,
     det,
-    newton_companion,
     pair_linearize,
     spectrum_pair_oracle,
     spectrum_slice,
@@ -72,7 +72,7 @@ class TestPairLinearize:
         ln1, ln2 = pair_linearize(pair, E1FreeParams.companion(pair.q1),
                                   E1FreeParams.companion(pair.q2))
         for ln, q in ((ln1, pair.q1), (ln2, pair.q2)):
-            cn = newton_companion(q)
+            cn = companion_pencil(q)
             for a, b in zip(ln.blocks(), cn.blocks()):
                 np.testing.assert_array_equal(a, b)
 
@@ -271,7 +271,7 @@ class TestVerifySpectrumMatch:
     def test_companion_transfer_containment(self):
         rng = np.random.default_rng(9)
         qn = random_newton(rng, 2)
-        report = verify_spectrum_match(qn, newton_companion(qn), slices=5, seed=1)
+        report = verify_spectrum_match(qn, companion_pencil(qn), slices=5, seed=1)
         assert report.all_contained
         for rec in report.records:
             assert not rec.pencil_singular
@@ -281,7 +281,7 @@ class TestVerifySpectrumMatch:
     def test_zero_node_companion_roots_match_polynomial(self):
         # q = lam^2 + mu^2 + 1: on every slice the pencil eigenvalues solve q.
         q = scalar_newton(1, 0, 1, 0, 0, 1)
-        pencil = newton_companion(q)
+        pencil = companion_pencil(q)
         report = verify_spectrum_match(q, pencil, slices=4, seed=2)
         assert report.all_contained
         for rec in report.records:
