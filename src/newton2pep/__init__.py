@@ -39,7 +39,7 @@ from .spaces import (
     AnsatzVector,
     MembershipResult,
     NewtonPencil,
-    gamma_blocks,
+    SampleSet,
     membership_newton,
     s_map,
     select_M,

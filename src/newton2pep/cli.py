@@ -9,6 +9,7 @@ error, 3 inconclusive (degenerate input).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ from .linearize import (
     verify_linearization,
 )
 from .matpoly import MatrixPoly2
-from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, membership_newton
+from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, SampleSet, membership_newton
 from .twoparam import (
     KERNEL_WITNESS,
     QtepPair,
@@ -161,8 +162,8 @@ def _cmd_construct(args) -> int:
 
     report.add(f"ansatz requested: {ansatz_note}")
 
-    membership = membership_newton(pencil, q, samples=args.samples, tol=args.tol,
-                                   seed=seed)
+    membership = membership_newton(pencil, q, points=SampleSet(q, args.samples, seed),
+                                   tol=args.tol)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
@@ -194,13 +195,13 @@ def _cmd_verify(args) -> int:
     report.add(f"tolerance: {_fmt_f(args.tol)}")
     report.add(f"samples: {args.samples}")
 
-    membership = membership_newton(pencil, q, samples=args.samples, tol=args.tol,
-                                   seed=seed)
+    points = SampleSet(q, args.samples, seed)
+    membership = membership_newton(pencil, q, points=points, tol=args.tol)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
 
-    lin = verify_linearization(pencil, q, samples=args.samples, tol=args.tol, seed=seed)
+    lin = verify_linearization(pencil, q, points=points, tol=args.tol)
     report.add(f"gamma estimate: {_fmt_c(lin.gamma_estimate)}")
     report.add(f"max relative deviation: {_fmt_f(lin.max_relative_deviation)}")
     report.add("determinant samples:")
@@ -216,14 +217,13 @@ def _cmd_verify(args) -> int:
         t = np.kron(m_used, np.eye(q.n))
         e1_pencil = NewtonPencil.from_blocks(q.nodes, t @ pencil.A1, t @ pencil.A2,
                                              t @ pencil.A3)
-        witnesses = unimodular_witnesses(q, e1_pencil, params,
-                                         samples=args.samples, tol=args.tol,
-                                         seed=seed)
-        predicted = witnesses.predicted_gamma() / np.linalg.det(m_used) ** q.n
+        witnesses = unimodular_witnesses(q, e1_pencil, params, points=points, tol=args.tol)
+        # gamma(L) = gamma(e1) / det(M)^n in log space: det(M)^n may overflow.
+        sign_m, log_m = np.linalg.slogdet(m_used)
+        log_predicted = np.log(witnesses.predicted_gamma()) - q.n * (log_m + 1j * np.angle(sign_m))
         report.add(f"witness reduction residual: {_fmt_f(witnesses.max_reduction_residual)}")
-        report.add(f"witness gamma prediction: {_fmt_c(predicted)}")
-        rel = (abs(lin.gamma_estimate - predicted) / abs(predicted)
-               if predicted != 0 else np.inf)
+        report.add(f"witness gamma prediction: {_fmt_c(np.exp(log_predicted))}")
+        rel = abs(np.exp(lin.log_gamma - log_predicted) - 1)
         report.add(f"witness gamma agreement: {_fmt_f(rel)}")
         witness_ok = (witnesses.max_reduction_residual <= args.tol and rel <= 1e-6)
         report.add(f"witness check: {'pass' if witness_ok else 'fail'}")
@@ -383,7 +383,9 @@ def _samples(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="newton2pep",
         description="Construct and certify linearizations of quadratic "

@@ -52,11 +52,13 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def det(a) -> complex:
-    """Determinant via LU with partial pivoting."""
+def det(a):
+    """Determinant via LU with partial pivoting (an array of them for a stack)."""
     a = np.asarray(a, dtype=complex)
-    require_square(a)
-    return complex(np.linalg.det(a))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"matrix must be square, got shape {a.shape}")
+    d = np.linalg.det(a)
+    return complex(d) if a.ndim == 2 else d
 
 
 def smallest_singular_value(a) -> float:
@@ -74,6 +76,7 @@ class Eigenpair:
 
     ``value`` is ``inf + 0j`` when the eigenvalue is infinite (the beta part
     of the QZ output vanished); ``infinite`` makes the classification explicit.
+    ``vector`` is None when computed without vectors.
     """
 
     value: complex
@@ -81,14 +84,17 @@ class Eigenpair:
     infinite: bool
 
 
-def small_dense_eigen(a, b, *, infinite_tol: float = 1e-10,
+def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10,
                       singular_tol: float = 1e-10) -> list[Eigenpair]:
     """Generalized eigenpairs of the pencil (A, B) via the QZ algorithm.
 
+    Rows of A and B are first divided by their largest magnitude in either
+    matrix (same eigenvalues and right vectors; the tests become scale-free).
     Eigenvalues with a vanishing beta part are classified as infinite. If
     alpha and beta both vanish for some direction the pencil is singular;
     that is reported by raising :class:`SingularPencilError` rather than
-    silently dropping the indeterminate eigenvalue.
+    silently dropping the indeterminate eigenvalue. ``vectors=False`` skips
+    the eigenvectors (``vector`` is None).
 
     Finite pairs come first, sorted by (real, imag); infinite pairs follow.
     """
@@ -98,25 +104,30 @@ def small_dense_eigen(a, b, *, infinite_tol: float = 1e-10,
     require_square(b, "B")
     if a.shape != b.shape:
         raise ValueError(f"A and B must have the same shape: {a.shape} vs {b.shape}")
+    rows = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b).max(axis=1, initial=0.0))
+    rows[rows == 0] = 1.0
+    a, b = a / rows[:, None], b / rows[:, None]
 
     # Imported here: scipy.linalg loads slower than the rest of the package.
     import scipy.linalg
 
-    (alpha, beta), vr = scipy.linalg.eig(a, b, right=True, homogeneous_eigvals=True)
+    out = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
+    (alpha, beta), vr = out if vectors else (out, None)
     scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
 
     pairs = []
     n_indeterminate = 0
     for i in range(len(alpha)):
         al, be = alpha[i], beta[i]
+        vec = vr[:, i].copy() if vectors else None
         mag = abs(al) + abs(be)
         if mag <= singular_tol * scale:
             n_indeterminate += 1
             continue
         if abs(be) <= infinite_tol * mag:
-            pairs.append(Eigenpair(complex(np.inf), vr[:, i].copy(), True))
+            pairs.append(Eigenpair(complex(np.inf), vec, True))
         else:
-            pairs.append(Eigenpair(complex(al / be), vr[:, i].copy(), False))
+            pairs.append(Eigenpair(complex(al / be), vec, False))
     if n_indeterminate:
         raise SingularPencilError(
             f"pencil is singular: {n_indeterminate} indeterminate eigenvalue(s) "

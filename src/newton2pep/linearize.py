@@ -15,7 +15,9 @@ with v = e1; it is a linearization exactly when the trailing 2n x 2n block
 is nonsingular. In that case explicit unimodular factors E and F reduce the
 pencil to diag(Q, I_2n), which pins the determinant ratio
 det L(lam, mu) = det(Z) * det Q(lam, mu); the verifier estimates that ratio
-by sampling and checks its constancy.
+at the shared sample points and checks its constancy in log space. Every
+threshold is relative: det Q counts as zero only where Q is numerically
+rank deficient, sigma_min <= n eps sigma_max.
 
 Monomial input is the zero-node case: the blocks are the same and the
 Newton evaluation rule reduces to lam A1 + mu A2 + A3.
@@ -28,9 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateProblemError, NodeMismatchError
-from .linalg import annulus_points, as_matrix, complex_normal, det, smallest_singular_value
-from .matpoly import MatrixPoly2
-from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, select_M
+from .linalg import as_matrix, complex_normal, det, smallest_singular_value
+from .matpoly import MatrixPoly2, newton_triple
+from .spaces import DEFAULT_TOL, AnsatzVector, NewtonPencil, SampleSet, sample_set_for, select_M
 
 __all__ = [
     "E1FreeParams",
@@ -212,79 +214,75 @@ class UnimodularWitnessPair:
     def predicted_gamma(self) -> complex:
         return 1.0 / (self.det_e * self.det_f)
 
-    def e_factor(self, lam: complex, mu: complex) -> np.ndarray:
-        nodes = self.q.nodes
+    def e_factor(self, lam, mu) -> np.ndarray:
+        """E(lam, mu): 3n x 3n, or a (K, 3n, 3n) stack for 1-D lam, mu."""
         n = self.n
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        n1 = lam - nodes.alpha1
-        m1 = mu - nodes.beta1
-        return np.block([[n1 * eye, eye, zero],
-                         [m1 * eye, zero, eye],
-                         [eye, zero, zero]])
+        triple = newton_triple(self.q.nodes, lam, mu)[..., None, None]
+        out = np.zeros(triple.shape[1:-2] + (3 * n, 3 * n), dtype=complex)
+        for j in range(3):
+            out[..., j * n:(j + 1) * n, :n] = triple[j] * np.eye(n)
+        out[..., :n, n:2 * n] = out[..., n:2 * n, 2 * n:] = np.eye(n)
+        return out
 
-    def w_blocks(self, lam: complex, mu: complex) -> np.ndarray:
-        """The n x 2n top-row remainder [W1 W2] after the E reduction."""
-        nodes = self.q.nodes
-        g1 = lam - nodes.alpha1
-        g2 = lam - nodes.alpha2
-        gt1 = mu - nodes.beta1
-        gt2 = mu - nodes.beta2
-        w1 = g2 * self.q.coeff(2, 0) + gt1 * self.y11 + self.z11
-        w2 = g1 * (self.q.coeff(1, 1) - self.y11) + gt2 * self.q.coeff(0, 2) + self.z12
-        return np.hstack([w1, w2])
-
-    def f_factor(self, lam: complex, mu: complex) -> np.ndarray:
+    def f_factor(self, lam, mu) -> np.ndarray:
+        """F(lam, mu), stacked like E; W = [W1 W2] is the top-row remainder after E."""
         n = self.n
-        w = self.w_blocks(lam, mu)
-        return np.block([[np.eye(n), -w @ self.z_inv],
-                         [np.zeros((2 * n, n)), self.z_inv]])
+        a1, a2, b1, b2 = self.q.nodes.as_tuple()
+        lam = np.asarray(lam)[..., None, None]
+        mu = np.asarray(mu)[..., None, None]
+        c = self.q.coeff
+        w1 = (lam - a2) * c(2, 0) + (mu - b1) * self.y11 + self.z11
+        w2 = (lam - a1) * (c(1, 1) - self.y11) + (mu - b2) * c(0, 2) + self.z12
+        w = np.concatenate(np.broadcast_arrays(w1, w2), axis=-1)
+        out = np.zeros(w.shape[:-2] + (3 * n, 3 * n), dtype=complex)
+        out[..., :n, :n] = np.eye(n)
+        out[..., :n, n:] = -w @ self.z_inv
+        out[..., n:, n:] = self.z_inv
+        return out
 
-    def reduce(self, pencil: NewtonPencil, lam: complex, mu: complex) -> np.ndarray:
+    def reduce(self, pencil: NewtonPencil, lam, mu) -> np.ndarray:
+        """F L E at (lam, mu), stacked like E."""
         return self.f_factor(lam, mu) @ pencil.eval(lam, mu) @ self.e_factor(lam, mu)
 
 
 def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreeParams,
-                         *, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> UnimodularWitnessPair:
+                         *, points: SampleSet | None = None,
+                         tol: float = DEFAULT_TOL) -> UnimodularWitnessPair:
     """Build the witness pair for an e1-form pencil and check the reduction.
 
     The reduction F L E = diag(Q, I_2n) and the constancy of det E, det F
     are evaluated at the sample points; the largest relative deviations are
-    stored on the returned pair. A numerically singular Z is rejected.
+    stored on the returned pair, relative to max(1, ||L|| ||F||) and to
+    |det Z^{-1}|. A numerically singular Z is rejected.
     """
     if pencil.nodes.as_tuple() != q.nodes.as_tuple():
         raise NodeMismatchError("pencil and polynomial carry different nodes")
     params.require_admissible(tol)
+    points = sample_set_for(q, points)
 
     n = q.n
-    zb = params.z_block
-    z_inv = np.linalg.inv(zb)
-    det_f = det(z_inv)
-
+    z_inv = np.linalg.inv(params.z_block)
+    sign_zi, log_zi = np.linalg.slogdet(z_inv)
     draft = UnimodularWitnessPair(
         q=q, y11=params.y11, z11=params.z1[:n], z12=params.z2[:n],
-        z_inv=z_inv, det_e=1.0 + 0j, det_f=det_f,
+        z_inv=z_inv, det_e=1.0 + 0j, det_f=det(z_inv),
         max_reduction_residual=0.0, max_det_constancy_deviation=0.0,
     )
 
-    rng = np.random.default_rng(seed)
-    pts = annulus_points(rng, 2 * samples)
     worst_red = 0.0
     worst_const = 0.0
-    target_tail = np.eye(2 * n)
-    for lam, mu in zip(pts[:samples], pts[samples:]):
-        red = draft.reduce(pencil, lam, mu)
-        target = np.block([[q.eval(lam, mu), np.zeros((n, 2 * n))],
-                           [np.zeros((2 * n, n)), target_tail]])
-        scale = max(1.0, float(np.linalg.norm(pencil.eval(lam, mu)))
-                    * float(np.linalg.norm(draft.f_factor(lam, mu))))
-        worst_red = max(worst_red, float(np.linalg.norm(red - target)) / scale)
-        worst_const = max(
-            worst_const,
-            abs(det(draft.e_factor(lam, mu)) - draft.det_e),
-            abs(det(draft.f_factor(lam, mu)) - det_f) / max(abs(det_f), 1e-300),
-        )
+    for sl, lvals in pencil.eval_chunks(points.lams, points.mus):
+        f = draft.f_factor(points.lams[sl], points.mus[sl])
+        e = draft.e_factor(points.lams[sl], points.mus[sl])
+        red = f @ lvals @ e
+        red[:, :n, :n] -= points.q_values[sl]
+        red[:, n:, n:] -= np.eye(2 * n)
+        scale = np.maximum(1.0, np.linalg.norm(lvals, axis=(1, 2))
+                           * np.linalg.norm(f, axis=(1, 2)))
+        worst_red = max(worst_red, float((np.linalg.norm(red, axis=(1, 2)) / scale).max()))
+        sign_f, log_f = np.linalg.slogdet(f)
+        worst_const = max(worst_const, float(np.abs(det(e) - draft.det_e).max()),
+                          float(np.abs(sign_f / sign_zi * np.exp(log_f - log_zi) - 1).max()))
     return replace(draft, max_reduction_residual=worst_red,
                    max_det_constancy_deviation=worst_const)
 
@@ -294,15 +292,17 @@ class LinearizationReport:
     """Result of the determinant-ratio linearization check.
 
     gamma is estimated at the sample point where |det Q| is largest; every
-    other sample must satisfy |det L - gamma det Q| <= tol |gamma det Q|.
-    The verdict is "pass" exactly when the largest relative deviation stays
-    below the tolerance and gamma is nonzero. gamma scales with the pencil
-    (as s^{3n} under L -> s L), so no absolute floor applies to it: a pencil
-    whose det L is exactly zero gets gamma = 0, and one whose det L is only
-    rounding noise fails the constancy test.
+    other sample must satisfy |det L - gamma det Q| <= tol |gamma det Q|,
+    compared in log space (``log_gamma`` = log|gamma| + i arg gamma; the
+    rounded values may read 0 or inf). The verdict is "pass" exactly when
+    the largest relative deviation stays below tol and gamma != 0. gamma scales
+    with the pencil (as s^{3n} under L -> s L), so no absolute floor applies
+    to it: a pencil whose det L is exactly zero gets gamma = 0, and one whose
+    det L is only rounding noise fails the constancy test.
     """
 
     gamma_estimate: complex
+    log_gamma: complex
     max_relative_deviation: float
     sample_count: int
     verdict: str
@@ -315,52 +315,49 @@ class LinearizationReport:
 
 
 def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
-                         samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> LinearizationReport:
-    """Sample det L against det Q and decide whether the ratio is a nonzero constant."""
+                         points: SampleSet | None = None,
+                         tol: float = DEFAULT_TOL) -> LinearizationReport:
+    """Sample det L against det Q and decide whether the ratio is a nonzero constant.
+
+    Inconclusive (DegenerateProblemError) when sigma_min(Q) <= n eps sigma_max(Q)
+    at every sample, the relative rank test of numpy.linalg.matrix_rank.
+    """
     if pencil.n != q.n:
         raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
     if pencil.nodes.as_tuple() != q.nodes.as_tuple():
         raise NodeMismatchError("pencil and polynomial carry different nodes")
+    points = sample_set_for(q, points)
 
-    rng = np.random.default_rng(seed)
-    pts = annulus_points(rng, 2 * samples)
-    lams, mus = pts[:samples], pts[samples:]
-
-    det_l = np.array([det(pencil.eval(l, m)) for l, m in zip(lams, mus)])
-    det_q = np.array([det(q.eval(l, m)) for l, m in zip(lams, mus)])
-
-    # Magnitude a determinant of this size "should" have, used only to decide
-    # whether det Q vanishes identically (inconclusive input).
-    q_mag = max(float(np.linalg.norm(q.eval(l, m))) / max(1.0, np.sqrt(q.n))
-                for l, m in zip(lams, mus))
-    if np.abs(det_q).max() <= 1e-13 * max(1.0, q_mag ** q.n):
+    sigma = np.linalg.svd(points.q_values, compute_uv=False)
+    if np.all(sigma[:, -1] <= q.n * np.finfo(float).eps * sigma[:, 0]):
         raise DegenerateProblemError(
-            "det Q vanishes at every sample point; the determinant-ratio "
-            "check is inconclusive for this polynomial"
+            "det Q vanishes at every sample point (Q is numerically singular "
+            "there); the determinant-ratio check is inconclusive for this polynomial"
         )
+    sign_q, log_q = np.linalg.slogdet(points.q_values)
+    chunks = pencil.eval_chunks(points.lams, points.mus)
+    sign_l, log_l = (np.concatenate(p) for p in zip(*(np.linalg.slogdet(v) for _, v in chunks)))
 
-    ref = int(np.argmax(np.abs(det_q)))
-    gamma = det_l[ref] / det_q[ref]
-
-    records = []
-    worst = 0.0
-    for i in range(samples):
-        if i == ref:
-            dev = 0.0
-        else:
-            target = gamma * det_q[i]
-            err = abs(det_l[i] - target)
-            dev = err / abs(target) if target != 0 else (0.0 if err == 0 else np.inf)
-            worst = max(worst, dev)
-        records.append((complex(lams[i]), complex(mus[i]),
-                        complex(det_l[i]), complex(det_q[i]), float(dev)))
-
-    verdict = "pass" if (worst < tol and gamma != 0) else "fail"
-    return LinearizationReport(gamma_estimate=complex(gamma),
-                               max_relative_deviation=float(worst),
-                               sample_count=samples, verdict=verdict, tol=tol,
-                               samples=tuple(records))
+    ref = int(np.argmax(log_q))
+    phase = sign_l[ref] / sign_q[ref]
+    log_abs_gamma = log_l[ref] - log_q[ref]
+    # Zero divisions and rounded values out of range are expected here.
+    with np.errstate(all="ignore"):
+        dev = np.abs(sign_l / (sign_q * phase) * np.exp(log_l - log_q - log_abs_gamma) - 1)
+        # gamma det Q_i == 0: exact agreement only if det L_i == 0 as well.
+        dev = np.where((sign_q == 0) | (phase == 0), np.where(sign_l == 0, 0.0, np.inf), dev)
+        dev[ref] = 0.0
+        records = tuple((complex(lam), complex(mu), complex(sl * np.exp(ll)),
+                         complex(sq * np.exp(lq)), float(d))
+                        for lam, mu, sl, ll, sq, lq, d in zip(points.lams, points.mus, sign_l,
+                                                              log_l, sign_q, log_q, dev))
+        gamma = complex(phase * np.exp(log_abs_gamma))
+    worst = float(dev.max())
+    verdict = "pass" if (worst < tol and phase != 0) else "fail"
+    return LinearizationReport(gamma_estimate=gamma,
+                               log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
+                               max_relative_deviation=worst, sample_count=points.count,
+                               verdict=verdict, tol=tol, samples=records)
 
 
 @dataclass(frozen=True)
@@ -409,8 +406,9 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
     take over (at most ``max_tries``). Every template's trailing submatrix
     is either exactly singular (a zero row or column) or has determinant 1,
     1/c, -1/b or 1/(bc), so it is tested against exact zero. Explicit
-    ``params`` are admissible when sigma_min of the transformed block exceeds
-    ``tol`` times its Frobenius norm.
+    ``params`` and random draws are admissible when sigma_min of the
+    transformed block exceeds ``tol`` times its Frobenius norm, which does
+    not depend on the scale of v.
     """
     n = q.n
     if not isinstance(v, AnsatzVector):
@@ -451,7 +449,7 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
                 z1 = complex_normal(rng, 3 * n, n)
                 z2 = complex_normal(rng, 3 * n, n)
                 z1_hat, z2_hat, blk = hat_block(z1, z2)
-                if smallest_singular_value(blk) > 0.05:
+                if smallest_singular_value(blk) > tol * float(np.linalg.norm(blk)):
                     break
             else:
                 raise AdmissibilityError(

@@ -65,33 +65,44 @@ class NewtonNodes:
         return all(z == 0 for z in self.as_tuple())
 
 
-def newton_scalars(nodes: NewtonNodes, lam: complex, mu: complex):
-    """Scalar Newton basis values (n0, n1, n2, m0, m1, m2) at (lam, mu).
+def _mul(a, b):
+    """a * b with each real operation rounded on its own, as complex scalars
+    round it (numpy's vector loops may fuse a multiply and an add): Newton
+    weights of a stack are bitwise those of scalar arithmetic at each point."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
+def newton_scalars(nodes: NewtonNodes, lam, mu):
+    """Newton basis values (n0, n1, n2, m0, m1, m2) at (lam, mu), elementwise.
 
     n2 and m2 are computed through the multiplicative recurrence
     n2 = n1 * (lam - alpha2), m2 = m1 * (mu - beta2), so the recurrence holds
     exactly as evaluated in floating point.
     """
-    n1 = lam - nodes.alpha1
-    n2 = n1 * (lam - nodes.alpha2)
-    m1 = mu - nodes.beta1
-    m2 = m1 * (mu - nodes.beta2)
-    return (1.0 + 0j, n1, n2, 1.0 + 0j, m1, m2)
+    n1 = np.asarray(lam) - nodes.alpha1
+    m1 = np.asarray(mu) - nodes.beta1
+    return (1.0 + 0j, n1, _mul(n1, np.asarray(lam) - nodes.alpha2),
+            1.0 + 0j, m1, _mul(m1, np.asarray(mu) - nodes.beta2))
 
 
-def newton_triple(nodes: NewtonNodes, lam: complex, mu: complex) -> np.ndarray:
-    """The vector (n1(lambda), m1(mu), 1)."""
-    return np.array([lam - nodes.alpha1, mu - nodes.beta1, 1.0], dtype=complex)
+def newton_triple(nodes: NewtonNodes, lam, mu) -> np.ndarray:
+    """The vector (n1(lambda), m1(mu), 1), shape (3,) + shape(lam)."""
+    n1 = np.asarray(lam) - nodes.alpha1
+    return np.array([n1, np.asarray(mu) - nodes.beta1, np.ones_like(n1)], dtype=complex)
 
 
-def newton_six(nodes: NewtonNodes, lam: complex, mu: complex) -> np.ndarray:
-    """Degree-two Newton basis (n2, n1*m1, m2, n1, m1, 1).
+def newton_six(nodes: NewtonNodes, lam, mu) -> np.ndarray:
+    """Degree-two Newton basis (n2, n1*m1, m2, n1, m1, 1), shape (6,) + shape(lam).
 
     With all nodes zero this equals (lambda^2, lambda*mu, mu^2, lambda, mu, 1)
     entry for entry.
     """
     _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
-    return np.array([n2, n1 * m1, m2, n1, m1, 1.0], dtype=complex)
+    return np.array([n2, _mul(n1, m1), m2, n1, m1, np.ones_like(n1)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -135,16 +146,14 @@ class MatrixPoly2:
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
 
-    def eval(self, lam: complex, mu: complex) -> np.ndarray:
-        """Value of the polynomial at (lam, mu) as an n x n matrix."""
-        w = newton_six(self.nodes, lam, mu)
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def eval(self, lam, mu) -> np.ndarray:
+        """Value at (lam, mu): n x n, or for 1-D lam, mu of length K the
+        (K, n, n) stack of those values, bit for bit."""
+        w = newton_six(self.nodes, lam, mu)[..., None, None]
+        out = np.zeros(w.shape[1:-2] + (self.n, self.n), dtype=complex)
         for weight, key in zip(w, COEFF_KEYS):
             out += weight * self.coeffs[key]
         return out
-
-    def __call__(self, lam: complex, mu: complex) -> np.ndarray:
-        return self.eval(lam, mu)
 
     def to_monomial(self) -> "MatrixPoly2":
         """Expand the polynomial into the monomial basis (zero nodes).

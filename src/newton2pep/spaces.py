@@ -14,8 +14,10 @@ Gamma2 = lam I, Gamma2t = mu I and N = (lam, mu, 1), so the pencil is
 lam A1 + mu A2 + A3 and the space is the monomial one, bit for bit.
 
 Membership is decided numerically: the ansatz vector is recovered by block
-least squares over a set of random sample points and the defining identity is
-accepted when the relative residual stays below tolerance.
+least squares over the points of one :class:`SampleSet` (drawn once per run
+and shared with the determinant-ratio and witness checks), and the identity
+is accepted when the relative residual stays below tolerance. ``eval`` maps
+1-D arrays of K points to (K, ., .) stacks, bitwise the pointwise values.
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ from .matpoly import NEWTON, MatrixPoly2, NewtonNodes, newton_triple
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 12
+STACK_BYTES = 1 << 20  # pencil values evaluated at once, see NewtonPencil.eval_chunks
 
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_SAMPLES",
-    "gamma_blocks",
     "NewtonPencil",
     "AnsatzVector",
     "MembershipResult",
+    "SampleSet",
     "membership_newton",
     "s_map",
     "to_newton_space",
@@ -45,17 +48,6 @@ __all__ = [
     "transfer_to_newton",
     "select_M",
 ]
-
-
-def gamma_blocks(nodes: NewtonNodes, n: int, lam: complex, mu: complex):
-    """The 3n x 3n node-factor blocks (Gamma2(lam), Gamma2t(mu))."""
-    if n < 1:
-        raise ValueError(f"block size must be positive, got {n}")
-    a1, a2, b1, b2 = nodes.as_tuple()
-    eye = np.eye(n)
-    g = np.kron(np.diag([lam - a2, lam - a1, lam - a1]).astype(complex), eye)
-    gt = np.kron(np.diag([mu - b1, mu - b2, mu - b1]).astype(complex), eye)
-    return g, gt
 
 
 @dataclass(frozen=True)
@@ -87,17 +79,31 @@ class NewtonPencil:
         a3 = freeze(as_matrix(a3, 3 * n, 3 * n, name="A3"))
         return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3, basis=basis)
 
-    def eval(self, lam: complex, mu: complex) -> np.ndarray:
-        # Gamma2 / Gamma2t are block-diagonal with scalar blocks, so the
-        # right-multiplication is column-block scaling. With all nodes zero
-        # this reproduces lam A1 + mu A2 + A3 bit for bit.
+    def eval(self, lam, mu) -> np.ndarray:
+        """Value at (lam, mu): 3n x 3n, or a (K, 3n, 3n) stack as in MatrixPoly2.eval.
+
+        Gamma2 / Gamma2t are block-diagonal with scalar blocks, so the
+        right-multiplication is column-block scaling. With all nodes zero
+        this reproduces lam A1 + mu A2 + A3 bit for bit.
+        """
         n = self.n
-        nodes = self.nodes
-        gl = (lam - nodes.alpha2, lam - nodes.alpha1, lam - nodes.alpha1)
-        gm = (mu - nodes.beta1, mu - nodes.beta2, mu - nodes.beta1)
-        t1 = np.hstack([gl[j] * self.A1[:, j * n:(j + 1) * n] for j in range(3)])
-        t2 = np.hstack([gm[j] * self.A2[:, j * n:(j + 1) * n] for j in range(3)])
-        return t1 + t2 + self.A3
+        a1, a2, b1, b2 = self.nodes.as_tuple()
+        lam = np.asarray(lam)[..., None, None]
+        mu = np.asarray(mu)[..., None, None]
+        out = np.empty(lam.shape[:-2] + (3 * n, 3 * n), dtype=complex)
+        for j, (gl, gm) in enumerate(((lam - a2, mu - b1), (lam - a1, mu - b2),
+                                      (lam - a1, mu - b1))):
+            cols = slice(j * n, (j + 1) * n)
+            out[..., cols] = gl * self.A1[:, cols] + gm * self.A2[:, cols] + self.A3[:, cols]
+        return out
+
+    def eval_chunks(self, lams, mus):
+        """(slice, value stack) over the points, STACK_BYTES at a time (at
+        least one point: at n = 64 one 3n x 3n value is held at once)."""
+        step = max(1, STACK_BYTES // (16 * (3 * self.n) ** 2))
+        for start in range(0, len(lams), step):
+            sl = slice(start, start + step)
+            yield sl, self.eval(lams[sl], mus[sl])
 
     def blocks(self):
         return (self.A1, self.A2, self.A3)
@@ -151,56 +157,63 @@ class MembershipResult:
     tol: float
 
 
+class SampleSet:
+    """The K random sample points of one run, drawn once from ``seed``, and
+    the (K, n, n) stack ``q_values`` of Q there."""
+
+    def __init__(self, q: MatrixPoly2, samples: int = DEFAULT_SAMPLES, seed: int = 0):
+        pts = annulus_points(np.random.default_rng(seed), 2 * samples)
+        self.q, self.count = q, samples
+        self.lams, self.mus = pts[:samples], pts[samples:]
+        self.q_values = q.eval(self.lams, self.mus)
+
+
+def sample_set_for(q: MatrixPoly2, points: SampleSet | None) -> SampleSet:
+    """``points`` if drawn for q, else the default set (12 samples, seed 0)."""
+    if points is not None and points.q is not q:
+        raise ValueError("the sample set was drawn for a different polynomial")
+    return points or SampleSet(q)
+
+
 def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
-                      samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                      seed: int = 0) -> MembershipResult:
-    """Test L(lam, mu) (N kron I) = v kron Q(lam, mu) and recover v."""
+                      points: SampleSet | None = None,
+                      tol: float = DEFAULT_TOL) -> MembershipResult:
+    """Test L(lam, mu) (N kron I) = v kron Q(lam, mu) and recover v.
+
+    Ill posed if ||Q|| <= 1e-14 max ||C_ij|| at every sample; the residual is
+    relative to the largest ||L (N kron I)|| and (1 + ||v||) ||Q||.
+    """
     if pencil.n != q.n:
         raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
     if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError(
-            f"pencil nodes {pencil.nodes.as_tuple()} differ from "
-            f"polynomial nodes {q.nodes.as_tuple()}"
-        )
+        raise NodeMismatchError("pencil and polynomial carry different nodes")
+    points = sample_set_for(q, points)
     n = q.n
-    rng = np.random.default_rng(seed)
-    pts = annulus_points(rng, 2 * samples)
-    lams, mus = pts[:samples], pts[samples:]
+    qvals = points.q_values
+    # R_s = L(lam_s, mu_s) (N_s kron I): the column blocks of L weighted by N_s.
+    rvals = np.empty((points.count, 3 * n, n), dtype=complex)
+    for sl, lvals in pencil.eval_chunks(points.lams, points.mus):
+        triple = newton_triple(pencil.nodes, points.lams[sl], points.mus[sl])[..., None, None]
+        rvals[sl] = sum(triple[j] * lvals[..., j * n:(j + 1) * n] for j in range(3))
 
-    eye = np.eye(n)
-    rvals = []
-    qvals = []
-    for lam, mu in zip(lams, mus):
-        triple = newton_triple(pencil.nodes, lam, mu).reshape(3, 1)
-        rvals.append(pencil.eval(lam, mu) @ np.kron(triple, eye))
-        qvals.append(q.eval(lam, mu))
-
-    qscale = max(float(np.linalg.norm(qv)) for qv in qvals)
-    if qscale <= 1e-14 * max(1.0, q.coefficient_scale()):
+    qnorms = np.linalg.norm(qvals, axis=(1, 2))
+    if (qscale := float(qnorms.max())) <= 1e-14 * q.coefficient_scale():
         raise DegenerateProblemError(
             "polynomial evaluates to (numerically) zero at every sample point; "
             "membership is ill posed"
         )
 
     # Least-squares ansatz: v_i = sum_s <Q_s, R_s[i]> / sum_s ||Q_s||^2.
-    denom = sum(float(np.linalg.norm(qv)) ** 2 for qv in qvals)
-    v = np.zeros(3, dtype=complex)
-    for i in range(3):
-        num = sum(np.vdot(qv, rv[i * n:(i + 1) * n]) for qv, rv in zip(qvals, rvals))
-        v[i] = num / denom
-
-    resid = 0.0
-    rscale = 0.0
-    for qv, rv in zip(qvals, rvals):
-        model = np.kron(v.reshape(3, 1), qv)
-        resid = max(resid, float(np.linalg.norm(rv - model)))
-        rscale = max(rscale, float(np.linalg.norm(rv)))
-    scale = max(rscale, (1.0 + float(np.linalg.norm(v))) * qscale)
-    rel = resid / scale
+    rblocks = rvals.reshape(points.count, 3, n, n)
+    v = np.einsum("sab,siab->i", qvals.conj(), rblocks) / float((qnorms ** 2).sum())
+    resid = np.linalg.norm((rblocks - v[:, None, None] * qvals[:, None])
+                           .reshape(points.count, -1), axis=1).max()
+    rscale = np.linalg.norm(rvals, axis=(1, 2)).max()
+    rel = float(resid) / max(float(rscale), (1.0 + float(np.linalg.norm(v))) * qscale)
 
     ansatz = AnsatzVector.classify(v, tol=tol)
     return MembershipResult(member=bool(rel <= tol), ansatz=ansatz,
-                            residual=rel, sample_count=samples, tol=tol)
+                            residual=rel, sample_count=points.count, tol=tol)
 
 
 def s_map(nodes: NewtonNodes):

@@ -41,7 +41,7 @@ from .errors import NodeMismatchError, SharedFactorError, SingularPencilError
 from .linalg import annulus_points, det, small_dense_eigen, smallest_singular_value
 from .matpoly import MatrixPoly2
 from .linearize import E1FreeParams, construct_e1_newton
-from .spaces import NewtonPencil, gamma_blocks
+from .spaces import NewtonPencil
 
 DESK_SCALE_LIMIT = 3
 
@@ -265,19 +265,19 @@ def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
     return out
 
 
-def _pencil_slice_eigenvalues(pencil: NewtonPencil, mu0: complex) -> list[complex]:
-    """Finite lambda with det L(lambda, mu0) = 0 for a Newton-form pencil.
-
-    Gamma2(lam) is lam I minus a constant diagonal, so the slice is the
-    linear pencil lam A1 + G0 with
-    G0 = A3 + A2 Gamma2t(mu0) - A1 diag(a2 I, a1 I, a1 I).
-    """
-    n = pencil.n
-    a1c, a2c = pencil.nodes.alpha1, pencil.nodes.alpha2
-    d_alpha = np.kron(np.diag([a2c, a1c, a1c]).astype(complex), np.eye(n))
-    gt = gamma_blocks(pencil.nodes, n, 0.0, mu0)[1]
-    g0 = pencil.A3 + pencil.A2 @ gt - pencil.A1 @ d_alpha
-    return [p.value for p in small_dense_eigen(-g0, pencil.A1) if not p.infinite]
+def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
+    """Finite lambda with det L(lambda, mu0) = 0 for each mu0 (None for a
+    singular slice). Gamma2(lam) is lam I minus a constant diagonal, so the
+    slice is the linear pencil lam A1 + L(0, mu0)."""
+    out = []
+    for _, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
+        for g0 in constants:
+            try:
+                out.append([p.value for p in small_dense_eigen(-g0, pencil.A1, vectors=False)
+                            if not p.infinite])
+            except SingularPencilError:
+                out.append(None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -314,14 +314,10 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     mus = annulus_points(rng, slices)
     records = []
     all_ok = True
-    for mu0 in mus:
+    for mu0, l_eigs in zip(mus, _pencil_slice_eigenvalues(pencil, mus)):
         q_eigs = spectrum_slice(q, mu0)
-        singular = False
-        try:
-            l_eigs = _pencil_slice_eigenvalues(pencil, mu0)
-        except SingularPencilError:
-            l_eigs = []
-            singular = True
+        singular = l_eigs is None
+        l_eigs = l_eigs or []
         dists = []
         ok = not singular
         for lam in q_eigs:
@@ -362,7 +358,8 @@ def _det_coefficient_matrix(q: MatrixPoly2) -> np.ndarray:
     d = 2 * q.n
     xl = _roots_of_unity(d + 1, 1.0)
     xm = _roots_of_unity(d + 1, 1.5)
-    values = np.array([[det(q.eval(l, m)) for m in xm] for l in xl])
+    grid_l, grid_m = np.meshgrid(xl, xm, indexing="ij")
+    values = det(q.eval(grid_l.ravel(), grid_m.ravel())).reshape(d + 1, d + 1)
     vl = np.vander(xl, d + 1, increasing=True)
     vm = np.vander(xm, d + 1, increasing=True)
     # values = vl @ C @ vm.T

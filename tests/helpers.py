@@ -35,6 +35,23 @@ def scalar_newton(a20, a11, a02, a10, a01, a00, nodes=None):
                               nodes or NewtonNodes())
 
 
+def gamma_blocks(nodes, n, lam, mu):
+    """The 3n x 3n node-factor blocks (Gamma2(lam), Gamma2t(mu)): the reference
+    form A1 Gamma2 + A2 Gamma2t + A3 of a pencil's value."""
+    if n < 1:
+        raise ValueError(f"block size must be positive, got {n}")
+    a1, a2, b1, b2 = nodes.as_tuple()
+    eye = np.eye(n)
+    g = np.kron(np.diag([lam - a2, lam - a1, lam - a1]).astype(complex), eye)
+    gt = np.kron(np.diag([mu - b1, mu - b2, mu - b1]).astype(complex), eye)
+    return g, gt
+
+
+def scaled(q, factor):
+    """The polynomial factor * q, on the same nodes."""
+    return MatrixPoly2.newton({k: factor * c for k, c in q.coeffs.items()}, q.nodes)
+
+
 def with_zero_nodes(q):
     """The coefficient blocks of q read in the monomial basis (zero nodes)."""
     return MatrixPoly2.monomial(dict(q.coeffs))

@@ -11,6 +11,7 @@ from newton2pep import (
     E1FreeParams,
     NewtonNodes,
     QtepPair,
+    SampleSet,
     annulus_points,
     assemble_e1_blocks,
     certify_singular,
@@ -115,7 +116,7 @@ def test_criterion_05_e1_newton_linearization():
         assert report.passed, trial
         assert abs(report.gamma_estimate) > 1e-12
         assert report.max_relative_deviation < 1e-8
-        witnesses = unimodular_witnesses(qn, pencil, params, samples=12)
+        witnesses = unimodular_witnesses(qn, pencil, params, points=SampleSet(qn, 12))
         assert witnesses.max_reduction_residual < 1e-8, trial
     _passed(5, "100 admissible draws: det ratio constant (1e-8) and F L E = diag(Q, I)")
 

@@ -104,6 +104,22 @@ class TestConstruct:
         assert code == 0
         assert "verdict: PASS" in report
 
+    @pytest.mark.parametrize("ansatz", ["1e-11,0,0", "1e-12,0,0", "1e-300,0,0"])
+    def test_tiny_ansatz_verifies_and_contains_spectrum(self, tmp_path, capsys, ansatz):
+        # The pencil's first block row is scaled by the ansatz: det L / det Q
+        # ~ 1e-300^n underflows in linear space, and QZ sees rows of size 1e-11.
+        problem = tmp_path / "q.json"
+        save_problem(problem, random_newton(np.random.default_rng(1), 2))
+        out = tmp_path / "pencil.json"
+        code, _ = run(capsys, ["construct", str(problem), f"--ansatz={ansatz}",
+                               "--out", str(out)])
+        assert code == 0
+        code, report = run(capsys, ["verify", str(problem), str(out)])
+        assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+        code, report = run(capsys, ["spectrum", str(problem), str(out)])
+        assert "PENCIL-SINGULAR" not in report
+        assert (code, report.splitlines()[-1]) == (0, "containment: PASS")
+
     def test_malformed_file_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "basis": "newton"}')

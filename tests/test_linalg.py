@@ -132,6 +132,21 @@ class TestSmallDenseEigen:
             r = np.linalg.norm(a @ p.vector - p.value * (b @ p.vector))
             assert r < 1e-8 * (norm_a + abs(p.value) * norm_b) * np.linalg.norm(p.vector)
 
+    def test_tiny_rows_are_not_indeterminate(self):
+        # Regular pencil whose first row is scaled by 1e-11 (or 1e-300): the
+        # same eigenvalues, and no false singular-pencil report.
+        rng = np.random.default_rng(9)
+        a = complex_normal(rng, 4, 4)
+        b = complex_normal(rng, 4, 4)
+        want = [p.value for p in small_dense_eigen(a, b)]
+        for s in (1e-11, 1e-300):
+            d = np.diag([s, 1.0, 1.0, 1.0])
+            np.testing.assert_allclose([p.value for p in small_dense_eigen(d @ a, d @ b)],
+                                       want, rtol=1e-10)
+            values_only = small_dense_eigen(d @ a, d @ b, vectors=False)
+            assert all(p.vector is None for p in values_only)
+            np.testing.assert_allclose([p.value for p in values_only], want, rtol=1e-10)
+
     def test_singular_pencil_reported(self):
         # Common nullspace: last row/column zero in both matrices.
         a = np.zeros((2, 2), dtype=complex)

@@ -1,15 +1,21 @@
 """Companion and e1-ansatz constructors, witnesses and the det-ratio verifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2pep import (
+    COEFF_KEYS,
     AdmissibilityError,
     DegenerateProblemError,
     E1FreeParams,
     MatrixPoly2,
     NewtonNodes,
     NewtonPencil,
+    SampleSet,
     annulus_points,
     assemble_e1_blocks,
     companion_pencil,
@@ -18,13 +24,14 @@ from newton2pep import (
     construct_general_ansatz,
     det,
     membership_newton,
+    newton_six,
     newton_triple,
     select_M,
     unimodular_witnesses,
     verify_linearization,
 )
 
-from helpers import cofactor_det, random_monomial, random_newton
+from helpers import cofactor_det, random_monomial, random_newton, scaled
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -176,6 +183,22 @@ class TestWitnesses:
             np.testing.assert_allclose(red[2:, :2], 0, atol=1e-10)
             np.testing.assert_allclose(red[:2, 2:], 0, atol=1e-10)
 
+    def test_stacked_factors_are_pointwise_bitwise(self):
+        rng = np.random.default_rng(25)
+        for n in (1, 3):
+            qn = random_newton(rng, n)
+            params = E1FreeParams.random(n, rng)
+            pencil = construct_e1_newton(qn, params)
+            wit = unimodular_witnesses(qn, pencil, params)
+            lams, mus = annulus_points(rng, 6), annulus_points(rng, 6)
+            stacks = (wit.e_factor(lams, mus), wit.f_factor(lams, mus),
+                      wit.reduce(pencil, lams, mus))
+            for k in range(6):
+                np.testing.assert_array_equal(stacks[0][k], wit.e_factor(lams[k], mus[k]))
+                np.testing.assert_array_equal(stacks[1][k], wit.f_factor(lams[k], mus[k]))
+                np.testing.assert_array_equal(stacks[2][k],
+                                              wit.reduce(pencil, lams[k], mus[k]))
+
     def test_gamma_prediction_matches_verifier(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -253,6 +276,81 @@ class TestVerifyLinearization:
         np.testing.assert_allclose(v, m @ np.array([1, 0, 0]), atol=1e-9)
 
 
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_large_well_conditioned_q_passes(self, n):
+        # det L leaves the double range at n = 96; the log-space comparison
+        # does not, and the rank test does not mistake a large n for det Q = 0.
+        rng = np.random.default_rng(n)
+        qn = random_newton(rng, n)
+        report = verify_linearization(construct_e1_newton(qn, E1FreeParams.random(n, rng)), qn)
+        assert report.passed
+        assert report.max_relative_deviation < 1e-9
+
+    def test_shared_samples_bound_peak_memory(self):
+        # The three certificates on one sample set at n = 48 hold pencil values
+        # in chunks: the peak stays below two (K, 3n, 3n) stacks (without
+        # chunking it is about five).
+        n = 48
+        rng = np.random.default_rng(26)
+        qn = random_newton(rng, n)
+        params = E1FreeParams.random(n, rng)
+        pencil = construct_e1_newton(qn, params)
+        stack_bytes = 12 * (3 * n) ** 2 * 16
+        tracemalloc.start()
+        try:
+            points = SampleSet(qn, 12, 5)
+            assert membership_newton(pencil, qn, points=points).member
+            assert verify_linearization(pencil, qn, points=points).passed
+            unimodular_witnesses(qn, pencil, params, points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack_bytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(-80, 80), st.integers(0, 2**32 - 1))
+    def test_verdict_invariant_under_power_of_two_scaling(self, n, k, seed):
+        # Q -> 2^k Q with Y, Z -> 2^k Y, 2^k Z scales the pencil by 2^k exactly.
+        rng = np.random.default_rng(seed)
+        qn = random_newton(rng, n)
+        params = E1FreeParams.random(n, rng)
+        for q, p in ((qn, params), (scaled(qn, 2.0 ** k),
+                                    E1FreeParams.build(*(2.0 ** k * x for x in
+                                                         (params.y11, params.z1, params.z2))))):
+            pencil = construct_e1_newton(q, p)
+            points = SampleSet(q)
+            assert membership_newton(pencil, q, points=points).member
+            report = verify_linearization(pencil, q, points=points)
+            assert report.passed
+            wit = unimodular_witnesses(q, pencil, p, points=points)
+            assert wit.max_reduction_residual < 1e-9
+            assert abs(np.exp(report.log_gamma - np.log(wit.predicted_gamma())) - 1) < 1e-6
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8, 32, 64]), st.integers(0, 2**32 - 1))
+    def test_admissible_e1_construction_passes(self, n, seed):
+        rng = np.random.default_rng(seed)
+        qn = random_newton(rng, n)
+        pencil = construct_e1_newton(qn, E1FreeParams.random(n, rng))
+        points = SampleSet(qn, seed=seed % 1000)
+        assert membership_newton(pencil, qn, points=points).member
+        assert verify_linearization(pencil, qn, points=points).passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-40, 40))
+    def test_scalar_companion_determinant_is_minus_q(self, seed, k):
+        # Relative to the sum of the absolute terms of q, so that a point near
+        # a zero of q does not count as a failure.
+        rng = np.random.default_rng(seed)
+        qn = scaled(random_newton(rng, 1), 2.0 ** k)
+        lams, mus = annulus_points(rng, 8), annulus_points(rng, 8)
+        dets = det(companion_pencil(qn).eval(lams, mus))
+        qvals = qn.eval(lams, mus)[:, 0, 0]
+        terms = np.abs(newton_six(qn.nodes, lams, mus)).T @ np.abs(
+            [qn.coeff(*key)[0, 0] for key in COEFF_KEYS])
+        assert np.all(np.abs(dets + qvals) <= 1e-12 * terms)
+
+
 class TestGeneralAnsatz:
     def test_e1_target_matches_direct_construction_shape(self):
         rng = np.random.default_rng(17)
@@ -299,6 +397,18 @@ class TestGeneralAnsatz:
             built = construct_general_ansatz(qn, np.array(v))
             assert not built.z1_hat[:2].any() and not built.z2_hat[:2].any()
             assert verify_linearization(built.pencil, qn).passed
+
+    def test_large_ansatz_random_z_draw_is_relative(self):
+        # Pattern (0, 1, 1) has a singular trailing block of M, so Z is drawn
+        # at random; M kron I scales the draw by 1/b and 1/c.
+        rng = np.random.default_rng(27)
+        qn = random_newton(rng, 2)
+        for v in ([0, 1e5, 1e5], [0, 1e-5, 1e-5], [0, 1, 1]):
+            built = construct_general_ansatz(qn, np.array(v, dtype=complex))
+            assert verify_linearization(built.pencil, qn).passed
+            res = membership_newton(built.pencil_v, qn)
+            assert res.member
+            np.testing.assert_allclose(res.ansatz.vector, v, rtol=1e-8, atol=1e-8 * max(v))
 
     def test_explicit_params_respected(self):
         rng = np.random.default_rng(21)

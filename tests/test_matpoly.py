@@ -7,7 +7,9 @@ from newton2pep import (
     COEFF_KEYS,
     MatrixPoly2,
     NewtonNodes,
+    NewtonPencil,
     annulus_points,
+    complex_normal,
     newton_scalars,
     newton_six,
     newton_triple,
@@ -82,6 +84,38 @@ class TestEval:
             for weight, key in zip(monomial_six(lam, mu), COEFF_KEYS):
                 expected += weight * q.coeff(*key)
             np.testing.assert_array_equal(q.eval(lam, mu), expected)
+
+    def test_stack_is_pointwise_bitwise(self):
+        # A (K, n, n) stack equals the K scalar evaluations bit for bit, for
+        # the polynomial and for a pencil on the same nodes.
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5):
+            q = random_newton(rng, n)
+            pencil = NewtonPencil.from_blocks(q.nodes, *(complex_normal(rng, 3 * n, 3 * n)
+                                                         for _ in range(3)))
+            lams, mus = annulus_points(rng, 9), annulus_points(rng, 9)
+            for f, size in ((q.eval, n), (pencil.eval, 3 * n)):
+                stack = f(lams, mus)
+                assert stack.shape == (9, size, size)
+                for k in range(9):
+                    np.testing.assert_array_equal(stack[k], f(lams[k], mus[k]))
+
+    def test_stack_weights_round_as_python_complex(self):
+        # The Newton weights of a stack are the ones Python complex arithmetic
+        # gives point by point (no fused multiply-add in numpy's vector loops).
+        rng = np.random.default_rng(32)
+        q = random_newton(rng, 2)
+        a1, a2, b1, b2 = q.nodes.as_tuple()
+        lams, mus = annulus_points(rng, 64), annulus_points(rng, 64)
+        stack = q.eval(lams, mus)
+        for k in range(64):
+            lam, mu = complex(lams[k]), complex(mus[k])
+            n1, m1 = lam - a1, mu - b1
+            expected = np.zeros((2, 2), dtype=complex)
+            for weight, key in zip((n1 * (lam - a2), n1 * m1, m1 * (mu - b2), n1, m1, 1 + 0j),
+                                   COEFF_KEYS):
+                expected += weight * q.coeff(*key)
+            np.testing.assert_array_equal(stack[k], expected)
 
     def test_scalar_newton_value(self):
         qn = scalar_newton(1, 1, 1, 1, 1, 1, NewtonNodes(1, 2, 0, 0))

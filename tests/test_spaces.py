@@ -12,9 +12,9 @@ from newton2pep import (
     NodeMismatchError,
     annulus_points,
     companion_pencil,
+    complex_normal,
     construct_e1_newton,
     E1FreeParams,
-    gamma_blocks,
     membership_newton,
     newton_scalars,
     newton_triple,
@@ -25,7 +25,8 @@ from newton2pep import (
     transfer_to_newton,
 )
 
-from helpers import random_monomial, random_newton, random_nodes, with_zero_nodes
+from helpers import (gamma_blocks, random_monomial, random_newton, random_nodes,
+                     with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -70,6 +71,33 @@ class TestGammaBlocks:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             gamma_blocks(NewtonNodes(), 0, 1.0, 1.0)
+
+    def test_pencil_eval_is_gamma_form(self):
+        # NewtonPencil.eval scales column blocks; the Gamma matrices are the
+        # reference for it, at single points and in a stack.
+        rng = np.random.default_rng(17)
+        for n in (1, 3):
+            nodes = random_nodes(rng)
+            pencil = NewtonPencil.from_blocks(nodes, *(complex_normal(rng, 3 * n, 3 * n)
+                                                       for _ in range(3)))
+            lams, mus = annulus_points(rng, 4), annulus_points(rng, 4)
+            stack = pencil.eval(lams, mus)
+            for k in range(4):
+                g, gt = gamma_blocks(nodes, n, lams[k], mus[k])
+                want = pencil.A1 @ g + pencil.A2 @ gt + pencil.A3
+                np.testing.assert_allclose(stack[k], want, rtol=0, atol=1e-13)
+
+    def test_eval_chunks_cover_the_points_in_order(self):
+        # Chunks hold at most STACK_BYTES of values (one point at n = 64).
+        rng = np.random.default_rng(18)
+        lams, mus = annulus_points(rng, 12), annulus_points(rng, 12)
+        for n, size in ((2, 12), (64, 1)):
+            blocks = (complex_normal(rng, 3 * n, 3 * n) for _ in range(3))
+            pencil = NewtonPencil.from_blocks(random_nodes(rng), *blocks)
+            chunks = list(pencil.eval_chunks(lams, mus))
+            assert [len(values) for _, values in chunks] == [size] * (12 // size)
+            for sl, values in chunks:
+                np.testing.assert_array_equal(values, pencil.eval(lams[sl], mus[sl]))
 
 
 class TestMembershipMonomial:
