@@ -4,8 +4,9 @@ The package builds companion and e1-ansatz pencils for quadratic matrix
 polynomials in Newton form (monomial form is the zero-node case), certifies
 the linearization property numerically (determinant-ratio sampling plus
 explicit unimodular factors), and assembles the Kronecker operator
-determinants coupling a pair of such problems, together with desk-scale
-spectrum oracles.
+determinants coupling a pair of such problems. From those singular
+operators it solves the joint spectrum of a pair at desk scale by a
+rank-completing perturbation, using numpy only.
 """
 
 from .errors import (

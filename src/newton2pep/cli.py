@@ -312,7 +312,7 @@ def _cmd_spectrum(args) -> int:
         report.add("mode: pair")
         report.add(f"inputs: {args.problem} {args.pair}")
         report.add(f"seed: {seed}")
-        sample = spectrum_pair_oracle(pair)
+        sample = spectrum_pair_oracle(pair, seed=seed)
         report.add(f"bezout bound: {sample.bezout_bound}")
         report.add(f"count (multiplicity-aware): {sample.total_count}")
         report.add(f"within bound: {'yes' if sample.total_count <= sample.bezout_bound else 'no'}")
@@ -329,8 +329,8 @@ def _cmd_spectrum(args) -> int:
         return EXIT_PASS
 
     if args.pencil is None:
-        raise FileFormatError("slice mode requires a pencil file "
-                              "(or use --pair for the joint-spectrum oracle)")
+        raise FileFormatError("slice mode requires a pencil file (or use --pair "
+                              "to solve the joint spectrum of two problems)")
     if args.slices < 1:
         raise FileFormatError(f"--slices must be at least 1, got {args.slices}")
 
@@ -433,12 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="singularity threshold relative to ||Delta0||_F")
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("spectrum", help="slice containment table or joint-spectrum oracle")
+    p = sub.add_parser("spectrum", help="slice containment table or joint spectrum of a pair")
     p.add_argument("problem")
     p.add_argument("pencil", nargs="?", default=None)
     p.add_argument("--slices", type=int, default=5)
     p.add_argument("--pair", metavar="Q2FILE", default=None,
-                   help="second problem file: run the joint-spectrum oracle")
+                   help="second problem file: solve the joint spectrum from the "
+                        "pair's Delta operators (e1 pencils drawn from the seed)")
     p.add_argument("--match-tol", type=_tolerance, default=1e-6)
     p.add_argument("--out", default=None, help="CSV output path")
     common(p)

@@ -34,6 +34,9 @@ from .linalg import as_matrix, complex_normal, det, smallest_singular_value
 from .matpoly import MatrixPoly2, newton_triple
 from .spaces import DEFAULT_TOL, AnsatzVector, NewtonPencil, SampleSet, sample_set_for, select_M
 
+MAX_DRAWS = 32  # random Z draws before a construction gives up
+RANDOM_MIN_SIGMA = 0.05  # sigma_min(Z) a random draw of unit-variance entries must exceed
+
 __all__ = [
     "E1FreeParams",
     "companion_pencil",
@@ -82,9 +85,6 @@ class E1FreeParams:
         return np.block([[self.z1[n:2 * n], self.z2[n:2 * n]],
                          [self.z1[2 * n:], self.z2[2 * n:]]])
 
-    def z_sigma_min(self) -> float:
-        return smallest_singular_value(self.z_block)
-
     def require_admissible(self, tol: float = DEFAULT_TOL) -> None:
         zb = self.z_block
         smin = smallest_singular_value(zb)
@@ -96,19 +96,19 @@ class E1FreeParams:
             )
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator, *,
-               min_sigma: float = 0.05, max_tries: int = 32) -> "E1FreeParams":
-        """Random admissible draw (rejection sampling on the Z block)."""
+    def random(cls, n: int, rng: np.random.Generator) -> "E1FreeParams":
+        """Random admissible draw (rejection sampling on the Z block: at most
+        MAX_DRAWS draws, accepted when sigma_min(Z) > RANDOM_MIN_SIGMA)."""
         y11 = complex_normal(rng, n, n)
-        for _ in range(max_tries):
+        for _ in range(MAX_DRAWS):
             z1 = complex_normal(rng, 3 * n, n)
             z2 = complex_normal(rng, 3 * n, n)
             params = cls.build(y11, z1, z2)
-            if params.z_sigma_min() > min_sigma:
+            if smallest_singular_value(params.z_block) > RANDOM_MIN_SIGMA:
                 return params
         raise AdmissibilityError(
-            f"failed to draw admissible Z after {max_tries} tries "
-            f"(min_sigma = {min_sigma})"
+            f"failed to draw admissible Z after {MAX_DRAWS} tries "
+            f"(min_sigma = {RANDOM_MIN_SIGMA})"
         )
 
     @classmethod
@@ -392,7 +392,6 @@ class GeneralAnsatzPencil:
 
 def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = None,
                              *, tol: float = DEFAULT_TOL, seed: int = 0,
-                             max_tries: int = 32,
                              alternate_ac: bool = False) -> GeneralAnsatzPencil:
     """Linearization construction for an arbitrary nonzero ansatz vector.
 
@@ -403,7 +402,7 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
     default is used: Z11 = Z12 = 0 and the lower entries solved from the
     inverse of M's trailing 2 x 2 submatrix so the transformed block becomes
     the identity; if that submatrix is singular, random draws with rejection
-    take over (at most ``max_tries``). Every template's trailing submatrix
+    take over (at most MAX_DRAWS). Every template's trailing submatrix
     is either exactly singular (a zero row or column) or has determinant 1,
     1/c, -1/b or 1/(bc), so it is tested against exact zero. Explicit
     ``params`` and random draws are admissible when sigma_min of the
@@ -445,7 +444,7 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
             z1_hat, z2_hat, blk = hat_block(z1, z2)
         else:
             rng = np.random.default_rng(seed)
-            for attempt in range(max_tries):
+            for _ in range(MAX_DRAWS):
                 z1 = complex_normal(rng, 3 * n, n)
                 z2 = complex_normal(rng, 3 * n, n)
                 z1_hat, z2_hat, blk = hat_block(z1, z2)
@@ -454,7 +453,7 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
             else:
                 raise AdmissibilityError(
                     f"no admissible Z found for ansatz pattern {v.pattern} "
-                    f"after {max_tries} random draws"
+                    f"after {MAX_DRAWS} random draws"
                 )
 
     yh11 = m[0, 0] * y11

@@ -180,8 +180,10 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
                       tol: float = DEFAULT_TOL) -> MembershipResult:
     """Test L(lam, mu) (N kron I) = v kron Q(lam, mu) and recover v.
 
-    Ill posed if ||Q|| <= 1e-14 max ||C_ij|| at every sample; the residual is
-    relative to the largest ||L (N kron I)|| and (1 + ||v||) ||Q||.
+    Ill posed if ||Q|| <= 1e-14 max ||C_ij|| at every sample. The residual
+    is relative to the larger of max ||L (N kron I)|| and ||v|| max ||Q||,
+    both linear in the pencil, so it does not change when the pencil is
+    scaled. The zero pencil is a member with v = 0 and residual 0.
     """
     if pencil.n != q.n:
         raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
@@ -209,7 +211,8 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     resid = np.linalg.norm((rblocks - v[:, None, None] * qvals[:, None])
                            .reshape(points.count, -1), axis=1).max()
     rscale = np.linalg.norm(rvals, axis=(1, 2)).max()
-    rel = float(resid) / max(float(rscale), (1.0 + float(np.linalg.norm(v))) * qscale)
+    denom = max(float(rscale), float(np.linalg.norm(v)) * qscale)
+    rel = float(resid) / denom if denom > 0 else 0.0
 
     ansatz = AnsatzVector.classify(v, tol=tol)
     return MembershipResult(member=bool(rel <= tol), ansatz=ansatz,

@@ -3,32 +3,27 @@
 A pair of quadratic polynomials Q1 (p1 x p1) and Q2 (p2 x p2) over one
 shared node set defines the joint spectrum
 
-    { (lam, mu) : det Q1(lam, mu) = det Q2(lam, mu) = 0 }.
+    { (lam, mu) : det Q1(lam, mu) = det Q2(lam, mu) = 0 },
 
-A generic pair has 4 p1 p2 eigenvalues (the product of the determinant
-degrees bounds the count of isolated common zeros). Each polynomial is
-linearized with the e1-ansatz construction, and the pair of pencils is
-coupled through the operator determinants
+with at most 4 p1 p2 isolated points (Bezout). Each polynomial is
+linearized with the e1-ansatz construction, Li = lam Ai + mu Bi + Ci with
+the affine constant term Ci = A3 - A1 D_alpha - A2 D_beta, and the pencils
+are coupled through the operator determinants
 
-    Delta0 = B1 kron C2 - C1 kron B2
-    Delta1 = C1 kron A2 - A1 kron C2
-    Delta2 = A1 kron B2 - B1 kron A2
+    Delta0 = A1 kron B2 - B1 kron A2
+    Delta1 = B1 kron C2 - C1 kron B2
+    Delta2 = C1 kron A2 - A1 kron C2,
 
-where (Ai, Bi, Ci) are the Gamma2 coefficient, the Gamma2t coefficient and
-the constant term of pencil i. For pencils in e1 form Delta0 is singular by
-construction: the Gamma2t coefficient has its two lower block rows supported
-on the last block column only, so B1 and B2 have kernels, and for B1 u = 0
-and B2 v = 0 the Kronecker vector u kron v annihilates both terms of Delta0.
-The pair is therefore a *singular* two-parameter problem; this module
-constructs and certifies it but does not attempt to solve the coupled
-singular system. The certificate uses that kernel vector as a witness and
-works on the 3p x 3p blocks, so it never forms the (9 p1 p2)^2 operators
-unless the witness fails (Muhic and Plestenjak, "On the singular
-two-parameter eigenvalue problem", ELA 18, 2009).
-
-Spectra are instead validated directly: one-parameter slices reduce to
-generalized eigenvalue problems, and a resultant-based oracle computes the
-full joint spectrum at desk scale.
+so Delta1 z = lam Delta0 z and Delta2 z = mu Delta0 z for z = x1 kron x2.
+For e1 pencils Delta0 is singular by construction: the mu coefficients
+have their lower block rows supported on the last block column, so B1 u = 0
+and B2 v = 0 have solutions and u kron v annihilates Delta0. The
+certificate uses that witness on the 3p x 3p blocks (Muhic and Plestenjak,
+"On the singular two-parameter eigenvalue problem", ELA 18, 2009). The
+joint spectrum is solved from the singular operators by a rank-completing
+perturbation (Hochstenbach, Mehl and Plestenjak, "Solving singular
+generalized eigenvalue problems by a rank-completing perturbation",
+SIMAX 40, 2019). One-parameter slices check single pencils.
 """
 
 from __future__ import annotations
@@ -37,13 +32,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeMismatchError, SharedFactorError, SingularPencilError
-from .linalg import annulus_points, det, small_dense_eigen, smallest_singular_value
-from .matpoly import MatrixPoly2
+from .errors import (DegenerateProblemError, NodeMismatchError, SharedFactorError,
+                     SingularPencilError)
+from .linalg import annulus_points, complex_normal, small_dense_eigen, smallest_singular_value
+from .matpoly import MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil
 
 DESK_SCALE_LIMIT = 3
+# Relative singular-value cut-off for the normal rank of the Delta pencil.
+RANK_TOL = 1e-10
+# Largest ||V* x||, ||U* y|| (unit vectors) of a true eigenvalue of the
+# rank-completed pencil.
+SELECT_TOL = 1e-6
+# Eigenvalues sigma closer than CLUSTER_TOL max(1, |sigma|), or whose error
+# discs DISC_FACTOR times their first-order bound wide overlap, form one point.
+CLUSTER_TOL = 1e-4
+DISC_FACTOR = 3.0
+POLISH_STEPS = 2
+# Largest backward error of a returned point.
+RESIDUAL_TOL = 1e-8
+# Relative sigma_min below which a degree-two part counts as singular; looser
+# than RESIDUAL_TOL because a double root at infinity comes out to sqrt(eps).
+INFINITY_TOL = 1e-6
 
 __all__ = [
     "QtepPair",
@@ -105,46 +116,56 @@ class DeltaTriple:
 
 
 def _coefficients(ln) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) of a pencil (fields A1, A2, A3) or of a raw triple."""
-    return tuple(np.asarray(x, dtype=complex) for x in
-                 (ln.blocks() if hasattr(ln, "blocks") else ln))
+    """(A, B, C) with L(lam, mu) = lam A + mu B + C, of a pencil or a raw triple.
+
+    A pencil's Gamma factors subtract the nodes column block by column
+    block, so its constant term is C = A3 - A1 D_alpha - A2 D_beta with
+    D_alpha = diag(a2, a1, a1) kron I and D_beta = diag(b1, b2, b1) kron I.
+    """
+    if not hasattr(ln, "blocks"):
+        return tuple(np.asarray(x, dtype=complex) for x in ln)
+    a1, a2, b1, b2 = ln.nodes.as_tuple()
+    d_alpha = np.repeat([a2, a1, a1], ln.n)
+    d_beta = np.repeat([b1, b2, b1], ln.n)
+    return ln.A1, ln.A2, ln.A3 - ln.A1 * d_alpha - ln.A2 * d_beta
 
 
 def delta_operators(ln1, ln2) -> DeltaTriple:
     """Kronecker operator determinants of the pencil pair.
 
-    The coefficient roles are A = Gamma2 coefficient, B = Gamma2t
-    coefficient, C = constant term (pencil fields A1, A2, A3 in that order).
-    Raw coefficient triples of square matrices are accepted in place of
-    pencils, so the formulas can be exercised at any block size.
+    With Li = lam Ai + mu Bi + Ci (see :func:`_coefficients`),
+    Delta0 = A1 kron B2 - B1 kron A2, Delta1 = B1 kron C2 - C1 kron B2 and
+    Delta2 = C1 kron A2 - A1 kron C2. Raw (A, B, C) triples of square
+    matrices are accepted in place of pencils, so the formulas can be
+    exercised at any block size.
     """
     a1, b1, c1 = _coefficients(ln1)
     a2, b2, c2 = _coefficients(ln2)
-    d0 = np.kron(b1, c2) - np.kron(c1, b2)
-    d1 = np.kron(c1, a2) - np.kron(a1, c2)
-    d2 = np.kron(a1, b2) - np.kron(b1, a2)
+    d0 = np.kron(a1, b2) - np.kron(b1, a2)
+    d1 = np.kron(b1, c2) - np.kron(c1, b2)
+    d2 = np.kron(c1, a2) - np.kron(a1, c2)
     return DeltaTriple(delta0=d0, delta1=d1, delta2=d2,
                        k1=a1.shape[0], k2=a2.shape[0])
 
 
 def _lower_rows_supported_on_last_column(block: np.ndarray, p: int,
                                          rel_tol: float = 1e-12) -> bool:
-    """True when block rows p..3p vanish outside the last block column."""
-    scale = max(float(np.abs(block).max()), 1.0)
-    return bool(np.abs(block[p:, : 2 * p]).max() <= rel_tol * scale)
+    """True when block rows p..3p vanish outside the last block column,
+    relative to the largest entry of the block (an all-zero block passes)."""
+    return bool(np.abs(block[p:, : 2 * p]).max() <= rel_tol * np.abs(block).max())
 
 
-def _delta0_frobenius(b1, c1, b2, c2) -> float:
-    """||B1 kron C2 - C1 kron B2||_F without forming either Kronecker product.
+def _delta0_frobenius(a1, b1, a2, b2) -> float:
+    """||A1 kron B2 - B1 kron A2||_F without forming either Kronecker product.
 
     Delta0 is a perfect shuffle of the rank-2 matrix X Y^T with
-    X = [vec B1, vec C1] and Y = [vec C2, -vec B2], and a shuffle keeps the
+    X = [vec A1, vec B1] and Y = [vec B2, -vec A2], and a shuffle keeps the
     Frobenius norm. With X = QR it equals ||R Y^T||_F. The Gram identity
     ||X Y^T||_F^2 = trace(X^H X Y^T conj(Y)) would subtract squares and
-    lose half the digits when Delta0 is small next to ||B1|| ||C2||.
+    lose half the digits when Delta0 is small next to ||A1|| ||B2||.
     """
-    r = np.linalg.qr(np.column_stack([b1.ravel(), c1.ravel()]), mode="r")
-    return float(np.linalg.norm(r @ np.vstack([c2.ravel(), -b2.ravel()])))
+    r = np.linalg.qr(np.column_stack([a1.ravel(), b1.ravel()]), mode="r")
+    return float(np.linalg.norm(r @ np.vstack([b2.ravel(), -a2.ravel()])))
 
 
 KERNEL_WITNESS = "kernel witness"
@@ -178,7 +199,7 @@ class SingularityCertificate:
 
 
 def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
-    """Certify whether Delta0 = B1 kron C2 - C1 kron B2 is singular.
+    """Certify whether Delta0 = A1 kron B2 - B1 kron A2 is singular.
 
     The criterion is sigma_min(Delta0) <= tol * ||Delta0||_F, with the
     Frobenius norm computed from the blocks (:func:`_delta0_frobenius`).
@@ -187,11 +208,11 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
 
     Kernel witness first: u and v are the unit right singular vectors of
     the smallest singular values of B1 and B2, and
-    rho = ||(B1 u) kron (C2 v) - (C1 u) kron (B2 v)||_2 = ||Delta0 (u kron v)||_2.
+    rho = ||(A1 u) kron (B2 v) - (B1 u) kron (A2 v)||_2 = ||Delta0 (u kron v)||_2.
     Since sigma_min(Delta0) <= rho, rho <= threshold certifies singular at
     O(p^3) cost. For e1 pencils B1 u = B2 v = 0 up to rounding: both
-    Gamma2t coefficients have their lower block rows supported on the last
-    block column only, which leaves them rank deficient.
+    Gamma2t (mu) coefficients have their lower block rows supported on the
+    last block column only, which leaves them rank deficient.
 
     Only when the witness does not certify is the dense operator formed and
     its sigma_min compared with the same threshold; so a "not singular"
@@ -200,13 +221,13 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     For a pencil pair the structural zero pattern behind the e1 singularity
     is recorded as ``evidence["structural_zero_pattern"]``.
     """
-    _, b1, c1 = _coefficients(ln1)
-    _, b2, c2 = _coefficients(ln2)
-    frob = _delta0_frobenius(b1, c1, b2, c2)
+    a1, b1 = _coefficients(ln1)[:2]
+    a2, b2 = _coefficients(ln2)[:2]
+    frob = _delta0_frobenius(a1, b1, a2, b2)
     threshold = tol * frob
     u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
     route = KERNEL_WITNESS
-    value = float(np.linalg.norm(np.kron(b1 @ u, c2 @ v) - np.kron(c1 @ u, b2 @ v)))
+    value = float(np.linalg.norm(np.kron(a1 @ u, b2 @ v) - np.kron(b1 @ u, a2 @ v)))
     if value > threshold:
         route = DENSE_SIGMA_MIN
         value = smallest_singular_value(delta_operators(ln1, ln2).delta0)
@@ -230,6 +251,13 @@ def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
     return k2, k1, k0
 
 
+def _companion(k2, k1, k0):
+    """Pencil ([0 I; -K0 -K1], [I 0; 0 K2]) whose eigenvalues are the t with
+    det(t^2 K2 + t K1 + K0) = 0; eigenvectors are [x; t x]."""
+    eye, zero = np.eye(len(k0)), np.zeros((len(k0), len(k0)))
+    return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
+
+
 def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
                    residual_tol: float = 1e-8) -> list[complex]:
     """Finite lambda with det Q(lambda, mu0) = 0, via the companion pencil.
@@ -243,12 +271,8 @@ def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
     n = q.n
     k2, k1, k0 = _lambda_quadratic_at(q, mu0)
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([[zero, eye], [-k0, -k1]])
-    b = np.block([[eye, zero], [zero, k2]])
     out = []
-    for pair in small_dense_eigen(a, b):
+    for pair in small_dense_eigen(*_companion(k2, k1, k0)):
         if pair.infinite:
             continue
         lam = pair.value
@@ -339,141 +363,6 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
                                match_tol=match_tol)
 
 
-# --------------------------------------------------------------------------
-# Joint-spectrum oracle: determinant interpolation, resultant elimination,
-# two-variable Newton polish.
-# --------------------------------------------------------------------------
-
-def _roots_of_unity(count: int, radius: float) -> np.ndarray:
-    return radius * np.exp(2j * np.pi * np.arange(count) / count)
-
-
-def _det_coefficient_matrix(q: MatrixPoly2) -> np.ndarray:
-    """Monomial coefficients C[i, j] of det Q = sum C[i,j] lam^i mu^j.
-
-    det Q has degree at most 2n in each variable, so a (2n+1) x (2n+1)
-    tensor grid of scaled roots of unity determines it; the two scalings
-    keep the Vandermonde systems well conditioned.
-    """
-    d = 2 * q.n
-    xl = _roots_of_unity(d + 1, 1.0)
-    xm = _roots_of_unity(d + 1, 1.5)
-    grid_l, grid_m = np.meshgrid(xl, xm, indexing="ij")
-    values = det(q.eval(grid_l.ravel(), grid_m.ravel())).reshape(d + 1, d + 1)
-    vl = np.vander(xl, d + 1, increasing=True)
-    vm = np.vander(xm, d + 1, increasing=True)
-    # values = vl @ C @ vm.T
-    c = np.linalg.solve(vl, values)
-    c = np.linalg.solve(vm, c.T).T
-    return c
-
-
-def _poly2_eval(c: np.ndarray, lam: complex, mu: complex) -> complex:
-    lp = lam ** np.arange(c.shape[0])
-    mp = mu ** np.arange(c.shape[1])
-    return complex(lp @ c @ mp)
-
-
-def _poly2_grad(c: np.ndarray, lam: complex, mu: complex):
-    i = np.arange(c.shape[0])
-    j = np.arange(c.shape[1])
-    lp = lam ** i
-    mp = mu ** j
-    dl = (i[1:, None] * c[1:, :]) if c.shape[0] > 1 else np.zeros((0, c.shape[1]))
-    dm = (c[:, 1:] * j[None, 1:]) if c.shape[1] > 1 else np.zeros((c.shape[0], 0))
-    flam = complex(lp[: max(c.shape[0] - 1, 0)] @ dl @ mp) if dl.size else 0j
-    fmu = complex(lp @ dm @ mp[: max(c.shape[1] - 1, 0)]) if dm.size else 0j
-    return flam, fmu
-
-
-def _poly2_rel_residual(c: np.ndarray, lam: complex, mu: complex) -> float:
-    i = np.arange(c.shape[0], dtype=float)
-    j = np.arange(c.shape[1], dtype=float)
-    mag = (np.maximum(1.0, abs(lam)) ** i)[:, None] * (np.maximum(1.0, abs(mu)) ** j)[None, :]
-    scale = float((np.abs(c) * mag).sum())
-    if scale == 0:
-        return np.inf
-    return abs(_poly2_eval(c, lam, mu)) / scale
-
-
-def _effective_lambda_degree(c: np.ndarray, rel_tol: float = 1e-10) -> int:
-    row_norm = np.abs(c).max(axis=1)
-    scale = row_norm.max()
-    if scale == 0:
-        return -1
-    keep = np.nonzero(row_norm > rel_tol * scale)[0]
-    return int(keep.max()) if keep.size else -1
-
-
-def _univariate_coeffs(c: np.ndarray, mu0: complex) -> np.ndarray:
-    """Coefficients of lam -> p(lam, mu0), increasing powers."""
-    mp = mu0 ** np.arange(c.shape[1])
-    return c @ mp
-
-
-def _trimmed_roots(coeffs: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Roots of a coefficient vector (increasing powers), trimming the
-    relatively negligible leading entries first."""
-    scale = np.abs(coeffs).max()
-    if scale == 0:
-        return np.array([], dtype=complex)
-    keep = np.nonzero(np.abs(coeffs) > rel_tol * scale)[0]
-    if keep.size == 0 or keep.max() == 0:
-        return np.array([], dtype=complex)
-    deg = keep.max()
-    return np.roots(coeffs[: deg + 1][::-1])
-
-
-def _sylvester_matrix(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Sylvester matrix of two univariate coefficient vectors (increasing)."""
-    df, dg = len(fc) - 1, len(gc) - 1
-    s = np.zeros((df + dg, df + dg), dtype=complex)
-    frow = fc[::-1]
-    grow = gc[::-1]
-    for r in range(dg):
-        s[r, r:r + df + 1] = frow
-    for r in range(df):
-        s[dg + r, r:r + dg + 1] = grow
-    return s
-
-
-def _resultant_in_mu(cf: np.ndarray, cg: np.ndarray, df: int, dg: int) -> np.ndarray:
-    """Coefficients of Res_lambda(f, g) as a polynomial in mu.
-
-    Evaluated at scaled roots of unity and interpolated; the sample count
-    covers the degree bound df * deg_mu(g) + dg * deg_mu(f).
-    """
-    deg_bound = df * (cg.shape[1] - 1) + dg * (cf.shape[1] - 1)
-    count = deg_bound + 1
-    pts = _roots_of_unity(count, 1.25)
-    vals = np.empty(count, dtype=complex)
-    for k, mu0 in enumerate(pts):
-        fu = _univariate_coeffs(cf, mu0)[: df + 1]
-        gu = _univariate_coeffs(cg, mu0)[: dg + 1]
-        vals[k] = det(_sylvester_matrix(fu, gu))
-    vander = np.vander(pts, count, increasing=True)
-    return np.linalg.solve(vander, vals)
-
-
-def _newton_polish(cf: np.ndarray, cg: np.ndarray, lam: complex, mu: complex,
-                   iters: int = 50, step_tol: float = 1e-12):
-    for _ in range(iters):
-        fv = _poly2_eval(cf, lam, mu)
-        gv = _poly2_eval(cg, lam, mu)
-        fl, fm = _poly2_grad(cf, lam, mu)
-        gl, gm = _poly2_grad(cg, lam, mu)
-        jac = np.array([[fl, fm], [gl, gm]])
-        try:
-            step = np.linalg.solve(jac, np.array([fv, gv]))
-        except np.linalg.LinAlgError:
-            break
-        lam -= step[0]
-        mu -= step[1]
-        if np.abs(step).max() < step_tol * max(1.0, abs(lam), abs(mu)):
-            break
-    return lam, mu
-
-
 @dataclass(frozen=True)
 class SpectrumPoint:
     lam: complex
@@ -490,158 +379,233 @@ class SpectrumSample:
     total_count: int
     bezout_bound: int
 
-    def as_pairs(self) -> list[tuple[complex, complex]]:
-        return [(p.lam, p.mu) for p in self.points]
+
+def _q_partials(q: MatrixPoly2, lams, mus):
+    """(dQ/dlam, dQ/dmu) stacks at the points (Newton basis derivatives)."""
+    a1, a2, b1, b2 = q.nodes.as_tuple()
+    c = q.coeffs
+    lam, mu = lams[:, None, None], mus[:, None, None]
+    return (c[2, 0] * (2 * lam - a1 - a2) + c[1, 1] * (mu - b1) + c[1, 0],
+            c[1, 1] * (lam - a1) + c[0, 2] * (2 * mu - b1 - b2) + c[0, 1])
 
 
-def _cluster_sorted(values: np.ndarray, tol: float) -> list[list[complex]]:
-    order = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in order:
-        if clusters and abs(z - clusters[-1][-1]) <= tol * max(1.0, abs(z)):
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    return clusters
+def _coefficient_norm(q: MatrixPoly2) -> float:
+    """max_j ||C_j||_2 over the six coefficient blocks."""
+    return max(float(np.linalg.norm(c, 2)) for c in q.coeffs.values())
 
 
-def spectrum_pair_oracle(pair: QtepPair, *, residual_tol: float = 1e-8,
-                         cluster_tol: float = 1e-6) -> SpectrumSample:
-    """Joint spectrum of a pair at desk scale (p1, p2 <= 3).
+def _sigma_min_newton(pair: QtepPair, lams, mus):
+    """Backward error max_i sigma_min(Qi) / (max_j ||C_ij||_2 sum_j |phi_j|) of
+    each point (Newton basis phi_j) and its Newton step (dlam, dmu) for
+    u_i* Qi(lam, mu) v_i = 0, with u_i, v_i the singular vectors of
+    sigma_min(Qi) at the point."""
+    rows, errors = [], []
+    for q in (pair.q1, pair.q2):
+        u, s, vh = np.linalg.svd(q.eval(lams, mus))
+        left, right = u[:, :, -1].conj(), vh[:, -1, :].conj()
+        rows.append([np.einsum("ki,kij,kj->k", left, d, right)
+                     for d in _q_partials(q, lams, mus)] + [s[:, -1]])
+        scale = _coefficient_norm(q) * np.abs(newton_six(q.nodes, lams, mus)).sum(axis=0)
+        errors.append(np.divide(s[:, -1], scale, out=np.zeros_like(scale), where=scale > 0))
+    (f1l, f1m, f1), (f2l, f2m, f2) = rows
+    with np.errstate(all="ignore"):
+        jac = f1l * f2m - f1m * f2l
+        dlam, dmu = (f1 * f2m - f1m * f2) / jac, (f1l * f2 - f1 * f2l) / jac
+    finite = np.isfinite(dlam) & np.isfinite(dmu)
+    return np.maximum(*errors), np.where(finite, dlam, 0), np.where(finite, dmu, 0)
 
-    f = det Q1 and g = det Q2 are recovered as bivariate monomial
-    polynomials by grid interpolation, lambda is eliminated through the
-    Sylvester resultant, each mu root yields lambda candidates from the
-    univariate root step, and every candidate is polished by two-variable
-    Newton iteration and kept only if the scaled residual of both
-    polynomials drops below ``residual_tol``.
 
-    Multiplicities come from the resultant: each mu cluster carries a root
-    multiplicity, distributed over the distinct polished points above it.
-    An identically vanishing resultant means the determinants share a
-    factor (infinitely many common zeros) and raises
-    :class:`SharedFactorError`.
+def _polish(pair: QtepPair, lams, mus):
+    """POLISH_STEPS stacked Newton steps, each kept where it lowers the
+    backward error; returns the points and their backward errors."""
+    error, dlam, dmu = _sigma_min_newton(pair, lams, mus)
+    for _ in range(POLISH_STEPS):
+        trial = _sigma_min_newton(pair, lams - dlam, mus - dmu)
+        better = trial[0] < error
+        lams, mus = np.where(better, lams - dlam, lams), np.where(better, mus - dmu, mus)
+        error = np.where(better, trial[0], error)
+        dlam, dmu = np.where(better, trial[1], 0), np.where(better, trial[2], 0)
+    return lams, mus, error
+
+
+def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
+    """Q divided by the power of two nearest its coefficient scale: the same
+    zeros and backward errors, exactly."""
+    factor = 2.0 ** -np.frexp(q.coefficient_scale())[1]
+    return MatrixPoly2.newton({key: factor * c for key, c in q.coeffs.items()}, q.nodes)
+
+
+def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
+    """Normal-rank deficiency of a - sigma b: the smaller count of singular
+    values at most RANK_TOL times the largest, at two random sigma."""
+    counts = []
+    for sigma in complex_normal(rng, 2):
+        sv = np.linalg.svd(a - sigma * b, compute_uv=False)
+        counts.append(int(np.count_nonzero(sv <= RANK_TOL * sv[0])))
+    return min(counts)
+
+
+def _top_degree(q: MatrixPoly2, direction) -> np.ndarray:
+    """Degree-two part C20 l^2 + C11 l m + C02 m^2 of Q at (l, m) = direction."""
+    l, m = direction
+    return l * l * q.coeffs[2, 0] + l * m * q.coeffs[1, 1] + m * m * q.coeffs[0, 2]
+
+
+def _top_singular(q: MatrixPoly2, direction) -> bool:
+    """Whether the degree-two part is singular at the direction, relative to
+    max_j ||C_j||_2 (|l|^2 + |l m| + |m|^2). At a random direction this says
+    that det Q has degree below 2n: read as a curve of degree 2n, it contains
+    the line at infinity."""
+    l, m = direction
+    scale = _coefficient_norm(q) * (abs(l) ** 2 + abs(l * m) + abs(m) ** 2)
+    sigma_min = np.linalg.svd(_top_degree(q, direction), compute_uv=False)[-1]
+    return bool(sigma_min <= INFINITY_TOL * scale)
+
+
+def _meets_at_infinity(pair: QtepPair, rng) -> bool:
+    """Whether det Q1 and det Q2, read as curves of degree 2 p1 and 2 p2, share
+    a point on the line at infinity. Only then can the pair have fewer than
+    4 p1 p2 finite common zeros (Bezout).
+
+    The directions r0 + t r1 (random r0, r1) cover every point at infinity
+    but r1. The roots t of det T1(r0 + t r1), with T1 the degree-two part of
+    Q1, are eigenvalues of its companion pencil, which ``numpy.linalg.eig``
+    solves after a random shift-and-invert; the pair meets at infinity when
+    T2 is singular at one of them.
+    """
+    r0, r1 = complex_normal(rng, 2), complex_normal(rng, 2)
+    shift = complex_normal(rng)
+    if _top_singular(pair.q1, r0 + shift * r1) or _top_singular(pair.q2, r0 + shift * r1):
+        return True
+    t0, t1, t_1 = (_top_degree(pair.q1, r0 + t * r1) for t in (0, 1, -1))
+    a, b = _companion((t1 + t_1) / 2 - t0, (t1 - t_1) / 2, t0)
+    theta = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))  # 1 / (t - shift)
+    return any(_top_singular(pair.q2, r0 + (shift + 1 / th) * r1) for th in theta if th != 0)
+
+
+def _clusters(theta: np.ndarray, radius: np.ndarray, shift: complex) -> list[list[int]]:
+    """Groups of indices that are linked when the error discs overlap,
+    |theta_i - theta_j| <= DISC_FACTOR (r_i + r_j), or when
+    sigma = shift + 1 / theta agrees to CLUSTER_TOL max(1, |sigma|)."""
+    sigma = shift + 1 / theta
+
+    def linked(i, j):
+        return (abs(theta[i] - theta[j]) <= DISC_FACTOR * (radius[i] + radius[j])
+                or abs(sigma[i] - sigma[j]) <= CLUSTER_TOL * max(1.0, abs(sigma[i])))
+
+    groups = []
+    for i in range(len(theta)):
+        near = [g for g in groups if any(linked(i, j) for j in g)]
+        groups = [g for g in groups if g not in near] + [[i] + [j for g in near for j in g]]
+    return groups
+
+
+def _invariant_bases(op, shifted, theta_c, m):
+    """Orthonormal bases (X, Y) of the right and left invariant subspaces of
+    an m-fold cluster of op = shifted^-1 B at theta_c: the null spaces of
+    (op - theta_c I)^m. The eigenvectors of a defective cluster are nearly
+    parallel, so they would span these subspaces badly."""
+    u, _, vh = np.linalg.svd(np.linalg.matrix_power(op - theta_c * np.eye(len(op)), m))
+    left = np.linalg.solve(shifted.conj().T, u[:, -m:])  # left vectors of the pencil
+    return vh[-m:].conj().T, np.linalg.qr(left)[0]
+
+
+def _block_quotients(delta: DeltaTriple, qx, qy):
+    """(lam, mu) = trace((Y* Delta0 X)^-1 Y* Delta_j X) / m, j = 1, 2."""
+    b0, b1, b2 = (qy.conj().T @ d @ qx for d in (delta.delta0, delta.delta1, delta.delta2))
+    try:
+        lam_mu = np.linalg.solve(b0, np.concatenate([b1, b2], axis=1))
+    except np.linalg.LinAlgError:
+        raise DegenerateProblemError("Y* Delta0 X is singular for a finite eigenvalue "
+                                     "cluster") from None
+    m = len(b0)
+    return np.trace(lam_mu[:, :m]) / m, np.trace(lam_mu[:, m:]) / m
+
+
+def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
+    """Joint spectrum of a pair at desk scale (p1, p2 <= 3), from its Delta operators.
+
+    The e1 pencils are drawn from ``seed``, as ``delta`` draws them. The
+    normal-rank deficiency k of Delta1 + c Delta2 - sigma Delta0 is p1 p2
+    for a generic pair; a larger k raises (shared factor, or both
+    determinants drop degree). Rank-k terms tau U D V* make the pencil
+    regular, and ``numpy.linalg.eig`` solves op = (A - shift B)^-1 B. True
+    eigenvalues have V* x = 0 and U* y = 0. theta_i = 1 / (sigma_i - shift)
+    has the first-order error bound r_i = eps ||op||_2 ||w_i||, w_i the
+    i-th row of X^-1, and is infinite when |theta_i| <= r_i. The rest are
+    grouped by :func:`_clusters`; a group whose mean lies within its largest
+    r_i is a split eigenvalue at infinity, and any other group of m is one
+    point of multiplicity m, from block Rayleigh quotients over its
+    invariant subspaces. Points are polished (:func:`_polish`).
+
+    Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
+    when a point's backward error exceeds RESIDUAL_TOL, or when the count is
+    not 4 p1 p2 although the curves share no point at infinity.
     """
     if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
-        raise ValueError(
-            f"oracle is desk scale only (p <= {DESK_SCALE_LIMIT}), "
-            f"got p1={pair.p1}, p2={pair.p2}"
-        )
+        raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
+                         f"got p1={pair.p1}, p2={pair.p2}")
+    # The e1 pencils (unit-variance Y, Z) are balanced for Qi of unit scale.
+    pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
+    bound = 4 * pair.p1 * pair.p2
+    rng = np.random.default_rng(seed)
+    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
+                                            E1FreeParams.random(pair.p2, rng)))
+    d0, a = delta.delta0, delta.delta1 + complex_normal(rng) * delta.delta2
+    k = _rank_deficiency(a, d0, rng)
+    if k > pair.p1 * pair.p2:
+        direction = complex_normal(rng, 2)
+        if _top_singular(pair.q1, direction) and _top_singular(pair.q2, direction):
+            raise DegenerateProblemError(
+                f"the Delta pencil has rank deficiency {k} > p1 p2 because both determinants "
+                "drop degree: read as quadratics they share the line at infinity, and the "
+                "finite spectrum is not solved")
+        raise SharedFactorError(f"the Delta pencil has rank deficiency {k} > p1 p2: the "
+                                "determinants share a factor (infinitely many common zeros)")
 
-    cf = _det_coefficient_matrix(pair.q1)
-    cg = _det_coefficient_matrix(pair.q2)
-    for name, c in (("q1", cf), ("q2", cg)):
-        if np.abs(c).max() == 0:
-            raise SharedFactorError(
-                f"det {name} vanishes identically; every point is a common zero"
-            )
-    cf = cf / np.abs(cf).max()
-    cg = cg / np.abs(cg).max()
+    u, v = (np.linalg.qr(complex_normal(rng, d0.shape[0], k))[0] for _ in range(2))
+    a = a + np.linalg.norm(a) * (u * complex_normal(rng, k)) @ v.conj().T
+    b = d0 + np.linalg.norm(d0) * (u * complex_normal(rng, k)) @ v.conj().T
+    shift = complex_normal(rng)
+    shifted = a - shift * b
+    op = np.linalg.solve(shifted, b)
+    theta, x = np.linalg.eig(op)  # unit columns x
+    w = np.linalg.inv(x)
+    radius = np.finfo(float).eps * np.linalg.norm(op, 2) * np.linalg.norm(w, axis=1)
+    y = np.linalg.solve(shifted.conj().T, w.conj().T)
+    y = y / np.linalg.norm(y, axis=0)
+    true = ((np.linalg.norm(v.conj().T @ x, axis=0) <= SELECT_TOL)
+            & (np.linalg.norm(u.conj().T @ y, axis=0) <= SELECT_TOL))
+    finite = np.flatnonzero(true & (np.abs(theta) > radius))
 
-    df = _effective_lambda_degree(cf)
-    dg = _effective_lambda_degree(cg)
-    bezout = (2 * pair.p1) * (2 * pair.p2)
+    lams, mus, mults = [], [], []
+    for group in _clusters(theta[finite], radius[finite], shift):
+        idx = finite[group]
+        if abs(theta[idx].mean()) <= radius[idx].max():
+            continue  # a multiple eigenvalue at infinity, split by rounding
+        if len(idx) == 1:
+            bases = x[:, idx], y[:, idx]
+        else:
+            bases = _invariant_bases(op, shifted, theta[idx].mean(), len(idx))
+        lam, mu = _block_quotients(delta, *bases)
+        lams.append(lam)
+        mus.append(mu)
+        mults.append(len(idx))
+    lams, mus, error = _polish(pair, np.array(lams, dtype=complex), np.array(mus, dtype=complex))
 
-    if df <= 0 and dg <= 0:
-        # Both determinants are univariate in mu: any shared root gives a
-        # lambda-continuum of common zeros.
-        rf = _trimmed_roots(cf[0])
-        rg = _trimmed_roots(cg[0])
-        for r in rf:
-            if rg.size and np.min(np.abs(rg - r)) <= cluster_tol * max(1.0, abs(r)):
-                raise SharedFactorError(
-                    "both determinants are constant in lambda and share a root: "
-                    "infinitely many common zeros"
-                )
-        return SpectrumSample(points=(), total_count=0, bezout_bound=bezout)
-
-    if dg <= 0:
-        res = _power_of_univariate(cg[0], df)
-    elif df <= 0:
-        res = _power_of_univariate(cf[0], dg)
-    else:
-        res = _resultant_in_mu(cf, cg, df, dg)
-
-    res_scale = np.abs(res).max()
-    if res_scale <= 1e-10:
-        raise SharedFactorError(
-            "resultant vanishes identically: the determinants share a factor "
-            "(infinitely many common zeros)"
-        )
-    mu_roots = _trimmed_roots(res)
-
-    points: list[SpectrumPoint] = []
-    for cluster in _cluster_sorted(mu_roots, cluster_tol):
-        mu_star = complex(np.mean(cluster))
-        mult = len(cluster)
-        candidates = set()
-        for c in (cf, cg):
-            d_eff = _effective_lambda_degree(c)
-            if d_eff <= 0:
-                continue
-            for lam in _trimmed_roots(_univariate_coeffs(c, mu_star)):
-                candidates.add(complex(lam))
-        refined = []
-        for lam in sorted(candidates, key=lambda z: (z.real, z.imag)):
-            if max(_poly2_rel_residual(cf, lam, mu_star),
-                   _poly2_rel_residual(cg, lam, mu_star)) > 1e-3:
-                continue
-            lam_p, mu_p = _newton_polish(cf, cg, lam, mu_star)
-            resid = max(_poly2_rel_residual(cf, lam_p, mu_p),
-                        _poly2_rel_residual(cg, lam_p, mu_p))
-            if resid <= residual_tol:
-                refined.append((lam_p, mu_p, resid))
-        # Deduplicate polished candidates over this mu cluster.
-        distinct: list[list] = []
-        for lam_p, mu_p, resid in sorted(refined, key=lambda t: t[2]):
-            merged = False
-            for entry in distinct:
-                if (abs(lam_p - entry[0]) <= cluster_tol * max(1.0, abs(lam_p))
-                        and abs(mu_p - entry[1]) <= cluster_tol * max(1.0, abs(mu_p))):
-                    merged = True
-                    break
-            if not merged:
-                distinct.append([lam_p, mu_p, resid])
-        if not distinct:
-            continue  # intersection at infinity or spurious resultant root
-        k = len(distinct)
-        if k > mult:
-            distinct = distinct[:mult]  # best residuals first; Bezout ceiling
-            k = mult
-        base, extra = divmod(mult, k)
-        distinct.sort(key=lambda t: (t[0].real, t[0].imag))
-        for idx, (lam_p, mu_p, resid) in enumerate(distinct):
-            m = base + (1 if idx < extra else 0)
-            points.append(SpectrumPoint(lam=complex(lam_p), mu=complex(mu_p),
-                                        multiplicity=m, residual=float(resid)))
-
-    # Merge across clusters in case polishing moved near-equal points together.
-    merged_points: list[SpectrumPoint] = []
-    for pt in sorted(points, key=lambda p: (p.lam.real, p.lam.imag,
-                                            p.mu.real, p.mu.imag)):
-        if merged_points:
-            prev = merged_points[-1]
-            if (abs(pt.lam - prev.lam) <= cluster_tol * max(1.0, abs(pt.lam))
-                    and abs(pt.mu - prev.mu) <= cluster_tol * max(1.0, abs(pt.mu))):
-                merged_points[-1] = SpectrumPoint(
-                    lam=prev.lam, mu=prev.mu,
-                    multiplicity=prev.multiplicity + pt.multiplicity,
-                    residual=min(prev.residual, pt.residual))
-                continue
-        merged_points.append(pt)
-
-    total = sum(p.multiplicity for p in merged_points)
-    return SpectrumSample(points=tuple(merged_points), total_count=total,
-                          bezout_bound=bezout)
-
-
-def _power_of_univariate(coeffs: np.ndarray, power: int) -> np.ndarray:
-    """(sum c_j mu^j) ** power as a coefficient vector, increasing powers.
-
-    Res_lambda(f, g) = g^(deg_lambda f) when g is constant in lambda.
-    """
-    out = np.array([1.0 + 0j])
-    base = np.asarray(coeffs, dtype=complex)
-    for _ in range(power):
-        out = np.convolve(out, base)
-    return out
+    if (error > RESIDUAL_TOL).any():
+        raise DegenerateProblemError(
+            f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "
+            f"have backward error above {RESIDUAL_TOL:g} (largest {error.max():.1e})")
+    total = sum(mults)
+    if total > bound:
+        raise DegenerateProblemError(f"found {total} common zeros, more than 4 p1 p2 = {bound}")
+    if total < bound and not _meets_at_infinity(pair, rng):
+        raise DegenerateProblemError(
+            f"found {total} common zeros, but the curves share no point at infinity, "
+            f"so there are 4 p1 p2 = {bound}")
+    points = sorted((SpectrumPoint(lam=complex(l), mu=complex(m), multiplicity=n,
+                                   residual=float(e))
+                     for l, m, n, e in zip(lams, mus, mults, error)),
+                    key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
+    return SpectrumSample(points=tuple(points), total_count=total, bezout_bound=bound)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import newton2pep.cli as cli
+from newton2pep import NewtonNodes
 from newton2pep.fileio import save_problem
 
 from helpers import random_newton
@@ -43,10 +44,20 @@ def test_tracer_targets_exist_and_are_restored(tmp_path, monkeypatch, capsys):
     save_problem(problem, random_newton(np.random.default_rng(0), 1))
     targets = _patch_targets(tracing.SPANS)
 
+    rng = np.random.default_rng(1)
+    pair = [str(tmp_path / name) for name in ("q1.json", "q2.json")]
+    for path in pair:
+        save_problem(path, random_newton(rng, 1, NewtonNodes(1, 2, 0.5, -1)))
+
     with tracing.instrumented(tracing.Tracer()) as tracer:
-        code = cli.main(["construct", str(problem), "--companion",
-                         "--out", str(tmp_path / "p.json")])
-    assert code == 0
-    assert "spaces.pencil_eval" in {span[0] for span in tracer.spans}
+        codes = [cli.main(["construct", str(problem), "--companion",
+                           "--out", str(tmp_path / "p.json")]),
+                 cli.main(["spectrum", pair[0], "--pair", pair[1]]),
+                 cli.main(["delta", *pair, "--check-singular"])]
+    assert codes == [0, 0, 0]
+    names = {span[0] for span in tracer.spans}
+    for name in ("spaces.pencil_eval", "twoparam.spectrum_pair_oracle",
+                 "twoparam.delta_operators", "twoparam.certify_singular"):
+        assert name in names, name
     for owner, name, original in targets:
         assert vars(owner)[name] is original, (owner, name)

@@ -339,6 +339,18 @@ class TestSpectrum:
         code, _ = run(capsys, ["spectrum", str(a), "--pair", str(b)])
         assert code == 3
 
+    def test_line_at_infinity_pair_inconclusive(self, tmp_path, capsys):
+        # lam - 1 and mu - 1: the pencils do not settle the one common zero,
+        # so the report says inconclusive instead of listing no point.
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_problem(a, scalar_newton(0, 0, 0, 1, 0, -1))
+        save_problem(b, scalar_newton(0, 0, 0, 0, 1, -1))
+        code = main(["spectrum", str(a), "--pair", str(b)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "inconclusive" in err and "line at infinity" in err
+
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]

@@ -127,6 +127,24 @@ class TestMembershipMonomial:
         assert not res.member
         assert res.residual > 1e-9
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_membership_verdict_does_not_depend_on_pencil_scale(self, scale):
+        # The residual is relative to quantities linear in the pencil, so the
+        # perturbed companion stays a non-member however it is scaled.
+        rng = np.random.default_rng(4)
+        q = random_monomial(rng, 2)
+        c = companion_pencil(q)
+        a3 = c.A3.copy()
+        a3[0, 0] += 1e-3
+        ref = membership_newton(NewtonPencil.from_blocks(q.nodes, c.A1, c.A2, a3), q)
+        res = membership_newton(NewtonPencil.from_blocks(
+            q.nodes, *(scale * b for b in (c.A1, c.A2, a3))), q)
+        assert not res.member
+        assert res.residual == pytest.approx(ref.residual, rel=1e-6)
+        exact = membership_newton(NewtonPencil.from_blocks(
+            q.nodes, *(scale * b for b in c.blocks())), q)
+        assert exact.member
+
     def test_zero_polynomial_is_ill_posed(self):
         zero = np.zeros((2, 2))
         q = MatrixPoly2.monomial({k: zero for k in

@@ -24,12 +24,14 @@ from newton2pep import (
     verify_linearization,
     verify_spectrum_match,
 )
+from newton2pep import twoparam
+from newton2pep.errors import DegenerateProblemError
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (commutation_matrix, kron_oracle, random_coeffs, random_newton,
-                     random_nodes, scalar_newton)
+from helpers import (commutation_matrix, gamma_blocks, kron_oracle, random_coeffs,
+                     random_newton, random_nodes, scalar_newton, scaled)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -96,6 +98,8 @@ class TestDeltaOperators:
         assert np.abs(delta.delta2).max() == 0
 
     def test_against_kronecker_oracle(self):
+        # Li = lam Ai + mu Bi + Ci with the affine constant term
+        # Ci = A3 + A1 Gamma2(0) + A2 Gamma2t(0), not the field A3.
         rng = np.random.default_rng(4)
         nodes = random_nodes(rng)
         blocks1 = [complex_normal(rng, 6, 6) for _ in range(3)]
@@ -103,14 +107,16 @@ class TestDeltaOperators:
         ln1 = NewtonPencil.from_blocks(nodes, *blocks1)
         ln2 = NewtonPencil.from_blocks(nodes, *blocks2)
         delta = delta_operators(ln1, ln2)
-        a1, b1, c1 = blocks1
-        a2, b2, c2 = blocks2
+        g, gt = gamma_blocks(nodes, 2, 0, 0)
+        a1, b1, c1 = blocks1[0], blocks1[1], blocks1[2] + blocks1[0] @ g + blocks1[1] @ gt
+        a2, b2, c2 = blocks2[0], blocks2[1], blocks2[2] + blocks2[0] @ g + blocks2[1] @ gt
+        np.testing.assert_allclose(c1, ln1.eval(0, 0), atol=1e-14)
         np.testing.assert_allclose(delta.delta0,
-                                   kron_oracle(b1, c2) - kron_oracle(c1, b2))
-        np.testing.assert_allclose(delta.delta1,
-                                   kron_oracle(c1, a2) - kron_oracle(a1, c2))
-        np.testing.assert_allclose(delta.delta2,
                                    kron_oracle(a1, b2) - kron_oracle(b1, a2))
+        np.testing.assert_allclose(delta.delta1,
+                                   kron_oracle(b1, c2) - kron_oracle(c1, b2))
+        np.testing.assert_allclose(delta.delta2,
+                                   kron_oracle(c1, a2) - kron_oracle(a1, c2))
 
     def test_swap_antisymmetry_up_to_shuffle(self):
         rng = np.random.default_rng(5)
@@ -189,8 +195,9 @@ class TestCertifySingular:
             assert cert.evidence == {}
 
     def test_shared_c_kernels_found_by_dense_route(self):
-        # C1 x = 0 and C2 y = 0 give Delta0 (x kron y) = 0, but B1 and B2 are
-        # nonsingular, so the B-kernel witness cannot see it.
+        # Kernels in the lambda coefficients, c1 x = 0 and c2 y = 0, give
+        # Delta0 (x kron y) = 0, but the mu coefficients b1 and b2 are
+        # nonsingular, so the mu-kernel witness cannot see it.
         rng = np.random.default_rng(18)
         for k1, k2 in ((3, 3), (3, 6)):
             x = complex_normal(rng, k1)
@@ -201,7 +208,7 @@ class TestCertifySingular:
             b1, b2 = complex_normal(rng, k1, k1), complex_normal(rng, k2, k2)
             assert np.linalg.svd(b1, compute_uv=False)[-1] > 1e-3
             assert np.linalg.svd(b2, compute_uv=False)[-1] > 1e-3
-            cert = certify_singular((b1, b1, c1), (b2, b2, c2))
+            cert = certify_singular((c1, b1, b1), (c2, b2, b2))
             assert cert.route == DENSE_SIGMA_MIN
             assert cert.is_singular
 
@@ -218,7 +225,8 @@ class TestCertifySingular:
                 if case == "unbalanced":
                     c1 = c1 * 1e3
             got = _delta0_frobenius(b1, c1, b2, c2)
-            ref = np.linalg.norm(delta_operators((b1, b1, c1), (b2, b2, c2)).delta0)
+            # As (lam, mu) coefficients (b1, c1) and (b2, c2): Delta0 = b1 kron c2 - c1 kron b2.
+            ref = np.linalg.norm(delta_operators((b1, c1, c1), (b2, c2, c2)).delta0)
             # Rounding the Kronecker products already moves the dense
             # reference by about eps (||B1|| ||C2|| + ||C1|| ||B2||), which is
             # ~1e-8 of ||Delta0||_F in the near-commuting case; the Gram
@@ -228,6 +236,21 @@ class TestCertifySingular:
             assert abs(got - ref) <= 1e-13 * scale
             if case != "near-commuting":
                 assert abs(got - ref) <= 1e-13 * ref
+
+    def test_structural_zero_pattern_is_relative_to_the_block(self):
+        # A dense pencil pair scaled by 1e-13 has no structural zeros; e1
+        # pencils keep theirs at any scale.
+        rng = np.random.default_rng(20)
+        nodes = random_nodes(rng)
+        dense = [NewtonPencil.from_blocks(nodes, *(1e-13 * complex_normal(rng, 3 * p, 3 * p)
+                                                   for _ in range(3))) for p in (1, 2)]
+        assert certify_singular(*dense).evidence["structural_zero_pattern"] is False
+        pair = random_pair(rng, 1, 2, nodes)
+        lns = pair_linearize(pair, E1FreeParams.random(1, rng), E1FreeParams.random(2, rng))
+        for scale in (1.0, 1e-13):
+            e1 = [NewtonPencil.from_blocks(nodes, *(scale * b for b in ln.blocks()))
+                  for ln in lns]
+            assert certify_singular(*e1).evidence["structural_zero_pattern"] is True
 
     def test_structural_null_vector(self):
         # u in ker A2(1), v in ker A2(2) gives Delta0 (u kron v) = 0 exactly.
@@ -365,3 +388,105 @@ class TestSpectrumPairOracle:
         pair = random_pair(rng, 4, 1)
         with pytest.raises(ValueError, match="desk scale"):
             spectrum_pair_oracle(pair)
+
+    @pytest.mark.parametrize("nodes", [NewtonNodes(1, 2, 0.5, -1), NewtonNodes()],
+                             ids=["newton", "zero"])
+    def test_full_3x3_spectrum_lies_on_both_slices(self, nodes):
+        # 36 = 4 p1 p2 points that each pass the gate are the whole spectrum
+        # (Bezout). Second route: at each mu, lam is an eigenvalue of the
+        # one-parameter slices Q1(., mu) and Q2(., mu), solved by QZ.
+        rng = np.random.default_rng(15)
+        for trial in range(20):
+            pair = random_pair(rng, 3, 3, nodes)
+            sample = spectrum_pair_oracle(pair, seed=trial)
+            assert sample.total_count == len(sample.points) == 36, trial
+            for pt in sample.points:
+                assert pt.residual <= 1e-8
+                for q in (pair.q1, pair.q2):
+                    dist = min(abs(pt.lam - lam) for lam in spectrum_slice(q, pt.mu))
+                    assert dist <= 1e-6 * max(1.0, abs(pt.lam)), (trial, pt)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tangential_multiplicity_for_any_seed(self, seed):
+        pair = QtepPair(scalar_newton(1, 0, 1, 0, 0, -2),
+                        scalar_newton(0, 1, 0, 0, 0, -1))
+        sample = spectrum_pair_oracle(pair, seed=seed)
+        assert [p.multiplicity for p in sample.points] == [2, 2]
+        assert all(p.residual <= 1e-8 for p in sample.points)
+
+    @pytest.mark.parametrize("k", [-60, 60])
+    def test_spectrum_invariant_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(16)
+        pair = random_pair(rng, 2, 2)
+        scaled_pair = QtepPair(scaled(pair.q1, 2.0 ** k), pair.q2)
+        # Each polynomial is rescaled by a power of two first, so bit for bit.
+        ref, got = spectrum_pair_oracle(pair), spectrum_pair_oracle(scaled_pair)
+        assert ref.total_count == 16
+        assert got == ref
+
+    @pytest.mark.parametrize("q2", [scalar_newton(0, 0, 0, 0, 1, -1),
+                                    scalar_newton(0, 0, 0, 1, 0, -2)], ids=["mu-1", "lam-2"])
+    def test_shared_line_at_infinity_is_inconclusive(self, q2):
+        # lam - 1 with mu - 1 (one common zero) or lam - 2 (none): both
+        # determinants drop degree, so read as quadratics they share the line
+        # at infinity and the Delta pencil loses rank beyond p1 p2. That is
+        # reported as not solved, not as a shared factor.
+        pair = QtepPair(scalar_newton(0, 0, 0, 1, 0, -1), q2)
+        with pytest.raises(DegenerateProblemError, match="line at infinity") as info:
+            spectrum_pair_oracle(pair)
+        assert not isinstance(info.value, SharedFactorError)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sparse_pair_double_point(self, seed):
+        # mu - lam^2 and mu touch at the origin. Q2 = mu has one nonzero
+        # block, so a backward error that weighed each basis term by its own
+        # block would read 1 at every mu != 0.
+        pair = QtepPair(scalar_newton(-1, 0, 0, 0, 1, 0), scalar_newton(0, 0, 0, 0, 1, 0))
+        sample = spectrum_pair_oracle(pair, seed=seed)
+        assert [p.multiplicity for p in sample.points] == [2]
+        assert abs(sample.points[0].lam) < 1e-6 and abs(sample.points[0].mu) < 1e-6
+        assert sample.points[0].residual <= 1e-8
+
+    @pytest.mark.parametrize("mu_part", [(1, 0, 0, -2 * np.sqrt(2), 0, 2), (-1, 0, -1, 0, 1, 0)],
+                             ids=["circle-doubled-tangent", "fourth-order-contact"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multiplicity_four_point(self, mu_part, seed):
+        # The circle lam^2 + mu^2 - 2 with the doubled line (lam - sqrt 2)^2,
+        # and the parabolas mu = lam^2, mu = lam^2 + mu^2: one point of
+        # multiplicity 4 each. Its eigenvalues split by about eps^(1/4).
+        first = (1, 0, 1, 0, 0, -2) if mu_part[3] else (-1, 0, 0, 0, 1, 0)
+        pair = QtepPair(scalar_newton(*first), scalar_newton(*mu_part))
+        want = (np.sqrt(2), 0) if mu_part[3] else (0, 0)
+        sample = spectrum_pair_oracle(pair, seed=seed)
+        assert [p.multiplicity for p in sample.points] == [4]
+        pt = sample.points[0]
+        assert abs(pt.lam - want[0]) < 1e-3 and abs(pt.mu - want[1]) < 1e-3
+        assert pt.residual <= 1e-8
+
+    def test_gate_failures_raise(self, monkeypatch):
+        # Points above the backward-error gate are never dropped in silence.
+        pair = random_pair(np.random.default_rng(17), 1, 1)
+        monkeypatch.setattr(twoparam, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(DegenerateProblemError, match="backward error above"):
+            spectrum_pair_oracle(pair)
+
+    def test_missing_points_raise(self, monkeypatch):
+        # With no eigenvalue selected the count is 0 < 4 p1 p2, and a generic
+        # pair has no common point at infinity: Bezout says points are missing.
+        pair = random_pair(np.random.default_rng(18), 1, 2)
+        monkeypatch.setattr(twoparam, "SELECT_TOL", -1.0)
+        with pytest.raises(DegenerateProblemError, match="no point at infinity"):
+            spectrum_pair_oracle(pair)
+
+    @pytest.mark.parametrize("coeffs,meets", [
+        (((1, 0, 1, 0, 0, -2), (0, 1, 0, 0, 0, -1)), False),    # l^2 + m^2, l m
+        (((1, 0, 1, 0, 0, -2), (1, 0, 0, 0, 0, -2)), False),    # l^2 + m^2, l^2
+        (((-1, 0, 0, 0, 1, 0), (-1, -1, 0, 0, 1, 0)), True),    # l^2, l^2 + l m
+        (((-1, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0)), True),      # degree drop
+    ])
+    def test_meets_at_infinity(self, coeffs, meets):
+        pair = QtepPair(*(scalar_newton(*c) for c in coeffs))
+        for seed in range(4):
+            assert twoparam._meets_at_infinity(pair, np.random.default_rng(seed)) is meets
+        generic = random_pair(np.random.default_rng(19), 2, 3)
+        assert not twoparam._meets_at_infinity(generic, np.random.default_rng(0))
