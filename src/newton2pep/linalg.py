@@ -2,9 +2,9 @@
 
 Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
-all factorizations go straight to LAPACK through numpy. scipy is needed only
-for the QZ algorithm in :func:`small_dense_eigen` (``spectrum`` slice mode)
-and is imported on its first call.
+all factorizations go straight to LAPACK through numpy, the package's only
+dependency. Generalized eigenvalue problems are solved by shift and invert
+with ``numpy.linalg.eig`` (:func:`small_dense_eigen`).
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def smallest_singular_value(a) -> float:
 class Eigenpair:
     """One generalized eigenvalue of a pencil (A, B).
 
-    ``value`` is ``inf + 0j`` when the eigenvalue is infinite (the beta part
-    of the QZ output vanished); ``infinite`` makes the classification explicit.
-    ``vector`` is None when computed without vectors.
+    ``value`` is ``inf + 0j`` when the eigenvalue is infinite; ``infinite``
+    makes the classification explicit. ``vector`` is None when computed
+    without vectors.
     """
 
     value: complex
@@ -84,17 +84,24 @@ class Eigenpair:
     infinite: bool
 
 
+# Fixed (so output is deterministic) shifts of modulus about one, away from the
+# small integers and fractions of hand-made examples; the second is a fallback.
+SHIFTS = (0.6180339887498949 + 0.5772156649015329j, -0.4142135623730950 - 0.7320508075688772j)
+
+
 def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10,
                       singular_tol: float = 1e-10) -> list[Eigenpair]:
-    """Generalized eigenpairs of the pencil (A, B) via the QZ algorithm.
+    """Generalized eigenpairs of the pencil (A, B) by shift and invert.
 
-    Rows of A and B are first divided by their largest magnitude in either
-    matrix (same eigenvalues and right vectors; the tests become scale-free).
-    Eigenvalues with a vanishing beta part are classified as infinite. If
-    alpha and beta both vanish for some direction the pencil is singular;
-    that is reported by raising :class:`SingularPencilError` rather than
-    silently dropping the indeterminate eigenvalue. ``vectors=False`` skips
-    the eigenvectors (``vector`` is None).
+    Rows of A and B are first divided by their largest magnitude (same
+    eigenvalues and right vectors; scale-free). At the first s in SHIFTS with
+    sigma_min(A - s B) > singular_tol sigma_max (none: the pencil is singular,
+    :class:`SingularPencilError`), numpy's ``eig`` solves op = (A - s B)^-1 B
+    (``eigvals`` without vectors; ``vector`` is then None): lambda = s + 1 /
+    theta. It is infinite when |lambda| >= 1 / infinite_tol, or when |theta|
+    is within its first-order error radius eps ||op||_F ||w||, w its row of
+    X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
+    ||w|| = 1, its lower bound, so a Jordan block at infinity may read finite.
 
     Finite pairs come first, sorted by (real, imag); infinite pairs follow.
     """
@@ -108,33 +115,37 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     rows[rows == 0] = 1.0
     a, b = a / rows[:, None], b / rows[:, None]
 
-    # Imported here: scipy.linalg loads slower than the rest of the package.
-    import scipy.linalg
+    for shift in SHIFTS:
+        shifted = a - shift * b
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        if sv[-1] > singular_tol * sv[0]:
+            break
+    else:
+        raise SingularPencilError("pencil is singular: sigma_min(A - s B) <= "
+                                  f"{singular_tol:g} sigma_max at both shifts s in SHIFTS")
+    op = np.linalg.solve(shifted, b)
+    eps, op_norm = np.finfo(float).eps, np.linalg.norm(op)
+    radius = eps * op_norm
+    if vectors:
+        theta, x = np.linalg.eig(op)  # unit columns x
+        try:
+            with np.errstate(over="ignore"):
+                radius = radius * np.linalg.norm(np.linalg.inv(x), axis=1)
+        except np.linalg.LinAlgError:  # parallel vectors: a defective eigenvalue
+            radius = np.inf
+    else:
+        theta, x = np.linalg.eigvals(op), None
+    # The cap keeps a defective finite eigenvalue (huge ||w||) finite, yet holds
+    # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
+    infinite = np.abs(theta) <= np.minimum(radius, eps ** 0.25 * op_norm)  # theta = 0 too
+    values = np.full(len(theta), complex(np.inf))
+    values[~infinite] = shift + 1 / theta[~infinite]
+    infinite |= np.abs(values) >= 1 / infinite_tol
+    values[infinite] = np.inf
 
-    out = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
-    (alpha, beta), vr = out if vectors else (out, None)
-    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
-
-    pairs = []
-    n_indeterminate = 0
-    for i in range(len(alpha)):
-        al, be = alpha[i], beta[i]
-        vec = vr[:, i].copy() if vectors else None
-        mag = abs(al) + abs(be)
-        if mag <= singular_tol * scale:
-            n_indeterminate += 1
-            continue
-        if abs(be) <= infinite_tol * mag:
-            pairs.append(Eigenpair(complex(np.inf), vec, True))
-        else:
-            pairs.append(Eigenpair(complex(al / be), vec, False))
-    if n_indeterminate:
-        raise SingularPencilError(
-            f"pencil is singular: {n_indeterminate} indeterminate eigenvalue(s) "
-            "(alpha and beta both vanish)"
-        )
-    pairs.sort(key=lambda p: (p.infinite, p.value.real if not p.infinite else 0.0,
-                              p.value.imag if not p.infinite else 0.0))
+    pairs = [Eigenpair(value, x[:, i].copy() if vectors else None, inf)
+             for i, (value, inf) in enumerate(zip(values.tolist(), infinite.tolist()))]
+    pairs.sort(key=lambda p: (p.infinite, p.value.real, p.value.imag))  # all inf + 0j
     return pairs
 
 

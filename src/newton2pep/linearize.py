@@ -252,8 +252,8 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
 
     The reduction F L E = diag(Q, I_2n) and the constancy of det E, det F
     are evaluated at the sample points; the largest relative deviations are
-    stored on the returned pair, relative to max(1, ||L|| ||F||) and to
-    |det Z^{-1}|. A numerically singular Z is rejected.
+    stored on the returned pair, relative to ||L|| ||F|| and to |det Z^{-1}|.
+    A numerically singular Z is rejected.
     """
     if pencil.nodes.as_tuple() != q.nodes.as_tuple():
         raise NodeMismatchError("pencil and polynomial carry different nodes")
@@ -277,8 +277,7 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
         red = f @ lvals @ e
         red[:, :n, :n] -= points.q_values[sl]
         red[:, n:, n:] -= np.eye(2 * n)
-        scale = np.maximum(1.0, np.linalg.norm(lvals, axis=(1, 2))
-                           * np.linalg.norm(f, axis=(1, 2)))
+        scale = np.linalg.norm(lvals, axis=(1, 2)) * np.linalg.norm(f, axis=(1, 2))
         worst_red = max(worst_red, float((np.linalg.norm(red, axis=(1, 2)) / scale).max()))
         sign_f, log_f = np.linalg.slogdet(f)
         worst_const = max(worst_const, float(np.abs(det(e) - draft.det_e).max()),

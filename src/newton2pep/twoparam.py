@@ -265,28 +265,24 @@ def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
     The one-parameter quadratic lam^2 K2 + lam K1 + K0 is solved through the
     2n x 2n generalized problem ([0 I; -K0 -K1], [I 0; 0 K2]). Infinite
     eigenvalues (singular K2) are dropped, so fewer than 2n values may come
-    back; eigenvalues whose vectors fail the relative residual test are
-    discarded as well. Sorted by (real, imag).
+    back. One is kept when ||Q(lam, mu0) x|| <= residual_tol (|lam|^2 ||K2||
+    + |lam| ||K1|| + ||K0||) ||x|| for its vector x, a relative test that
+    reads the same for Q and 2^k Q. Sorted by (real, imag).
     """
     n = q.n
     k2, k1, k0 = _lambda_quadratic_at(q, mu0)
+    finite = [p for p in small_dense_eigen(*_companion(k2, k1, k0)) if not p.infinite]
+    lam = np.array([p.value for p in finite], dtype=complex)
+    vecs = np.array([p.vector for p in finite], dtype=complex).reshape(-1, 2 * n).T
+    # x is the top half of [x; lam x], or the bottom half when that one dominates.
+    top = np.linalg.norm(vecs[:n], axis=0) > 1e-8 * np.linalg.norm(vecs, axis=0)
+    x = np.where(top, vecs[:n], vecs[n:])
+    num = np.linalg.norm(k2 @ (x * lam * lam) + k1 @ (x * lam) + k0 @ x, axis=0)
+    # Backward-error denominator: coefficient norms weighted by |lam|^k.
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-    out = []
-    for pair in small_dense_eigen(*_companion(k2, k1, k0)):
-        if pair.infinite:
-            continue
-        lam = pair.value
-        x = pair.vector[:n]
-        if np.linalg.norm(x) <= 1e-8 * np.linalg.norm(pair.vector):
-            x = pair.vector[n:]
-        value = lam * lam * k2 + lam * k1 + k0
-        # Backward-error denominator: coefficient norms weighted by |lam|^k.
-        scale = abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2]
-        num = float(np.linalg.norm(value @ x))
-        if num <= residual_tol * max(scale, 1e-300) * float(np.linalg.norm(x)):
-            out.append(lam)
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
+    scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
+    # small_dense_eigen sorts finite values by (real, imag) already.
+    return lam[num <= residual_tol * scale * np.linalg.norm(x, axis=0)].tolist()
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
@@ -337,29 +333,23 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     rng = np.random.default_rng(seed)
     mus = annulus_points(rng, slices)
     records = []
-    all_ok = True
     for mu0, l_eigs in zip(mus, _pencil_slice_eigenvalues(pencil, mus)):
         q_eigs = spectrum_slice(q, mu0)
         singular = l_eigs is None
         l_eigs = l_eigs or []
-        dists = []
-        ok = not singular
-        for lam in q_eigs:
-            if l_eigs:
-                d = min(abs(lam - le) for le in l_eigs)
-            else:
-                d = np.inf
-            dists.append(d)
-            if d > match_tol * max(1.0, abs(lam)):
-                ok = False
-        records.append(SliceRecord(mu0=complex(mu0),
-                                   q_eigenvalues=tuple(q_eigs),
-                                   pencil_eigenvalues=tuple(sorted(
-                                       l_eigs, key=lambda z: (z.real, z.imag))),
-                                   distances=tuple(float(d) for d in dists),
+        lam = np.array(q_eigs, dtype=complex)
+        diff = lam[:, None] - np.array(l_eigs, dtype=complex)[None, :]
+        # hypot rounds |z| as Python's abs does; numpy's complex abs may not.
+        dists = np.hypot(diff.real, diff.imag).min(axis=1, initial=np.inf)
+        size = np.maximum(1.0, np.hypot(lam.real, lam.imag))
+        ok = not singular and bool(np.all(dists <= match_tol * size))
+        # small_dense_eigen sorts finite values by (real, imag) already.
+        records.append(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs),
+                                   pencil_eigenvalues=tuple(l_eigs),
+                                   distances=tuple(dists.tolist()),
                                    contained=ok, pencil_singular=singular))
-        all_ok = all_ok and ok
-    return SpectrumMatchReport(records=tuple(records), all_contained=all_ok,
+    return SpectrumMatchReport(records=tuple(records),
+                               all_contained=all(r.contained for r in records),
                                match_tol=match_tol)
 
 

@@ -11,7 +11,7 @@ from newton2pep import (
     small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import as_matrix
+from newton2pep.linalg import SHIFTS, as_matrix
 
 from helpers import cofactor_det, commutation_matrix, kron_oracle
 
@@ -155,6 +155,67 @@ class TestSmallDenseEigen:
         b[0, 0] = 2.0
         with pytest.raises(SingularPencilError):
             small_dense_eigen(a, b)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jordan_block_at_infinity_reads_infinite(self, size, seed):
+        # A = U diag(1, .., 1, 2, -3) V and B = U (J + diag(0, .., 0, 1, 1)) V,
+        # J nilpotent of the given size: rounding splits the infinite
+        # eigenvalue of op into a cluster of radius about eps^(1/size).
+        rng = np.random.default_rng(seed)
+        n = size + 2
+        u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
+        a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
+        b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
+        pairs = small_dense_eigen(u @ a0 @ v, u @ b0 @ v)
+        assert [p.infinite for p in pairs] == [False, False] + [True] * size
+        np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_jordan_blocks(self, n):
+        # Exactly parallel eigenvectors: X^-1 overflows or does not exist.
+        nilpotent = np.diag(np.ones(n - 1), 1)
+        finite = small_dense_eigen(nilpotent, np.eye(n))
+        assert not any(p.infinite for p in finite)
+        np.testing.assert_allclose([p.value for p in finite], 0, atol=1e-3)
+        assert all(p.infinite for p in small_dense_eigen(np.eye(n), nilpotent))
+
+    def test_eigenvalue_at_first_shift_uses_fallback(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        a = np.diag([SHIFTS[0], 2.0, -1.0])
+        pairs = small_dense_eigen(a, np.eye(3))
+        assert len(calls) == 2
+        np.testing.assert_allclose([p.value for p in pairs], [-1, SHIFTS[0], 2], rtol=1e-14)
+        calls.clear()
+        small_dense_eigen(np.diag([1.0, 2.0, -1.0]), np.eye(3))
+        assert len(calls) == 1
+
+    def test_random_pencils_match_qz_reference(self):
+        from scipy.linalg import eigvals
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = complex_normal(rng, 6, 6), complex_normal(rng, 6, 6)
+            want = eigvals(a, b)
+            for vectors in (True, False):
+                got = np.array([p.value for p in small_dense_eigen(a, b, vectors=vectors)])
+                assert len(got) == 6
+                err = np.abs(got[:, None] - want[None, :]).min(axis=1)
+                assert np.all(err <= 1e-10 * np.abs(got))
+                err = np.abs(want[:, None] - got[None, :]).min(axis=1)
+                assert np.all(err <= 1e-10 * np.abs(want))
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        rng = np.random.default_rng(12)
+        a, b = complex_normal(rng, 8, 8), complex_normal(rng, 8, 8)
+        b[:, 0] = 0  # one infinite eigenvalue
+        first, second = small_dense_eigen(a, b), small_dense_eigen(a, b)
+        assert [(p.value, p.infinite) for p in first] == [(p.value, p.infinite) for p in second]
+        for p1, p2 in zip(first, second):
+            np.testing.assert_array_equal(p1.vector, p2.vector)
+        assert first[-1].infinite and not first[-2].infinite
 
 
 def test_commutation_matrix_swaps_kron_factors():

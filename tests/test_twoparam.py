@@ -16,6 +16,7 @@ from newton2pep import (
     certify_singular,
     companion_pencil,
     complex_normal,
+    construct_e1_newton,
     delta_operators,
     det,
     pair_linearize,
@@ -290,6 +291,100 @@ class TestSpectrumSlice:
         assert len(roots) <= 2  # at most n finite eigenvalues
 
 
+def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
+    """Per-eigenvalue reference for spectrum_slice (its loop form)."""
+    n = q.n
+    k2, k1, k0 = twoparam._lambda_quadratic_at(q, mu0)
+    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
+    out = []
+    for pair in twoparam.small_dense_eigen(*twoparam._companion(k2, k1, k0)):
+        if pair.infinite:
+            continue
+        lam = pair.value
+        x = pair.vector[:n]
+        if np.linalg.norm(x) <= 1e-8 * np.linalg.norm(pair.vector):
+            x = pair.vector[n:]
+        scale = abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2]
+        if np.linalg.norm((lam * lam * k2 + lam * k1 + k0) @ x) <= (
+                residual_tol * scale * np.linalg.norm(x)):
+            out.append(lam)
+    return sorted(out, key=lambda z: (z.real, z.imag))
+
+
+def loop_distances(q_eigs, l_eigs, match_tol):
+    """Per-eigenvalue reference for the matching in verify_spectrum_match."""
+    dists = [min((abs(lam - le) for le in l_eigs), default=np.inf) for lam in q_eigs]
+    return dists, all(d <= match_tol * max(1.0, abs(lam)) for lam, d in zip(q_eigs, dists))
+
+
+def slice_cases():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 4, 16):
+        for nodes in (NewtonNodes(), random_nodes(rng)):
+            q = random_newton(rng, n, nodes)
+            yield q, companion_pencil(q)
+            yield q, construct_e1_newton(q, E1FreeParams.random(n, rng))
+    coeffs = random_coeffs(rng, 3)
+    coeffs[(2, 0)] = np.zeros((3, 3))  # degree drop: infinite eigenvalues
+    q = MatrixPoly2.newton(coeffs, NewtonNodes())
+    yield q, companion_pencil(q)
+
+
+def scaled_pencil(pencil, factor):
+    return NewtonPencil.from_blocks(pencil.nodes, *(factor * a for a in
+                                                    (pencil.A1, pencil.A2, pencil.A3)))
+
+
+class TestSliceVectorized:
+    @pytest.mark.parametrize("q, pencil", list(slice_cases()))
+    def test_matches_loop_reference_bitwise(self, q, pencil):
+        report = verify_spectrum_match(q, pencil, slices=3, seed=4)
+        for rec in report.records:
+            assert list(rec.q_eigenvalues) == loop_spectrum_slice(q, rec.mu0)
+            dists, contained = loop_distances(rec.q_eigenvalues, rec.pencil_eigenvalues,
+                                              report.match_tol)
+            assert list(rec.distances) == dists
+            assert rec.contained == contained
+        assert report.all_contained
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.integers(-80, 80), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_invariant_under_power_of_two_scaling(self, n, k, seed, e1):
+        rng = np.random.default_rng(seed)
+        q = random_newton(rng, n)
+        pencil = construct_e1_newton(q, E1FreeParams.random(n, rng)) if e1 else companion_pencil(q)
+        want = verify_spectrum_match(q, pencil, slices=2, seed=seed % 1000)
+        got = verify_spectrum_match(scaled(q, 2.0 ** k), scaled_pencil(pencil, 2.0 ** k),
+                                    slices=2, seed=seed % 1000)
+        assert got.all_contained == want.all_contained
+        for g, w in zip(got.records, want.records):
+            assert g.q_eigenvalues == w.q_eigenvalues
+            assert g.pencil_eigenvalues == w.pencil_eigenvalues
+            assert g.distances == w.distances
+
+
+class TestExactlyDefectiveSlices:
+    # Exact structure gives (nearly) parallel eigenvectors, so the first-order
+    # radius of a finite eigenvalue is huge; it must still read finite.
+    J2 = np.array([[0, 1.0], [0, 0]])
+    I2 = np.eye(2)
+
+    @pytest.mark.parametrize("k2, k1, k0, roots", [
+        (I2, 0 * I2, 0 * I2, [0] * 4),
+        (I2, 0 * I2, J2, [0] * 4),
+        (I2, J2, 0 * I2, [0] * 4),
+        (J2, I2, I2, [-1] * 2),
+        (I2, np.array([[2, 1.0], [0, 2]]), np.array([[1, 0.5], [0, 1]]), [-1] * 4),
+        (np.eye(3), 0 * np.eye(3), 0 * np.eye(3), [0] * 6),
+    ])
+    def test_roots(self, k2, k1, k0, roots):
+        zero = np.zeros_like(k0)
+        q = MatrixPoly2.monomial({(2, 0): k2, (1, 1): zero, (0, 2): zero,
+                                  (1, 0): k1, (0, 1): zero, (0, 0): k0})
+        np.testing.assert_allclose(spectrum_slice(q, 0.3), roots, atol=1e-6)
+
+
 class TestVerifySpectrumMatch:
     def test_companion_transfer_containment(self):
         rng = np.random.default_rng(9)
@@ -394,7 +489,8 @@ class TestSpectrumPairOracle:
     def test_full_3x3_spectrum_lies_on_both_slices(self, nodes):
         # 36 = 4 p1 p2 points that each pass the gate are the whole spectrum
         # (Bezout). Second route: at each mu, lam is an eigenvalue of the
-        # one-parameter slices Q1(., mu) and Q2(., mu), solved by QZ.
+        # one-parameter slices Q1(., mu) and Q2(., mu), solved by their companion
+        # pencils.
         rng = np.random.default_rng(15)
         for trial in range(20):
             pair = random_pair(rng, 3, 3, nodes)
