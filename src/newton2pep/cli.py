@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import time
 
@@ -77,13 +78,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FileFormatError(f"environment variable {ENV_SEED} must be an "
-                                  f"integer, got {env!r}")
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise FileFormatError(f"environment variable {ENV_SEED} {exc}") from None
 
 
 def _parse_ansatz(text: str) -> np.ndarray:
@@ -98,22 +98,21 @@ def _parse_ansatz(text: str) -> np.ndarray:
                               "numbers (use Python syntax, e.g. 1, 0.5+2j)")
 
 
-def _params_for(n: int, source: str | None, fallback_seed: int) -> E1FreeParams:
-    """Free parameters from an integer seed, a JSON file, or the run seed."""
-    if source is None:
-        return E1FreeParams.random(n, np.random.default_rng(fallback_seed))
-    if source.isdigit() or (source.startswith("-") and source[1:].isdigit()):
-        return E1FreeParams.random(n, np.random.default_rng(int(source)))
-    return load_params(source, n)
+def _params_for(source: int | str, *sizes: int) -> tuple:
+    """Free parameters, one per block size: drawn in turn from one generator
+    seeded with the integer ``source``, or read from the JSON file ``source``."""
+    if isinstance(source, str):
+        return load_params(source, *sizes)
+    rng = np.random.default_rng(source)
+    return tuple(E1FreeParams.random(n, rng) for n in sizes)
 
 
 def _require_matching_files(q: MatrixPoly2, pencil: NewtonPencil) -> None:
-    """Problem and pencil files must carry the same basis label and nodes."""
+    """Problem and pencil files must carry the same basis label (every
+    certificate checks n and the nodes itself)."""
     if pencil.basis != q.basis:
         raise FileFormatError(f"basis mismatch: problem is {q.basis}, "
                               f"pencil is {pencil.basis}")
-    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError("problem and pencil carry different nodes")
 
 
 class Report:
@@ -148,12 +147,10 @@ def _cmd_construct(args) -> int:
         v = _parse_ansatz(args.ansatz)
         if not v.any():
             raise FileFormatError("--ansatz must be a nonzero vector")
-        params_raw = None
-        if args.params is not None:
-            params_raw = _params_for(q.n, args.params, seed)
+        params_raw = None if args.params is None else _params_for(args.params, q.n)[0]
         built = construct_general_ansatz(q, v, params_raw, tol=args.tol, seed=seed)
         m_used = built.M
-        params = built.params_hat
+        params = built.params
         pencil = built.pencil_v
         ansatz_note = _fmt_cvec(v)
         report.add("M:")
@@ -214,10 +211,8 @@ def _cmd_verify(args) -> int:
     if "params" in provenance and "M" in provenance:
         params = params_from_dict(provenance["params"], q.n, where="provenance.params")
         m_used = _flat_to_matrix(provenance["M"], 3, 3, "provenance.M")
-        t = np.kron(m_used, np.eye(q.n))
-        e1_pencil = NewtonPencil.from_blocks(q.nodes, t @ pencil.A1, t @ pencil.A2,
-                                             t @ pencil.A3)
-        witnesses = unimodular_witnesses(q, e1_pencil, params, points=points, tol=args.tol)
+        witnesses = unimodular_witnesses(q, pencil.left_multiply(m_used), params,
+                                         points=points, tol=args.tol)
         # gamma(L) = gamma(e1) / det(M)^n in log space: det(M)^n may overflow.
         sign_m, log_m = np.linalg.slogdet(m_used)
         log_predicted = np.log(witnesses.predicted_gamma()) - q.n * (log_m + 1j * np.angle(sign_m))
@@ -242,22 +237,9 @@ def _cmd_delta(args) -> int:
     q2 = load_problem(args.problem2)
     pair = QtepPair(q1, q2)
 
-    if args.params is not None and not (args.params.isdigit()
-                                        or (args.params.startswith("-")
-                                            and args.params[1:].isdigit())):
-        from .fileio import _load_json
-        doc = _load_json(args.params)
-        if "params1" not in doc or "params2" not in doc:
-            raise FileFormatError(f"{args.params}: expected 'params1' and 'params2'")
-        params1 = params_from_dict(doc["params1"], pair.p1, "params1")
-        params2 = params_from_dict(doc["params2"], pair.p2, "params2")
-        params_note = f"file {args.params}"
-    else:
-        draw_seed = int(args.params) if args.params is not None else seed
-        rng = np.random.default_rng(draw_seed)
-        params1 = E1FreeParams.random(pair.p1, rng)
-        params2 = E1FreeParams.random(pair.p2, rng)
-        params_note = f"random(seed={draw_seed})"
+    source = seed if args.params is None else args.params
+    params1, params2 = _params_for(source, pair.p1, pair.p2)
+    params_note = f"file {source}" if isinstance(source, str) else f"random(seed={source})"
 
     ln1, ln2 = pair_linearize(pair, params1, params2)
     cert = certify_singular(ln1, ln2, tol=args.tol)
@@ -374,6 +356,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed for numpy.random.default_rng (an integer >= 0)."""
+    if not re.fullmatch(r"[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seed_or_file(text: str) -> int | str:
+    """argparse type for --params: an optionally signed integer is a seed
+    (checked by _seed), anything else the path of a JSON file."""
+    return _seed(text) if re.fullmatch(r"-?[0-9]+", text) else text
+
+
 def _samples(text: str) -> int:
     """argparse type: sample count; a quadratic in (lam, mu) has 6 coefficients,
     so fewer points cannot certify an identity between two of them."""
@@ -394,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help=f"run seed (default: ${ENV_SEED} or 0)")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="relative tolerance for identity checks")
@@ -406,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="emit the companion pencil")
     mode.add_argument("--ansatz", metavar="a,b,c",
                       help="target ansatz vector (three complex numbers)")
-    p.add_argument("--params", metavar="SEED|FILE", default=None,
+    p.add_argument("--params", metavar="SEED|FILE", type=_seed_or_file, default=None,
                    help="free parameters: integer seed for a random draw or "
                         "a JSON file with Y11/Z1/Z2")
     p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
@@ -424,11 +419,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="build and certify the operator determinants of a pair")
     p.add_argument("problem1")
     p.add_argument("problem2")
-    p.add_argument("--params", metavar="SEED|FILE", default=None,
+    p.add_argument("--params", metavar="SEED|FILE", type=_seed_or_file, default=None,
                    help="free parameters for both pencils")
     p.add_argument("--check-singular", action="store_true",
                    help="exit nonzero unless Delta0 is certified singular")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="singularity threshold relative to ||Delta0||_F")
     p.set_defaults(func=_cmd_delta)

@@ -223,6 +223,13 @@ def params_from_dict(doc: dict, n: int, where: str = "params"):
     return E1FreeParams.build(y11, z1, z2)
 
 
-def load_params(path, n: int):
+def load_params(path, *sizes: int) -> tuple:
+    """Free parameters, one per block size: a file holds one Y11/Z1/Z2 object
+    for one size, or 'params1' and 'params2' objects for the two of a pair."""
     doc = _load_json(path)
-    return params_from_dict(doc, n, where=f"{path}: params")
+    if len(sizes) == 1:
+        return (params_from_dict(doc, sizes[0], where=f"{path}: params"),)
+    if "params1" not in doc or "params2" not in doc:
+        raise FileFormatError(f"{path}: expected 'params1' and 'params2'")
+    return (params_from_dict(doc["params1"], sizes[0], "params1"),
+            params_from_dict(doc["params2"], sizes[1], "params2"))

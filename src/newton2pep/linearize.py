@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegenerateProblemError, NodeMismatchError
+from .errors import AdmissibilityError, DegenerateProblemError
 from .linalg import as_matrix, complex_normal, det, smallest_singular_value
 from .matpoly import MatrixPoly2, newton_triple
-from .spaces import DEFAULT_TOL, AnsatzVector, NewtonPencil, SampleSet, sample_set_for, select_M
+from .spaces import (DEFAULT_TOL, AnsatzVector, NewtonPencil, SampleSet, require_matching,
+                     sample_set_for, select_M)
 
 MAX_DRAWS = 32  # random Z draws before a construction gives up
 RANDOM_MIN_SIGMA = 0.05  # sigma_min(Z) a random draw of unit-variance entries must exceed
@@ -114,12 +115,42 @@ class E1FreeParams:
     @classmethod
     def companion(cls, q: MatrixPoly2) -> "E1FreeParams":
         """The parameter choice that reproduces the companion pencil."""
-        n = q.n
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
+        eye, zero = np.eye(q.n), np.zeros((q.n, q.n))
         z1 = np.vstack([q.coeff(1, 0), zero, -eye])
         z2 = np.vstack([q.coeff(0, 1), -eye, zero])
-        return cls.build(np.zeros((n, n)), z1, z2)
+        return cls.build(zero, z1, z2)
+
+
+def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
+    """Raw e1-form block triple (A1, A2, A3); no admissibility check.
+
+    Exposed separately so degenerate parameter choices (for instance a zero
+    Z block) can be assembled and studied; :func:`construct_e1_newton`
+    validates admissibility before calling this.
+    """
+    zero2 = np.zeros((2 * q.n, q.n))
+
+    def e1_col(block):
+        return np.vstack([block, zero2])
+
+    y1 = np.vstack([params.y11, zero2])
+    a1 = np.hstack([e1_col(q.coeff(2, 0)), -y1 + e1_col(q.coeff(1, 1)),
+                    -params.z1 + e1_col(q.coeff(1, 0))])
+    a2 = np.hstack([y1, e1_col(q.coeff(0, 2)), -params.z2 + e1_col(q.coeff(0, 1))])
+    a3 = np.hstack([params.z1, params.z2, e1_col(q.coeff(0, 0))])
+    return a1, a2, a3
+
+
+def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
+                        tol: float = DEFAULT_TOL) -> NewtonPencil:
+    """e1-ansatz pencil on the nodes of q; a linearization of q.
+
+    Every constructor of this module ends here: the one place where a pencil
+    is assembled and its parameters are tested for admissibility.
+    """
+    require_matching(q, params=params)
+    params.require_admissible(tol)
+    return NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, params), basis=q.basis)
 
 
 def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
@@ -129,62 +160,17 @@ def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
     A2 = [[0, C02, 0], [0, 0, I], [0, 0, 0]]
     A3 = [[C10, C01, C00], [0, -I, 0], [-I, 0, 0]]
 
-    It satisfies C(lam, mu) (N kron I) = e1 kron Q(lam, mu); with zero nodes
+    It is the e1-ansatz pencil of :meth:`E1FreeParams.companion` and satisfies
+    C(lam, mu) (N kron I) = e1 kron Q(lam, mu); with zero nodes
     N = (lam, mu, 1) and C = lam A1 + mu A2 + A3. For n = 1 one has
     det C = -q identically.
     """
-    n = q.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    l1 = np.block([[q.coeff(2, 0), q.coeff(1, 1), zero],
-                   [zero, zero, zero],
-                   [zero, zero, eye]])
-    l2 = np.block([[zero, q.coeff(0, 2), zero],
-                   [zero, zero, eye],
-                   [zero, zero, zero]])
-    l0 = np.block([[q.coeff(1, 0), q.coeff(0, 1), q.coeff(0, 0)],
-                   [zero, -eye, zero],
-                   [-eye, zero, zero]])
-    return NewtonPencil.from_blocks(q.nodes, l1, l2, l0, basis=q.basis)
+    return construct_e1_newton(q, E1FreeParams.companion(q))
 
 
 # The benchmark tracer (perfbench/tracing.py) looks this name up; it has no
 # other user.
 newton_companion = companion_pencil
-
-
-def assemble_e1_blocks(q: MatrixPoly2, y11, z1, z2):
-    """Raw e1-form block triple (A1, A2, A3); no admissibility check.
-
-    Exposed separately so degenerate parameter choices (for instance a zero
-    Z block) can be assembled and studied; the public constructors validate
-    admissibility before calling this.
-    """
-    n = q.n
-    y11 = as_matrix(np.atleast_2d(np.asarray(y11, dtype=complex)), n, n, name="Y11")
-    z1 = as_matrix(z1, 3 * n, n, name="Z1")
-    z2 = as_matrix(z2, 3 * n, n, name="Z2")
-    zero2 = np.zeros((2 * n, n))
-
-    def e1_col(block):
-        return np.vstack([block, zero2])
-
-    y1 = np.vstack([y11, zero2])
-    a1 = np.hstack([e1_col(q.coeff(2, 0)), -y1 + e1_col(q.coeff(1, 1)),
-                    -z1 + e1_col(q.coeff(1, 0))])
-    a2 = np.hstack([y1, e1_col(q.coeff(0, 2)), -z2 + e1_col(q.coeff(0, 1))])
-    a3 = np.hstack([z1, z2, e1_col(q.coeff(0, 0))])
-    return a1, a2, a3
-
-
-def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
-                        tol: float = DEFAULT_TOL) -> NewtonPencil:
-    """e1-ansatz pencil on the nodes of q; a linearization of q."""
-    if params.n != q.n:
-        raise ValueError(f"size mismatch: params n={params.n}, polynomial n={q.n}")
-    params.require_admissible(tol)
-    a1, a2, a3 = assemble_e1_blocks(q, params.y11, params.z1, params.z2)
-    return NewtonPencil.from_blocks(q.nodes, a1, a2, a3, basis=q.basis)
 
 
 @dataclass(frozen=True)
@@ -194,16 +180,12 @@ class UnimodularWitnessPair:
     E(lam, mu) = [[n1 I, I, 0], [m1 I, 0, I], [I, 0, 0]] has determinant 1
     for every (lam, mu); F(lam, mu) = [[I, -W(lam, mu) Z^{-1}], [0, Z^{-1}]]
     has the constant determinant det(Z)^{-1}. Hence the predicted ratio
-    det L / det Q equals 1 / (det E * det F) = det Z.
+    det L / det Q equals 1 / (det E * det F) = 1 / det(Z^{-1}) = det Z.
     """
 
     q: MatrixPoly2
-    y11: np.ndarray
-    z11: np.ndarray
-    z12: np.ndarray
+    params: E1FreeParams
     z_inv: np.ndarray
-    det_e: complex
-    det_f: complex
     max_reduction_residual: float
     max_det_constancy_deviation: float
 
@@ -212,7 +194,7 @@ class UnimodularWitnessPair:
         return self.q.n
 
     def predicted_gamma(self) -> complex:
-        return 1.0 / (self.det_e * self.det_f)
+        return 1.0 / det(self.z_inv)
 
     def e_factor(self, lam, mu) -> np.ndarray:
         """E(lam, mu): 3n x 3n, or a (K, 3n, 3n) stack for 1-D lam, mu."""
@@ -231,8 +213,9 @@ class UnimodularWitnessPair:
         lam = np.asarray(lam)[..., None, None]
         mu = np.asarray(mu)[..., None, None]
         c = self.q.coeff
-        w1 = (lam - a2) * c(2, 0) + (mu - b1) * self.y11 + self.z11
-        w2 = (lam - a1) * (c(1, 1) - self.y11) + (mu - b2) * c(0, 2) + self.z12
+        y11, z11, z12 = self.params.y11, self.params.z1[:n], self.params.z2[:n]
+        w1 = (lam - a2) * c(2, 0) + (mu - b1) * y11 + z11
+        w2 = (lam - a1) * (c(1, 1) - y11) + (mu - b2) * c(0, 2) + z12
         w = np.concatenate(np.broadcast_arrays(w1, w2), axis=-1)
         out = np.zeros(w.shape[:-2] + (3 * n, 3 * n), dtype=complex)
         out[..., :n, :n] = np.eye(n)
@@ -255,22 +238,17 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     stored on the returned pair, relative to ||L|| ||F|| and to |det Z^{-1}|.
     A numerically singular Z is rejected.
     """
-    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError("pencil and polynomial carry different nodes")
+    require_matching(q, pencil, params=params)
     params.require_admissible(tol)
     points = sample_set_for(q, points)
 
     n = q.n
     z_inv = np.linalg.inv(params.z_block)
     sign_zi, log_zi = np.linalg.slogdet(z_inv)
-    draft = UnimodularWitnessPair(
-        q=q, y11=params.y11, z11=params.z1[:n], z12=params.z2[:n],
-        z_inv=z_inv, det_e=1.0 + 0j, det_f=det(z_inv),
-        max_reduction_residual=0.0, max_det_constancy_deviation=0.0,
-    )
+    draft = UnimodularWitnessPair(q=q, params=params, z_inv=z_inv, max_reduction_residual=0.0,
+                                  max_det_constancy_deviation=0.0)
 
-    worst_red = 0.0
-    worst_const = 0.0
+    worst_red = worst_const = 0.0
     for sl, lvals in pencil.eval_chunks(points.lams, points.mus):
         f = draft.f_factor(points.lams[sl], points.mus[sl])
         e = draft.e_factor(points.lams[sl], points.mus[sl])
@@ -280,7 +258,7 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
         scale = np.linalg.norm(lvals, axis=(1, 2)) * np.linalg.norm(f, axis=(1, 2))
         worst_red = max(worst_red, float((np.linalg.norm(red, axis=(1, 2)) / scale).max()))
         sign_f, log_f = np.linalg.slogdet(f)
-        worst_const = max(worst_const, float(np.abs(det(e) - draft.det_e).max()),
+        worst_const = max(worst_const, float(np.abs(det(e) - 1).max()),
                           float(np.abs(sign_f / sign_zi * np.exp(log_f - log_zi) - 1).max()))
     return replace(draft, max_reduction_residual=worst_red,
                    max_det_constancy_deviation=worst_const)
@@ -321,10 +299,7 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     Inconclusive (DegenerateProblemError) when sigma_min(Q) <= n eps sigma_max(Q)
     at every sample, the relative rank test of numpy.linalg.matrix_rank.
     """
-    if pencil.n != q.n:
-        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
-    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError("pencil and polynomial carry different nodes")
+    require_matching(q, pencil)
     points = sample_set_for(q, points)
 
     sigma = np.linalg.svd(points.q_values, compute_uv=False)
@@ -364,99 +339,65 @@ class GeneralAnsatzPencil:
     """Outcome of the general-ansatz construction.
 
     ``pencil`` is the e1-form linearization built from the transformed
-    parameters; ``pencil_v`` applies M^{-1} kron I on the left and is the
-    member of the Newton space with the requested ansatz vector.
+    parameters ``params``; ``pencil_v`` applies M^{-1} kron I on the left and
+    is the member of the Newton space with the requested ansatz vector.
     """
 
     M: np.ndarray
+    params: E1FreeParams
     pencil: NewtonPencil
-    y11_used: np.ndarray
-    z1_hat: np.ndarray
-    z2_hat: np.ndarray
 
     @property
     def pencil_v(self) -> NewtonPencil:
-        minv = np.linalg.inv(self.M)
-        t = np.kron(minv, np.eye(self.pencil.n))
-        return NewtonPencil.from_blocks(self.pencil.nodes,
-                                        t @ self.pencil.A1,
-                                        t @ self.pencil.A2,
-                                        t @ self.pencil.A3,
-                                        basis=self.pencil.basis)
-
-    @property
-    def params_hat(self) -> E1FreeParams:
-        return E1FreeParams.build(self.y11_used, self.z1_hat, self.z2_hat)
+        return self.pencil.left_multiply(np.linalg.inv(self.M))
 
 
 def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = None,
-                             *, tol: float = DEFAULT_TOL, seed: int = 0,
-                             alternate_ac: bool = False) -> GeneralAnsatzPencil:
+                             *, tol: float = DEFAULT_TOL, seed: int = 0) -> GeneralAnsatzPencil:
     """Linearization construction for an arbitrary nonzero ansatz vector.
 
-    Steps: pick M with M v = e1 from the pattern table; transform the free
-    parameters by M kron I; force Y11 = 0 unless m21 = m31 = 0 (in which
-    case Y11 may stay arbitrary); choose the Z stacks so the transformed
-    2n x 2n block is nonsingular. When ``params`` is omitted a deterministic
-    default is used: Z11 = Z12 = 0 and the lower entries solved from the
-    inverse of M's trailing 2 x 2 submatrix so the transformed block becomes
-    the identity; if that submatrix is singular, random draws with rejection
-    take over (at most MAX_DRAWS). Every template's trailing submatrix
-    is either exactly singular (a zero row or column) or has determinant 1,
-    1/c, -1/b or 1/(bc), so it is tested against exact zero. Explicit
-    ``params`` and random draws are admissible when sigma_min of the
-    transformed block exceeds ``tol`` times its Frobenius norm, which does
-    not depend on the scale of v.
+    Pick M with M v = e1 from the pattern table and build the e1 pencil of
+    the transformed parameters (m11 Y11, (M kron I) Z1, (M kron I) Z2), with
+    Y11 forced to 0 unless m21 = m31 = 0. Without ``params``, Z11 = Z12 = 0
+    and the lower entries come from the inverse of M's trailing 2 x 2
+    submatrix, so the transformed block is the identity. Every template's
+    trailing submatrix is exactly singular (a zero row or column) or has
+    determinant 1, 1/c, -1/b or 1/(bc), so it is tested against exact zero;
+    when singular, random draws take over (at most MAX_DRAWS), each
+    rejected by the admissibility test of :func:`construct_e1_newton`.
     """
     n = q.n
     if not isinstance(v, AnsatzVector):
         v = AnsatzVector.classify(v, tol=tol)
-    m = select_M(v, tol=tol, alternate_ac=alternate_ac)
+    m = select_M(v, tol=tol)
     t = np.kron(m, np.eye(n))
-    y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
+    zero = np.zeros((n, n))
 
-    def hat_block(z1, z2):
-        z1h, z2h = t @ z1, t @ z2
-        blk = np.block([[z1h[n:2 * n], z2h[n:2 * n]], [z1h[2 * n:], z2h[2 * n:]]])
-        return z1h, z2h, blk
+    def transformed(y11, z1, z2) -> E1FreeParams:
+        return E1FreeParams.build(m[0, 0] * y11, t @ z1, t @ z2)
+
+    def built(hat: E1FreeParams) -> GeneralAnsatzPencil:
+        return GeneralAnsatzPencil(M=m, params=hat, pencil=construct_e1_newton(q, hat, tol=tol))
 
     if params is not None:
-        if params.n != n:
-            raise ValueError(f"size mismatch: params n={params.n}, polynomial n={n}")
-        y11 = params.y11 if y_free else np.zeros((n, n))
-        z1_hat, z2_hat, blk = hat_block(params.z1, params.z2)
-        smin = smallest_singular_value(blk)
-        if smin <= tol * float(np.linalg.norm(blk)):
-            raise AdmissibilityError(
-                f"transformed Z block is numerically singular (sigma_min = {smin:.3e}); "
-                "choose different Z stacks for this ansatz pattern"
-            )
-    else:
-        y11 = np.zeros((n, n))
-        m_tail = m[1:, 1:]
-        if np.linalg.det(m_tail) != 0:
-            inv = np.linalg.inv(m_tail)
-            eye = np.eye(n)
-            zero = np.zeros((n, n))
-            z1 = np.vstack([zero, inv[0, 0] * eye, inv[1, 0] * eye])
-            z2 = np.vstack([zero, inv[0, 1] * eye, inv[1, 1] * eye])
-            z1_hat, z2_hat, blk = hat_block(z1, z2)
-        else:
-            rng = np.random.default_rng(seed)
-            for _ in range(MAX_DRAWS):
-                z1 = complex_normal(rng, 3 * n, n)
-                z2 = complex_normal(rng, 3 * n, n)
-                z1_hat, z2_hat, blk = hat_block(z1, z2)
-                if smallest_singular_value(blk) > tol * float(np.linalg.norm(blk)):
-                    break
-            else:
-                raise AdmissibilityError(
-                    f"no admissible Z found for ansatz pattern {v.pattern} "
-                    f"after {MAX_DRAWS} random draws"
-                )
-
-    yh11 = m[0, 0] * y11
-    a1, a2, a3 = assemble_e1_blocks(q, yh11, z1_hat, z2_hat)
-    pencil = NewtonPencil.from_blocks(q.nodes, a1, a2, a3, basis=q.basis)
-    return GeneralAnsatzPencil(M=m, pencil=pencil, y11_used=yh11,
-                               z1_hat=z1_hat, z2_hat=z2_hat)
+        require_matching(q, params=params)
+        y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
+        return built(transformed(params.y11 if y_free else zero, params.z1, params.z2))
+    m_tail = m[1:, 1:]
+    if np.linalg.det(m_tail) != 0:
+        inv = np.linalg.inv(m_tail)
+        eye = np.eye(n)
+        z1 = np.vstack([zero, inv[0, 0] * eye, inv[1, 0] * eye])
+        z2 = np.vstack([zero, inv[0, 1] * eye, inv[1, 1] * eye])
+        return built(transformed(zero, z1, z2))
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_DRAWS):
+        try:
+            return built(transformed(zero, complex_normal(rng, 3 * n, n),
+                                     complex_normal(rng, 3 * n, n)))
+        except AdmissibilityError:
+            pass
+    raise AdmissibilityError(
+        f"no admissible Z found for ansatz pattern {v.pattern} "
+        f"after {MAX_DRAWS} random draws"
+    )

@@ -108,6 +108,12 @@ class NewtonPencil:
     def blocks(self):
         return (self.A1, self.A2, self.A3)
 
+    def left_multiply(self, m) -> "NewtonPencil":
+        """(m kron I_n) L for a 3 x 3 matrix m; it maps ansatz vector v to m v."""
+        t = np.kron(m, np.eye(self.n))
+        return NewtonPencil.from_blocks(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3,
+                                        basis=self.basis)
+
 
 # The benchmark tracer (perfbench/tracing.py) looks this name up; it has no
 # other user.
@@ -175,6 +181,17 @@ def sample_set_for(q: MatrixPoly2, points: SampleSet | None) -> SampleSet:
     return points or SampleSet(q)
 
 
+def require_matching(q: MatrixPoly2, pencil: NewtonPencil | None = None, *,
+                     params=None) -> None:
+    """Raise unless ``pencil`` and ``params`` (free parameters with an ``n``)
+    were built for q: the same block size n, and for the pencil the same nodes."""
+    for what, part in (("pencil", pencil), ("params", params)):
+        if part is not None and part.n != q.n:
+            raise ValueError(f"size mismatch: {what} n={part.n}, polynomial n={q.n}")
+    if pencil is not None and pencil.nodes.as_tuple() != q.nodes.as_tuple():
+        raise NodeMismatchError("pencil and polynomial carry different nodes")
+
+
 def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
                       points: SampleSet | None = None,
                       tol: float = DEFAULT_TOL) -> MembershipResult:
@@ -185,10 +202,7 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     both linear in the pencil, so it does not change when the pencil is
     scaled. The zero pencil is a member with v = 0 and residual 0.
     """
-    if pencil.n != q.n:
-        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q.n}")
-    if pencil.nodes.as_tuple() != q.nodes.as_tuple():
-        raise NodeMismatchError("pencil and polynomial carry different nodes")
+    require_matching(q, pencil)
     points = sample_set_for(q, points)
     n = q.n
     qvals = points.q_values

@@ -37,7 +37,7 @@ from .errors import (DegenerateProblemError, NodeMismatchError, SharedFactorErro
 from .linalg import annulus_points, complex_normal, small_dense_eigen, smallest_singular_value
 from .matpoly import MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
-from .spaces import NewtonPencil
+from .spaces import NewtonPencil, require_matching
 
 DESK_SCALE_LIMIT = 3
 # Relative singular-value cut-off for the normal rank of the Delta pencil.
@@ -330,6 +330,7 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     of raising, since that is exactly the failure mode of inadmissible
     constructions.
     """
+    require_matching(q, pencil)
     rng = np.random.default_rng(seed)
     mus = annulus_points(rng, slices)
     records = []

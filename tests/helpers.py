@@ -47,6 +47,30 @@ def gamma_blocks(nodes, n, lam, mu):
     return g, gt
 
 
+def companion_reference(q):
+    """The companion blocks (A1, A2, A3) of q written out block by block
+    (reference for companion_pencil, on the nodes of q)."""
+    n = q.n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    a1 = np.block([[q.coeff(2, 0), q.coeff(1, 1), zero],
+                   [zero, zero, zero],
+                   [zero, zero, eye]])
+    a2 = np.block([[zero, q.coeff(0, 2), zero],
+                   [zero, zero, eye],
+                   [zero, zero, zero]])
+    a3 = np.block([[q.coeff(1, 0), q.coeff(0, 1), q.coeff(0, 0)],
+                   [zero, -eye, zero],
+                   [-eye, zero, zero]])
+    return a1, a2, a3
+
+
+def assert_bitwise_equal(a, b):
+    """Same shape, dtype and bytes: signed zeros must agree as well."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert a.tobytes() == b.tobytes()
+
+
 def scaled(q, factor):
     """The polynomial factor * q, on the same nodes."""
     return MatrixPoly2.newton({k: factor * c for k, c in q.coeffs.items()}, q.nodes)

@@ -92,8 +92,7 @@ def test_criterion_04_lemma_transfer_same_ansatz():
         n = int(rng.integers(1, 4))
         qn = random_newton(rng, n)
         q = with_zero_nodes(qn)
-        mono = NewtonPencil.from_blocks(q.nodes,
-                                        *assemble_e1_blocks(q, *_random_raw_params(rng, n)))
+        mono = NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, _random_raw_params(rng, n)))
         v1 = membership_newton(mono, q).ansatz.vector
         v2 = membership_newton(transfer_to_newton(mono, qn), qn).ansatz.vector
         assert np.abs(v1 - v2).max() < 1e-8, trial
@@ -101,8 +100,8 @@ def test_criterion_04_lemma_transfer_same_ansatz():
 
 
 def _random_raw_params(rng, n):
-    return (complex_normal(rng, n, n), complex_normal(rng, 3 * n, n),
-            complex_normal(rng, 3 * n, n))
+    return E1FreeParams.build(complex_normal(rng, n, n), complex_normal(rng, 3 * n, n),
+                              complex_normal(rng, 3 * n, n))
 
 
 def test_criterion_05_e1_newton_linearization():
@@ -146,8 +145,8 @@ def test_criterion_07_zeroed_z_block_is_never_a_linearization():
         zero = np.zeros((n, n))
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
-        pencil = NewtonPencil.from_blocks(
-            qn.nodes, *assemble_e1_blocks(qn, complex_normal(rng, n, n), z1, z2))
+        params = E1FreeParams.build(complex_normal(rng, n, n), z1, z2)
+        pencil = NewtonPencil.from_blocks(qn.nodes, *assemble_e1_blocks(qn, params))
         pts = annulus_points(rng, 24)
         for lam, mu in zip(pts[:12], pts[12:]):
             assert abs(det(pencil.eval(lam, mu))) < 1e-9, trial

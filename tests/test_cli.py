@@ -467,6 +467,45 @@ class TestToleranceFlags:
         assert report
 
 
+class TestSeedInputs:
+    # numpy.random.default_rng takes only integers >= 0; a negative seed is a
+    # usage error that names where it came from.
+    @pytest.mark.parametrize("argv", [
+        ["construct", "{q}", "--companion", "--out", "{out}", "--seed", "-1"],
+        ["delta", "{p1}", "{p2}", "--seed", "-1"],
+        ["construct", "{q}", "--ansatz", "1,1,0", "--out", "{out}", "--params", "-1"],
+        ["delta", "{p1}", "{p2}", "--params", "-1"],
+    ], ids=["construct-seed", "delta-seed", "construct-params", "delta-params"])
+    def test_negative_flag_is_named_usage_error(self, tmp_path, qfile, scalar_pair_files,
+                                                capsys, argv):
+        p1, p2 = scalar_pair_files
+        paths = {"q": qfile, "p1": p1, "p2": p2, "out": str(tmp_path / "new.json")}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be a non-negative integer, got '-1'" in captured.err
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "seven"])
+    def test_bad_env_seed_is_named_usage_error(self, tmp_path, qfile, capsys, monkeypatch,
+                                               value):
+        monkeypatch.setenv("NEWTON2PEP_SEED", value)
+        code = main(["construct", qfile, "--companion", "--out", str(tmp_path / "p.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert (f"environment variable NEWTON2PEP_SEED must be a non-negative integer, "
+                f"got {value!r}") in captured.err
+
+    def test_delta_params_seed_and_file(self, tmp_path, scalar_pair_files, capsys):
+        p1, p2 = scalar_pair_files
+        code, report = run(capsys, ["delta", p1, p2, "--params", "5"])
+        assert code == 0 and "params: random(seed=5)" in report
+        code, _ = run(capsys, ["delta", p1, p2, "--params", str(tmp_path / "missing.json")])
+        assert code == 2
+
+
 _FRESH_PROCESS_SCRIPT = """
 import sys
 from newton2pep.cli import main

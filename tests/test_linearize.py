@@ -31,7 +31,8 @@ from newton2pep import (
     verify_linearization,
 )
 
-from helpers import cofactor_det, random_monomial, random_newton, scaled
+from helpers import (assert_bitwise_equal, cofactor_det, companion_reference, random_monomial,
+                     random_newton, scaled)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -78,12 +79,13 @@ class TestCompanion:
 
 class TestE1Monomial:
     def test_companion_params_reproduce_companion(self):
+        # companion_pencil is the e1 pencil of the companion parameters; its
+        # blocks are the companion formula bit for bit, signed zeros included.
         rng = np.random.default_rng(3)
-        q = random_monomial(rng, 2)
-        pencil = construct_e1_newton(q, E1FreeParams.companion(q))
-        c = companion_pencil(q)
-        for a, b in zip(pencil.blocks(), c.blocks()):
-            np.testing.assert_array_equal(a, b)
+        for n in (1, 2, 8):
+            q = random_monomial(rng, n)
+            for a, b in zip(companion_pencil(q).blocks(), companion_reference(q)):
+                assert_bitwise_equal(a, b)
 
     def test_random_admissible_membership(self):
         rng = np.random.default_rng(4)
@@ -125,13 +127,12 @@ class TestE1Newton:
 
     def test_companion_params_give_transferred_companion(self):
         rng = np.random.default_rng(7)
-        qn = random_newton(rng, 2)
-        pn = construct_e1_newton(qn, E1FreeParams.companion(qn))
-        cn = companion_pencil(qn)
-        for a, b in zip(pn.blocks(), cn.blocks()):
-            np.testing.assert_array_equal(a, b)
-        res = membership_newton(pn, qn)
-        assert res.member
+        for n in (1, 2, 8):
+            qn = random_newton(rng, n)
+            cn = companion_pencil(qn)
+            for a, b in zip(cn.blocks(), companion_reference(qn)):
+                assert_bitwise_equal(a, b)
+            assert membership_newton(cn, qn).member
 
     def test_scaled_z_is_admissible_and_verifies(self):
         # Every nonzero multiple of an admissible Z is admissible. gamma =
@@ -212,14 +213,22 @@ class TestWitnesses:
             assert predicted == pytest.approx(det(params.z_block), rel=1e-10)
             assert abs(report.gamma_estimate - predicted) <= 1e-8 * abs(predicted)
 
+    def test_size_mismatch_names_the_sizes(self):
+        rng = np.random.default_rng(28)
+        q2, q3 = random_newton(rng, 2, NewtonNodes()), random_newton(rng, 3, NewtonNodes())
+        params2, params3 = E1FreeParams.random(2, rng), E1FreeParams.random(3, rng)
+        with pytest.raises(ValueError, match="size mismatch: pencil n=3, polynomial n=2"):
+            unimodular_witnesses(q2, construct_e1_newton(q3, params3), params2)
+        with pytest.raises(ValueError, match="size mismatch: params n=3, polynomial n=2"):
+            unimodular_witnesses(q2, construct_e1_newton(q2, params2), params3)
+
     def test_singular_z_rejected(self):
         rng = np.random.default_rng(12)
         qn = random_newton(rng, 2)
         zero = np.zeros((2, 2))
         bad = E1FreeParams.build(zero, np.zeros((6, 2)), np.zeros((6, 2)))
         pencil = NewtonPencil.from_blocks(qn.nodes,
-                                          *assemble_e1_blocks(qn, zero,
-                                                              bad.z1, bad.z2))
+                                          *assemble_e1_blocks(qn, bad))
         with pytest.raises(AdmissibilityError):
             unimodular_witnesses(qn, pencil, bad)
 
@@ -240,7 +249,7 @@ class TestVerifyLinearization:
         zero = np.zeros((n, n))
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
-        blocks = assemble_e1_blocks(qn, complex_normal(rng, n, n), z1, z2)
+        blocks = assemble_e1_blocks(qn, E1FreeParams.build(complex_normal(rng, n, n), z1, z2))
         pencil = NewtonPencil.from_blocks(qn.nodes, *blocks)
         # Rows n..3n of the pencil vanish in two block columns: det == 0.
         pts = annulus_points(rng, 24)
@@ -400,7 +409,7 @@ class TestGeneralAnsatz:
         qn = random_newton(rng, 2)
         for v in ([1.0, 1.0, 1.0], [1e5, 1e5, 1e5]):
             built = construct_general_ansatz(qn, np.array(v))
-            assert not built.z1_hat[:2].any() and not built.z2_hat[:2].any()
+            assert not built.params.z1[:2].any() and not built.params.z2[:2].any()
             assert verify_linearization(built.pencil, qn).passed
 
     def test_large_ansatz_random_z_draw_is_relative(self):

@@ -407,6 +407,14 @@ class TestVerifySpectrumMatch:
                 val = lam ** 2 + rec.mu0 ** 2 + 1
                 assert abs(val) < 1e-8
 
+    def test_pencil_of_another_problem_rejected(self):
+        rng = np.random.default_rng(11)
+        q2, q3 = random_newton(rng, 2, NewtonNodes()), random_newton(rng, 3, NewtonNodes())
+        with pytest.raises(ValueError, match="size mismatch: pencil n=3, polynomial n=2"):
+            verify_spectrum_match(q2, companion_pencil(q3), slices=1)
+        with pytest.raises(NodeMismatchError):
+            verify_spectrum_match(q2, companion_pencil(random_newton(rng, 2)), slices=1)
+
     def test_failed_detcond_flagged(self):
         rng = np.random.default_rng(10)
         qn = random_newton(rng, 2)
@@ -415,7 +423,7 @@ class TestVerifySpectrumMatch:
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
         pencil = NewtonPencil.from_blocks(qn.nodes,
-                                          *assemble_e1_blocks(qn, zero, z1, z2))
+                                          *assemble_e1_blocks(qn, E1FreeParams.build(zero, z1, z2)))
         report = verify_spectrum_match(qn, pencil, slices=3, seed=3)
         assert not report.all_contained
         assert any(rec.pencil_singular for rec in report.records)
