@@ -26,14 +26,12 @@ from .errors import (
 )
 from .fileio import (
     FileFormatError,
+    construct_provenance,
     load_params,
     load_pencil,
     load_problem,
-    params_from_dict,
-    params_to_dict,
+    provenance_params,
     save_pencil,
-    _matrix_to_flat,
-    _flat_to_matrix,
 )
 from .linearize import (
     E1FreeParams,
@@ -165,13 +163,7 @@ def _cmd_construct(args) -> int:
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
 
-    provenance = {
-        "command": "construct",
-        "seed": seed,
-        "M": _matrix_to_flat(m_used),
-        "params": params_to_dict(params),
-    }
-    save_pencil(args.out, pencil, provenance)
+    save_pencil(args.out, pencil, construct_provenance(seed, m_used, params))
     report.add(f"output: {args.out}")
     report.emit()
     return EXIT_PASS if membership.member else EXIT_FAIL
@@ -208,14 +200,13 @@ def _cmd_verify(args) -> int:
                    f"deviation={_fmt_f(dev)}")
 
     witness_ok = True
-    if "params" in provenance and "M" in provenance:
-        params = params_from_dict(provenance["params"], q.n, where="provenance.params")
-        m_used = _flat_to_matrix(provenance["M"], 3, 3, "provenance.M")
+    if (recorded := provenance_params(provenance, q.n)) is not None:
+        m_used, params = recorded
         witnesses = unimodular_witnesses(q, pencil.left_multiply(m_used), params,
                                          points=points, tol=args.tol)
         # gamma(L) = gamma(e1) / det(M)^n in log space: det(M)^n may overflow.
         sign_m, log_m = np.linalg.slogdet(m_used)
-        log_predicted = np.log(witnesses.predicted_gamma()) - q.n * (log_m + 1j * np.angle(sign_m))
+        log_predicted = witnesses.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
         report.add(f"witness reduction residual: {_fmt_f(witnesses.max_reduction_residual)}")
         report.add(f"witness gamma prediction: {_fmt_c(np.exp(log_predicted))}")
         rel = abs(np.exp(lin.log_gamma - log_predicted) - 1)

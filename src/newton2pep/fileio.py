@@ -1,30 +1,30 @@
 """JSON file schemas for problems, pencils and free parameters.
 
-Complex scalars are stored as two-element [re, im] arrays; matrices are
-flat row-major arrays of such pairs. A problem file looks like
+Writers store each matrix as one base64 string of its row-major
+little-endian complex128 bytes (numpy "<c16"). Readers also accept the
+older flat row-major array of [re, im] number pairs (hand-written files,
+earlier versions); the JSON type, string or array, tells them apart.
+Scalars (the nodes) are [re, im] pairs. A problem file looks like
 
-    {
-      "n": 2,
-      "basis": "newton",
-      "nodes": {"alpha": [[1,0],[2,0]], "beta": [[0,0],[0,0]]},
-      "coefficients": {"A20": [...], "A11": [...], "A02": [...],
-                       "A10": [...], "A01": [...], "A00": [...]}
-    }
+    {"n": 1, "basis": "newton",
+     "nodes": {"alpha": [[1,0],[2,0]], "beta": [[0,0],[0,0]]},
+     "coefficients": {"A20": "AAAAAAAA8D8AAAAAAAAAAA==", "A11": [[0,0]], ...}}
 
-with each coefficient array of length n^2. ``nodes`` is present exactly
-when the basis is "newton"; a "monomial" file is read as zero nodes, and
-``basis`` is kept on the loaded object only to write the same layout back.
-Pencil files reuse the schema with a "blocks" object holding L1/L2/L0
-(monomial) or A1/A2/A3 (newton), each of length (3n)^2, plus an optional
-"provenance" object. Writers emit single-line JSON with sorted keys and
-shortest round-trip float reprs, so output is byte-deterministic and
-re-reading is lossless (signed zeros included). Readers accept any
-whitespace, including older indented files. Non-finite or
+with six n x n coefficients A20 A11 A02 A10 A01 A00. ``nodes`` is present
+exactly when the basis is "newton"; a "monomial" file is read as zero
+nodes, and ``basis`` is kept on the loaded object only to write the same
+layout back. Pencil files reuse the schema with a "blocks" object holding
+L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n, plus an optional
+"provenance" object. Writers emit single-line JSON with sorted keys, so
+output is byte-deterministic; both encodings are exact (signed zeros and
+subnormals included). Readers accept any whitespace. A string must be
+strict base64 of exactly 16 bytes per entry; non-finite or
 out-of-double-range numbers raise a FileFormatError naming the entry.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from pathlib import Path
 
@@ -47,6 +47,8 @@ __all__ = [
     "load_params",
     "params_to_dict",
     "params_from_dict",
+    "construct_provenance",
+    "provenance_params",
 ]
 
 
@@ -67,11 +69,26 @@ def _pair_to_complex(value, where: str) -> complex:
     return z
 
 
-def _matrix_to_flat(mat: np.ndarray) -> list:
-    return np.ascontiguousarray(mat, complex).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+def _matrix_to_flat(mat: np.ndarray) -> str:
+    raw = np.ascontiguousarray(mat, "<c16").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
 def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
+    if isinstance(data, str):
+        try:
+            raw = binascii.a2b_base64(data, strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII str
+            raise FileFormatError(f"{where}: invalid base64 string ({exc})") from None
+        if len(raw) != 16 * rows * cols:
+            raise FileFormatError(f"{where}: expected {16 * rows * cols} bytes of complex128 "
+                                  f"(row-major {rows}x{cols}), got {len(raw)}")
+        flat = np.frombuffer(raw, "<c16").astype(np.complex128)  # owned and writable
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            z = complex(flat[bad[0]])
+            raise FileFormatError(f"{where}[{bad[0]}]: non-finite value {[z.real, z.imag]!r}")
+        return flat.reshape(rows, cols)
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise FileFormatError(
@@ -144,8 +161,8 @@ def _header(obj) -> dict:
     doc = {"n": obj.n, "basis": obj.basis}
     if obj.basis == NEWTON:
         nodes = obj.nodes
-        doc["nodes"] = {"alpha": _matrix_to_flat([nodes.alpha1, nodes.alpha2]),
-                        "beta": _matrix_to_flat([nodes.beta1, nodes.beta2])}
+        doc["nodes"] = {"alpha": [[z.real, z.imag] for z in (nodes.alpha1, nodes.alpha2)],
+                        "beta": [[z.real, z.imag] for z in (nodes.beta1, nodes.beta2)]}
     elif not obj.nodes.is_zero:
         raise ValueError(f"basis 'monomial' cannot record nonzero nodes {obj.nodes.as_tuple()}")
     return doc
@@ -221,6 +238,20 @@ def params_from_dict(doc: dict, n: int, where: str = "params"):
     z1 = _flat_to_matrix(doc["Z1"], 3 * n, n, f"{where}.Z1")
     z2 = _flat_to_matrix(doc["Z2"], 3 * n, n, f"{where}.Z2")
     return E1FreeParams.build(y11, z1, z2)
+
+
+def construct_provenance(seed: int, m: np.ndarray, params) -> dict:
+    """What ``construct`` records in a pencil: seed, M (M v = e1), e1 free parameters."""
+    return {"command": "construct", "seed": seed, "M": _matrix_to_flat(m),
+            "params": params_to_dict(params)}
+
+
+def provenance_params(provenance: dict, n: int):
+    """(M, params) from a pencil file's construct provenance, or None."""
+    if "params" not in provenance or "M" not in provenance:
+        return None
+    params = params_from_dict(provenance["params"], n, where="provenance.params")
+    return _flat_to_matrix(provenance["M"], 3, 3, "provenance.M"), params
 
 
 def load_params(path, *sizes: int) -> tuple:

@@ -186,15 +186,13 @@ class UnimodularWitnessPair:
     q: MatrixPoly2
     params: E1FreeParams
     z_inv: np.ndarray
+    log_predicted_gamma: complex  # log det Z; det(Z^{-1}) overflows for large n, small Z
     max_reduction_residual: float
     max_det_constancy_deviation: float
 
     @property
     def n(self) -> int:
         return self.q.n
-
-    def predicted_gamma(self) -> complex:
-        return 1.0 / det(self.z_inv)
 
     def e_factor(self, lam, mu) -> np.ndarray:
         """E(lam, mu): 3n x 3n, or a (K, 3n, 3n) stack for 1-D lam, mu."""
@@ -245,8 +243,9 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     n = q.n
     z_inv = np.linalg.inv(params.z_block)
     sign_zi, log_zi = np.linalg.slogdet(z_inv)
-    draft = UnimodularWitnessPair(q=q, params=params, z_inv=z_inv, max_reduction_residual=0.0,
-                                  max_det_constancy_deviation=0.0)
+    draft = UnimodularWitnessPair(q=q, params=params, z_inv=z_inv,
+                                  log_predicted_gamma=-log_zi - 1j * np.angle(sign_zi),
+                                  max_reduction_residual=0.0, max_det_constancy_deviation=0.0)
 
     worst_red = worst_const = 0.0
     for sl, lvals in pencil.eval_chunks(points.lams, points.mus):

@@ -1,6 +1,9 @@
 """Shared generators and independent oracles for the test suite."""
 
+import base64
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -159,3 +162,26 @@ def flat_to_matrix_reference(data, rows, cols, where):
             raise FileFormatError(f"{at}: non-finite value {value!r}")
         values.append(z)
     return np.array(values, dtype=complex).reshape(rows, cols)
+
+
+MATRIX_KEYS = {"A20", "A11", "A02", "A10", "A01", "A00", "L1", "L2", "L0", "A1", "A2", "A3",
+               "M", "Y11", "Z1", "Z2"}
+
+
+def _matrices_as_pairs(node):
+    if isinstance(node, dict):
+        return {key: ([[float(z.real), float(z.imag)]
+                       for z in np.frombuffer(base64.b64decode(value), "<c16")]
+                      if key in MATRIX_KEYS and isinstance(value, str)
+                      else _matrices_as_pairs(value))
+                for key, value in node.items()}
+    return node
+
+
+def rewrite_as_pairs(src, dst):
+    """Re-emit a package-written JSON file with every base64 matrix as the
+    flat [re, im] pair array that earlier versions wrote (their layout:
+    single line, sorted keys), for tests that edit entries by hand."""
+    doc = _matrices_as_pairs(json.loads(Path(src).read_text(encoding="utf-8")))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    Path(dst).write_text(text + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from newton2pep import MatrixPoly2, NewtonNodes, companion_pencil
 from newton2pep.cli import main
 from newton2pep.fileio import load_pencil, load_problem, save_problem
 
-from helpers import random_monomial, random_newton, scalar_newton
+from helpers import random_monomial, random_newton, rewrite_as_pairs, scalar_newton
 
 
 @pytest.fixture
@@ -129,6 +129,7 @@ class TestConstruct:
         assert code == 2
 
     def test_out_of_range_number_in_problem_is_usage_error(self, tmp_path, qfile, capsys):
+        rewrite_as_pairs(qfile, qfile)
         doc = json.loads(Path(qfile).read_text())
         doc["coefficients"]["A10"][3] = [10 ** 400, 0]
         bad = tmp_path / "big.json"
@@ -187,9 +188,27 @@ class TestVerify:
         assert "gamma estimate:" in report
         assert "witness check: pass" in report
 
+    def test_witness_prediction_with_small_z_at_large_n(self, tmp_path, capsys):
+        # Z is 128 x 128 and scaled by 1e-5, so det(Z^{-1}) is near 1e640 and
+        # overflows a double; the prediction must stay in log space.
+        from newton2pep import E1FreeParams
+        from newton2pep.fileio import params_to_dict
+        qfile, pfile, out = (str(tmp_path / name) for name in ("q.json", "z.json", "p.json"))
+        save_problem(qfile, random_newton(np.random.default_rng(64), 64))
+        p = E1FreeParams.random(64, np.random.default_rng(6))
+        small = E1FreeParams.build(p.y11, 1e-5 * p.z1, 1e-5 * p.z2)
+        Path(pfile).write_text(json.dumps(params_to_dict(small)))
+        code, _ = run(capsys, ["construct", qfile, "--ansatz", "1,0,0",
+                               "--params", pfile, "--out", out])
+        assert code == 0
+        code, report = run(capsys, ["verify", qfile, out])
+        assert "witness check: pass" in report and "verdict: PASS" in report
+        assert code == 0
+
     def test_corrupted_pencil_fails(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
+        rewrite_as_pairs(out, out)
         doc = json.loads(out.read_text())
         doc["blocks"]["A3"][0][0] += 1e-3
         out.write_text(json.dumps(doc))
@@ -200,6 +219,7 @@ class TestVerify:
     def test_out_of_range_number_in_pencil_is_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
+        rewrite_as_pairs(out, out)
         doc = json.loads(out.read_text())
         doc["blocks"]["A2"][5] = [0, -(10 ** 400)]
         out.write_text(json.dumps(doc))

@@ -1,4 +1,4 @@
-"""JSON file layer: array parse/serialize parity, layout compatibility."""
+"""JSON file layer: base64 and [re, im] pair encodings, layout compatibility."""
 
 import json
 
@@ -7,18 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil
+from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
+                        companion_pencil)
 from newton2pep.fileio import (
     FileFormatError,
     _flat_to_matrix,
     _matrix_to_flat,
+    construct_provenance,
     load_pencil,
     load_problem,
+    provenance_params,
     save_pencil,
     save_problem,
 )
 
-from helpers import flat_to_matrix_reference
+from helpers import flat_to_matrix_reference, rewrite_as_pairs
 
 # Values a [re, im] entry may hold in a valid file, including the ones whose
 # bits a careless conversion changes: signed zero, subnormals, integers that
@@ -82,17 +85,53 @@ def test_flat_to_matrix_matches_per_entry_reference(case):
     np.testing.assert_array_equal(mat.view(np.uint64), expected.view(np.uint64))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(allow_nan=False, allow_infinity=False)),
-                min_size=1, max_size=12))
-def test_matrix_to_flat_matches_per_entry_floats(pairs):
-    mat = np.array([complex(re, im) for re, im in pairs])
-    expected = [[float(z.real), float(z.imag)] for z in mat]
-    flat = _matrix_to_flat(mat)
-    # repr tells -0.0 from 0.0, which == does not.
-    assert repr(flat) == repr(expected)
-    assert all(type(x) is float for pair in flat for x in pair)
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows, cols = draw(st.sampled_from([(1, 1), (n, n), (3 * n, n)]))
+    parts = draw(st.lists(finite, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example(np.array([[complex(-0.0, 5e-324)]]))
+@example(np.array([[complex(1.7976931348623157e308, -1.7976931348623157e308)]]))
+def test_matrix_encoding_round_trips_bitwise(mat):
+    text = json.loads(json.dumps(_matrix_to_flat(mat)))
+    assert isinstance(text, str)
+    back = _flat_to_matrix(text, *mat.shape, "f.json: blocks.A1")
+    assert back.dtype == np.complex128 and back.shape == mat.shape
+    assert back.flags.writeable
+    np.testing.assert_array_equal(back.view(np.uint64), mat.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")),
+                                 complex(-float("inf"), 1)])
+def test_encoded_non_finite_value_names_the_entry(bad):
+    mat = np.arange(36, dtype=complex).reshape(6, 6)
+    mat.flat[5] = bad
+    mat.flat[7] = bad
+    with pytest.raises(FileFormatError, match=r"^f\.json: blocks\.A2\[5\]: non-finite value"):
+        _flat_to_matrix(_matrix_to_flat(mat), 6, 6, "f.json: blocks.A2")
+
+
+def test_encoded_byte_count_must_match_shape():
+    text = _matrix_to_flat(np.ones((2, 3), complex))
+    with pytest.raises(FileFormatError, match="expected 64 bytes .* got 96"):
+        _flat_to_matrix(text, 2, 2, "f.json: blocks.A1")
+
+
+@pytest.mark.parametrize("value", ["not base64!", "AAAA=AAA", "AAAAAAAA8D8AAAAAAAAAAA",
+                                   "AAAAAAAA8D8AAAAAAAAAAA==AA", "\u00e9AAA", 1.0, None, {"re": 1}])
+def test_malformed_matrix_value_is_file_format_error(value):
+    with pytest.raises(FileFormatError, match=r"^f\.json: blocks\.A1"):
+        _flat_to_matrix(value, 1, 1, "f.json: blocks.A1")
 
 
 def tricky_poly(nodes):
@@ -116,9 +155,9 @@ def assert_bitwise(a, b):
 
 
 def rewrite_indented(src, dst):
-    """Re-emit a file in the earlier indented layout."""
-    doc = json.loads(src.read_text())
-    dst.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Re-emit a file in the earlier indented [re, im] pair layout."""
+    rewrite_as_pairs(src, dst)
+    dst.write_text(json.dumps(json.loads(dst.read_text()), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("nodes", [None, NewtonNodes(1, -0.0, 0.5j, -2)])
@@ -144,6 +183,54 @@ def test_indented_problem_and_pencil_files_load_identically(tmp_path, nodes):
     for x, y, z in zip(pencil.blocks(), p1.blocks(), p2.blocks()):
         assert_bitwise(y, x)
         assert_bitwise(z, x)
+
+
+@pytest.mark.parametrize("nodes", [None, NewtonNodes(1, -0.0, 0.5j, -2)])
+def test_pair_layout_problem_and_pencil_files_load_identically(tmp_path, nodes):
+    q = tricky_poly(nodes)
+    written, pairs = tmp_path / "q.json", tmp_path / "q_pairs.json"
+    save_problem(written, q)
+    rewrite_as_pairs(written, pairs)
+    assert all(isinstance(v, list) for v in json.loads(pairs.read_text())["coefficients"].values())
+    b = load_problem(pairs)
+    for key in COEFF_KEYS:
+        assert_bitwise(b.coeff(*key), q.coeff(*key))
+    if nodes is not None:
+        assert_bitwise(node_values(b.nodes), node_values(nodes))
+
+    pencil, m = companion_pencil(q), np.array([[1, -0.0, 2j], [0, 1, 0], [0, 0, 5e-324]])
+    params = E1FreeParams.companion(q)
+    written, pairs = tmp_path / "p.json", tmp_path / "p_pairs.json"
+    save_pencil(written, pencil, construct_provenance(7, m, params))
+    rewrite_as_pairs(written, pairs)
+    assert isinstance(json.loads(pairs.read_text())["provenance"]["M"], list)
+    p2, prov2 = load_pencil(pairs)
+    assert prov2["seed"] == 7
+    for x, y in zip(pencil.blocks(), p2.blocks()):
+        assert_bitwise(y, x)
+    m_read, params_read = provenance_params(prov2, pencil.n)
+    assert_bitwise(m_read, m)
+    for name in ("y11", "z1", "z2"):
+        assert_bitwise(getattr(params_read, name), getattr(params, name))
+
+
+def test_file_mixing_both_encodings_loads(tmp_path):
+    q = tricky_poly(NewtonNodes(1, -0.0, 0.5j, -2))
+    path, pairs = tmp_path / "q.json", tmp_path / "q_pairs.json"
+    save_problem(path, q)
+    rewrite_as_pairs(path, pairs)
+    doc = json.loads(path.read_text())
+    for name in ("A20", "A02", "A00"):
+        doc["coefficients"][name] = json.loads(pairs.read_text())["coefficients"][name]
+    path.write_text(json.dumps(doc))
+    mixed = load_problem(path)
+    for key in COEFF_KEYS:
+        assert_bitwise(mixed.coeff(*key), q.coeff(*key))
+
+
+def test_provenance_without_params_gives_none():
+    assert provenance_params({}, 2) is None
+    assert provenance_params({"note": "x", "M": []}, 2) is None
 
 
 @pytest.mark.parametrize("nodes", [None, NewtonNodes(1, -0.0, 0.5j, -2)])

@@ -209,7 +209,7 @@ class TestWitnesses:
             pencil = construct_e1_newton(qn, params)
             wit = unimodular_witnesses(qn, pencil, params)
             report = verify_linearization(pencil, qn)
-            predicted = wit.predicted_gamma()
+            predicted = np.exp(wit.log_predicted_gamma)
             assert predicted == pytest.approx(det(params.z_block), rel=1e-10)
             assert abs(report.gamma_estimate - predicted) <= 1e-8 * abs(predicted)
 
@@ -337,7 +337,7 @@ class TestVerifyLinearization:
             wit = unimodular_witnesses(q, pencil, p, points=points)
             assert 0 < wit.max_reduction_residual < 1e-13
             residuals.append(wit.max_reduction_residual)
-            assert abs(np.exp(report.log_gamma - np.log(wit.predicted_gamma())) - 1) < 1e-6
+            assert abs(np.exp(report.log_gamma - wit.log_predicted_gamma) - 1) < 1e-6
         assert residuals[0] / 8 <= residuals[1] <= 8 * residuals[0]
 
     @settings(max_examples=12, deadline=None)
