@@ -42,11 +42,7 @@ from .spaces import (
     NewtonPencil,
     SampleSet,
     membership_newton,
-    s_map,
     select_M,
-    to_monomial_space,
-    to_newton_space,
-    transfer_to_newton,
 )
 from .linearize import (
     E1FreeParams,

@@ -157,8 +157,7 @@ def _cmd_construct(args) -> int:
 
     report.add(f"ansatz requested: {ansatz_note}")
 
-    membership = membership_newton(pencil, q, points=SampleSet(q, args.samples, seed),
-                                   tol=args.tol)
+    membership = membership_newton(pencil, q, tol=args.tol)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
@@ -185,7 +184,7 @@ def _cmd_verify(args) -> int:
     report.add(f"samples: {args.samples}")
 
     points = SampleSet(q, args.samples, seed)
-    membership = membership_newton(pencil, q, points=points, tol=args.tol)
+    membership = membership_newton(pencil, q, tol=args.tol)
     report.add(f"membership: {'member' if membership.member else 'not-member'}")
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
@@ -261,8 +260,8 @@ def _cmd_delta(args) -> int:
 
 # ----------------------------------------------------------------- spectrum
 
-def _write_csv(path, rows) -> None:
-    lines = ["re_lambda,im_lambda,re_mu,im_mu,residual"]
+def _write_csv(path, rows, last: str) -> None:
+    lines = [f"re_lambda,im_lambda,re_mu,im_mu,{last}"]
     for lam, mu, resid in rows:
         lam, mu = complex(lam), complex(mu)
         lines.append(f"{lam.real:.17g},{lam.imag:.17g},"
@@ -296,7 +295,7 @@ def _cmd_spectrum(args) -> int:
                        f"multiplicity={pt.multiplicity} residual={_fmt_f(pt.residual)}")
             rows.append((pt.lam, pt.mu, pt.residual))
         if args.out:
-            _write_csv(args.out, rows)
+            _write_csv(args.out, rows, "residual")
             report.add(f"csv: {args.out}")
         report.emit()
         return EXIT_PASS
@@ -331,7 +330,7 @@ def _cmd_spectrum(args) -> int:
             rows.append((lam, rec.mu0, dist))
     report.add(f"containment: {'PASS' if result.all_contained else 'FAIL'}")
     if args.out:
-        _write_csv(args.out, rows)
+        _write_csv(args.out, rows, "distance")
         report.add(f"csv: {args.out}")
     report.emit()
     return EXIT_PASS if result.all_contained else EXIT_FAIL
@@ -395,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", metavar="SEED|FILE", type=_seed_or_file, default=None,
                    help="free parameters: integer seed for a random draw or "
                         "a JSON file with Y11/Z1/Z2")
-    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES,
+                   help="checked but unused: membership reads no sample points")
     p.add_argument("--out", required=True, help="output pencil file")
     common(p)
     p.set_defaults(func=_cmd_construct)

@@ -89,12 +89,14 @@ def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
             z = complex(flat[bad[0]])
             raise FileFormatError(f"{where}[{bad[0]}]: non-finite value {[z.real, z.imag]!r}")
         return flat.reshape(rows, cols)
-    if not isinstance(data, list) or len(data) != rows * cols:
-        got = len(data) if isinstance(data, list) else type(data).__name__
+    if not isinstance(data, list):
         raise FileFormatError(
-            f"{where}: expected {rows * cols} [re, im] pairs (row-major "
-            f"{rows}x{cols}), got {got}"
+            f"{where}: expected a base64 string or {rows * cols} [re, im] pairs "
+            f"(row-major {rows}x{cols}), got {type(data).__name__}"
         )
+    if len(data) != rows * cols:
+        raise FileFormatError(f"{where}: expected {rows * cols} [re, im] pairs (row-major "
+                              f"{rows}x{cols}), got {len(data)}")
     try:
         pairs = np.array(data)
     except ValueError:  # ragged nesting; the per-entry scan below names the entry

@@ -22,6 +22,7 @@ __all__ = [
     "smallest_singular_value",
     "Eigenpair",
     "small_dense_eigen",
+    "row_space_basis",
     "complex_normal",
     "annulus_points",
 ]
@@ -89,8 +90,29 @@ class Eigenpair:
 SHIFTS = (0.6180339887498949 + 0.5772156649015329j, -0.4142135623730950 - 0.7320508075688772j)
 
 
+def _row_scales(*mats) -> np.ndarray:
+    """The largest magnitude in each row across ``mats`` (1 for a zero row)."""
+    rows = np.max([np.abs(m).max(axis=1, initial=0.0) for m in mats], axis=0)
+    rows[rows == 0] = 1.0
+    return rows
+
+
+def row_space_basis(b) -> np.ndarray | None:
+    """Orthonormal columns V_r spanning the row space of b (conjugated), or
+    None when b has full rank.
+
+    b x = 0 for every x orthogonal to V_r, to rounding. The rank is read from
+    the SVD of b with each row divided by its largest entry, as the cut
+    m eps sigma_max (m rows): a row of tiny but honest entries keeps its rank.
+    """
+    b = as_matrix(b, name="B")
+    _, sv, vh = np.linalg.svd(b / _row_scales(b)[:, None])
+    rank = int(np.count_nonzero(sv > len(b) * np.finfo(float).eps * sv[0]))
+    return None if rank == len(b) else vh[:rank].conj().T
+
+
 def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10,
-                      singular_tol: float = 1e-10) -> list[Eigenpair]:
+                      singular_tol: float = 1e-10, basis=None) -> list[Eigenpair]:
     """Generalized eigenpairs of the pencil (A, B) by shift and invert.
 
     Rows of A and B are first divided by their largest magnitude (same
@@ -103,6 +125,11 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
     ||w|| = 1, its lower bound, so a Jordan block at infinity may read finite.
 
+    ``basis`` (values only) is V_r of :func:`row_space_basis` for B. Then
+    op = op V_r V_r*, so ``eig`` solves the r x r operator V_r* op V_r, and the
+    m - r eigenvalues it leaves out, op's null space, are infinite. A Jordan
+    block at infinity of size two becomes a simple one there.
+
     Finite pairs come first, sorted by (real, imag); infinite pairs follow.
     """
     a = as_matrix(a, name="A")
@@ -111,8 +138,9 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     require_square(b, "B")
     if a.shape != b.shape:
         raise ValueError(f"A and B must have the same shape: {a.shape} vs {b.shape}")
-    rows = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b).max(axis=1, initial=0.0))
-    rows[rows == 0] = 1.0
+    if vectors and basis is not None:
+        raise ValueError("a row-space basis solves for eigenvalues only (vectors=False)")
+    rows = _row_scales(a, b)
     a, b = a / rows[:, None], b / rows[:, None]
 
     for shift in SHIFTS:
@@ -123,8 +151,8 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     else:
         raise SingularPencilError("pencil is singular: sigma_min(A - s B) <= "
                                   f"{singular_tol:g} sigma_max at both shifts s in SHIFTS")
-    op = np.linalg.solve(shifted, b)
-    eps, op_norm = np.finfo(float).eps, np.linalg.norm(op)
+    op = np.linalg.solve(shifted, b if basis is None else b @ basis)
+    eps, op_norm = np.finfo(float).eps, np.linalg.norm(op)  # ||op V_r||_F = ||op||_F
     radius = eps * op_norm
     if vectors:
         theta, x = np.linalg.eig(op)  # unit columns x
@@ -133,8 +161,11 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
                 radius = radius * np.linalg.norm(np.linalg.inv(x), axis=1)
         except np.linalg.LinAlgError:  # parallel vectors: a defective eigenvalue
             radius = np.inf
-    else:
+    elif basis is None:
         theta, x = np.linalg.eigvals(op), None
+    else:
+        theta = np.linalg.eigvals(basis.conj().T @ op)
+        theta, x = np.concatenate([theta, np.zeros(len(b) - len(theta))]), None
     # The cap keeps a defective finite eigenvalue (huge ||w||) finite, yet holds
     # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
     infinite = np.abs(theta) <= np.minimum(radius, eps ** 0.25 * op_norm)  # theta = 0 too

@@ -13,22 +13,23 @@ identically for some ansatz vector v in C^3. With all nodes zero,
 Gamma2 = lam I, Gamma2t = mu I and N = (lam, mu, 1), so the pencil is
 lam A1 + mu A2 + A3 and the space is the monomial one, bit for bit.
 
-Membership is decided numerically: the ansatz vector is recovered by block
-least squares over the points of one :class:`SampleSet` (drawn once per run
-and shared with the determinant-ratio and witness checks), and the identity
-is accepted when the relative residual stays below tolerance. ``eval`` maps
-1-D arrays of K points to (K, ., .) stacks, bitwise the pointwise values.
+Membership is decided from the blocks alone: L (N kron I) expands exactly
+in the six Newton basis functions, so the identity is six block equalities
+(:func:`membership_newton`). The sample points of one :class:`SampleSet`
+serve the determinant-ratio and witness checks. ``eval`` maps 1-D arrays of
+K points to (K, ., .) stacks, bitwise the pointwise values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
 from .linalg import annulus_points, as_matrix, freeze
-from .matpoly import NEWTON, MatrixPoly2, NewtonNodes, newton_triple
+from .matpoly import COEFF_KEYS, NEWTON, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 12
@@ -42,10 +43,6 @@ __all__ = [
     "MembershipResult",
     "SampleSet",
     "membership_newton",
-    "s_map",
-    "to_newton_space",
-    "to_monomial_space",
-    "transfer_to_newton",
     "select_M",
 ]
 
@@ -159,7 +156,6 @@ class MembershipResult:
     member: bool
     ansatz: AnsatzVector
     residual: float
-    sample_count: int
     tol: float
 
 
@@ -192,102 +188,62 @@ def require_matching(q: MatrixPoly2, pencil: NewtonPencil | None = None, *,
         raise NodeMismatchError("pencil and polynomial carry different nodes")
 
 
-def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
-                      points: SampleSet | None = None,
-                      tol: float = DEFAULT_TOL) -> MembershipResult:
-    """Test L(lam, mu) (N kron I) = v kron Q(lam, mu) and recover v.
+def _least_squares(s: np.ndarray, c: np.ndarray):
+    """(v, ||s - v c^T||_F, ||v|| ||c||) for the least-squares v of s ~ v c^T
+    (s is 3 x N, c has N entries)."""
+    with np.errstate(over="ignore"):  # an S too large is scaled and fitted again
+        v = (s @ c.conj()) / np.vdot(c, c).real
+        r = np.outer(v, c)
+        r -= s
+        return v, float(np.linalg.norm(r)), float(np.linalg.norm(v) * np.linalg.norm(c))
 
-    Ill posed if ||Q|| <= 1e-14 max ||C_ij|| at every sample. The residual
-    is relative to the larger of max ||L (N kron I)|| and ||v|| max ||Q||,
-    both linear in the pencil, so it does not change when the pencil is
-    scaled. The zero pencil is a member with v = 0 and residual 0.
+
+def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
+                      tol: float = DEFAULT_TOL) -> MembershipResult:
+    """Decide L(lam, mu) (N kron I) = v kron Q(lam, mu) exactly and recover v.
+
+    With Ak[j] the j-th n-wide column block of Ak, the Gamma factors give
+    (lam - a2) n1 = n2 and so on, so L (N kron I) is the sum of the Newton
+    basis (n2, n1 m1, m2, n1, m1, 1) weighted by the six 3n x n blocks
+
+        S = (A1[0], A2[0] + A1[1], A2[1], A3[0] + A1[2], A3[1] + A2[2], A3[2]),
+
+    and the identity holds exactly when S = v kron C, C the six coefficient
+    blocks in COEFF_KEYS order (the Newton form of the column-shifted sum).
+    No node enters. v is the least-squares fit, and the residual
+    ||S - v kron C||_F is relative to max(||S||_F, ||v|| ||C||_F) = ||S||_F
+    (the residual is orthogonal to v kron C), so it does not change when the
+    pencil is scaled. Ill posed only for the zero polynomial. The zero pencil
+    is a member with v = 0 and residual 0.
     """
     require_matching(q, pencil)
-    points = sample_set_for(q, points)
-    n = q.n
-    qvals = points.q_values
-    # R_s = L(lam_s, mu_s) (N_s kron I): the column blocks of L weighted by N_s.
-    rvals = np.empty((points.count, 3 * n, n), dtype=complex)
-    for sl, lvals in pencil.eval_chunks(points.lams, points.mus):
-        triple = newton_triple(pencil.nodes, points.lams[sl], points.mus[sl])[..., None, None]
-        rvals[sl] = sum(triple[j] * lvals[..., j * n:(j + 1) * n] for j in range(3))
+    a1, a2, a3 = (np.hsplit(a, 3) for a in pencil.blocks())
+    # The S_k side by side, so that row block i of the 3 x 6n^2 stack holds
+    # row block i of every S_k, laid out as the n x 6n stack of the C_k.
+    s = np.hstack([a1[0], a2[0] + a1[1], a2[1], a3[0] + a1[2], a3[1] + a2[2], a3[2]])
+    s = s.reshape(3, -1)
+    c = np.hstack([q.coeff(*key) for key in COEFF_KEYS]).reshape(-1)
+    if (c_max := float(np.abs(c).max())) == 0:
+        raise DegenerateProblemError("the polynomial is zero; membership is ill posed")
+    # Powers of two bring C, and S when its norm is far from 1, to unit size
+    # exactly, so that no squared entry under- or overflows.
+    c_scale, s_scale = 2.0 ** -np.frexp(c_max)[1], 1.0
+    v, resid, fit = _least_squares(s, c * c_scale)
+    if not 1e-100 <= math.hypot(resid, fit) <= 1e100 and (s_max := float(np.abs(s).max())):
+        s_scale = 2.0 ** -np.frexp(s_max)[1]
+        v, resid, fit = _least_squares(s * s_scale, c * c_scale)
+    s_norm = math.hypot(resid, fit)
+    rel = resid / s_norm if s_norm > 0 else 0.0
 
-    qnorms = np.linalg.norm(qvals, axis=(1, 2))
-    if (qscale := float(qnorms.max())) <= 1e-14 * q.coefficient_scale():
-        raise DegenerateProblemError(
-            "polynomial evaluates to (numerically) zero at every sample point; "
-            "membership is ill posed"
-        )
-
-    # Least-squares ansatz: v_i = sum_s <Q_s, R_s[i]> / sum_s ||Q_s||^2.
-    rblocks = rvals.reshape(points.count, 3, n, n)
-    v = np.einsum("sab,siab->i", qvals.conj(), rblocks) / float((qnorms ** 2).sum())
-    resid = np.linalg.norm((rblocks - v[:, None, None] * qvals[:, None])
-                           .reshape(points.count, -1), axis=1).max()
-    rscale = np.linalg.norm(rvals, axis=(1, 2)).max()
-    denom = max(float(rscale), float(np.linalg.norm(v)) * qscale)
-    rel = float(resid) / denom if denom > 0 else 0.0
-
-    ansatz = AnsatzVector.classify(v, tol=tol)
-    return MembershipResult(member=bool(rel <= tol), ansatz=ansatz,
-                            residual=rel, sample_count=points.count, tol=tol)
+    ansatz = AnsatzVector.classify(v * (c_scale / s_scale), tol=tol)
+    return MembershipResult(member=bool(rel <= tol), ansatz=ansatz, residual=rel, tol=tol)
 
 
-def s_map(nodes: NewtonNodes):
-    """Change of basis S with S Lambda = N, together with its exact inverse.
-
-    S is unit upper triangular, so det S = 1 for any nodes.
-    """
-    a1, b1 = nodes.alpha1, nodes.beta1
-    s = np.array([[1, 0, -a1], [0, 1, -b1], [0, 0, 1]], dtype=complex)
-    sinv = np.array([[1, 0, a1], [0, 1, b1], [0, 0, 1]], dtype=complex)
-    return s, sinv
-
-
-def _right_multiply(pencil: NewtonPencil, s: np.ndarray) -> NewtonPencil:
-    t = np.kron(s, np.eye(pencil.n))
-    return NewtonPencil.from_blocks(pencil.nodes, pencil.A1 @ t, pencil.A2 @ t,
-                                    pencil.A3 @ t, basis=pencil.basis)
-
-
-def to_newton_space(pencil: NewtonPencil, nodes: NewtonNodes) -> NewtonPencil:
-    """Right-multiply the blocks by S^{-1} kron I: the image satisfies the N-identity.
-
-    If a zero-node pencil satisfies the Lambda-identity with ansatz v, the
-    returned pencil (on the same zero nodes, so still evaluated as
-    lam A1 + mu A2 + A3) satisfies image(lam, mu) (N kron I) = v kron Q(lam, mu)
-    with the same v, N taken on ``nodes``. With all nodes zero this is the
-    identity map.
-    """
-    return _right_multiply(pencil, s_map(nodes)[1])
-
-
-def to_monomial_space(pencil: NewtonPencil, nodes: NewtonNodes) -> NewtonPencil:
-    """Inverse of :func:`to_newton_space` (right-multiply by S kron I)."""
-    return _right_multiply(pencil, s_map(nodes)[0])
-
-
-def transfer_to_newton(pencil: NewtonPencil, q_newton: MatrixPoly2) -> NewtonPencil:
-    """The blocks of a zero-node pencil, put on the nodes of ``q_newton``.
-
-    If lam A1 + mu A2 + A3 satisfies the Lambda-identity for the zero-node
-    polynomial with the coefficient blocks of ``q_newton``, the returned
-    pencil A1 Gamma2 + A2 Gamma2t + A3 satisfies the N-identity for
-    ``q_newton`` with the same ansatz vector. The precondition is not
-    checked here; run :func:`membership_newton` on the result to certify it.
-    """
-    if pencil.n != q_newton.n:
-        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q_newton.n}")
-    return NewtonPencil.from_blocks(q_newton.nodes, *pencil.blocks(), basis=q_newton.basis)
-
-
-def select_M(v, *, tol: float = DEFAULT_TOL, alternate_ac: bool = False) -> np.ndarray:
+def select_M(v, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A nonsingular 3 x 3 matrix M with M v = e1, chosen by v's zero pattern.
 
     One fixed template per zero pattern of (a, b, c); every template maps v
-    to e1 exactly and has nonzero determinant. The pattern with a != 0,
-    b = 0, c != 0 has two known templates; the default is the first and
-    ``alternate_ac=True`` selects the other.
+    to e1 exactly and has nonzero determinant.
     """
     if not isinstance(v, AnsatzVector):
         v = AnsatzVector.classify(v, tol=tol)
@@ -303,10 +259,7 @@ def select_M(v, *, tol: float = DEFAULT_TOL, alternate_ac: bool = False) -> np.n
     elif (za, zb, zc) == (False, False, True):
         m = [[1, 1, 1 / c], [1, 1, 0], [0, 1, 0]]
     elif (za, zb, zc) == (True, False, True):
-        if alternate_ac:
-            m = [[1 / a, 0, 0], [1 / a, 0, -1 / c], [0, 1, 0]]
-        else:
-            m = [[1 / a, 0, 0], [0, 1, 0], [-1 / a, 0, 1 / c]]
+        m = [[1 / a, 0, 0], [0, 1, 0], [-1 / a, 0, 1 / c]]
     elif (za, zb, zc) == (True, False, False):
         m = [[1 / a, 0, 0], [0, 1, 0], [0, 1, 1]]
     elif (za, zb, zc) == (True, True, False):

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import (DegenerateProblemError, NodeMismatchError, SharedFactorError,
                      SingularPencilError)
-from .linalg import annulus_points, complex_normal, small_dense_eigen, smallest_singular_value
+from .linalg import (annulus_points, complex_normal, row_space_basis, small_dense_eigen,
+                     smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, require_matching
@@ -288,12 +289,17 @@ def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     """Finite lambda with det L(lambda, mu0) = 0 for each mu0 (None for a
     singular slice). Gamma2(lam) is lam I minus a constant diagonal, so the
-    slice is the linear pencil lam A1 + L(0, mu0)."""
+    slice is the linear pencil lam A1 + L(0, mu0). A1 is factored once: each
+    slice is solved on its row space, of dimension rank A1 (2n for an e1
+    pencil), and A1's null space gives the slice's 3n - rank A1 infinite
+    eigenvalues."""
+    basis = row_space_basis(pencil.A1)
     out = []
     for _, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
         for g0 in constants:
             try:
-                out.append([p.value for p in small_dense_eigen(-g0, pencil.A1, vectors=False)
+                out.append([p.value for p in small_dense_eigen(-g0, pencil.A1, vectors=False,
+                                                               basis=basis)
                             if not p.infinite])
             except SingularPencilError:
                 out.append(None)
@@ -385,18 +391,18 @@ def _coefficient_norm(q: MatrixPoly2) -> float:
     return max(float(np.linalg.norm(c, 2)) for c in q.coeffs.values())
 
 
-def _sigma_min_newton(pair: QtepPair, lams, mus):
+def _sigma_min_newton(pair: QtepPair, norms, lams, mus):
     """Backward error max_i sigma_min(Qi) / (max_j ||C_ij||_2 sum_j |phi_j|) of
     each point (Newton basis phi_j) and its Newton step (dlam, dmu) for
     u_i* Qi(lam, mu) v_i = 0, with u_i, v_i the singular vectors of
-    sigma_min(Qi) at the point."""
+    sigma_min(Qi) at the point. ``norms`` holds max_j ||C_ij||_2 of each Qi."""
     rows, errors = [], []
-    for q in (pair.q1, pair.q2):
+    for q, norm in zip((pair.q1, pair.q2), norms):
         u, s, vh = np.linalg.svd(q.eval(lams, mus))
         left, right = u[:, :, -1].conj(), vh[:, -1, :].conj()
         rows.append([np.einsum("ki,kij,kj->k", left, d, right)
                      for d in _q_partials(q, lams, mus)] + [s[:, -1]])
-        scale = _coefficient_norm(q) * np.abs(newton_six(q.nodes, lams, mus)).sum(axis=0)
+        scale = norm * np.abs(newton_six(q.nodes, lams, mus)).sum(axis=0)
         errors.append(np.divide(s[:, -1], scale, out=np.zeros_like(scale), where=scale > 0))
     (f1l, f1m, f1), (f2l, f2m, f2) = rows
     with np.errstate(all="ignore"):
@@ -409,9 +415,10 @@ def _sigma_min_newton(pair: QtepPair, lams, mus):
 def _polish(pair: QtepPair, lams, mus):
     """POLISH_STEPS stacked Newton steps, each kept where it lowers the
     backward error; returns the points and their backward errors."""
-    error, dlam, dmu = _sigma_min_newton(pair, lams, mus)
+    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
+    error, dlam, dmu = _sigma_min_newton(pair, norms, lams, mus)
     for _ in range(POLISH_STEPS):
-        trial = _sigma_min_newton(pair, lams - dlam, mus - dmu)
+        trial = _sigma_min_newton(pair, norms, lams - dlam, mus - dmu)
         better = trial[0] < error
         lams, mus = np.where(better, lams - dlam, lams), np.where(better, mus - dmu, mus)
         error = np.where(better, trial[0], error)

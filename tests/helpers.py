@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, complex_normal
+from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
+                        SampleSet, SingularPencilError, companion_pencil, complex_normal,
+                        construct_e1_newton, construct_general_ansatz, newton_triple,
+                        small_dense_eigen)
 
 
 def random_coeffs(rng, n):
@@ -25,6 +28,31 @@ def random_nodes(rng):
 
 def random_newton(rng, n, nodes=None):
     return MatrixPoly2.newton(random_coeffs(rng, n), nodes or random_nodes(rng))
+
+
+NODE_KINDS = ("monomial", "newton", "coincident")
+
+
+def nodes_of_kind(rng, kind):
+    """Zero nodes, four random nodes, or alpha1 = alpha2 and beta1 = beta2."""
+    if kind == "monomial":
+        return NewtonNodes()
+    if kind == "coincident":
+        a, b = complex_normal(rng, 2)
+        return NewtonNodes(a, a, b, b)
+    return random_nodes(rng)
+
+
+def pencil_in_space(q, construction, rng):
+    """A linearization in the space of q: "companion", a random "e1" pencil,
+    or the general-ansatz pencil for a zero pattern such as (1, 0, 1), whose
+    nonzero components have modulus in [0.5, 2]."""
+    if construction == "companion":
+        return companion_pencil(q)
+    if construction == "e1":
+        return construct_e1_newton(q, E1FreeParams.random(q.n, rng))
+    v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
+    return construct_general_ansatz(q, v, seed=int(rng.integers(1000))).pencil_v
 
 
 def scalar_monomial(a20, a11, a02, a10, a01, a00):
@@ -141,13 +169,17 @@ def commutation_matrix(m, n):
 
 
 def flat_to_matrix_reference(data, rows, cols, where):
-    """Entry-by-entry parse of a flat [re, im] pair list (oracle for fileio)."""
+    """Entry-by-entry parse of a flat [re, im] pair list (oracle for fileio).
+    A value that is not a list is named against both layouts, base64 string
+    and pair list."""
     from newton2pep.fileio import FileFormatError
 
-    if not isinstance(data, list) or len(data) != rows * cols:
-        got = len(data) if isinstance(data, list) else type(data).__name__
+    if not isinstance(data, list):
+        raise FileFormatError(f"{where}: expected a base64 string or {rows * cols} [re, im] "
+                              f"pairs (row-major {rows}x{cols}), got {type(data).__name__}")
+    if len(data) != rows * cols:
         raise FileFormatError(f"{where}: expected {rows * cols} [re, im] pairs "
-                              f"(row-major {rows}x{cols}), got {got}")
+                              f"(row-major {rows}x{cols}), got {len(data)}")
     values = []
     for k, value in enumerate(data):
         at = f"{where}[{k}]"
@@ -185,3 +217,85 @@ def rewrite_as_pairs(src, dst):
     doc = _matrices_as_pairs(json.loads(Path(src).read_text(encoding="utf-8")))
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     Path(dst).write_text(text + "\n", encoding="utf-8")
+
+
+def s_map(nodes):
+    """Change of basis S with S Lambda = N, together with its exact inverse.
+
+    S is unit upper triangular, so det S = 1 for any nodes.
+    """
+    a1, b1 = nodes.alpha1, nodes.beta1
+    s = np.array([[1, 0, -a1], [0, 1, -b1], [0, 0, 1]], dtype=complex)
+    sinv = np.array([[1, 0, a1], [0, 1, b1], [0, 0, 1]], dtype=complex)
+    return s, sinv
+
+
+def _right_multiply(pencil, s):
+    t = np.kron(s, np.eye(pencil.n))
+    return NewtonPencil.from_blocks(pencil.nodes, pencil.A1 @ t, pencil.A2 @ t,
+                                    pencil.A3 @ t, basis=pencil.basis)
+
+
+def to_newton_space(pencil, nodes):
+    """Right-multiply the blocks by S^-1 kron I. If a zero-node pencil
+    satisfies the Lambda-identity with ansatz v, the image (still on zero
+    nodes) satisfies image (N kron I) = v kron Q, N taken on ``nodes``."""
+    return _right_multiply(pencil, s_map(nodes)[1])
+
+
+def to_monomial_space(pencil, nodes):
+    """Inverse of to_newton_space (right-multiply by S kron I)."""
+    return _right_multiply(pencil, s_map(nodes)[0])
+
+
+def transfer_to_newton(pencil, q_newton):
+    """The blocks of a zero-node pencil, put on the nodes of ``q_newton``: a
+    member of the zero-node space of the same coefficient blocks becomes a
+    member of the Newton space with the same ansatz vector."""
+    if pencil.n != q_newton.n:
+        raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q_newton.n}")
+    return NewtonPencil.from_blocks(q_newton.nodes, *pencil.blocks(), basis=q_newton.basis)
+
+
+def select_M_alternate_ac(v):
+    """The second template for the ansatz pattern a != 0, b = 0, c != 0
+    (select_M returns the first): M v = e1 and det M = -1 / (a c)."""
+    a, _, c = (complex(x) for x in v)
+    return np.array([[1 / a, 0, 0], [1 / a, 0, -1 / c], [0, 1, 0]], dtype=complex)
+
+
+def sampled_membership(pencil, q, points=None):
+    """(v, relative residual) of L (N kron I) = v kron Q by block least
+    squares over the sample points (second route for membership_newton).
+
+    The residual is the largest over the samples, relative to the larger of
+    max ||L (N kron I)|| and ||v|| max ||Q||.
+    """
+    points = points or SampleSet(q)
+    n = q.n
+    qvals = points.q_values
+    triple = newton_triple(pencil.nodes, points.lams, points.mus)[..., None, None]
+    lvals = pencil.eval(points.lams, points.mus)
+    rvals = sum(triple[j] * lvals[..., j * n:(j + 1) * n] for j in range(3))
+    qnorms = np.linalg.norm(qvals, axis=(1, 2))
+    rblocks = rvals.reshape(points.count, 3, n, n)
+    v = np.einsum("sab,siab->i", qvals.conj(), rblocks) / float((qnorms ** 2).sum())
+    resid = np.linalg.norm((rblocks - v[:, None, None] * qvals[:, None])
+                           .reshape(points.count, -1), axis=1).max()
+    denom = max(float(np.linalg.norm(rvals, axis=(1, 2)).max()),
+                float(np.linalg.norm(v)) * float(qnorms.max()))
+    return v, (float(resid) / denom if denom > 0 else 0.0)
+
+
+def full_slice_eigenvalues(pencil, mus):
+    """Finite lambda of each slice lam A1 + L(0, mu0), solved as the full 3n
+    pencil (reference for the row-space solve; None for a singular slice)."""
+    out = []
+    for mu0 in mus:
+        try:
+            pairs = small_dense_eigen(-pencil.eval(0.0, mu0), pencil.A1, vectors=False)
+        except SingularPencilError:
+            out.append(None)
+            continue
+        out.append([p.value for p in pairs if not p.infinite])
+    return out

@@ -24,7 +24,6 @@ from newton2pep import (
     pair_linearize,
     select_M,
     spectrum_pair_oracle,
-    transfer_to_newton,
     unimodular_witnesses,
     verify_linearization,
     verify_spectrum_match,
@@ -34,7 +33,7 @@ from newton2pep.fileio import save_problem
 from newton2pep.spaces import NewtonPencil
 
 from helpers import (cofactor_det, random_monomial, random_newton, random_nodes,
-                     with_zero_nodes)
+                     transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]

@@ -52,9 +52,10 @@ def test_tracer_targets_exist_and_are_restored(tmp_path, monkeypatch, capsys):
     with tracing.instrumented(tracing.Tracer()) as tracer:
         codes = [cli.main(["construct", str(problem), "--companion",
                            "--out", str(tmp_path / "p.json")]),
+                 cli.main(["verify", str(problem), str(tmp_path / "p.json")]),
                  cli.main(["spectrum", pair[0], "--pair", pair[1]]),
                  cli.main(["delta", *pair, "--check-singular"])]
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     names = {span[0] for span in tracer.spans}
     for name in ("spaces.pencil_eval", "twoparam.spectrum_pair_oracle",
                  "twoparam.delta_operators", "twoparam.certify_singular"):

@@ -163,8 +163,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize("samples", ["0", "1", "5"])
     def test_too_few_samples_is_usage_error(self, tmp_path, qfile, capsys, samples):
-        # One sample at n=1 already gives 3 equations for the 3 unknowns of
-        # the membership fit, so any pencil would fit with residual 0.
+        # Membership reads no sample points, but construct keeps the flag and
+        # its check (verify's determinant ratio needs at least 6 points).
         out = tmp_path / "pencil.json"
         code = main(["construct", qfile, "--companion", "--samples", samples,
                      "--out", str(out)])
@@ -177,6 +177,17 @@ class TestConstruct:
                                     "--samples", "6", "--out", str(out)])
         assert code == 0
         assert "membership: member" in report
+
+
+    def test_samples_flag_does_not_change_construct(self, tmp_path, qfile, capsys):
+        reports = []
+        for samples in ("6", "40"):
+            code, report = run(capsys, ["construct", qfile, "--ansatz", "1,0.5,2j",
+                                        "--samples", samples,
+                                        "--out", str(tmp_path / "pencil.json")])
+            assert code == 0
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestVerify:
@@ -332,8 +343,11 @@ class TestSpectrum:
         assert code == 0
         assert "containment: PASS" in report
         lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,residual"
+        assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,distance"
         assert len(lines) > 1
+        # The last column is the match distance that the table prints.
+        printed = re.findall(r"^  lambda=.* distance=(\S+)$", report, re.M)
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == printed
 
     def test_pair_mode_four_rows(self, tmp_path, scalar_pair_files, capsys):
         p1, p2 = scalar_pair_files
@@ -343,6 +357,7 @@ class TestSpectrum:
         assert code == 0
         assert "count (multiplicity-aware): 4" in report
         lines = csv.read_text().strip().splitlines()
+        assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,residual"
         assert len(lines) == 5  # header + 4 points
 
     def test_zero_slices_usage_error(self, tmp_path, qfile, capsys):

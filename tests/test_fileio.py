@@ -134,6 +134,15 @@ def test_malformed_matrix_value_is_file_format_error(value):
         _flat_to_matrix(value, 1, 1, "f.json: blocks.A1")
 
 
+@pytest.mark.parametrize("value, got", [(1.0, "float"), (None, "NoneType"),
+                                        ({"re": 1}, "dict")])
+def test_value_of_neither_layout_names_both(value, got):
+    want = (r"^f\.json: blocks\.A10: expected a base64 string or 1 \[re, im\] pairs "
+            rf"\(row-major 1x1\), got {got}$")
+    with pytest.raises(FileFormatError, match=want):
+        _flat_to_matrix(value, 1, 1, "f.json: blocks.A10")
+
+
 def tricky_poly(nodes):
     """2x2 coefficients whose parts together cover every value in TRICKY."""
     vals = np.array([float(x) for x in TRICKY] + [-1.5, 3.0])

@@ -11,7 +11,7 @@ from newton2pep import (
     small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import SHIFTS, as_matrix
+from newton2pep.linalg import SHIFTS, as_matrix, row_space_basis
 
 from helpers import cofactor_det, commutation_matrix, kron_oracle
 
@@ -170,6 +170,36 @@ class TestSmallDenseEigen:
         pairs = small_dense_eigen(u @ a0 @ v, u @ b0 @ v)
         assert [p.infinite for p in pairs] == [False, False] + [True] * size
         np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_size_two_jordan_block_at_infinity_reads_infinite_values_only(self, seed):
+        # The construction above with size 2. On B's row space the block is a
+        # simple zero of op, so values alone read it infinite; solved on the
+        # full space with ||w|| = 1 it splits by ~sqrt(eps) and reads finite.
+        # Blocks of size 3 and 4 still read finite on the row space.
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(complex_normal(rng, 4, 4))[0] for _ in range(2))
+        a = u @ np.diag([1.0, 1.0, 2.0, -3.0]).astype(complex) @ v
+        b = u @ (np.diag([0.0, 0.0, 1.0, 1.0]) + np.diag([1.0, 0.0, 0.0], 1)) @ v
+        basis = row_space_basis(b)
+        assert basis.shape == (4, 3)
+        pairs = small_dense_eigen(a, b, vectors=False, basis=basis)
+        assert [p.infinite for p in pairs] == [False, False, True, True]
+        np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+
+    def test_row_space_basis(self):
+        rng = np.random.default_rng(13)
+        assert row_space_basis(complex_normal(rng, 5, 5)) is None
+        assert row_space_basis(np.zeros((3, 3))).shape == (3, 0)
+        b = complex_normal(rng, 5, 3) @ complex_normal(rng, 3, 5)
+        b[0] *= 1e-300  # a tiny row keeps its rank
+        basis = row_space_basis(b)
+        assert basis.shape == (5, 3)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-14)
+        null = np.linalg.svd(b / np.abs(b).max(axis=1, keepdims=True))[2][3:].conj().T
+        np.testing.assert_allclose(basis.conj().T @ null, 0, atol=1e-12)
+        with pytest.raises(ValueError, match="vectors=False"):
+            small_dense_eigen(np.eye(5), b, basis=basis)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_jordan_blocks(self, n):

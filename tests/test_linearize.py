@@ -308,7 +308,7 @@ class TestVerifyLinearization:
         tracemalloc.start()
         try:
             points = SampleSet(qn, 12, 5)
-            assert membership_newton(pencil, qn, points=points).member
+            assert membership_newton(pencil, qn).member
             assert verify_linearization(pencil, qn, points=points).passed
             unimodular_witnesses(qn, pencil, params, points=points)
             peak = tracemalloc.get_traced_memory()[1]
@@ -331,7 +331,7 @@ class TestVerifyLinearization:
                                                          (params.y11, params.z1, params.z2))))):
             pencil = construct_e1_newton(q, p)
             points = SampleSet(q)
-            assert membership_newton(pencil, q, points=points).member
+            assert membership_newton(pencil, q).member
             report = verify_linearization(pencil, q, points=points)
             assert report.passed
             wit = unimodular_witnesses(q, pencil, p, points=points)
@@ -347,7 +347,7 @@ class TestVerifyLinearization:
         qn = random_newton(rng, n)
         pencil = construct_e1_newton(qn, E1FreeParams.random(n, rng))
         points = SampleSet(qn, seed=seed % 1000)
-        assert membership_newton(pencil, qn, points=points).member
+        assert membership_newton(pencil, qn).member
         assert verify_linearization(pencil, qn, points=points).passed
 
     @settings(max_examples=30, deadline=None)

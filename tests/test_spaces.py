@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2pep import (
     AnsatzVector,
@@ -18,15 +20,13 @@ from newton2pep import (
     membership_newton,
     newton_scalars,
     newton_triple,
-    s_map,
     select_M,
-    to_monomial_space,
-    to_newton_space,
-    transfer_to_newton,
 )
 
-from helpers import (gamma_blocks, random_monomial, random_newton, random_nodes,
-                     with_zero_nodes)
+from helpers import (NODE_KINDS, gamma_blocks, nodes_of_kind, pencil_in_space, random_coeffs,
+                     random_monomial, random_newton, random_nodes, s_map, sampled_membership,
+                     select_M_alternate_ac, to_monomial_space, to_newton_space,
+                     transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -145,6 +145,24 @@ class TestMembershipMonomial:
             q.nodes, *(scale * b for b in c.blocks())), q)
         assert exact.member
 
+    @pytest.mark.parametrize("k", [-900, -400, 400, 900])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # Pencil and polynomial scaled by 2^k far from 1: the same verdict
+        # and residual bit for bit, and v scaled exactly, member or not.
+        rng = np.random.default_rng(19)
+        q = random_newton(rng, 3)
+        c = construct_e1_newton(q, E1FreeParams.random(3, rng))
+        a3 = c.A3.copy()
+        a3[0, 0] += 1e-3
+        for blocks in (c.blocks(), (c.A1, c.A2, a3)):
+            ref = membership_newton(NewtonPencil.from_blocks(q.nodes, *blocks), q)
+            for fp, fq in ((2.0 ** k, 1.0), (1.0, 2.0 ** k), (2.0 ** k, 2.0 ** k)):
+                qk = MatrixPoly2.newton({key: fq * b for key, b in q.coeffs.items()}, q.nodes)
+                res = membership_newton(NewtonPencil.from_blocks(
+                    q.nodes, *(fp * b for b in blocks)), qk)
+                assert (res.member, res.residual) == (ref.member, ref.residual)
+                np.testing.assert_array_equal(res.ansatz.vector * fq / fp, ref.ansatz.vector)
+
     def test_zero_polynomial_is_ill_posed(self):
         zero = np.zeros((2, 2))
         q = MatrixPoly2.monomial({k: zero for k in
@@ -194,6 +212,54 @@ class TestMembershipNewton:
         res = membership_newton(s, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz.vector, [3, 0, 0], atol=1e-10)
+
+
+CONSTRUCTIONS = ["companion", "e1", *PATTERNS]
+
+
+class TestExactMembership:
+    # The six column-shifted blocks against the sampled identity, which is
+    # the second route (tests/helpers.py::sampled_membership).
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(NODE_KINDS),
+           st.sampled_from(CONSTRUCTIONS), st.integers(0, 2**32 - 1))
+    def test_agrees_with_sampled_route(self, n, kind, construction, seed):
+        rng = np.random.default_rng(seed)
+        q = MatrixPoly2.newton(random_coeffs(rng, n), nodes_of_kind(rng, kind))
+        pencil = pencil_in_space(q, construction, rng)
+        exact = membership_newton(pencil, q)
+        v, rel = sampled_membership(pencil, q)
+        assert exact.member and exact.residual <= 1e-13
+        assert rel <= 1e-9
+        np.testing.assert_allclose(exact.ansatz.vector, v, rtol=0,
+                                   atol=1e-9 * np.abs(v).max())
+        a3 = pencil.A3.copy()
+        a3[0, 0] += 1e-3 * np.abs(a3).max()
+        bad = NewtonPencil.from_blocks(q.nodes, pencil.A1, pencil.A2, a3)
+        exact_bad = membership_newton(bad, q)
+        assert not exact_bad.member and exact_bad.residual > 1e-6
+        assert sampled_membership(bad, q)[1] > 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(CONSTRUCTIONS), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_verdict_and_ansatz_do_not_depend_on_nodes(self, n, construction, perturb, seed):
+        # The same blocks on other nodes (pencil and polynomial alike) give
+        # bitwise the same result: membership never reads the nodes.
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(rng, n)
+        blocks = pencil_in_space(MatrixPoly2.newton(coeffs, random_nodes(rng)),
+                                 construction, rng).blocks()
+        if perturb:
+            blocks = (blocks[0] + 1e-4 * complex_normal(rng, 3 * n, 3 * n), *blocks[1:])
+        results = []
+        for kind in (*NODE_KINDS, "newton"):
+            nodes = nodes_of_kind(rng, kind)
+            res = membership_newton(NewtonPencil.from_blocks(nodes, *blocks),
+                                    MatrixPoly2.newton(coeffs, nodes))
+            results.append((res.member, res.residual, res.ansatz.vector.tobytes()))
+        assert results == results[:1] * len(results)
+        assert results[0][0] is not perturb
 
 
 class TestSMap:
@@ -315,7 +381,7 @@ class TestSelectM:
     def test_alternate_template_for_ac_pattern(self):
         v = np.array([2.0, 0.0, 4.0])
         m1 = select_M(v)
-        m2 = select_M(v, alternate_ac=True)
+        m2 = select_M_alternate_ac(v)
         assert not np.allclose(m1, m2)
         for m in (m1, m2):
             np.testing.assert_allclose(m @ v, [1, 0, 0], atol=1e-14)

@@ -17,6 +17,7 @@ from newton2pep import (
     companion_pencil,
     complex_normal,
     construct_e1_newton,
+    construct_general_ansatz,
     delta_operators,
     det,
     pair_linearize,
@@ -31,8 +32,9 @@ from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (commutation_matrix, gamma_blocks, kron_oracle, random_coeffs,
-                     random_newton, random_nodes, scalar_newton, scaled)
+from helpers import (NODE_KINDS, commutation_matrix, full_slice_eigenvalues, gamma_blocks,
+                     kron_oracle, nodes_of_kind, pencil_in_space, random_coeffs, random_newton,
+                     random_nodes, scalar_newton, scaled)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -362,6 +364,73 @@ class TestSliceVectorized:
             assert g.q_eigenvalues == w.q_eigenvalues
             assert g.pencil_eigenvalues == w.pencil_eigenvalues
             assert g.distances == w.distances
+
+
+def assert_same_finite_eigenvalues(got, want):
+    """Slice by slice: both singular, or the same count of finite eigenvalues
+    pairing up within 1e-8 max(1, |lambda|) in both directions."""
+    for g, w in zip(got, want, strict=True):
+        assert (g is None) == (w is None)
+        if w is None:
+            continue
+        g, w = np.array(g, dtype=complex), np.array(w, dtype=complex)
+        assert len(g) == len(w)
+        dist = np.abs(g[:, None] - w[None, :])
+        assert np.all(dist.min(axis=1) <= 1e-8 * np.maximum(1, np.abs(g)))
+        assert np.all(dist.min(axis=0) <= 1e-8 * np.maximum(1, np.abs(w)))
+
+
+class TestSliceRowSpace:
+    # Each slice lam A1 + L(0, mu0) is solved on the row space of A1; the
+    # full 3n solve (tests/helpers.py::full_slice_eigenvalues) is the reference.
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(NODE_KINDS),
+           st.sampled_from(["companion", "e1", (1, 1, 1), (0, 1, 0), (1, 0, 1)]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_full_solve(self, n, kind, construction, degree_drop, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(rng, n)
+        if degree_drop:
+            coeffs[(2, 0)] = np.zeros((n, n))  # n infinite eigenvalues in every slice
+        q = MatrixPoly2.newton(coeffs, nodes_of_kind(rng, kind))
+        pencil = pencil_in_space(q, construction, rng)
+        assert twoparam.row_space_basis(pencil.A1).shape == (3 * n, 2 * n)
+        mus = annulus_points(rng, 3)
+        got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
+        assert [len(g) for g in got] == [len(spectrum_slice(q, mu0)) for mu0 in mus]
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-300])
+    def test_tiny_ansatz_keeps_the_rank(self, scale):
+        # The top block rows are scaled by `scale`; the rank is read from
+        # A1 with unit rows, so they keep their rank.
+        rng = np.random.default_rng(41)
+        q = random_newton(rng, 3)
+        pencil = construct_general_ansatz(q, [scale, 0, 0]).pencil_v
+        assert twoparam.row_space_basis(pencil.A1).shape == (9, 6)
+        mus = annulus_points(rng, 3)
+        got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
+        assert all(len(g) == 6 for g in got)
+
+    def test_full_rank_a1_is_the_full_solve_bitwise(self):
+        rng = np.random.default_rng(42)
+        pencil = NewtonPencil.from_blocks(random_nodes(rng), *(complex_normal(rng, 6, 6)
+                                                               for _ in range(3)))
+        assert twoparam.row_space_basis(pencil.A1) is None
+        mus = annulus_points(rng, 4)
+        assert (twoparam._pencil_slice_eigenvalues(pencil, mus)
+                == full_slice_eigenvalues(pencil, mus))
+
+    def test_zero_a1_has_no_finite_eigenvalue(self):
+        rng = np.random.default_rng(43)
+        zero = np.zeros((6, 6))
+        pencil = NewtonPencil.from_blocks(random_nodes(rng), zero, complex_normal(rng, 6, 6),
+                                          complex_normal(rng, 6, 6))
+        assert twoparam.row_space_basis(zero).shape == (6, 0)
+        mus = annulus_points(rng, 2)
+        assert twoparam._pencil_slice_eigenvalues(pencil, mus) == [[], []]
+        assert full_slice_eigenvalues(pencil, mus) == [[], []]
 
 
 class TestExactlyDefectiveSlices:
