@@ -92,7 +92,7 @@ SHIFTS = (0.6180339887498949 + 0.5772156649015329j, -0.4142135623730950 - 0.7320
 
 def _row_scales(*mats) -> np.ndarray:
     """The largest magnitude in each row across ``mats`` (1 for a zero row)."""
-    rows = np.max([np.abs(m).max(axis=1, initial=0.0) for m in mats], axis=0)
+    rows = np.max([np.abs(m).max(axis=-1, initial=0.0) for m in mats], axis=0)
     rows[rows == 0] = 1.0
     return rows
 
@@ -111,8 +111,32 @@ def row_space_basis(b) -> np.ndarray | None:
     return None if rank == len(b) else vh[:rank].conj().T
 
 
+def _square_stack(value, name: str) -> np.ndarray:
+    """Coerce ``value`` to a finite complex square matrix or (K, m, m) stack."""
+    a = np.asarray(value, dtype=complex)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"{name} must be a matrix or a stack of them, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _error_radius(unit, x) -> np.ndarray:
+    """unit ||w|| for each row w of X^-1, member by member of a stack of X;
+    inf for a singular X (parallel vectors: a defective eigenvalue)."""
+    try:
+        with np.errstate(over="ignore"):
+            return unit * np.linalg.norm(np.linalg.inv(x), axis=-1)
+    except np.linalg.LinAlgError:
+        if len(x) == 1:
+            return np.full(x.shape[:-1], np.inf)
+        return np.concatenate([_error_radius(u, member[None]) for u, member in zip(unit, x)])
+
+
 def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10,
-                      singular_tol: float = 1e-10, basis=None) -> list[Eigenpair]:
+                      singular_tol: float = 1e-10, basis=None):
     """Generalized eigenpairs of the pencil (A, B) by shift and invert.
 
     Rows of A and B are first divided by their largest magnitude (same
@@ -123,61 +147,74 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     theta. It is infinite when |lambda| >= 1 / infinite_tol, or when |theta|
     is within its first-order error radius eps ||op||_F ||w||, w its row of
     X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
-    ||w|| = 1, its lower bound, so a Jordan block at infinity may read finite.
+    ||w|| is taken as 1, its lower bound; an operator with some |theta| in
+    (eps ||op||_F, eps^(1/4) ||op||_F], where ||w|| decides, is solved again
+    by ``eig`` with vectors and read as above.
 
     ``basis`` (values only) is V_r of :func:`row_space_basis` for B. Then
     op = op V_r V_r*, so ``eig`` solves the r x r operator V_r* op V_r, and the
     m - r eigenvalues it leaves out, op's null space, are infinite. A Jordan
     block at infinity of size two becomes a simple one there.
 
+    A (K, m, m) stack of A, with B a stack or one matrix, is solved as one
+    stack and gives a list per member, None for a singular member.
+
     Finite pairs come first, sorted by (real, imag); infinite pairs follow.
     """
-    a = as_matrix(a, name="A")
-    b = as_matrix(b, name="B")
-    require_square(a, "A")
-    require_square(b, "B")
-    if a.shape != b.shape:
+    a, b = _square_stack(a, "A"), _square_stack(b, "B")
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"A and B must have the same shape: {a.shape} vs {b.shape}")
     if vectors and basis is not None:
         raise ValueError("a row-space basis solves for eigenvalues only (vectors=False)")
-    rows = _row_scales(a, b)
-    a, b = a / rows[:, None], b / rows[:, None]
+    single = a.ndim == b.ndim == 2
+    a, b = np.broadcast_arrays(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:]))
+    rows = _row_scales(a, b)[..., None]
+    a, b = a / rows, b / rows
 
-    for shift in SHIFTS:
-        shifted = a - shift * b
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        if sv[-1] > singular_tol * sv[0]:
-            break
-    else:
-        raise SingularPencilError("pencil is singular: sigma_min(A - s B) <= "
-                                  f"{singular_tol:g} sigma_max at both shifts s in SHIFTS")
+    # Named operands: numpy reuses a large temporary for a product, and its
+    # in-place complex multiply rounds differently from a new array's.
+    shifts, shifted = np.full(len(a), SHIFTS[0]), a - SHIFTS[0] * b
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    regular = sv[:, -1] > singular_tol * sv[:, 0]
+    if not regular.all():
+        retry = ~regular
+        a_retry, b_retry = a[retry], b[retry]
+        shifts[retry], shifted[retry] = SHIFTS[1], a_retry - SHIFTS[1] * b_retry
+        sv = np.linalg.svd(shifted[retry], compute_uv=False)
+        regular[retry] = sv[:, -1] > singular_tol * sv[:, 0]
+        if single and not regular[0]:
+            raise SingularPencilError("pencil is singular: sigma_min(A - s B) <= "
+                                      f"{singular_tol:g} sigma_max at both shifts s in SHIFTS")
+        shifts, shifted, b = shifts[regular], shifted[regular], b[regular]
     op = np.linalg.solve(shifted, b if basis is None else b @ basis)
-    eps, op_norm = np.finfo(float).eps, np.linalg.norm(op)  # ||op V_r||_F = ||op||_F
-    radius = eps * op_norm
+    # Member by member: norm(axis=(1, 2)) rounds differently from norm().
+    eps, op_norm = np.finfo(float).eps, np.array([np.linalg.norm(o) for o in op])
+    unit, cap = eps * op_norm[:, None], eps ** 0.25 * op_norm[:, None]
+    op = op if basis is None else basis.conj().T @ op  # ||op V_r||_F = ||op||_F
     if vectors:
         theta, x = np.linalg.eig(op)  # unit columns x
-        try:
-            with np.errstate(over="ignore"):
-                radius = radius * np.linalg.norm(np.linalg.inv(x), axis=1)
-        except np.linalg.LinAlgError:  # parallel vectors: a defective eigenvalue
-            radius = np.inf
-    elif basis is None:
-        theta, x = np.linalg.eigvals(op), None
+        radius = _error_radius(unit, x)
     else:
-        theta = np.linalg.eigvals(basis.conj().T @ op)
-        theta, x = np.concatenate([theta, np.zeros(len(b) - len(theta))]), None
+        theta, x, radius = np.linalg.eigvals(op), None, np.repeat(unit, op.shape[-1], axis=1)
+        rerun = ((np.abs(theta) > radius) & (np.abs(theta) <= cap)).any(axis=1)
+        if rerun.any():
+            theta[rerun], vecs = np.linalg.eig(op[rerun])
+            radius[rerun] = _error_radius(unit[rerun], vecs)
+        pad = np.zeros((len(op), a.shape[-1] - op.shape[-1]))  # op's null space
+        theta, radius = np.hstack([theta, pad]), np.hstack([radius, pad])
     # The cap keeps a defective finite eigenvalue (huge ||w||) finite, yet holds
     # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
-    infinite = np.abs(theta) <= np.minimum(radius, eps ** 0.25 * op_norm)  # theta = 0 too
-    values = np.full(len(theta), complex(np.inf))
-    values[~infinite] = shift + 1 / theta[~infinite]
+    # Infinite values sort last: all are inf + 0j.
+    infinite = np.abs(theta) <= np.minimum(radius, cap)  # theta = 0 too
+    values = np.where(infinite, np.inf, shifts[:, None] + 1 / np.where(infinite, 1, theta))
     infinite |= np.abs(values) >= 1 / infinite_tol
     values[infinite] = np.inf
-
-    pairs = [Eigenpair(value, x[:, i].copy() if vectors else None, inf)
-             for i, (value, inf) in enumerate(zip(values.tolist(), infinite.tolist()))]
-    pairs.sort(key=lambda p: (p.infinite, p.value.real, p.value.imag))  # all inf + 0j
-    return pairs
+    out = [None] * len(a)
+    for k, member in enumerate(np.flatnonzero(regular)):
+        pairs = [Eigenpair(value, None if x is None else x[k][:, i].copy(), inf)
+                 for i, (value, inf) in enumerate(zip(values[k].tolist(), infinite[k].tolist()))]
+        out[member] = sorted(pairs, key=lambda p: (p.infinite, p.value.real, p.value.imag))
+    return out[0] if single else out
 
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:

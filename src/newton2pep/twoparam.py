@@ -38,7 +38,7 @@ from .linalg import (annulus_points, complex_normal, row_space_basis, small_dens
                      smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
-from .spaces import NewtonPencil, require_matching
+from .spaces import STACK_BYTES, NewtonPencil, require_matching
 
 DESK_SCALE_LIMIT = 3
 # Relative singular-value cut-off for the normal rank of the Delta pencil.
@@ -245,7 +245,7 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
 
 def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
     """Coefficients (K2, K1, K0) of lam^2 K2 + lam K1 + K0 = Q(lam, mu0)."""
-    qm = q.to_monomial()
+    qm = q if q.nodes.is_zero else q.to_monomial()  # the same blocks on zero nodes
     k2 = qm.coeff(2, 0)
     k1 = mu0 * qm.coeff(1, 1) + qm.coeff(1, 0)
     k0 = mu0 * mu0 * qm.coeff(0, 2) + mu0 * qm.coeff(0, 1) + qm.coeff(0, 0)
@@ -254,9 +254,36 @@ def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
 
 def _companion(k2, k1, k0):
     """Pencil ([0 I; -K0 -K1], [I 0; 0 K2]) whose eigenvalues are the t with
-    det(t^2 K2 + t K1 + K0) = 0; eigenvectors are [x; t x]."""
-    eye, zero = np.eye(len(k0)), np.zeros((len(k0), len(k0)))
+    det(t^2 K2 + t K1 + K0) = 0; eigenvectors are [x; t x]. (K, n, n) stacks
+    of all three give a stack of pencils."""
+    eye, zero = np.broadcast_to(np.eye(k0.shape[-1]), k0.shape), np.zeros(k0.shape)
     return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
+
+
+def _q_slice_eigenvalues(q: MatrixPoly2, mus, residual_tol: float = 1e-8) -> list:
+    """:func:`spectrum_slice` at each mu0; the companion pencils are solved
+    as stacks of at most STACK_BYTES (at least one pencil)."""
+    qm, n = q.to_monomial(), q.n
+    step, out = max(1, STACK_BYTES // (16 * (2 * n) ** 2)), []
+    for start in range(0, len(mus), step):
+        quads = [_lambda_quadratic_at(qm, mu0) for mu0 in mus[start:start + step]]
+        pencils = _companion(*(np.stack(k) for k in zip(*quads)))
+        for (k2, k1, k0), pairs in zip(quads, small_dense_eigen(*pencils)):
+            if pairs is None:
+                raise SingularPencilError("Q(lambda, mu0) is singular for every lambda")
+            finite = [p for p in pairs if not p.infinite]
+            lam = np.array([p.value for p in finite], dtype=complex)
+            vecs = np.array([p.vector for p in finite], dtype=complex).reshape(-1, 2 * n).T
+            # x is the top half of [x; lam x], or the bottom half when that one dominates.
+            top = np.linalg.norm(vecs[:n], axis=0) > 1e-8 * np.linalg.norm(vecs, axis=0)
+            x = np.where(top, vecs[:n], vecs[n:])
+            num = np.linalg.norm(k2 @ (x * lam * lam) + k1 @ (x * lam) + k0 @ x, axis=0)
+            # Backward-error denominator: coefficient norms weighted by |lam|^k.
+            norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
+            scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
+            # small_dense_eigen sorts finite values by (real, imag) already.
+            out.append(lam[num <= residual_tol * scale * np.linalg.norm(x, axis=0)].tolist())
+    return out
 
 
 def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
@@ -270,20 +297,7 @@ def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
     + |lam| ||K1|| + ||K0||) ||x|| for its vector x, a relative test that
     reads the same for Q and 2^k Q. Sorted by (real, imag).
     """
-    n = q.n
-    k2, k1, k0 = _lambda_quadratic_at(q, mu0)
-    finite = [p for p in small_dense_eigen(*_companion(k2, k1, k0)) if not p.infinite]
-    lam = np.array([p.value for p in finite], dtype=complex)
-    vecs = np.array([p.vector for p in finite], dtype=complex).reshape(-1, 2 * n).T
-    # x is the top half of [x; lam x], or the bottom half when that one dominates.
-    top = np.linalg.norm(vecs[:n], axis=0) > 1e-8 * np.linalg.norm(vecs, axis=0)
-    x = np.where(top, vecs[:n], vecs[n:])
-    num = np.linalg.norm(k2 @ (x * lam * lam) + k1 @ (x * lam) + k0 @ x, axis=0)
-    # Backward-error denominator: coefficient norms weighted by |lam|^k.
-    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-    scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
-    # small_dense_eigen sorts finite values by (real, imag) already.
-    return lam[num <= residual_tol * scale * np.linalg.norm(x, axis=0)].tolist()
+    return _q_slice_eigenvalues(q, np.array([mu0], dtype=complex), residual_tol)[0]
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
@@ -292,17 +306,13 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     slice is the linear pencil lam A1 + L(0, mu0). A1 is factored once: each
     slice is solved on its row space, of dimension rank A1 (2n for an e1
     pencil), and A1's null space gives the slice's 3n - rank A1 infinite
-    eigenvalues."""
+    eigenvalues. Each chunk of slices is solved as one stack."""
     basis = row_space_basis(pencil.A1)
     out = []
     for _, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
-        for g0 in constants:
-            try:
-                out.append([p.value for p in small_dense_eigen(-g0, pencil.A1, vectors=False,
-                                                               basis=basis)
-                            if not p.infinite])
-            except SingularPencilError:
-                out.append(None)
+        out += [None if pairs is None else [p.value for p in pairs if not p.infinite]
+                for pairs in small_dense_eigen(-constants, pencil.A1, vectors=False,
+                                               basis=basis)]
     return out
 
 
@@ -340,8 +350,8 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     rng = np.random.default_rng(seed)
     mus = annulus_points(rng, slices)
     records = []
-    for mu0, l_eigs in zip(mus, _pencil_slice_eigenvalues(pencil, mus)):
-        q_eigs = spectrum_slice(q, mu0)
+    for mu0, q_eigs, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus),
+                                   _pencil_slice_eigenvalues(pencil, mus)):
         singular = l_eigs is None
         l_eigs = l_eigs or []
         lam = np.array(q_eigs, dtype=complex)
@@ -387,8 +397,8 @@ def _q_partials(q: MatrixPoly2, lams, mus):
 
 
 def _coefficient_norm(q: MatrixPoly2) -> float:
-    """max_j ||C_j||_2 over the six coefficient blocks."""
-    return max(float(np.linalg.norm(c, 2)) for c in q.coeffs.values())
+    """max_j ||C_j||_2 over the six coefficient blocks, from one stacked SVD."""
+    return float(np.linalg.svd(np.stack(list(q.coeffs.values())), compute_uv=False)[:, 0].max())
 
 
 def _sigma_min_newton(pair: QtepPair, norms, lams, mus):
@@ -412,10 +422,10 @@ def _sigma_min_newton(pair: QtepPair, norms, lams, mus):
     return np.maximum(*errors), np.where(finite, dlam, 0), np.where(finite, dmu, 0)
 
 
-def _polish(pair: QtepPair, lams, mus):
+def _polish(pair: QtepPair, norms, lams, mus):
     """POLISH_STEPS stacked Newton steps, each kept where it lowers the
-    backward error; returns the points and their backward errors."""
-    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
+    backward error; returns the points and their backward errors. ``norms``
+    holds max_j ||C_ij||_2 of each Qi."""
     error, dlam, dmu = _sigma_min_newton(pair, norms, lams, mus)
     for _ in range(POLISH_STEPS):
         trial = _sigma_min_newton(pair, norms, lams - dlam, mus - dmu)
@@ -449,13 +459,13 @@ def _top_degree(q: MatrixPoly2, direction) -> np.ndarray:
     return l * l * q.coeffs[2, 0] + l * m * q.coeffs[1, 1] + m * m * q.coeffs[0, 2]
 
 
-def _top_singular(q: MatrixPoly2, direction) -> bool:
+def _top_singular(q: MatrixPoly2, norm: float, direction) -> bool:
     """Whether the degree-two part is singular at the direction, relative to
-    max_j ||C_j||_2 (|l|^2 + |l m| + |m|^2). At a random direction this says
-    that det Q has degree below 2n: read as a curve of degree 2n, it contains
-    the line at infinity."""
+    max_j ||C_j||_2 (|l|^2 + |l m| + |m|^2), with ``norm`` = max_j ||C_j||_2.
+    At a random direction this says that det Q has degree below 2n: read as
+    a curve of degree 2n, it contains the line at infinity."""
     l, m = direction
-    scale = _coefficient_norm(q) * (abs(l) ** 2 + abs(l * m) + abs(m) ** 2)
+    scale = norm * (abs(l) ** 2 + abs(l * m) + abs(m) ** 2)
     sigma_min = np.linalg.svd(_top_degree(q, direction), compute_uv=False)[-1]
     return bool(sigma_min <= INFINITY_TOL * scale)
 
@@ -473,29 +483,36 @@ def _meets_at_infinity(pair: QtepPair, rng) -> bool:
     """
     r0, r1 = complex_normal(rng, 2), complex_normal(rng, 2)
     shift = complex_normal(rng)
-    if _top_singular(pair.q1, r0 + shift * r1) or _top_singular(pair.q2, r0 + shift * r1):
+    norms = _coefficient_norm(pair.q1), _coefficient_norm(pair.q2)
+    if any(_top_singular(q, norm, r0 + shift * r1) for q, norm in zip((pair.q1, pair.q2), norms)):
         return True
     t0, t1, t_1 = (_top_degree(pair.q1, r0 + t * r1) for t in (0, 1, -1))
     a, b = _companion((t1 + t_1) / 2 - t0, (t1 - t_1) / 2, t0)
     theta = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))  # 1 / (t - shift)
-    return any(_top_singular(pair.q2, r0 + (shift + 1 / th) * r1) for th in theta if th != 0)
+    return any(_top_singular(pair.q2, norms[1], r0 + (shift + 1 / th) * r1)
+               for th in theta if th != 0)
 
 
-def _clusters(theta: np.ndarray, radius: np.ndarray, shift: complex) -> list[list[int]]:
-    """Groups of indices that are linked when the error discs overlap,
-    |theta_i - theta_j| <= DISC_FACTOR (r_i + r_j), or when
-    sigma = shift + 1 / theta agrees to CLUSTER_TOL max(1, |sigma|)."""
+def _clusters(theta: np.ndarray, radius: np.ndarray, shift: complex) -> list[np.ndarray]:
+    """The transitive closure of the links, as ascending index arrays in the
+    order of their least index. i and j < i are linked when their error discs
+    overlap, |theta_i - theta_j| <= DISC_FACTOR (r_i + r_j), or when
+    sigma = shift + 1 / theta agrees to CLUSTER_TOL max(1, |sigma_i|)."""
     sigma = shift + 1 / theta
-
-    def linked(i, j):
-        return (abs(theta[i] - theta[j]) <= DISC_FACTOR * (radius[i] + radius[j])
-                or abs(sigma[i] - sigma[j]) <= CLUSTER_TOL * max(1.0, abs(sigma[i])))
-
-    groups = []
-    for i in range(len(theta)):
-        near = [g for g in groups if any(linked(i, j) for j in g)]
-        groups = [g for g in groups if g not in near] + [[i] + [j for g in near for j in g]]
-    return groups
+    # hypot rounds |z| as Python's abs does; numpy's complex abs may not.
+    d_theta, d_sigma = theta[:, None] - theta, sigma[:, None] - sigma
+    scale = CLUSTER_TOL * np.maximum(1.0, np.hypot(sigma.real, sigma.imag))[:, None]
+    link = np.tril((np.hypot(d_theta.real, d_theta.imag) <= DISC_FACTOR * (radius[:, None] + radius))
+                   | (np.hypot(d_sigma.real, d_sigma.imag) <= scale), -1)
+    link |= link.T
+    # Each index takes the least label among its links, then its label's
+    # label, until no label moves: the least index of its component.
+    index = label = np.arange(len(theta))
+    while True:
+        least = np.minimum(label, np.where(link, label, len(label)).min(axis=1, initial=len(label)))
+        if np.array_equal(least[least], label):
+            return [np.flatnonzero(label == first) for first in index[label == index]]
+        label = least[least]
 
 
 def _invariant_bases(op, shifted, theta_c, m):
@@ -506,6 +523,16 @@ def _invariant_bases(op, shifted, theta_c, m):
     u, _, vh = np.linalg.svd(np.linalg.matrix_power(op - theta_c * np.eye(len(op)), m))
     left = np.linalg.solve(shifted.conj().T, u[:, -m:])  # left vectors of the pencil
     return vh[-m:].conj().T, np.linalg.qr(left)[0]
+
+
+def _point_quotients(delta: DeltaTriple, x, y):
+    """(lam, mu) = (y* Delta1 x, y* Delta2 x) / y* Delta0 x for each column
+    pair (x, y) of simple eigenvectors: one product per operator for all."""
+    b0, b1, b2 = ((y.conj() * (d @ x)).sum(axis=0)
+                  for d in (delta.delta0, delta.delta1, delta.delta2))
+    if (b0 == 0).any():
+        raise DegenerateProblemError("Y* Delta0 X is singular for a finite eigenvalue cluster")
+    return b1 / b0, b2 / b0
 
 
 def _block_quotients(delta: DeltaTriple, qx, qy):
@@ -531,9 +558,11 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     eigenvalues have V* x = 0 and U* y = 0. theta_i = 1 / (sigma_i - shift)
     has the first-order error bound r_i = eps ||op||_2 ||w_i||, w_i the
     i-th row of X^-1, and is infinite when |theta_i| <= r_i. The rest are
-    grouped by :func:`_clusters`; a group whose mean lies within its largest
-    r_i is a split eigenvalue at infinity, and any other group of m is one
-    point of multiplicity m, from block Rayleigh quotients over its
+    grouped by the transitive closure of the links of :func:`_clusters`. A
+    simple point's (lam, mu) are Rayleigh quotients from one batched product
+    (:func:`_point_quotients`). A larger group whose mean lies within its
+    largest r_i is a split eigenvalue at infinity; any other group of m is
+    one point of multiplicity m, from block Rayleigh quotients over its
     invariant subspaces. Points are polished (:func:`_polish`).
 
     Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
@@ -545,6 +574,7 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
                          f"got p1={pair.p1}, p2={pair.p2}")
     # The e1 pencils (unit-variance Y, Z) are balanced for Qi of unit scale.
     pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
+    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
     bound = 4 * pair.p1 * pair.p2
     rng = np.random.default_rng(seed)
     delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
@@ -553,7 +583,8 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     k = _rank_deficiency(a, d0, rng)
     if k > pair.p1 * pair.p2:
         direction = complex_normal(rng, 2)
-        if _top_singular(pair.q1, direction) and _top_singular(pair.q2, direction):
+        if _top_singular(pair.q1, norms[0], direction) and _top_singular(pair.q2, norms[1],
+                                                                         direction):
             raise DegenerateProblemError(
                 f"the Delta pencil has rank deficiency {k} > p1 p2 because both determinants "
                 "drop degree: read as quadratics they share the line at infinity, and the "
@@ -576,20 +607,20 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
             & (np.linalg.norm(u.conj().T @ y, axis=0) <= SELECT_TOL))
     finite = np.flatnonzero(true & (np.abs(theta) > radius))
 
-    lams, mus, mults = [], [], []
-    for group in _clusters(theta[finite], radius[finite], shift):
-        idx = finite[group]
+    groups = [finite[g] for g in _clusters(theta[finite], radius[finite], shift)]
+    simple = np.array([idx[0] for idx in groups if len(idx) == 1], dtype=int)
+    lams, mus = (list(v) for v in _point_quotients(delta, x[:, simple], y[:, simple]))
+    mults = [1] * len(simple)
+    for idx in (idx for idx in groups if len(idx) > 1):
         if abs(theta[idx].mean()) <= radius[idx].max():
             continue  # a multiple eigenvalue at infinity, split by rounding
-        if len(idx) == 1:
-            bases = x[:, idx], y[:, idx]
-        else:
-            bases = _invariant_bases(op, shifted, theta[idx].mean(), len(idx))
+        bases = _invariant_bases(op, shifted, theta[idx].mean(), len(idx))
         lam, mu = _block_quotients(delta, *bases)
         lams.append(lam)
         mus.append(mu)
         mults.append(len(idx))
-    lams, mus, error = _polish(pair, np.array(lams, dtype=complex), np.array(mus, dtype=complex))
+    lams, mus, error = _polish(pair, norms, np.array(lams, dtype=complex),
+                               np.array(mus, dtype=complex))
 
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(

@@ -299,3 +299,37 @@ def full_slice_eigenvalues(pencil, mus):
             continue
         out.append([p.value for p in pairs if not p.infinite])
     return out
+
+
+def clusters_reference(theta, radius, shift):
+    """Groups of indices by pairwise links, merged one new index at a time
+    (loop form of twoparam._clusters). Index i is linked to j < i when the
+    error discs overlap, |theta_i - theta_j| <= DISC_FACTOR (r_i + r_j), or
+    when sigma = shift + 1 / theta agrees to CLUSTER_TOL max(1, |sigma_i|)."""
+    from newton2pep.twoparam import CLUSTER_TOL, DISC_FACTOR
+
+    sigma = shift + 1 / theta
+
+    def linked(i, j):
+        return (abs(theta[i] - theta[j]) <= DISC_FACTOR * (radius[i] + radius[j])
+                or abs(sigma[i] - sigma[j]) <= CLUSTER_TOL * max(1.0, abs(sigma[i])))
+
+    groups = []
+    for i in range(len(theta)):
+        near = [g for g in groups if any(linked(i, j) for j in g)]
+        groups = [g for g in groups if g not in near] + [[i] + [j for g in near for j in g]]
+    return groups
+
+
+def point_quotients_reference(delta, x, y):
+    """(lam, mu) of each column pair (x, y) by its own 1 x 1 solve of
+    y* Delta0 x [lam, mu] = [y* Delta1 x, y* Delta2 x] (loop form of
+    twoparam._point_quotients)."""
+    lams, mus = [], []
+    for k in range(x.shape[1]):
+        qx, qy = x[:, k:k + 1], y[:, k:k + 1]
+        b0, b1, b2 = (qy.conj().T @ d @ qx for d in (delta.delta0, delta.delta1, delta.delta2))
+        lam_mu = np.linalg.solve(b0, np.concatenate([b1, b2], axis=1))
+        lams.append(lam_mu[0, 0])
+        mus.append(lam_mu[0, 1])
+    return np.array(lams), np.array(mus)

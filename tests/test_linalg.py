@@ -13,7 +13,7 @@ from newton2pep import (
 )
 from newton2pep.linalg import SHIFTS, as_matrix, row_space_basis
 
-from helpers import cofactor_det, commutation_matrix, kron_oracle
+from helpers import assert_bitwise_equal, cofactor_det, commutation_matrix, kron_oracle
 
 
 class TestAsMatrix:
@@ -174,9 +174,8 @@ class TestSmallDenseEigen:
     @pytest.mark.parametrize("seed", range(10))
     def test_size_two_jordan_block_at_infinity_reads_infinite_values_only(self, seed):
         # The construction above with size 2. On B's row space the block is a
-        # simple zero of op, so values alone read it infinite; solved on the
-        # full space with ||w|| = 1 it splits by ~sqrt(eps) and reads finite.
-        # Blocks of size 3 and 4 still read finite on the row space.
+        # simple zero of op, so values alone read it infinite; on the full
+        # space it splits by ~sqrt(eps) and is read by the rerun with vectors.
         rng = np.random.default_rng(seed)
         u, v = (np.linalg.qr(complex_normal(rng, 4, 4))[0] for _ in range(2))
         a = u @ np.diag([1.0, 1.0, 2.0, -3.0]).astype(complex) @ v
@@ -186,6 +185,54 @@ class TestSmallDenseEigen:
         pairs = small_dense_eigen(a, b, vectors=False, basis=basis)
         assert [p.infinite for p in pairs] == [False, False, True, True]
         np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_values_only_reads_infinity_as_vectors_do(self, size):
+        # The masked Jordan construction above, seeds 0-9: an eigenvalue in
+        # the band (eps ||op||_F, eps^(1/4) ||op||_F] makes the values-only
+        # solve rerun eig with vectors, so its flags are the vectors' flags.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = size + 2
+            u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
+            a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
+            b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
+            a, b = u @ a0 @ v, u @ b0 @ v
+            want = [p.infinite for p in small_dense_eigen(a, b)]
+            assert [p.infinite for p in small_dense_eigen(a, b, vectors=False)] == want
+
+    def test_generic_values_only_solve_does_not_rerun(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        rng = np.random.default_rng(14)
+        a, b = complex_normal(rng, 3, 6, 6), complex_normal(rng, 6, 6)
+        b[:, 0] = 0  # one infinite eigenvalue, exactly
+        basis = row_space_basis(b)
+        for member in small_dense_eigen(a, b, vectors=False) + [
+                small_dense_eigen(a[0], b, vectors=False, basis=basis)]:
+            assert [p.infinite for p in member] == [False] * 5 + [True]
+        assert calls == []
+        small_dense_eigen(a[0], b)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_stack_is_bitwise_the_matrix_by_matrix_solve(self, vectors):
+        rng = np.random.default_rng(15)
+        a, b = complex_normal(rng, 4, 5, 5), complex_normal(rng, 4, 5, 5)
+        a[1] = np.diag([SHIFTS[0], 2.0, -1.0, 0.5, 3.0]) @ b[1]  # needs the second shift
+        a[2, :, 0] = b[2, :, 0] = 0  # singular: det(A - s B) = 0 for every s
+        got = small_dense_eigen(a, b, vectors=vectors)
+        assert got[2] is None
+        with pytest.raises(SingularPencilError):
+            small_dense_eigen(a[2], b[2], vectors=vectors)
+        for k in (0, 1, 3):
+            want = small_dense_eigen(a[k], b[k], vectors=vectors)
+            assert [(p.value, p.infinite) for p in got[k]] == [(p.value, p.infinite) for p in want]
+            for p, w in zip(got[k], want):
+                assert (p.vector is None) == (not vectors)
+                if vectors:
+                    assert_bitwise_equal(p.vector, w.vector)
 
     def test_row_space_basis(self):
         rng = np.random.default_rng(13)

@@ -26,15 +26,16 @@ from newton2pep import (
     verify_linearization,
     verify_spectrum_match,
 )
-from newton2pep import twoparam
+from newton2pep import spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (NODE_KINDS, commutation_matrix, full_slice_eigenvalues, gamma_blocks,
-                     kron_oracle, nodes_of_kind, pencil_in_space, random_coeffs, random_newton,
-                     random_nodes, scalar_newton, scaled)
+from helpers import (NODE_KINDS, clusters_reference, commutation_matrix, full_slice_eigenvalues,
+                     gamma_blocks, kron_oracle, nodes_of_kind, pencil_in_space,
+                     point_quotients_reference, random_coeffs, random_newton, random_nodes,
+                     scalar_newton, scaled)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -366,6 +367,37 @@ class TestSliceVectorized:
             assert g.distances == w.distances
 
 
+class TestSliceStacks:
+    # Each side's slices are solved as stacks of at most STACK_BYTES.
+    @pytest.mark.parametrize("n, stack_bytes, calls", [
+        (1, 1 << 20, (1, 1)), (8, 1 << 20, (1, 1)), (32, 1 << 20, (1, 1)),
+        (2, 16 * 6 ** 2 * 2, (2, 3)),
+    ])
+    def test_one_eigen_call_per_side_per_chunk(self, monkeypatch, n, stack_bytes, calls):
+        # At n = 2 a Q slice has 4^2 entries and a pencil slice 6^2, so
+        # 16 * 6^2 * 2 bytes hold 4 Q slices or 2 pencil slices.
+        rng = np.random.default_rng(51)
+        q = random_newton(rng, n)
+        pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
+        monkeypatch.setattr(twoparam, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
+        sizes = []
+        real = twoparam.small_dense_eigen
+        monkeypatch.setattr(twoparam, "small_dense_eigen",
+                            lambda a, *args, **kw: sizes.append(a.shape) or real(a, *args, **kw))
+        report = verify_spectrum_match(q, pencil, slices=5, seed=3)
+        q_calls = sum(shape[-1] == 2 * n for shape in sizes)
+        assert (q_calls, len(sizes) - q_calls) == calls
+        assert sum(shape[0] for shape in sizes) == 10
+        assert report.all_contained
+
+    def test_spectrum_slice_is_the_one_slice_stack(self):
+        rng = np.random.default_rng(52)
+        q = random_newton(rng, 3)
+        mus = annulus_points(rng, 4)
+        assert twoparam._q_slice_eigenvalues(q, mus) == [spectrum_slice(q, mu0) for mu0 in mus]
+
+
 def assert_same_finite_eigenvalues(got, want):
     """Slice by slice: both singular, or the same count of finite eigenvalues
     pairing up within 1e-8 max(1, |lambda|) in both directions."""
@@ -663,3 +695,84 @@ class TestSpectrumPairOracle:
             assert twoparam._meets_at_infinity(pair, np.random.default_rng(seed)) is meets
         generic = random_pair(np.random.default_rng(19), 2, 3)
         assert not twoparam._meets_at_infinity(generic, np.random.default_rng(0))
+
+
+def planted_thetas(rng):
+    """theta, radii and shift with loose points, near-duplicates, chains whose
+    ends lie apart, and sigma pairs that only the larger |sigma| links."""
+    shift = complex_normal(rng)
+    count = int(rng.integers(0, 12))
+    theta, radius = [3 * complex_normal(rng, count)], [10.0 ** rng.uniform(-16, -4, count)]
+    for _ in range(rng.integers(0, 4)):  # near-duplicates
+        r, k = 10.0 ** rng.uniform(-14, -6), int(rng.integers(2, 4))
+        theta.append(3 * complex_normal(rng) + r * complex_normal(rng, k))
+        radius.append(np.full(k, r))
+    for _ in range(rng.integers(0, 3)):  # chains: neighbours overlap, ends do not
+        # Steps above CLUSTER_TOL |theta|, so the sigma rule does not link them all.
+        r, k = 10.0 ** rng.uniform(-4, -2), int(rng.integers(3, 13))
+        step = (twoparam.DISC_FACTOR * 2 * r * rng.uniform(0.5, 0.95)
+                * np.exp(2j * np.pi * rng.uniform()))
+        theta.append(3 * complex_normal(rng) + step * np.arange(k))
+        radius.append(np.full(k, r))
+    for _ in range(rng.integers(0, 3)):
+        # |sigma_i - sigma_j| = CLUSTER_TOL (1 + CLUSTER_TOL / 2) |sigma_j|
+        sigma = 10.0 ** rng.uniform(1, 4) * np.exp(2j * np.pi * rng.uniform())
+        pair = sigma * np.array([1, 1 + twoparam.CLUSTER_TOL * (1 + twoparam.CLUSTER_TOL / 2)])
+        theta.append(1 / (pair - shift))
+        radius.append(np.full(2, 1e-17))
+    order = rng.permutation(sum(len(t) for t in theta))
+    return np.concatenate(theta)[order], np.concatenate(radius)[order], shift
+
+
+class TestPairVectorized:
+    # The array forms of the grouping and of the simple-point quotients
+    # against their loop forms (tests/helpers.py).
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_clusters_match_loop_reference(self, seed):
+        theta, radius, shift = planted_thetas(np.random.default_rng(seed))
+        got = [g.tolist() for g in twoparam._clusters(theta, radius, shift)]
+        assert got == sorted(sorted(g) for g in clusters_reference(theta, radius, shift))
+
+    def test_sigma_rule_uses_the_later_index(self):
+        # |sigma_0 - sigma_1| lies between CLUSTER_TOL |sigma_0| and
+        # CLUSTER_TOL |sigma_1|: linked only when the larger |sigma| comes second.
+        shift, tol = 0.25, twoparam.CLUSTER_TOL
+        sigma = 100 * np.array([1, 1 + tol * (1 + tol / 2)])
+        radius = np.full(2, 1e-17)
+        for order, groups in (([0, 1], [[0, 1]]), ([1, 0], [[0], [1]])):
+            theta = 1 / (sigma[order] - shift)
+            assert [g.tolist() for g in twoparam._clusters(theta, radius, shift)] == groups
+            assert sorted(sorted(g) for g in clusters_reference(theta, radius, shift)) == groups
+        assert twoparam._clusters(np.zeros(0, complex), np.zeros(0), shift) == []
+
+    def test_chain_is_one_group(self):
+        # Neighbours' discs overlap, the ends' do not, and sigma = 1 / theta
+        # differs by more than CLUSTER_TOL |sigma|. Indices run against the
+        # chain, so the closure needs more than one pass.
+        radius = np.full(12, 1e-3)
+        theta = 1 + 2 * twoparam.DISC_FACTOR * 0.9e-3 * np.arange(12)[::-1]
+        assert [g.tolist() for g in twoparam._clusters(theta, radius, 0.0)] == [list(range(12))]
+        assert [sorted(g) for g in clusters_reference(theta, radius, 0.0)] == [list(range(12))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_point_quotients_match_per_point_solves(self, k1, k2, count, seed):
+        rng = np.random.default_rng(seed)
+        delta = delta_operators(*(complex_normal(rng, 3, k, k) for k in (k1, k2)))
+        size = k1 * k2
+        x, y = complex_normal(rng, size, count), complex_normal(rng, size, count)
+        got, want = twoparam._point_quotients(delta, x, y), point_quotients_reference(delta, x, y)
+        # Relative to the quotient, or to its terms' scale when they cancel.
+        b0 = np.abs(np.einsum("ik,ij,jk->k", y.conj(), delta.delta0, x))
+        for g, w, d in zip(got, want, (delta.delta1, delta.delta2)):
+            terms = np.einsum("ik,ij,jk->k", np.abs(y), np.abs(d), np.abs(x)) / b0
+            assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(np.abs(w), terms))
+
+    def test_zero_point_quotient_denominator_raises(self):
+        rng = np.random.default_rng(53)
+        delta = delta_operators(*(complex_normal(rng, 3, 2, 2) for _ in range(2)))
+        x, y = complex_normal(rng, 4, 2), complex_normal(rng, 4, 2)
+        x[:, 1] = 0  # y* Delta0 x = 0 exactly
+        with pytest.raises(DegenerateProblemError, match="singular for a finite eigenvalue"):
+            twoparam._point_quotients(delta, x, y)

@@ -1,0 +1,79 @@
+"""Compare the CLI reports of two source trees job by job.
+
+Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` directory. Its
+864 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
+construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
+FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
+--pair at p1 <= p2 <= 3. Each tree runs them in process through its own ``cli.main``."""
+
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import numpy as np  # noqa: E402
+from perfbench.workloads import (ALL_PATTERNS, NODE_KINDS, _ansatz_text, _int,  # noqa: E402
+                                 _nodes, _normal, _pairs, _write_problem)
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+
+
+def build_jobs(work: Path, rng) -> list:
+    def pfile(tag, *sizes):  # one Y11/Z1/Z2 object, or params1 and params2 for a pair
+        doc = {f"params{i}": {k: _pairs(_normal(rng, r * n, n)) for k, r in
+                              (("Y11", 1), ("Z1", 3), ("Z2", 3))} for i, n in enumerate(sizes, 1)}
+        (work / tag).write_text(json.dumps(doc if len(doc) == 2 else doc["params1"]))
+        return tag
+    jobs = []
+    for kind in NODE_KINDS:
+        for n, c, how in ((n, c, how) for n in (1, 3, 8, 32) for c in ("companion", *ALL_PATTERNS)
+                          for how in ([None] if c == "companion" else [None, "seed", "file"])):
+            tag = f"{kind}.n{n}.{''.join(map(str, c))}.{how}"
+            q, seed = _write_problem(work / f"{tag}.q", n, rng, _nodes(rng, kind)), _int(rng)
+            argv = ["--companion"] if c == "companion" else ["--ansatz=" + _ansatz_text(rng, c)]
+            argv += ["--params", _int(rng) if how == "seed" else pfile(tag + "p", n)] if how else []
+            jobs += [(f"{tag}.{cmd}", [cmd, q, *rest, "--seed", seed]) for cmd, rest in
+                     (("construct", [*argv, "--out", tag]), ("verify", [tag]), ("spectrum", [tag]))]
+        for p1, p2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+            tag, z = f"{kind}.p{p1}x{p2}", _nodes(rng, kind)
+            f1, f2 = (_write_problem(work / (tag + i), p, rng, z) for i, p in zip("ab", (p1, p2)))
+            jobs += [(tag + ".delta", ["delta", f1, f2, "--check-singular", "--seed", _int(rng)]),
+                     (tag + ".delta-seed", ["delta", f1, f2, "--params", _int(rng)]),
+                     (tag + ".delta-file", ["delta", f1, f2, "--params", pfile(tag, p1, p2)]),
+                     (tag + ".pair", ["spectrum", f1, "--pair", f2, "--seed", _int(rng)])]
+    return jobs
+
+
+def main(*sources) -> int:
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, src in enumerate(sources):
+            (work := Path(tmp, str(i))).mkdir()
+            jobs, runs = build_jobs(work, np.random.default_rng(2024)), runs + [{}]
+            for name in [m for m in sys.modules if m.split(".")[0] == "newton2pep"]:
+                del sys.modules[name]
+            sys.path.insert(0, str(Path(src).resolve()))
+            from newton2pep import cli
+            with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
+                for name, argv in jobs:
+                    with contextlib.redirect_stdout(out := io.StringIO()):
+                        runs[-1][name] = (cli.main(argv), out.getvalue())
+    diff, digits = [name for name, _ in jobs if runs[0][name] != runs[1][name]], {}
+    for name in diff:
+        (code0, a), (code1, b) = runs[0][name], runs[1][name]
+        if code0 != code1 or NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            print(f"differs: {name} (exit {code0} -> {code1})")
+            continue
+        digits[name] = max(abs(float(x) - float(y)) / (max(abs(float(x)), abs(float(y))) or 1.0)
+                           for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y)
+    print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}"
+          f"  largest relative move: {max(digits.values(), default=0.0):.3g}")
+    return int(len(digits) < len(diff))
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:3]))
