@@ -19,7 +19,6 @@ from .errors import (
     SingularPencilError,
 )
 from .linalg import (
-    Eigenpair,
     annulus_points,
     complex_normal,
     det,

@@ -90,10 +90,13 @@ def _parse_ansatz(text: str) -> np.ndarray:
         raise FileFormatError(f"--ansatz expects three comma-separated complex "
                               f"numbers, got {text!r}")
     try:
-        return np.array([complex(p.strip()) for p in parts])
+        v = np.array([complex(p.strip()) for p in parts])
     except ValueError:
         raise FileFormatError(f"--ansatz could not parse {text!r} as complex "
                               "numbers (use Python syntax, e.g. 1, 0.5+2j)")
+    if not (np.isfinite(v).all() and v.any()):
+        raise FileFormatError(f"--ansatz must be a finite nonzero vector, got {text!r}")
+    return v
 
 
 def _params_for(source: int | str, *sizes: int) -> tuple:
@@ -143,8 +146,6 @@ def _cmd_construct(args) -> int:
         ansatz_note = "e1 (companion)"
     else:
         v = _parse_ansatz(args.ansatz)
-        if not v.any():
-            raise FileFormatError("--ansatz must be a nonzero vector")
         params_raw = None if args.params is None else _params_for(args.params, q.n)[0]
         built = construct_general_ansatz(q, v, params_raw, tol=args.tol, seed=seed)
         m_used = built.M
@@ -207,8 +208,9 @@ def _cmd_verify(args) -> int:
         sign_m, log_m = np.linalg.slogdet(m_used)
         log_predicted = witnesses.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
         report.add(f"witness reduction residual: {_fmt_f(witnesses.max_reduction_residual)}")
-        report.add(f"witness gamma prediction: {_fmt_c(np.exp(log_predicted))}")
-        rel = abs(np.exp(lin.log_gamma - log_predicted) - 1)
+        with np.errstate(over="ignore"):  # an out-of-range gamma prints as inf
+            report.add(f"witness gamma prediction: {_fmt_c(np.exp(log_predicted))}")
+            rel = abs(np.exp(lin.log_gamma - log_predicted) - 1)
         report.add(f"witness gamma agreement: {_fmt_f(rel)}")
         witness_ok = (witnesses.max_reduction_residual <= args.tol and rel <= 1e-6)
         report.add(f"witness check: {'pass' if witness_ok else 'fail'}")

@@ -233,6 +233,8 @@ def params_to_dict(params) -> dict:
 def params_from_dict(doc: dict, n: int, where: str = "params"):
     from .linearize import E1FreeParams
 
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where} must be an object with Y11, Z1 and Z2, got {doc!r:.40}")
     for name in ("Y11", "Z1", "Z2"):
         if name not in doc:
             raise FileFormatError(f"{where}.{name} is missing")

@@ -9,18 +9,15 @@ with ``numpy.linalg.eig`` (:func:`small_dense_eigen`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonSquareError, SingularPencilError
+from .errors import NonSquareError
 
 __all__ = [
     "as_matrix",
     "freeze",
     "det",
     "smallest_singular_value",
-    "Eigenpair",
     "small_dense_eigen",
     "row_space_basis",
     "complex_normal",
@@ -47,12 +44,6 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def det(a):
     """Determinant via LU with partial pivoting (an array of them for a stack)."""
     a = np.asarray(a, dtype=complex)
@@ -65,29 +56,20 @@ def det(a):
 def smallest_singular_value(a) -> float:
     """sigma_min(a) >= 0 for a square matrix."""
     a = np.asarray(a, dtype=complex)
-    require_square(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-@dataclass(frozen=True)
-class Eigenpair:
-    """One generalized eigenvalue of a pencil (A, B).
-
-    ``value`` is ``inf + 0j`` when the eigenvalue is infinite; ``infinite``
-    makes the classification explicit. ``vector`` is None when computed
-    without vectors.
-    """
-
-    value: complex
-    vector: np.ndarray
-    infinite: bool
-
-
 # Fixed (so output is deterministic) shifts of modulus about one, away from the
 # small integers and fractions of hand-made examples; the second is a fallback.
 SHIFTS = (0.6180339887498949 + 0.5772156649015329j, -0.4142135623730950 - 0.7320508075688772j)
+# An eigenvalue with |lambda| >= 1 / INFINITE_TOL is infinite; a shifted pencil
+# with sigma_min <= SINGULAR_TOL sigma_max is singular.
+INFINITE_TOL = SINGULAR_TOL = 1e-10
+ANNULUS = (0.5, 2.0)  # inner and outer radius of annulus_points
 
 
 def _row_scales(*mats) -> np.ndarray:
@@ -135,18 +117,17 @@ def _error_radius(unit, x) -> np.ndarray:
         return np.concatenate([_error_radius(u, member[None]) for u, member in zip(unit, x)])
 
 
-def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10,
-                      singular_tol: float = 1e-10, basis=None):
-    """Generalized eigenpairs of the pencil (A, B) by shift and invert.
+def small_dense_eigen(a, b, *, vectors: bool = False, basis=None) -> list:
+    """Finite generalized eigenpairs of each pencil (A_k, B) by shift and invert.
 
-    Rows of A and B are first divided by their largest magnitude (same
-    eigenvalues and right vectors; scale-free). At the first s in SHIFTS with
-    sigma_min(A - s B) > singular_tol sigma_max (none: the pencil is singular,
-    :class:`SingularPencilError`), numpy's ``eig`` solves op = (A - s B)^-1 B
-    (``eigvals`` without vectors; ``vector`` is then None): lambda = s + 1 /
-    theta. It is infinite when |lambda| >= 1 / infinite_tol, or when |theta|
-    is within its first-order error radius eps ||op||_F ||w||, w its row of
-    X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
+    ``a`` is a (K, m, m) stack and ``b`` one matrix or a stack. Rows of A and
+    B are first divided by their largest magnitude (same eigenvalues and
+    right vectors; scale-free). At the first s in SHIFTS with
+    sigma_min(A - s B) > SINGULAR_TOL sigma_max, numpy's ``eig`` solves
+    op = (A - s B)^-1 B (``eigvals`` without vectors): lambda = s + 1 / theta.
+    It is infinite when |lambda| >= 1 / INFINITE_TOL, or when |theta| is
+    within its first-order error radius eps ||op||_F ||w||, w its row of X^-1
+    (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
     ||w|| is taken as 1, its lower bound; an operator with some |theta| in
     (eps ||op||_F, eps^(1/4) ||op||_F], where ||w|| decides, is solved again
     by ``eig`` with vectors and read as above.
@@ -156,18 +137,16 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     m - r eigenvalues it leaves out, op's null space, are infinite. A Jordan
     block at infinity of size two becomes a simple one there.
 
-    A (K, m, m) stack of A, with B a stack or one matrix, is solved as one
-    stack and gives a list per member, None for a singular member.
-
-    Finite pairs come first, sorted by (real, imag); infinite pairs follow.
+    Each member gives (values, vectors): its finite eigenvalues sorted by
+    (real, imag) and their unit eigenvector columns (None without vectors),
+    or None when both shifts fail (a singular pencil).
     """
     a, b = _square_stack(a, "A"), _square_stack(b, "B")
-    if a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"A and B must have the same shape: {a.shape} vs {b.shape}")
+    if a.ndim != 3 or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"A must be a (K, m, m) stack of B's shape: {a.shape} vs {b.shape}")
     if vectors and basis is not None:
         raise ValueError("a row-space basis solves for eigenvalues only (vectors=False)")
-    single = a.ndim == b.ndim == 2
-    a, b = np.broadcast_arrays(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:]))
+    a, b = np.broadcast_arrays(a, b.reshape(-1, *b.shape[-2:]))
     rows = _row_scales(a, b)[..., None]
     a, b = a / rows, b / rows
 
@@ -175,16 +154,13 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
     # in-place complex multiply rounds differently from a new array's.
     shifts, shifted = np.full(len(a), SHIFTS[0]), a - SHIFTS[0] * b
     sv = np.linalg.svd(shifted, compute_uv=False)
-    regular = sv[:, -1] > singular_tol * sv[:, 0]
+    regular = sv[:, -1] > SINGULAR_TOL * sv[:, 0]
     if not regular.all():
         retry = ~regular
         a_retry, b_retry = a[retry], b[retry]
         shifts[retry], shifted[retry] = SHIFTS[1], a_retry - SHIFTS[1] * b_retry
         sv = np.linalg.svd(shifted[retry], compute_uv=False)
-        regular[retry] = sv[:, -1] > singular_tol * sv[:, 0]
-        if single and not regular[0]:
-            raise SingularPencilError("pencil is singular: sigma_min(A - s B) <= "
-                                      f"{singular_tol:g} sigma_max at both shifts s in SHIFTS")
+        regular[retry] = sv[:, -1] > SINGULAR_TOL * sv[:, 0]
         shifts, shifted, b = shifts[regular], shifted[regular], b[regular]
     op = np.linalg.solve(shifted, b if basis is None else b @ basis)
     # Member by member: norm(axis=(1, 2)) rounds differently from norm().
@@ -200,21 +176,17 @@ def small_dense_eigen(a, b, *, vectors: bool = True, infinite_tol: float = 1e-10
         if rerun.any():
             theta[rerun], vecs = np.linalg.eig(op[rerun])
             radius[rerun] = _error_radius(unit[rerun], vecs)
-        pad = np.zeros((len(op), a.shape[-1] - op.shape[-1]))  # op's null space
-        theta, radius = np.hstack([theta, pad]), np.hstack([radius, pad])
     # The cap keeps a defective finite eigenvalue (huge ||w||) finite, yet holds
     # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
-    # Infinite values sort last: all are inf + 0j.
     infinite = np.abs(theta) <= np.minimum(radius, cap)  # theta = 0 too
     values = np.where(infinite, np.inf, shifts[:, None] + 1 / np.where(infinite, 1, theta))
-    infinite |= np.abs(values) >= 1 / infinite_tol
-    values[infinite] = np.inf
+    finite = np.abs(values) < 1 / INFINITE_TOL
+    order = np.lexsort((values.imag, values.real, ~finite))  # finite first, by (real, imag)
     out = [None] * len(a)
     for k, member in enumerate(np.flatnonzero(regular)):
-        pairs = [Eigenpair(value, None if x is None else x[k][:, i].copy(), inf)
-                 for i, (value, inf) in enumerate(zip(values[k].tolist(), infinite[k].tolist()))]
-        out[member] = sorted(pairs, key=lambda p: (p.infinite, p.value.real, p.value.imag))
-    return out[0] if single else out
+        keep = order[k, :np.count_nonzero(finite[k])]
+        out[member] = values[k, keep], None if x is None else x[k][:, keep]
+    return out
 
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -223,13 +195,12 @@ def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:
     return z * np.sqrt(0.5)
 
 
-def annulus_points(rng: np.random.Generator, count: int,
-                   inner: float = 0.5, outer: float = 2.0) -> np.ndarray:
-    """Random complex points with modulus in [inner, outer].
+def annulus_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Random complex points with modulus in ANNULUS.
 
     Sampling on an annulus keeps magnitudes away from zero and infinity, so
     polynomial-identity checks at these points stay well scaled.
     """
-    r = rng.uniform(inner, outer, count)
+    r = rng.uniform(*ANNULUS, count)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     return r * np.exp(1j * theta)

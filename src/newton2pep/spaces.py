@@ -33,7 +33,7 @@ from .matpoly import COEFF_KEYS, NEWTON, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 12
-STACK_BYTES = 1 << 20  # pencil values evaluated at once, see NewtonPencil.eval_chunks
+STACK_BYTES = 1 << 20  # bytes of matrices in one stacked evaluation or solve
 
 __all__ = [
     "DEFAULT_TOL",
@@ -45,6 +45,11 @@ __all__ = [
     "membership_newton",
     "select_M",
 ]
+
+
+def chunk_step(m: int) -> int:
+    """How many m x m complex matrices fit in STACK_BYTES (at least one)."""
+    return max(1, STACK_BYTES // (16 * m ** 2))
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class NewtonPencil:
     def eval_chunks(self, lams, mus):
         """(slice, value stack) over the points, STACK_BYTES at a time (at
         least one point: at n = 64 one 3n x 3n value is held at once)."""
-        step = max(1, STACK_BYTES // (16 * (3 * self.n) ** 2))
+        step = chunk_step(3 * self.n)
         for start in range(0, len(lams), step):
             sl = slice(start, start + step)
             yield sl, self.eval(lams[sl], mus[sl])

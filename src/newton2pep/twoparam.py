@@ -38,11 +38,13 @@ from .linalg import (annulus_points, complex_normal, row_space_basis, small_dens
                      smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
-from .spaces import STACK_BYTES, NewtonPencil, require_matching
+from .spaces import NewtonPencil, chunk_step, require_matching
 
 DESK_SCALE_LIMIT = 3
 # Relative singular-value cut-off for the normal rank of the Delta pencil.
 RANK_TOL = 1e-10
+# Largest entry, relative to the block's, of a structural zero of an e1 pencil.
+STRUCTURE_TOL = 1e-12
 # Largest ||V* x||, ||U* y|| (unit vectors) of a true eigenvalue of the
 # rank-completed pencil.
 SELECT_TOL = 1e-6
@@ -51,7 +53,7 @@ SELECT_TOL = 1e-6
 CLUSTER_TOL = 1e-4
 DISC_FACTOR = 3.0
 POLISH_STEPS = 2
-# Largest backward error of a returned point.
+# Largest backward error of a returned point, and of a Q slice eigenvalue.
 RESIDUAL_TOL = 1e-8
 # Relative sigma_min below which a degree-two part counts as singular; looser
 # than RESIDUAL_TOL because a double root at infinity comes out to sqrt(eps).
@@ -149,11 +151,10 @@ def delta_operators(ln1, ln2) -> DeltaTriple:
                        k1=a1.shape[0], k2=a2.shape[0])
 
 
-def _lower_rows_supported_on_last_column(block: np.ndarray, p: int,
-                                         rel_tol: float = 1e-12) -> bool:
-    """True when block rows p..3p vanish outside the last block column,
-    relative to the largest entry of the block (an all-zero block passes)."""
-    return bool(np.abs(block[p:, : 2 * p]).max() <= rel_tol * np.abs(block).max())
+def _lower_rows_supported_on_last_column(block: np.ndarray, p: int) -> bool:
+    """True when block rows p..3p vanish outside the last block column, to
+    STRUCTURE_TOL of the largest entry of the block (an all-zero block passes)."""
+    return bool(np.abs(block[p:, : 2 * p]).max() <= STRUCTURE_TOL * np.abs(block).max())
 
 
 def _delta0_frobenius(a1, b1, a2, b2) -> float:
@@ -260,20 +261,18 @@ def _companion(k2, k1, k0):
     return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
 
 
-def _q_slice_eigenvalues(q: MatrixPoly2, mus, residual_tol: float = 1e-8) -> list:
+def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
     """:func:`spectrum_slice` at each mu0; the companion pencils are solved
     as stacks of at most STACK_BYTES (at least one pencil)."""
     qm, n = q.to_monomial(), q.n
-    step, out = max(1, STACK_BYTES // (16 * (2 * n) ** 2)), []
+    step, out = chunk_step(2 * n), []
     for start in range(0, len(mus), step):
         quads = [_lambda_quadratic_at(qm, mu0) for mu0 in mus[start:start + step]]
         pencils = _companion(*(np.stack(k) for k in zip(*quads)))
-        for (k2, k1, k0), pairs in zip(quads, small_dense_eigen(*pencils)):
+        for (k2, k1, k0), pairs in zip(quads, small_dense_eigen(*pencils, vectors=True)):
             if pairs is None:
                 raise SingularPencilError("Q(lambda, mu0) is singular for every lambda")
-            finite = [p for p in pairs if not p.infinite]
-            lam = np.array([p.value for p in finite], dtype=complex)
-            vecs = np.array([p.vector for p in finite], dtype=complex).reshape(-1, 2 * n).T
+            lam, vecs = pairs
             # x is the top half of [x; lam x], or the bottom half when that one dominates.
             top = np.linalg.norm(vecs[:n], axis=0) > 1e-8 * np.linalg.norm(vecs, axis=0)
             x = np.where(top, vecs[:n], vecs[n:])
@@ -282,22 +281,21 @@ def _q_slice_eigenvalues(q: MatrixPoly2, mus, residual_tol: float = 1e-8) -> lis
             norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
             scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
             # small_dense_eigen sorts finite values by (real, imag) already.
-            out.append(lam[num <= residual_tol * scale * np.linalg.norm(x, axis=0)].tolist())
+            out.append(lam[num <= RESIDUAL_TOL * scale * np.linalg.norm(x, axis=0)].tolist())
     return out
 
 
-def spectrum_slice(q: MatrixPoly2, mu0: complex, *,
-                   residual_tol: float = 1e-8) -> list[complex]:
+def spectrum_slice(q: MatrixPoly2, mu0: complex) -> list[complex]:
     """Finite lambda with det Q(lambda, mu0) = 0, via the companion pencil.
 
     The one-parameter quadratic lam^2 K2 + lam K1 + K0 is solved through the
     2n x 2n generalized problem ([0 I; -K0 -K1], [I 0; 0 K2]). Infinite
     eigenvalues (singular K2) are dropped, so fewer than 2n values may come
-    back. One is kept when ||Q(lam, mu0) x|| <= residual_tol (|lam|^2 ||K2||
+    back. One is kept when ||Q(lam, mu0) x|| <= RESIDUAL_TOL (|lam|^2 ||K2||
     + |lam| ||K1|| + ||K0||) ||x|| for its vector x, a relative test that
     reads the same for Q and 2^k Q. Sorted by (real, imag).
     """
-    return _q_slice_eigenvalues(q, np.array([mu0], dtype=complex), residual_tol)[0]
+    return _q_slice_eigenvalues(q, np.array([mu0], dtype=complex))[0]
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
@@ -310,9 +308,8 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     basis = row_space_basis(pencil.A1)
     out = []
     for _, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
-        out += [None if pairs is None else [p.value for p in pairs if not p.infinite]
-                for pairs in small_dense_eigen(-constants, pencil.A1, vectors=False,
-                                               basis=basis)]
+        out += [None if pairs is None else pairs[0].tolist()
+                for pairs in small_dense_eigen(-constants, pencil.A1, basis=basis)]
     return out
 
 

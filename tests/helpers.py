@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        SampleSet, SingularPencilError, companion_pencil, complex_normal,
+                        SampleSet, companion_pencil, complex_normal,
                         construct_e1_newton, construct_general_ansatz, newton_triple,
                         small_dense_eigen)
 
@@ -292,12 +292,8 @@ def full_slice_eigenvalues(pencil, mus):
     pencil (reference for the row-space solve; None for a singular slice)."""
     out = []
     for mu0 in mus:
-        try:
-            pairs = small_dense_eigen(-pencil.eval(0.0, mu0), pencil.A1, vectors=False)
-        except SingularPencilError:
-            out.append(None)
-            continue
-        out.append([p.value for p in pairs if not p.infinite])
+        pairs, = small_dense_eigen(-pencil.eval(0.0, mu0)[None], pencil.A1)
+        out.append(None if pairs is None else pairs[0].tolist())
     return out
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,16 @@ class TestConstruct:
 
     def test_zero_ansatz_rejected_without_output(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
-        code, _ = run(capsys, ["construct", qfile, "--ansatz", "0,0,0",
-                               "--out", str(out)])
-        assert code == 2
+        assert main(["construct", qfile, "--ansatz", "0,0,0", "--out", str(out)]) == 2
+        assert "error: --ansatz must be a finite nonzero vector" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ansatz", ["nan,1,0", "inf,1,0", "1,nanj,0"])
+    def test_nonfinite_ansatz_is_named_usage_error(self, tmp_path, qfile, capsys, ansatz):
+        out = tmp_path / "pencil.json"
+        assert main(["construct", qfile, f"--ansatz={ansatz}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --ansatz must be a finite nonzero vector, got {ansatz!r}" in err
         assert not out.exists()
 
     def test_small_nonzero_ansatz_accepted(self, tmp_path, qfile, capsys):
@@ -216,6 +224,30 @@ class TestVerify:
         assert "witness check: pass" in report and "verdict: PASS" in report
         assert code == 0
 
+    def test_gamma_prediction_out_of_range_prints_inf_without_warning(self, tmp_path, capsys):
+        # An ansatz of 1e200 at n = 2 scales gamma past the double range; the
+        # prediction prints as inf and agreement is compared in log space.
+        qfile, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qfile, random_newton(np.random.default_rng(3), 2))
+        code, _ = run(capsys, ["construct", qfile, "--ansatz=1e200,0,0", "--out", out])
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(capsys, ["verify", qfile, out])
+        assert "witness gamma prediction: (inf, " in report
+        assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+
+    @pytest.mark.parametrize("value", [7, "Y11Z1Z2"])
+    def test_provenance_params_not_an_object_is_usage_error(self, tmp_path, qfile, capsys,
+                                                            value):
+        out = tmp_path / "pencil.json"
+        run(capsys, ["construct", qfile, "--ansatz", "1,0,0", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc["provenance"]["params"] = value
+        out.write_text(json.dumps(doc))
+        assert main(["verify", qfile, str(out)]) == 2
+        assert "error: provenance.params must be an object" in capsys.readouterr().err
+
     def test_corrupted_pencil_fails(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
@@ -304,6 +336,14 @@ class TestDelta:
                                     "--check-singular"])
         assert code == 0
         assert "singular: yes" in report
+
+    @pytest.mark.parametrize("value", [5, "Y11Z1Z2"])
+    def test_params_not_an_object_is_usage_error(self, tmp_path, scalar_pair_files, capsys,
+                                                 value):
+        pfile = tmp_path / "pp.json"
+        pfile.write_text(json.dumps({"params1": value, "params2": value}))
+        assert main(["delta", *scalar_pair_files, "--params", str(pfile)]) == 2
+        assert "error: params1 must be an object" in capsys.readouterr().err
 
     def test_identity_delta_reported_nonsingular(self):
         # The CLI certifier itself, on triples with Delta0 = I9

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newton2pep import (
     NonSquareError,
-    SingularPencilError,
     complex_normal,
     det,
     small_dense_eigen,
@@ -106,31 +107,47 @@ class TestSmallestSingularValue:
             smallest_singular_value(np.ones((2, 3)))
 
 
+def solve1(a, b, **kw):
+    """small_dense_eigen on the one-member stack [a]."""
+    return small_dense_eigen(np.asarray(a)[None], b, **kw)[0]
+
+
+def masked_jordan(rng, size):
+    """A = U diag(1, .., 1, 2, -3) V and B = U (J + diag(0, .., 0, 1, 1)) V, J
+    nilpotent of the given size: finite eigenvalues -3 and 2, and a Jordan
+    block at infinity that rounding splits into a cluster of radius about
+    eps^(1/size) in op."""
+    n = size + 2
+    u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
+    a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
+    b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
+    return u @ a0 @ v, u @ b0 @ v
+
+
 class TestSmallDenseEigen:
+    # Each member of a stack gives (finite values, unit vector columns or
+    # None), or None for a singular pencil; solve1 solves a one-member stack.
     def test_diagonal_pair(self):
-        pairs = small_dense_eigen(np.diag([1.0, 2.0]), np.eye(2))
-        values = sorted(p.value.real for p in pairs)
-        assert values == pytest.approx([1.0, 2.0])
+        values, vectors = solve1(np.diag([1.0, 2.0]), np.eye(2))
+        assert vectors is None
+        assert values.tolist() == pytest.approx([1.0, 2.0])
 
     def test_infinite_eigenvalue(self):
-        pairs = small_dense_eigen(np.eye(2), np.diag([1.0, 0.0]))
-        finite = [p for p in pairs if not p.infinite]
-        infinite = [p for p in pairs if p.infinite]
-        assert len(finite) == 1 and len(infinite) == 1
-        assert finite[0].value == pytest.approx(1.0)
+        values, _ = solve1(np.eye(2), np.diag([1.0, 0.0]))
+        assert len(values) == 1  # the other eigenvalue is infinite
+        assert values[0] == pytest.approx(1.0)
 
     def test_residuals_random_pair(self):
         rng = np.random.default_rng(7)
         a = complex_normal(rng, 6, 6)
         b = complex_normal(rng, 6, 6)
-        pairs = small_dense_eigen(a, b)
-        assert len(pairs) == 6
+        values, vectors = solve1(a, b, vectors=True)
+        assert len(values) == 6 and vectors.shape == (6, 6)
         norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
-        for p in pairs:
-            if p.infinite:
-                continue
-            r = np.linalg.norm(a @ p.vector - p.value * (b @ p.vector))
-            assert r < 1e-8 * (norm_a + abs(p.value) * norm_b) * np.linalg.norm(p.vector)
+        for value, x in zip(values, vectors.T):
+            assert np.linalg.norm(x) == pytest.approx(1.0)
+            r = np.linalg.norm(a @ x - value * (b @ x))
+            assert r < 1e-8 * (norm_a + abs(value) * norm_b) * np.linalg.norm(x)
 
     def test_tiny_rows_are_not_indeterminate(self):
         # Regular pencil whose first row is scaled by 1e-11 (or 1e-300): the
@@ -138,68 +155,51 @@ class TestSmallDenseEigen:
         rng = np.random.default_rng(9)
         a = complex_normal(rng, 4, 4)
         b = complex_normal(rng, 4, 4)
-        want = [p.value for p in small_dense_eigen(a, b)]
+        want, _ = solve1(a, b, vectors=True)
+        assert len(want) == 4
         for s in (1e-11, 1e-300):
             d = np.diag([s, 1.0, 1.0, 1.0])
-            np.testing.assert_allclose([p.value for p in small_dense_eigen(d @ a, d @ b)],
-                                       want, rtol=1e-10)
-            values_only = small_dense_eigen(d @ a, d @ b, vectors=False)
-            assert all(p.vector is None for p in values_only)
-            np.testing.assert_allclose([p.value for p in values_only], want, rtol=1e-10)
+            np.testing.assert_allclose(solve1(d @ a, d @ b, vectors=True)[0], want, rtol=1e-10)
+            values, vectors = solve1(d @ a, d @ b)
+            assert vectors is None
+            np.testing.assert_allclose(values, want, rtol=1e-10)
 
-    def test_singular_pencil_reported(self):
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_singular_member_gives_none(self, vectors):
         # Common nullspace: last row/column zero in both matrices.
         a = np.zeros((2, 2), dtype=complex)
         b = np.zeros((2, 2), dtype=complex)
         a[0, 0] = 1.0
         b[0, 0] = 2.0
-        with pytest.raises(SingularPencilError):
-            small_dense_eigen(a, b)
+        assert solve1(a, b, vectors=vectors) is None
 
     @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
     def test_jordan_block_at_infinity_reads_infinite(self, size, seed):
-        # A = U diag(1, .., 1, 2, -3) V and B = U (J + diag(0, .., 0, 1, 1)) V,
-        # J nilpotent of the given size: rounding splits the infinite
-        # eigenvalue of op into a cluster of radius about eps^(1/size).
-        rng = np.random.default_rng(seed)
-        n = size + 2
-        u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
-        a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
-        b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
-        pairs = small_dense_eigen(u @ a0 @ v, u @ b0 @ v)
-        assert [p.infinite for p in pairs] == [False, False] + [True] * size
-        np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+        values, vectors = solve1(*masked_jordan(np.random.default_rng(seed), size), vectors=True)
+        assert vectors.shape == (size + 2, 2)  # the block's size values are infinite
+        np.testing.assert_allclose(values, [-3, 2], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_size_two_jordan_block_at_infinity_reads_infinite_values_only(self, seed):
         # The construction above with size 2. On B's row space the block is a
         # simple zero of op, so values alone read it infinite; on the full
         # space it splits by ~sqrt(eps) and is read by the rerun with vectors.
-        rng = np.random.default_rng(seed)
-        u, v = (np.linalg.qr(complex_normal(rng, 4, 4))[0] for _ in range(2))
-        a = u @ np.diag([1.0, 1.0, 2.0, -3.0]).astype(complex) @ v
-        b = u @ (np.diag([0.0, 0.0, 1.0, 1.0]) + np.diag([1.0, 0.0, 0.0], 1)) @ v
+        a, b = masked_jordan(np.random.default_rng(seed), 2)
         basis = row_space_basis(b)
         assert basis.shape == (4, 3)
-        pairs = small_dense_eigen(a, b, vectors=False, basis=basis)
-        assert [p.infinite for p in pairs] == [False, False, True, True]
-        np.testing.assert_allclose([p.value for p in pairs[:2]], [-3, 2], rtol=1e-12)
+        values, _ = solve1(a, b, basis=basis)
+        np.testing.assert_allclose(values, [-3, 2], rtol=1e-12)
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_values_only_reads_infinity_as_vectors_do(self, size):
         # The masked Jordan construction above, seeds 0-9: an eigenvalue in
         # the band (eps ||op||_F, eps^(1/4) ||op||_F] makes the values-only
-        # solve rerun eig with vectors, so its flags are the vectors' flags.
+        # solve rerun eig with vectors, so it finds as many finite values.
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            n = size + 2
-            u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
-            a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
-            b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
-            a, b = u @ a0 @ v, u @ b0 @ v
-            want = [p.infinite for p in small_dense_eigen(a, b)]
-            assert [p.infinite for p in small_dense_eigen(a, b, vectors=False)] == want
+            a, b = masked_jordan(np.random.default_rng(seed), size)
+            want, _ = solve1(a, b, vectors=True)
+            assert len(solve1(a, b)[0]) == len(want)
 
     def test_generic_values_only_solve_does_not_rerun(self, monkeypatch):
         calls = []
@@ -209,30 +209,46 @@ class TestSmallDenseEigen:
         a, b = complex_normal(rng, 3, 6, 6), complex_normal(rng, 6, 6)
         b[:, 0] = 0  # one infinite eigenvalue, exactly
         basis = row_space_basis(b)
-        for member in small_dense_eigen(a, b, vectors=False) + [
-                small_dense_eigen(a[0], b, vectors=False, basis=basis)]:
-            assert [p.infinite for p in member] == [False] * 5 + [True]
+        for values, vectors in small_dense_eigen(a, b) + [solve1(a[0], b, basis=basis)]:
+            assert len(values) == 5 and vectors is None
         assert calls == []
-        small_dense_eigen(a[0], b)
+        solve1(a[0], b, vectors=True)
         assert calls == [1]
 
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_stack_is_bitwise_the_matrix_by_matrix_solve(self, vectors):
-        rng = np.random.default_rng(15)
-        a, b = complex_normal(rng, 4, 5, 5), complex_normal(rng, 4, 5, 5)
-        a[1] = np.diag([SHIFTS[0], 2.0, -1.0, 0.5, 3.0]) @ b[1]  # needs the second shift
-        a[2, :, 0] = b[2, :, 0] = 0  # singular: det(A - s B) = 0 for every s
-        got = small_dense_eigen(a, b, vectors=vectors)
-        assert got[2] is None
-        with pytest.raises(SingularPencilError):
-            small_dense_eigen(a[2], b[2], vectors=vectors)
-        for k in (0, 1, 3):
-            want = small_dense_eigen(a[k], b[k], vectors=vectors)
-            assert [(p.value, p.infinite) for p in got[k]] == [(p.value, p.infinite) for p in want]
-            for p, w in zip(got[k], want):
-                assert (p.vector is None) == (not vectors)
-                if vectors:
-                    assert_bitwise_equal(p.vector, w.vector)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(["generic", "second shift", "singular"]),
+                    min_size=1, max_size=4),
+           st.integers(1, 6), st.booleans(), st.integers(0, 63), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @example(["generic", "second shift", "singular", "generic"], 5, False, 0, True, 15)
+    def test_stack_is_bitwise_the_member_by_member_solve(self, kinds, m, shared, zero_mask,
+                                                         vectors, seed):
+        rng = np.random.default_rng(seed)
+        a, b = complex_normal(rng, len(kinds), m, m), complex_normal(rng, len(kinds), m, m)
+        b[:, :, [j for j in range(m) if zero_mask >> j & 1]] = 0  # exact infinite eigenvalues
+        members = [b[0] if shared else b[i] for i in range(len(kinds))]
+        for i, kind in enumerate(kinds):
+            if kind == "singular":  # det(A - s B) = 0 for every s
+                a[i, :, 0] = members[i][:, 0] = 0
+        for i, kind in enumerate(kinds):
+            if kind == "second shift":  # row 0 of A - SHIFTS[0] B is zero
+                a[i, 0] = SHIFTS[0] * members[i][0]
+        got = small_dense_eigen(a, b[0] if shared else b, vectors=vectors)
+        assert len(got) == len(kinds)
+        for i, kind in enumerate(kinds):
+            want = solve1(a[i], members[i], vectors=vectors)
+            # A zero row 0 of B leaves the second-shift member a zero row in both.
+            singular = kind == "singular" or (kind == "second shift" and not members[i][0].any())
+            assert (got[i] is None) == (want is None) == singular
+            if singular:
+                continue
+            assert_bitwise_equal(got[i][0], want[0])
+            if vectors:
+                assert_bitwise_equal(got[i][1], want[1])
+            else:
+                assert got[i][1] is None and want[1] is None
+            if kind == "second shift":
+                assert np.abs(got[i][0] - SHIFTS[0]).min() <= 1e-8
 
     def test_row_space_basis(self):
         rng = np.random.default_rng(13)
@@ -246,27 +262,31 @@ class TestSmallDenseEigen:
         null = np.linalg.svd(b / np.abs(b).max(axis=1, keepdims=True))[2][3:].conj().T
         np.testing.assert_allclose(basis.conj().T @ null, 0, atol=1e-12)
         with pytest.raises(ValueError, match="vectors=False"):
-            small_dense_eigen(np.eye(5), b, basis=basis)
+            solve1(np.eye(5), b, vectors=True, basis=basis)
+
+    def test_takes_only_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            small_dense_eigen(np.eye(3), np.eye(3))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_jordan_blocks(self, n):
         # Exactly parallel eigenvectors: X^-1 overflows or does not exist.
         nilpotent = np.diag(np.ones(n - 1), 1)
-        finite = small_dense_eigen(nilpotent, np.eye(n))
-        assert not any(p.infinite for p in finite)
-        np.testing.assert_allclose([p.value for p in finite], 0, atol=1e-3)
-        assert all(p.infinite for p in small_dense_eigen(np.eye(n), nilpotent))
+        values, _ = solve1(nilpotent, np.eye(n), vectors=True)
+        assert len(values) == n  # no value is infinite
+        np.testing.assert_allclose(values, 0, atol=1e-3)
+        assert len(solve1(np.eye(n), nilpotent, vectors=True)[0]) == 0  # all infinite
 
     def test_eigenvalue_at_first_shift_uses_fallback(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         a = np.diag([SHIFTS[0], 2.0, -1.0])
-        pairs = small_dense_eigen(a, np.eye(3))
+        values, _ = solve1(a, np.eye(3), vectors=True)
         assert len(calls) == 2
-        np.testing.assert_allclose([p.value for p in pairs], [-1, SHIFTS[0], 2], rtol=1e-14)
+        np.testing.assert_allclose(values, [-1, SHIFTS[0], 2], rtol=1e-14)
         calls.clear()
-        small_dense_eigen(np.diag([1.0, 2.0, -1.0]), np.eye(3))
+        solve1(np.diag([1.0, 2.0, -1.0]), np.eye(3), vectors=True)
         assert len(calls) == 1
 
     def test_random_pencils_match_qz_reference(self):
@@ -277,7 +297,7 @@ class TestSmallDenseEigen:
             a, b = complex_normal(rng, 6, 6), complex_normal(rng, 6, 6)
             want = eigvals(a, b)
             for vectors in (True, False):
-                got = np.array([p.value for p in small_dense_eigen(a, b, vectors=vectors)])
+                got = solve1(a, b, vectors=vectors)[0]
                 assert len(got) == 6
                 err = np.abs(got[:, None] - want[None, :]).min(axis=1)
                 assert np.all(err <= 1e-10 * np.abs(got))
@@ -288,11 +308,10 @@ class TestSmallDenseEigen:
         rng = np.random.default_rng(12)
         a, b = complex_normal(rng, 8, 8), complex_normal(rng, 8, 8)
         b[:, 0] = 0  # one infinite eigenvalue
-        first, second = small_dense_eigen(a, b), small_dense_eigen(a, b)
-        assert [(p.value, p.infinite) for p in first] == [(p.value, p.infinite) for p in second]
-        for p1, p2 in zip(first, second):
-            np.testing.assert_array_equal(p1.vector, p2.vector)
-        assert first[-1].infinite and not first[-2].infinite
+        first, second = solve1(a, b, vectors=True), solve1(a, b, vectors=True)
+        assert len(first[0]) == 7  # the other eigenvalue is infinite
+        for x1, x2 in zip(first, second):
+            assert_bitwise_equal(x1, x2)
 
 
 def test_commutation_matrix_swaps_kron_factors():

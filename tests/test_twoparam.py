@@ -300,13 +300,12 @@ def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
     k2, k1, k0 = twoparam._lambda_quadratic_at(q, mu0)
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     out = []
-    for pair in twoparam.small_dense_eigen(*twoparam._companion(k2, k1, k0)):
-        if pair.infinite:
-            continue
-        lam = pair.value
-        x = pair.vector[:n]
-        if np.linalg.norm(x) <= 1e-8 * np.linalg.norm(pair.vector):
-            x = pair.vector[n:]
+    (values, vectors), = twoparam.small_dense_eigen(
+        *(m[None] for m in twoparam._companion(k2, k1, k0)), vectors=True)
+    for lam, vector in zip(values.tolist(), vectors.T):
+        x = vector[:n]
+        if np.linalg.norm(x) <= 1e-8 * np.linalg.norm(vector):
+            x = vector[n:]
         scale = abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2]
         if np.linalg.norm((lam * lam * k2 + lam * k1 + k0) @ x) <= (
                 residual_tol * scale * np.linalg.norm(x)):
@@ -379,7 +378,6 @@ class TestSliceStacks:
         rng = np.random.default_rng(51)
         q = random_newton(rng, n)
         pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
-        monkeypatch.setattr(twoparam, "STACK_BYTES", stack_bytes)
         monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
         sizes = []
         real = twoparam.small_dense_eigen
