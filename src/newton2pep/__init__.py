@@ -2,11 +2,11 @@
 
 The package builds companion and e1-ansatz pencils for quadratic matrix
 polynomials in Newton form (monomial form is the zero-node case), certifies
-the linearization property numerically (determinant-ratio sampling plus
-explicit unimodular factors), and assembles the Kronecker operator
-determinants coupling a pair of such problems. From those singular
-operators it solves the joint spectrum of a pair at desk scale by a
-rank-completing perturbation, using numpy only.
+the linearization property (determinant-ratio sampling, and the explicit
+unimodular factors checked exactly on the blocks), and assembles the
+Kronecker operator determinants coupling a pair of such problems. From
+those singular operators it solves the joint spectrum of a pair at desk
+scale by a rank-completing perturbation, using numpy only.
 """
 
 from .errors import (
@@ -31,15 +31,12 @@ from .matpoly import (
     NEWTON,
     MatrixPoly2,
     NewtonNodes,
-    newton_scalars,
     newton_six,
-    newton_triple,
 )
 from .spaces import (
     AnsatzVector,
     MembershipResult,
     NewtonPencil,
-    SampleSet,
     membership_newton,
     select_M,
 )

@@ -34,8 +34,6 @@ __all__ = [
     "NEWTON",
     "COEFF_KEYS",
     "NewtonNodes",
-    "newton_scalars",
-    "newton_triple",
     "newton_six",
     "MatrixPoly2",
 ]
@@ -76,33 +74,18 @@ def _mul(a, b):
     return out[()]
 
 
-def newton_scalars(nodes: NewtonNodes, lam, mu):
-    """Newton basis values (n0, n1, n2, m0, m1, m2) at (lam, mu), elementwise.
-
-    n2 and m2 are computed through the multiplicative recurrence
-    n2 = n1 * (lam - alpha2), m2 = m1 * (mu - beta2), so the recurrence holds
-    exactly as evaluated in floating point.
-    """
-    n1 = np.asarray(lam) - nodes.alpha1
-    m1 = np.asarray(mu) - nodes.beta1
-    return (1.0 + 0j, n1, _mul(n1, np.asarray(lam) - nodes.alpha2),
-            1.0 + 0j, m1, _mul(m1, np.asarray(mu) - nodes.beta2))
-
-
-def newton_triple(nodes: NewtonNodes, lam, mu) -> np.ndarray:
-    """The vector (n1(lambda), m1(mu), 1), shape (3,) + shape(lam)."""
-    n1 = np.asarray(lam) - nodes.alpha1
-    return np.array([n1, np.asarray(mu) - nodes.beta1, np.ones_like(n1)], dtype=complex)
-
-
 def newton_six(nodes: NewtonNodes, lam, mu) -> np.ndarray:
     """Degree-two Newton basis (n2, n1*m1, m2, n1, m1, 1), shape (6,) + shape(lam).
 
-    With all nodes zero this equals (lambda^2, lambda*mu, mu^2, lambda, mu, 1)
-    entry for entry.
+    n2 and m2 are computed through the multiplicative recurrence
+    n2 = n1 * (lam - alpha2), m2 = m1 * (mu - beta2), so the recurrence holds
+    exactly as evaluated in floating point. With all nodes zero this equals
+    (lambda^2, lambda*mu, mu^2, lambda, mu, 1) entry for entry.
     """
-    _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
-    return np.array([n2, _mul(n1, m1), m2, n1, m1, np.ones_like(n1)], dtype=complex)
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    n1, m1 = lam - nodes.alpha1, mu - nodes.beta1
+    return np.array([_mul(n1, lam - nodes.alpha2), _mul(n1, m1), _mul(m1, mu - nodes.beta2),
+                     n1, m1, np.ones_like(n1)], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ lam A1 + mu A2 + A3 and the space is the monomial one, bit for bit.
 
 Membership is decided from the blocks alone: L (N kron I) expands exactly
 in the six Newton basis functions, so the identity is six block equalities
-(:func:`membership_newton`). The sample points of one :class:`SampleSet`
-serve the determinant-ratio and witness checks. ``eval`` maps 1-D arrays of
-K points to (K, ., .) stacks, bitwise the pointwise values.
+(:func:`membership_newton`). ``eval`` maps 1-D arrays of K points to
+(K, ., .) stacks, bitwise the pointwise values.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
-from .linalg import annulus_points, as_matrix, freeze
+from .linalg import as_matrix, freeze
 from .matpoly import COEFF_KEYS, NEWTON, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
@@ -41,7 +40,6 @@ __all__ = [
     "NewtonPencil",
     "AnsatzVector",
     "MembershipResult",
-    "SampleSet",
     "membership_newton",
     "select_M",
 ]
@@ -162,24 +160,6 @@ class MembershipResult:
     ansatz: AnsatzVector
     residual: float
     tol: float
-
-
-class SampleSet:
-    """The K random sample points of one run, drawn once from ``seed``, and
-    the (K, n, n) stack ``q_values`` of Q there."""
-
-    def __init__(self, q: MatrixPoly2, samples: int = DEFAULT_SAMPLES, seed: int = 0):
-        pts = annulus_points(np.random.default_rng(seed), 2 * samples)
-        self.q, self.count = q, samples
-        self.lams, self.mus = pts[:samples], pts[samples:]
-        self.q_values = q.eval(self.lams, self.mus)
-
-
-def sample_set_for(q: MatrixPoly2, points: SampleSet | None) -> SampleSet:
-    """``points`` if drawn for q, else the default set (12 samples, seed 0)."""
-    if points is not None and points.q is not q:
-        raise ValueError("the sample set was drawn for a different polynomial")
-    return points or SampleSet(q)
 
 
 def require_matching(q: MatrixPoly2, pencil: NewtonPencil | None = None, *,

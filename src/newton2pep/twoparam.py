@@ -544,52 +544,12 @@ def _block_quotients(delta: DeltaTriple, qx, qy):
     return np.trace(lam_mu[:, :m]) / m, np.trace(lam_mu[:, m:]) / m
 
 
-def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
-    """Joint spectrum of a pair at desk scale (p1, p2 <= 3), from its Delta operators.
-
-    The e1 pencils are drawn from ``seed``, as ``delta`` draws them. The
-    normal-rank deficiency k of Delta1 + c Delta2 - sigma Delta0 is p1 p2
-    for a generic pair; a larger k raises (shared factor, or both
-    determinants drop degree). Rank-k terms tau U D V* make the pencil
-    regular, and ``numpy.linalg.eig`` solves op = (A - shift B)^-1 B. True
-    eigenvalues have V* x = 0 and U* y = 0. theta_i = 1 / (sigma_i - shift)
-    has the first-order error bound r_i = eps ||op||_2 ||w_i||, w_i the
-    i-th row of X^-1, and is infinite when |theta_i| <= r_i. The rest are
-    grouped by the transitive closure of the links of :func:`_clusters`. A
-    simple point's (lam, mu) are Rayleigh quotients from one batched product
-    (:func:`_point_quotients`). A larger group whose mean lies within its
-    largest r_i is a split eigenvalue at infinity; any other group of m is
-    one point of multiplicity m, from block Rayleigh quotients over its
-    invariant subspaces. Points are polished (:func:`_polish`).
-
-    Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
-    when a point's backward error exceeds RESIDUAL_TOL, or when the count is
-    not 4 p1 p2 although the curves share no point at infinity.
-    """
-    if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
-        raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
-                         f"got p1={pair.p1}, p2={pair.p2}")
-    # The e1 pencils (unit-variance Y, Z) are balanced for Qi of unit scale.
-    pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
-    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
-    bound = 4 * pair.p1 * pair.p2
-    rng = np.random.default_rng(seed)
-    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
-                                            E1FreeParams.random(pair.p2, rng)))
-    d0, a = delta.delta0, delta.delta1 + complex_normal(rng) * delta.delta2
-    k = _rank_deficiency(a, d0, rng)
-    if k > pair.p1 * pair.p2:
-        direction = complex_normal(rng, 2)
-        if _top_singular(pair.q1, norms[0], direction) and _top_singular(pair.q2, norms[1],
-                                                                         direction):
-            raise DegenerateProblemError(
-                f"the Delta pencil has rank deficiency {k} > p1 p2 because both determinants "
-                "drop degree: read as quadratics they share the line at infinity, and the "
-                "finite spectrum is not solved")
-        raise SharedFactorError(f"the Delta pencil has rank deficiency {k} > p1 p2: the "
-                                "determinants share a factor (infinitely many common zeros)")
-
-    u, v = (np.linalg.qr(complex_normal(rng, d0.shape[0], k))[0] for _ in range(2))
+def _completed_points(pair: QtepPair, norms, delta: DeltaTriple, a, k: int, rng):
+    """(lams, mus, multiplicities, backward errors) of the points of a - sigma
+    Delta0 after one rank-k completion, its terms and shift drawn from rng
+    (see :func:`spectrum_pair_oracle`)."""
+    d0 = delta.delta0
+    u, v = (np.linalg.qr(complex_normal(rng, len(a), k))[0] for _ in range(2))
     a = a + np.linalg.norm(a) * (u * complex_normal(rng, k)) @ v.conj().T
     b = d0 + np.linalg.norm(d0) * (u * complex_normal(rng, k)) @ v.conj().T
     shift = complex_normal(rng)
@@ -618,7 +578,60 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
         mults.append(len(idx))
     lams, mus, error = _polish(pair, norms, np.array(lams, dtype=complex),
                                np.array(mus, dtype=complex))
+    return lams, mus, mults, error
 
+
+def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
+    """Joint spectrum of a pair at desk scale (p1, p2 <= 3), from its Delta operators.
+
+    The e1 pencils are drawn from ``seed``, as ``delta`` draws them. The
+    normal-rank deficiency k of Delta1 + c Delta2 - sigma Delta0 is p1 p2
+    for a generic pair; a larger k raises (shared factor, or both
+    determinants drop degree). Rank-k terms tau U D V* make the pencil
+    regular, and ``numpy.linalg.eig`` solves op = (A - shift B)^-1 B. True
+    eigenvalues have V* x = 0 and U* y = 0. theta_i = 1 / (sigma_i - shift)
+    has the first-order error bound r_i = eps ||op||_2 ||w_i||, w_i the
+    i-th row of X^-1, and is infinite when |theta_i| <= r_i. The rest are
+    grouped by the transitive closure of the links of :func:`_clusters`. A
+    simple point's (lam, mu) are Rayleigh quotients from one batched product
+    (:func:`_point_quotients`). A larger group whose mean lies within its
+    largest r_i is a split eigenvalue at infinity; any other group of m is
+    one point of multiplicity m, from block Rayleigh quotients over its
+    invariant subspaces. Points are polished (:func:`_polish`).
+
+    Nothing is dropped in silence: when a point's backward error exceeds
+    RESIDUAL_TOL or the count exceeds 4 p1 p2, the completion is drawn once
+    more from the same generator; :class:`DegenerateProblemError` is raised
+    when it fails again, or when the count is below 4 p1 p2 although the
+    curves share no point at infinity.
+    """
+    if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
+        raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
+                         f"got p1={pair.p1}, p2={pair.p2}")
+    # The e1 pencils (unit-variance Y, Z) are balanced for Qi of unit scale.
+    pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
+    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
+    bound = 4 * pair.p1 * pair.p2
+    rng = np.random.default_rng(seed)
+    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
+                                            E1FreeParams.random(pair.p2, rng)))
+    d0, a = delta.delta0, delta.delta1 + complex_normal(rng) * delta.delta2
+    k = _rank_deficiency(a, d0, rng)
+    if k > pair.p1 * pair.p2:
+        direction = complex_normal(rng, 2)
+        if _top_singular(pair.q1, norms[0], direction) and _top_singular(pair.q2, norms[1],
+                                                                         direction):
+            raise DegenerateProblemError(
+                f"the Delta pencil has rank deficiency {k} > p1 p2 because both determinants "
+                "drop degree: read as quadratics they share the line at infinity, and the "
+                "finite spectrum is not solved")
+        raise SharedFactorError(f"the Delta pencil has rank deficiency {k} > p1 p2: the "
+                                "determinants share a factor (infinitely many common zeros)")
+
+    lams, mus, mults, error = _completed_points(pair, norms, delta, a, k, rng)
+    if (error > RESIDUAL_TOL).any() or sum(mults) > bound:
+        # A completion may keep a split infinite pair as points; draw it once more.
+        lams, mus, mults, error = _completed_points(pair, norms, delta, a, k, rng)
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(
             f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "

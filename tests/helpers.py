@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        SampleSet, companion_pencil, complex_normal,
-                        construct_e1_newton, construct_general_ansatz, newton_triple,
+                        annulus_points, companion_pencil, complex_normal,
+                        construct_e1_newton, construct_general_ansatz, newton_six,
                         small_dense_eigen)
 
 
@@ -110,6 +110,12 @@ def scaled(q, factor):
 def with_zero_nodes(q):
     """The coefficient blocks of q read in the monomial basis (zero nodes)."""
     return MatrixPoly2.monomial(dict(q.coeffs))
+
+
+def newton_triple(nodes, lam, mu):
+    """The vector N = (n1(lambda), m1(mu), 1): rows 3 to 5 of newton_six,
+    shape (3,) + shape(lam)."""
+    return newton_six(nodes, lam, mu)[3:]
 
 
 def monomial_triple(lam, mu):
@@ -264,27 +270,85 @@ def select_M_alternate_ac(v):
     return np.array([[1 / a, 0, 0], [1 / a, 0, -1 / c], [0, 1, 0]], dtype=complex)
 
 
-def sampled_membership(pencil, q, points=None):
+def sample_points(q, samples=12, seed=0):
+    """(lams, mus, Q values) at the points verify_linearization draws."""
+    pts = annulus_points(np.random.default_rng(seed), 2 * samples)
+    lams, mus = pts[:samples], pts[samples:]
+    return lams, mus, q.eval(lams, mus)
+
+
+def sampled_membership(pencil, q):
     """(v, relative residual) of L (N kron I) = v kron Q by block least
     squares over the sample points (second route for membership_newton).
 
     The residual is the largest over the samples, relative to the larger of
     max ||L (N kron I)|| and ||v|| max ||Q||.
     """
-    points = points or SampleSet(q)
-    n = q.n
-    qvals = points.q_values
-    triple = newton_triple(pencil.nodes, points.lams, points.mus)[..., None, None]
-    lvals = pencil.eval(points.lams, points.mus)
+    lams, mus, qvals = sample_points(q)
+    n, count = q.n, len(lams)
+    triple = newton_triple(pencil.nodes, lams, mus)[..., None, None]
+    lvals = pencil.eval(lams, mus)
     rvals = sum(triple[j] * lvals[..., j * n:(j + 1) * n] for j in range(3))
     qnorms = np.linalg.norm(qvals, axis=(1, 2))
-    rblocks = rvals.reshape(points.count, 3, n, n)
+    rblocks = rvals.reshape(count, 3, n, n)
     v = np.einsum("sab,siab->i", qvals.conj(), rblocks) / float((qnorms ** 2).sum())
     resid = np.linalg.norm((rblocks - v[:, None, None] * qvals[:, None])
-                           .reshape(points.count, -1), axis=1).max()
+                           .reshape(count, -1), axis=1).max()
     denom = max(float(np.linalg.norm(rvals, axis=(1, 2)).max()),
                 float(np.linalg.norm(v)) * float(qnorms.max()))
     return v, (float(resid) / denom if denom > 0 else 0.0)
+
+
+def witness_factors(q, params, lam, mu):
+    """The unimodular factors (E, F) of the e1 pencil of ``params`` at
+    (lam, mu): 3n x 3n each, or (K, 3n, 3n) stacks for 1-D lam, mu.
+
+    E = [[n1 I, I, 0], [m1 I, 0, I], [I, 0, 0]] has determinant 1 and
+    F = [[I, -W Z^{-1}], [0, Z^{-1}]] the determinant det(Z)^{-1}, with
+    W = [W1 W2] the top-row remainder after E; F L E = diag(Q, I_2n).
+    """
+    n = q.n
+    triple = newton_triple(q.nodes, lam, mu)[..., None, None]
+    e = np.zeros(triple.shape[1:-2] + (3 * n, 3 * n), dtype=complex)
+    for j in range(3):
+        e[..., j * n:(j + 1) * n, :n] = triple[j] * np.eye(n)
+    e[..., :n, n:2 * n] = e[..., n:2 * n, 2 * n:] = np.eye(n)
+    a1, a2, b1, b2 = q.nodes.as_tuple()
+    lam = np.asarray(lam)[..., None, None]
+    mu = np.asarray(mu)[..., None, None]
+    c = q.coeff
+    y11, z11, z12 = params.y11, params.z1[:n], params.z2[:n]
+    w1 = (lam - a2) * c(2, 0) + (mu - b1) * y11 + z11
+    w2 = (lam - a1) * (c(1, 1) - y11) + (mu - b2) * c(0, 2) + z12
+    w = np.concatenate(np.broadcast_arrays(w1, w2), axis=-1)
+    z_inv = np.linalg.inv(params.z_block)
+    f = np.zeros(w.shape[:-2] + (3 * n, 3 * n), dtype=complex)
+    f[..., :n, :n] = np.eye(n)
+    f[..., :n, n:] = -w @ z_inv
+    f[..., n:, n:] = z_inv
+    return e, f
+
+
+def sampled_witness(q, pencil, params):
+    """(residual, deviation) of F L E = diag(Q, I_2n) over the sample points
+    (second route for unimodular_witnesses).
+
+    The residual is the largest ||F L E - diag(Q, I)||_F / (||L||_F ||F||_F);
+    the deviation is the largest of |det E - 1| and |det F det Z - 1|.
+    """
+    n = q.n
+    lams, mus, qvals = sample_points(q)
+    e, f = witness_factors(q, params, lams, mus)
+    lvals = pencil.eval(lams, mus)
+    red = f @ lvals @ e
+    red[:, :n, :n] -= qvals
+    red[:, n:, n:] -= np.eye(2 * n)
+    scale = np.linalg.norm(lvals, axis=(1, 2)) * np.linalg.norm(f, axis=(1, 2))
+    sign_zi, log_zi = np.linalg.slogdet(np.linalg.inv(params.z_block))
+    sign_f, log_f = np.linalg.slogdet(f)
+    deviation = max(float(np.abs(np.linalg.det(e) - 1).max()),
+                    float(np.abs(sign_f / sign_zi * np.exp(log_f - log_zi) - 1).max()))
+    return float((np.linalg.norm(red, axis=(1, 2)) / scale).max()), deviation
 
 
 def full_slice_eigenvalues(pencil, mus):

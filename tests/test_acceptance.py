@@ -11,7 +11,6 @@ from newton2pep import (
     E1FreeParams,
     NewtonNodes,
     QtepPair,
-    SampleSet,
     annulus_points,
     assemble_e1_blocks,
     certify_singular,
@@ -33,7 +32,7 @@ from newton2pep.fileio import save_problem
 from newton2pep.spaces import NewtonPencil
 
 from helpers import (cofactor_det, random_monomial, random_newton, random_nodes,
-                     transfer_to_newton, with_zero_nodes)
+                     sampled_witness, transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -114,8 +113,9 @@ def test_criterion_05_e1_newton_linearization():
         assert report.passed, trial
         assert abs(report.gamma_estimate) > 1e-12
         assert report.max_relative_deviation < 1e-8
-        witnesses = unimodular_witnesses(qn, pencil, params, points=SampleSet(qn, 12))
-        assert witnesses.max_reduction_residual < 1e-8, trial
+        witnesses = unimodular_witnesses(qn, pencil, params)
+        assert witnesses.reduction_residual < 1e-8, trial
+        assert sampled_witness(qn, pencil, params)[0] < 1e-8, trial
     _passed(5, "100 admissible draws: det ratio constant (1e-8) and F L E = diag(Q, I)")
 
 

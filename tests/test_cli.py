@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import newton2pep
-from newton2pep import MatrixPoly2, NewtonNodes, companion_pencil
+from newton2pep import MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil
 from newton2pep.cli import main
-from newton2pep.fileio import load_pencil, load_problem, save_problem
+from newton2pep.fileio import load_pencil, load_problem, save_pencil, save_problem
 
 from helpers import random_monomial, random_newton, rewrite_as_pairs, scalar_newton
 
@@ -247,6 +247,28 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert main(["verify", qfile, str(out)]) == 2
         assert "error: provenance.params must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["moved-A3-entry", "other-params"])
+    def test_witness_check_fails(self, tmp_path, qfile, capsys, change):
+        # A general-ansatz pencil whose blocks and recorded parameters no
+        # longer belong together: one A3 entry moved by 1e-6 max|A3|, or the
+        # parameters of another draw in its provenance.
+        out, other = str(tmp_path / "p.json"), str(tmp_path / "o.json")
+        for path, seed in ((out, "1"), (other, "2")):
+            code, _ = run(capsys, ["construct", qfile, "--ansatz", "1,2,3", "--params", seed,
+                                   "--out", path])
+            assert code == 0
+        pencil, provenance = load_pencil(out)
+        if change == "moved-A3-entry":
+            a3 = pencil.A3.copy()
+            a3[0, 0] += 1e-6 * np.abs(a3).max()
+            pencil = NewtonPencil.from_blocks(pencil.nodes, pencil.A1, pencil.A2, a3)
+        else:
+            provenance["params"] = load_pencil(other)[1]["params"]
+        save_pencil(out, pencil, provenance)
+        code, report = run(capsys, ["verify", qfile, out])
+        assert "witness check: fail" in report
+        assert (code, report.splitlines()[-1]) == (1, "verdict: FAIL")
 
     def test_corrupted_pencil_fails(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"

@@ -10,30 +10,28 @@ from newton2pep import (
     NewtonPencil,
     annulus_points,
     complex_normal,
-    newton_scalars,
     newton_six,
-    newton_triple,
 )
 
-from helpers import (monomial_six, monomial_triple, random_monomial, random_newton,
-                     random_nodes, scalar_newton)
+from helpers import (monomial_six, monomial_triple, newton_triple, random_monomial,
+                     random_newton, random_nodes, scalar_newton)
 
 
 class TestNewtonScalars:
     def test_vanish_at_their_nodes(self):
         nodes = NewtonNodes(1, 2, 0, 0)
-        n0, n1, n2, m0, m1, m2 = newton_scalars(nodes, 1.0, 5.0)
+        n2, _, m2, n1, m1, one = newton_six(nodes, 1.0, 5.0)
         assert (n1, n2) == (0, 0)
         assert m1 == 5 and m2 == 25
-        assert n0 == 1 and m0 == 1
+        assert one == 1
 
     def test_monomial_reduction(self):
-        n0, n1, n2, m0, m1, m2 = newton_scalars(NewtonNodes(), 3.0, 4.0)
-        assert (n0, n1, n2, m0, m1, m2) == (1, 3, 9, 1, 4, 16)
+        n2, n1m1, m2, n1, m1, one = newton_six(NewtonNodes(), 3.0, 4.0)
+        assert (one, n1, n2, m1, m2, n1m1) == (1, 3, 9, 4, 16, 12)
 
     def test_product_values(self):
         nodes = NewtonNodes(1, 2, 0, 0)
-        _, _, n2, _, _, m2 = newton_scalars(nodes, 3.0, 0.0)
+        n2, _, m2, _, _, _ = newton_six(nodes, 3.0, 0.0)
         assert n2 == (3 - 1) * (3 - 2)
         assert m2 == 0
 
@@ -42,13 +40,13 @@ class TestNewtonScalars:
         for _ in range(100):
             nodes = random_nodes(rng)
             lam, mu = annulus_points(rng, 2)
-            _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
+            n2, _, m2, n1, m1, _ = newton_six(nodes, lam, mu)
             assert n2 == n1 * (lam - nodes.alpha2)
             assert m2 == m1 * (mu - nodes.beta2)
 
     def test_coincident_nodes_accepted(self):
         nodes = NewtonNodes(1.5, 1.5, -2j, -2j)
-        _, n1, n2, _, _, _ = newton_scalars(nodes, 1.5, 0.0)
+        n2, _, _, n1, _, _ = newton_six(nodes, 1.5, 0.0)
         assert n1 == 0 and n2 == 0
 
     def test_nonfinite_node_rejected(self):

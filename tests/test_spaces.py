@@ -18,15 +18,14 @@ from newton2pep import (
     construct_e1_newton,
     E1FreeParams,
     membership_newton,
-    newton_scalars,
-    newton_triple,
+    newton_six,
     select_M,
 )
 
-from helpers import (NODE_KINDS, gamma_blocks, nodes_of_kind, pencil_in_space, random_coeffs,
-                     random_monomial, random_newton, random_nodes, s_map, sampled_membership,
-                     select_M_alternate_ac, to_monomial_space, to_newton_space,
-                     transfer_to_newton, with_zero_nodes)
+from helpers import (NODE_KINDS, gamma_blocks, newton_triple, nodes_of_kind, pencil_in_space,
+                     random_coeffs, random_monomial, random_newton, random_nodes, s_map,
+                     sampled_membership, select_M_alternate_ac, to_monomial_space,
+                     to_newton_space, transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -62,7 +61,7 @@ class TestGammaBlocks:
             lam, mu = annulus_points(rng, 2)
             g, gt = gamma_blocks(nodes, n, lam, mu)
             stack = np.kron(newton_triple(nodes, lam, mu).reshape(3, 1), np.eye(n))
-            _, n1, n2, _, m1, m2 = newton_scalars(nodes, lam, mu)
+            n2, _, m2, n1, m1, _ = newton_six(nodes, lam, mu)
             left = np.kron(np.array([n2, n1 * m1, n1]).reshape(3, 1), np.eye(n))
             right = np.kron(np.array([n1 * m1, m2, m1]).reshape(3, 1), np.eye(n))
             np.testing.assert_allclose(g @ stack, left, atol=1e-12)

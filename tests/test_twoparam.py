@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton2pep import (
+    COEFF_KEYS,
     E1FreeParams,
     MatrixPoly2,
     NewtonNodes,
@@ -528,6 +529,34 @@ class TestVerifySpectrumMatch:
         assert any(rec.pencil_singular for rec in report.records)
 
 
+# A generic 1 x 2 Newton pair and a solve seed on which the first rank
+# completion keeps 10 eigenvalues, a split infinite pair among them, with two
+# points at backward error 2.8e-1. Coefficients in COEFF_KEYS order, each
+# block row-major.
+REDRAW_PAIR = (
+    [-0.5450274554640261-0.3349580571993985j, 0.017581512432457917+0.2830845715477782j,
+     0.7486951515468797+0.9435626826615046j, 0.38349348955635304-0.24388833622809503j,
+     -0.7051289043387394-1.8511933467499013j, 0.23684815938691128+0.5198860415794132j],
+    [[0.1126559084870215-0.13445907372165997j, -0.5938636683778051-0.46331579612595447j,
+      1.2460499287921007+0.9714020626142814j, 0.4620404000666952+0.15266390879124758j],
+     [-0.8783227726199846+0.08277176604611715j, 1.6304931282071904+1.3105210004674341j,
+      -0.22386529727078558-0.9004487578478275j, -1.3885000838654953-0.1581551317141277j],
+     [0.550203016424498+0.8183817344555825j, 0.7186618063706852+0.2457763152199075j,
+      -0.11871451439078098+1.125403207637794j, 0.11876928197910992-0.8068003363792967j],
+     [-1.3745544146465398-0.11288580183618291j, -1.6012272812214694+0.6019854683230482j,
+      -0.4277219033417126+0.002491754521191818j, -0.5235006538883881-1.0784659591836345j],
+     [-1.1371711593815903+0.6906194073780958j, 0.1613182735976757-0.05276057023795601j,
+      -1.0947076677000307-0.2835612328716519j, -0.0934199903344953-0.5757369052997144j],
+     [-1.1538522725309408-0.5966149231539459j, -0.8337696674385284-0.29226110440304054j,
+      -0.8074776359484603+1.0246939681040546j, 0.2931169979593868+0.40207671406733003j]],
+)
+REDRAW_NODES = NewtonNodes(-0.24804946198974062-0.2845854815261j,
+                           -0.7135339990324057-0.8405491446079998j,
+                           0.23107324858524594-0.3260692156591785j,
+                           -0.8267105039455396+0.9025924907545126j)
+REDRAW_SEED = 1022241847
+
+
 class TestSpectrumPairOracle:
     def test_tangential_intersection_multiplicities(self):
         # f = lam^2 + mu^2 - 2 and g = lam mu - 1 touch at (1,1), (-1,-1).
@@ -672,6 +701,26 @@ class TestSpectrumPairOracle:
         monkeypatch.setattr(twoparam, "RESIDUAL_TOL", 0.0)
         with pytest.raises(DegenerateProblemError, match="backward error above"):
             spectrum_pair_oracle(pair)
+
+    def test_failed_completion_is_drawn_again(self, monkeypatch):
+        # The first completion fails the gate; one more draw from the same
+        # generator finds the 4 p1 p2 points.
+        pair = QtepPair(*(MatrixPoly2.newton({key: np.reshape(block, (p, p)) for key, block
+                                              in zip(COEFF_KEYS, blocks)}, REDRAW_NODES)
+                          for p, blocks in zip((1, 2), REDRAW_PAIR)))
+        results = []
+
+        def recorded(*args):
+            results.append(completed(*args))
+            return results[-1]
+
+        completed = twoparam._completed_points
+        monkeypatch.setattr(twoparam, "_completed_points", recorded)
+        sample = spectrum_pair_oracle(pair, seed=REDRAW_SEED)
+        assert [sum(r[2]) for r in results] == [10, 8]
+        assert results[0][3].max() > 0.1
+        assert (sample.total_count, len(sample.points)) == (8, 8)
+        assert max(pt.residual for pt in sample.points) <= 1e-15
 
     def test_missing_points_raise(self, monkeypatch):
         # With no eigenvalue selected the count is 0 < 4 p1 p2, and a generic

@@ -4,7 +4,9 @@ Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` dir
 864 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
 construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
 FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
---pair at p1 <= p2 <= 3. Each tree runs them in process through its own ``cli.main``."""
+--pair at p1 <= p2 <= 3. Each tree runs them in process through its own ``cli.main``. For the
+jobs whose reports differ in digits only, it counts the differing lines by their prefix, the
+text before the first number."""
 
 import contextlib
 import io
@@ -12,6 +14,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -63,6 +66,7 @@ def main(*sources) -> int:
                     with contextlib.redirect_stdout(out := io.StringIO()):
                         runs[-1][name] = (cli.main(argv), out.getvalue())
     diff, digits = [name for name, _ in jobs if runs[0][name] != runs[1][name]], {}
+    moved = Counter()  # digits-only lines that differ, by the text before their first number
     for name in diff:
         (code0, a), (code1, b) = runs[0][name], runs[1][name]
         if code0 != code1 or NUMBER.sub("#", a) != NUMBER.sub("#", b):
@@ -70,8 +74,12 @@ def main(*sources) -> int:
             continue
         digits[name] = max(abs(float(x) - float(y)) / (max(abs(float(x)), abs(float(y))) or 1.0)
                            for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y)
+        moved.update(NUMBER.split(x, 1)[0] for x, y in zip(a.splitlines(), b.splitlines())
+                     if x != y)
     print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}"
           f"  largest relative move: {max(digits.values(), default=0.0):.3g}")
+    for prefix, count in sorted(moved.items()):
+        print(f"  lines moved: {count:4d}  {prefix!r}")
     return int(len(digits) < len(diff))
 
 
