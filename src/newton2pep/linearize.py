@@ -246,8 +246,11 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     2 ``samples`` annulus points are drawn from ``seed``: lambda is the first
     half, mu the second. Inconclusive (DegenerateProblemError) when
     sigma_min(Q) <= n eps sigma_max(Q) at every sample, the relative rank
-    test of numpy.linalg.matrix_rank.
+    test of numpy.linalg.matrix_rank. A quadratic in (lambda, mu) has 6
+    coefficients, so ``samples`` below 6 raises ValueError.
     """
+    if samples < 6:
+        raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
     require_matching(q, pencil)
     points = annulus_points(np.random.default_rng(seed), 2 * samples)
     lams, mus = points[:samples], points[samples:]

@@ -361,6 +361,29 @@ def full_slice_eigenvalues(pencil, mus):
     return out
 
 
+def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):
+    """verify_spectrum_match with every Q slice residual-certified: each slice's
+    Q values come from twoparam._q_slice_eigenvalues with eigenvectors, and
+    are matched one by one against the pencil values (the always-vectors check)."""
+    from newton2pep.twoparam import (SliceRecord, SpectrumMatchReport, _pencil_slice_eigenvalues,
+                                     _q_slice_eigenvalues)
+
+    mus = annulus_points(np.random.default_rng(seed), slices)
+    records = []
+    for mu0, q_eigs, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus),
+                                   _pencil_slice_eigenvalues(pencil, mus)):
+        dists = [min((abs(lam - le) for le in l_eigs or []), default=math.inf) for lam in q_eigs]
+        contained = l_eigs is not None and all(d <= match_tol * max(1.0, abs(lam))
+                                               for lam, d in zip(q_eigs, dists))
+        records.append(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs),
+                                   pencil_eigenvalues=tuple(l_eigs or []),
+                                   distances=tuple(dists), contained=contained,
+                                   pencil_singular=l_eigs is None))
+    return SpectrumMatchReport(records=tuple(records),
+                               all_contained=all(r.contained for r in records),
+                               match_tol=match_tol)
+
+
 def clusters_reference(theta, radius, shift):
     """Groups of indices by pairwise links, merged one new index at a time
     (loop form of twoparam._clusters). Index i is linked to j < i when the

@@ -335,6 +335,15 @@ class TestVerifyLinearization:
         with pytest.raises(DegenerateProblemError):
             verify_linearization(pencil, qn)
 
+    @pytest.mark.parametrize("samples", [0, 1, 5])
+    def test_fewer_than_six_samples_rejected(self, samples):
+        # A single point used to pass, and zero points read "det Q vanishes".
+        rng = np.random.default_rng(13)
+        qn = random_newton(rng, 2)
+        with pytest.raises(ValueError, match=f"samples must be at least 6.*got {samples}"):
+            verify_linearization(companion_pencil(qn), qn, samples=samples)
+        assert verify_linearization(companion_pencil(qn), qn, samples=6).passed
+
     def test_ansatz_invariance_under_block_row_ops(self):
         # membership((M kron I) L) = M * membership(L) for nonsingular M.
         rng = np.random.default_rng(16)

@@ -1,5 +1,7 @@
 """Pencil pairs, operator determinants, singularity and spectrum oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobeni
 from helpers import (NODE_KINDS, clusters_reference, commutation_matrix, full_slice_eigenvalues,
                      gamma_blocks, kron_oracle, nodes_of_kind, pencil_in_space,
                      point_quotients_reference, random_coeffs, random_newton, random_nodes,
-                     scalar_newton, scaled)
+                     scalar_newton, scaled, spectrum_match_reference)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -367,6 +369,70 @@ class TestSliceVectorized:
             assert g.distances == w.distances
 
 
+class TestCertificateOnDemand:
+    # Q slices are solved for values only; a slice that does not match is
+    # solved again with eigenvectors and residual-certified.
+    @pytest.mark.parametrize("q, pencil", list(slice_cases())[:-1])  # the last drops degree
+    def test_generic_check_computes_no_eigenvectors(self, monkeypatch, q, pencil):
+        shapes, real = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or real(a))
+        assert verify_spectrum_match(q, pencil, slices=5, seed=4).all_contained
+        assert shapes == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(NODE_KINDS),
+           st.sampled_from(["companion", "e1"]),
+           st.sampled_from(["in space", "A3 moved", "another Q", "C20 = 0"]),
+           st.integers(0, 2**32 - 1))
+    def test_decides_as_the_always_vectors_reference(self, n, kind, construction, case, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(rng, n)
+        if case == "C20 = 0":
+            coeffs[(2, 0)] = np.zeros((n, n))
+        q = MatrixPoly2.newton(coeffs, nodes_of_kind(rng, kind))
+        pencil = pencil_in_space(random_newton(rng, n, q.nodes) if case == "another Q" else q,
+                                 construction, rng)
+        if case == "A3 moved":
+            a3 = np.array(pencil.A3)
+            a3[tuple(rng.integers(3 * n, size=2))] += 1e-3 * np.abs(a3).max()
+            pencil = NewtonPencil.from_blocks(pencil.nodes, pencil.A1, pencil.A2, a3)
+        certified, real = [], twoparam._q_slice_eigenvalues
+
+        def spy(q, mus, vectors=True):
+            certified.extend(mus if vectors else [])
+            return real(q, mus, vectors=vectors)
+
+        with mock.patch.object(twoparam, "_q_slice_eigenvalues", spy):
+            got = verify_spectrum_match(q, pencil, slices=3, seed=seed % 1000)
+        want = spectrum_match_reference(q, pencil, slices=3, seed=seed % 1000)
+        assert got.all_contained == want.all_contained == (case in ("in space", "C20 = 0"))
+        for g, w in zip(got.records, want.records, strict=True):
+            assert g.contained == w.contained
+            assert g == w if g.mu0 in certified else g.contained
+
+    def test_only_the_mismatch_slice_is_certified(self):
+        # The pencil is the companion of Q + (mu - mu1)(mu - mu2) E, which
+        # equals Q on the slices at mu1 and mu2 only.
+        rng = np.random.default_rng(61)
+        q = random_newton(rng, 3, NewtonNodes())
+        mus = annulus_points(np.random.default_rng(5), 3)  # the slices of seed 5
+        e, coeffs = complex_normal(rng, 3, 3), dict(q.coeffs)
+        for key, factor in (((0, 2), 1), ((0, 1), -(mus[1] + mus[2])), ((0, 0), mus[1] * mus[2])):
+            coeffs[key] = coeffs[key] + factor * e
+        pencil = companion_pencil(MatrixPoly2.monomial(coeffs))
+        calls, real = [], twoparam._q_slice_eigenvalues
+
+        def spy(q, mus, vectors=True):
+            calls.append((list(mus), vectors))
+            return real(q, mus, vectors=vectors)
+
+        with mock.patch.object(twoparam, "_q_slice_eigenvalues", spy):
+            report = verify_spectrum_match(q, pencil, slices=3, seed=5)
+        assert [rec.contained for rec in report.records] == [False, True, True]
+        assert calls == [(list(mus), False), ([mus[0]], True)]
+        assert report == spectrum_match_reference(q, pencil, slices=3, seed=5)
+
+
 class TestSliceStacks:
     # Each side's slices are solved as stacks of at most STACK_BYTES.
     @pytest.mark.parametrize("n, stack_bytes, calls", [
@@ -514,6 +580,14 @@ class TestVerifySpectrumMatch:
             verify_spectrum_match(q2, companion_pencil(q3), slices=1)
         with pytest.raises(NodeMismatchError):
             verify_spectrum_match(q2, companion_pencil(random_newton(rng, 2)), slices=1)
+
+    @pytest.mark.parametrize("slices", [0, -2])
+    def test_fewer_than_one_slice_rejected(self, slices):
+        # 0 slices used to report all_contained with no records, and -2
+        # failed inside numpy.
+        q = scalar_newton(1, 0, 1, 0, 0, 1)
+        with pytest.raises(ValueError, match=f"slices must be at least 1, got {slices}"):
+            verify_spectrum_match(q, companion_pencil(q), slices=slices)
 
     def test_failed_detcond_flagged(self):
         rng = np.random.default_rng(10)
