@@ -49,6 +49,7 @@ from .linearize import (
     companion_pencil,
     construct_e1_newton,
     construct_general_ansatz,
+    member_witness,
     unimodular_witnesses,
     verify_linearization,
 )

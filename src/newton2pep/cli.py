@@ -24,20 +24,13 @@ from .errors import (
     NodeMismatchError,
     SharedFactorError,
 )
-from .fileio import (
-    FileFormatError,
-    construct_provenance,
-    load_params,
-    load_pencil,
-    load_problem,
-    provenance_params,
-    save_pencil,
-)
+from .fileio import FileFormatError, load_params, load_pencil, load_problem, save_pencil
 from .linearize import (
+    GAMMA_AGREEMENT_TOL,
     E1FreeParams,
     companion_pencil,
     construct_general_ansatz,
-    unimodular_witnesses,
+    member_witness,
     verify_linearization,
 )
 from .matpoly import MatrixPoly2
@@ -140,20 +133,16 @@ def _cmd_construct(args) -> int:
     report.add(f"problem: basis={q.basis} n={q.n}")
 
     if args.companion:
-        m_used = np.eye(3, dtype=complex)
-        params = E1FreeParams.companion(q)
         pencil = companion_pencil(q)
         ansatz_note = "e1 (companion)"
     else:
         v = _parse_ansatz(args.ansatz)
-        params_raw = None if args.params is None else _params_for(args.params, q.n)[0]
-        built = construct_general_ansatz(q, v, params_raw, tol=args.tol, seed=seed)
-        m_used = built.M
-        params = built.params
+        params = None if args.params is None else _params_for(args.params, q.n)[0]
+        built = construct_general_ansatz(q, v, params, tol=args.tol, seed=seed)
         pencil = built.pencil_v
         ansatz_note = _fmt_cvec(v)
         report.add("M:")
-        for row in m_used:
+        for row in built.M:
             report.add("  " + _fmt_cvec(row))
 
     report.add(f"ansatz requested: {ansatz_note}")
@@ -163,7 +152,7 @@ def _cmd_construct(args) -> int:
     report.add(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
     report.add(f"membership residual: {_fmt_f(membership.residual)}")
 
-    save_pencil(args.out, pencil, construct_provenance(seed, m_used, params))
+    save_pencil(args.out, pencil)
     report.add(f"output: {args.out}")
     report.emit()
     return EXIT_PASS if membership.member else EXIT_FAIL
@@ -174,7 +163,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     q = load_problem(args.problem)
-    pencil, provenance = load_pencil(args.pencil)
+    pencil = load_pencil(args.pencil)
     _require_matching_files(q, pencil)
 
     report = Report()
@@ -198,20 +187,19 @@ def _cmd_verify(args) -> int:
                    f"detL={_fmt_c(det_l)} detQ={_fmt_c(det_q)} "
                    f"deviation={_fmt_f(dev)}")
 
-    witness_ok = True
-    if (recorded := provenance_params(provenance, q.n)) is not None:
-        m_used, params = recorded
-        witnesses = unimodular_witnesses(q, pencil.left_multiply(m_used), params, tol=args.tol)
-        # gamma(L) = gamma(e1) / det(M)^n in log space: det(M)^n may overflow.
-        sign_m, log_m = np.linalg.slogdet(m_used)
-        log_predicted = witnesses.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
-        report.add(f"witness reduction residual: {_fmt_f(witnesses.reduction_residual)}")
+    try:
+        wit = member_witness(q, pencil, membership.ansatz, tol=args.tol)
+    except AdmissibilityError as exc:  # a zero ansatz or a singular Z: no witness exists
+        report.add(f"witness unavailable: {exc}")
+        witness_ok = False
+    else:
+        report.add(f"witness reduction residual: {_fmt_f(wit.reduction_residual)}")
         with np.errstate(over="ignore"):  # an out-of-range gamma prints as inf
-            report.add(f"witness gamma prediction: {_fmt_c(np.exp(log_predicted))}")
-            rel = abs(np.exp(lin.log_gamma - log_predicted) - 1)
+            report.add(f"witness gamma prediction: {_fmt_c(np.exp(wit.log_predicted_gamma))}")
+            rel = abs(np.exp(lin.log_gamma - wit.log_predicted_gamma) - 1)
         report.add(f"witness gamma agreement: {_fmt_f(rel)}")
-        witness_ok = (witnesses.reduction_residual <= args.tol and rel <= 1e-6)
-        report.add(f"witness check: {'pass' if witness_ok else 'fail'}")
+        witness_ok = wit.reduction_residual <= args.tol and rel <= GAMMA_AGREEMENT_TOL
+    report.add(f"witness check: {'pass' if witness_ok else 'fail'}")
 
     overall = membership.member and lin.passed and witness_ok
     report.add(f"verdict: {'PASS' if overall else 'FAIL'}")
@@ -249,8 +237,7 @@ def _cmd_delta(args) -> int:
     report.add(f"frobenius(Delta0): {_fmt_f(cert.frobenius)}")
     report.add(f"threshold: {_fmt_f(cert.threshold)}")
     report.add(f"margin: {_fmt_f(cert.margin)}")
-    report.add(f"structural zero pattern: "
-               f"{'yes' if cert.evidence.get('structural_zero_pattern') else 'no'}")
+    report.add(f"structural zero pattern: {'yes' if cert.structural_zero_pattern else 'no'}")
     report.add(f"singular: {'yes' if cert.is_singular else 'no'}")
     report.emit()
     if args.check_singular and not cert.is_singular:
@@ -306,7 +293,7 @@ def _cmd_spectrum(args) -> int:
     if args.slices < 1:
         raise FileFormatError(f"--slices must be at least 1, got {args.slices}")
 
-    pencil, _ = load_pencil(args.pencil)
+    pencil = load_pencil(args.pencil)
     _require_matching_files(q, pencil)
 
     report.add("mode: slice")

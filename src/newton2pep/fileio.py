@@ -14,12 +14,14 @@ with six n x n coefficients A20 A11 A02 A10 A01 A00. ``nodes`` is present
 exactly when the basis is "newton"; a "monomial" file is read as zero
 nodes, and ``basis`` is kept on the loaded object only to write the same
 layout back. Pencil files reuse the schema with a "blocks" object holding
-L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n, plus an optional
-"provenance" object. Writers emit single-line JSON with sorted keys, so
-output is byte-deterministic; both encodings are exact (signed zeros and
-subnormals included). Readers accept any whitespace. A string must be
-strict base64 of exactly 16 bytes per entry; non-finite or
-out-of-double-range numbers raise a FileFormatError naming the entry.
+L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n. Readers ignore
+other keys, such as the "provenance" object that earlier versions wrote:
+every certificate reads the blocks alone. Writers emit single-line JSON
+with sorted keys, so output is byte-deterministic; both encodings are
+exact (signed zeros and subnormals included). Readers accept any
+whitespace. A string must be strict base64 of exactly 16 bytes per entry;
+non-finite or out-of-double-range numbers raise a FileFormatError naming
+the entry.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
     "load_params",
     "params_to_dict",
     "params_from_dict",
-    "construct_provenance",
-    "provenance_params",
 ]
 
 
@@ -193,8 +193,8 @@ def save_problem(path, poly: MatrixPoly2) -> None:
     _dump_json(path, doc)
 
 
-def load_pencil(path):
-    """Read a pencil file; returns (pencil, provenance dict)."""
+def load_pencil(path) -> NewtonPencil:
+    """Read a pencil file (keys other than the header and blocks are ignored)."""
     doc = _load_json(path)
     n, basis, nodes = _parse_header(doc, path)
     raw = doc.get("blocks")
@@ -206,19 +206,14 @@ def load_pencil(path):
         if name not in raw:
             raise FileFormatError(f"{path}: blocks.{name} is missing")
         mats.append(_flat_to_matrix(raw[name], 3 * n, 3 * n, f"{path}: blocks.{name}"))
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise FileFormatError(f"{path}: 'provenance' must be an object")
-    return NewtonPencil.from_blocks(nodes, *mats, basis=basis), provenance
+    return NewtonPencil.from_blocks(nodes, *mats, basis=basis)
 
 
-def save_pencil(path, pencil: NewtonPencil, provenance: dict | None = None) -> None:
+def save_pencil(path, pencil: NewtonPencil) -> None:
     doc = _header(pencil)
     names = MONOMIAL_BLOCKS if pencil.basis == MONOMIAL else NEWTON_BLOCKS
     doc["blocks"] = {name: _matrix_to_flat(block)
                      for name, block in zip(names, pencil.blocks())}
-    if provenance:
-        doc["provenance"] = provenance
     _dump_json(path, doc)
 
 
@@ -242,20 +237,6 @@ def params_from_dict(doc: dict, n: int, where: str = "params"):
     z1 = _flat_to_matrix(doc["Z1"], 3 * n, n, f"{where}.Z1")
     z2 = _flat_to_matrix(doc["Z2"], 3 * n, n, f"{where}.Z2")
     return E1FreeParams.build(y11, z1, z2)
-
-
-def construct_provenance(seed: int, m: np.ndarray, params) -> dict:
-    """What ``construct`` records in a pencil: seed, M (M v = e1), e1 free parameters."""
-    return {"command": "construct", "seed": seed, "M": _matrix_to_flat(m),
-            "params": params_to_dict(params)}
-
-
-def provenance_params(provenance: dict, n: int):
-    """(M, params) from a pencil file's construct provenance, or None."""
-    if "params" not in provenance or "M" not in provenance:
-        return None
-    params = params_from_dict(provenance["params"], n, where="provenance.params")
-    return _flat_to_matrix(provenance["M"], 3, 3, "provenance.M"), params
 
 
 def load_params(path, *sizes: int) -> tuple:

@@ -25,7 +25,7 @@ Newton evaluation rule reduces to lam A1 + mu A2 + A3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, r
 
 MAX_DRAWS = 32  # random Z draws before a construction gives up
 RANDOM_MIN_SIGMA = 0.05  # sigma_min(Z) a random draw of unit-variance entries must exceed
+# Largest |gamma_estimate / gamma_predicted - 1| a witness accepts: the estimate, a ratio of sampled
+# determinants, rounds worse as n and the conditioning grow; a pencil not witnessed misses by O(1).
+GAMMA_AGREEMENT_TOL = 1e-6
 
 __all__ = [
     "E1FreeParams",
@@ -45,6 +48,7 @@ __all__ = [
     "construct_e1_newton",
     "UnimodularWitnessPair",
     "unimodular_witnesses",
+    "member_witness",
     "LinearizationReport",
     "verify_linearization",
     "GeneralAnsatzPencil",
@@ -95,6 +99,12 @@ class E1FreeParams:
                 f"Z block is numerically singular: sigma_min = {smin:.3e} "
                 f"<= {bound:.3e}; the construction needs det Z != 0"
             )
+
+    @classmethod
+    def of_e1_pencil(cls, pencil: NewtonPencil) -> "E1FreeParams":
+        """Parameters read off an e1 pencil: Y11 = top of A2[0], Z1 = A3[0], Z2 = A3[1]."""
+        n = pencil.n
+        return cls.build(pencil.A2[:n, :n], pencil.A3[:, :n], pencil.A3[:, n:2 * n])
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "E1FreeParams":
@@ -182,10 +192,11 @@ class UnimodularWitnessPair:
     determinant det(Z)^{-1}, with W the top-row remainder of L E. F L E =
     diag(Q, I_2n) holds identically exactly when L is the e1 pencil of the
     parameters, so ``reduction_residual`` compares blocks, and the predicted
-    ratio det L / det Q is 1 / (det E * det F) = det Z.
+    ratio det L / det Q is 1 / (det E * det F) = det Z (det Z / det(M)^n
+    from :func:`member_witness`).
     """
 
-    log_predicted_gamma: complex  # log det Z; det(Z^{-1}) overflows for large n, small Z
+    log_predicted_gamma: complex  # log of det L / det Q; det(Z^{-1}) overflows for large n, small Z
     reduction_residual: float
 
 
@@ -209,6 +220,27 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     sign_zi, log_zi = np.linalg.slogdet(np.linalg.inv(params.z_block))
     return UnimodularWitnessPair(log_predicted_gamma=-log_zi - 1j * np.angle(sign_zi),
                                  reduction_residual=residual)
+
+
+def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
+                   *, tol: float = DEFAULT_TOL) -> UnimodularWitnessPair:
+    """The unimodular witness of a pencil with ansatz vector v, read from its own blocks.
+
+    M = select_M(v) maps v to e1, and :func:`unimodular_witnesses` checks
+    (M kron I) L against the e1 pencil of the parameters read off its
+    blocks. det L = det((M kron I) L) / det(M)^n, so the predicted gamma of
+    L is det Z / det(M)^n, in log space. Raises AdmissibilityError for a
+    zero v (no M exists), a (M kron I) L out of double range, or a
+    numerically singular Z.
+    """
+    try:
+        e1 = pencil.left_multiply(m := select_M(v))
+    except ValueError as exc:  # select_M of a zero v, or non-finite blocks
+        raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
+    witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
+    sign_m, log_m = np.linalg.slogdet(m)
+    return replace(witnesses, log_predicted_gamma=witnesses.log_predicted_gamma
+                   - q.n * (log_m + 1j * np.angle(sign_m)))
 
 
 @dataclass(frozen=True)

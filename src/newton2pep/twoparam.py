@@ -190,7 +190,7 @@ class SingularityCertificate:
     value: float
     frobenius: float
     threshold: float
-    evidence: dict
+    structural_zero_pattern: bool | None  # None for raw triples
 
     @property
     def margin(self) -> float:
@@ -220,8 +220,8 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     its sigma_min compared with the same threshold; so a "not singular"
     verdict always rests on the dense sigma_min.
 
-    For a pencil pair the structural zero pattern behind the e1 singularity
-    is recorded as ``evidence["structural_zero_pattern"]``.
+    For a pencil pair ``structural_zero_pattern`` records the zero pattern
+    behind the e1 singularity; it is None for raw triples.
     """
     a1, b1 = _coefficients(ln1)[:2]
     a2, b2 = _coefficients(ln2)[:2]
@@ -233,15 +233,13 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     if value > threshold:
         route = DENSE_SIGMA_MIN
         value = smallest_singular_value(delta_operators(ln1, ln2).delta0)
-    evidence = {}
+    pattern = None
     if isinstance(ln1, NewtonPencil) and isinstance(ln2, NewtonPencil):
-        evidence["structural_zero_pattern"] = (
-            _lower_rows_supported_on_last_column(ln1.A2, ln1.n)
-            and _lower_rows_supported_on_last_column(ln2.A2, ln2.n)
-        )
+        pattern = (_lower_rows_supported_on_last_column(ln1.A2, ln1.n)
+                   and _lower_rows_supported_on_last_column(ln2.A2, ln2.n))
     return SingularityCertificate(is_singular=bool(value <= threshold),
                                   route=route, value=value, frobenius=frob,
-                                  threshold=threshold, evidence=evidence)
+                                  threshold=threshold, structural_zero_pattern=pattern)
 
 
 def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        companion_pencil)
+from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil
 from newton2pep.fileio import (
     FileFormatError,
     _flat_to_matrix,
     _matrix_to_flat,
-    construct_provenance,
     load_pencil,
     load_problem,
-    provenance_params,
     save_pencil,
     save_problem,
 )
@@ -185,10 +182,9 @@ def test_indented_problem_and_pencil_files_load_identically(tmp_path, nodes):
 
     pencil = companion_pencil(a)
     compact, indented = tmp_path / "p.json", tmp_path / "p_old.json"
-    save_pencil(compact, pencil, {"note": "x"})
+    save_pencil(compact, pencil)
     rewrite_indented(compact, indented)
-    (p1, prov1), (p2, prov2) = load_pencil(compact), load_pencil(indented)
-    assert prov1 == prov2 == {"note": "x"}
+    p1, p2 = load_pencil(compact), load_pencil(indented)
     for x, y, z in zip(pencil.blocks(), p1.blocks(), p2.blocks()):
         assert_bitwise(y, x)
         assert_bitwise(z, x)
@@ -207,20 +203,14 @@ def test_pair_layout_problem_and_pencil_files_load_identically(tmp_path, nodes):
     if nodes is not None:
         assert_bitwise(node_values(b.nodes), node_values(nodes))
 
-    pencil, m = companion_pencil(q), np.array([[1, -0.0, 2j], [0, 1, 0], [0, 0, 5e-324]])
-    params = E1FreeParams.companion(q)
+    pencil = companion_pencil(q)
     written, pairs = tmp_path / "p.json", tmp_path / "p_pairs.json"
-    save_pencil(written, pencil, construct_provenance(7, m, params))
+    save_pencil(written, pencil)
     rewrite_as_pairs(written, pairs)
-    assert isinstance(json.loads(pairs.read_text())["provenance"]["M"], list)
-    p2, prov2 = load_pencil(pairs)
-    assert prov2["seed"] == 7
+    assert all(isinstance(v, list) for v in json.loads(pairs.read_text())["blocks"].values())
+    p2 = load_pencil(pairs)
     for x, y in zip(pencil.blocks(), p2.blocks()):
         assert_bitwise(y, x)
-    m_read, params_read = provenance_params(prov2, pencil.n)
-    assert_bitwise(m_read, m)
-    for name in ("y11", "z1", "z2"):
-        assert_bitwise(getattr(params_read, name), getattr(params, name))
 
 
 def test_file_mixing_both_encodings_loads(tmp_path):
@@ -235,11 +225,6 @@ def test_file_mixing_both_encodings_loads(tmp_path):
     mixed = load_problem(path)
     for key in COEFF_KEYS:
         assert_bitwise(mixed.coeff(*key), q.coeff(*key))
-
-
-def test_provenance_without_params_gives_none():
-    assert provenance_params({}, 2) is None
-    assert provenance_params({"note": "x", "M": []}, 2) is None
 
 
 @pytest.mark.parametrize("nodes", [None, NewtonNodes(1, -0.0, 0.5j, -2)])

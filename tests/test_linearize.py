@@ -22,12 +22,15 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     det,
+    member_witness,
     membership_newton,
     newton_six,
     select_M,
     unimodular_witnesses,
     verify_linearization,
 )
+
+from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
 from helpers import (NODE_KINDS, assert_bitwise_equal, cofactor_det, companion_reference,
                      newton_triple, nodes_of_kind, random_coeffs, random_monomial,
@@ -294,6 +297,67 @@ class TestWitnessRoutes:
             results.append((wit.reduction_residual, wit.log_predicted_gamma))
         assert results == results[:1] * len(results)
         assert (results[0][0] > 1e-9) is perturb
+
+
+def member_with_construction(q, construction, explicit, rng):
+    """A member pencil of q with the M and parameters it was built from: the
+    "companion" pencil (M = I), or the general-ansatz pencil of a zero
+    pattern, with random parameters when ``explicit`` and the defaults otherwise."""
+    if construction == "companion":
+        return companion_pencil(q), np.eye(3), E1FreeParams.companion(q)
+    v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
+    params = E1FreeParams.random(q.n, rng) if explicit else None
+    built = construct_general_ansatz(q, v, params, seed=int(rng.integers(1000)))
+    return built.pencil_v, built.M, built.params
+
+
+class TestMemberWitness:
+    # The witness of a member pencil reads M from its recovered ansatz and the
+    # parameters from its blocks; nothing recorded enters.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(NODE_KINDS),
+           st.sampled_from(["companion", *PATTERNS]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_reads_the_construction_from_the_blocks(self, n, kind, construction, explicit,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        q = MatrixPoly2.newton(random_coeffs(rng, n), nodes_of_kind(rng, kind))
+        pencil, m, params = member_with_construction(q, construction, explicit, rng)
+        read = E1FreeParams.of_e1_pencil(pencil.left_multiply(m))
+        scale = max(np.abs(getattr(params, name)).max() for name in ("y11", "z1", "z2"))
+        for name in ("y11", "z1", "z2"):
+            assert np.abs(getattr(read, name) - getattr(params, name)).max() <= 1e-13 * scale
+        membership = membership_newton(pencil, q)
+        assert membership.member
+        wit = member_witness(q, pencil, membership.ansatz)
+        assert wit.reduction_residual <= 1e-13
+        log_gamma = verify_linearization(pencil, q, seed=seed % 100).log_gamma
+        assert abs(np.exp(log_gamma - wit.log_predicted_gamma) - 1) <= GAMMA_AGREEMENT_TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(NODE_KINDS), st.integers(0, 2**32 - 1))
+    def test_member_outside_the_family_fails(self, n, kind, seed):
+        # Y added to the lower rows of A2[0] and taken from A1[1] keeps every
+        # block of S, so L stays in the e1 space; but the family has Y1 = (Y11; 0; 0).
+        rng = np.random.default_rng(seed)
+        q = MatrixPoly2.newton(random_coeffs(rng, n), nodes_of_kind(rng, kind))
+        a1, a2, a3 = assemble_e1_blocks(q, E1FreeParams.random(n, rng))
+        y = complex_normal(rng, 2 * n, n)
+        a2[n:, :n] += y
+        a1[n:, n:2 * n] -= y
+        pencil = NewtonPencil.from_blocks(q.nodes, a1, a2, a3)
+        membership = membership_newton(pencil, q)
+        assert membership.member
+        assert member_witness(q, pencil, membership.ansatz).reduction_residual > 1e-3
+        assert not verify_linearization(pencil, q, seed=seed % 100).passed
+
+    def test_zero_ansatz_has_no_witness(self):
+        q = random_newton(np.random.default_rng(8), 2)
+        zero = np.zeros((6, 6))
+        pencil = NewtonPencil.from_blocks(q.nodes, zero, zero, zero)
+        membership = membership_newton(pencil, q)
+        assert membership.member and membership.ansatz.is_zero
+        with pytest.raises(AdmissibilityError, match="zero ansatz"):
+            member_witness(q, pencil, membership.ansatz)
 
 
 class TestVerifyLinearization:

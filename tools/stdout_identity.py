@@ -8,8 +8,11 @@ FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 (1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's values-only
 and vectors paths round the eigenvalues differently, so these are the jobs whose slice digits
 can move between the two paths. Each tree runs them in process through its own ``cli.main``.
-It names every job whose report differs; for those that differ in digits only, it counts the
-differing lines by their prefix, the text before the first number."""
+It names every job whose report differs. For those that differ in digits only, it groups the
+differing lines by their prefix, the text before the first number, and prints for each prefix the
+count of lines and the largest relative move of each field on them (``lambda`` and
+``distance`` apart), so a move at rounding level in one field does not hide whether another
+field moved."""
 
 import contextlib
 import io
@@ -25,7 +28,18 @@ import numpy as np  # noqa: E402
 from perfbench.workloads import (ALL_PATTERNS, NODE_KINDS, _ansatz_text, _int,  # noqa: E402
                                  _nodes, _normal, _pairs, _write_problem)
 
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
+
+
+def line_fields(x: str, y: str):
+    """(field, number in x, number in y) for each number of two lines of one layout. A field is
+    named by the text before its number, back to the last text with a letter: "lambda" for both
+    parts of "lambda=(1, 2)", "distance" for the number of " distance=3"."""
+    field = ""
+    for text, u, w in zip(NUMBER.split(x), NUMBER.findall(x), NUMBER.findall(y)):
+        if re.search("[A-Za-z]", text):
+            field = text.strip(" (),:=")
+        yield field, float(u), float(w)
 
 
 def build_jobs(work: Path, rng) -> list:
@@ -72,24 +86,28 @@ def main(*sources) -> int:
                 for name, argv in jobs:
                     with contextlib.redirect_stdout(out := io.StringIO()):
                         runs[-1][name] = (cli.main(argv), out.getvalue())
-    diff, digits = [name for name, _ in jobs if runs[0][name] != runs[1][name]], {}
-    moved = Counter()  # digits-only lines that differ, by the text before their first number
+    diff, digits = [name for name, _ in jobs if runs[0][name] != runs[1][name]], []
+    moved, largest = Counter(), {}  # by line prefix: lines that differ; per field: largest move
     for name in diff:
         (code0, a), (code1, b) = runs[0][name], runs[1][name]
         if code0 != code1 or NUMBER.sub("#", a) != NUMBER.sub("#", b):
             print(f"differs: {name} (exit {code0} -> {code1})")
             continue
-        digits[name] = max(abs(float(x) - float(y)) / (max(abs(float(x)), abs(float(y))) or 1.0)
-                           for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y)
-        print(f"digits only: {name} (largest relative move {digits[name]:.3g})")
-        moved.update(NUMBER.split(x, 1)[0] for x, y in zip(a.splitlines(), b.splitlines())
-                     if x != y)
-    print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}"
-          f"  largest relative move: {max(digits.values(), default=0.0):.3g}")
+        digits.append(name)
+        print(f"digits only: {name}")
+        for x, y in ((x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y):
+            moved[prefix := NUMBER.split(x, 1)[0]] += 1
+            fields = largest.setdefault(prefix, {})
+            for field, u, w in line_fields(x, y):
+                move = abs(u - w) / (max(abs(u), abs(w)) or 1.0)
+                fields[field] = max(fields.get(field, 0.0), move)
+    print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}")
     for prefix, count in sorted(moved.items()):
-        print(f"  lines moved: {count:4d}  {prefix!r}")
+        label = prefix.strip(" (),:=")
+        worst = "  ".join(("" if field == label else field + " ") + f"{move:.3g}"
+                          for field, move in largest[prefix].items())
+        print(f"  lines moved: {count:4d}  {prefix!r}  largest relative move: {worst}")
     return int(len(digits) < len(diff))
-
 
 if __name__ == "__main__":
     sys.exit(main(*sys.argv[1:3]))
