@@ -27,8 +27,6 @@ from .linalg import (
 )
 from .matpoly import (
     COEFF_KEYS,
-    MONOMIAL,
-    NEWTON,
     MatrixPoly2,
     NewtonNodes,
     newton_six,

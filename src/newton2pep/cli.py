@@ -24,7 +24,7 @@ from .errors import (
     NodeMismatchError,
     SharedFactorError,
 )
-from .fileio import FileFormatError, load_params, load_pencil, load_problem, save_pencil
+from .fileio import FileFormatError, layout, load_params, load_pencil, load_problem, save_pencil
 from .linearize import (
     GAMMA_AGREEMENT_TOL,
     E1FreeParams,
@@ -33,8 +33,7 @@ from .linearize import (
     member_witness,
     verify_linearization,
 )
-from .matpoly import MatrixPoly2
-from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, membership_newton
+from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, membership_newton
 from .twoparam import (
     KERNEL_WITNESS,
     QtepPair,
@@ -101,14 +100,6 @@ def _params_for(source: int | str, *sizes: int) -> tuple:
     return tuple(E1FreeParams.random(n, rng) for n in sizes)
 
 
-def _require_matching_files(q: MatrixPoly2, pencil: NewtonPencil) -> None:
-    """Problem and pencil files must carry the same basis label (every
-    certificate checks n and the nodes itself)."""
-    if pencil.basis != q.basis:
-        raise FileFormatError(f"basis mismatch: problem is {q.basis}, "
-                              f"pencil is {pencil.basis}")
-
-
 class Report:
     def __init__(self):
         self.lines: list[str] = []
@@ -130,7 +121,7 @@ def _cmd_construct(args) -> int:
     report.add(f"input: {args.problem}")
     report.add(f"seed: {seed}")
     report.add(f"tolerance: {_fmt_f(args.tol)}")
-    report.add(f"problem: basis={q.basis} n={q.n}")
+    report.add(f"problem: basis={layout(q)} n={q.n}")
 
     if args.companion:
         pencil = companion_pencil(q)
@@ -164,7 +155,6 @@ def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     q = load_problem(args.problem)
     pencil = load_pencil(args.pencil)
-    _require_matching_files(q, pencil)
 
     report = Report()
     report.add("command: verify")
@@ -294,7 +284,6 @@ def _cmd_spectrum(args) -> int:
         raise FileFormatError(f"--slices must be at least 1, got {args.slices}")
 
     pencil = load_pencil(args.pencil)
-    _require_matching_files(q, pencil)
 
     report.add("mode: slice")
     report.add(f"inputs: {args.problem} {args.pencil}")
@@ -381,8 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", metavar="SEED|FILE", type=_seed_or_file, default=None,
                    help="free parameters: integer seed for a random draw or "
                         "a JSON file with Y11/Z1/Z2")
-    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES,
-                   help="checked but unused: membership reads no sample points")
     p.add_argument("--out", required=True, help="output pencil file")
     common(p)
     p.set_defaults(func=_cmd_construct)

@@ -12,9 +12,12 @@ Scalars (the nodes) are [re, im] pairs. A problem file looks like
 
 with six n x n coefficients A20 A11 A02 A10 A01 A00. ``nodes`` is present
 exactly when the basis is "newton"; a "monomial" file is read as zero
-nodes, and ``basis`` is kept on the loaded object only to write the same
-layout back. Pencil files reuse the schema with a "blocks" object holding
-L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n. Readers ignore
+nodes. Pencil files reuse the schema with a "blocks" object holding
+L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n. The label is a
+file layout only, and this module alone decides it: writers pick it from
+the nodes (:func:`layout`), so a polynomial or pencil whose nodes are all
+zero (signed zeros too) is written as "monomial" whatever file it was read
+from. Readers ignore
 other keys, such as the "provenance" object that earlier versions wrote:
 every certificate reads the blocks alone. Writers emit single-line JSON
 with sorted keys, so output is byte-deterministic; both encodings are
@@ -32,22 +35,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .matpoly import MONOMIAL, NEWTON, MatrixPoly2, NewtonNodes
+from .matpoly import MatrixPoly2, NewtonNodes
 from .spaces import NewtonPencil
 
 COEFF_NAMES = {"A20": (2, 0), "A11": (1, 1), "A02": (0, 2),
                "A10": (1, 0), "A01": (0, 1), "A00": (0, 0)}
-MONOMIAL_BLOCKS = ("L1", "L2", "L0")
-NEWTON_BLOCKS = ("A1", "A2", "A3")
+MONOMIAL = "monomial"
+NEWTON = "newton"
+BLOCK_NAMES = {MONOMIAL: ("L1", "L2", "L0"), NEWTON: ("A1", "A2", "A3")}
 
 __all__ = [
     "FileFormatError",
+    "layout",
     "load_problem",
     "save_problem",
     "load_pencil",
     "save_pencil",
     "load_params",
-    "params_to_dict",
     "params_from_dict",
 ]
 
@@ -130,6 +134,12 @@ def _dump_json(path, doc: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def layout(obj) -> str:
+    """The file layout of a polynomial or pencil: "monomial" exactly when
+    all its nodes are zero, "newton" otherwise."""
+    return MONOMIAL if obj.nodes.is_zero else NEWTON
+
+
 def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -160,19 +170,17 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
 
 def _header(obj) -> dict:
     """n, basis and (for newton files) nodes of a polynomial or pencil."""
-    doc = {"n": obj.n, "basis": obj.basis}
-    if obj.basis == NEWTON:
+    doc = {"n": obj.n, "basis": layout(obj)}
+    if doc["basis"] == NEWTON:
         nodes = obj.nodes
         doc["nodes"] = {"alpha": [[z.real, z.imag] for z in (nodes.alpha1, nodes.alpha2)],
                         "beta": [[z.real, z.imag] for z in (nodes.beta1, nodes.beta2)]}
-    elif not obj.nodes.is_zero:
-        raise ValueError(f"basis 'monomial' cannot record nonzero nodes {obj.nodes.as_tuple()}")
     return doc
 
 
 def load_problem(path) -> MatrixPoly2:
     doc = _load_json(path)
-    n, basis, nodes = _parse_header(doc, path)
+    n, _, nodes = _parse_header(doc, path)
     raw = doc.get("coefficients")
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: missing 'coefficients' object")
@@ -181,8 +189,6 @@ def load_problem(path) -> MatrixPoly2:
         if name not in raw:
             raise FileFormatError(f"{path}: coefficients.{name} is missing")
         coeffs[key] = _flat_to_matrix(raw[name], n, n, f"{path}: coefficients.{name}")
-    if basis == MONOMIAL:
-        return MatrixPoly2.monomial(coeffs)
     return MatrixPoly2.newton(coeffs, nodes)
 
 
@@ -200,29 +206,19 @@ def load_pencil(path) -> NewtonPencil:
     raw = doc.get("blocks")
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: missing 'blocks' object")
-    names = MONOMIAL_BLOCKS if basis == MONOMIAL else NEWTON_BLOCKS
     mats = []
-    for name in names:
+    for name in BLOCK_NAMES[basis]:
         if name not in raw:
             raise FileFormatError(f"{path}: blocks.{name} is missing")
         mats.append(_flat_to_matrix(raw[name], 3 * n, 3 * n, f"{path}: blocks.{name}"))
-    return NewtonPencil.from_blocks(nodes, *mats, basis=basis)
+    return NewtonPencil.from_blocks(nodes, *mats)
 
 
 def save_pencil(path, pencil: NewtonPencil) -> None:
     doc = _header(pencil)
-    names = MONOMIAL_BLOCKS if pencil.basis == MONOMIAL else NEWTON_BLOCKS
     doc["blocks"] = {name: _matrix_to_flat(block)
-                     for name, block in zip(names, pencil.blocks())}
+                     for name, block in zip(BLOCK_NAMES[doc["basis"]], pencil.blocks())}
     _dump_json(path, doc)
-
-
-def params_to_dict(params) -> dict:
-    return {
-        "Y11": _matrix_to_flat(params.y11),
-        "Z1": _matrix_to_flat(params.z1),
-        "Z2": _matrix_to_flat(params.z2),
-    }
 
 
 def params_from_dict(doc: dict, n: int, where: str = "params"):

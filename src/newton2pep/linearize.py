@@ -160,7 +160,7 @@ def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
     """
     require_matching(q, params=params)
     params.require_admissible(tol)
-    return NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, params), basis=q.basis)
+    return NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, params))
 
 
 def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
@@ -234,7 +234,8 @@ def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
     numerically singular Z.
     """
     try:
-        e1 = pencil.left_multiply(m := select_M(v))
+        with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
+            e1 = pencil.left_multiply(m := select_M(v))
     except ValueError as exc:  # select_M of a zero v, or non-finite blocks
         raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
     witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
@@ -279,7 +280,8 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     half, mu the second. Inconclusive (DegenerateProblemError) when
     sigma_min(Q) <= n eps sigma_max(Q) at every sample, the relative rank
     test of numpy.linalg.matrix_rank. A quadratic in (lambda, mu) has 6
-    coefficients, so ``samples`` below 6 raises ValueError.
+    coefficients, so ``samples`` below 6 raises ValueError. A sample where L
+    or det L overflows the double range has deviation inf.
     """
     if samples < 6:
         raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
@@ -296,9 +298,11 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         )
     sign_q, log_q = np.linalg.slogdet(q_values)
     chunks = pencil.eval_chunks(lams, mus)
-    sign_l, log_l = (np.concatenate(p) for p in zip(*(np.linalg.slogdet(v) for _, v in chunks)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign_l, log_l = (np.concatenate(p) for p in zip(*(np.linalg.slogdet(v) for _, v in chunks)))
+    overflow = np.isnan(log_l) | (log_l == np.inf)  # never the reference sample
 
-    ref = int(np.argmax(log_q))
+    ref = int(np.argmax(np.where(overflow, -np.inf, log_q)))
     phase = sign_l[ref] / sign_q[ref]
     log_abs_gamma = log_l[ref] - log_q[ref]
     # Zero divisions and rounded values out of range are expected here.
@@ -306,6 +310,7 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         dev = np.abs(sign_l / (sign_q * phase) * np.exp(log_l - log_q - log_abs_gamma) - 1)
         # gamma det Q_i == 0: exact agreement only if det L_i == 0 as well.
         dev = np.where((sign_q == 0) | (phase == 0), np.where(sign_l == 0, 0.0, np.inf), dev)
+        dev[overflow] = np.inf
         dev[ref] = 0.0
         records = tuple((complex(lam), complex(mu), complex(sl * np.exp(ll)),
                          complex(sq * np.exp(lq)), float(d))

@@ -9,9 +9,9 @@ Newton basis functions of total degree at most two on the nodes
 
 Nodes may coincide; the Newton basis degenerates gracefully. With all nodes
 zero it is the monomial basis 1, lambda, mu, lambda^2, lambda*mu, mu^2 bit
-for bit, so monomial input is the zero-node case and needs no second type.
-The ``basis`` tag ("monomial" or "newton") only records the file layout a
-polynomial was read from or is written to; no computation reads it.
+for bit, so monomial input is the zero-node case and needs no second type
+or label. Which file layout a polynomial is written in is decided by
+:mod:`newton2pep.fileio` from the nodes alone.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ import numpy as np
 
 from .linalg import as_matrix, freeze
 
-MONOMIAL = "monomial"
-NEWTON = "newton"
-
 # Coefficient keys (i, j) for the lambda-degree-i, mu-degree-j basis function.
 # The order matches the six-vector returned by newton_six.
 COEFF_KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 __all__ = [
-    "MONOMIAL",
-    "NEWTON",
     "COEFF_KEYS",
     "NewtonNodes",
     "newton_six",
@@ -94,27 +89,18 @@ class MatrixPoly2:
 
     ``coeffs`` maps (i, j) in COEFF_KEYS to the n x n block multiplying the
     basis function of lambda-degree i and mu-degree j. All six blocks are
-    stored explicitly (zero blocks included). ``basis`` is the file-format
-    label; a monomial polynomial is the one with all nodes zero.
+    stored explicitly (zero blocks included). A monomial polynomial is the
+    one with all nodes zero, the default.
     """
 
     n: int
-    basis: str
     coeffs: dict
     nodes: NewtonNodes = NewtonNodes()
 
     @classmethod
-    def monomial(cls, coeffs) -> "MatrixPoly2":
-        return cls._build(MONOMIAL, coeffs, NewtonNodes())
-
-    @classmethod
-    def newton(cls, coeffs, nodes: NewtonNodes) -> "MatrixPoly2":
+    def newton(cls, coeffs, nodes: NewtonNodes = NewtonNodes()) -> "MatrixPoly2":
         if not isinstance(nodes, NewtonNodes):
             nodes = NewtonNodes(*nodes)
-        return cls._build(NEWTON, coeffs, nodes)
-
-    @classmethod
-    def _build(cls, basis, coeffs, nodes) -> "MatrixPoly2":
         missing = [k for k in COEFF_KEYS if k not in coeffs]
         if missing:
             raise ValueError(f"missing coefficient blocks: {missing}")
@@ -124,7 +110,7 @@ class MatrixPoly2:
         for key in COEFF_KEYS:
             block = np.atleast_2d(np.asarray(coeffs[key], dtype=complex))
             clean[key] = freeze(as_matrix(block, n, n, name=f"coefficient {key}"))
-        return cls(n=n, basis=basis, coeffs=clean, nodes=nodes)
+        return cls(n=n, coeffs=clean, nodes=nodes)
 
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
@@ -148,11 +134,10 @@ class MatrixPoly2:
             n1    = lambda - a1
             m1    = mu - b1
         so the result evaluates identically everywhere. With all nodes zero
-        the expansion is the identity and the blocks are returned as they
-        are, signed zeros included.
+        the expansion is the identity and the polynomial itself is returned.
         """
         if self.nodes.is_zero:
-            return MatrixPoly2.monomial(self.coeffs)
+            return self
         a1, a2, b1, b2 = self.nodes.as_tuple()
         c = self.coeffs
         out = {
@@ -165,7 +150,7 @@ class MatrixPoly2:
                     + (b1 * b2) * c[(0, 2)] - a1 * c[(1, 0)] - b1 * c[(0, 1)]
                     + c[(0, 0)],
         }
-        return MatrixPoly2.monomial(out)
+        return MatrixPoly2.newton(out)
 
     def coefficient_scale(self) -> float:
         """Largest Frobenius norm among the six blocks."""

@@ -16,7 +16,8 @@ lam A1 + mu A2 + A3 and the space is the monomial one, bit for bit.
 Membership is decided from the blocks alone: L (N kron I) expands exactly
 in the six Newton basis functions, so the identity is six block equalities
 (:func:`membership_newton`). ``eval`` maps 1-D arrays of K points to
-(K, ., .) stacks, bitwise the pointwise values.
+(K, ., .) stacks, bitwise the pointwise values. A pencil carries no
+basis label: :mod:`newton2pep.fileio` picks a file layout from its nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
 from .linalg import as_matrix, freeze
-from .matpoly import COEFF_KEYS, NEWTON, MatrixPoly2, NewtonNodes
+from .matpoly import COEFF_KEYS, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 12
@@ -55,8 +56,6 @@ class NewtonPencil:
     """Newton-form pencil A1 Gamma2(lam) + A2 Gamma2t(mu) + A3.
 
     With all nodes zero this is the monomial pencil lam A1 + mu A2 + A3.
-    ``basis`` is the file-format label: a "monomial" pencil file stores the
-    blocks as L1/L2/L0 and carries no nodes.
     """
 
     n: int
@@ -64,10 +63,9 @@ class NewtonPencil:
     A1: np.ndarray
     A2: np.ndarray
     A3: np.ndarray
-    basis: str = NEWTON
 
     @classmethod
-    def from_blocks(cls, nodes, a1, a2, a3, basis: str = NEWTON) -> "NewtonPencil":
+    def from_blocks(cls, nodes, a1, a2, a3) -> "NewtonPencil":
         if not isinstance(nodes, NewtonNodes):
             nodes = NewtonNodes(*nodes)
         a1 = np.asarray(a1, dtype=complex)
@@ -77,7 +75,7 @@ class NewtonPencil:
         a1 = freeze(as_matrix(a1, 3 * n, 3 * n, name="A1"))
         a2 = freeze(as_matrix(a2, 3 * n, 3 * n, name="A2"))
         a3 = freeze(as_matrix(a3, 3 * n, 3 * n, name="A3"))
-        return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3, basis=basis)
+        return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3)
 
     def eval(self, lam, mu) -> np.ndarray:
         """Value at (lam, mu): 3n x 3n, or a (K, 3n, 3n) stack as in MatrixPoly2.eval.
@@ -111,8 +109,7 @@ class NewtonPencil:
     def left_multiply(self, m) -> "NewtonPencil":
         """(m kron I_n) L for a 3 x 3 matrix m; it maps ansatz vector v to m v."""
         t = np.kron(m, np.eye(self.n))
-        return NewtonPencil.from_blocks(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3,
-                                        basis=self.basis)
+        return NewtonPencil.from_blocks(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3)
 
 
 # The benchmark tracer (perfbench/tracing.py) looks this name up; it has no

@@ -244,7 +244,7 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
 
 def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
     """Coefficients (K2, K1, K0) of lam^2 K2 + lam K1 + K0 = Q(lam, mu0)."""
-    qm = q if q.nodes.is_zero else q.to_monomial()  # the same blocks on zero nodes
+    qm = q.to_monomial()
     k2 = qm.coeff(2, 0)
     k1 = mu0 * qm.coeff(1, 1) + qm.coeff(1, 0)
     k0 = mu0 * mu0 * qm.coeff(0, 2) + mu0 * qm.coeff(0, 1) + qm.coeff(0, 0)
@@ -307,12 +307,18 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     slice is the linear pencil lam A1 + L(0, mu0). A1 is factored once: each
     slice is solved on its row space, of dimension rank A1 (2n for an e1
     pencil), and A1's null space gives the slice's 3n - rank A1 infinite
-    eigenvalues. Each chunk of slices is solved as one stack."""
+    eigenvalues. Each chunk of slices is solved as one stack. A slice whose
+    values overflow the double range raises ValueError naming its mu0."""
     basis = row_space_basis(pencil.A1)
     out = []
-    for _, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
-        out += [None if pairs is None else pairs[0].tolist()
-                for pairs in small_dense_eigen(-constants, pencil.A1, basis=basis)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named below
+        for sl, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
+            if not (finite := np.isfinite(constants).all(axis=(1, 2))).all():
+                mu0 = complex(mus[sl][np.argmin(finite)])
+                raise ValueError(f"the pencil values at the slice mu0=({mu0.real:.17g}, "
+                                 f"{mu0.imag:.17g}) overflow the double range")
+            out += [None if pairs is None else pairs[0].tolist()
+                    for pairs in small_dense_eigen(-constants, pencil.A1, basis=basis)]
     return out
 
 

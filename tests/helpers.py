@@ -11,6 +11,7 @@ from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, Newt
                         annulus_points, companion_pencil, complex_normal,
                         construct_e1_newton, construct_general_ansatz, newton_six,
                         small_dense_eigen)
+from newton2pep.fileio import _matrix_to_flat
 
 
 def random_coeffs(rng, n):
@@ -18,7 +19,7 @@ def random_coeffs(rng, n):
 
 
 def random_monomial(rng, n):
-    return MatrixPoly2.monomial(random_coeffs(rng, n))
+    return MatrixPoly2.newton(random_coeffs(rng, n))
 
 
 def random_nodes(rng):
@@ -58,7 +59,7 @@ def pencil_in_space(q, construction, rng):
 def scalar_monomial(a20, a11, a02, a10, a01, a00):
     c = {(2, 0): [[a20]], (1, 1): [[a11]], (0, 2): [[a02]],
          (1, 0): [[a10]], (0, 1): [[a01]], (0, 0): [[a00]]}
-    return MatrixPoly2.monomial(c)
+    return MatrixPoly2.newton(c)
 
 
 def scalar_newton(a20, a11, a02, a10, a01, a00, nodes=None):
@@ -109,7 +110,7 @@ def scaled(q, factor):
 
 def with_zero_nodes(q):
     """The coefficient blocks of q read in the monomial basis (zero nodes)."""
-    return MatrixPoly2.monomial(dict(q.coeffs))
+    return MatrixPoly2.newton(dict(q.coeffs))
 
 
 def newton_triple(nodes, lam, mu):
@@ -225,6 +226,13 @@ def rewrite_as_pairs(src, dst):
     Path(dst).write_text(text + "\n", encoding="utf-8")
 
 
+def params_to_dict(params) -> dict:
+    """The Y11/Z1/Z2 object of a parameter file (base64 matrices), as
+    ``construct --params FILE`` and ``delta --params FILE`` read it."""
+    return {name: _matrix_to_flat(m) for name, m in
+            (("Y11", params.y11), ("Z1", params.z1), ("Z2", params.z2))}
+
+
 def s_map(nodes):
     """Change of basis S with S Lambda = N, together with its exact inverse.
 
@@ -238,8 +246,7 @@ def s_map(nodes):
 
 def _right_multiply(pencil, s):
     t = np.kron(s, np.eye(pencil.n))
-    return NewtonPencil.from_blocks(pencil.nodes, pencil.A1 @ t, pencil.A2 @ t,
-                                    pencil.A3 @ t, basis=pencil.basis)
+    return NewtonPencil.from_blocks(pencil.nodes, pencil.A1 @ t, pencil.A2 @ t, pencil.A3 @ t)
 
 
 def to_newton_space(pencil, nodes):
@@ -260,7 +267,7 @@ def transfer_to_newton(pencil, q_newton):
     member of the Newton space with the same ansatz vector."""
     if pencil.n != q_newton.n:
         raise ValueError(f"size mismatch: pencil n={pencil.n}, polynomial n={q_newton.n}")
-    return NewtonPencil.from_blocks(q_newton.nodes, *pencil.blocks(), basis=q_newton.basis)
+    return NewtonPencil.from_blocks(q_newton.nodes, *pencil.blocks())
 
 
 def select_M_alternate_ac(v):

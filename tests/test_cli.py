@@ -20,11 +20,11 @@ import newton2pep
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         assemble_e1_blocks, companion_pencil, construct_general_ansatz)
 from newton2pep.cli import main
-from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, params_to_dict,
-                               save_pencil, save_problem)
+from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
+                               save_problem)
 
-from helpers import (NODE_KINDS, nodes_of_kind, random_coeffs, random_monomial, random_newton,
-                     rewrite_as_pairs, scalar_newton)
+from helpers import (NODE_KINDS, nodes_of_kind, params_to_dict, random_coeffs, random_monomial,
+                     random_newton, rewrite_as_pairs, scalar_newton)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -64,6 +64,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def overflow_member(q):
+    """The companion pencil of q with 1.5e308 moved from A1[1] into the lower
+    rows of A2[0]: still a member with ansatz e1, but its values, and
+    (M kron I) L for an M that adds row block 2 to row block 3, overflow."""
+    n = q.n
+    blocks = [a.copy() for a in companion_pencil(q).blocks()]
+    blocks[1][n:, :n] += 1.5e308
+    blocks[0][n:, n:2 * n] -= 1.5e308
+    return NewtonPencil.from_blocks(q.nodes, *blocks)
 
 
 class TestConstruct:
@@ -171,7 +182,6 @@ class TestConstruct:
 
     def test_params_from_file(self, tmp_path, qfile, capsys):
         from newton2pep import E1FreeParams
-        from newton2pep.fileio import params_to_dict
         rng = np.random.default_rng(8)
         params = E1FreeParams.random(2, rng)
         pfile = tmp_path / "params.json"
@@ -185,31 +195,17 @@ class TestConstruct:
 
     @pytest.mark.parametrize("samples", ["0", "1", "5"])
     def test_too_few_samples_is_usage_error(self, tmp_path, qfile, capsys, samples):
-        # Membership reads no sample points, but construct keeps the flag and
-        # its check (verify's determinant ratio needs at least 6 points).
+        # Membership reads no sample points, so construct has no --samples
+        # option: any value, valid for verify or not, is an unknown argument.
         out = tmp_path / "pencil.json"
-        code = main(["construct", qfile, "--companion", "--samples", samples,
-                     "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "argument --samples: must be at least 6" in captured.err
-        assert not out.exists()
-        code, report = run(capsys, ["construct", qfile, "--companion",
-                                    "--samples", "6", "--out", str(out)])
-        assert code == 0
-        assert "membership: member" in report
-
-
-    def test_samples_flag_does_not_change_construct(self, tmp_path, qfile, capsys):
-        reports = []
-        for samples in ("6", "40"):
-            code, report = run(capsys, ["construct", qfile, "--ansatz", "1,0.5,2j",
-                                        "--samples", samples,
-                                        "--out", str(tmp_path / "pencil.json")])
-            assert code == 0
-            reports.append(report)
-        assert reports[0] == reports[1]
+        for value in (samples, "6"):
+            code = main(["construct", qfile, "--companion", "--samples", value,
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "unrecognized arguments: --samples " + value in captured.err
+            assert not out.exists()
 
 
 class TestVerify:
@@ -225,7 +221,6 @@ class TestVerify:
         # Z is 128 x 128 and scaled by 1e-5, so det(Z^{-1}) is near 1e640 and
         # overflows a double; the prediction must stay in log space.
         from newton2pep import E1FreeParams
-        from newton2pep.fileio import params_to_dict
         qfile, pfile, out = (str(tmp_path / name) for name in ("q.json", "z.json", "p.json"))
         save_problem(qfile, random_newton(np.random.default_rng(64), 64))
         p = E1FreeParams.random(64, np.random.default_rng(6))
@@ -270,8 +265,8 @@ class TestVerify:
     def test_no_witness_fails_with_exit_1(self, tmp_path, qfile, capsys, pencil):
         # A member whose Z read from the blocks is singular (an e1 pencil with
         # Z = 0); the zero pencil, whose ansatz is zero, so no M maps it to
-        # e1; and a member whose (M kron I) L overflows: M adds row block 2
-        # to row block 3, and both hold 1.5e308 in A2[0] (taken from A1[1]).
+        # e1; and the overflow member, whose samples and (M kron I) L are
+        # out of double range: no numpy warning, and its deviation reads inf.
         q = load_problem(qfile)
         n = q.n
         if pencil == "singular-Z":
@@ -280,15 +275,17 @@ class TestVerify:
         elif pencil == "zero":
             blocks = [np.zeros((3 * n, 3 * n))] * 3
         else:
-            blocks = [a.copy() for a in companion_pencil(q).blocks()]
-            blocks[1][n:, :n] += 1.5e308
-            blocks[0][n:, n:2 * n] -= 1.5e308
+            blocks = overflow_member(q).blocks()
         out = str(tmp_path / "p.json")
         save_pencil(out, NewtonPencil.from_blocks(q.nodes, *blocks))
-        code, report = run(capsys, ["verify", qfile, out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(capsys, ["verify", qfile, out])
         assert "membership: member" in report
         assert "witness check: fail" in report
         assert (code, report.splitlines()[-1]) == (1, "verdict: FAIL")
+        if pencil == "overflow":
+            assert "\nmax relative deviation: inf\n" in report
 
     @settings(max_examples=24, deadline=None)
     @given(st.integers(1, 4), st.sampled_from(NODE_KINDS),
@@ -403,7 +400,6 @@ class TestDelta:
 
     def test_params_file_for_both_pencils(self, tmp_path, scalar_pair_files, capsys):
         from newton2pep import E1FreeParams
-        from newton2pep.fileio import params_to_dict
         p1, p2 = scalar_pair_files
         rng = np.random.default_rng(6)
         doc = {"params1": params_to_dict(E1FreeParams.random(1, rng)),
@@ -478,6 +474,17 @@ class TestSpectrum:
         assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,residual"
         assert len(lines) == 5  # header + 4 points
 
+    def test_overflowing_pencil_slice_is_usage_error(self, tmp_path, qfile, capsys):
+        out = str(tmp_path / "p.json")
+        save_pencil(out, overflow_member(load_problem(qfile)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["spectrum", qfile, out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.search(r"^error: the pencil values at the slice mu0=\(\S+, \S+\) overflow "
+                         r"the double range$", captured.err, re.M)
+
     def test_zero_slices_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
@@ -509,31 +516,53 @@ class TestSpectrum:
 @pytest.mark.parametrize("mode", CONSTRUCT_MODES)
 def test_monomial_file_is_zero_node_newton_file(tmp_path, capsys, mode):
     # Same coefficients, once as a monomial file and once as a Newton file
-    # with all nodes zero: the reports differ only in the basis label and
-    # the file paths, and the pencils only in the block names.
+    # with all nodes zero: the layout is read from the nodes, so the reports
+    # differ only in the file paths (both read basis=monomial), and both
+    # pencils are written byte for byte the same, as L1/L2/L0 with no nodes.
     q = random_monomial(np.random.default_rng(30), 2)
-    zero_node = MatrixPoly2.newton(q.coeffs, NewtonNodes())
-    files = {}
-    for label, poly in (("mono", q), ("newt", zero_node)):
-        problem, pencil = str(tmp_path / f"{label}.json"), str(tmp_path / f"{label}-p.json")
-        save_problem(problem, poly)
-        reports = []
-        for argv in (["construct", problem, mode, "--out", pencil],
-                     ["verify", problem, pencil],
-                     ["spectrum", problem, pencil, "--slices", "3"]):
+    files, reports = {}, {}
+    for label in ("mono", "newt"):
+        problem, pencil = str(tmp_path / f"{label}.json"), tmp_path / f"{label}-p.json"
+        save_problem(problem, q)
+        if label == "newt":
+            doc = json.loads(Path(problem).read_text())
+            doc["basis"], doc["nodes"] = "newton", {"alpha": [[0, 0]] * 2, "beta": [[0, 0]] * 2}
+            Path(problem).write_text(json.dumps(doc))
+        reports[label] = []
+        for argv in (["construct", problem, mode, "--out", str(pencil)],
+                     ["verify", problem, str(pencil)],
+                     ["spectrum", problem, str(pencil), "--slices", "3"]):
             code, out = run(capsys, argv)
             assert code == 0, (argv, out)
-            reports.append([line for line in out.splitlines()
-                            if not line.startswith(("input:", "inputs:", "output:",
-                                                    "problem: basis="))])
-        files[label] = (reports, load_pencil(pencil))
-    (mono_reports, mono_pencil), (newt_reports, newt_pencil) = files["mono"], files["newt"]
-    assert mono_reports == newt_reports
-    assert (mono_pencil.basis, newt_pencil.basis) == ("monomial", "newton")
-    written = json.loads((tmp_path / "mono-p.json").read_text())
+            reports[label].append([line for line in out.splitlines()
+                                   if not line.startswith(("input:", "inputs:", "output:"))])
+        files[label] = pencil.read_bytes()
+    assert reports["mono"] == reports["newt"]
+    assert "problem: basis=monomial n=2" in reports["newt"][0]
+    assert files["mono"] == files["newt"]
+    written = json.loads(files["mono"])
     assert set(written["blocks"]) == {"L1", "L2", "L0"} and "nodes" not in written
-    for a, b in zip(mono_pencil.blocks(), newt_pencil.blocks()):
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", ["--companion", "--ansatz=1,2,3"])
+def test_zero_node_pencil_in_newton_layout_is_accepted(tmp_path, capsys, mode):
+    # Earlier versions wrote the pencil of a zero-node Newton problem as
+    # A1/A2/A3 with its zero nodes. Against a monomial problem it verifies
+    # and checks its slices as the L1/L2/L0 file with the same blocks does.
+    problem, pencil, legacy = (str(tmp_path / name) for name in ("q.json", "p.json", "a.json"))
+    save_problem(problem, random_monomial(np.random.default_rng(31), 2))
+    code, _ = run(capsys, ["construct", problem, mode, "--out", pencil])
+    assert code == 0
+    doc = json.loads(Path(pencil).read_text())
+    doc["basis"], doc["nodes"] = "newton", {"alpha": [[0, 0]] * 2, "beta": [[0, 0]] * 2}
+    doc["blocks"] = {a: doc["blocks"][m] for a, m in zip(("A1", "A2", "A3"), ("L1", "L2", "L0"))}
+    Path(legacy).write_text(json.dumps(doc))
+    for command in ("verify", "spectrum"):
+        code, report = run(capsys, [command, problem, pencil])
+        legacy_code, legacy_report = run(capsys, [command, problem, legacy])
+        assert (legacy_code, legacy_report) == (0, report.replace(pencil, legacy))
+    save_pencil(pencil, load_pencil(legacy))
+    assert json.loads(Path(pencil).read_text())["basis"] == "monomial"
 
 
 class TestDeterminism:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil
+from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, companion_pencil
 from newton2pep.fileio import (
     FileFormatError,
     _flat_to_matrix,
     _matrix_to_flat,
+    layout,
     load_pencil,
     load_problem,
     save_pencil,
@@ -145,9 +146,7 @@ def tricky_poly(nodes):
     vals = np.array([float(x) for x in TRICKY] + [-1.5, 3.0])
     coeffs = {key: np.roll(vals, -2 * i)[:8].view(complex).reshape(2, 2)
               for i, key in enumerate(COEFF_KEYS)}
-    if nodes is None:
-        return MatrixPoly2.monomial(coeffs)
-    return MatrixPoly2.newton(coeffs, nodes)
+    return MatrixPoly2.newton(coeffs, nodes or NewtonNodes())
 
 
 def node_values(nodes):
@@ -255,11 +254,19 @@ def test_monomial_file_rejects_nodes(tmp_path, kind):
         loader(path)
 
 
-def test_monomial_label_with_nonzero_nodes_is_not_written(tmp_path):
-    # A monomial file has no place for nodes; writing one would drop them.
-    q = tricky_poly(None)
-    blocks = companion_pencil(q).blocks()
-    pencil = NewtonPencil.from_blocks(NewtonNodes(1, 0, 0, 0), *blocks, basis="monomial")
-    with pytest.raises(ValueError, match="cannot record nonzero nodes"):
-        save_pencil(tmp_path / "p.json", pencil)
-    assert not (tmp_path / "p.json").exists()
+@pytest.mark.parametrize("nodes, want", [(NewtonNodes(), "monomial"),
+                                         (NewtonNodes(-0.0, 0, 0j, 0), "monomial"),
+                                         (NewtonNodes(0, 0, 0, 5e-324), "newton")])
+def test_layout_is_read_from_the_nodes(tmp_path, nodes, want):
+    # The polynomial and its pencil carry no label: the writer picks the
+    # layout, and a monomial file has no nodes and L1/L2/L0 blocks.
+    q = tricky_poly(nodes)
+    assert layout(q) == layout(companion_pencil(q)) == want
+    save_problem(tmp_path / "q.json", q)
+    save_pencil(tmp_path / "p.json", companion_pencil(q))
+    problem, pencil = (json.loads((tmp_path / f).read_text()) for f in ("q.json", "p.json"))
+    assert problem["basis"] == pencil["basis"] == want
+    assert ("nodes" in problem) == ("nodes" in pencil) == (want == "newton")
+    names = {"A1", "A2", "A3"} if want == "newton" else {"L1", "L2", "L0"}
+    assert set(pencil["blocks"]) == names
+    assert load_problem(tmp_path / "q.json").nodes == q.nodes

@@ -72,7 +72,7 @@ class TestCompanion:
             shift = q.eval(lam0, mu0) @ np.outer(x, x.conj())
             coeffs = {k: q.coeff(*k) for k in q.coeffs}
             coeffs[(0, 0)] = q.coeff(0, 0) - shift
-            q2 = MatrixPoly2.monomial(coeffs)
+            q2 = MatrixPoly2.newton(coeffs)
             assert np.linalg.norm(q2.eval(lam0, mu0) @ x) < 1e-12
             c = companion_pencil(q2)
             w = np.kron(np.array([lam0, mu0, 1.0]), x)

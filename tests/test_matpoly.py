@@ -70,7 +70,7 @@ class TestBasisVectors:
 
 class TestEval:
     def test_all_ones_monomial(self):
-        q = MatrixPoly2.monomial({k: [[1.0]] for k in COEFF_KEYS})
+        q = MatrixPoly2.newton({k: [[1.0]] for k in COEFF_KEYS})
         assert q.eval(1.0, 1.0)[0, 0] == pytest.approx(6.0)
 
     def test_newton_zero_nodes_equals_monomial(self):
@@ -122,13 +122,13 @@ class TestEval:
 
     def test_requires_all_blocks(self):
         with pytest.raises(ValueError, match="missing"):
-            MatrixPoly2.monomial({(2, 0): [[1.0]]})
+            MatrixPoly2.newton({(2, 0): [[1.0]]})
 
     def test_rejects_ragged_blocks(self):
         coeffs = {k: [[1.0]] for k in COEFF_KEYS}
         coeffs[(0, 0)] = [[1.0, 2.0], [3.0, 4.0]]
         with pytest.raises(ValueError):
-            MatrixPoly2.monomial(coeffs)
+            MatrixPoly2.newton(coeffs)
 
 
 class TestToMonomial:
@@ -152,12 +152,12 @@ class TestToMonomial:
         rng = np.random.default_rng(4)
         coeffs = dict(random_newton(rng, 2).coeffs)
         coeffs[(1, 0)] = np.array([[-0.0, 1.0], [2.0, complex(-0.0, -0.0)]])
-        for qn in (MatrixPoly2.newton(coeffs, NewtonNodes()), MatrixPoly2.monomial(coeffs)):
-            qm = qn.to_monomial()
-            for key in COEFF_KEYS:
-                # Bitwise, so signed zeros count too.
-                np.testing.assert_array_equal(qm.coeff(*key).view(np.uint64),
-                                              qn.coeff(*key).view(np.uint64))
+        qn = MatrixPoly2.newton(coeffs)
+        assert qn.to_monomial() is qn
+        for key in COEFF_KEYS:
+            # Bitwise, so signed zeros count too.
+            np.testing.assert_array_equal(qn.coeff(*key).view(np.uint64),
+                                          np.asarray(coeffs[key], complex).view(np.uint64))
 
     def test_evaluation_preserved_at_random_points(self):
         rng = np.random.default_rng(5)

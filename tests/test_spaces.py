@@ -164,7 +164,7 @@ class TestMembershipMonomial:
 
     def test_zero_polynomial_is_ill_posed(self):
         zero = np.zeros((2, 2))
-        q = MatrixPoly2.monomial({k: zero for k in
+        q = MatrixPoly2.newton({k: zero for k in
                                   ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))})
         c = NewtonPencil.from_blocks(q.nodes, np.eye(6), np.eye(6), np.eye(6))
         with pytest.raises(DegenerateProblemError):

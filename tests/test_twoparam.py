@@ -419,7 +419,7 @@ class TestCertificateOnDemand:
         e, coeffs = complex_normal(rng, 3, 3), dict(q.coeffs)
         for key, factor in (((0, 2), 1), ((0, 1), -(mus[1] + mus[2])), ((0, 0), mus[1] * mus[2])):
             coeffs[key] = coeffs[key] + factor * e
-        pencil = companion_pencil(MatrixPoly2.monomial(coeffs))
+        pencil = companion_pencil(MatrixPoly2.newton(coeffs))
         calls, real = [], twoparam._q_slice_eigenvalues
 
         def spy(q, mus, vectors=True):
@@ -546,7 +546,7 @@ class TestExactlyDefectiveSlices:
     ])
     def test_roots(self, k2, k1, k0, roots):
         zero = np.zeros_like(k0)
-        q = MatrixPoly2.monomial({(2, 0): k2, (1, 1): zero, (0, 2): zero,
+        q = MatrixPoly2.newton({(2, 0): k2, (1, 1): zero, (0, 2): zero,
                                   (1, 0): k1, (0, 1): zero, (0, 0): k0})
         np.testing.assert_allclose(spectrum_slice(q, 0.3), roots, atol=1e-6)
 

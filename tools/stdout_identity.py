@@ -1,14 +1,20 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` directory. Its
-882 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
+897 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
 construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
 FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
 --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
 (1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's values-only
 and vectors paths round the eigenvalues differently, so these are the jobs whose slice digits
-can move between the two paths. Each tree runs them in process through its own ``cli.main``.
-It names every job whose report differs. For those that differ in digits only, it groups the
+can move between the two paths. Then 15 more: construct, verify, spectrum for --companion and the
+(1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
+kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
+another problem on the same nodes against that pencil, which fail; the slices of such a
+spectrum job are the ones solved again with eigenvectors. The later blocks are drawn after the
+earlier ones, so adding them does not change the earlier draws. Each tree runs the jobs in
+process through its own ``cli.main``. It names every job whose report differs, with up to three
+of its differing lines. For those that differ in digits only, it groups the
 differing lines by their prefix, the text before the first number, and prints for each prefix the
 count of lines and the largest relative move of each field on them (``lambda`` and
 ``distance`` apart), so a move at rounding level in one field does not hide whether another
@@ -50,7 +56,8 @@ def build_jobs(work: Path, rng) -> list:
         return tag
     def chain(kind, n, c, how):  # construct, verify and spectrum of one problem
         tag = f"{kind}.n{n}.{''.join(map(str, c))}.{how}"
-        q, seed = _write_problem(work / f"{tag}.q", n, rng, _nodes(rng, kind)), _int(rng)
+        z = np.zeros(4) if kind == "zero-node" else _nodes(rng, kind)
+        q, seed = _write_problem(work / f"{tag}.q", n, rng, z), _int(rng)
         argv = ["--companion"] if c == "companion" else ["--ansatz=" + _ansatz_text(rng, c)]
         argv += ["--params", _int(rng) if how == "seed" else pfile(tag + "p", n)] if how else []
         return [(f"{tag}.{cmd}", [cmd, q, *rest, "--seed", seed]) for cmd, rest in
@@ -69,6 +76,13 @@ def build_jobs(work: Path, rng) -> list:
                      (tag + ".pair", ["spectrum", f1, "--pair", f2, "--seed", _int(rng)])]
     for kind in NODE_KINDS:  # drawn after the jobs above, so their draws do not change
         jobs += chain(kind, 64, "companion", None) + chain(kind, 64, (1, 1, 1), None)
+    jobs += chain("zero-node", 3, "companion", None) + chain("zero-node", 3, (1, 1, 1), None)
+    for kind in NODE_KINDS:  # Q against the companion pencil of another Q on its nodes
+        tag, z = f"{kind}.mismatch", _nodes(rng, kind)
+        f1, f2 = (_write_problem(work / (tag + i), 3, rng, z) for i in "ab")
+        jobs += [(tag + ".construct", ["construct", f2, "--companion", "--out", tag]),
+                 (tag + ".verify", ["verify", f1, tag, "--seed", _int(rng)]),
+                 (tag + ".spectrum", ["spectrum", f1, tag, "--seed", _int(rng)])]
     return jobs
 
 
@@ -92,6 +106,8 @@ def main(*sources) -> int:
         (code0, a), (code1, b) = runs[0][name], runs[1][name]
         if code0 != code1 or NUMBER.sub("#", a) != NUMBER.sub("#", b):
             print(f"differs: {name} (exit {code0} -> {code1})")
+            for x, y in [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y][:3]:
+                print(f"  - {x}\n  + {y}")
             continue
         digits.append(name)
         print(f"digits only: {name}")
