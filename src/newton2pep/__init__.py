@@ -6,7 +6,7 @@ the linearization property (determinant-ratio sampling, and the explicit
 unimodular factors checked exactly on the blocks), and assembles the
 Kronecker operator determinants coupling a pair of such problems. From
 those singular operators it solves the joint spectrum of a pair at desk
-scale by a rank-completing perturbation, using numpy only.
+scale on their regular part, found by a staircase reduction, using numpy only.
 """
 
 from .errors import (

@@ -18,12 +18,11 @@ so Delta1 z = lam Delta0 z and Delta2 z = mu Delta0 z for z = x1 kron x2.
 For e1 pencils Delta0 is singular by construction: the mu coefficients
 have their lower block rows supported on the last block column, so B1 u = 0
 and B2 v = 0 have solutions and u kron v annihilates Delta0. The
-certificate uses that witness on the 3p x 3p blocks (Muhic and Plestenjak,
-"On the singular two-parameter eigenvalue problem", ELA 18, 2009). The
-joint spectrum is solved from the singular operators by a rank-completing
-perturbation (Hochstenbach, Mehl and Plestenjak, "Solving singular
-generalized eigenvalue problems by a rank-completing perturbation",
-SIMAX 40, 2019). One-parameter slices check single pencils.
+certificate uses that witness on the 3p x 3p blocks. The joint spectrum is
+solved on the regular part of the singular operators, of size 4 p1 p2 for a
+generic pair, which a staircase reduction deflates to (Muhic and Plestenjak,
+"On the singular two-parameter eigenvalue problem", ELA 18, 2009).
+One-parameter slices check single pencils.
 """
 
 from __future__ import annotations
@@ -41,22 +40,21 @@ from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
 DESK_SCALE_LIMIT = 3
-# Relative singular-value cut-off for the normal rank of the Delta pencil.
+# Relative singular-value cut-off for the normal rank of the Delta pencil and
+# for each rank of its staircase reduction.
 RANK_TOL = 1e-10
 # Largest entry, relative to the block's, of a structural zero of an e1 pencil.
 STRUCTURE_TOL = 1e-12
-# Largest ||V* x||, ||U* y|| (unit vectors) of a true eigenvalue of the
-# rank-completed pencil.
-SELECT_TOL = 1e-6
 # Eigenvalues sigma closer than CLUSTER_TOL max(1, |sigma|), or whose error
 # discs DISC_FACTOR times their first-order bound wide overlap, form one point.
 CLUSTER_TOL = 1e-4
 DISC_FACTOR = 3.0
-POLISH_STEPS = 2
 # Largest backward error of a returned point, and of a Q slice eigenvalue.
 RESIDUAL_TOL = 1e-8
-# Relative sigma_min below which a degree-two part counts as singular; looser
-# than RESIDUAL_TOL because a double root at infinity comes out to sqrt(eps).
+# Relative sigma_min below which a degree-two part counts as singular, and
+# relative |1 + t1 lam' + t2 mu'| below which a point of the shifted regular
+# part lies at infinity; looser than RESIDUAL_TOL because a double root at
+# infinity comes out to sqrt(eps).
 INFINITY_TOL = 1e-6
 
 __all__ = [
@@ -407,53 +405,20 @@ class SpectrumSample:
     bezout_bound: int
 
 
-def _q_partials(q: MatrixPoly2, lams, mus):
-    """(dQ/dlam, dQ/dmu) stacks at the points (Newton basis derivatives)."""
-    a1, a2, b1, b2 = q.nodes.as_tuple()
-    c = q.coeffs
-    lam, mu = lams[:, None, None], mus[:, None, None]
-    return (c[2, 0] * (2 * lam - a1 - a2) + c[1, 1] * (mu - b1) + c[1, 0],
-            c[1, 1] * (lam - a1) + c[0, 2] * (2 * mu - b1 - b2) + c[0, 1])
-
-
 def _coefficient_norm(q: MatrixPoly2) -> float:
     """max_j ||C_j||_2 over the six coefficient blocks, from one stacked SVD."""
     return float(np.linalg.svd(np.stack(list(q.coeffs.values())), compute_uv=False)[:, 0].max())
 
 
-def _sigma_min_newton(pair: QtepPair, norms, lams, mus):
+def _backward_errors(pair: QtepPair, norms, lams, mus) -> np.ndarray:
     """Backward error max_i sigma_min(Qi) / (max_j ||C_ij||_2 sum_j |phi_j|) of
-    each point (Newton basis phi_j) and its Newton step (dlam, dmu) for
-    u_i* Qi(lam, mu) v_i = 0, with u_i, v_i the singular vectors of
-    sigma_min(Qi) at the point. ``norms`` holds max_j ||C_ij||_2 of each Qi."""
-    rows, errors = [], []
+    each point (Newton basis phi_j). ``norms`` holds max_j ||C_ij||_2 of each Qi."""
+    errors = []
     for q, norm in zip((pair.q1, pair.q2), norms):
-        u, s, vh = np.linalg.svd(q.eval(lams, mus))
-        left, right = u[:, :, -1].conj(), vh[:, -1, :].conj()
-        rows.append([np.einsum("ki,kij,kj->k", left, d, right)
-                     for d in _q_partials(q, lams, mus)] + [s[:, -1]])
+        sigma_min = np.linalg.svd(q.eval(lams, mus), compute_uv=False)[:, -1]
         scale = norm * np.abs(newton_six(q.nodes, lams, mus)).sum(axis=0)
-        errors.append(np.divide(s[:, -1], scale, out=np.zeros_like(scale), where=scale > 0))
-    (f1l, f1m, f1), (f2l, f2m, f2) = rows
-    with np.errstate(all="ignore"):
-        jac = f1l * f2m - f1m * f2l
-        dlam, dmu = (f1 * f2m - f1m * f2) / jac, (f1l * f2 - f1 * f2l) / jac
-    finite = np.isfinite(dlam) & np.isfinite(dmu)
-    return np.maximum(*errors), np.where(finite, dlam, 0), np.where(finite, dmu, 0)
-
-
-def _polish(pair: QtepPair, norms, lams, mus):
-    """POLISH_STEPS stacked Newton steps, each kept where it lowers the
-    backward error; returns the points and their backward errors. ``norms``
-    holds max_j ||C_ij||_2 of each Qi."""
-    error, dlam, dmu = _sigma_min_newton(pair, norms, lams, mus)
-    for _ in range(POLISH_STEPS):
-        trial = _sigma_min_newton(pair, norms, lams - dlam, mus - dmu)
-        better = trial[0] < error
-        lams, mus = np.where(better, lams - dlam, lams), np.where(better, mus - dmu, mus)
-        error = np.where(better, trial[0], error)
-        dlam, dmu = np.where(better, trial[1], 0), np.where(better, trial[2], 0)
-    return lams, mus, error
+        errors.append(np.divide(sigma_min, scale, out=np.zeros_like(scale), where=scale > 0))
+    return np.maximum(*errors)
 
 
 def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
@@ -471,6 +436,49 @@ def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
         sv = np.linalg.svd(a - sigma * b, compute_uv=False)
         counts.append(int(np.count_nonzero(sv <= RANK_TOL * sv[0])))
     return min(counts)
+
+
+def _right_step(ops, tol: float):
+    """One right step of the staircase: the triple and the nullity of its
+    Delta0, the rank cut at ``tol``. With Z = ker Delta0, when
+    range [Delta1 Z, Delta2 Z] is smaller than Z, the triple keeps only the
+    columns orthogonal to Z and the rows orthogonal to that range."""
+    _, s, vh = np.linalg.svd(ops[0])
+    rank = int(np.count_nonzero(s > tol))
+    z = vh[rank:].conj().T
+    u, s, _ = np.linalg.svd(np.hstack([ops[1] @ z, ops[2] @ z]))
+    image = int(np.count_nonzero(s > tol))
+    if image < z.shape[1]:
+        ops = tuple(u[:, image:].conj().T @ d @ vh[:rank].conj().T for d in ops)
+    return ops, z.shape[1]
+
+
+def _adjoint(ops):
+    return tuple(d.conj().T for d in ops)
+
+
+def _regular_part(delta: DeltaTriple):
+    """The regular part (Delta0, Delta1, Delta2) of the Delta triple, and
+    whether its Delta0 is singular (Muhic and Plestenjak, ELA 18, 2009).
+
+    Right steps (:func:`_right_step`) and left steps, the same on the
+    conjugate transposes, repeat until neither deflates; ranks are cut at
+    RANK_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
+    from 9 p1 p2 to 4 p1 p2, and ends with Delta0 nonsingular.
+    :class:`DegenerateProblemError` is raised when the result is not square.
+    """
+    ops = (delta.delta0, delta.delta1, delta.delta2)
+    tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
+    while True:
+        shape = ops[0].shape
+        ops, nullity = _right_step(ops, tol)
+        ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
+        if ops[0].shape == shape:
+            break
+    if shape[0] != shape[1]:
+        raise DegenerateProblemError(f"the staircase reduction of the Delta triple stops "
+                                     f"at {shape[0]} x {shape[1]}, not at a square triple")
+    return ops, nullity > 0
 
 
 def _top_degree(q: MatrixPoly2, direction) -> np.ndarray:
@@ -545,19 +553,19 @@ def _invariant_bases(op, shifted, theta_c, m):
     return vh[-m:].conj().T, np.linalg.qr(left)[0]
 
 
-def _point_quotients(delta: DeltaTriple, x, y):
+def _point_quotients(ops, x, y):
     """(lam, mu) = (y* Delta1 x, y* Delta2 x) / y* Delta0 x for each column
-    pair (x, y) of simple eigenvectors: one product per operator for all."""
-    b0, b1, b2 = ((y.conj() * (d @ x)).sum(axis=0)
-                  for d in (delta.delta0, delta.delta1, delta.delta2))
+    pair (x, y) of simple eigenvectors of the triple ``ops`` = (Delta0,
+    Delta1, Delta2): one product per operator for all."""
+    b0, b1, b2 = ((y.conj() * (d @ x)).sum(axis=0) for d in ops)
     if (b0 == 0).any():
         raise DegenerateProblemError("Y* Delta0 X is singular for a finite eigenvalue cluster")
     return b1 / b0, b2 / b0
 
 
-def _block_quotients(delta: DeltaTriple, qx, qy):
+def _block_quotients(ops, qx, qy):
     """(lam, mu) = trace((Y* Delta0 X)^-1 Y* Delta_j X) / m, j = 1, 2."""
-    b0, b1, b2 = (qy.conj().T @ d @ qx for d in (delta.delta0, delta.delta1, delta.delta2))
+    b0, b1, b2 = (qy.conj().T @ d @ qx for d in ops)
     try:
         lam_mu = np.linalg.solve(b0, np.concatenate([b1, b2], axis=1))
     except np.linalg.LinAlgError:
@@ -567,41 +575,34 @@ def _block_quotients(delta: DeltaTriple, qx, qy):
     return np.trace(lam_mu[:, :m]) / m, np.trace(lam_mu[:, m:]) / m
 
 
-def _completed_points(pair: QtepPair, norms, delta: DeltaTriple, a, k: int, rng):
-    """(lams, mus, multiplicities, backward errors) of the points of a - sigma
-    Delta0 after one rank-k completion, its terms and shift drawn from rng
-    (see :func:`spectrum_pair_oracle`)."""
-    d0 = delta.delta0
-    u, v = (np.linalg.qr(complex_normal(rng, len(a), k))[0] for _ in range(2))
-    a = a + np.linalg.norm(a) * (u * complex_normal(rng, k)) @ v.conj().T
-    b = d0 + np.linalg.norm(d0) * (u * complex_normal(rng, k)) @ v.conj().T
+def _regular_points(ops, c: complex, rng):
+    """(lams, mus, multiplicities) of a regular triple ``ops`` = (Delta0,
+    Delta1, Delta2) with Delta0 nonsingular. ``numpy.linalg.eig`` solves
+    op = (A - shift Delta0)^-1 Delta0, A = Delta1 + c Delta2, the shift drawn
+    from rng. Its eigenvalues theta_i = 1 / (sigma_i - shift), with the
+    first-order error bounds r_i = eps ||op||_2 ||w_i||, w_i the i-th row of
+    X^-1, are grouped by :func:`_clusters`. A simple point's (lam, mu) are
+    Rayleigh quotients (:func:`_point_quotients`); a group of m is one point
+    of multiplicity m, from block Rayleigh quotients over its invariant
+    subspaces."""
     shift = complex_normal(rng)
-    shifted = a - shift * b
-    op = np.linalg.solve(shifted, b)
+    shifted = ops[1] + c * ops[2] - shift * ops[0]
+    op = np.linalg.solve(shifted, ops[0])
     theta, x = np.linalg.eig(op)  # unit columns x
     w = np.linalg.inv(x)
     radius = np.finfo(float).eps * np.linalg.norm(op, 2) * np.linalg.norm(w, axis=1)
-    y = np.linalg.solve(shifted.conj().T, w.conj().T)
-    y = y / np.linalg.norm(y, axis=0)
-    true = ((np.linalg.norm(v.conj().T @ x, axis=0) <= SELECT_TOL)
-            & (np.linalg.norm(u.conj().T @ y, axis=0) <= SELECT_TOL))
-    finite = np.flatnonzero(true & (np.abs(theta) > radius))
-
-    groups = [finite[g] for g in _clusters(theta[finite], radius[finite], shift)]
+    y = np.linalg.solve(shifted.conj().T, w.conj().T)  # left vectors of the pencil
+    groups = _clusters(theta, radius, shift)
     simple = np.array([idx[0] for idx in groups if len(idx) == 1], dtype=int)
-    lams, mus = (list(v) for v in _point_quotients(delta, x[:, simple], y[:, simple]))
+    lams, mus = (list(v) for v in _point_quotients(ops, x[:, simple], y[:, simple]))
     mults = [1] * len(simple)
     for idx in (idx for idx in groups if len(idx) > 1):
-        if abs(theta[idx].mean()) <= radius[idx].max():
-            continue  # a multiple eigenvalue at infinity, split by rounding
-        bases = _invariant_bases(op, shifted, theta[idx].mean(), len(idx))
-        lam, mu = _block_quotients(delta, *bases)
+        lam, mu = _block_quotients(ops, *_invariant_bases(op, shifted, theta[idx].mean(),
+                                                         len(idx)))
         lams.append(lam)
         mus.append(mu)
         mults.append(len(idx))
-    lams, mus, error = _polish(pair, norms, np.array(lams, dtype=complex),
-                               np.array(mus, dtype=complex))
-    return lams, mus, mults, error
+    return np.array(lams, dtype=complex), np.array(mus, dtype=complex), np.array(mults, dtype=int)
 
 
 def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
@@ -610,23 +611,18 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     The e1 pencils are drawn from ``seed``, as ``delta`` draws them. The
     normal-rank deficiency k of Delta1 + c Delta2 - sigma Delta0 is p1 p2
     for a generic pair; a larger k raises (shared factor, or both
-    determinants drop degree). Rank-k terms tau U D V* make the pencil
-    regular, and ``numpy.linalg.eig`` solves op = (A - shift B)^-1 B. True
-    eigenvalues have V* x = 0 and U* y = 0. theta_i = 1 / (sigma_i - shift)
-    has the first-order error bound r_i = eps ||op||_2 ||w_i||, w_i the
-    i-th row of X^-1, and is infinite when |theta_i| <= r_i. The rest are
-    grouped by the transitive closure of the links of :func:`_clusters`. A
-    simple point's (lam, mu) are Rayleigh quotients from one batched product
-    (:func:`_point_quotients`). A larger group whose mean lies within its
-    largest r_i is a split eigenvalue at infinity; any other group of m is
-    one point of multiplicity m, from block Rayleigh quotients over its
-    invariant subspaces. Points are polished (:func:`_polish`).
+    determinants drop degree). :func:`_regular_points` solves the regular
+    part (:func:`_regular_part`), of size 4 p1 p2 for a generic pair. When
+    its Delta0 is singular, the part has points at infinity: it is solved
+    with Delta0 - t1 Delta1 - t2 Delta2 (random t) in place of Delta0, where
+    every point (lam', mu') is finite, and (lam, mu) = (lam', mu') /
+    (1 + t1 lam' + t2 mu'), dropping the points at infinity, whose divisor
+    is at most INFINITY_TOL (1 + |t1 lam'| + |t2 mu'|).
 
-    Nothing is dropped in silence: when a point's backward error exceeds
-    RESIDUAL_TOL or the count exceeds 4 p1 p2, the completion is drawn once
-    more from the same generator; :class:`DegenerateProblemError` is raised
-    when it fails again, or when the count is below 4 p1 p2 although the
-    curves share no point at infinity.
+    Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
+    when a point's backward error exceeds RESIDUAL_TOL, when the count
+    exceeds 4 p1 p2, or when it is below 4 p1 p2 although the curves share
+    no point at infinity.
     """
     if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
         raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
@@ -638,8 +634,8 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     rng = np.random.default_rng(seed)
     delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
                                             E1FreeParams.random(pair.p2, rng)))
-    d0, a = delta.delta0, delta.delta1 + complex_normal(rng) * delta.delta2
-    k = _rank_deficiency(a, d0, rng)
+    c = complex_normal(rng)
+    k = _rank_deficiency(delta.delta1 + c * delta.delta2, delta.delta0, rng)
     if k > pair.p1 * pair.p2:
         direction = complex_normal(rng, 2)
         if _top_singular(pair.q1, norms[0], direction) and _top_singular(pair.q2, norms[1],
@@ -651,22 +647,26 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
         raise SharedFactorError(f"the Delta pencil has rank deficiency {k} > p1 p2: the "
                                 "determinants share a factor (infinitely many common zeros)")
 
-    lams, mus, mults, error = _completed_points(pair, norms, delta, a, k, rng)
-    if (error > RESIDUAL_TOL).any() or sum(mults) > bound:
-        # A completion may keep a split infinite pair as points; draw it once more.
-        lams, mus, mults, error = _completed_points(pair, norms, delta, a, k, rng)
+    (d0, d1, d2), at_infinity = _regular_part(delta)
+    # t = 0 leaves the triple, and the points, exactly as they are.
+    t1, t2 = complex_normal(rng, 2) if at_infinity else (0, 0)
+    lams, mus, mults = _regular_points((d0 - t1 * d1 - t2 * d2, d1, d2), c, rng)
+    denom = 1 + t1 * lams + t2 * mus
+    finite = np.abs(denom) > INFINITY_TOL * (1 + np.abs(t1 * lams) + np.abs(t2 * mus))
+    lams, mus, mults = lams[finite] / denom[finite], mus[finite] / denom[finite], mults[finite]
+    error = _backward_errors(pair, norms, lams, mus)
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(
             f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "
             f"have backward error above {RESIDUAL_TOL:g} (largest {error.max():.1e})")
-    total = sum(mults)
+    total = int(mults.sum())
     if total > bound:
         raise DegenerateProblemError(f"found {total} common zeros, more than 4 p1 p2 = {bound}")
     if total < bound and not _meets_at_infinity(pair, rng):
         raise DegenerateProblemError(
             f"found {total} common zeros, but the curves share no point at infinity, "
             f"so there are 4 p1 p2 = {bound}")
-    points = sorted((SpectrumPoint(lam=complex(l), mu=complex(m), multiplicity=n,
+    points = sorted((SpectrumPoint(lam=complex(l), mu=complex(m), multiplicity=int(n),
                                    residual=float(e))
                      for l, m, n, e in zip(lams, mus, mults, error)),
                     key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))

@@ -603,10 +603,10 @@ class TestVerifySpectrumMatch:
         assert any(rec.pencil_singular for rec in report.records)
 
 
-# A generic 1 x 2 Newton pair and a solve seed on which the first rank
-# completion keeps 10 eigenvalues, a split infinite pair among them, with two
-# points at backward error 2.8e-1. Coefficients in COEFF_KEYS order, each
-# block row-major.
+# A generic 1 x 2 Newton pair and a solve seed on which a rank completion of
+# the whole 9 p1 p2 Delta pencil kept 10 eigenvalues, a split infinite pair
+# among them, with two points at backward error 2.8e-1, and had to be drawn
+# again. Coefficients in COEFF_KEYS order, each block row-major.
 REDRAW_PAIR = (
     [-0.5450274554640261-0.3349580571993985j, 0.017581512432457917+0.2830845715477782j,
      0.7486951515468797+0.9435626826615046j, 0.38349348955635304-0.24388833622809503j,
@@ -629,6 +629,22 @@ REDRAW_NODES = NewtonNodes(-0.24804946198974062-0.2845854815261j,
                            0.23107324858524594-0.3260692156591785j,
                            -0.8267105039455396+0.9025924907545126j)
 REDRAW_SEED = 1022241847
+
+
+# Degenerate scalar pairs, coefficients in scalar_newton order (C20, C11,
+# C02, C10, C01, C00), with their sorted multiplicities or SharedFactorError.
+DEGENERATE_PAIRS = (
+    (((0, 1, 0, -1, 0, 0), (0, 0, 0, 1, 0, -1)), [1]),      # lam mu - lam, lam - 1
+    (((1, 0, 0, -1, 0, 0), (0, 0, 0, 1, 0, 0)), SharedFactorError),   # lam^2 - lam, lam
+    (((1, 0, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0)), SharedFactorError),   # lam^2 - lam, lam mu
+    (((1, 0, 0, 0, 0, -1), (0, 0, 0, 1, 0, -1)), SharedFactorError),  # lam^2 - 1, lam - 1
+    (((0, 1, 0, 0, 0, -1), (1, 0, -1, 0, 0, 0)), [1, 1, 1, 1]),       # lam mu - 1, lam^2 - mu^2
+    (((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)), [4]),        # lam^2, mu^2
+    (((-1, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0)), [2]),       # mu - lam^2, mu
+    (((-1, 0, 0, 0, 1, 0), (-1, -1, 0, 0, 1, 0)), [3]),     # mu - lam^2, mu - lam^2 - lam mu
+    (((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), [2]),        # lam mu, lam + mu
+    (((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 0, -1)), [1, 1, 1]),  # lam^2 - mu, lam mu - 1
+)
 
 
 class TestSpectrumPairOracle:
@@ -776,33 +792,57 @@ class TestSpectrumPairOracle:
         with pytest.raises(DegenerateProblemError, match="backward error above"):
             spectrum_pair_oracle(pair)
 
-    def test_failed_completion_is_drawn_again(self, monkeypatch):
-        # The first completion fails the gate; one more draw from the same
-        # generator finds the 4 p1 p2 points.
+    def test_redraw_pair_in_one_pass(self):
+        # The pair on which a rank completion kept a split infinite pair at
+        # backward error 2.8e-1: the regular part gives its 4 p1 p2 points at once.
         pair = QtepPair(*(MatrixPoly2.newton({key: np.reshape(block, (p, p)) for key, block
                                               in zip(COEFF_KEYS, blocks)}, REDRAW_NODES)
                           for p, blocks in zip((1, 2), REDRAW_PAIR)))
-        results = []
-
-        def recorded(*args):
-            results.append(completed(*args))
-            return results[-1]
-
-        completed = twoparam._completed_points
-        monkeypatch.setattr(twoparam, "_completed_points", recorded)
         sample = spectrum_pair_oracle(pair, seed=REDRAW_SEED)
-        assert [sum(r[2]) for r in results] == [10, 8]
-        assert results[0][3].max() > 0.1
         assert (sample.total_count, len(sample.points)) == (8, 8)
-        assert max(pt.residual for pt in sample.points) <= 1e-15
+        assert max(pt.residual for pt in sample.points) <= 1e-12
 
     def test_missing_points_raise(self, monkeypatch):
-        # With no eigenvalue selected the count is 0 < 4 p1 p2, and a generic
+        # With no eigenvalue grouped the count is 0 < 4 p1 p2, and a generic
         # pair has no common point at infinity: Bezout says points are missing.
         pair = random_pair(np.random.default_rng(18), 1, 2)
-        monkeypatch.setattr(twoparam, "SELECT_TOL", -1.0)
+        monkeypatch.setattr(twoparam, "_clusters", lambda *args: [])
         with pytest.raises(DegenerateProblemError, match="no point at infinity"):
             spectrum_pair_oracle(pair)
+
+    @pytest.mark.parametrize("coeffs,want", DEGENERATE_PAIRS,
+                             ids=[f"pair{i}" for i in range(len(DEGENERATE_PAIRS))])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_degenerate_pairs(self, coeffs, want, seed):
+        # Points at infinity, multiple points and shared factors, each with
+        # the same outcome at every seed.
+        pair = QtepPair(*(scalar_newton(*c) for c in coeffs))
+        if want is SharedFactorError:
+            with pytest.raises(SharedFactorError):
+                spectrum_pair_oracle(pair, seed=seed)
+            return
+        sample = spectrum_pair_oracle(pair, seed=seed)
+        assert sorted(p.multiplicity for p in sample.points) == want
+        assert sample.total_count == sum(want)
+        assert all(p.residual <= 1e-12 for p in sample.points)
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_generic_regular_part_is_square_and_nonsingular(self, kind):
+        # One right and one left step take the 9 p1 p2 triple to 4 p1 p2,
+        # where Delta0 is nonsingular and no point needs a polish.
+        rng = np.random.default_rng(20)
+        for p1, p2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+            pair = random_pair(rng, p1, p2, nodes_of_kind(rng, kind))
+            params = E1FreeParams.random(p1, rng), E1FreeParams.random(p2, rng)
+            (d0, d1, d2), at_infinity = twoparam._regular_part(
+                delta_operators(*pair_linearize(pair, *params)))
+            assert d0.shape == d1.shape == d2.shape == (4 * p1 * p2, 4 * p1 * p2)
+            assert not at_infinity
+            sv = np.linalg.svd(d0, compute_uv=False)
+            assert sv[-1] > 1e-8 * sv[0]
+            sample = spectrum_pair_oracle(pair, seed=int(rng.integers(1000)))
+            assert sample.total_count == 4 * p1 * p2
+            assert all(p.residual <= 1e-12 for p in sample.points)
 
     @pytest.mark.parametrize("coeffs,meets", [
         (((1, 0, 1, 0, 0, -2), (0, 1, 0, 0, 0, -1)), False),    # l^2 + m^2, l m
@@ -883,7 +923,8 @@ class TestPairVectorized:
         delta = delta_operators(*(complex_normal(rng, 3, k, k) for k in (k1, k2)))
         size = k1 * k2
         x, y = complex_normal(rng, size, count), complex_normal(rng, size, count)
-        got, want = twoparam._point_quotients(delta, x, y), point_quotients_reference(delta, x, y)
+        ops = (delta.delta0, delta.delta1, delta.delta2)
+        got, want = twoparam._point_quotients(ops, x, y), point_quotients_reference(delta, x, y)
         # Relative to the quotient, or to its terms' scale when they cancel.
         b0 = np.abs(np.einsum("ik,ij,jk->k", y.conj(), delta.delta0, x))
         for g, w, d in zip(got, want, (delta.delta1, delta.delta2)):
@@ -896,4 +937,4 @@ class TestPairVectorized:
         x, y = complex_normal(rng, 4, 2), complex_normal(rng, 4, 2)
         x[:, 1] = 0  # y* Delta0 x = 0 exactly
         with pytest.raises(DegenerateProblemError, match="singular for a finite eigenvalue"):
-            twoparam._point_quotients(delta, x, y)
+            twoparam._point_quotients((delta.delta0, delta.delta1, delta.delta2), x, y)

@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` directory. Its
-897 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
+927 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
 construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
 FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
 --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
@@ -11,14 +11,16 @@ can move between the two paths. Then 15 more: construct, verify, spectrum for --
 (1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
 kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
 another problem on the same nodes against that pencil, which fail; the slices of such a
-spectrum job are the ones solved again with eigenvectors. The later blocks are drawn after the
-earlier ones, so adding them does not change the earlier draws. Each tree runs the jobs in
-process through its own ``cli.main``. It names every job whose report differs, with up to three
-of its differing lines. For those that differ in digits only, it groups the
-differing lines by their prefix, the text before the first number, and prints for each prefix the
-count of lines and the largest relative move of each field on them (``lambda`` and
-``distance`` apart), so a move at rounding level in one field does not hide whether another
-field moved."""
+spectrum job are the ones solved again with eigenvectors. Then 30 more: spectrum --pair at seeds
+0, 1 and 2 on ten scalar monomial pairs (``DEGENERATE_PAIRS``) with points at infinity, multiple
+points or a shared factor, so that the exit codes, counts and multiplicities of those cases are
+compared too. The later blocks are drawn after the earlier ones, so adding them does not change
+the earlier draws. Each tree runs the jobs in process through its own ``cli.main``. It names
+every job whose report differs, with up to three of its differing lines. For those that differ
+in digits only, it groups the differing lines by their prefix, the text before the first number,
+and prints for each prefix the count of lines and the largest relative move of each field on
+them (``lambda`` and ``distance`` apart), so a move at rounding level in one field does not hide
+whether another field moved."""
 
 import contextlib
 import io
@@ -31,9 +33,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import numpy as np  # noqa: E402
-from perfbench.workloads import (ALL_PATTERNS, NODE_KINDS, _ansatz_text, _int,  # noqa: E402
-                                 _nodes, _normal, _pairs, _write_problem)
+from perfbench.workloads import (ALL_PATTERNS, COEFF_NAMES, NODE_KINDS, _ansatz_text,  # noqa: E402
+                                 _int, _nodes, _normal, _pairs, _write_problem)
 
+# Scalar pairs with points at infinity, multiple points or a shared factor, each
+# polynomial's coefficients in COEFF_NAMES order (C20, C11, C02, C10, C01, C00).
+DEGENERATE_PAIRS = (
+    ((0, 1, 0, -1, 0, 0), (0, 0, 0, 1, 0, -1)),    # lam mu - lam, lam - 1: one point
+    ((1, 0, 0, -1, 0, 0), (0, 0, 0, 1, 0, 0)),     # lam^2 - lam, lam: shared factor
+    ((1, 0, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0)),     # lam^2 - lam, lam mu: shared factor
+    ((1, 0, 0, 0, 0, -1), (0, 0, 0, 1, 0, -1)),    # lam^2 - 1, lam - 1: shared factor
+    ((0, 1, 0, 0, 0, -1), (1, 0, -1, 0, 0, 0)),    # lam mu - 1, lam^2 - mu^2: 4 points
+    ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)),      # lam^2, mu^2: one 4-fold point
+    ((-1, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0)),     # mu - lam^2, mu: one 2-fold point
+    ((-1, 0, 0, 0, 1, 0), (-1, -1, 0, 0, 1, 0)),   # mu - lam^2, mu - lam^2 - lam mu: 3-fold
+    ((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)),      # lam mu, lam + mu: one 2-fold point
+    ((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 0, -1)),    # lam^2 - mu, lam mu - 1: 3 points
+)
 NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
 
 
@@ -83,6 +99,13 @@ def build_jobs(work: Path, rng) -> list:
         jobs += [(tag + ".construct", ["construct", f2, "--companion", "--out", tag]),
                  (tag + ".verify", ["verify", f1, tag, "--seed", _int(rng)]),
                  (tag + ".spectrum", ["spectrum", f1, tag, "--seed", _int(rng)])]
+    for i, pair in enumerate(DEGENERATE_PAIRS):  # fixed seeds: no draw from rng
+        f1, f2 = (f"degenerate{i}{ab}" for ab in "ab")
+        for name, coeffs in zip((f1, f2), pair):
+            (work / name).write_text(json.dumps({"n": 1, "basis": "monomial", "coefficients": {
+                k: [[float(c), 0.0]] for k, c in zip(COEFF_NAMES, coeffs)}}))
+        jobs += [(f"degenerate{i}.pair.seed{seed}",
+                  ["spectrum", f1, "--pair", f2, "--seed", str(seed)]) for seed in range(3)]
     return jobs
 
 
