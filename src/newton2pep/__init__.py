@@ -16,7 +16,6 @@ from .errors import (
     NodeMismatchError,
     NonSquareError,
     SharedFactorError,
-    SingularPencilError,
 )
 from .linalg import (
     annulus_points,

@@ -13,10 +13,6 @@ class NodeMismatchError(Newton2PepError):
     """Two polynomials or pencils were combined but carry different nodes."""
 
 
-class SingularPencilError(Newton2PepError):
-    """A generalized eigenvalue problem has a singular pencil (common nullspace)."""
-
-
 class AdmissibilityError(Newton2PepError):
     """Free parameters violate the nonsingularity condition on the Z block."""
 

@@ -3,8 +3,8 @@
 Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
 all factorizations go straight to LAPACK through numpy, the package's only
-dependency. Generalized eigenvalue problems are solved by shift and invert
-with ``numpy.linalg.eig`` (:func:`small_dense_eigen`).
+dependency. Generalized eigenvalues are found by shift and invert with
+``numpy.linalg.eigvals`` (:func:`small_dense_eigen`).
 """
 
 from __future__ import annotations
@@ -117,35 +117,31 @@ def _error_radius(unit, x) -> np.ndarray:
         return np.concatenate([_error_radius(u, member[None]) for u, member in zip(unit, x)])
 
 
-def small_dense_eigen(a, b, *, vectors: bool = False, basis=None) -> list:
-    """Finite generalized eigenpairs of each pencil (A_k, B) by shift and invert.
+def small_dense_eigen(a, b, *, basis=None) -> list:
+    """Finite generalized eigenvalues of each pencil (A_k, B) by shift and invert.
 
     ``a`` is a (K, m, m) stack and ``b`` one matrix or a stack. Rows of A and
-    B are first divided by their largest magnitude (same eigenvalues and
-    right vectors; scale-free). At the first s in SHIFTS with
-    sigma_min(A - s B) > SINGULAR_TOL sigma_max, numpy's ``eig`` solves
-    op = (A - s B)^-1 B (``eigvals`` without vectors): lambda = s + 1 / theta.
-    It is infinite when |lambda| >= 1 / INFINITE_TOL, or when |theta| is
-    within its first-order error radius eps ||op||_F ||w||, w its row of X^-1
-    (unit eigenvectors X), capped at eps^(1/4) ||op||_F. Without vectors
+    B are first divided by their largest magnitude (same eigenvalues,
+    scale-free). At the first s in SHIFTS with sigma_min(A - s B) >
+    SINGULAR_TOL sigma_max, numpy's ``eigvals`` solves op = (A - s B)^-1 B:
+    lambda = s + 1 / theta. It is infinite when |lambda| >= 1 / INFINITE_TOL,
+    or when |theta| is within its first-order error radius eps ||op||_F ||w||,
+    w its row of X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F.
     ||w|| is taken as 1, its lower bound; an operator with some |theta| in
     (eps ||op||_F, eps^(1/4) ||op||_F], where ||w|| decides, is solved again
     by ``eig`` with vectors and read as above.
 
-    ``basis`` (values only) is V_r of :func:`row_space_basis` for B. Then
-    op = op V_r V_r*, so ``eig`` solves the r x r operator V_r* op V_r, and the
-    m - r eigenvalues it leaves out, op's null space, are infinite. A Jordan
-    block at infinity of size two becomes a simple one there.
+    ``basis`` is V_r of :func:`row_space_basis` for B. Then op = op V_r V_r*,
+    so ``eigvals`` solves the r x r operator V_r* op V_r, and the m - r
+    eigenvalues it leaves out, op's null space, are infinite. A Jordan block
+    at infinity of size two becomes a simple one there.
 
-    Each member gives (values, vectors): its finite eigenvalues sorted by
-    (real, imag) and their unit eigenvector columns (None without vectors),
-    or None when both shifts fail (a singular pencil).
+    Each member gives its finite eigenvalues sorted by (real, imag) as an
+    array, or None when both shifts fail (a singular pencil).
     """
     a, b = _square_stack(a, "A"), _square_stack(b, "B")
     if a.ndim != 3 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"A must be a (K, m, m) stack of B's shape: {a.shape} vs {b.shape}")
-    if vectors and basis is not None:
-        raise ValueError("a row-space basis solves for eigenvalues only (vectors=False)")
     a, b = np.broadcast_arrays(a, b.reshape(-1, *b.shape[-2:]))
     rows = _row_scales(a, b)[..., None]
     a, b = a / rows, b / rows
@@ -167,15 +163,11 @@ def small_dense_eigen(a, b, *, vectors: bool = False, basis=None) -> list:
     eps, op_norm = np.finfo(float).eps, np.array([np.linalg.norm(o) for o in op])
     unit, cap = eps * op_norm[:, None], eps ** 0.25 * op_norm[:, None]
     op = op if basis is None else basis.conj().T @ op  # ||op V_r||_F = ||op||_F
-    if vectors:
-        theta, x = np.linalg.eig(op)  # unit columns x
-        radius = _error_radius(unit, x)
-    else:
-        theta, x, radius = np.linalg.eigvals(op), None, np.repeat(unit, op.shape[-1], axis=1)
-        rerun = ((np.abs(theta) > radius) & (np.abs(theta) <= cap)).any(axis=1)
-        if rerun.any():
-            theta[rerun], vecs = np.linalg.eig(op[rerun])
-            radius[rerun] = _error_radius(unit[rerun], vecs)
+    theta, radius = np.linalg.eigvals(op), np.repeat(unit, op.shape[-1], axis=1)
+    rerun = ((np.abs(theta) > radius) & (np.abs(theta) <= cap)).any(axis=1)
+    if rerun.any():
+        theta[rerun], vecs = np.linalg.eig(op[rerun])
+        radius[rerun] = _error_radius(unit[rerun], vecs)
     # The cap keeps a defective finite eigenvalue (huge ||w||) finite, yet holds
     # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
     infinite = np.abs(theta) <= np.minimum(radius, cap)  # theta = 0 too
@@ -184,8 +176,7 @@ def small_dense_eigen(a, b, *, vectors: bool = False, basis=None) -> list:
     order = np.lexsort((values.imag, values.real, ~finite))  # finite first, by (real, imag)
     out = [None] * len(a)
     for k, member in enumerate(np.flatnonzero(regular)):
-        keep = order[k, :np.count_nonzero(finite[k])]
-        out[member] = values[k, keep], None if x is None else x[k][:, keep]
+        out[member] = values[k, order[k, :np.count_nonzero(finite[k])]]
     return out
 
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateProblemError, NodeMismatchError, SharedFactorError,
-                     SingularPencilError)
+from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (annulus_points, complex_normal, row_space_basis, small_dense_eigen,
                      smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_six
@@ -257,46 +256,50 @@ def _companion(k2, k1, k0):
     return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
 
 
-def _q_slice_eigenvalues(q: MatrixPoly2, mus, *, vectors: bool = True) -> list:
-    """:func:`spectrum_slice` at each mu0, the companion pencils solved as
-    stacks of at most STACK_BYTES (at least one pencil); ``vectors=False``
-    lists every finite eigenvalue, computing no eigenvector and no residual."""
-    qm, n = q.to_monomial(), q.n
-    step, out = chunk_step(2 * n), []
+def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
+    """Every finite eigenvalue of Q(., mu0) at each mu0, as a sorted array
+    (:func:`spectrum_slice` before its certificate), the companion pencils
+    solved as stacks of at most STACK_BYTES (at least one pencil)."""
+    qm = q.to_monomial()
+    step, out = chunk_step(2 * q.n), []
     for start in range(0, len(mus), step):
         quads = [_lambda_quadratic_at(qm, mu0) for mu0 in mus[start:start + step]]
-        pencils = _companion(*(np.stack(k) for k in zip(*quads)))
-        for (k2, k1, k0), pairs in zip(quads, small_dense_eigen(*pencils, vectors=vectors)):
-            if pairs is None:
-                raise SingularPencilError("Q(lambda, mu0) is singular for every lambda")
-            lam, vecs = pairs
-            if vecs is None:
-                out.append(lam.tolist())
-                continue
-            # x is the top half of [x; lam x], or the bottom half when that one dominates.
-            top = np.linalg.norm(vecs[:n], axis=0) > 1e-8 * np.linalg.norm(vecs, axis=0)
-            x = np.where(top, vecs[:n], vecs[n:])
-            num = np.linalg.norm(k2 @ (x * lam * lam) + k1 @ (x * lam) + k0 @ x, axis=0)
-            # Backward-error denominator: coefficient norms weighted by |lam|^k.
-            norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-            scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
-            # small_dense_eigen sorts finite values by (real, imag) already.
-            out.append(lam[num <= RESIDUAL_TOL * scale * np.linalg.norm(x, axis=0)].tolist())
+        for lam in small_dense_eigen(*_companion(*(np.stack(k) for k in zip(*quads)))):
+            if lam is None:
+                raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
+            out.append(lam)
     return out
+
+
+def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
+    """The values lam of the slice at mu0 whose backward error
+    sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F) is
+    at most RESIDUAL_TOL, from one stacked SVD without vectors. The measure
+    reads the same for Q and 2^k Q, and is at most the eigenvector residual
+    ||Q(lam, mu0) x|| / ||x|| over the same denominator for every x != 0."""
+    k2, k1, k0 = _lambda_quadratic_at(q, mu0)
+    t = lam[:, None, None]
+    sigma_min = np.linalg.svd(t * t * k2 + t * k1 + k0, compute_uv=False)[:, -1]
+    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
+    scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
+    return lam[sigma_min <= RESIDUAL_TOL * scale]
 
 
 def spectrum_slice(q: MatrixPoly2, mu0: complex) -> list[complex]:
     """Finite lambda with det Q(lambda, mu0) = 0, via the companion pencil.
 
-    The one-parameter quadratic lam^2 K2 + lam K1 + K0 is solved through the
-    2n x 2n generalized problem ([0 I; -K0 -K1], [I 0; 0 K2]). Infinite
-    eigenvalues (singular K2) are dropped, so fewer than 2n values may come
-    back. Each is residual-certified: kept when ||Q(lam, mu0) x|| <=
-    RESIDUAL_TOL (|lam|^2 ||K2|| + |lam| ||K1|| + ||K0||) ||x|| for its vector
-    x, a relative test that reads the same for Q and 2^k Q. Sorted by (real,
-    imag). :func:`verify_spectrum_match` runs this certificate on demand only.
+    The one-parameter quadratic lam^2 K2 + lam K1 + K0 is solved for values
+    only through the 2n x 2n generalized problem ([0 I; -K0 -K1], [I 0; 0 K2]).
+    Infinite eigenvalues (singular K2) are dropped, so fewer than 2n values
+    may come back. Each is certified by its backward error: kept when
+    sigma_min(Q(lam, mu0)) <= RESIDUAL_TOL (|lam|^2 ||K2||_F + |lam| ||K1||_F
+    + ||K0||_F) (:func:`_certified`), a relative test that reads the same for
+    Q and 2^k Q. Sorted by (real, imag). :func:`verify_spectrum_match` runs
+    this certificate on demand only. A Q singular on the slice raises
+    :class:`DegenerateProblemError`.
     """
-    return _q_slice_eigenvalues(q, np.array([mu0], dtype=complex))[0]
+    mus = np.array([mu0], dtype=complex)
+    return _certified(q, mus[0], _q_slice_eigenvalues(q, mus)[0]).tolist()
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
@@ -315,8 +318,8 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
                 mu0 = complex(mus[sl][np.argmin(finite)])
                 raise ValueError(f"the pencil values at the slice mu0=({mu0.real:.17g}, "
                                  f"{mu0.imag:.17g}) overflow the double range")
-            out += [None if pairs is None else pairs[0].tolist()
-                    for pairs in small_dense_eigen(-constants, pencil.A1, basis=basis)]
+            out += [None if lam is None else lam.tolist()
+                    for lam in small_dense_eigen(-constants, pencil.A1, basis=basis)]
     return out
 
 
@@ -362,24 +365,24 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     constructions.
 
     Q slices are solved for values only. A slice with an unmatched Q value
-    or a singular pencil is solved again as :func:`spectrum_slice` does,
-    keeping its residual-certified values, and matched again. So a listed Q
-    value is matched or residual-certified, and a slice is contained exactly
-    when every residual-certified Q value matches.
+    or a singular pencil keeps only the values that :func:`spectrum_slice`
+    certifies, from the same solve, and is matched again. So a listed Q
+    value is matched or certified, and a slice is contained exactly when
+    every certified Q value matches.
     """
     if slices < 1:
         raise ValueError(f"slices must be at least 1, got {slices}")
     require_matching(q, pencil)
     rng = np.random.default_rng(seed)
     mus = annulus_points(rng, slices)
-    q_side = _q_slice_eigenvalues(q, mus, vectors=False)
+    q_side = _q_slice_eigenvalues(q, mus)
     l_side = _pencil_slice_eigenvalues(pencil, mus)
     matches = [_match(q_eigs, l_eigs, match_tol) for q_eigs, l_eigs in zip(q_side, l_side)]
-    redo = [k for k, (_, ok) in enumerate(matches) if not ok]
-    for k, q_eigs in zip(redo, _q_slice_eigenvalues(q, mus[redo]) if redo else []):
-        q_side[k], matches[k] = q_eigs, _match(q_eigs, l_side[k], match_tol)
+    for k in [k for k, (_, ok) in enumerate(matches) if not ok]:
+        q_side[k] = _certified(q, mus[k], q_side[k])
+        matches[k] = _match(q_side[k], l_side[k], match_tol)
     # small_dense_eigen sorts finite values by (real, imag) already.
-    records = tuple(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs),
+    records = tuple(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs.tolist()),
                                 pencil_eigenvalues=tuple(l_eigs or []),
                                 distances=tuple(dists.tolist()), contained=ok,
                                 pencil_singular=l_eigs is None)

@@ -363,22 +363,67 @@ def full_slice_eigenvalues(pencil, mus):
     pencil (reference for the row-space solve; None for a singular slice)."""
     out = []
     for mu0 in mus:
-        pairs, = small_dense_eigen(-pencil.eval(0.0, mu0)[None], pencil.A1)
-        out.append(None if pairs is None else pairs[0].tolist())
+        lam, = small_dense_eigen(-pencil.eval(0.0, mu0)[None], pencil.A1)
+        out.append(None if lam is None else lam.tolist())
     return out
 
 
+def eig_reference(a, b):
+    """Finite eigenvalues of the pencil (a, b) sorted by (real, imag), or None
+    for a singular pencil: the shift and invert of linalg.small_dense_eigen,
+    with op always solved by ``eig`` with vectors, so that ||w|| (w the row of
+    X^-1 of the unit eigenvectors X) decides infinity for every eigenvalue
+    (reference for the values-only solve and its rerun band)."""
+    from newton2pep.linalg import INFINITE_TOL, SHIFTS, SINGULAR_TOL
+
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    rows = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+    rows[rows == 0] = 1.0
+    a, b = a / rows[:, None], b / rows[:, None]
+    for shift in SHIFTS:
+        sv = np.linalg.svd(a - shift * b, compute_uv=False)
+        if sv[-1] > SINGULAR_TOL * sv[0]:
+            break
+    else:
+        return None
+    op = np.linalg.solve(a - shift * b, b)
+    eps, norm = np.finfo(float).eps, np.linalg.norm(op)
+    theta, x = np.linalg.eig(op)
+    try:
+        with np.errstate(over="ignore"):
+            w = np.linalg.norm(np.linalg.inv(x), axis=1)
+    except np.linalg.LinAlgError:  # parallel eigenvectors
+        w = np.full(len(theta), np.inf)
+    infinite = np.abs(theta) <= np.minimum(eps * norm * w, eps ** 0.25 * norm)
+    values = [shift + 1 / t for t, inf in zip(theta.tolist(), infinite) if not inf]
+    return sorted((v for v in values if abs(v) < 1 / INFINITE_TOL),
+                  key=lambda z: (z.real, z.imag))
+
+
+def backward_error_reference(q, mu0, lam):
+    """sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F)
+    of one value, from its own SVD (loop form of twoparam._certified)."""
+    from newton2pep.twoparam import _lambda_quadratic_at
+
+    k2, k1, k0 = _lambda_quadratic_at(q, mu0)
+    sigma_min = np.linalg.svd(lam * lam * k2 + lam * k1 + k0, compute_uv=False)[-1]
+    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
+    return sigma_min / (abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2])
+
+
 def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):
-    """verify_spectrum_match with every Q slice residual-certified: each slice's
-    Q values come from twoparam._q_slice_eigenvalues with eigenvectors, and
-    are matched one by one against the pencil values (the always-vectors check)."""
-    from newton2pep.twoparam import (SliceRecord, SpectrumMatchReport, _pencil_slice_eigenvalues,
-                                     _q_slice_eigenvalues)
+    """verify_spectrum_match with every Q slice certified: each Q value is
+    kept when its own backward_error_reference is at most RESIDUAL_TOL, and
+    matched one by one against the pencil values (the always-certified check)."""
+    from newton2pep.twoparam import (RESIDUAL_TOL, SliceRecord, SpectrumMatchReport,
+                                     _pencil_slice_eigenvalues, _q_slice_eigenvalues)
 
     mus = annulus_points(np.random.default_rng(seed), slices)
     records = []
-    for mu0, q_eigs, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus),
-                                   _pencil_slice_eigenvalues(pencil, mus)):
+    for mu0, q_all, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus),
+                                  _pencil_slice_eigenvalues(pencil, mus)):
+        q_eigs = [lam for lam in q_all.tolist()
+                  if backward_error_reference(q, mu0, lam) <= RESIDUAL_TOL]
         dists = [min((abs(lam - le) for le in l_eigs or []), default=math.inf) for lam in q_eigs]
         contained = l_eigs is not None and all(d <= match_tol * max(1.0, abs(lam))
                                                for lam, d in zip(q_eigs, dists))

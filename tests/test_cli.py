@@ -491,6 +491,20 @@ class TestSpectrum:
         code, _ = run(capsys, ["spectrum", qfile, str(out), "--slices", "0"])
         assert code == 2
 
+    def test_q_singular_on_every_slice_is_inconclusive(self, tmp_path, capsys):
+        # The second row of all six blocks is zero, so det Q(lambda, mu0)
+        # vanishes for every lambda; the companion pencil is still built.
+        q = random_newton(np.random.default_rng(6), 2)
+        q = MatrixPoly2.newton({key: c * [[1], [0]] for key, c in q.coeffs.items()}, q.nodes)
+        qpath, out = tmp_path / "q.json", tmp_path / "pencil.json"
+        save_problem(qpath, q)
+        code, _ = run(capsys, ["construct", str(qpath), "--companion", "--out", str(out)])
+        assert code == 0
+        code = main(["spectrum", str(qpath), str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("inconclusive: ")
+
     def test_shared_factor_pair_inconclusive(self, tmp_path, capsys):
         q = scalar_newton(1, 0, 1, 0, 0, -2)
         a = tmp_path / "a.json"

@@ -14,7 +14,8 @@ from newton2pep import (
 )
 from newton2pep.linalg import SHIFTS, as_matrix, row_space_basis
 
-from helpers import assert_bitwise_equal, cofactor_det, commutation_matrix, kron_oracle
+from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix, eig_reference,
+                     kron_oracle)
 
 
 class TestAsMatrix:
@@ -125,29 +126,16 @@ def masked_jordan(rng, size):
 
 
 class TestSmallDenseEigen:
-    # Each member of a stack gives (finite values, unit vector columns or
-    # None), or None for a singular pencil; solve1 solves a one-member stack.
+    # Each member of a stack gives its sorted finite values, or None for a
+    # singular pencil; solve1 solves a one-member stack, and
+    # tests/helpers.py::eig_reference is the solve with vectors throughout.
     def test_diagonal_pair(self):
-        values, vectors = solve1(np.diag([1.0, 2.0]), np.eye(2))
-        assert vectors is None
-        assert values.tolist() == pytest.approx([1.0, 2.0])
+        assert solve1(np.diag([1.0, 2.0]), np.eye(2)).tolist() == pytest.approx([1.0, 2.0])
 
     def test_infinite_eigenvalue(self):
-        values, _ = solve1(np.eye(2), np.diag([1.0, 0.0]))
+        values = solve1(np.eye(2), np.diag([1.0, 0.0]))
         assert len(values) == 1  # the other eigenvalue is infinite
         assert values[0] == pytest.approx(1.0)
-
-    def test_residuals_random_pair(self):
-        rng = np.random.default_rng(7)
-        a = complex_normal(rng, 6, 6)
-        b = complex_normal(rng, 6, 6)
-        values, vectors = solve1(a, b, vectors=True)
-        assert len(values) == 6 and vectors.shape == (6, 6)
-        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
-        for value, x in zip(values, vectors.T):
-            assert np.linalg.norm(x) == pytest.approx(1.0)
-            r = np.linalg.norm(a @ x - value * (b @ x))
-            assert r < 1e-8 * (norm_a + abs(value) * norm_b) * np.linalg.norm(x)
 
     def test_tiny_rows_are_not_indeterminate(self):
         # Regular pencil whose first row is scaled by 1e-11 (or 1e-300): the
@@ -155,30 +143,30 @@ class TestSmallDenseEigen:
         rng = np.random.default_rng(9)
         a = complex_normal(rng, 4, 4)
         b = complex_normal(rng, 4, 4)
-        want, _ = solve1(a, b, vectors=True)
+        want = solve1(a, b)
         assert len(want) == 4
         for s in (1e-11, 1e-300):
             d = np.diag([s, 1.0, 1.0, 1.0])
-            np.testing.assert_allclose(solve1(d @ a, d @ b, vectors=True)[0], want, rtol=1e-10)
-            values, vectors = solve1(d @ a, d @ b)
-            assert vectors is None
-            np.testing.assert_allclose(values, want, rtol=1e-10)
+            np.testing.assert_allclose(solve1(d @ a, d @ b), want, rtol=1e-10)
 
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_singular_member_gives_none(self, vectors):
-        # Common nullspace: last row/column zero in both matrices.
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_singular_member_gives_none(self, shared):
+        # Common nullspace: last row/column zero in both matrices; B shared by
+        # the stack or a one-member stack of its own.
         a = np.zeros((2, 2), dtype=complex)
         b = np.zeros((2, 2), dtype=complex)
         a[0, 0] = 1.0
         b[0, 0] = 2.0
-        assert solve1(a, b, vectors=vectors) is None
+        assert solve1(a, b if shared else b[None]) is None
+        assert eig_reference(a, b) is None
 
     @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
     def test_jordan_block_at_infinity_reads_infinite(self, size, seed):
-        values, vectors = solve1(*masked_jordan(np.random.default_rng(seed), size), vectors=True)
-        assert vectors.shape == (size + 2, 2)  # the block's size values are infinite
+        a, b = masked_jordan(np.random.default_rng(seed), size)
+        values = solve1(a, b)  # the block's size values are infinite
         np.testing.assert_allclose(values, [-3, 2], rtol=1e-12)
+        np.testing.assert_allclose(eig_reference(a, b), values, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_size_two_jordan_block_at_infinity_reads_infinite_values_only(self, seed):
@@ -188,18 +176,17 @@ class TestSmallDenseEigen:
         a, b = masked_jordan(np.random.default_rng(seed), 2)
         basis = row_space_basis(b)
         assert basis.shape == (4, 3)
-        values, _ = solve1(a, b, basis=basis)
-        np.testing.assert_allclose(values, [-3, 2], rtol=1e-12)
+        np.testing.assert_allclose(solve1(a, b, basis=basis), [-3, 2], rtol=1e-12)
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_values_only_reads_infinity_as_vectors_do(self, size):
         # The masked Jordan construction above, seeds 0-9: an eigenvalue in
         # the band (eps ||op||_F, eps^(1/4) ||op||_F] makes the values-only
-        # solve rerun eig with vectors, so it finds as many finite values.
+        # solve rerun eig with vectors, so it finds as many finite values as
+        # the solve with vectors throughout.
         for seed in range(10):
             a, b = masked_jordan(np.random.default_rng(seed), size)
-            want, _ = solve1(a, b, vectors=True)
-            assert len(solve1(a, b)[0]) == len(want)
+            assert len(solve1(a, b)) == len(eig_reference(a, b))
 
     def test_generic_values_only_solve_does_not_rerun(self, monkeypatch):
         calls = []
@@ -209,20 +196,18 @@ class TestSmallDenseEigen:
         a, b = complex_normal(rng, 3, 6, 6), complex_normal(rng, 6, 6)
         b[:, 0] = 0  # one infinite eigenvalue, exactly
         basis = row_space_basis(b)
-        for values, vectors in small_dense_eigen(a, b) + [solve1(a[0], b, basis=basis)]:
-            assert len(values) == 5 and vectors is None
+        for values in small_dense_eigen(a, b) + [solve1(a[0], b, basis=basis)]:
+            assert len(values) == 5
         assert calls == []
-        solve1(a[0], b, vectors=True)
+        assert len(eig_reference(a[0], b)) == 5  # the spy sees an eig call
         assert calls == [1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["generic", "second shift", "singular"]),
                     min_size=1, max_size=4),
-           st.integers(1, 6), st.booleans(), st.integers(0, 63), st.booleans(),
-           st.integers(0, 2**32 - 1))
-    @example(["generic", "second shift", "singular", "generic"], 5, False, 0, True, 15)
-    def test_stack_is_bitwise_the_member_by_member_solve(self, kinds, m, shared, zero_mask,
-                                                         vectors, seed):
+           st.integers(1, 6), st.booleans(), st.integers(0, 63), st.integers(0, 2**32 - 1))
+    @example(["generic", "second shift", "singular", "generic"], 5, False, 0, 15)
+    def test_stack_is_bitwise_the_member_by_member_solve(self, kinds, m, shared, zero_mask, seed):
         rng = np.random.default_rng(seed)
         a, b = complex_normal(rng, len(kinds), m, m), complex_normal(rng, len(kinds), m, m)
         b[:, :, [j for j in range(m) if zero_mask >> j & 1]] = 0  # exact infinite eigenvalues
@@ -233,22 +218,18 @@ class TestSmallDenseEigen:
         for i, kind in enumerate(kinds):
             if kind == "second shift":  # row 0 of A - SHIFTS[0] B is zero
                 a[i, 0] = SHIFTS[0] * members[i][0]
-        got = small_dense_eigen(a, b[0] if shared else b, vectors=vectors)
+        got = small_dense_eigen(a, b[0] if shared else b)
         assert len(got) == len(kinds)
         for i, kind in enumerate(kinds):
-            want = solve1(a[i], members[i], vectors=vectors)
+            want = solve1(a[i], members[i])
             # A zero row 0 of B leaves the second-shift member a zero row in both.
             singular = kind == "singular" or (kind == "second shift" and not members[i][0].any())
             assert (got[i] is None) == (want is None) == singular
             if singular:
                 continue
-            assert_bitwise_equal(got[i][0], want[0])
-            if vectors:
-                assert_bitwise_equal(got[i][1], want[1])
-            else:
-                assert got[i][1] is None and want[1] is None
+            assert_bitwise_equal(got[i], want)
             if kind == "second shift":
-                assert np.abs(got[i][0] - SHIFTS[0]).min() <= 1e-8
+                assert np.abs(got[i] - SHIFTS[0]).min() <= 1e-8
 
     def test_row_space_basis(self):
         rng = np.random.default_rng(13)
@@ -261,8 +242,6 @@ class TestSmallDenseEigen:
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-14)
         null = np.linalg.svd(b / np.abs(b).max(axis=1, keepdims=True))[2][3:].conj().T
         np.testing.assert_allclose(basis.conj().T @ null, 0, atol=1e-12)
-        with pytest.raises(ValueError, match="vectors=False"):
-            solve1(np.eye(5), b, vectors=True, basis=basis)
 
     def test_takes_only_a_stack(self):
         with pytest.raises(ValueError, match="stack"):
@@ -272,21 +251,22 @@ class TestSmallDenseEigen:
     def test_exact_jordan_blocks(self, n):
         # Exactly parallel eigenvectors: X^-1 overflows or does not exist.
         nilpotent = np.diag(np.ones(n - 1), 1)
-        values, _ = solve1(nilpotent, np.eye(n), vectors=True)
-        assert len(values) == n  # no value is infinite
+        values = solve1(nilpotent, np.eye(n))
+        assert len(values) == len(eig_reference(nilpotent, np.eye(n))) == n  # none is infinite
         np.testing.assert_allclose(values, 0, atol=1e-3)
-        assert len(solve1(np.eye(n), nilpotent, vectors=True)[0]) == 0  # all infinite
+        assert len(solve1(np.eye(n), nilpotent)) == 0  # all infinite
+        assert eig_reference(np.eye(n), nilpotent) == []
 
     def test_eigenvalue_at_first_shift_uses_fallback(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         a = np.diag([SHIFTS[0], 2.0, -1.0])
-        values, _ = solve1(a, np.eye(3), vectors=True)
+        values = solve1(a, np.eye(3))
         assert len(calls) == 2
         np.testing.assert_allclose(values, [-1, SHIFTS[0], 2], rtol=1e-14)
         calls.clear()
-        solve1(np.diag([1.0, 2.0, -1.0]), np.eye(3), vectors=True)
+        solve1(np.diag([1.0, 2.0, -1.0]), np.eye(3))
         assert len(calls) == 1
 
     def test_random_pencils_match_qz_reference(self):
@@ -295,23 +275,20 @@ class TestSmallDenseEigen:
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b = complex_normal(rng, 6, 6), complex_normal(rng, 6, 6)
-            want = eigvals(a, b)
-            for vectors in (True, False):
-                got = solve1(a, b, vectors=vectors)[0]
-                assert len(got) == 6
-                err = np.abs(got[:, None] - want[None, :]).min(axis=1)
-                assert np.all(err <= 1e-10 * np.abs(got))
-                err = np.abs(want[:, None] - got[None, :]).min(axis=1)
-                assert np.all(err <= 1e-10 * np.abs(want))
+            want, got = eigvals(a, b), solve1(a, b)
+            assert len(got) == 6
+            err = np.abs(got[:, None] - want[None, :]).min(axis=1)
+            assert np.all(err <= 1e-10 * np.abs(got))
+            err = np.abs(want[:, None] - got[None, :]).min(axis=1)
+            assert np.all(err <= 1e-10 * np.abs(want))
 
     def test_repeat_calls_are_bitwise_equal(self):
         rng = np.random.default_rng(12)
         a, b = complex_normal(rng, 8, 8), complex_normal(rng, 8, 8)
         b[:, 0] = 0  # one infinite eigenvalue
-        first, second = solve1(a, b, vectors=True), solve1(a, b, vectors=True)
-        assert len(first[0]) == 7  # the other eigenvalue is infinite
-        for x1, x2 in zip(first, second):
-            assert_bitwise_equal(x1, x2)
+        first, second = solve1(a, b), solve1(a, b)
+        assert len(first) == 7  # the other eigenvalue is infinite
+        assert_bitwise_equal(first, second)
 
 
 def test_commutation_matrix_swaps_kron_factors():

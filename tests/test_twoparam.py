@@ -35,10 +35,10 @@ from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (NODE_KINDS, clusters_reference, commutation_matrix, full_slice_eigenvalues,
-                     gamma_blocks, kron_oracle, nodes_of_kind, pencil_in_space,
-                     point_quotients_reference, random_coeffs, random_newton, random_nodes,
-                     scalar_newton, scaled, spectrum_match_reference)
+from helpers import (NODE_KINDS, backward_error_reference, clusters_reference, commutation_matrix,
+                     full_slice_eigenvalues, gamma_blocks, kron_oracle, nodes_of_kind,
+                     pencil_in_space, point_quotients_reference, random_coeffs, random_newton,
+                     random_nodes, scalar_newton, scaled, spectrum_match_reference)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -296,24 +296,36 @@ class TestSpectrumSlice:
         roots = spectrum_slice(q, 0.7 - 0.3j)
         assert len(roots) <= 2  # at most n finite eigenvalues
 
+    def test_badly_scaled_slice_keeps_true_eigenvalues(self):
+        # Blocks scaled by 10^-5 .. 10^5. det Q(., 1) has four roots, found
+        # with 60-digit mpmath; |lambda| = 8.89e-9, 1.96e-8, 3.39e8, 1.89e9.
+        # An eigenvector residual, with x read from half of [x; lam x],
+        # certified none of the four computed values; sigma_min certifies
+        # three. The one near 8.89e-9 has a backward error of 1.6e-8, above
+        # RESIDUAL_TOL.
+        roots = np.array([-4.7867738470157785e-9 + 7.4910247327900122e-9j,
+                          1.6464272951141882e-8 - 1.0677066180148467e-8j,
+                          201379688.40941247 - 272473748.36330442j,
+                          -548412967.98599263 + 1810809871.4357614j])
+        rng = np.random.default_rng(1400)
+        scales = 10.0 ** rng.integers(-5, 6, 6)
+        q = MatrixPoly2.newton({key: complex_normal(rng, 2, 2) * s
+                                for key, s in zip(COEFF_KEYS, scales)}, NewtonNodes())
+        got = np.array(spectrum_slice(q, 1.0))
+        assert len(got) >= 3
+        nearest = np.abs(got[:, None] - roots).argmin(axis=1)
+        assert len(set(nearest)) == len(got)
+        np.testing.assert_allclose(got, roots[nearest], rtol=1e-6)
+
 
 def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
-    """Per-eigenvalue reference for spectrum_slice (its loop form)."""
-    n = q.n
+    """Per-eigenvalue reference for spectrum_slice (its loop form): each value
+    of the slice solve is kept when its own sigma_min backward error is at
+    most residual_tol."""
     k2, k1, k0 = twoparam._lambda_quadratic_at(q, mu0)
-    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-    out = []
-    (values, vectors), = twoparam.small_dense_eigen(
-        *(m[None] for m in twoparam._companion(k2, k1, k0)), vectors=True)
-    for lam, vector in zip(values.tolist(), vectors.T):
-        x = vector[:n]
-        if np.linalg.norm(x) <= 1e-8 * np.linalg.norm(vector):
-            x = vector[n:]
-        scale = abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2]
-        if np.linalg.norm((lam * lam * k2 + lam * k1 + k0) @ x) <= (
-                residual_tol * scale * np.linalg.norm(x)):
-            out.append(lam)
-    return sorted(out, key=lambda z: (z.real, z.imag))
+    values, = twoparam.small_dense_eigen(*(m[None] for m in twoparam._companion(k2, k1, k0)))
+    return [lam for lam in values.tolist()
+            if backward_error_reference(q, mu0, lam) <= residual_tol]
 
 
 def loop_distances(q_eigs, l_eigs, match_tol):
@@ -370,8 +382,8 @@ class TestSliceVectorized:
 
 
 class TestCertificateOnDemand:
-    # Q slices are solved for values only; a slice that does not match is
-    # solved again with eigenvectors and residual-certified.
+    # Q slices are solved once, for values only; a slice that does not match
+    # keeps the values that pass the sigma_min certificate.
     @pytest.mark.parametrize("q, pencil", list(slice_cases())[:-1])  # the last drops degree
     def test_generic_check_computes_no_eigenvectors(self, monkeypatch, q, pencil):
         shapes, real = [], np.linalg.eig
@@ -384,7 +396,7 @@ class TestCertificateOnDemand:
            st.sampled_from(["companion", "e1"]),
            st.sampled_from(["in space", "A3 moved", "another Q", "C20 = 0"]),
            st.integers(0, 2**32 - 1))
-    def test_decides_as_the_always_vectors_reference(self, n, kind, construction, case, seed):
+    def test_decides_as_the_always_certified_reference(self, n, kind, construction, case, seed):
         rng = np.random.default_rng(seed)
         coeffs = random_coeffs(rng, n)
         if case == "C20 = 0":
@@ -396,13 +408,13 @@ class TestCertificateOnDemand:
             a3 = np.array(pencil.A3)
             a3[tuple(rng.integers(3 * n, size=2))] += 1e-3 * np.abs(a3).max()
             pencil = NewtonPencil.from_blocks(pencil.nodes, pencil.A1, pencil.A2, a3)
-        certified, real = [], twoparam._q_slice_eigenvalues
+        certified, real = [], twoparam._certified
 
-        def spy(q, mus, vectors=True):
-            certified.extend(mus if vectors else [])
-            return real(q, mus, vectors=vectors)
+        def spy(q, mu0, lam):
+            certified.append(mu0)
+            return real(q, mu0, lam)
 
-        with mock.patch.object(twoparam, "_q_slice_eigenvalues", spy):
+        with mock.patch.object(twoparam, "_certified", spy):
             got = verify_spectrum_match(q, pencil, slices=3, seed=seed % 1000)
         want = spectrum_match_reference(q, pencil, slices=3, seed=seed % 1000)
         assert got.all_contained == want.all_contained == (case in ("in space", "C20 = 0"))
@@ -410,7 +422,7 @@ class TestCertificateOnDemand:
             assert g.contained == w.contained
             assert g == w if g.mu0 in certified else g.contained
 
-    def test_only_the_mismatch_slice_is_certified(self):
+    def test_only_the_mismatch_slice_is_certified(self, monkeypatch):
         # The pencil is the companion of Q + (mu - mu1)(mu - mu2) E, which
         # equals Q on the slices at mu1 and mu2 only.
         rng = np.random.default_rng(61)
@@ -420,16 +432,19 @@ class TestCertificateOnDemand:
         for key, factor in (((0, 2), 1), ((0, 1), -(mus[1] + mus[2])), ((0, 0), mus[1] * mus[2])):
             coeffs[key] = coeffs[key] + factor * e
         pencil = companion_pencil(MatrixPoly2.newton(coeffs))
-        calls, real = [], twoparam._q_slice_eigenvalues
-
-        def spy(q, mus, vectors=True):
-            calls.append((list(mus), vectors))
-            return real(q, mus, vectors=vectors)
-
-        with mock.patch.object(twoparam, "_q_slice_eigenvalues", spy):
-            report = verify_spectrum_match(q, pencil, slices=3, seed=5)
+        sizes, certified = [], []
+        real_eigen, real_certified = twoparam.small_dense_eigen, twoparam._certified
+        monkeypatch.setattr(twoparam, "small_dense_eigen",
+                            lambda a, *args, **kw: sizes.append(a.shape) or
+                            real_eigen(a, *args, **kw))
+        monkeypatch.setattr(twoparam, "_certified",
+                            lambda q, mu0, lam: certified.append(mu0) or
+                            real_certified(q, mu0, lam))
+        report = verify_spectrum_match(q, pencil, slices=3, seed=5)
         assert [rec.contained for rec in report.records] == [False, True, True]
-        assert calls == [(list(mus), False), ([mus[0]], True)]
+        # One chunk: one Q solve of all three slices, and no second solve.
+        assert [shape for shape in sizes if shape[-1] == 2 * q.n] == [(3, 6, 6)]
+        assert certified == [mus[0]]
         assert report == spectrum_match_reference(q, pencil, slices=3, seed=5)
 
 
@@ -460,7 +475,9 @@ class TestSliceStacks:
         rng = np.random.default_rng(52)
         q = random_newton(rng, 3)
         mus = annulus_points(rng, 4)
-        assert twoparam._q_slice_eigenvalues(q, mus) == [spectrum_slice(q, mu0) for mu0 in mus]
+        stacked = twoparam._q_slice_eigenvalues(q, mus)
+        assert ([twoparam._certified(q, mu0, lam).tolist() for mu0, lam in zip(mus, stacked)]
+                == [spectrum_slice(q, mu0) for mu0 in mus])
 
 
 def assert_same_finite_eigenvalues(got, want):

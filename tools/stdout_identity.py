@@ -11,19 +11,25 @@ can move between the two paths. Then 15 more: construct, verify, spectrum for --
 (1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
 kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
 another problem on the same nodes against that pencil, which fail; the slices of such a
-spectrum job are the ones solved again with eigenvectors. Then 30 more: spectrum --pair at seeds
-0, 1 and 2 on ten scalar monomial pairs (``DEGENERATE_PAIRS``) with points at infinity, multiple
-points or a shared factor, so that the exit codes, counts and multiplicities of those cases are
-compared too. The later blocks are drawn after the earlier ones, so adding them does not change
-the earlier draws. Each tree runs the jobs in process through its own ``cli.main``. It names
-every job whose report differs, with up to three of its differing lines. For those that differ
-in digits only, it groups the differing lines by their prefix, the text before the first number,
-and prints for each prefix the count of lines and the largest relative move of each field on
-them (``lambda`` and ``distance`` apart), so a move at rounding level in one field does not hide
-whether another field moved."""
+spectrum job are the ones whose Q values are filtered by their backward error. Then 30 more:
+spectrum --pair at seeds 0, 1 and 2 on ten scalar monomial pairs (``DEGENERATE_PAIRS``) with
+points at infinity, multiple points or a shared factor, so that the exit codes, counts and
+multiplicities of those cases are compared too. The later blocks are drawn after the earlier
+ones, so adding them does not change the earlier draws. Each tree runs the jobs in process
+through its own ``cli.main``. It names every job whose report differs, with up to three of its
+differing lines. For those that differ in digits only, each run of consecutive point lines
+(``  lambda=``: the Q values of a slice, the points of a pair, the determinant samples) is first
+matched line to line by nearest (lambda, mu), so that two points whose sort keys tie and swap at
+rounding level count as the rounding-level moves they are. It then groups the differing lines
+by their prefix, the text before the first number, and prints for each prefix the count of
+lines and the largest relative move of each field on them (``lambda`` and ``distance`` apart),
+so a move at rounding level in one field does not hide whether another field moved. A complex
+field moves as one number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that
+changes sign is a rounding-level move."""
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -51,17 +57,41 @@ DEGENERATE_PAIRS = (
     ((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 0, -1)),    # lam^2 - mu, lam mu - 1: 3 points
 )
 NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
+POINT = "  lambda="  # a point line of a report
 
 
-def line_fields(x: str, y: str):
-    """(field, number in x, number in y) for each number of two lines of one layout. A field is
-    named by the text before its number, back to the last text with a letter: "lambda" for both
-    parts of "lambda=(1, 2)", "distance" for the number of " distance=3"."""
-    field = ""
+def line_fields(x: str, y: str) -> dict:
+    """{field: (numbers in x, numbers in y)} of two lines of one layout. A field is named by the
+    text before its first number, back to the last text with a letter, and holds the numbers up
+    to the next name: both parts of "lambda=(1, 2)" in "lambda", the number of " distance=3" in
+    "distance". So a complex value moves as one number."""
+    fields, field = {}, ""
     for text, u, w in zip(NUMBER.split(x), NUMBER.findall(x), NUMBER.findall(y)):
         if re.search("[A-Za-z]", text):
             field = text.strip(" (),:=")
-        yield field, float(u), float(w)
+        fields.setdefault(field, []).append((float(u), float(w)))
+    return {field: tuple(np.array(v) for v in zip(*pairs)) for field, pairs in fields.items()}
+
+
+def matched_points(a: list, b: list) -> list:
+    """b's lines with each run of point lines reordered to face a's (the runs sit at the same
+    lines, as the layouts agree): the nearest pair in (lambda, mu) first, then the nearest of
+    the rest, and so on."""
+    b = list(b)
+    for point, run in itertools.groupby(range(len(a)), key=lambda i: a[i].startswith(POINT)):
+        if not point:
+            continue
+        rows = list(run)
+        keys = np.array([np.concatenate([f[0] for name, f in line_fields(x, x).items()
+                                         if name in ("lambda", "mu")])
+                         for x in [a[i] for i in rows] + [b[i] for i in rows]])
+        dist = np.linalg.norm(keys[:len(rows), None] - keys[None, len(rows):], axis=2)
+        facing = {}
+        for i, j in zip(*np.unravel_index(np.argsort(dist, axis=None), dist.shape)):
+            if i not in facing and j not in facing.values():
+                facing[i] = j
+        b[rows[0]:rows[-1] + 1] = [b[rows[facing[i]]] for i in range(len(rows))]
+    return b
 
 
 def build_jobs(work: Path, rng) -> list:
@@ -134,11 +164,12 @@ def main(*sources) -> int:
             continue
         digits.append(name)
         print(f"digits only: {name}")
-        for x, y in ((x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y):
+        lines = zip(a.splitlines(), matched_points(a.splitlines(), b.splitlines()))
+        for x, y in ((x, y) for x, y in lines if x != y):
             moved[prefix := NUMBER.split(x, 1)[0]] += 1
             fields = largest.setdefault(prefix, {})
-            for field, u, w in line_fields(x, y):
-                move = abs(u - w) / (max(abs(u), abs(w)) or 1.0)
+            for field, (u, w) in line_fields(x, y).items():
+                move = np.linalg.norm(u - w) / (max(np.linalg.norm(u), np.linalg.norm(w)) or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}")
     for prefix, count in sorted(moved.items()):
