@@ -60,7 +60,6 @@ from .twoparam import (
     delta_operators,
     pair_linearize,
     spectrum_pair_oracle,
-    spectrum_slice,
     verify_spectrum_match,
 )
 

@@ -129,7 +129,7 @@ def _cmd_construct(args) -> int:
     else:
         v = _parse_ansatz(args.ansatz)
         params = None if args.params is None else _params_for(args.params, q.n)[0]
-        built = construct_general_ansatz(q, v, params, tol=args.tol, seed=seed)
+        built = construct_general_ansatz(q, v, params, tol=args.tol)
         pencil = built.pencil_v
         ansatz_note = _fmt_cvec(v)
         report.add("M:")

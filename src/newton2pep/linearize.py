@@ -35,7 +35,7 @@ from .matpoly import MatrixPoly2
 from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
                      select_M)
 
-MAX_DRAWS = 32  # random Z draws before a construction gives up
+MAX_DRAWS = 32  # Z draws of E1FreeParams.random before it gives up
 RANDOM_MIN_SIGMA = 0.05  # sigma_min(Z) a random draw of unit-variance entries must exceed
 # Largest |gamma_estimate / gamma_predicted - 1| a witness accepts: the estimate, a ratio of sampled
 # determinants, rounds worse as n and the conditioning grow; a pencil not witnessed misses by O(1).
@@ -329,8 +329,8 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
 class GeneralAnsatzPencil:
     """Outcome of the general-ansatz construction.
 
-    ``pencil`` is the e1-form linearization built from the transformed
-    parameters ``params``; ``pencil_v`` applies M^{-1} kron I on the left and
+    ``pencil`` is the e1-form linearization built from the parameters
+    ``params``; ``pencil_v`` applies M^{-1} kron I on the left and
     is the member of the Newton space with the requested ansatz vector.
     """
 
@@ -344,51 +344,27 @@ class GeneralAnsatzPencil:
 
 
 def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = None,
-                             *, tol: float = DEFAULT_TOL, seed: int = 0) -> GeneralAnsatzPencil:
+                             *, tol: float = DEFAULT_TOL) -> GeneralAnsatzPencil:
     """Linearization construction for an arbitrary nonzero ansatz vector.
 
-    Pick M with M v = e1 from the pattern table and build the e1 pencil of
-    the transformed parameters (m11 Y11, (M kron I) Z1, (M kron I) Z2), with
-    Y11 forced to 0 unless m21 = m31 = 0. Without ``params``, Z11 = Z12 = 0
-    and the lower entries come from the inverse of M's trailing 2 x 2
-    submatrix, so the transformed block is the identity. Every template's
-    trailing submatrix is exactly singular (a zero row or column) or has
-    determinant 1, 1/c, -1/b or 1/(bc), so it is tested against exact zero;
-    when singular, random draws take over (at most MAX_DRAWS), each
-    rejected by the admissibility test of :func:`construct_e1_newton`.
+    Pick M with M v = e1 from the pattern table and build an e1 pencil, whose
+    product with M^{-1} kron I has ansatz v. With ``params`` it is the e1
+    pencil of the transformed parameters (m11 Y11, (M kron I) Z1,
+    (M kron I) Z2), with Y11 forced to 0 unless m21 = m31 = 0. Without, it is
+    the e1 pencil of Y11 = 0, Z1 = (0; I; 0), Z2 = (0; 0; I) for every M: its
+    Z block is I_2n, so the construction is closed form and always admissible.
     """
     n = q.n
     if not isinstance(v, AnsatzVector):
         v = AnsatzVector.classify(v, tol=tol)
     m = select_M(v, tol=tol)
-    t = np.kron(m, np.eye(n))
-    zero = np.zeros((n, n))
-
-    def transformed(y11, z1, z2) -> E1FreeParams:
-        return E1FreeParams.build(m[0, 0] * y11, t @ z1, t @ z2)
-
-    def built(hat: E1FreeParams) -> GeneralAnsatzPencil:
-        return GeneralAnsatzPencil(M=m, params=hat, pencil=construct_e1_newton(q, hat, tol=tol))
-
-    if params is not None:
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    if params is None:
+        hat = E1FreeParams.build(zero, np.vstack([zero, eye, zero]), np.vstack([zero, zero, eye]))
+    else:
         require_matching(q, params=params)
+        t = np.kron(m, eye)
         y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
-        return built(transformed(params.y11 if y_free else zero, params.z1, params.z2))
-    m_tail = m[1:, 1:]
-    if np.linalg.det(m_tail) != 0:
-        inv = np.linalg.inv(m_tail)
-        eye = np.eye(n)
-        z1 = np.vstack([zero, inv[0, 0] * eye, inv[1, 0] * eye])
-        z2 = np.vstack([zero, inv[0, 1] * eye, inv[1, 1] * eye])
-        return built(transformed(zero, z1, z2))
-    rng = np.random.default_rng(seed)
-    for _ in range(MAX_DRAWS):
-        try:
-            return built(transformed(zero, complex_normal(rng, 3 * n, n),
-                                     complex_normal(rng, 3 * n, n)))
-        except AdmissibilityError:
-            pass
-    raise AdmissibilityError(
-        f"no admissible Z found for ansatz pattern {v.pattern} "
-        f"after {MAX_DRAWS} random draws"
-    )
+        hat = E1FreeParams.build(m[0, 0] * (params.y11 if y_free else zero),
+                                 t @ params.z1, t @ params.z2)
+    return GeneralAnsatzPencil(M=m, params=hat, pencil=construct_e1_newton(q, hat, tol=tol))

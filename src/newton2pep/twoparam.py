@@ -63,7 +63,6 @@ __all__ = [
     "delta_operators",
     "SingularityCertificate",
     "certify_singular",
-    "spectrum_slice",
     "SliceRecord",
     "SpectrumMatchReport",
     "verify_spectrum_match",
@@ -257,9 +256,13 @@ def _companion(k2, k1, k0):
 
 
 def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
-    """Every finite eigenvalue of Q(., mu0) at each mu0, as a sorted array
-    (:func:`spectrum_slice` before its certificate), the companion pencils
-    solved as stacks of at most STACK_BYTES (at least one pencil)."""
+    """Every finite eigenvalue of Q(., mu0) at each mu0, as an array sorted by
+    (real, imag), before the certificate of :func:`_certified`. Each slice
+    lam^2 K2 + lam K1 + K0 is solved for values only through the 2n x 2n
+    companion pencil ([0 I; -K0 -K1], [I 0; 0 K2]), as stacks of at most
+    STACK_BYTES (at least one pencil). Infinite eigenvalues (singular K2) are
+    dropped, so fewer than 2n values may come back. A Q singular on a slice
+    raises :class:`DegenerateProblemError`."""
     qm = q.to_monomial()
     step, out = chunk_step(2 * q.n), []
     for start in range(0, len(mus), step):
@@ -283,23 +286,6 @@ def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
     return lam[sigma_min <= RESIDUAL_TOL * scale]
-
-
-def spectrum_slice(q: MatrixPoly2, mu0: complex) -> list[complex]:
-    """Finite lambda with det Q(lambda, mu0) = 0, via the companion pencil.
-
-    The one-parameter quadratic lam^2 K2 + lam K1 + K0 is solved for values
-    only through the 2n x 2n generalized problem ([0 I; -K0 -K1], [I 0; 0 K2]).
-    Infinite eigenvalues (singular K2) are dropped, so fewer than 2n values
-    may come back. Each is certified by its backward error: kept when
-    sigma_min(Q(lam, mu0)) <= RESIDUAL_TOL (|lam|^2 ||K2||_F + |lam| ||K1||_F
-    + ||K0||_F) (:func:`_certified`), a relative test that reads the same for
-    Q and 2^k Q. Sorted by (real, imag). :func:`verify_spectrum_match` runs
-    this certificate on demand only. A Q singular on the slice raises
-    :class:`DegenerateProblemError`.
-    """
-    mus = np.array([mu0], dtype=complex)
-    return _certified(q, mus[0], _q_slice_eigenvalues(q, mus)[0]).tolist()
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
@@ -365,7 +351,7 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     constructions.
 
     Q slices are solved for values only. A slice with an unmatched Q value
-    or a singular pencil keeps only the values that :func:`spectrum_slice`
+    or a singular pencil keeps only the values that :func:`_certified`
     certifies, from the same solve, and is matched again. So a listed Q
     value is matched or certified, and a slice is contained exactly when
     every certified Q value matches.

@@ -53,7 +53,7 @@ def pencil_in_space(q, construction, rng):
     if construction == "e1":
         return construct_e1_newton(q, E1FreeParams.random(q.n, rng))
     v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
-    return construct_general_ansatz(q, v, seed=int(rng.integers(1000))).pencil_v
+    return construct_general_ansatz(q, v).pencil_v
 
 
 def scalar_monomial(a20, a11, a02, a10, a01, a00):
@@ -409,6 +409,16 @@ def backward_error_reference(q, mu0, lam):
     sigma_min = np.linalg.svd(lam * lam * k2 + lam * k1 + k0, compute_uv=False)[-1]
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     return sigma_min / (abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2])
+
+
+def spectrum_slice(q, mu0):
+    """Finite lambda with det Q(lambda, mu0) = 0 that the slice certificate
+    keeps: twoparam._q_slice_eigenvalues of the one slice mu0, filtered by
+    twoparam._certified, as a list sorted by (real, imag)."""
+    from newton2pep.twoparam import _certified, _q_slice_eigenvalues
+
+    mus = np.array([mu0], dtype=complex)
+    return _certified(q, mus[0], _q_slice_eigenvalues(q, mus)[0]).tolist()
 
 
 def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):

@@ -310,7 +310,7 @@ class TestVerify:
                     m, params = np.eye(3), E1FreeParams.companion(q)
                 else:
                     v = np.array([1.5 - 0.5j if x else 0 for x in construction])
-                    built = construct_general_ansatz(q, v, seed=3)
+                    built = construct_general_ansatz(q, v)
                     m, params = built.M, built.params
                 doc["provenance"] = {"command": "construct", "seed": 3,
                                      "M": _matrix_to_flat(m), "params": params_to_dict(params)}
@@ -593,6 +593,16 @@ class TestDeterminism:
         _, v1 = run(capsys, ["verify", qfile, str(out1), "--seed", "3"])
         _, v2 = run(capsys, ["verify", qfile, str(out1), "--seed", "3"])
         assert v1 == v2
+
+    def test_construct_does_not_read_the_seed(self, tmp_path, qfile, capsys):
+        # The default general-ansatz construction is closed form: pattern
+        # (0, 1, 1) writes the same pencil at every seed, which it prints.
+        outs = [tmp_path / f"pencil{seed}.json" for seed in (0, 7)]
+        for seed, out in zip((0, 7), outs):
+            code, report = run(capsys, ["construct", qfile, "--ansatz", "0,1,1",
+                                        "--seed", str(seed), "--out", str(out)])
+            assert code == 0 and f"\nseed: {seed}\n" in report
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_env_seed_fallback(self, tmp_path, qfile, capsys, monkeypatch):
         out = tmp_path / "pencil.json"

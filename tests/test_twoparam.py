@@ -25,7 +25,6 @@ from newton2pep import (
     det,
     pair_linearize,
     spectrum_pair_oracle,
-    spectrum_slice,
     verify_linearization,
     verify_spectrum_match,
 )
@@ -38,7 +37,8 @@ from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobeni
 from helpers import (NODE_KINDS, backward_error_reference, clusters_reference, commutation_matrix,
                      full_slice_eigenvalues, gamma_blocks, kron_oracle, nodes_of_kind,
                      pencil_in_space, point_quotients_reference, random_coeffs, random_newton,
-                     random_nodes, scalar_newton, scaled, spectrum_match_reference)
+                     random_nodes, scalar_newton, scaled, spectrum_match_reference,
+                     spectrum_slice)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -842,6 +842,19 @@ class TestSpectrumPairOracle:
         assert sorted(p.multiplicity for p in sample.points) == want
         assert sample.total_count == sum(want)
         assert all(p.residual <= 1e-12 for p in sample.points)
+
+    @pytest.mark.parametrize("blocks", [("f", "fg"), ("fg", "fh")])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_diagonal_shared_factor(self, blocks, seed):
+        # Random scalar quadratics f, g, h: f with diag(f, g), and diag(f, g)
+        # with diag(f, h), share the factor f. The staircase deflates f
+        # completely, so a rank test of the regular part alone would miss it.
+        rng = np.random.default_rng(seed)
+        scalars = {name: random_coeffs(rng, 1) for name in "fgh"}
+        pair = QtepPair(*(MatrixPoly2.newton({key: np.diag([scalars[x][key][0, 0] for x in names])
+                                              for key in COEFF_KEYS}) for names in blocks))
+        with pytest.raises(SharedFactorError):
+            spectrum_pair_oracle(pair, seed=seed)
 
     @pytest.mark.parametrize("kind", NODE_KINDS)
     def test_generic_regular_part_is_square_and_nonsingular(self, kind):

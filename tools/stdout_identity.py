@@ -25,7 +25,10 @@ by their prefix, the text before the first number, and prints for each prefix th
 lines and the largest relative move of each field on them (``lambda`` and ``distance`` apart),
 so a move at rounding level in one field does not hide whether another field moved. A complex
 field moves as one number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that
-changes sign is a rounding-level move."""
+changes sign is a rounding-level move. The lambda and mu of a point line move relative to
+max(|z|, |z'|, s) with s the largest |lambda| (or |mu|) on the job's point lines and at least 1,
+the max(1, |lambda|) of the slice matching: a whole point at zero, such as the 2-fold point
+(0, 0) of lambda mu with lambda + mu, moves by rounding, not by O(1)."""
 
 import contextlib
 import io
@@ -164,12 +167,18 @@ def main(*sources) -> int:
             continue
         digits.append(name)
         print(f"digits only: {name}")
-        lines = zip(a.splitlines(), matched_points(a.splitlines(), b.splitlines()))
+        lines = list(zip(a.splitlines(), matched_points(a.splitlines(), b.splitlines())))
+        floor = {"lambda": 1.0, "mu": 1.0}  # of a point line's field: its largest size, or 1
+        for field, (u, w) in ((f, uw) for x, y in lines if x.startswith(POINT)
+                              for f, uw in line_fields(x, y).items() if f in floor):
+            floor[field] = max(floor[field], np.linalg.norm(u), np.linalg.norm(w))
         for x, y in ((x, y) for x, y in lines if x != y):
             moved[prefix := NUMBER.split(x, 1)[0]] += 1
             fields = largest.setdefault(prefix, {})
             for field, (u, w) in line_fields(x, y).items():
-                move = np.linalg.norm(u - w) / (max(np.linalg.norm(u), np.linalg.norm(w)) or 1.0)
+                size = max(np.linalg.norm(u), np.linalg.norm(w),
+                           floor.get(field, 0.0) if x.startswith(POINT) else 0.0)
+                move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}")
     for prefix, count in sorted(moved.items()):
