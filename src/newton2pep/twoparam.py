@@ -21,8 +21,9 @@ and B2 v = 0 have solutions and u kron v annihilates Delta0. The
 certificate uses that witness on the 3p x 3p blocks. The joint spectrum is
 solved on the regular part of the singular operators, of size 4 p1 p2 for a
 generic pair, which a staircase reduction deflates to (Muhic and Plestenjak,
-"On the singular two-parameter eigenvalue problem", ELA 18, 2009).
-One-parameter slices check single pencils.
+"On the singular two-parameter eigenvalue problem", ELA 18, 2009); its
+deflation also counts the rank the Delta pencil loses, and a degenerate pair
+is decided on a random line. One-parameter slices check single pencils.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ import numpy as np
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (annulus_points, complex_normal, row_space_basis, small_dense_eigen,
                      smallest_singular_value)
-from .matpoly import MatrixPoly2, newton_six
+from .matpoly import COEFF_KEYS, MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
 DESK_SCALE_LIMIT = 3
-# Relative singular-value cut-off for the normal rank of the Delta pencil and
-# for each rank of its staircase reduction.
+# Relative singular-value cut-off for each rank of the staircase reduction of
+# the Delta triple and for the normal rank of its regular part.
 RANK_TOL = 1e-10
 # Largest entry, relative to the block's, of a structural zero of an e1 pencil.
 STRUCTURE_TOL = 1e-12
@@ -50,10 +51,10 @@ CLUSTER_TOL = 1e-4
 DISC_FACTOR = 3.0
 # Largest backward error of a returned point, and of a Q slice eigenvalue.
 RESIDUAL_TOL = 1e-8
-# Relative sigma_min below which a degree-two part counts as singular, and
-# relative |1 + t1 lam' + t2 mu'| below which a point of the shifted regular
-# part lies at infinity; looser than RESIDUAL_TOL because a double root at
-# infinity comes out to sqrt(eps).
+# Relative sigma_min below which Q2 counts as singular at a root of det Q1 on a
+# line (_meet_on_line), and relative |1 + t1 lam' + t2 mu'| below which a point
+# of the shifted regular part lies at infinity; looser than RESIDUAL_TOL
+# because a double root comes out to sqrt(eps).
 INFINITY_TOL = 1e-6
 
 __all__ = [
@@ -419,27 +420,29 @@ def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
     """Normal-rank deficiency of a - sigma b: the smaller count of singular
-    values at most RANK_TOL times the largest, at two random sigma."""
+    values at most RANK_TOL times the largest, at two random sigma (0 for
+    an empty pencil)."""
     counts = []
     for sigma in complex_normal(rng, 2):
         sv = np.linalg.svd(a - sigma * b, compute_uv=False)
-        counts.append(int(np.count_nonzero(sv <= RANK_TOL * sv[0])))
+        counts.append(int(np.count_nonzero(sv <= RANK_TOL * sv[:1])))
     return min(counts)
 
 
 def _right_step(ops, tol: float):
-    """One right step of the staircase: the triple and the nullity of its
-    Delta0, the rank cut at ``tol``. With Z = ker Delta0, when
-    range [Delta1 Z, Delta2 Z] is smaller than Z, the triple keeps only the
-    columns orthogonal to Z and the rows orthogonal to that range."""
+    """One right step of the staircase: the triple, the nullity of its
+    Delta0 and the deflation, the ranks cut at ``tol``. With Z = ker Delta0,
+    when range [Delta1 Z, Delta2 Z] is smaller than Z, the triple keeps only
+    the columns orthogonal to Z and the rows orthogonal to that range, and
+    deflates nullity - image; otherwise it deflates 0."""
     _, s, vh = np.linalg.svd(ops[0])
     rank = int(np.count_nonzero(s > tol))
     z = vh[rank:].conj().T
     u, s, _ = np.linalg.svd(np.hstack([ops[1] @ z, ops[2] @ z]))
-    image = int(np.count_nonzero(s > tol))
-    if image < z.shape[1]:
+    nullity, image = z.shape[1], int(np.count_nonzero(s > tol))
+    if image < nullity:
         ops = tuple(u[:, image:].conj().T @ d @ vh[:rank].conj().T for d in ops)
-    return ops, z.shape[1]
+    return ops, nullity, max(nullity - image, 0)
 
 
 def _adjoint(ops):
@@ -447,67 +450,62 @@ def _adjoint(ops):
 
 
 def _regular_part(delta: DeltaTriple):
-    """The regular part (Delta0, Delta1, Delta2) of the Delta triple, and
-    whether its Delta0 is singular (Muhic and Plestenjak, ELA 18, 2009).
+    """The regular part (Delta0, Delta1, Delta2) of the Delta triple, whether
+    its Delta0 is singular, and the deflation summed over the right steps
+    (Muhic and Plestenjak, ELA 18, 2009).
 
     Right steps (:func:`_right_step`) and left steps, the same on the
     conjugate transposes, repeat until neither deflates; ranks are cut at
     RANK_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
-    from 9 p1 p2 to 4 p1 p2, and ends with Delta0 nonsingular.
-    :class:`DegenerateProblemError` is raised when the result is not square.
+    from 9 p1 p2 to 4 p1 p2, deflates p1 p2 and ends with Delta0
+    nonsingular. :class:`DegenerateProblemError` is raised when the result
+    is not square.
     """
     ops = (delta.delta0, delta.delta1, delta.delta2)
     tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
+    deflated = 0
     while True:
         shape = ops[0].shape
-        ops, nullity = _right_step(ops, tol)
+        ops, nullity, step = _right_step(ops, tol)
+        deflated += step
         ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
         if ops[0].shape == shape:
             break
     if shape[0] != shape[1]:
         raise DegenerateProblemError(f"the staircase reduction of the Delta triple stops "
                                      f"at {shape[0]} x {shape[1]}, not at a square triple")
-    return ops, nullity > 0
+    return ops, nullity > 0, deflated
 
 
-def _top_degree(q: MatrixPoly2, direction) -> np.ndarray:
-    """Degree-two part C20 l^2 + C11 l m + C02 m^2 of Q at (l, m) = direction."""
-    l, m = direction
-    return l * l * q.coeffs[2, 0] + l * m * q.coeffs[1, 1] + m * m * q.coeffs[0, 2]
+def _homogeneous(q: MatrixPoly2, point):
+    """Q at the projective point (l, m, z), z^2 Q(l / z, m / z) or at z = 0 the
+    degree-two part C20 l^2 + C11 l m + C02 m^2, and sum_j |phi_j| of its six
+    homogeneous Newton basis functions phi_j there, (l - a1 z)(l - a2 z) ... z^2."""
+    l, m, z = point
+    a1, a2, b1, b2 = q.nodes.as_tuple()
+    x, y = l - a1 * z, m - b1 * z
+    phi = (x * (l - a2 * z), x * y, y * (m - b2 * z), x * z, y * z, z * z)
+    return sum(f * q.coeffs[key] for f, key in zip(phi, COEFF_KEYS)), sum(map(abs, phi))
 
 
-def _top_singular(q: MatrixPoly2, norm: float, direction) -> bool:
-    """Whether the degree-two part is singular at the direction, relative to
-    max_j ||C_j||_2 (|l|^2 + |l m| + |m|^2), with ``norm`` = max_j ||C_j||_2.
-    At a random direction this says that det Q has degree below 2n: read as
-    a curve of degree 2n, it contains the line at infinity."""
-    l, m = direction
-    scale = norm * (abs(l) ** 2 + abs(l * m) + abs(m) ** 2)
-    sigma_min = np.linalg.svd(_top_degree(q, direction), compute_uv=False)[-1]
-    return bool(sigma_min <= INFINITY_TOL * scale)
-
-
-def _meets_at_infinity(pair: QtepPair, rng) -> bool:
-    """Whether det Q1 and det Q2, read as curves of degree 2 p1 and 2 p2, share
-    a point on the line at infinity. Only then can the pair have fewer than
-    4 p1 p2 finite common zeros (Bezout).
-
-    The directions r0 + t r1 (random r0, r1) cover every point at infinity
-    but r1. The roots t of det T1(r0 + t r1), with T1 the degree-two part of
-    Q1, are eigenvalues of its companion pencil, which ``numpy.linalg.eig``
-    solves after a random shift-and-invert; the pair meets at infinity when
-    T2 is singular at one of them.
-    """
-    r0, r1 = complex_normal(rng, 2), complex_normal(rng, 2)
-    shift = complex_normal(rng)
-    norms = _coefficient_norm(pair.q1), _coefficient_norm(pair.q2)
-    if any(_top_singular(q, norm, r0 + shift * r1) for q, norm in zip((pair.q1, pair.q2), norms)):
-        return True
-    t0, t1, t_1 = (_top_degree(pair.q1, r0 + t * r1) for t in (0, 1, -1))
-    a, b = _companion((t1 + t_1) / 2 - t0, (t1 - t_1) / 2, t0)
-    theta = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))  # 1 / (t - shift)
-    return any(_top_singular(pair.q2, norms[1], r0 + (shift + 1 / th) * r1)
-               for th in theta if th != 0)
+def _meet_on_line(pair: QtepPair, norms, p, r) -> float:
+    """The least sigma_min(Q2) / (INFINITY_TOL max_j ||C_2j||_2 sum_j |phi_j|)
+    (:func:`_homogeneous`, ``norms`` as in :func:`_backward_errors`) at the
+    roots t of det Q1(p + t r), the finite eigenvalues of its companion
+    pencil, on a projective line: det Q1 and det Q2 meet there when it is at
+    most 1. It is 0 when Q1 is singular on the line, inf when det Q1 has no
+    root on it. On a random line at infinity, (r0, 0) + t (r1, 0), the curves
+    meet when there can be fewer than 4 p1 p2 finite common zeros (Bezout);
+    on a random finite line, (p, 1) + t (r, 0), whose t = inf lies at
+    infinity, when they share a factor."""
+    k0, k1, k_1 = (_homogeneous(pair.q1, p + t * r)[0] for t in (0, 1, -1))
+    a, b = _companion((k1 + k_1) / 2 - k0, (k1 - k_1) / 2, k0)
+    roots = small_dense_eigen(a[None], b)[0]
+    if roots is None:
+        return 0.0
+    margins = [smallest_singular_value(q2) / (INFINITY_TOL * norms[1] * weight)
+               for q2, weight in (_homogeneous(pair.q2, p + t * r) for t in roots)]
+    return float(min(margins, default=np.inf))
 
 
 def _clusters(theta: np.ndarray, radius: np.ndarray, shift: complex) -> list[np.ndarray]:
@@ -597,21 +595,23 @@ def _regular_points(ops, c: complex, rng):
 def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     """Joint spectrum of a pair at desk scale (p1, p2 <= 3), from its Delta operators.
 
-    The e1 pencils are drawn from ``seed``, as ``delta`` draws them. The
-    normal-rank deficiency k of Delta1 + c Delta2 - sigma Delta0 is p1 p2
-    for a generic pair; a larger k raises (shared factor, or both
-    determinants drop degree). :func:`_regular_points` solves the regular
-    part (:func:`_regular_part`), of size 4 p1 p2 for a generic pair. When
-    its Delta0 is singular, the part has points at infinity: it is solved
-    with Delta0 - t1 Delta1 - t2 Delta2 (random t) in place of Delta0, where
-    every point (lam', mu') is finite, and (lam, mu) = (lam', mu') /
-    (1 + t1 lam' + t2 mu'), dropping the points at infinity, whose divisor
-    is at most INFINITY_TOL (1 + |t1 lam'| + |t2 mu'|).
+    The e1 pencils are drawn from ``seed``, as ``delta`` draws them.
+    :func:`_regular_points` solves the regular part (:func:`_regular_part`),
+    of size 4 p1 p2 for a generic pair. The normal-rank deficiency k of
+    Delta1 + c Delta2 - sigma Delta0 is the staircase's deflation plus the
+    part's, p1 p2 for a generic pair. A larger k comes from a shared factor,
+    which raises when the determinants also meet on a random finite line
+    (:func:`_meet_on_line`), or from a shared line at infinity (both drop
+    degree). When the part's Delta0 is singular, it has points at infinity:
+    it is solved with Delta0 - t1 Delta1 - t2 Delta2 (random t) in place of
+    Delta0, where every point (lam', mu') is finite, and (lam, mu) =
+    (lam', mu') / (1 + t1 lam' + t2 mu'), dropping the points at infinity,
+    whose divisor is at most INFINITY_TOL (1 + |t1 lam'| + |t2 mu'|).
 
     Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
     when a point's backward error exceeds RESIDUAL_TOL, when the count
     exceeds 4 p1 p2, or when it is below 4 p1 p2 although the curves share
-    no point at infinity.
+    no point at infinity (:func:`_meet_on_line` on a random line there).
     """
     if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
         raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
@@ -624,19 +624,16 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
                                             E1FreeParams.random(pair.p2, rng)))
     c = complex_normal(rng)
-    k = _rank_deficiency(delta.delta1 + c * delta.delta2, delta.delta0, rng)
-    if k > pair.p1 * pair.p2:
-        direction = complex_normal(rng, 2)
-        if _top_singular(pair.q1, norms[0], direction) and _top_singular(pair.q2, norms[1],
-                                                                         direction):
-            raise DegenerateProblemError(
-                f"the Delta pencil has rank deficiency {k} > p1 p2 because both determinants "
-                "drop degree: read as quadratics they share the line at infinity, and the "
-                "finite spectrum is not solved")
-        raise SharedFactorError(f"the Delta pencil has rank deficiency {k} > p1 p2: the "
-                                "determinants share a factor (infinitely many common zeros)")
+    (d0, d1, d2), at_infinity, deflated = _regular_part(delta)
+    k = deflated + _rank_deficiency(d1 + c * d2, d0, rng)
+    def line(z):  # (p, z) + t (r, 0) at random: finite at z = 1, at infinity at z = 0
+        return np.append(complex_normal(rng, 2), z), np.append(complex_normal(rng, 2), 0)
+    if k > pair.p1 * pair.p2 and (margin := _meet_on_line(pair, norms, *line(1))) <= 1:
+        raise SharedFactorError(
+            f"the Delta pencil has rank deficiency {k} > p1 p2 = {pair.p1 * pair.p2}, and the "
+            f"determinants meet on a random finite line (sigma_min / threshold {margin:.2g} "
+            "<= 1): they share a factor (infinitely many common zeros)")
 
-    (d0, d1, d2), at_infinity = _regular_part(delta)
     # t = 0 leaves the triple, and the points, exactly as they are.
     t1, t2 = complex_normal(rng, 2) if at_infinity else (0, 0)
     lams, mus, mults = _regular_points((d0 - t1 * d1 - t2 * d2, d1, d2), c, rng)
@@ -651,10 +648,10 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     total = int(mults.sum())
     if total > bound:
         raise DegenerateProblemError(f"found {total} common zeros, more than 4 p1 p2 = {bound}")
-    if total < bound and not _meets_at_infinity(pair, rng):
+    if total < bound and (margin := _meet_on_line(pair, norms, *line(0))) > 1:
         raise DegenerateProblemError(
-            f"found {total} common zeros, but the curves share no point at infinity, "
-            f"so there are 4 p1 p2 = {bound}")
+            f"found {total} common zeros, but the curves share no point at infinity "
+            f"(sigma_min / threshold {margin:.2g} > 1), so there are 4 p1 p2 = {bound}")
     points = sorted((SpectrumPoint(lam=complex(l), mu=complex(m), multiplicity=int(n),
                                    residual=float(e))
                      for l, m, n, e in zip(lams, mus, mults, error)),

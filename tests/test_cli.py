@@ -514,17 +514,20 @@ class TestSpectrum:
         code, _ = run(capsys, ["spectrum", str(a), "--pair", str(b)])
         assert code == 3
 
-    def test_line_at_infinity_pair_inconclusive(self, tmp_path, capsys):
-        # lam - 1 and mu - 1: the pencils do not settle the one common zero,
-        # so the report says inconclusive instead of listing no point.
+    def test_line_at_infinity_pair_solved(self, tmp_path, capsys):
+        # lam - 1 and mu - 1: both determinants drop degree, so they share the
+        # line at infinity, but no factor: the one common zero (1, 1) is listed.
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         save_problem(a, scalar_newton(0, 0, 0, 1, 0, -1))
         save_problem(b, scalar_newton(0, 0, 0, 0, 1, -1))
-        code = main(["spectrum", str(a), "--pair", str(b)])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "inconclusive" in err and "line at infinity" in err
+        code, out = run(capsys, ["spectrum", str(a), "--pair", str(b)])
+        assert code == 0
+        assert "count (multiplicity-aware): 1\n" in out
+        points = re.findall(r"^  lambda=\((\S+), (\S+)\) mu=\((\S+), (\S+)\) multiplicity=1 ",
+                            out, re.M)
+        assert len(points) == 1
+        assert np.allclose([float(x) for x in points[0]], [1, 0, 1, 0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", CONSTRUCT_MODES)

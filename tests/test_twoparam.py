@@ -661,7 +661,57 @@ DEGENERATE_PAIRS = (
     (((-1, 0, 0, 0, 1, 0), (-1, -1, 0, 0, 1, 0)), [3]),     # mu - lam^2, mu - lam^2 - lam mu
     (((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), [2]),        # lam mu, lam + mu
     (((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 0, -1)), [1, 1, 1]),  # lam^2 - mu, lam mu - 1
+    (((0, 0, 0, 1, 0, -1), (0, 0, 0, 1, 0, -1)), SharedFactorError),  # lam - 1 twice: empty part
 )
+
+LAM_1 = (0, 0, 0, 1, 0, -1)  # lam - 1
+# Pairs whose determinants both drop degree, each polynomial a diagonal of
+# scalars in scalar_newton order, with their common zeros. Read as
+# quadratics, the determinants share the line at infinity.
+DEGREE_DROP_PAIRS = {
+    "mu-1": (((LAM_1,), ((0, 0, 0, 0, 1, -1),)), [(1, 1)]),
+    "lam-2": (((LAM_1,), ((0, 0, 0, 1, 0, -2),)), []),
+    "lines": ((((0, 0, 0, 1, 1, -3),), ((0, 0, 0, 1, -1, -1),)), [(2, 1)]),
+    "diagonal": (((LAM_1, (0, 0, 0, 0, 1, -1)), ((0, 0, 0, 1, 0, -2), (0, 0, 0, 0, 1, -3))),
+                 [(1, 3), (2, 1)]),
+}
+# Pairs that both drop degree and also share the finite factor lam - 1.
+MIXED_PAIRS = {
+    "lines": ((LAM_1, (0, 0, 0, 1, 0, -2)), (LAM_1, (0, 0, 0, 0, 1, -3))),
+    "circle": ((LAM_1, (1, 0, 1, 0, 0, -2)), (LAM_1, (0, 0, 0, 0, 1, -3))),
+}
+
+
+def diagonal_pair(diagonals):
+    """The pair of diagonal polynomials given by ``diagonals``: per polynomial,
+    one tuple of coefficients in COEFF_KEYS order per diagonal entry."""
+    return QtepPair(*(MatrixPoly2.newton({key: np.diag([c[i] for c in diagonal])
+                                          for i, key in enumerate(COEFF_KEYS)})
+                      for diagonal in diagonals))
+
+
+def meets_at_infinity(pair, rng) -> bool:
+    """The count check's line test on a random parametrization of the line at infinity."""
+    norms = [twoparam._coefficient_norm(q) for q in (pair.q1, pair.q2)]
+    p, r = (np.append(complex_normal(rng, 2), 0) for _ in range(2))
+    return twoparam._meet_on_line(pair, norms, p, r) <= 1
+
+
+def staircase_and_full_deficiency(pair, seed):
+    """k as the oracle counts it at ``seed``, the right steps' deflation plus
+    the regular part's normal-rank deficiency, and the reference: the
+    normal-rank deficiency of the whole 9 p1 p2 pencil Delta1 + c Delta2 -
+    sigma Delta0."""
+    rng = np.random.default_rng(seed)
+    pair = QtepPair(twoparam._rescaled(pair.q1), twoparam._rescaled(pair.q2))
+    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
+                                            E1FreeParams.random(pair.p2, rng)))
+    c = complex_normal(rng)
+    (d0, d1, d2), _, deflated = twoparam._regular_part(delta)
+    part = twoparam._rank_deficiency(d1 + c * d2, d0, np.random.default_rng(seed))
+    full = twoparam._rank_deficiency(delta.delta1 + c * delta.delta2, delta.delta0,
+                                     np.random.default_rng(seed))
+    return deflated + part, full
 
 
 class TestSpectrumPairOracle:
@@ -763,17 +813,28 @@ class TestSpectrumPairOracle:
         assert ref.total_count == 16
         assert got == ref
 
-    @pytest.mark.parametrize("q2", [scalar_newton(0, 0, 0, 0, 1, -1),
-                                    scalar_newton(0, 0, 0, 1, 0, -2)], ids=["mu-1", "lam-2"])
-    def test_shared_line_at_infinity_is_inconclusive(self, q2):
-        # lam - 1 with mu - 1 (one common zero) or lam - 2 (none): both
-        # determinants drop degree, so read as quadratics they share the line
-        # at infinity and the Delta pencil loses rank beyond p1 p2. That is
-        # reported as not solved, not as a shared factor.
-        pair = QtepPair(scalar_newton(0, 0, 0, 1, 0, -1), q2)
-        with pytest.raises(DegenerateProblemError, match="line at infinity") as info:
-            spectrum_pair_oracle(pair)
-        assert not isinstance(info.value, SharedFactorError)
+    @pytest.mark.parametrize("name", DEGREE_DROP_PAIRS)
+    def test_shared_line_at_infinity_is_solved(self, name):
+        # lam - 1 with mu - 1 (one common zero) or lam - 2 (none), and so on:
+        # both determinants drop degree, so read as quadratics they share the
+        # line at infinity and the Delta pencil loses rank beyond p1 p2. They
+        # share no finite factor, so the regular part is solved as usual.
+        diagonals, want = DEGREE_DROP_PAIRS[name]
+        for seed in range(10):
+            sample = spectrum_pair_oracle(diagonal_pair(diagonals), seed=seed)
+            assert (sample.total_count, len(sample.points)) == (len(want), len(want))
+            for pt, (lam, mu) in zip(sample.points, want):
+                assert abs(pt.lam - lam) <= 1e-12 and abs(pt.mu - mu) <= 1e-12, (seed, pt)
+                assert pt.multiplicity == 1 and pt.residual <= 1e-12
+
+    @pytest.mark.parametrize("name", MIXED_PAIRS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shared_factor_and_degree_drop(self, name, seed):
+        # Both determinants drop degree and share lam - 1: they meet on the
+        # random finite line too, so this is a shared factor, not a solved pair.
+        with pytest.raises(SharedFactorError, match=r"rank deficiency \d+ > p1 p2 = 4, .* "
+                                                    r"\(sigma_min / threshold \S+ <= 1\)"):
+            spectrum_pair_oracle(diagonal_pair(MIXED_PAIRS[name]), seed=seed)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sparse_pair_double_point(self, seed):
@@ -824,7 +885,8 @@ class TestSpectrumPairOracle:
         # pair has no common point at infinity: Bezout says points are missing.
         pair = random_pair(np.random.default_rng(18), 1, 2)
         monkeypatch.setattr(twoparam, "_clusters", lambda *args: [])
-        with pytest.raises(DegenerateProblemError, match="no point at infinity"):
+        with pytest.raises(DegenerateProblemError,
+                           match=r"no point at infinity \(sigma_min / threshold \S+ > 1\)"):
             spectrum_pair_oracle(pair)
 
     @pytest.mark.parametrize("coeffs,want", DEGENERATE_PAIRS,
@@ -864,10 +926,11 @@ class TestSpectrumPairOracle:
         for p1, p2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
             pair = random_pair(rng, p1, p2, nodes_of_kind(rng, kind))
             params = E1FreeParams.random(p1, rng), E1FreeParams.random(p2, rng)
-            (d0, d1, d2), at_infinity = twoparam._regular_part(
+            (d0, d1, d2), at_infinity, deflated = twoparam._regular_part(
                 delta_operators(*pair_linearize(pair, *params)))
             assert d0.shape == d1.shape == d2.shape == (4 * p1 * p2, 4 * p1 * p2)
             assert not at_infinity
+            assert deflated == p1 * p2
             sv = np.linalg.svd(d0, compute_uv=False)
             assert sv[-1] > 1e-8 * sv[0]
             sample = spectrum_pair_oracle(pair, seed=int(rng.integers(1000)))
@@ -883,9 +946,30 @@ class TestSpectrumPairOracle:
     def test_meets_at_infinity(self, coeffs, meets):
         pair = QtepPair(*(scalar_newton(*c) for c in coeffs))
         for seed in range(4):
-            assert twoparam._meets_at_infinity(pair, np.random.default_rng(seed)) is meets
+            assert meets_at_infinity(pair, np.random.default_rng(seed)) is meets
         generic = random_pair(np.random.default_rng(19), 2, 3)
-        assert not twoparam._meets_at_infinity(generic, np.random.default_rng(0))
+        assert not meets_at_infinity(generic, np.random.default_rng(0))
+
+    def test_staircase_deficiency_is_the_full_pencil_deficiency(self):
+        # Second route for k: the rank the staircase deflates plus the regular
+        # part's deficiency is the normal-rank deficiency of the whole pencil.
+        rng = np.random.default_rng(21)
+        pairs = {f"degenerate{i}": QtepPair(*(scalar_newton(*c) for c in coeffs))
+                 for i, (coeffs, _) in enumerate(DEGENERATE_PAIRS)}
+        pairs |= {f"drop-{name}": diagonal_pair(d) for name, (d, _) in DEGREE_DROP_PAIRS.items()}
+        pairs |= {f"mixed-{name}": diagonal_pair(d) for name, d in MIXED_PAIRS.items()}
+        for trial in range(2):
+            f, g, h = (tuple(random_coeffs(rng, 1)[key][0, 0] for key in COEFF_KEYS)
+                       for _ in range(3))
+            pairs |= {f"f-fg{trial}": diagonal_pair(((f,), (f, g))),
+                      f"fg-fh{trial}": diagonal_pair(((f, g), (f, h)))}
+        sizes = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+        pairs |= {f"generic{p1}x{p2}": random_pair(rng, p1, p2) for p1, p2 in sizes}
+        got = {(name, seed): staircase_and_full_deficiency(pair, seed)
+               for name, pair in pairs.items() for seed in (0, 1)}
+        assert {key: ks for key, ks in got.items() if ks[0] != ks[1]} == {}
+        assert all(got[f"generic{p1}x{p2}", seed][0] == p1 * p2
+                   for p1, p2 in sizes for seed in (0, 1))
 
 
 def planted_thetas(rng):

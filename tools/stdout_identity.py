@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` directory. Its
-927 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
+936 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
 construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
 FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
 --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
@@ -11,11 +11,12 @@ can move between the two paths. Then 15 more: construct, verify, spectrum for --
 (1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
 kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
 another problem on the same nodes against that pencil, which fail; the slices of such a
-spectrum job are the ones whose Q values are filtered by their backward error. Then 30 more:
-spectrum --pair at seeds 0, 1 and 2 on ten scalar monomial pairs (``DEGENERATE_PAIRS``) with
-points at infinity, multiple points or a shared factor, so that the exit codes, counts and
-multiplicities of those cases are compared too. The later blocks are drawn after the earlier
-ones, so adding them does not change the earlier draws. Each tree runs the jobs in process
+spectrum job are the ones whose Q values are filtered by their backward error. Then 39 more:
+spectrum --pair at seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``)
+with points at infinity, multiple points, a shared factor, or determinants that both drop
+degree, so that the exit codes, counts and multiplicities of those cases are compared too.
+The later blocks are drawn after the earlier ones, so adding them does not change the earlier
+draws. Each tree runs the jobs in process
 through its own ``cli.main``. It names every job whose report differs, with up to three of its
 differing lines. For those that differ in digits only, each run of consecutive point lines
 (``  lambda=``: the Q values of a slice, the points of a pair, the determinant samples) is first
@@ -45,8 +46,8 @@ import numpy as np  # noqa: E402
 from perfbench.workloads import (ALL_PATTERNS, COEFF_NAMES, NODE_KINDS, _ansatz_text,  # noqa: E402
                                  _int, _nodes, _normal, _pairs, _write_problem)
 
-# Scalar pairs with points at infinity, multiple points or a shared factor, each
-# polynomial's coefficients in COEFF_NAMES order (C20, C11, C02, C10, C01, C00).
+# Scalar pairs with points at infinity, multiple points, a shared factor or a degree drop,
+# each polynomial's coefficients in COEFF_NAMES order (C20, C11, C02, C10, C01, C00).
 DEGENERATE_PAIRS = (
     ((0, 1, 0, -1, 0, 0), (0, 0, 0, 1, 0, -1)),    # lam mu - lam, lam - 1: one point
     ((1, 0, 0, -1, 0, 0), (0, 0, 0, 1, 0, 0)),     # lam^2 - lam, lam: shared factor
@@ -58,6 +59,9 @@ DEGENERATE_PAIRS = (
     ((-1, 0, 0, 0, 1, 0), (-1, -1, 0, 0, 1, 0)),   # mu - lam^2, mu - lam^2 - lam mu: 3-fold
     ((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)),      # lam mu, lam + mu: one 2-fold point
     ((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 0, -1)),    # lam^2 - mu, lam mu - 1: 3 points
+    ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1)),    # lam - 1, mu - 1: degree drop, (1, 1)
+    ((0, 0, 0, 1, 0, -1), (0, 0, 0, 1, 0, -2)),    # lam - 1, lam - 2: degree drop, no point
+    ((0, 0, 0, 1, 1, -3), (0, 0, 0, 1, -1, -1)),   # lam + mu - 3, lam - mu - 1: (2, 1)
 )
 NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
 POINT = "  lambda="  # a point line of a report
