@@ -16,6 +16,7 @@ from .errors import NonSquareError
 __all__ = [
     "as_matrix",
     "freeze",
+    "kron",
     "det",
     "smallest_singular_value",
     "small_dense_eigen",
@@ -42,6 +43,14 @@ def freeze(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only; value types hand out frozen blocks."""
     a.flags.writeable = False
     return a
+
+
+def kron(a, b) -> np.ndarray:
+    """np.kron of two matrices or two vectors, bit for bit, as one broadcast product."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1:
+        return (a[:, None] * b).ravel()
+    return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
 
 
 def det(a):

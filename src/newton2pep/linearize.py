@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateProblemError
-from .linalg import annulus_points, as_matrix, complex_normal, smallest_singular_value
+from .linalg import annulus_points, as_matrix, complex_normal, kron, smallest_singular_value
 from .matpoly import MatrixPoly2
 from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
                      select_M)
@@ -87,8 +87,7 @@ class E1FreeParams:
     def z_block(self) -> np.ndarray:
         """The 2n x 2n matrix [[Z21, Z22], [Z31, Z32]]."""
         n = self.n
-        return np.block([[self.z1[n:2 * n], self.z2[n:2 * n]],
-                         [self.z1[2 * n:], self.z2[2 * n:]]])
+        return np.concatenate((self.z1[n:], self.z2[n:]), axis=1)
 
     def require_admissible(self, tol: float = DEFAULT_TOL) -> None:
         zb = self.z_block
@@ -125,10 +124,11 @@ class E1FreeParams:
     @classmethod
     def companion(cls, q: MatrixPoly2) -> "E1FreeParams":
         """The parameter choice that reproduces the companion pencil."""
-        eye, zero = np.eye(q.n), np.zeros((q.n, q.n))
-        z1 = np.vstack([q.coeff(1, 0), zero, -eye])
-        z2 = np.vstack([q.coeff(0, 1), -eye, zero])
-        return cls.build(zero, z1, z2)
+        n = q.n
+        z1, z2 = np.zeros((2, 3 * n, n), dtype=complex)
+        z1[:n], z2[:n] = q.coeff(1, 0), q.coeff(0, 1)
+        z1[2 * n:] = z2[n:2 * n] = -np.eye(n)  # -0.0 off the diagonal, as in the formula
+        return cls.build(np.zeros((n, n)), z1, z2)
 
 
 def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
@@ -138,17 +138,14 @@ def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
     Z block) can be assembled and studied; :func:`construct_e1_newton`
     validates admissibility before calling this.
     """
-    zero2 = np.zeros((2 * q.n, q.n))
-
-    def e1_col(block):
-        return np.vstack([block, zero2])
-
-    y1 = np.vstack([params.y11, zero2])
-    a1 = np.hstack([e1_col(q.coeff(2, 0)), -y1 + e1_col(q.coeff(1, 1)),
-                    -params.z1 + e1_col(q.coeff(1, 0))])
-    a2 = np.hstack([y1, e1_col(q.coeff(0, 2)), -params.z2 + e1_col(q.coeff(0, 1))])
-    a3 = np.hstack([params.z1, params.z2, e1_col(q.coeff(0, 0))])
-    return a1, a2, a3
+    n, c, (y11, z1, z2) = q.n, q.coeff, (params.y11, params.z1, params.z2)
+    a1, a2, a3 = blocks = np.zeros((3, 3 * n, 3 * n), dtype=complex)
+    a1[:n, :n], a1[:n, n:2 * n], a1[:n, 2 * n:] = c(2, 0), c(1, 1) - y11, c(1, 0) - z1[:n]
+    a2[:n, :n], a2[:n, n:2 * n], a2[:n, 2 * n:] = y11, c(0, 2), c(0, 1) - z2[:n]
+    # 0 - Z is -Z + 0 bit for bit: the lower rows of -Z + e1 x C read +0.0 where Z is 0.
+    a1[n:, 2 * n:], a2[n:, 2 * n:] = 0 - z1[n:], 0 - z2[n:]
+    a3[:, :n], a3[:, n:2 * n], a3[:n, 2 * n:] = z1, z2, c(0, 0)
+    return tuple(blocks)
 
 
 def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
@@ -358,12 +355,12 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
     if not isinstance(v, AnsatzVector):
         v = AnsatzVector.classify(v, tol=tol)
     m = select_M(v, tol=tol)
-    zero, eye = np.zeros((n, n)), np.eye(n)
-    if params is None:
-        hat = E1FreeParams.build(zero, np.vstack([zero, eye, zero]), np.vstack([zero, zero, eye]))
+    zero = np.zeros((n, n))
+    if params is None:  # [Z1 Z2] = [0; I_2n]
+        hat = E1FreeParams.build(zero, *np.hsplit(np.eye(3 * n, 2 * n, -n), 2))
     else:
         require_matching(q, params=params)
-        t = np.kron(m, eye)
+        t = kron(m, np.eye(n))
         y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
         hat = E1FreeParams.build(m[0, 0] * (params.y11 if y_free else zero),
                                  t @ params.z1, t @ params.z2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
-from .linalg import as_matrix, freeze
+from .linalg import as_matrix, freeze, kron
 from .matpoly import COEFF_KEYS, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
@@ -108,7 +108,7 @@ class NewtonPencil:
 
     def left_multiply(self, m) -> "NewtonPencil":
         """(m kron I_n) L for a 3 x 3 matrix m; it maps ansatz vector v to m v."""
-        t = np.kron(m, np.eye(self.n))
+        t = kron(m, np.eye(self.n))
         return NewtonPencil.from_blocks(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3)
 
 

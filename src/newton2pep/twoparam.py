@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
-from .linalg import (annulus_points, complex_normal, row_space_basis, small_dense_eigen,
+from .linalg import (annulus_points, complex_normal, kron, row_space_basis, small_dense_eigen,
                      smallest_singular_value)
 from .matpoly import COEFF_KEYS, MatrixPoly2, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
@@ -141,9 +141,9 @@ def delta_operators(ln1, ln2) -> DeltaTriple:
     """
     a1, b1, c1 = _coefficients(ln1)
     a2, b2, c2 = _coefficients(ln2)
-    d0 = np.kron(a1, b2) - np.kron(b1, a2)
-    d1 = np.kron(b1, c2) - np.kron(c1, b2)
-    d2 = np.kron(c1, a2) - np.kron(a1, c2)
+    d0 = kron(a1, b2) - kron(b1, a2)
+    d1 = kron(b1, c2) - kron(c1, b2)
+    d2 = kron(c1, a2) - kron(a1, c2)
     return DeltaTriple(delta0=d0, delta1=d1, delta2=d2,
                        k1=a1.shape[0], k2=a2.shape[0])
 
@@ -226,7 +226,7 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     threshold = tol * frob
     u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
     route = KERNEL_WITNESS
-    value = float(np.linalg.norm(np.kron(a1 @ u, b2 @ v) - np.kron(b1 @ u, a2 @ v)))
+    value = float(np.linalg.norm(kron(a1 @ u, b2 @ v) - kron(b1 @ u, a2 @ v)))
     if value > threshold:
         route = DENSE_SIGMA_MIN
         value = smallest_singular_value(delta_operators(ln1, ln2).delta0)
@@ -252,8 +252,11 @@ def _companion(k2, k1, k0):
     """Pencil ([0 I; -K0 -K1], [I 0; 0 K2]) whose eigenvalues are the t with
     det(t^2 K2 + t K1 + K0) = 0; eigenvectors are [x; t x]. (K, n, n) stacks
     of all three give a stack of pencils."""
-    eye, zero = np.broadcast_to(np.eye(k0.shape[-1]), k0.shape), np.zeros(k0.shape)
-    return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
+    n = k0.shape[-1]
+    a, b = np.zeros((2, *k0.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    a[..., :n, n:] = b[..., :n, :n] = np.eye(n)
+    a[..., n:, :n], a[..., n:, n:], b[..., n:, n:] = -k0, -k1, k2
+    return a, b
 
 
 def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
@@ -458,8 +461,9 @@ def _regular_part(delta: DeltaTriple):
     conjugate transposes, repeat until neither deflates; ranks are cut at
     RANK_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
     from 9 p1 p2 to 4 p1 p2, deflates p1 p2 and ends with Delta0
-    nonsingular. :class:`DegenerateProblemError` is raised when the result
-    is not square.
+    nonsingular: a square Delta0 whose singular values show full rank ends
+    the loop, with no round that deflates nothing. Raises
+    :class:`DegenerateProblemError` when the result is not square.
     """
     ops = (delta.delta0, delta.delta1, delta.delta2)
     tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
@@ -469,11 +473,14 @@ def _regular_part(delta: DeltaTriple):
         ops, nullity, step = _right_step(ops, tol)
         deflated += step
         ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
-        if ops[0].shape == shape:
+        rows, cols = ops[0].shape
+        if (rows, cols) == shape:
             break
-    if shape[0] != shape[1]:
+        if rows == cols and (np.linalg.svd(ops[0], compute_uv=False) > tol).all():
+            return ops, False, deflated
+    if rows != cols:
         raise DegenerateProblemError(f"the staircase reduction of the Delta triple stops "
-                                     f"at {shape[0]} x {shape[1]}, not at a square triple")
+                                     f"at {rows} x {cols}, not at a square triple")
     return ops, nullity > 0, deflated
 
 

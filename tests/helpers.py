@@ -96,6 +96,73 @@ def companion_reference(q):
     return a1, a2, a3
 
 
+def with_signed_zeros(rng, z):
+    """A copy of the complex array z with about a third of its real and of its
+    imaginary parts replaced by +0.0 or -0.0 at random."""
+    z = np.array(z, dtype=complex)
+    for part in (z.real, z.imag):
+        mask = rng.random(z.shape) < 1 / 3
+        part[mask] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(mask)))
+    return z
+
+
+def assemble_e1_blocks_reference(q, params):
+    """The e1 blocks (A1, A2, A3) stacked as the formula reads,
+    -Y1 + e1 x C and -Z + e1 x C with zero lower blocks (bitwise reference
+    for linearize.assemble_e1_blocks)."""
+    zero2 = np.zeros((2 * q.n, q.n))
+
+    def e1_col(block):
+        return np.vstack([block, zero2])
+
+    y1 = np.vstack([params.y11, zero2])
+    a1 = np.hstack([e1_col(q.coeff(2, 0)), -y1 + e1_col(q.coeff(1, 1)),
+                    -params.z1 + e1_col(q.coeff(1, 0))])
+    a2 = np.hstack([y1, e1_col(q.coeff(0, 2)), -params.z2 + e1_col(q.coeff(0, 1))])
+    a3 = np.hstack([params.z1, params.z2, e1_col(q.coeff(0, 0))])
+    return a1, a2, a3
+
+
+def z_block_reference(params):
+    """[[Z21, Z22], [Z31, Z32]] by np.block (reference for E1FreeParams.z_block)."""
+    n = params.n
+    return np.block([[params.z1[n:2 * n], params.z2[n:2 * n]],
+                     [params.z1[2 * n:], params.z2[2 * n:]]])
+
+
+def companion_params_reference(q):
+    """Y11 = 0, Z1 = (C10; 0; -I), Z2 = (C01; -I; 0) stacked (reference for
+    E1FreeParams.companion)."""
+    eye, zero = np.eye(q.n), np.zeros((q.n, q.n))
+    return E1FreeParams.build(zero, np.vstack([q.coeff(1, 0), zero, -eye]),
+                              np.vstack([q.coeff(0, 1), -eye, zero]))
+
+
+def companion_linearization_reference(k2, k1, k0):
+    """([0 I; -K0 -K1], [I 0; 0 K2]) by np.block, for matrices or (K, n, n)
+    stacks (reference for twoparam._companion)."""
+    eye, zero = np.broadcast_to(np.eye(k0.shape[-1]), k0.shape), np.zeros(k0.shape)
+    return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
+
+
+def regular_part_reference(delta):
+    """twoparam._regular_part with every round taken in full: right and left
+    steps with vectors until a round deflates nothing (reference for the
+    loop that ends on singular values)."""
+    from newton2pep.twoparam import RANK_TOL, _adjoint, _right_step
+
+    ops = (delta.delta0, delta.delta1, delta.delta2)
+    tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
+    deflated = 0
+    while True:
+        shape = ops[0].shape
+        ops, nullity, step = _right_step(ops, tol)
+        deflated += step
+        ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
+        if ops[0].shape == shape:
+            return ops, nullity > 0, deflated
+
+
 def assert_bitwise_equal(a, b):
     """Same shape, dtype and bytes: signed zeros must agree as well."""
     a, b = np.asarray(a), np.asarray(b)

@@ -12,10 +12,10 @@ from newton2pep import (
     small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import SHIFTS, as_matrix, row_space_basis
+from newton2pep.linalg import SHIFTS, as_matrix, kron, row_space_basis
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix, eig_reference,
-                     kron_oracle)
+                     kron_oracle, with_signed_zeros)
 
 
 class TestAsMatrix:
@@ -33,14 +33,14 @@ class TestAsMatrix:
 class TestKron:
     def test_identity_factor_is_block_diagonal(self):
         b = complex_normal(np.random.default_rng(0), 2, 2)
-        got = np.kron(np.eye(2), b)
+        got = kron(np.eye(2), b)
         want = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
         np.testing.assert_allclose(got, want)
 
     def test_e1_factor_stacks(self):
         b = complex_normal(np.random.default_rng(1), 2, 3)
         e1 = np.array([[1.0], [0.0], [0.0]])
-        got = np.kron(e1, b)
+        got = kron(e1, b)
         np.testing.assert_allclose(got[:2], b)
         np.testing.assert_allclose(got[2:], 0)
 
@@ -48,15 +48,29 @@ class TestKron:
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b, c, d = (complex_normal(rng, 2, 2) for _ in range(4))
-            left = np.kron(a, b) @ np.kron(c, d)
-            right = np.kron(a @ c, b @ d)
+            left = kron(a, b) @ kron(c, d)
+            right = kron(a @ c, b @ d)
             np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_matches_index_oracle(self):
         rng = np.random.default_rng(3)
         a = complex_normal(rng, 3, 2)
         b = complex_normal(rng, 2, 4)
-        np.testing.assert_allclose(np.kron(a, b), kron_oracle(a, b))
+        np.testing.assert_allclose(kron(a, b), kron_oracle(a, b))
+
+    @pytest.mark.parametrize("shape_a,shape_b", [((3, 3), (3, 3)), ((1, 4), (4, 1)),
+                                                 ((4, 1), (1, 3)), ((1, 1), (2, 5)),
+                                                 ((3, 2), (1, 4)), ((9, 9), (9, 9)),
+                                                 ((5,), (3,)), ((1,), (4,))])
+    def test_broadcast_product_is_np_kron_bitwise(self, shape_a, shape_b):
+        # The same products in the same places: signed zeros, a real factor
+        # (as kron(M, I) has) and 1 x k and k x 1 shapes included.
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            a = with_signed_zeros(rng, complex_normal(rng, *shape_a))
+            b = with_signed_zeros(rng, complex_normal(rng, *shape_b))
+            for x, y in ((a, b), (a, b.real), (a.real, b), (a.real, b.real)):
+                assert_bitwise_equal(kron(x, y), np.kron(x, y))
 
 
 class TestDet:

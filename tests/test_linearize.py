@@ -32,9 +32,11 @@ from newton2pep import (
 
 from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
-from helpers import (NODE_KINDS, assert_bitwise_equal, cofactor_det, companion_reference,
+from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
+                     cofactor_det, companion_params_reference, companion_reference,
                      newton_triple, nodes_of_kind, random_coeffs, random_monomial,
-                     random_newton, sampled_witness, scaled, witness_factors)
+                     random_newton, sampled_witness, scaled, witness_factors, with_signed_zeros,
+                     z_block_reference)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -88,6 +90,31 @@ class TestE1Monomial:
             q = random_monomial(rng, n)
             for a, b in zip(companion_pencil(q).blocks(), companion_reference(q)):
                 assert_bitwise_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("kind", ["random", "companion", "zero"])
+    def test_in_place_assembly_is_the_stacked_formula_bitwise(self, n, kind):
+        # assemble_e1_blocks, z_block and E1FreeParams.companion fill
+        # preallocated arrays; the stacked formulas are the reference, signed
+        # zeros included (-Z + 0 reads +0.0 where Z is -0.0 or +0.0).
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            q = MatrixPoly2.newton({key: with_signed_zeros(rng, c)
+                                    for key, c in random_coeffs(rng, n).items()})
+            if kind == "companion":
+                params = E1FreeParams.companion(q)
+                want = companion_params_reference(q)
+                for got_m, want_m in zip((params.y11, params.z1, params.z2),
+                                         (want.y11, want.z1, want.z2)):
+                    assert_bitwise_equal(got_m, want_m)
+            else:
+                shapes = ((n, n), (3 * n, n), (3 * n, n))
+                params = E1FreeParams.build(*(with_signed_zeros(rng, complex_normal(rng, *shape))
+                                              * (kind == "random") for shape in shapes))
+            for got, want in zip(assemble_e1_blocks(q, params),
+                                 assemble_e1_blocks_reference(q, params)):
+                assert_bitwise_equal(got, want)
+            assert_bitwise_equal(params.z_block, z_block_reference(params))
 
     def test_random_admissible_membership(self):
         rng = np.random.default_rng(4)

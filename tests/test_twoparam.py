@@ -34,11 +34,12 @@ from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (NODE_KINDS, backward_error_reference, clusters_reference, commutation_matrix,
+from helpers import (NODE_KINDS, assert_bitwise_equal, backward_error_reference,
+                     clusters_reference, commutation_matrix, companion_linearization_reference,
                      full_slice_eigenvalues, gamma_blocks, kron_oracle, nodes_of_kind,
                      pencil_in_space, point_quotients_reference, random_coeffs, random_newton,
-                     random_nodes, scalar_newton, scaled, spectrum_match_reference,
-                     spectrum_slice)
+                     random_nodes, regular_part_reference, scalar_newton, scaled,
+                     spectrum_match_reference, spectrum_slice, with_signed_zeros)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -997,6 +998,38 @@ def planted_thetas(rng):
         radius.append(np.full(2, 1e-17))
     order = rng.permutation(sum(len(t) for t in theta))
     return np.concatenate(theta)[order], np.concatenate(radius)[order], shift
+
+
+class TestInPlaceForms:
+    # The preallocated companion pencils and the staircase that ends on
+    # singular values against their reference forms (tests/helpers.py).
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("stack", [(), (4,)])
+    def test_companion_is_the_block_formula_bitwise(self, n, stack):
+        rng = np.random.default_rng(50 + n)
+        ks = [with_signed_zeros(rng, complex_normal(rng, *stack, n, n)) for _ in range(3)]
+        for got, want in zip(twoparam._companion(*ks), companion_linearization_reference(*ks)):
+            assert_bitwise_equal(got, want)
+
+    def test_regular_part_is_the_full_step_loop_bitwise(self):
+        rng = np.random.default_rng(51)
+        pairs = [QtepPair(*(scalar_newton(*c) for c in coeffs)) for coeffs, _ in DEGENERATE_PAIRS]
+        pairs += [diagonal_pair(d) for d, _ in DEGREE_DROP_PAIRS.values()]
+        pairs += [random_pair(rng, p1, p2, nodes_of_kind(rng, kind)) for kind in NODE_KINDS
+                  for p1, p2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))]
+        at_infinity = 0
+        for pair, seed in ((pair, seed) for pair in pairs for seed in (0, 1)):
+            rng = np.random.default_rng(seed)
+            pair = QtepPair(twoparam._rescaled(pair.q1), twoparam._rescaled(pair.q2))
+            delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
+                                                    E1FreeParams.random(pair.p2, rng)))
+            ops, flag, deflated = twoparam._regular_part(delta)
+            want_ops, want_flag, want_deflated = regular_part_reference(delta)
+            for got, want in zip(ops, want_ops):
+                assert_bitwise_equal(got, want)
+            assert (flag, deflated) == (want_flag, want_deflated)
+            at_infinity += flag
+        assert at_infinity > 0  # the round that needs vectors is covered too
 
 
 class TestPairVectorized:

@@ -1,43 +1,53 @@
 """Compare the CLI reports of two source trees job by job.
 
-Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC, each a ``src`` directory. Its
-936 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three node kinds:
-construct, verify, spectrum for --companion and the seven ansatz patterns (no --params, SEED or
-FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and spectrum
---pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
+Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R], each a ``src``
+directory. Its 936 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three
+node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no --params,
+SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and
+spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
 (1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's values-only
-and vectors paths round the eigenvalues differently, so these are the jobs whose slice digits
-can move between the two paths. Then 15 more: construct, verify, spectrum for --companion and the
+and vectors paths round the eigenvalues differently, so these are the jobs whose slice digits can
+move between the two paths. Then 15 more: construct, verify, spectrum for --companion and the
 (1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
-kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
-another problem on the same nodes against that pencil, which fail; the slices of such a
-spectrum job are the ones whose Q values are filtered by their backward error. Then 39 more:
-spectrum --pair at seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``)
-with points at infinity, multiple points, a shared factor, or determinants that both drop
-degree, so that the exit codes, counts and multiplicities of those cases are compared too.
-The later blocks are drawn after the earlier ones, so adding them does not change the earlier
-draws. Each tree runs the jobs in process
-through its own ``cli.main``. It names every job whose report differs, with up to three of its
-differing lines. For those that differ in digits only, each run of consecutive point lines
+kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of another
+problem on the same nodes against that pencil, which fail; the slices of such a spectrum job are
+the ones whose Q values are filtered by their backward error. Then 39 more: spectrum --pair at
+seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``) with points at infinity,
+multiple points, a shared factor, or determinants that both drop degree, so that the exit codes,
+counts and multiplicities of those cases are compared too. The later blocks are drawn after the
+earlier ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV
+with --out, as construct writes its pencil. Each tree runs the jobs in process through its own
+``cli.main``. It names every job whose report differs, with up to three of its differing lines and
+then the lines of the longer report that have no counterpart (a job whose exit code changes may
+print nothing on one side), and every job whose written file differs in a byte; either makes the
+exit status 1. For the reports that differ in digits only, each run of consecutive point lines
 (``  lambda=``: the Q values of a slice, the points of a pair, the determinant samples) is first
 matched line to line by nearest (lambda, mu), so that two points whose sort keys tie and swap at
-rounding level count as the rounding-level moves they are. It then groups the differing lines
-by their prefix, the text before the first number, and prints for each prefix the count of
-lines and the largest relative move of each field on them (``lambda`` and ``distance`` apart),
-so a move at rounding level in one field does not hide whether another field moved. A complex
-field moves as one number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that
-changes sign is a rounding-level move. The lambda and mu of a point line move relative to
-max(|z|, |z'|, s) with s the largest |lambda| (or |mu|) on the job's point lines and at least 1,
-the max(1, |lambda|) of the slice matching: a whole point at zero, such as the 2-fold point
-(0, 0) of lambda mu with lambda + mu, moves by rounding, not by O(1)."""
+rounding level count as the rounding-level moves they are. It then groups the differing lines by
+their prefix, the text before the first number, and prints for each prefix the count of lines and
+the largest relative move of each field on them (``lambda`` and ``distance`` apart), so a move at
+rounding level in one field does not hide whether another field moved. A complex field moves as one
+number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that changes sign is a
+rounding-level move. The lambda and mu of a point line move relative to max(|z|, |z'|, s) with s
+the largest |lambda| (or |mu|) on the job's point lines and at least 1, the max(1, |lambda|) of the
+slice matching: a whole point at zero, such as the 2-fold point (0, 0) of lambda mu with
+lambda + mu, moves by rounding, not by O(1).
 
+With --repeat R, after the comparison every job runs R more times per tree in this process, the
+trees alternating job by job with each tree's modules swapped in, and the median over the
+repeats of each subcommand's summed in-process time is printed per tree, with the ratio
+parent / change. The first, compared run is left out, as it pays for imports."""
+
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import re
+import statistics
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -114,7 +124,8 @@ def build_jobs(work: Path, rng) -> list:
         argv = ["--companion"] if c == "companion" else ["--ansatz=" + _ansatz_text(rng, c)]
         argv += ["--params", _int(rng) if how == "seed" else pfile(tag + "p", n)] if how else []
         return [(f"{tag}.{cmd}", [cmd, q, *rest, "--seed", seed]) for cmd, rest in
-                (("construct", [*argv, "--out", tag]), ("verify", [tag]), ("spectrum", [tag]))]
+                (("construct", [*argv, "--out", tag]), ("verify", [tag]),
+                 ("spectrum", [tag, "--out", tag + ".csv"]))]
     jobs = []
     for kind in NODE_KINDS:
         for n, c, how in ((n, c, how) for n in (1, 3, 8, 32) for c in ("companion", *ALL_PATTERNS)
@@ -126,7 +137,8 @@ def build_jobs(work: Path, rng) -> list:
             jobs += [(tag + ".delta", ["delta", f1, f2, "--check-singular", "--seed", _int(rng)]),
                      (tag + ".delta-seed", ["delta", f1, f2, "--params", _int(rng)]),
                      (tag + ".delta-file", ["delta", f1, f2, "--params", pfile(tag, p1, p2)]),
-                     (tag + ".pair", ["spectrum", f1, "--pair", f2, "--seed", _int(rng)])]
+                     (tag + ".pair", ["spectrum", f1, "--pair", f2, "--seed", _int(rng),
+                                      "--out", tag + ".csv"])]
     for kind in NODE_KINDS:  # drawn after the jobs above, so their draws do not change
         jobs += chain(kind, 64, "companion", None) + chain(kind, 64, (1, 1, 1), None)
     jobs += chain("zero-node", 3, "companion", None) + chain("zero-node", 3, (1, 1, 1), None)
@@ -135,39 +147,81 @@ def build_jobs(work: Path, rng) -> list:
         f1, f2 = (_write_problem(work / (tag + i), 3, rng, z) for i in "ab")
         jobs += [(tag + ".construct", ["construct", f2, "--companion", "--out", tag]),
                  (tag + ".verify", ["verify", f1, tag, "--seed", _int(rng)]),
-                 (tag + ".spectrum", ["spectrum", f1, tag, "--seed", _int(rng)])]
+                 (tag + ".spectrum", ["spectrum", f1, tag, "--seed", _int(rng),
+                                      "--out", tag + ".csv"])]
     for i, pair in enumerate(DEGENERATE_PAIRS):  # fixed seeds: no draw from rng
         f1, f2 = (f"degenerate{i}{ab}" for ab in "ab")
         for name, coeffs in zip((f1, f2), pair):
             (work / name).write_text(json.dumps({"n": 1, "basis": "monomial", "coefficients": {
                 k: [[float(c), 0.0]] for k, c in zip(COEFF_NAMES, coeffs)}}))
-        jobs += [(f"degenerate{i}.pair.seed{seed}",
-                  ["spectrum", f1, "--pair", f2, "--seed", str(seed)]) for seed in range(3)]
+        jobs += [(f"degenerate{i}.pair.seed{seed}", ["spectrum", f1, "--pair", f2, "--seed",
+                                                      str(seed), "--out", f"{f1}{seed}.csv"])
+                 for seed in range(3)]
     return jobs
 
 
-def main(*sources) -> int:
-    runs = []
+def subcommand(argv) -> str:
+    return argv[0] + (" --pair" if "--pair" in argv else "")
+
+
+def run_job(cli, argv):
+    """(exit code, stdout, bytes of the --out file or None, seconds in cli.main)."""
+    out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    with contextlib.redirect_stdout(out := io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - start
+    written = out_file.read_bytes() if out_file is not None and out_file.exists() else None
+    return code, out.getvalue(), written, seconds
+
+
+def repeat_times(trees, jobs, repeat: int) -> None:
+    """Run every job ``repeat`` more times per tree, the two trees alternating job by job (and
+    which goes first alternating too), each tree's own modules swapped into sys.modules; print
+    the median over the repeats of each subcommand's summed in-process time, per tree."""
+    totals = [[Counter() for _ in range(repeat)] for _ in trees]
+    for r, (j, (_, argv)) in itertools.product(range(repeat), enumerate(jobs)):
+        for i in (0, 1) if (r + j) % 2 == 0 else (1, 0):
+            work, cli, modules = trees[i]
+            sys.modules.update(modules)
+            with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
+                totals[i][r][subcommand(argv)] += run_job(cli, argv)[3]
+    print(f"median in-process time of {repeat} repeats, parent / change:")
+    for kind in [*dict.fromkeys(subcommand(argv) for _, argv in jobs), None]:
+        parent, change = (statistics.median(sum(t.values()) if kind is None else t[kind]
+                                            for t in tree) for tree in totals)
+        print(f"  {kind or 'all jobs':16s} {1e3 * parent:9.1f} ms {1e3 * change:9.1f} ms  "
+              f"ratio {parent / change:.3f}")
+
+
+def main(*sources, repeat: int = 0) -> int:
+    runs, trees = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, src in enumerate(sources):
             (work := Path(tmp, str(i))).mkdir()
-            jobs, runs = build_jobs(work, np.random.default_rng(2024)), runs + [{}]
+            jobs = build_jobs(work, np.random.default_rng(2024))
             for name in [m for m in sys.modules if m.split(".")[0] == "newton2pep"]:
                 del sys.modules[name]
             sys.path.insert(0, str(Path(src).resolve()))
             from newton2pep import cli
             with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
-                for name, argv in jobs:
-                    with contextlib.redirect_stdout(out := io.StringIO()):
-                        runs[-1][name] = (cli.main(argv), out.getvalue())
-    diff, digits = [name for name, _ in jobs if runs[0][name] != runs[1][name]], []
+                runs.append({name: run_job(cli, argv)[:3] for name, argv in jobs})
+            trees.append((work, cli, {m: module for m, module in sys.modules.items()
+                                      if m.split(".")[0] == "newton2pep"}))
+        if repeat:
+            repeat_times(trees, jobs, repeat)
+    diff = [name for name, _ in jobs if runs[0][name][:2] != runs[1][name][:2]]
+    digits = []
     moved, largest = Counter(), {}  # by line prefix: lines that differ; per field: largest move
     for name in diff:
-        (code0, a), (code1, b) = runs[0][name], runs[1][name]
+        (code0, a, _), (code1, b, _) = runs[0][name], runs[1][name]
         if code0 != code1 or NUMBER.sub("#", a) != NUMBER.sub("#", b):
             print(f"differs: {name} (exit {code0} -> {code1})")
-            for x, y in [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y][:3]:
+            a, b = a.splitlines(), b.splitlines()
+            for x, y in [(x, y) for x, y in zip(a, b) if x != y][:3]:
                 print(f"  - {x}\n  + {y}")
+            for sign, line in [("-", x) for x in a[len(b):]] + [("+", y) for y in b[len(a):]]:
+                print(f"  {sign} {line}")  # the longer side's lines that zip leaves unmatched
             continue
         digits.append(name)
         print(f"digits only: {name}")
@@ -184,13 +238,24 @@ def main(*sources) -> int:
                            floor.get(field, 0.0) if x.startswith(POINT) else 0.0)
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
+    written = [name for name, _ in jobs if {runs[0][name][2], runs[1][name][2]} != {None}]
+    files_differ = [name for name in written if runs[0][name][2] != runs[1][name][2]]
+    for name in files_differ:
+        print(f"file differs: {name}")
     print(f"jobs: {len(jobs)}  byte-equal: {len(jobs) - len(diff)}  digits only: {len(digits)}")
     for prefix, count in sorted(moved.items()):
         label = prefix.strip(" (),:=")
         worst = "  ".join(("" if field == label else field + " ") + f"{move:.3g}"
                           for field, move in largest[prefix].items())
         print(f"  lines moved: {count:4d}  {prefix!r}  largest relative move: {worst}")
-    return int(len(digits) < len(diff))
+    print(f"files written: {len(written)}  byte-equal: {len(written) - len(files_differ)}")
+    return int(len(digits) < len(diff) or bool(files_differ))
+
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:3]))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sources", nargs=2, metavar="SRC", help="parent, then change")
+    parser.add_argument("--repeat", type=int, default=0, metavar="R",
+                        help="time every job R more times per tree, alternating the trees")
+    args = parser.parse_args()
+    sys.exit(main(*args.sources, repeat=args.repeat))
