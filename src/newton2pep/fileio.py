@@ -243,5 +243,5 @@ def load_params(path, *sizes: int) -> tuple:
         return (params_from_dict(doc, sizes[0], where=f"{path}: params"),)
     if "params1" not in doc or "params2" not in doc:
         raise FileFormatError(f"{path}: expected 'params1' and 'params2'")
-    return (params_from_dict(doc["params1"], sizes[0], "params1"),
-            params_from_dict(doc["params2"], sizes[1], "params2"))
+    return tuple(params_from_dict(doc[key], size, f"{path}: {key}")
+                 for key, size in zip(("params1", "params2"), sizes))

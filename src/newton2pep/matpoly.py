@@ -30,6 +30,7 @@ __all__ = [
     "COEFF_KEYS",
     "NewtonNodes",
     "newton_six",
+    "newton_line",
     "MatrixPoly2",
 ]
 
@@ -83,6 +84,22 @@ def newton_six(nodes: NewtonNodes, lam, mu) -> np.ndarray:
                      n1, m1, np.ones_like(n1)], dtype=complex)
 
 
+def newton_line(nodes: NewtonNodes, p, r) -> np.ndarray:
+    """The homogeneous Newton basis, z^2 times newton_six at (l / z, m / z),
+    on the projective line (l, m, z) = p + t r as its (t^2, t, 1) coefficients:
+    shape (6, 3) + shape(p[0]), for p and r of one shape, (3,) or (3, K). Each
+    function is a product f g of the linear forms l - alpha1 z, ..., z, and
+    f(p + t r) = f(p) + t f(r), so f(r) g(r), f(p) g(r) + f(r) g(p) and
+    f(p) g(p) are its coefficients exactly."""
+    def factors(point):  # (f_j, g_j) at the point: l - alpha1 z, l - alpha2 z, ..., z
+        l, m, z = np.asarray(point, dtype=complex)
+        node = np.reshape(nodes.as_tuple(), (4,) + (1,) * z.ndim)
+        forms = np.concatenate([np.array([l, l, m, m]) - _mul(node, z), z[None]])
+        return forms[[0, 0, 2, 0, 2, 4]], forms[[1, 2, 3, 4, 4, 4]]
+    (fp, gp), (fr, gr) = factors(p), factors(r)
+    return np.stack([_mul(fr, gr), _mul(fp, gr) + _mul(fr, gp), _mul(fp, gp)], axis=1)
+
+
 @dataclass(frozen=True)
 class MatrixPoly2:
     """Quadratic two-parameter matrix polynomial in the Newton basis on ``nodes``.
@@ -115,42 +132,24 @@ class MatrixPoly2:
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
 
-    def eval(self, lam, mu) -> np.ndarray:
-        """Value at (lam, mu): n x n, or for 1-D lam, mu of length K the
-        (K, n, n) stack of those values, bit for bit."""
-        w = newton_six(self.nodes, lam, mu)[..., None, None]
+    def _combine(self, weights) -> np.ndarray:
+        """sum_j w_j C_j, elementwise in COEFF_KEYS order, for w of shape (6,) + s."""
+        w = weights[..., None, None]
         out = np.zeros(w.shape[1:-2] + (self.n, self.n), dtype=complex)
         for weight, key in zip(w, COEFF_KEYS):
             out += weight * self.coeffs[key]
         return out
 
-    def to_monomial(self) -> "MatrixPoly2":
-        """Expand the polynomial into the monomial basis (zero nodes).
+    def eval(self, lam, mu) -> np.ndarray:
+        """Value at (lam, mu): n x n, or for 1-D lam, mu of length K the
+        (K, n, n) stack of those values, bit for bit."""
+        return self._combine(newton_six(self.nodes, lam, mu))
 
-        Uses the expansions
-            n2    = lambda^2 - (a1 + a2) lambda + a1 a2
-            n1 m1 = lambda mu - b1 lambda - a1 mu + a1 b1
-            m2    = mu^2 - (b1 + b2) mu + b1 b2
-            n1    = lambda - a1
-            m1    = mu - b1
-        so the result evaluates identically everywhere. With all nodes zero
-        the expansion is the identity and the polynomial itself is returned.
-        """
-        if self.nodes.is_zero:
-            return self
-        a1, a2, b1, b2 = self.nodes.as_tuple()
-        c = self.coeffs
-        out = {
-            (2, 0): c[(2, 0)].copy(),
-            (1, 1): c[(1, 1)].copy(),
-            (0, 2): c[(0, 2)].copy(),
-            (1, 0): -(a1 + a2) * c[(2, 0)] - b1 * c[(1, 1)] + c[(1, 0)],
-            (0, 1): -a1 * c[(1, 1)] - (b1 + b2) * c[(0, 2)] + c[(0, 1)],
-            (0, 0): (a1 * a2) * c[(2, 0)] + (a1 * b1) * c[(1, 1)]
-                    + (b1 * b2) * c[(0, 2)] - a1 * c[(1, 0)] - b1 * c[(0, 1)]
-                    + c[(0, 0)],
-        }
-        return MatrixPoly2.newton(out)
+    def on_line(self, p, r) -> np.ndarray:
+        """(K2, K1, K0) with t^2 K2 + t K1 + K0 = z^2 Q(l / z, m / z) at (l, m, z) =
+        p + t r, C20 l^2 + C11 l m + C02 m^2 where z = 0: shape (3, n, n), or for
+        (3, K) p and r (3, K, n, n), each line bit for bit its one-line call."""
+        return self._combine(newton_line(self.nodes, p, r))
 
     def coefficient_scale(self) -> float:
         """Largest Frobenius norm among the six blocks."""

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (annulus_points, complex_normal, kron, row_space_basis, small_dense_eigen,
                      smallest_singular_value)
-from .matpoly import COEFF_KEYS, MatrixPoly2, newton_six
+from .matpoly import MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
@@ -239,13 +239,10 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
                                   threshold=threshold, structural_zero_pattern=pattern)
 
 
-def _lambda_quadratic_at(q: MatrixPoly2, mu0: complex):
-    """Coefficients (K2, K1, K0) of lam^2 K2 + lam K1 + K0 = Q(lam, mu0)."""
-    qm = q.to_monomial()
-    k2 = qm.coeff(2, 0)
-    k1 = mu0 * qm.coeff(1, 1) + qm.coeff(1, 0)
-    k0 = mu0 * mu0 * qm.coeff(0, 2) + mu0 * qm.coeff(0, 1) + qm.coeff(0, 0)
-    return k2, k1, k0
+def _slice_lines(mus):
+    """p and r of the lines (0, mu0, 1) + lam (1, 0, 0), on which Q is Q(lam, mu0)."""
+    zero, one = np.zeros_like(mus, dtype=complex), np.ones_like(mus, dtype=complex)
+    return np.array([zero, mus, one]), np.array([one, zero, zero])
 
 
 def _companion(k2, k1, k0):
@@ -262,16 +259,15 @@ def _companion(k2, k1, k0):
 def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
     """Every finite eigenvalue of Q(., mu0) at each mu0, as an array sorted by
     (real, imag), before the certificate of :func:`_certified`. Each slice
-    lam^2 K2 + lam K1 + K0 is solved for values only through the 2n x 2n
-    companion pencil ([0 I; -K0 -K1], [I 0; 0 K2]), as stacks of at most
-    STACK_BYTES (at least one pencil). Infinite eigenvalues (singular K2) are
-    dropped, so fewer than 2n values may come back. A Q singular on a slice
-    raises :class:`DegenerateProblemError`."""
-    qm = q.to_monomial()
+    lam^2 K2 + lam K1 + K0, Q on its :func:`_slice_lines`, is solved for values
+    only through the 2n x 2n companion pencil ([0 I; -K0 -K1], [I 0; 0 K2]), as
+    stacks of at most STACK_BYTES (at least one pencil). Infinite eigenvalues
+    (singular K2) are dropped, so fewer than 2n values may come back. A Q
+    singular on a slice raises :class:`DegenerateProblemError`."""
     step, out = chunk_step(2 * q.n), []
     for start in range(0, len(mus), step):
-        quads = [_lambda_quadratic_at(qm, mu0) for mu0 in mus[start:start + step]]
-        for lam in small_dense_eigen(*_companion(*(np.stack(k) for k in zip(*quads)))):
+        quads = q.on_line(*_slice_lines(mus[start:start + step]))
+        for lam in small_dense_eigen(*_companion(*quads)):
             if lam is None:
                 raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
             out.append(lam)
@@ -284,7 +280,7 @@ def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     at most RESIDUAL_TOL, from one stacked SVD without vectors. The measure
     reads the same for Q and 2^k Q, and is at most the eigenvector residual
     ||Q(lam, mu0) x|| / ||x|| over the same denominator for every x != 0."""
-    k2, k1, k0 = _lambda_quadratic_at(q, mu0)
+    k2, k1, k0 = q.on_line(*_slice_lines(mu0))
     t = lam[:, None, None]
     sigma_min = np.linalg.svd(t * t * k2 + t * k1 + k0, compute_uv=False)[:, -1]
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
@@ -484,34 +480,24 @@ def _regular_part(delta: DeltaTriple):
     return ops, nullity > 0, deflated
 
 
-def _homogeneous(q: MatrixPoly2, point):
-    """Q at the projective point (l, m, z), z^2 Q(l / z, m / z) or at z = 0 the
-    degree-two part C20 l^2 + C11 l m + C02 m^2, and sum_j |phi_j| of its six
-    homogeneous Newton basis functions phi_j there, (l - a1 z)(l - a2 z) ... z^2."""
-    l, m, z = point
-    a1, a2, b1, b2 = q.nodes.as_tuple()
-    x, y = l - a1 * z, m - b1 * z
-    phi = (x * (l - a2 * z), x * y, y * (m - b2 * z), x * z, y * z, z * z)
-    return sum(f * q.coeffs[key] for f, key in zip(phi, COEFF_KEYS)), sum(map(abs, phi))
-
-
 def _meet_on_line(pair: QtepPair, norms, p, r) -> float:
     """The least sigma_min(Q2) / (INFINITY_TOL max_j ||C_2j||_2 sum_j |phi_j|)
-    (:func:`_homogeneous`, ``norms`` as in :func:`_backward_errors`) at the
-    roots t of det Q1(p + t r), the finite eigenvalues of its companion
-    pencil, on a projective line: det Q1 and det Q2 meet there when it is at
-    most 1. It is 0 when Q1 is singular on the line, inf when det Q1 has no
-    root on it. On a random line at infinity, (r0, 0) + t (r1, 0), the curves
-    meet when there can be fewer than 4 p1 p2 finite common zeros (Bezout);
-    on a random finite line, (p, 1) + t (r, 0), whose t = inf lies at
-    infinity, when they share a factor."""
-    k0, k1, k_1 = (_homogeneous(pair.q1, p + t * r)[0] for t in (0, 1, -1))
-    a, b = _companion((k1 + k_1) / 2 - k0, (k1 - k_1) / 2, k0)
-    roots = small_dense_eigen(a[None], b)[0]
+    (:func:`newton_line`, ``norms`` as in :func:`_backward_errors`) at the roots
+    t of det Q1(p + t r), the finite eigenvalues of the companion pencil of Q1
+    restricted to a projective line, with Q2 and phi_j restricted to the same
+    line: det Q1 and det Q2 meet there when it is at most 1. It is 0 when Q1
+    is singular on the line, inf when det Q1 has no root on it. On a random
+    line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
+    fewer than 4 p1 p2 finite common zeros (Bezout); on a random finite line,
+    (p, 1) + t (r, 0), whose t = inf lies at infinity, when they share a factor."""
+    roots = small_dense_eigen(*_companion(*pair.q1.on_line(p, r)[:, None]))[0]
     if roots is None:
         return 0.0
-    margins = [smallest_singular_value(q2) / (INFINITY_TOL * norms[1] * weight)
-               for q2, weight in (_homogeneous(pair.q2, p + t * r) for t in roots)]
+    powers = np.vander(roots, 3)  # (t^2, t, 1) at each root
+    weights = np.abs(powers @ newton_line(pair.nodes, p, r).T).sum(axis=1)
+    q2 = np.tensordot(powers, pair.q2.on_line(p, r), 1)
+    margins = [smallest_singular_value(m) / (INFINITY_TOL * norms[1] * w)
+               for m, w in zip(q2, weights)]
     return float(min(margins, default=np.inf))
 
 

@@ -470,9 +470,7 @@ def eig_reference(a, b):
 def backward_error_reference(q, mu0, lam):
     """sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F)
     of one value, from its own SVD (loop form of twoparam._certified)."""
-    from newton2pep.twoparam import _lambda_quadratic_at
-
-    k2, k1, k0 = _lambda_quadratic_at(q, mu0)
+    k2, k1, k0 = q.on_line([0, mu0, 1], [1, 0, 0])
     sigma_min = np.linalg.svd(lam * lam * k2 + lam * k1 + k0, compute_uv=False)[-1]
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     return sigma_min / (abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2])

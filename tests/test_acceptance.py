@@ -18,7 +18,6 @@ from newton2pep import (
     complex_normal,
     construct_e1_newton,
     construct_general_ansatz,
-    det,
     membership_newton,
     pair_linearize,
     select_M,
@@ -29,6 +28,7 @@ from newton2pep import (
 )
 from newton2pep.cli import main
 from newton2pep.fileio import save_problem
+from newton2pep.linalg import det
 from newton2pep.spaces import NewtonPencil
 
 from helpers import (cofactor_det, random_monomial, random_newton, random_nodes,

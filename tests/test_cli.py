@@ -417,7 +417,19 @@ class TestDelta:
         pfile = tmp_path / "pp.json"
         pfile.write_text(json.dumps({"params1": value, "params2": value}))
         assert main(["delta", *scalar_pair_files, "--params", str(pfile)]) == 2
-        assert "error: params1 must be an object" in capsys.readouterr().err
+        assert f"error: {pfile}: params1 must be an object" in capsys.readouterr().err
+
+    def test_params_file_missing_key_names_the_file(self, tmp_path, scalar_pair_files,
+                                                    capsys):
+        from newton2pep import E1FreeParams
+        rng = np.random.default_rng(6)
+        doc = {"params1": params_to_dict(E1FreeParams.random(1, rng)),
+               "params2": params_to_dict(E1FreeParams.random(1, rng))}
+        del doc["params2"]["Z2"]
+        pfile = tmp_path / "pp.json"
+        pfile.write_text(json.dumps(doc))
+        assert main(["delta", *scalar_pair_files, "--params", str(pfile)]) == 2
+        assert f"error: {pfile}: params2.Z2 is missing" in capsys.readouterr().err
 
     def test_identity_delta_reported_nonsingular(self):
         # The CLI certifier itself, on triples with Delta0 = I9

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from newton2pep import (
     NonSquareError,
     complex_normal,
-    det,
     small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import SHIFTS, as_matrix, kron, row_space_basis
+from newton2pep.linalg import SHIFTS, as_matrix, det, kron, row_space_basis
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix, eig_reference,
                      kron_oracle, with_signed_zeros)

@@ -21,7 +21,6 @@ from newton2pep import (
     complex_normal,
     construct_e1_newton,
     construct_general_ansatz,
-    det,
     member_witness,
     membership_newton,
     newton_six,
@@ -30,6 +29,7 @@ from newton2pep import (
     verify_linearization,
 )
 
+from newton2pep.linalg import det
 from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
 from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,

@@ -1,4 +1,6 @@
-"""Polynomial type, Newton scalar basis and basis conversion."""
+"""Polynomial type, Newton scalar basis and the restriction of Q to a line."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from newton2pep import (
     newton_six,
 )
 
-from helpers import (monomial_six, monomial_triple, newton_triple, random_monomial,
-                     random_newton, random_nodes, scalar_newton)
+from helpers import (NODE_KINDS, assert_bitwise_equal, monomial_six, monomial_triple,
+                     newton_triple, nodes_of_kind, random_monomial, random_newton,
+                     random_nodes, scalar_newton)
 
 
 class TestNewtonScalars:
@@ -131,41 +134,59 @@ class TestEval:
             MatrixPoly2.newton(coeffs)
 
 
-class TestToMonomial:
-    def test_pure_n2_expansion(self):
-        qn = scalar_newton(1, 0, 0, 0, 0, 0, NewtonNodes(1, 2, 7, -3))
-        qm = qn.to_monomial()
-        assert qm.coeff(2, 0)[0, 0] == pytest.approx(1.0)
-        assert qm.coeff(1, 0)[0, 0] == pytest.approx(-3.0)
-        assert qm.coeff(0, 0)[0, 0] == pytest.approx(2.0)
-        assert qm.coeff(1, 1)[0, 0] == pytest.approx(0.0)
+LINE_NODE_KINDS = (*NODE_KINDS, "large")  # "large": four random nodes of modulus about 1e3
 
-    def test_pure_cross_term_expansion(self):
-        qn = scalar_newton(0, 1, 0, 0, 0, 0, NewtonNodes(1, 9, 2, 9))
-        qm = qn.to_monomial()
-        assert qm.coeff(1, 1)[0, 0] == pytest.approx(1.0)
-        assert qm.coeff(1, 0)[0, 0] == pytest.approx(-2.0)
-        assert qm.coeff(0, 1)[0, 0] == pytest.approx(-1.0)
-        assert qm.coeff(0, 0)[0, 0] == pytest.approx(2.0)
 
-    def test_zero_nodes_leaves_coefficients(self):
-        rng = np.random.default_rng(4)
-        coeffs = dict(random_newton(rng, 2).coeffs)
-        coeffs[(1, 0)] = np.array([[-0.0, 1.0], [2.0, complex(-0.0, -0.0)]])
-        qn = MatrixPoly2.newton(coeffs)
-        assert qn.to_monomial() is qn
-        for key in COEFF_KEYS:
-            # Bitwise, so signed zeros count too.
-            np.testing.assert_array_equal(qn.coeff(*key).view(np.uint64),
-                                          np.asarray(coeffs[key], complex).view(np.uint64))
+def line_nodes(rng, kind):
+    return (NewtonNodes(*(1e3 * complex_normal(rng, 4))) if kind == "large"
+            else nodes_of_kind(rng, kind))
 
-    def test_evaluation_preserved_at_random_points(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            qn = random_newton(rng, int(rng.integers(1, 4)))
-            qm = qn.to_monomial()
-            pts = annulus_points(rng, 200)
-            for lam, mu in zip(pts[:100], pts[100:]):
-                a = qn.eval(lam, mu)
-                b = qm.eval(lam, mu)
-                assert np.abs(a - b).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+
+def line_cases(rng):
+    """(polynomial, p, r) on random lines, for every kind of LINE_NODE_KINDS."""
+    for kind in LINE_NODE_KINDS:
+        for n in (1, 3):
+            nodes = line_nodes(rng, kind)
+            for _ in range(10):
+                yield random_newton(rng, n, nodes), complex_normal(rng, 3), complex_normal(rng, 3)
+
+
+class TestOnLine:
+    """MatrixPoly2.on_line: the coefficients (K2, K1, K0) of Q on p + t r."""
+
+    def test_is_homogeneous_value_on_the_line(self):
+        rng = np.random.default_rng(11)
+        for q, p, r in line_cases(rng):
+            k2, k1, k0 = q.on_line(p, r)
+            for t in complex_normal(rng, 4):
+                l, m, z = p + t * r
+                want = z * z * q.eval(l / z, m / z)
+                weights = np.abs(z * z * newton_six(q.nodes, l / z, m / z))
+                scale = sum(w * np.abs(q.coeff(*key)).max()
+                            for w, key in zip(weights, COEFF_KEYS))
+                assert np.abs(t * t * k2 + t * k1 + k0 - want).max() <= 1e-13 * scale
+
+    def test_at_infinity_is_the_degree_two_part(self):
+        rng = np.random.default_rng(12)
+        for q, p, r in line_cases(rng):
+            p[2] = r[2] = 0
+            k2, k1, k0 = q.on_line(p, r)
+            for t in complex_normal(rng, 4):
+                l, m, _ = p + t * r
+                want = l * l * q.coeff(2, 0) + l * m * q.coeff(1, 1) + m * m * q.coeff(0, 2)
+                scale = max(abs(l), abs(m)) ** 2 * max(np.abs(q.coeff(*key)).max()
+                                                       for key in COEFF_KEYS[:3])
+                assert np.abs(t * t * k2 + t * k1 + k0 - want).max() <= 1e-13 * scale
+
+    def test_stack_is_its_one_line_calls_bitwise(self):
+        rng = np.random.default_rng(14)
+        for kind, n in itertools.product(LINE_NODE_KINDS, (1, 3)):
+            q = random_newton(rng, n, line_nodes(rng, kind))
+            p, r = complex_normal(rng, 3, 7), complex_normal(rng, 3, 7)
+            p[2, :2] = r[2, :2] = 0  # two lines at infinity
+            stack = q.on_line(p, r)
+            assert stack.shape == (3, 7, n, n)
+            for k in range(7):
+                assert_bitwise_equal(stack[:, k], q.on_line(p[:, k], r[:, k]))
+
+

@@ -22,7 +22,6 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     delta_operators,
-    det,
     pair_linearize,
     spectrum_pair_oracle,
     verify_linearization,
@@ -30,6 +29,7 @@ from newton2pep import (
 )
 from newton2pep import spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
+from newton2pep.linalg import det
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
@@ -323,7 +323,7 @@ def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
     """Per-eigenvalue reference for spectrum_slice (its loop form): each value
     of the slice solve is kept when its own sigma_min backward error is at
     most residual_tol."""
-    k2, k1, k0 = twoparam._lambda_quadratic_at(q, mu0)
+    k2, k1, k0 = q.on_line([0, mu0, 1], [1, 0, 0])
     values, = twoparam.small_dense_eigen(*(m[None] for m in twoparam._companion(k2, k1, k0)))
     return [lam for lam in values.tolist()
             if backward_error_reference(q, mu0, lam) <= residual_tol]
