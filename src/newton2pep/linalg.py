@@ -4,7 +4,7 @@ Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
 all factorizations go straight to LAPACK through numpy, the package's only
 dependency. Generalized eigenvalues are found by shift and invert with
-``numpy.linalg.eigvals`` (:func:`small_dense_eigen`).
+``numpy.linalg.eigvals`` (:func:`small_dense_eigen`, :func:`quadratic_eigen`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ __all__ = [
     "det",
     "smallest_singular_value",
     "small_dense_eigen",
+    "quadratic_eigen",
+    "row_space",
     "row_space_basis",
     "complex_normal",
     "annulus_points",
@@ -88,18 +90,21 @@ def _row_scales(*mats) -> np.ndarray:
     return rows
 
 
-def row_space_basis(b) -> np.ndarray | None:
-    """Orthonormal columns V_r spanning the row space of b (conjugated), or
-    None when b has full rank.
-
-    b x = 0 for every x orthogonal to V_r, to rounding. The rank is read from
-    the SVD of b with each row divided by its largest entry, as the cut
-    m eps sigma_max (m rows): a row of tiny but honest entries keeps its rank.
-    """
+def row_space(b, *others):
+    """(d, U, sigma_r, V*) of the SVD D^-1 b = U diag(sigma_r, 0) V*, D = diag(d)
+    the :func:`_row_scales` across b and ``others`` and r the rank, read as the
+    cut m eps sigma_max (m rows): a row of tiny but honest entries keeps its rank."""
     b = as_matrix(b, name="B")
-    _, sv, vh = np.linalg.svd(b / _row_scales(b)[:, None])
-    rank = int(np.count_nonzero(sv > len(b) * np.finfo(float).eps * sv[0]))
-    return None if rank == len(b) else vh[:rank].conj().T
+    scales = _row_scales(b, *others)
+    u, sv, vh = np.linalg.svd(b / scales[:, None])
+    return scales, u, sv[sv > len(b) * np.finfo(float).eps * sv[0]], vh
+
+
+def row_space_basis(b) -> np.ndarray | None:
+    """Orthonormal columns V_r (of :func:`row_space`) spanning the row space of
+    b conjugated, or None when b has full rank: b x = 0 for x orthogonal to V_r."""
+    _, _, sigma, vh = row_space(b)
+    return None if len(sigma) == len(vh) else vh[:len(sigma)].conj().T
 
 
 def _square_stack(value, name: str) -> np.ndarray:
@@ -126,48 +131,26 @@ def _error_radius(unit, x) -> np.ndarray:
         return np.concatenate([_error_radius(u, member[None]) for u, member in zip(unit, x)])
 
 
-def small_dense_eigen(a, b, *, basis=None) -> list:
-    """Finite generalized eigenvalues of each pencil (A_k, B) by shift and invert.
-
-    ``a`` is a (K, m, m) stack and ``b`` one matrix or a stack. Rows of A and
-    B are first divided by their largest magnitude (same eigenvalues,
-    scale-free). At the first s in SHIFTS with sigma_min(A - s B) >
-    SINGULAR_TOL sigma_max, numpy's ``eigvals`` solves op = (A - s B)^-1 B:
-    lambda = s + 1 / theta. It is infinite when |lambda| >= 1 / INFINITE_TOL,
-    or when |theta| is within its first-order error radius eps ||op||_F ||w||,
-    w its row of X^-1 (unit eigenvectors X), capped at eps^(1/4) ||op||_F.
-    ||w|| is taken as 1, its lower bound; an operator with some |theta| in
-    (eps ||op||_F, eps^(1/4) ||op||_F], where ||w|| decides, is solved again
-    by ``eig`` with vectors and read as above.
-
-    ``basis`` is V_r of :func:`row_space_basis` for B. Then op = op V_r V_r*,
-    so ``eigvals`` solves the r x r operator V_r* op V_r, and the m - r
-    eigenvalues it leaves out, op's null space, are infinite. A Jordan block
-    at infinity of size two becomes a simple one there.
-
-    Each member gives its finite eigenvalues sorted by (real, imag) as an
-    array, or None when both shifts fail (a singular pencil).
-    """
-    a, b = _square_stack(a, "A"), _square_stack(b, "B")
-    if a.ndim != 3 or a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"A must be a (K, m, m) stack of B's shape: {a.shape} vs {b.shape}")
-    a, b = np.broadcast_arrays(a, b.reshape(-1, *b.shape[-2:]))
-    rows = _row_scales(a, b)[..., None]
-    a, b = a / rows, b / rows
-
-    # Named operands: numpy reuses a large temporary for a product, and its
-    # in-place complex multiply rounds differently from a new array's.
-    shifts, shifted = np.full(len(a), SHIFTS[0]), a - SHIFTS[0] * b
+def _shift_invert(at, mats, make_op, basis=None) -> list:
+    """Finite eigenvalues of each member, sorted by (real, imag), by shift and
+    invert at the first s in SHIFTS where member k's at(s, *(M[k] for M in
+    mats)) has sigma_min > SINGULAR_TOL sigma_max (else None: singular), with
+    op = make_op(shifts, shifted, regular) (op V_r for ``basis`` V_r, solved as
+    V_r* op V_r). lambda = s + 1 / theta is infinite when |lambda| >= 1 /
+    INFINITE_TOL or |theta| <= min(eps ||op||_F ||w||, eps^(1/4) ||op||_F), w
+    its row of X^-1 (unit eigenvectors X); ||w|| is taken as 1, its lower bound,
+    and an op with some |theta| in (eps ||op||_F, eps^(1/4) ||op||_F] is solved
+    again by ``eig`` with vectors."""
+    shifts, shifted = np.full(len(mats[0]), SHIFTS[0]), at(SHIFTS[0], *mats)
     sv = np.linalg.svd(shifted, compute_uv=False)
     regular = sv[:, -1] > SINGULAR_TOL * sv[:, 0]
     if not regular.all():
-        retry = ~regular
-        a_retry, b_retry = a[retry], b[retry]
-        shifts[retry], shifted[retry] = SHIFTS[1], a_retry - SHIFTS[1] * b_retry
+        retry = ~regular  # named arguments of at: in-place complex products round apart
+        shifts[retry], shifted[retry] = SHIFTS[1], at(SHIFTS[1], *(m[retry] for m in mats))
         sv = np.linalg.svd(shifted[retry], compute_uv=False)
         regular[retry] = sv[:, -1] > SINGULAR_TOL * sv[:, 0]
-        shifts, shifted, b = shifts[regular], shifted[regular], b[regular]
-    op = np.linalg.solve(shifted, b if basis is None else b @ basis)
+        shifts, shifted = shifts[regular], shifted[regular]
+    op = make_op(shifts, shifted, regular)
     # Member by member: norm(axis=(1, 2)) rounds differently from norm().
     eps, op_norm = np.finfo(float).eps, np.array([np.linalg.norm(o) for o in op])
     unit, cap = eps * op_norm[:, None], eps ** 0.25 * op_norm[:, None]
@@ -181,12 +164,50 @@ def small_dense_eigen(a, b, *, basis=None) -> list:
     # a Jordan block of size m <= 4 at infinity (split by ~eps^(1/m) ||op||).
     infinite = np.abs(theta) <= np.minimum(radius, cap)  # theta = 0 too
     values = np.where(infinite, np.inf, shifts[:, None] + 1 / np.where(infinite, 1, theta))
-    finite = np.abs(values) < 1 / INFINITE_TOL
-    order = np.lexsort((values.imag, values.real, ~finite))  # finite first, by (real, imag)
-    out = [None] * len(a)
+    finite, out = np.abs(values) < 1 / INFINITE_TOL, [None] * len(regular)
     for k, member in enumerate(np.flatnonzero(regular)):
-        out[member] = values[k, order[k, :np.count_nonzero(finite[k])]]
+        out[member] = np.sort_complex(values[k, finite[k]])  # by (real, imag)
     return out
+
+
+def small_dense_eigen(a, b, *, basis=None) -> list:
+    """Finite generalized eigenvalues of each pencil (A_k, B), sorted by (real,
+    imag), or None for a singular pencil. ``a`` is a (K, m, m) stack and ``b``
+    one matrix or a stack. Rows of A and B are divided by their largest
+    magnitude (scale-free), and op = (A - s B)^-1 B is read by
+    :func:`_shift_invert`. With ``basis`` V_r of :func:`row_space_basis` for B,
+    op V_r V_r* is solved as the r x r V_r* op V_r, and the m - r eigenvalues
+    it leaves out are infinite: a Jordan block at infinity of size two becomes
+    a simple one there.
+    """
+    a, b = _square_stack(a, "A"), _square_stack(b, "B")
+    if a.ndim != 3 or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"A must be a (K, m, m) stack of B's shape: {a.shape} vs {b.shape}")
+    a, b = np.broadcast_arrays(a, b.reshape(-1, *b.shape[-2:]))
+    rows = _row_scales(a, b)[..., None]
+    a, b = a / rows, b / rows
+    def solve(_, shifted, regular):  # op, or op V_r with a basis
+        return np.linalg.solve(shifted, b[regular] if basis is None else b[regular] @ basis)
+    return _shift_invert(lambda s, a_k, b_k: a_k - s * b_k, (a, b), solve, basis)
+
+
+def quadratic_eigen(k2, k1, k0) -> list:
+    """Finite eigenvalues of each Q(t) = t^2 K2 + t K1 + K0 of (K, n, n) stacks
+    (None when Q is singular), read as :func:`small_dense_eigen` reads its
+    companion pencil ([0 I; -K0 -K1], [I 0; 0 K2]), whose operator at s is
+    op = [[X1, X2], [I + s X1, s X2]], [X1 X2] = -Q(s)^-1 [K1 + s K2, K2]. With
+    the K's rows scaled to unit maximum, one n x n solve with P = Q(s) / s gives
+    I + s X1 = Q(s)^-1 K0 and X1 = (Q(s)^-1 K0 - I) / s: a zero K0, zero blocks."""
+    rows = _row_scales(k2, k1, k0)[..., None]
+    k2, k1, k0 = k2 / rows, k1 / rows, k0 / rows
+
+    def companion_op(shifts, p, regular):
+        n, s = k0.shape[-1], shifts[:, None, None]
+        y = np.linalg.solve(p, np.concatenate([k0[regular], k2[regular]], axis=-1))
+        low = np.concatenate([y[..., :n] / s, -y[..., n:]], axis=-1)  # [I + s X1, s X2]
+        return np.concatenate([(low - np.eye(n, 2 * n)) / s, low], axis=-2)
+
+    return _shift_invert(lambda s, c2, c1, c0: s * c2 + c1 + c0 / s, (k2, k1, k0), companion_op)
 
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
-from .linalg import (annulus_points, complex_normal, kron, row_space_basis, small_dense_eigen,
+from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal, kron,
+                     quadratic_eigen, row_space, row_space_basis, small_dense_eigen,
                      smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
@@ -245,32 +246,17 @@ def _slice_lines(mus):
     return np.array([zero, mus, one]), np.array([one, zero, zero])
 
 
-def _companion(k2, k1, k0):
-    """Pencil ([0 I; -K0 -K1], [I 0; 0 K2]) whose eigenvalues are the t with
-    det(t^2 K2 + t K1 + K0) = 0; eigenvectors are [x; t x]. (K, n, n) stacks
-    of all three give a stack of pencils."""
-    n = k0.shape[-1]
-    a, b = np.zeros((2, *k0.shape[:-2], 2 * n, 2 * n), dtype=complex)
-    a[..., :n, n:] = b[..., :n, :n] = np.eye(n)
-    a[..., n:, :n], a[..., n:, n:], b[..., n:, n:] = -k0, -k1, k2
-    return a, b
-
-
 def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
     """Every finite eigenvalue of Q(., mu0) at each mu0, as an array sorted by
-    (real, imag), before the certificate of :func:`_certified`. Each slice
-    lam^2 K2 + lam K1 + K0, Q on its :func:`_slice_lines`, is solved for values
-    only through the 2n x 2n companion pencil ([0 I; -K0 -K1], [I 0; 0 K2]), as
-    stacks of at most STACK_BYTES (at least one pencil). Infinite eigenvalues
-    (singular K2) are dropped, so fewer than 2n values may come back. A Q
-    singular on a slice raises :class:`DegenerateProblemError`."""
-    step, out = chunk_step(2 * q.n), []
-    for start in range(0, len(mus), step):
-        quads = q.on_line(*_slice_lines(mus[start:start + step]))
-        for lam in small_dense_eigen(*_companion(*quads)):
-            if lam is None:
-                raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
-            out.append(lam)
+    (real, imag), before the certificate of :func:`_certified`: each slice, Q
+    on its :func:`_slice_lines`, by :func:`quadratic_eigen`, in stacks of at
+    most STACK_BYTES of 2n x 2n operators (at least one). A Q singular on a
+    slice raises :class:`DegenerateProblemError`."""
+    step = chunk_step(2 * q.n)
+    out = [lam for start in range(0, len(mus), step)
+           for lam in quadratic_eigen(*q.on_line(*_slice_lines(mus[start:start + step])))]
+    if any(lam is None for lam in out):
+        raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
     return out
 
 
@@ -289,23 +275,41 @@ def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
-    """Finite lambda with det L(lambda, mu0) = 0 for each mu0 (None for a
-    singular slice). Gamma2(lam) is lam I minus a constant diagonal, so the
-    slice is the linear pencil lam A1 + L(0, mu0). A1 is factored once: each
-    slice is solved on its row space, of dimension rank A1 (2n for an e1
-    pencil), and A1's null space gives the slice's 3n - rank A1 infinite
-    eigenvalues. Each chunk of slices is solved as one stack. A slice whose
-    values overflow the double range raises ValueError naming its mu0."""
-    basis = row_space_basis(pencil.A1)
-    out = []
+    """Finite lambda with det(lam A1 + L(0, mu0)) = 0 for each mu0, sorted by
+    (real, imag); None for a singular slice. A1 is factored once, D^-1 A1 =
+    U diag(Sigma_r, 0) V* (:func:`row_space`, D the row scales across A1, A2
+    and A3, so that W is of unit size; r = 2n for an e1 pencil), and a slice
+    maps to W = U* D^-1 L(0, mu0) V. If sigma_min(W22) > SINGULAR_TOL ||W||_F
+    (the whole slice's norm: a degree drop leaves a rounding-sized W22), its
+    finite values are those of -Sigma_r^-1 (W11 - W12 W22^-1 W21) below
+    1 / INFINITE_TOL; other slices, and all when A1 has full rank or is zero,
+    are solved by :func:`small_dense_eigen` on A1's row space. A chunk is one
+    stack; a slice whose values overflow raises ValueError naming its mu0."""
+    scales, u, sigma, vh = row_space(*pencil.blocks())
+    r, m, left = len(sigma), 3 * pencil.n, u.conj().T / scales
+    basis, out = None, []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named below
         for sl, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
             if not (finite := np.isfinite(constants).all(axis=(1, 2))).all():
                 mu0 = complex(mus[sl][np.argmin(finite)])
                 raise ValueError(f"the pencil values at the slice mu0=({mu0.real:.17g}, "
                                  f"{mu0.imag:.17g}) overflow the double range")
-            out += [None if lam is None else lam.tolist()
-                    for lam in small_dense_eigen(-constants, pencil.A1, basis=basis)]
+            lams, deflated = [None] * len(constants), np.full(len(constants), False)
+            if 0 < r < m:
+                w = left @ constants @ vh.conj().T
+                deflated = (np.linalg.svd(w[:, r:, r:], compute_uv=False)[:, -1]
+                            > SINGULAR_TOL * np.linalg.norm(w, axis=(1, 2)))
+                w = w[deflated]
+                schur = w[:, :r, :r] - w[:, :r, r:] @ np.linalg.solve(w[:, r:, r:], w[:, r:, :r])
+                for k, lam in zip(np.flatnonzero(deflated),
+                                  np.linalg.eigvals(-schur / sigma[:, None])):
+                    lams[k] = np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
+            if not deflated.all():
+                basis = basis if basis is not None or r == m else row_space_basis(pencil.A1)
+                rest = small_dense_eigen(-constants[~deflated], pencil.A1, basis=basis)
+                for k, lam in zip(np.flatnonzero(~deflated), rest):
+                    lams[k] = None if lam is None else lam.tolist()
+            out += lams
     return out
 
 
@@ -490,7 +494,7 @@ def _meet_on_line(pair: QtepPair, norms, p, r) -> float:
     line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
     fewer than 4 p1 p2 finite common zeros (Bezout); on a random finite line,
     (p, 1) + t (r, 0), whose t = inf lies at infinity, when they share a factor."""
-    roots = small_dense_eigen(*_companion(*pair.q1.on_line(p, r)[:, None]))[0]
+    roots = quadratic_eigen(*pair.q1.on_line(p, r)[:, None])[0]
     if roots is None:
         return 0.0
     powers = np.vander(roots, 3)  # (t^2, t, 1) at each root

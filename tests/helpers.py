@@ -140,7 +140,7 @@ def companion_params_reference(q):
 
 def companion_linearization_reference(k2, k1, k0):
     """([0 I; -K0 -K1], [I 0; 0 K2]) by np.block, for matrices or (K, n, n)
-    stacks (reference for twoparam._companion)."""
+    stacks (reference for linalg.quadratic_eigen)."""
     eye, zero = np.broadcast_to(np.eye(k0.shape[-1]), k0.shape), np.zeros(k0.shape)
     return np.block([[zero, eye], [-k0, -k1]]), np.block([[eye, zero], [zero, k2]])
 

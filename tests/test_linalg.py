@@ -11,10 +11,11 @@ from newton2pep import (
     small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import SHIFTS, as_matrix, det, kron, row_space_basis
+from newton2pep.linalg import SHIFTS, as_matrix, det, kron, quadratic_eigen, row_space_basis
 
-from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix, eig_reference,
-                     kron_oracle, with_signed_zeros)
+from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix,
+                     companion_linearization_reference, eig_reference, kron_oracle,
+                     with_signed_zeros)
 
 
 class TestAsMatrix:
@@ -312,3 +313,37 @@ def test_commutation_matrix_swaps_kron_factors():
         p = commutation_matrix(m, n)
         np.testing.assert_array_equal(p @ p.T, np.eye(m * n))
         np.testing.assert_allclose(p @ np.kron(x, y) @ p.T, np.kron(y, x), atol=1e-14)
+
+
+class TestQuadraticEigen:
+    # quadratic_eigen forms the companion pencil's 2n x 2n operator from n x n
+    # solves; small_dense_eigen on the np.block companion pencil
+    # (tests/helpers.py::companion_linearization_reference) is the reference.
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("stack", [(), (4,)])
+    def test_is_the_companion_pencil_solve(self, n, stack):
+        rng = np.random.default_rng(50 + n)
+        k2, k1, k0 = (with_signed_zeros(rng, complex_normal(rng, *stack or (1,), n, n))
+                      for _ in range(3))
+        if stack:
+            k0[1] = 0  # t = 0 is an n-fold root
+            k2[2, :, 0] = 0  # one infinite eigenvalue
+            k2[3, :, 0] = k1[3, :, 0] = k0[3, :, 0] = 0  # Q(t) singular for every t
+        got = quadratic_eigen(k2, k1, k0)
+        want = small_dense_eigen(*companion_linearization_reference(k2, k1, k0))
+        assert [None if g is None else len(g) for g in got] == \
+            [None if w is None else len(w) for w in want]
+        for g, w in zip(got, want):
+            if w is not None and len(w):
+                dist = np.abs(g[:, None] - w[None, :])
+                assert np.all(dist.min(axis=1) <= 1e-10 * np.maximum(1, np.abs(g)))
+                assert np.all(dist.min(axis=0) <= 1e-10 * np.maximum(1, np.abs(w)))
+        assert got[0] is not None and len(got[0]) == 2 * n
+        for i, g in enumerate(got):  # a stack is its one-member calls, bit for bit
+            one, = quadratic_eigen(k2[i:i + 1], k1[i:i + 1], k0[i:i + 1])
+            assert (one is None) == (g is None)
+            if g is not None:
+                assert_bitwise_equal(g, one)
+        if stack:
+            assert np.count_nonzero(got[1] == 0) == n and len(got[2]) == 2 * n - 1
+            assert got[3] is None

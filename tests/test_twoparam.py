@@ -35,11 +35,11 @@ from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
 from helpers import (NODE_KINDS, assert_bitwise_equal, backward_error_reference,
-                     clusters_reference, commutation_matrix, companion_linearization_reference,
-                     full_slice_eigenvalues, gamma_blocks, kron_oracle, nodes_of_kind,
-                     pencil_in_space, point_quotients_reference, random_coeffs, random_newton,
-                     random_nodes, regular_part_reference, scalar_newton, scaled,
-                     spectrum_match_reference, spectrum_slice, with_signed_zeros)
+                     clusters_reference, commutation_matrix, full_slice_eigenvalues, gamma_blocks,
+                     kron_oracle, nodes_of_kind, pencil_in_space, point_quotients_reference,
+                     random_coeffs, random_newton, random_nodes, regular_part_reference,
+                     scalar_newton, scaled, spectrum_match_reference, spectrum_slice,
+                     with_signed_zeros)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -324,7 +324,7 @@ def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
     of the slice solve is kept when its own sigma_min backward error is at
     most residual_tol."""
     k2, k1, k0 = q.on_line([0, mu0, 1], [1, 0, 0])
-    values, = twoparam.small_dense_eigen(*(m[None] for m in twoparam._companion(k2, k1, k0)))
+    values, = twoparam.quadratic_eigen(k2[None], k1[None], k0[None])
     return [lam for lam in values.tolist()
             if backward_error_reference(q, mu0, lam) <= residual_tol]
 
@@ -434,17 +434,16 @@ class TestCertificateOnDemand:
             coeffs[key] = coeffs[key] + factor * e
         pencil = companion_pencil(MatrixPoly2.newton(coeffs))
         sizes, certified = [], []
-        real_eigen, real_certified = twoparam.small_dense_eigen, twoparam._certified
-        monkeypatch.setattr(twoparam, "small_dense_eigen",
-                            lambda a, *args, **kw: sizes.append(a.shape) or
-                            real_eigen(a, *args, **kw))
+        real_eigen, real_certified = twoparam.quadratic_eigen, twoparam._certified
+        monkeypatch.setattr(twoparam, "quadratic_eigen",
+                            lambda k2, k1, k0: sizes.append(k0.shape) or real_eigen(k2, k1, k0))
         monkeypatch.setattr(twoparam, "_certified",
                             lambda q, mu0, lam: certified.append(mu0) or
                             real_certified(q, mu0, lam))
         report = verify_spectrum_match(q, pencil, slices=3, seed=5)
         assert [rec.contained for rec in report.records] == [False, True, True]
         # One chunk: one Q solve of all three slices, and no second solve.
-        assert [shape for shape in sizes if shape[-1] == 2 * q.n] == [(3, 6, 6)]
+        assert sizes == [(3, 3, 3)]
         assert certified == [mus[0]]
         assert report == spectrum_match_reference(q, pencil, slices=3, seed=5)
 
@@ -456,20 +455,24 @@ class TestSliceStacks:
         (2, 16 * 6 ** 2 * 2, (2, 3)),
     ])
     def test_one_eigen_call_per_side_per_chunk(self, monkeypatch, n, stack_bytes, calls):
-        # At n = 2 a Q slice has 4^2 entries and a pencil slice 6^2, so
-        # 16 * 6^2 * 2 bytes hold 4 Q slices or 2 pencil slices.
+        # At n = 2 a Q slice operator has 4^2 entries and a pencil slice 6^2,
+        # so 16 * 6^2 * 2 bytes hold 4 Q slices or 2 pencil slices. Either
+        # side calls eigvals once per chunk; the pencil slices are deflated.
         rng = np.random.default_rng(51)
         q = random_newton(rng, n)
         pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
         monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
-        sizes = []
-        real = twoparam.small_dense_eigen
-        monkeypatch.setattr(twoparam, "small_dense_eigen",
-                            lambda a, *args, **kw: sizes.append(a.shape) or real(a, *args, **kw))
+        sizes, q_sizes, full = [], [], []
+        eigvals, quadratic = np.linalg.eigvals, twoparam.quadratic_eigen
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(twoparam, "quadratic_eigen",
+                            lambda *ks: q_sizes.append(ks[0].shape) or quadratic(*ks))
+        monkeypatch.setattr(twoparam, "small_dense_eigen", lambda *a, **kw: full.append(a))
         report = verify_spectrum_match(q, pencil, slices=5, seed=3)
-        q_calls = sum(shape[-1] == 2 * n for shape in sizes)
-        assert (q_calls, len(sizes) - q_calls) == calls
+        assert (len(q_sizes), len(sizes) - len(q_sizes)) == calls
         assert sum(shape[0] for shape in sizes) == 10
+        assert all(shape[-1] == 2 * n for shape in sizes)
+        assert full == []
         assert report.all_contained
 
     def test_spectrum_slice_is_the_one_slice_stack(self):
@@ -546,6 +549,72 @@ class TestSliceRowSpace:
         mus = annulus_points(rng, 2)
         assert twoparam._pencil_slice_eigenvalues(pencil, mus) == [[], []]
         assert full_slice_eigenvalues(pencil, mus) == [[], []]
+
+
+class TestSliceDeflation:
+    # A1 is factored once per pencil; a slice whose W22 is regular relative to
+    # the whole slice is solved from n x n factorizations, and every other
+    # slice (and every slice of a full-rank or zero A1) by small_dense_eigen.
+    def test_generic_slice_factors_no_3n_matrix(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        n = 32
+        q = random_newton(rng, n)
+        pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
+        mus = annulus_points(rng, 5)
+        want = full_slice_eigenvalues(pencil, mus)
+        shapes = []
+
+        def spy(name, real):
+            return lambda a, *args, **kw: shapes.append((name, np.shape(a))) or real(a, *args, **kw)
+
+        for name in ("svd", "solve", "inv", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        # The one 3n x 3n factorization is the SVD of A1, once for all slices.
+        assert [s for s in shapes if s[1][-1] == 3 * n] == [("svd", (3 * n, 3 * n))]
+        assert ("svd", (5, n, n)) in shapes and ("eigvals", (5, 2 * n, 2 * n)) in shapes
+        assert [len(g) for g in got] == [2 * n] * 5
+        assert_same_finite_eigenvalues(got, want)
+
+    @pytest.mark.parametrize("case", ["degree drop", "full-rank A1", "zero A1"])
+    def test_degenerate_slices_take_the_row_space_solve(self, case):
+        rng = np.random.default_rng(45)
+        coeffs = random_coeffs(rng, 3)
+        coeffs[(2, 0)] = np.zeros((3, 3))
+        pencil = construct_e1_newton(MatrixPoly2.newton(coeffs, random_nodes(rng)),
+                                     E1FreeParams.random(3, rng))
+        if case != "degree drop":
+            a1 = complex_normal(rng, 9, 9) if case == "full-rank A1" else np.zeros((9, 9))
+            pencil = NewtonPencil.from_blocks(pencil.nodes, a1, pencil.A2, pencil.A3)
+        mus = annulus_points(rng, 4)
+        with mock.patch.object(twoparam, "small_dense_eigen",
+                               wraps=twoparam.small_dense_eigen) as full:
+            got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        assert [len(call.args[0]) for call in full.call_args_list] == [4]
+        if case == "zero A1":
+            assert got == full_slice_eigenvalues(pencil, mus) == [[]] * 4
+        else:
+            assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(NODE_KINDS),
+           st.sampled_from(["companion", "e1", (1, 1, 1), (0, 1, 0), (1, 0, 1)]),
+           st.integers(0, 2**32 - 1))
+    def test_regularity_is_relative_to_the_whole_slice(self, n, kind, construction, seed):
+        # With C20 = 0 a slice has fewer than 2n finite eigenvalues, so W22 is
+        # singular; its entries are rounding-sized, so that sigma_min(W22) is
+        # small next to ||W||_F but not next to sigma_max(W22).
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(rng, n)
+        coeffs[(2, 0)] = np.zeros((n, n))
+        pencil = pencil_in_space(MatrixPoly2.newton(coeffs, nodes_of_kind(rng, kind)),
+                                 construction, rng)
+        mus = annulus_points(rng, 3)
+        with mock.patch.object(twoparam, "small_dense_eigen",
+                               wraps=twoparam.small_dense_eigen) as full:
+            got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        assert sum(len(call.args[0]) for call in full.call_args_list) == 3
+        assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
 
 
 class TestExactlyDefectiveSlices:
@@ -1001,16 +1070,8 @@ def planted_thetas(rng):
 
 
 class TestInPlaceForms:
-    # The preallocated companion pencils and the staircase that ends on
-    # singular values against their reference forms (tests/helpers.py).
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    @pytest.mark.parametrize("stack", [(), (4,)])
-    def test_companion_is_the_block_formula_bitwise(self, n, stack):
-        rng = np.random.default_rng(50 + n)
-        ks = [with_signed_zeros(rng, complex_normal(rng, *stack, n, n)) for _ in range(3)]
-        for got, want in zip(twoparam._companion(*ks), companion_linearization_reference(*ks)):
-            assert_bitwise_equal(got, want)
-
+    # The staircase that ends on singular values against its reference form
+    # (tests/helpers.py).
     def test_regular_part_is_the_full_step_loop_bitwise(self):
         rng = np.random.default_rng(51)
         pairs = [QtepPair(*(scalar_newton(*c) for c in coeffs)) for coeffs, _ in DEGENERATE_PAIRS]

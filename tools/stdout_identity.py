@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R], each a ``src``
-directory. Its 936 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three
+directory. Its 999 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three
 node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no --params,
 SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and
 spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
@@ -14,7 +14,10 @@ problem on the same nodes against that pencil, which fail; the slices of such a 
 the ones whose Q values are filtered by their backward error. Then 39 more: spectrum --pair at
 seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``) with points at infinity,
 multiple points, a shared factor, or determinants that both drop degree, so that the exit codes,
-counts and multiplicities of those cases are compared too. The later blocks are drawn after the
+counts and multiplicities of those cases are compared too. Then 63 more, per node kind:
+construct, verify, spectrum for --companion and the (1, 1, 1) and (0, 1, 0) ansatz at n in {3, 8}
+on problems with C20 = 0, whose every slice drops degree, and for the (0, 1, 0) ansatz at n = 64,
+the third construction of the large-certify workload. The later blocks are drawn after the
 earlier ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV
 with --out, as construct writes its pencil. Each tree runs the jobs in process through its own
 ``cli.main``. It names every job whose report differs, with up to three of its differing lines and
@@ -33,7 +36,10 @@ number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that change
 rounding-level move. The lambda and mu of a point line move relative to max(|z|, |z'|, s) with s
 the largest |lambda| (or |mu|) on the job's point lines and at least 1, the max(1, |lambda|) of the
 slice matching: a whole point at zero, such as the 2-fold point (0, 0) of lambda mu with
-lambda + mu, moves by rounding, not by O(1).
+lambda + mu, moves by rounding, not by O(1). A distance moves relative to what the slice matching
+compares it with, match_tol max(1, |lambda|): a point line's own lambda, and for a slice line's
+max distance the lambda of the point that attains it. So two rounding-level distances such as
+1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
@@ -113,16 +119,40 @@ def matched_points(a: list, b: list) -> list:
     return b
 
 
+def allowed_distances(lines) -> dict:
+    """{index: match_tol max(1, |lambda|)} of the lines of a slice report that carry a distance,
+    read from the first tree's lines: the largest distance the slice matching lets a point line
+    have, and for a slice line's max distance the same for the point line that attains it."""
+    tol = [float(x.split(":")[1]) for x, _ in lines if x.startswith("match tolerance:")]
+    allowed, slice_line = {}, None
+    for i, (x, y) in enumerate(lines):
+        if x.startswith("slice "):
+            slice_line, worst = i, line_fields(x, x)
+        elif x.startswith(POINT) and tol and slice_line is not None:
+            fields = line_fields(x, y)
+            allowed[i] = tol[0] * max(1.0, *(np.linalg.norm(v) for v in fields["lambda"]))
+            if fields["distance"][0][0] == max(v[0][0] for f, v in worst.items()
+                                               if f.endswith("distance")):
+                allowed.setdefault(slice_line, allowed[i])
+        else:
+            slice_line = None
+    return allowed
+
+
 def build_jobs(work: Path, rng) -> list:
     def pfile(tag, *sizes):  # one Y11/Z1/Z2 object, or params1 and params2 for a pair
         doc = {f"params{i}": {k: _pairs(_normal(rng, r * n, n)) for k, r in
                               (("Y11", 1), ("Z1", 3), ("Z2", 3))} for i, n in enumerate(sizes, 1)}
         (work / tag).write_text(json.dumps(doc if len(doc) == 2 else doc["params1"]))
         return tag
-    def chain(kind, n, c, how):  # construct, verify and spectrum of one problem
-        tag = f"{kind}.n{n}.{''.join(map(str, c))}.{how}"
+    def chain(kind, n, c, how, drop=False):  # construct, verify and spectrum of one problem
+        tag = f"{kind}.n{n}.{''.join(map(str, c))}.{how}" + (".c20=0" if drop else "")
         z = np.zeros(4) if kind == "zero-node" else _nodes(rng, kind)
         q, seed = _write_problem(work / f"{tag}.q", n, rng, z), _int(rng)
+        if drop:  # C20 = 0: every slice drops degree
+            doc = json.loads((work / q).read_text())
+            doc["coefficients"]["A20"] = _pairs(np.zeros((n, n)))
+            (work / q).write_text(json.dumps(doc))
         argv = ["--companion"] if c == "companion" else ["--ansatz=" + _ansatz_text(rng, c)]
         argv += ["--params", _int(rng) if how == "seed" else pfile(tag + "p", n)] if how else []
         return [(f"{tag}.{cmd}", [cmd, q, *rest, "--seed", seed]) for cmd, rest in
@@ -159,6 +189,10 @@ def build_jobs(work: Path, rng) -> list:
         jobs += [(f"degenerate{i}.pair.seed{seed}", ["spectrum", f1, "--pair", f2, "--seed",
                                                       str(seed), "--out", f"{f1}{seed}.csv"])
                  for seed in range(3)]
+    for kind in NODE_KINDS:  # degree-drop slices, and the third large construction
+        for n, c in itertools.product((3, 8), ("companion", (1, 1, 1), (0, 1, 0))):
+            jobs += chain(kind, n, c, None, drop=True)
+        jobs += chain(kind, 64, (0, 1, 0), None)
     return jobs
 
 
@@ -232,12 +266,15 @@ def main(*sources, repeat: int = 0) -> int:
         for field, (u, w) in ((f, uw) for x, y in lines if x.startswith(POINT)
                               for f, uw in line_fields(x, y).items() if f in floor):
             floor[field] = max(floor[field], np.linalg.norm(u), np.linalg.norm(w))
-        for x, y in ((x, y) for x, y in lines if x != y):
+        allowed = allowed_distances(lines)
+        for i, (x, y) in ((i, xy) for i, xy in enumerate(lines) if xy[0] != xy[1]):
             moved[prefix := NUMBER.split(x, 1)[0]] += 1
             fields = largest.setdefault(prefix, {})
             for field, (u, w) in line_fields(x, y).items():
                 size = max(np.linalg.norm(u), np.linalg.norm(w),
                            floor.get(field, 0.0) if x.startswith(POINT) else 0.0)
+                if field.endswith("distance") and i in allowed:
+                    size = allowed[i]
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     written = [(name, argv) for name, argv in jobs
