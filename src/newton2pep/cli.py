@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import re
 import sys
@@ -437,5 +438,13 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry of ``python -m newton2pep.cli`` and the console script: freeze the imported
+    heap out of the job's full collections and the one at exit, then run ``main``. ``main`` never
+    freezes, as tests and library code call it many times in one process."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

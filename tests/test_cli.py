@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 import newton2pep
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         assemble_e1_blocks, companion_pencil, construct_general_ansatz)
+from newton2pep import cli
 from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
                                save_problem)
@@ -719,16 +723,32 @@ class TestSeedInputs:
         assert code == 2
 
 
+def one_job_per_subcommand(q, p1, p2):
+    """construct, verify, delta --check-singular, slice spectrum and spectrum --pair, each
+    writing its file relative to the working directory."""
+    return [["construct", q, "--companion", "--out", "pencil.json"],
+            ["verify", q, "pencil.json"],
+            ["delta", p1, p2, "--check-singular"],
+            ["spectrum", q, "pencil.json", "--slices", "2", "--out", "slices.csv"],
+            ["spectrum", p1, "--pair", p2, "--out", "pair.csv"]]
+
+
+def fresh_python(*args, cwd=None):
+    """A new interpreter with this tree's ``src`` first on its path: (exit code, stdout, stderr)
+    as bytes. A subprocess, because this test process has scipy loaded already."""
+    src = str(Path(newton2pep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          timeout=120)
+
+
 _FRESH_PROCESS_SCRIPT = """
-import sys
+import json, sys
 from newton2pep.cli import main
 
-q, pencil, p1, p2 = sys.argv[1:]
-codes = [main(["construct", q, "--companion", "--out", pencil]),
-         main(["verify", q, pencil]),
-         main(["delta", p1, p2, "--check-singular"]),
-         main(["spectrum", p1, "--pair", p2]),
-         main(["spectrum", q, pencil, "--slices", "2"])]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
 assert codes == [0, 0, 0, 0, 0], codes
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
@@ -736,13 +756,73 @@ assert not loaded, loaded
 
 
 def test_fresh_process_imports_no_scipy(tmp_path, qfile, scalar_pair_files):
-    # A subprocess, because this test process has scipy loaded already.
-    src = str(Path(newton2pep.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROCESS_SCRIPT, qfile,
-         str(tmp_path / "pencil.json"), *scalar_pair_files],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    jobs = one_job_per_subcommand(qfile, *scalar_pair_files)
+    proc = fresh_python("-c", _FRESH_PROCESS_SCRIPT, json.dumps(jobs), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    for argv in jobs:  # and each job as its own ``python -m newton2pep.cli`` process
+        proc = fresh_python("-X", "importtime", "-m", "newton2pep.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode()
+        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                    if line.startswith("import time:")]
+        assert "numpy" in imported
+        assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")], argv
+
+
+def test_module_run_matches_in_process_main(tmp_path, qfile, scalar_pair_files, capsys,
+                                            monkeypatch):
+    (fresh := tmp_path / "fresh").mkdir()
+    (in_process := tmp_path / "in_process").mkdir()
+    monkeypatch.chdir(in_process)
+    for argv in one_job_per_subcommand(qfile, *scalar_pair_files):
+        code, report = run(capsys, argv)
+        proc = fresh_python("-m", "newton2pep.cli", *argv, cwd=fresh)
+        assert (proc.returncode, proc.stdout) == (code, report.encode()), argv
+    for name in ("pencil.json", "slices.csv", "pair.csv"):
+        assert (fresh / name).read_bytes() == (in_process / name).read_bytes(), name
+
+
+_RUN_AS_MAIN_SCRIPT = """
+import gc, runpy, sys
+
+assert gc.get_freeze_count() == 0
+sys.argv[0] = "newton2pep.cli"
+try:
+    runpy.run_module("newton2pep.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+class TestProcessEntry:
+    """Only the process entry freezes the import-time heap out of garbage collection; ``main``
+    runs many times in one process, where a freeze would keep every call's garbage for good."""
+
+    def test_main_never_freezes(self, tmp_path, qfile, scalar_pair_files, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        frozen = gc.get_freeze_count()
+        codes = [run(capsys, argv)[0] for argv in one_job_per_subcommand(qfile, *scalar_pair_files)]
+        assert codes == [0, 0, 0, 0, 0]
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("command, rest, expected", [
+        ("construct", ["--companion", "--out", "pencil.json"], 0),
+        ("verify", ["missing.json"], 2)], ids=["pass", "usage error"])
+    def test_module_run_freezes_and_exits_with_main(self, tmp_path, qfile, capsys, monkeypatch,
+                                                    command, rest, expected):
+        argv = [command, qfile, *rest]
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, argv)[0] == expected
+        proc = fresh_python("-c", _RUN_AS_MAIN_SCRIPT, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode()
+        exit_code, frozen = map(int, proc.stderr.decode().split()[-2:])
+        assert exit_code == expected
+        assert frozen > 0
+
+    def test_console_script_is_the_module_entry(self):
+        guard = ast.parse(Path(cli.__file__).read_text()).body[-1]
+        assert ast.unparse(guard.test) == "__name__ == '__main__'"
+        (call,) = guard.body
+        scripts = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
+                                .read_text())["project"]["scripts"]
+        assert scripts == {"newton2pep": f"newton2pep.cli:{call.value.func.id}"}
+        assert getattr(cli, call.value.func.id) is cli.entry

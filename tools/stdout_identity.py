@@ -1,58 +1,68 @@
 """Compare the CLI reports of two source trees job by job.
 
-Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R], each a ``src``
-directory. Its 999 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the three
-node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no --params,
-SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE and
-spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and the
-(1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's values-only
-and vectors paths round the eigenvalues differently, so these are the jobs whose slice digits can
-move between the two paths. Then 15 more: construct, verify, spectrum for --companion and the
-(1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per node
-kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of another
-problem on the same nodes against that pencil, which fail; the slices of such a spectrum job are
-the ones whose Q values are filtered by their backward error. Then 39 more: spectrum --pair at
-seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``) with points at infinity,
-multiple points, a shared factor, or determinants that both drop degree, so that the exit codes,
-counts and multiplicities of those cases are compared too. Then 63 more, per node kind:
+Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
+``src`` directory. Its 999 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the
+three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
+--params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
+and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
+the (1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's
+values-only and vectors paths round the eigenvalues differently, so these are the jobs whose slice
+digits can move between the two paths. Then 15 more: construct, verify, spectrum for --companion
+and the (1, 1, 1) ansatz at n = 3 on a Newton file whose nodes are all zero ("zero-node"), and per
+node kind a mismatch at n = 3: construct --companion of one problem, then verify and spectrum of
+another problem on the same nodes against that pencil, which fail; the slices of such a spectrum
+job are the ones whose Q values are filtered by their backward error. Then 39 more: spectrum --pair
+at seeds 0, 1 and 2 on thirteen scalar monomial pairs (``DEGENERATE_PAIRS``) with points at
+infinity, multiple points, a shared factor, or determinants that both drop degree, so that the exit
+codes, counts and multiplicities of those cases are compared too. Then 63 more, per node kind:
 construct, verify, spectrum for --companion and the (1, 1, 1) and (0, 1, 0) ansatz at n in {3, 8}
 on problems with C20 = 0, whose every slice drops degree, and for the (0, 1, 0) ansatz at n = 64,
-the third construction of the large-certify workload. The later blocks are drawn after the
-earlier ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV
-with --out, as construct writes its pencil. Each tree runs the jobs in process through its own
+the third construction of the large-certify workload. The later blocks are drawn after the earlier
+ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV with
+--out, as construct writes its pencil. Each tree runs the jobs in process through its own
 ``cli.main``. It names every job whose report differs, with up to three of its differing lines and
 then the lines of the longer report that have no counterpart (a job whose exit code changes may
 print nothing on one side), and every job whose written file differs in more than digits; either
 makes the exit status 1. A written CSV whose text matches once its numbers are masked counts as
 digits only, as a report does; a pencil file is base64, so any byte that differs there counts. For
-the reports that differ in digits only, each run of consecutive point lines
-(``  lambda=``: the Q values of a slice, the points of a pair, the determinant samples) is first
-matched line to line by nearest (lambda, mu), so that two points whose sort keys tie and swap at
-rounding level count as the rounding-level moves they are. It then groups the differing lines by
-their prefix, the text before the first number, and prints for each prefix the count of lines and
-the largest relative move of each field on them (``lambda`` and ``distance`` apart), so a move at
-rounding level in one field does not hide whether another field moved. A complex field moves as one
-number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a zero that changes sign is a
-rounding-level move. The lambda and mu of a point line move relative to max(|z|, |z'|, s) with s
-the largest |lambda| (or |mu|) on the job's point lines and at least 1, the max(1, |lambda|) of the
-slice matching: a whole point at zero, such as the 2-fold point (0, 0) of lambda mu with
-lambda + mu, moves by rounding, not by O(1). A distance moves relative to what the slice matching
-compares it with, match_tol max(1, |lambda|): a point line's own lambda, and for a slice line's
-max distance the lambda of the point that attains it. So two rounding-level distances such as
-1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size.
+the reports that differ in digits only, each run of consecutive point lines (`` lambda=``: the Q
+values of a slice, the points of a pair, the determinant samples) is first matched line to line by
+nearest (lambda, mu), so that two points whose sort keys tie and swap at rounding level count as
+the rounding-level moves they are. It then groups the differing lines by their prefix, the text
+before the first number, and prints for each prefix the count of lines and the largest relative
+move of each field on them (``lambda`` and ``distance`` apart), so a move at rounding level in one
+field does not hide whether another field moved. A complex field moves as one number, |z - z'| /
+max(|z|, |z'|), so a part of size 1e-16 at a zero that changes sign is a rounding-level move. The
+lambda and mu of a point line move relative to max(|z|, |z'|, s) with s the largest |lambda| (or
+|mu|) on the job's point lines and at least 1, the max(1, |lambda|) of the slice matching: a whole
+point at zero, such as the 2-fold point (0, 0) of lambda mu with lambda + mu, moves by rounding,
+not by O(1). A distance moves relative to what the slice matching compares it with, match_tol
+max(1, |lambda|): a point line's own lambda, and for a slice line's max distance the lambda of the
+point that attains it. So two rounding-level distances such as 1e-15 and 5e-15 move by 4e-9 of
+that, not by 0.8 of their own size.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
 repeats of each subcommand's summed in-process time is printed per tree, with the ratio
-parent / change. The first, compared run is left out, as it pays for imports."""
+parent / change. The first, compared run is left out, as it pays for imports.
+
+With --fresh R, every job also runs R times per tree as its own ``python -m newton2pep.cli``
+process, with that tree's src first on PYTHONPATH, the trees alternating as above. So the code
+under the module's ``__main__`` check runs, which the in-process runs never reach. Each fresh run's
+exit code, stdout bytes and written file bytes must equal that tree's in-process run, or the job
+is named and the exit status is 1. The median over the repeats of each subcommand's summed wall
+time, interpreter start and imports included, is printed per tree, with the ratio
+parent / change."""
 
 import argparse
 import contextlib
 import io
 import itertools
 import json
+import os
 import re
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -211,18 +221,17 @@ def run_job(cli, argv):
     return code, out.getvalue(), written, seconds
 
 
-def repeat_times(trees, jobs, repeat: int) -> None:
-    """Run every job ``repeat`` more times per tree, the two trees alternating job by job (and
-    which goes first alternating too), each tree's own modules swapped into sys.modules; print
-    the median over the repeats of each subcommand's summed in-process time, per tree."""
+def alternated(trees, jobs, repeat: int, time_job, what: str) -> None:
+    """Run every job ``repeat`` more times per tree in the tree's work directory, the two trees
+    alternating job by job (and which goes first alternating too), as ``time_job(tree, name,
+    argv)``, which returns seconds; print the median over the repeats of each subcommand's
+    summed seconds, per tree, with the ratio parent / change."""
     totals = [[Counter() for _ in range(repeat)] for _ in trees]
-    for r, (j, (_, argv)) in itertools.product(range(repeat), enumerate(jobs)):
+    for r, (j, (name, argv)) in itertools.product(range(repeat), enumerate(jobs)):
         for i in (0, 1) if (r + j) % 2 == 0 else (1, 0):
-            work, cli, modules = trees[i]
-            sys.modules.update(modules)
-            with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
-                totals[i][r][subcommand(argv)] += run_job(cli, argv)[3]
-    print(f"median in-process time of {repeat} repeats, parent / change:")
+            with contextlib.chdir(trees[i]["work"]):
+                totals[i][r][subcommand(argv)] += time_job(trees[i], name, argv)
+    print(f"median {what} of {repeat} repeats, parent / change:")
     for kind in [*dict.fromkeys(subcommand(argv) for _, argv in jobs), None]:
         parent, change = (statistics.median(sum(t.values()) if kind is None else t[kind]
                                             for t in tree) for tree in totals)
@@ -230,7 +239,35 @@ def repeat_times(trees, jobs, repeat: int) -> None:
               f"ratio {parent / change:.3f}")
 
 
-def main(*sources, repeat: int = 0) -> int:
+def in_process_seconds(tree, name, argv) -> float:
+    """One more in-process run of a job, with the tree's own modules swapped into sys.modules."""
+    sys.modules.update(tree["modules"])
+    with contextlib.redirect_stderr(io.StringIO()):
+        return run_job(tree["cli"], argv)[3]
+
+
+def fresh_seconds(tree, name, argv) -> float:
+    """Wall time of one ``python -m newton2pep.cli`` run of a job; a run whose exit code, stdout
+    or written file differs from the tree's in-process run is named and kept in tree["fresh"]."""
+    out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out_file is not None:
+        out_file.unlink(missing_ok=True)  # so that a run writing nothing reads as None
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([tree["src"]] + ([path] if path else [])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "newton2pep.cli", *argv], env=env,
+                          capture_output=True)
+    seconds = time.perf_counter() - start
+    written = out_file.read_bytes() if out_file is not None and out_file.exists() else None
+    code, report, in_process = tree["run"][name]
+    equal = (done.returncode, done.stdout, written) == (code, report.encode(), in_process)
+    tree["fresh"].append(equal)
+    if not equal:
+        print(f"fresh differs: {name} in {tree['src']} (exit {code} -> {done.returncode})")
+    return seconds
+
+
+def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
     runs, trees = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, src in enumerate(sources):
@@ -238,14 +275,20 @@ def main(*sources, repeat: int = 0) -> int:
             jobs = build_jobs(work, np.random.default_rng(2024))
             for name in [m for m in sys.modules if m.split(".")[0] == "newton2pep"]:
                 del sys.modules[name]
-            sys.path.insert(0, str(Path(src).resolve()))
+            sys.path.insert(0, src := str(Path(src).resolve()))
             from newton2pep import cli
             with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
                 runs.append({name: run_job(cli, argv)[:3] for name, argv in jobs})
-            trees.append((work, cli, {m: module for m, module in sys.modules.items()
-                                      if m.split(".")[0] == "newton2pep"}))
+            trees.append({"work": work, "cli": cli, "src": src, "run": runs[-1], "fresh": [],
+                          "modules": {m: module for m, module in sys.modules.items()
+                                      if m.split(".")[0] == "newton2pep"}})
         if repeat:
-            repeat_times(trees, jobs, repeat)
+            alternated(trees, jobs, repeat, in_process_seconds, "in-process time")
+        if fresh:
+            alternated(trees, jobs, fresh, fresh_seconds, "fresh-process wall time")
+            fresh_equal = [sum(tree["fresh"]) for tree in trees]
+            print(f"fresh runs per tree: {len(jobs) * fresh}  equal to in-process: "
+                  + " and ".join(map(str, fresh_equal)))
     diff = [name for name, _ in jobs if runs[0][name][:2] != runs[1][name][:2]]
     digits = []
     moved, largest = Counter(), {}  # by line prefix: lines that differ; per field: largest move
@@ -298,7 +341,8 @@ def main(*sources, repeat: int = 0) -> int:
     print(f"files written: {len(written)}  "
           f"byte-equal: {len(written) - len(files_moved) - len(files_differ)}  "
           f"digits only: {len(files_moved)}")
-    return int(len(digits) < len(diff) or bool(files_differ))
+    return int(len(digits) < len(diff) or bool(files_differ)
+               or fresh > 0 and min(fresh_equal) < len(jobs) * fresh)
 
 
 if __name__ == "__main__":
@@ -306,5 +350,8 @@ if __name__ == "__main__":
     parser.add_argument("sources", nargs=2, metavar="SRC", help="parent, then change")
     parser.add_argument("--repeat", type=int, default=0, metavar="R",
                         help="time every job R more times per tree, alternating the trees")
+    parser.add_argument("--fresh", type=int, default=0, metavar="R",
+                        help="run every job R times per tree as python -m newton2pep.cli, "
+                             "alternating the trees, and compare it with the in-process run")
     args = parser.parse_args()
-    sys.exit(main(*args.sources, repeat=args.repeat))
+    sys.exit(main(*args.sources, repeat=args.repeat, fresh=args.fresh))
