@@ -20,7 +20,6 @@ from .errors import (
 from .linalg import (
     annulus_points,
     complex_normal,
-    small_dense_eigen,
     smallest_singular_value,
 )
 from .matpoly import (

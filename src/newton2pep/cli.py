@@ -281,8 +281,6 @@ def _cmd_spectrum(args) -> int:
     if args.pencil is None:
         raise FileFormatError("slice mode requires a pencil file (or use --pair "
                               "to solve the joint spectrum of two problems)")
-    if args.slices < 1:
-        raise FileFormatError(f"--slices must be at least 1, got {args.slices}")
 
     pencil = load_pencil(args.pencil)
 

@@ -3,8 +3,10 @@
 Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
 all factorizations go straight to LAPACK through numpy, the package's only
-dependency. Generalized eigenvalues are found by shift and invert with
-``numpy.linalg.eigvals`` (:func:`small_dense_eigen`, :func:`quadratic_eigen`).
+dependency. Eigenvalues of Q(t) are found by shift and invert with
+``numpy.linalg.eigvals`` (:func:`quadratic_eigen`; :func:`small_dense_eigen`,
+the same for a pencil, is the tests' reference), and a pencil's leading
+coefficient is factored once by :func:`row_space`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "small_dense_eigen",
     "quadratic_eigen",
     "row_space",
-    "row_space_basis",
     "complex_normal",
     "annulus_points",
 ]
@@ -100,13 +101,6 @@ def row_space(b, *others):
     return scales, u, sv[sv > len(b) * np.finfo(float).eps * sv[0]], vh
 
 
-def row_space_basis(b) -> np.ndarray | None:
-    """Orthonormal columns V_r (of :func:`row_space`) spanning the row space of
-    b conjugated, or None when b has full rank: b x = 0 for x orthogonal to V_r."""
-    _, _, sigma, vh = row_space(b)
-    return None if len(sigma) == len(vh) else vh[:len(sigma)].conj().T
-
-
 def _square_stack(value, name: str) -> np.ndarray:
     """Coerce ``value`` to a finite complex square matrix or (K, m, m) stack."""
     a = np.asarray(value, dtype=complex)
@@ -131,16 +125,15 @@ def _error_radius(unit, x) -> np.ndarray:
         return np.concatenate([_error_radius(u, member[None]) for u, member in zip(unit, x)])
 
 
-def _shift_invert(at, mats, make_op, basis=None) -> list:
+def _shift_invert(at, mats, make_op) -> list:
     """Finite eigenvalues of each member, sorted by (real, imag), by shift and
     invert at the first s in SHIFTS where member k's at(s, *(M[k] for M in
     mats)) has sigma_min > SINGULAR_TOL sigma_max (else None: singular), with
-    op = make_op(shifts, shifted, regular) (op V_r for ``basis`` V_r, solved as
-    V_r* op V_r). lambda = s + 1 / theta is infinite when |lambda| >= 1 /
-    INFINITE_TOL or |theta| <= min(eps ||op||_F ||w||, eps^(1/4) ||op||_F), w
-    its row of X^-1 (unit eigenvectors X); ||w|| is taken as 1, its lower bound,
-    and an op with some |theta| in (eps ||op||_F, eps^(1/4) ||op||_F] is solved
-    again by ``eig`` with vectors."""
+    op = make_op(shifts, shifted, regular). lambda = s + 1 / theta is infinite
+    when |lambda| >= 1 / INFINITE_TOL or |theta| <= min(eps ||op||_F ||w||,
+    eps^(1/4) ||op||_F), w its row of X^-1 (unit eigenvectors X); ||w|| is
+    taken as 1, its lower bound, and an op with some |theta| in
+    (eps ||op||_F, eps^(1/4) ||op||_F] is solved again by ``eig`` with vectors."""
     shifts, shifted = np.full(len(mats[0]), SHIFTS[0]), at(SHIFTS[0], *mats)
     sv = np.linalg.svd(shifted, compute_uv=False)
     regular = sv[:, -1] > SINGULAR_TOL * sv[:, 0]
@@ -154,7 +147,6 @@ def _shift_invert(at, mats, make_op, basis=None) -> list:
     # Member by member: norm(axis=(1, 2)) rounds differently from norm().
     eps, op_norm = np.finfo(float).eps, np.array([np.linalg.norm(o) for o in op])
     unit, cap = eps * op_norm[:, None], eps ** 0.25 * op_norm[:, None]
-    op = op if basis is None else basis.conj().T @ op  # ||op V_r||_F = ||op||_F
     theta, radius = np.linalg.eigvals(op), np.repeat(unit, op.shape[-1], axis=1)
     rerun = ((np.abs(theta) > radius) & (np.abs(theta) <= cap)).any(axis=1)
     if rerun.any():
@@ -170,15 +162,14 @@ def _shift_invert(at, mats, make_op, basis=None) -> list:
     return out
 
 
-def small_dense_eigen(a, b, *, basis=None) -> list:
+# The benchmark tracer (perfbench/tracing.py) looks this name up; the tests
+# use it as their reference pencil solve. It has no other user.
+def small_dense_eigen(a, b) -> list:
     """Finite generalized eigenvalues of each pencil (A_k, B), sorted by (real,
     imag), or None for a singular pencil. ``a`` is a (K, m, m) stack and ``b``
     one matrix or a stack. Rows of A and B are divided by their largest
     magnitude (scale-free), and op = (A - s B)^-1 B is read by
-    :func:`_shift_invert`. With ``basis`` V_r of :func:`row_space_basis` for B,
-    op V_r V_r* is solved as the r x r V_r* op V_r, and the m - r eigenvalues
-    it leaves out are infinite: a Jordan block at infinity of size two becomes
-    a simple one there.
+    :func:`_shift_invert`.
     """
     a, b = _square_stack(a, "A"), _square_stack(b, "B")
     if a.ndim != 3 or a.shape[-2:] != b.shape[-2:]:
@@ -186,9 +177,8 @@ def small_dense_eigen(a, b, *, basis=None) -> list:
     a, b = np.broadcast_arrays(a, b.reshape(-1, *b.shape[-2:]))
     rows = _row_scales(a, b)[..., None]
     a, b = a / rows, b / rows
-    def solve(_, shifted, regular):  # op, or op V_r with a basis
-        return np.linalg.solve(shifted, b[regular] if basis is None else b[regular] @ basis)
-    return _shift_invert(lambda s, a_k, b_k: a_k - s * b_k, (a, b), solve, basis)
+    return _shift_invert(lambda s, a_k, b_k: a_k - s * b_k, (a, b),
+                         lambda _, shifted, regular: np.linalg.solve(shifted, b[regular]))
 
 
 def quadratic_eigen(k2, k1, k0) -> list:

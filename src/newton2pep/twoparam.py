@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal, kron,
-                     quadratic_eigen, row_space, row_space_basis, small_dense_eigen,
-                     smallest_singular_value)
+                     quadratic_eigen, row_space, smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
@@ -274,6 +273,27 @@ def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     return lam[sigma_min <= RESIDUAL_TOL * scale]
 
 
+def _deflate_infinite(w, sigma) -> list | None:
+    """Finite lambda of lam diag(sigma, 0) + W sorted by (real, imag), or None
+    for a singular slice, by the staircase for the infinite eigenvalues of a
+    pencil (Van Dooren, LAA 27, 1979; Demmel and Kagstrom, GUPTRI, ACM TOMS 19,
+    1993): while B = diag(sigma, 0) is singular, drop the columns of ker B and
+    the rows of their image W ker B (one SVD of W[:, r:]; a rank loss of the
+    image is a singular slice) and factor what is left of B again. Ranks are
+    cut at SINGULAR_TOL ||W||_F; then the values are those of -sigma^-1 W below
+    1 / INFINITE_TOL, so a Jordan block at infinity of any size reads infinite."""
+    cut = SINGULAR_TOL * np.linalg.norm(w)
+    while (r := len(sigma)) < len(w):
+        p, image, _ = np.linalg.svd(w[:, r:])
+        if image[-1] <= cut:
+            return None
+        rest = p[:, len(image):].conj().T  # the rows that W ker B leaves
+        u, sv, vh = np.linalg.svd(rest[:, :r] * sigma)
+        sigma, w = sv[sv > cut], u.conj().T @ rest @ w[:, :r] @ vh.conj().T
+    lam = np.linalg.eigvals(-w / sigma[:, None])
+    return np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
+
+
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     """Finite lambda with det(lam A1 + L(0, mu0)) = 0 for each mu0, sorted by
     (real, imag); None for a singular slice. A1 is factored once, D^-1 A1 =
@@ -282,33 +302,26 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     maps to W = U* D^-1 L(0, mu0) V. If sigma_min(W22) > SINGULAR_TOL ||W||_F
     (the whole slice's norm: a degree drop leaves a rounding-sized W22), its
     finite values are those of -Sigma_r^-1 (W11 - W12 W22^-1 W21) below
-    1 / INFINITE_TOL; other slices, and all when A1 has full rank or is zero,
-    are solved by :func:`small_dense_eigen` on A1's row space. A chunk is one
-    stack; a slice whose values overflow raises ValueError naming its mu0."""
+    1 / INFINITE_TOL; every other slice, and all when A1 has full rank or is
+    zero, goes through the deflation loop :func:`_deflate_infinite`. A chunk
+    is one stack; a slice whose values overflow raises ValueError naming its mu0."""
     scales, u, sigma, vh = row_space(*pencil.blocks())
-    r, m, left = len(sigma), 3 * pencil.n, u.conj().T / scales
-    basis, out = None, []
+    r, m, left, out = len(sigma), 3 * pencil.n, u.conj().T / scales, []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named below
         for sl, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
             if not (finite := np.isfinite(constants).all(axis=(1, 2))).all():
                 mu0 = complex(mus[sl][np.argmin(finite)])
                 raise ValueError(f"the pencil values at the slice mu0=({mu0.real:.17g}, "
                                  f"{mu0.imag:.17g}) overflow the double range")
-            lams, deflated = [None] * len(constants), np.full(len(constants), False)
-            if 0 < r < m:
-                w = left @ constants @ vh.conj().T
-                deflated = (np.linalg.svd(w[:, r:, r:], compute_uv=False)[:, -1]
-                            > SINGULAR_TOL * np.linalg.norm(w, axis=(1, 2)))
-                w = w[deflated]
-                schur = w[:, :r, :r] - w[:, :r, r:] @ np.linalg.solve(w[:, r:, r:], w[:, r:, :r])
-                for k, lam in zip(np.flatnonzero(deflated),
-                                  np.linalg.eigvals(-schur / sigma[:, None])):
-                    lams[k] = np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
-            if not deflated.all():
-                basis = basis if basis is not None or r == m else row_space_basis(pencil.A1)
-                rest = small_dense_eigen(-constants[~deflated], pencil.A1, basis=basis)
-                for k, lam in zip(np.flatnonzero(~deflated), rest):
-                    lams[k] = None if lam is None else lam.tolist()
+            w = left @ constants @ vh.conj().T
+            generic = np.full(len(w), False) if r in (0, m) else (
+                np.linalg.svd(w[:, r:, r:], compute_uv=False)[:, -1]
+                > SINGULAR_TOL * np.linalg.norm(w, axis=(1, 2)))
+            lams = [None if g else _deflate_infinite(wk, sigma) for g, wk in zip(generic, w)]
+            w = w[generic]
+            schur = w[:, :r, :r] - w[:, :r, r:] @ np.linalg.solve(w[:, r:, r:], w[:, r:, :r])
+            for k, lam in zip(np.flatnonzero(generic), np.linalg.eigvals(-schur / sigma[:, None])):
+                lams[k] = np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
             out += lams
     return out
 
@@ -371,7 +384,7 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     for k in [k for k, (_, ok) in enumerate(matches) if not ok]:
         q_side[k] = _certified(q, mus[k], q_side[k])
         matches[k] = _match(q_side[k], l_side[k], match_tol)
-    # small_dense_eigen sorts finite values by (real, imag) already.
+    # Both slice sides sort their finite values by (real, imag) already.
     records = tuple(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs.tolist()),
                                 pencil_eigenvalues=tuple(l_eigs or []),
                                 distances=tuple(dists.tolist()), contained=ok,

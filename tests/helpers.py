@@ -9,9 +9,9 @@ import numpy as np
 
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         annulus_points, companion_pencil, complex_normal,
-                        construct_e1_newton, construct_general_ansatz, newton_six,
-                        small_dense_eigen)
+                        construct_e1_newton, construct_general_ansatz, newton_six)
 from newton2pep.fileio import _matrix_to_flat
+from newton2pep.linalg import small_dense_eigen
 
 
 def random_coeffs(rng, n):
@@ -42,6 +42,22 @@ def nodes_of_kind(rng, kind):
         a, b = complex_normal(rng, 2)
         return NewtonNodes(a, a, b, b)
     return random_nodes(rng)
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(complex_normal(rng, n, n))[0]
+
+
+def masked_jordan(rng, size):
+    """A = U diag(1, .., 1, 2, -3) V and B = U (J + diag(0, .., 0, 1, 1)) V, J
+    nilpotent of the given size: finite eigenvalues -3 and 2, and a Jordan
+    block at infinity that rounding splits into a cluster of radius about
+    eps^(1/size) in op."""
+    n = size + 2
+    u, v = random_unitary(rng, n), random_unitary(rng, n)
+    a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
+    b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
+    return u @ a0 @ v, u @ b0 @ v
 
 
 def pencil_in_space(q, construction, rng):
@@ -427,7 +443,8 @@ def sampled_witness(q, pencil, params):
 
 def full_slice_eigenvalues(pencil, mus):
     """Finite lambda of each slice lam A1 + L(0, mu0), solved as the full 3n
-    pencil (reference for the row-space solve; None for a singular slice)."""
+    pencil by shift and invert (reference for the deflated slice solve; None
+    for a singular slice)."""
     out = []
     for mu0 in mus:
         lam, = small_dense_eigen(-pencil.eval(0.0, mu0)[None], pencil.A1)

@@ -504,8 +504,11 @@ class TestSpectrum:
     def test_zero_slices_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
-        code, _ = run(capsys, ["spectrum", qfile, str(out), "--slices", "0"])
+        code = main(["spectrum", qfile, str(out), "--slices", "0"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert "slices must be at least 1" in captured.err
 
     def test_q_singular_on_every_slice_is_inconclusive(self, tmp_path, capsys):
         # The second row of all six blocks is zero, so det Q(lambda, mu0)

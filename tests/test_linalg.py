@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from newton2pep import (
     NonSquareError,
     complex_normal,
-    small_dense_eigen,
     smallest_singular_value,
 )
-from newton2pep.linalg import SHIFTS, as_matrix, det, kron, quadratic_eigen, row_space_basis
+from newton2pep.linalg import (SHIFTS, as_matrix, det, kron, quadratic_eigen, row_space,
+                               small_dense_eigen)
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix,
                      companion_linearization_reference, eig_reference, kron_oracle,
-                     with_signed_zeros)
+                     masked_jordan, with_signed_zeros)
 
 
 class TestAsMatrix:
@@ -122,21 +122,9 @@ class TestSmallestSingularValue:
             smallest_singular_value(np.ones((2, 3)))
 
 
-def solve1(a, b, **kw):
+def solve1(a, b):
     """small_dense_eigen on the one-member stack [a]."""
-    return small_dense_eigen(np.asarray(a)[None], b, **kw)[0]
-
-
-def masked_jordan(rng, size):
-    """A = U diag(1, .., 1, 2, -3) V and B = U (J + diag(0, .., 0, 1, 1)) V, J
-    nilpotent of the given size: finite eigenvalues -3 and 2, and a Jordan
-    block at infinity that rounding splits into a cluster of radius about
-    eps^(1/size) in op."""
-    n = size + 2
-    u, v = (np.linalg.qr(complex_normal(rng, n, n))[0] for _ in range(2))
-    a0 = np.diag([1.0] * size + [2.0, -3.0]).astype(complex)
-    b0 = np.diag([0.0] * size + [1.0, 1.0]) + np.diag([1.0] * (size - 1) + [0.0, 0.0], 1)
-    return u @ a0 @ v, u @ b0 @ v
+    return small_dense_eigen(np.asarray(a)[None], b)[0]
 
 
 class TestSmallDenseEigen:
@@ -182,19 +170,9 @@ class TestSmallDenseEigen:
         np.testing.assert_allclose(values, [-3, 2], rtol=1e-12)
         np.testing.assert_allclose(eig_reference(a, b), values, rtol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_size_two_jordan_block_at_infinity_reads_infinite_values_only(self, seed):
-        # The construction above with size 2. On B's row space the block is a
-        # simple zero of op, so values alone read it infinite; on the full
-        # space it splits by ~sqrt(eps) and is read by the rerun with vectors.
-        a, b = masked_jordan(np.random.default_rng(seed), 2)
-        basis = row_space_basis(b)
-        assert basis.shape == (4, 3)
-        np.testing.assert_allclose(solve1(a, b, basis=basis), [-3, 2], rtol=1e-12)
-
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_values_only_reads_infinity_as_vectors_do(self, size):
-        # The masked Jordan construction above, seeds 0-9: an eigenvalue in
+        # tests/helpers.py::masked_jordan, seeds 0-9: an eigenvalue in
         # the band (eps ||op||_F, eps^(1/4) ||op||_F] makes the values-only
         # solve rerun eig with vectors, so it finds as many finite values as
         # the solve with vectors throughout.
@@ -209,8 +187,7 @@ class TestSmallDenseEigen:
         rng = np.random.default_rng(14)
         a, b = complex_normal(rng, 3, 6, 6), complex_normal(rng, 6, 6)
         b[:, 0] = 0  # one infinite eigenvalue, exactly
-        basis = row_space_basis(b)
-        for values in small_dense_eigen(a, b) + [solve1(a[0], b, basis=basis)]:
+        for values in small_dense_eigen(a, b):
             assert len(values) == 5
         assert calls == []
         assert len(eig_reference(a[0], b)) == 5  # the spy sees an eig call
@@ -245,17 +222,15 @@ class TestSmallDenseEigen:
             if kind == "second shift":
                 assert np.abs(got[i] - SHIFTS[0]).min() <= 1e-8
 
-    def test_row_space_basis(self):
+    def test_row_space(self):
         rng = np.random.default_rng(13)
-        assert row_space_basis(complex_normal(rng, 5, 5)) is None
-        assert row_space_basis(np.zeros((3, 3))).shape == (3, 0)
+        assert len(row_space(complex_normal(rng, 5, 5))[2]) == 5
+        assert len(row_space(np.zeros((3, 3)))[2]) == 0
         b = complex_normal(rng, 5, 3) @ complex_normal(rng, 3, 5)
         b[0] *= 1e-300  # a tiny row keeps its rank
-        basis = row_space_basis(b)
-        assert basis.shape == (5, 3)
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-14)
-        null = np.linalg.svd(b / np.abs(b).max(axis=1, keepdims=True))[2][3:].conj().T
-        np.testing.assert_allclose(basis.conj().T @ null, 0, atol=1e-12)
+        scales, u, sigma, vh = row_space(b)
+        assert len(sigma) == 3
+        np.testing.assert_allclose((u[:, :3] * sigma) @ vh[:3], b / scales[:, None], atol=1e-14)
 
     def test_takes_only_a_stack(self):
         with pytest.raises(ValueError, match="stack"):

@@ -36,8 +36,9 @@ from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobeni
 
 from helpers import (NODE_KINDS, assert_bitwise_equal, backward_error_reference,
                      clusters_reference, commutation_matrix, full_slice_eigenvalues, gamma_blocks,
-                     kron_oracle, nodes_of_kind, pencil_in_space, point_quotients_reference,
-                     random_coeffs, random_newton, random_nodes, regular_part_reference,
+                     kron_oracle, masked_jordan, nodes_of_kind, pencil_in_space,
+                     point_quotients_reference, random_coeffs, random_newton, random_nodes,
+                     random_unitary, regular_part_reference,
                      scalar_newton, scaled, spectrum_match_reference, spectrum_slice,
                      with_signed_zeros)
 
@@ -457,22 +458,23 @@ class TestSliceStacks:
     def test_one_eigen_call_per_side_per_chunk(self, monkeypatch, n, stack_bytes, calls):
         # At n = 2 a Q slice operator has 4^2 entries and a pencil slice 6^2,
         # so 16 * 6^2 * 2 bytes hold 4 Q slices or 2 pencil slices. Either
-        # side calls eigvals once per chunk; the pencil slices are deflated.
+        # side calls eigvals once per chunk; the pencil slices are generic, so
+        # none enters the deflation loop.
         rng = np.random.default_rng(51)
         q = random_newton(rng, n)
         pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
         monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
-        sizes, q_sizes, full = [], [], []
+        sizes, q_sizes, looped = [], [], []
         eigvals, quadratic = np.linalg.eigvals, twoparam.quadratic_eigen
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape) or eigvals(a))
         monkeypatch.setattr(twoparam, "quadratic_eigen",
                             lambda *ks: q_sizes.append(ks[0].shape) or quadratic(*ks))
-        monkeypatch.setattr(twoparam, "small_dense_eigen", lambda *a, **kw: full.append(a))
+        monkeypatch.setattr(twoparam, "_deflate_infinite", lambda *a: looped.append(a))
         report = verify_spectrum_match(q, pencil, slices=5, seed=3)
         assert (len(q_sizes), len(sizes) - len(q_sizes)) == calls
         assert sum(shape[0] for shape in sizes) == 10
         assert all(shape[-1] == 2 * n for shape in sizes)
-        assert full == []
+        assert looped == []
         assert report.all_contained
 
     def test_spectrum_slice_is_the_one_slice_stack(self):
@@ -500,7 +502,8 @@ def assert_same_finite_eigenvalues(got, want):
 
 class TestSliceRowSpace:
     # Each slice lam A1 + L(0, mu0) is solved on the row space of A1; the
-    # full 3n solve (tests/helpers.py::full_slice_eigenvalues) is the reference.
+    # full 3n shift and invert (tests/helpers.py::full_slice_eigenvalues) is
+    # the reference.
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(NODE_KINDS),
            st.sampled_from(["companion", "e1", (1, 1, 1), (0, 1, 0), (1, 0, 1)]),
@@ -512,7 +515,7 @@ class TestSliceRowSpace:
             coeffs[(2, 0)] = np.zeros((n, n))  # n infinite eigenvalues in every slice
         q = MatrixPoly2.newton(coeffs, nodes_of_kind(rng, kind))
         pencil = pencil_in_space(q, construction, rng)
-        assert twoparam.row_space_basis(pencil.A1).shape == (3 * n, 2 * n)
+        assert len(twoparam.row_space(pencil.A1)[2]) == 2 * n
         mus = annulus_points(rng, 3)
         got = twoparam._pencil_slice_eigenvalues(pencil, mus)
         assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
@@ -525,27 +528,28 @@ class TestSliceRowSpace:
         rng = np.random.default_rng(41)
         q = random_newton(rng, 3)
         pencil = construct_general_ansatz(q, [scale, 0, 0]).pencil_v
-        assert twoparam.row_space_basis(pencil.A1).shape == (9, 6)
+        assert len(twoparam.row_space(pencil.A1)[2]) == 6
         mus = annulus_points(rng, 3)
         got = twoparam._pencil_slice_eigenvalues(pencil, mus)
         assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
         assert all(len(g) == 6 for g in got)
 
-    def test_full_rank_a1_is_the_full_solve_bitwise(self):
+    def test_full_rank_a1_matches_the_full_solve(self):
         rng = np.random.default_rng(42)
         pencil = NewtonPencil.from_blocks(random_nodes(rng), *(complex_normal(rng, 6, 6)
                                                                for _ in range(3)))
-        assert twoparam.row_space_basis(pencil.A1) is None
+        assert len(twoparam.row_space(pencil.A1)[2]) == 6
         mus = annulus_points(rng, 4)
-        assert (twoparam._pencil_slice_eigenvalues(pencil, mus)
-                == full_slice_eigenvalues(pencil, mus))
+        got = twoparam._pencil_slice_eigenvalues(pencil, mus)
+        assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
+        assert [len(g) for g in got] == [6] * 4
 
     def test_zero_a1_has_no_finite_eigenvalue(self):
         rng = np.random.default_rng(43)
         zero = np.zeros((6, 6))
         pencil = NewtonPencil.from_blocks(random_nodes(rng), zero, complex_normal(rng, 6, 6),
                                           complex_normal(rng, 6, 6))
-        assert twoparam.row_space_basis(zero).shape == (6, 0)
+        assert len(twoparam.row_space(zero)[2]) == 0
         mus = annulus_points(rng, 2)
         assert twoparam._pencil_slice_eigenvalues(pencil, mus) == [[], []]
         assert full_slice_eigenvalues(pencil, mus) == [[], []]
@@ -554,7 +558,8 @@ class TestSliceRowSpace:
 class TestSliceDeflation:
     # A1 is factored once per pencil; a slice whose W22 is regular relative to
     # the whole slice is solved from n x n factorizations, and every other
-    # slice (and every slice of a full-rank or zero A1) by small_dense_eigen.
+    # slice (and every slice of a full-rank or zero A1) by the deflation loop
+    # twoparam._deflate_infinite, which works on the row space of A1 too.
     def test_generic_slice_factors_no_3n_matrix(self, monkeypatch):
         rng = np.random.default_rng(44)
         n = 32
@@ -587,10 +592,10 @@ class TestSliceDeflation:
             a1 = complex_normal(rng, 9, 9) if case == "full-rank A1" else np.zeros((9, 9))
             pencil = NewtonPencil.from_blocks(pencil.nodes, a1, pencil.A2, pencil.A3)
         mus = annulus_points(rng, 4)
-        with mock.patch.object(twoparam, "small_dense_eigen",
-                               wraps=twoparam.small_dense_eigen) as full:
+        with mock.patch.object(twoparam, "_deflate_infinite",
+                               wraps=twoparam._deflate_infinite) as loop:
             got = twoparam._pencil_slice_eigenvalues(pencil, mus)
-        assert [len(call.args[0]) for call in full.call_args_list] == [4]
+        assert loop.call_count == 4
         if case == "zero A1":
             assert got == full_slice_eigenvalues(pencil, mus) == [[]] * 4
         else:
@@ -610,11 +615,52 @@ class TestSliceDeflation:
         pencil = pencil_in_space(MatrixPoly2.newton(coeffs, nodes_of_kind(rng, kind)),
                                  construction, rng)
         mus = annulus_points(rng, 3)
-        with mock.patch.object(twoparam, "small_dense_eigen",
-                               wraps=twoparam.small_dense_eigen) as full:
+        with mock.patch.object(twoparam, "_deflate_infinite",
+                               wraps=twoparam._deflate_infinite) as loop:
             got = twoparam._pencil_slice_eigenvalues(pencil, mus)
-        assert sum(len(call.args[0]) for call in full.call_args_list) == 3
+        assert loop.call_count == 3
         assert_same_finite_eigenvalues(got, full_slice_eigenvalues(pencil, mus))
+
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_jordan_blocks_at_infinity_deflate_by_rank(self, size, seed):
+        # tests/helpers.py::masked_jordan as the slice lam B - A of a zero-node
+        # pencil (A1 = B, A2 = 0, A3 = -A), padded to 3n with finite values and
+        # mixed by unitary maps: every slice has exactly the finite values.
+        rng = np.random.default_rng(seed)
+        a, b = masked_jordan(rng, size)
+        n = (size + 2) // 3 + 1
+        extra = annulus_points(rng, 3 * n - size - 2)
+        a = np.block([[a, np.zeros((size + 2, len(extra)))],
+                      [np.zeros((len(extra), size + 2)), np.diag(extra)]])
+        b = np.block([[b, np.zeros((size + 2, len(extra)))],
+                      [np.zeros((len(extra), size + 2)), np.eye(len(extra))]])
+        u, v = random_unitary(rng, 3 * n), random_unitary(rng, 3 * n)
+        pencil = NewtonPencil.from_blocks(NewtonNodes(), u @ b @ v, np.zeros_like(a), -u @ a @ v)
+        want = np.array([-3, 2, *extra])
+        for got in twoparam._pencil_slice_eigenvalues(pencil, annulus_points(rng, 3)):
+            assert got is not None and len(got) == len(want)
+            dist = np.abs(np.array(got)[:, None] - want[None, :])
+            assert dist.min(axis=0).max() <= 1e-10 and dist.min(axis=1).max() <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.sampled_from(["companion", "e1", (1, 1, 1)]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_counts_are_invariant_under_scaled_unitary_maps(self, n, construction,
+                                                            degree_drop, seed):
+        # P L R with P and R random unitary matrices times 10^U(-6, 6) has the
+        # eigenvalues of L; on zero nodes it is the pencil lam P A1 R + P L(0, mu0) R.
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(rng, n)
+        if degree_drop:
+            coeffs[(2, 0)] = np.zeros((n, n))
+        pencil = pencil_in_space(MatrixPoly2.newton(coeffs), construction, rng)
+        p, r = (random_unitary(rng, 3 * n) * 10 ** rng.uniform(-6, 6) for _ in range(2))
+        mapped = NewtonPencil.from_blocks(pencil.nodes, *(p @ a @ r for a in pencil.blocks()))
+        mus = annulus_points(rng, 3)
+        assert_same_finite_eigenvalues(*(twoparam._pencil_slice_eigenvalues(ln, mus)
+                                         for ln in (pencil, mapped)))
 
 
 class TestExactlyDefectiveSlices:

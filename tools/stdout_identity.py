@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 999 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the
+``src`` directory. Its 1035 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the
 three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -17,8 +17,10 @@ infinity, multiple points, a shared factor, or determinants that both drop degre
 codes, counts and multiplicities of those cases are compared too. Then 63 more, per node kind:
 construct, verify, spectrum for --companion and the (1, 1, 1) and (0, 1, 0) ansatz at n in {3, 8}
 on problems with C20 = 0, whose every slice drops degree, and for the (0, 1, 0) ansatz at n = 64,
-the third construction of the large-certify workload. The later blocks are drawn after the earlier
-ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV with
+the third construction of the large-certify workload. Then 36 more, per node kind: construct,
+verify, spectrum for --companion and the (0, 1, 0) ansatz at n in {32, 64} with C20 = 0, so that
+the degree-drop slices are compared at the large-certify sizes too. The later blocks are drawn
+after the earlier ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV with
 --out, as construct writes its pencil. Each tree runs the jobs in process through its own
 ``cli.main``. It names every job whose report differs, with up to three of its differing lines and
 then the lines of the longer report that have no counterpart (a job whose exit code changes may
@@ -203,6 +205,9 @@ def build_jobs(work: Path, rng) -> list:
         for n, c in itertools.product((3, 8), ("companion", (1, 1, 1), (0, 1, 0))):
             jobs += chain(kind, n, c, None, drop=True)
         jobs += chain(kind, 64, (0, 1, 0), None)
+    for kind in NODE_KINDS:  # degree-drop slices at the large-certify sizes
+        for n, c in itertools.product((32, 64), ("companion", (0, 1, 0))):
+            jobs += chain(kind, n, c, None, drop=True)
     return jobs
 
 
