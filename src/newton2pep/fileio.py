@@ -17,11 +17,12 @@ L1/L2/L0 (monomial) or A1/A2/A3 (newton), each 3n x 3n. The label is a
 file layout only, and this module alone decides it: writers pick it from
 the nodes (:func:`layout`), so a polynomial or pencil whose nodes are all
 zero (signed zeros too) is written as "monomial" whatever file it was read
-from. Readers ignore
-other keys, such as the "provenance" object that earlier versions wrote:
-every certificate reads the blocks alone. Writers emit single-line JSON
-with sorted keys, so output is byte-deterministic; both encodings are
-exact (signed zeros and subnormals included). Readers accept any
+from. Readers ignore other keys, such as the "provenance" object that
+earlier versions wrote: every certificate reads the blocks alone. Writers
+emit single-line JSON with sorted keys, so output is byte-deterministic;
+they encode and write each matrix in turn, so no whole-document string is
+built and at most one matrix's base64 text is held at once. Both encodings
+are exact (signed zeros and subnormals included). Readers accept any
 whitespace. A string must be strict base64 of exactly 16 bytes per entry;
 non-finite or out-of-double-range numbers raise a FileFormatError naming
 the entry.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import binascii
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +73,9 @@ def _pair_to_complex(value, where: str) -> complex:
     return z
 
 
-def _matrix_to_flat(mat: np.ndarray) -> str:
-    raw = np.ascontiguousarray(mat, "<c16").tobytes()
-    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+def _matrix_to_flat(mat: np.ndarray) -> bytes:
+    """The base64 ASCII bytes of a matrix's row-major "<c16" bytes, read in place."""
+    return binascii.b2a_base64(np.ascontiguousarray(mat, "<c16"), newline=False)
 
 
 def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
@@ -128,10 +128,18 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _dump_json(path, doc: dict) -> None:
-    # indent=None lets CPython use its C encoder.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _save(path, header: dict, group: str, mats: dict) -> None:
+    """Write header plus ``group``: {name: matrix} as one line of sorted-key
+    JSON, encoding and writing one matrix at a time."""
+    # Each "" is one matrix's place, in sorted-name order: the header holds no
+    # empty string. indent=None lets CPython use its C encoder.
+    text = json.dumps({**header, group: dict.fromkeys(mats, "")}, sort_keys=True,
+                      separators=(",", ":"))
+    *heads, tail = text.encode().split(b'""')
+    with open(path, "wb") as fh:
+        for head, name in zip(heads, sorted(mats), strict=True):
+            fh.writelines((head, b'"', _matrix_to_flat(mats[name]), b'"'))
+        fh.write(tail + b"\n")
 
 
 def layout(obj) -> str:
@@ -193,10 +201,8 @@ def load_problem(path) -> MatrixPoly2:
 
 
 def save_problem(path, poly: MatrixPoly2) -> None:
-    doc = _header(poly)
-    doc["coefficients"] = {name: _matrix_to_flat(poly.coeff(*key))
-                           for name, key in COEFF_NAMES.items()}
-    _dump_json(path, doc)
+    _save(path, _header(poly), "coefficients",
+          {name: poly.coeff(*key) for name, key in COEFF_NAMES.items()})
 
 
 def load_pencil(path) -> NewtonPencil:
@@ -215,10 +221,8 @@ def load_pencil(path) -> NewtonPencil:
 
 
 def save_pencil(path, pencil: NewtonPencil) -> None:
-    doc = _header(pencil)
-    doc["blocks"] = {name: _matrix_to_flat(block)
-                     for name, block in zip(BLOCK_NAMES[doc["basis"]], pencil.blocks())}
-    _dump_json(path, doc)
+    header = _header(pencil)
+    _save(path, header, "blocks", dict(zip(BLOCK_NAMES[header["basis"]], pencil.blocks())))
 
 
 def params_from_dict(doc: dict, n: int, where: str = "params"):

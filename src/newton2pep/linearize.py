@@ -202,20 +202,25 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     """Check that the pencil is the e1 pencil of ``params`` and predict gamma.
 
     The residual is ||L - L_e1||_F / ||L_e1||_F over the three blocks, both
-    first brought to unit size by one power of two so that no squared entry
-    over- or underflows. No node and no sample point is read. A numerically
-    singular Z is rejected.
+    first brought to unit size by one power of two, taken over all three
+    blocks, so that no squared entry over- or underflows; it is measured one
+    block at a time. No node and no sample point is read. A numerically
+    singular Z is rejected. The predicted gamma is det Z, from the log
+    determinant of Z itself.
     """
     require_matching(q, pencil, params=params)
     params.require_admissible(tol)
-    target = np.stack(assemble_e1_blocks(q, params))
-    scale = 2.0 ** -np.frexp(np.abs(target).max())[1]
-    target *= scale
+    target = assemble_e1_blocks(q, params)
+    scale = 2.0 ** -np.frexp(max(np.abs(t).max() for t in target))[1]
+    diff, size = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge pencil reads inf or nan: fail
-        diff = np.stack(pencil.blocks()) * scale - target
-        residual = float(np.linalg.norm(diff) / np.linalg.norm(target))
-    sign_zi, log_zi = np.linalg.slogdet(np.linalg.inv(params.z_block))
-    return UnimodularWitnessPair(log_predicted_gamma=-log_zi - 1j * np.angle(sign_zi),
+        for block, t in zip(pencil.blocks(), target):
+            t *= scale  # exact, in assemble_e1_blocks' own array
+            diff.append(np.linalg.norm(block * scale - t))
+            size.append(np.linalg.norm(t))
+        residual = float(np.linalg.norm(diff) / np.linalg.norm(size))
+    sign_z, log_z = np.linalg.slogdet(params.z_block)
+    return UnimodularWitnessPair(log_predicted_gamma=log_z + 1j * np.angle(sign_z),
                                  reduction_residual=residual)
 
 

@@ -262,12 +262,16 @@ def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
 def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     """The values lam of the slice at mu0 whose backward error
     sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F) is
-    at most RESIDUAL_TOL, from one stacked SVD without vectors. The measure
-    reads the same for Q and 2^k Q, and is at most the eigenvector residual
+    at most RESIDUAL_TOL, from stacked SVDs without vectors of at most
+    STACK_BYTES of n x n matrices (at least one). The measure reads the same
+    for Q and 2^k Q, and is at most the eigenvector residual
     ||Q(lam, mu0) x|| / ||x|| over the same denominator for every x != 0."""
     k2, k1, k0 = q.on_line(*_slice_lines(mu0))
-    t = lam[:, None, None]
-    sigma_min = np.linalg.svd(t * t * k2 + t * k1 + k0, compute_uv=False)[:, -1]
+    step, sigma_min = chunk_step(q.n), np.empty(len(lam))
+    for start in range(0, len(lam), step):
+        t = lam[start:start + step, None, None]
+        sigma_min[start:start + step] = np.linalg.svd(t * t * k2 + t * k1 + k0,
+                                                      compute_uv=False)[:, -1]
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
     return lam[sigma_min <= RESIDUAL_TOL * scale]

@@ -10,7 +10,7 @@ import numpy as np
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         annulus_points, companion_pencil, complex_normal,
                         construct_e1_newton, construct_general_ansatz, newton_six)
-from newton2pep.fileio import _matrix_to_flat
+from newton2pep.fileio import BLOCK_NAMES, COEFF_NAMES, _header, _matrix_to_flat
 from newton2pep.linalg import small_dense_eigen
 
 
@@ -304,15 +304,35 @@ def rewrite_as_pairs(src, dst):
     """Re-emit a package-written JSON file with every base64 matrix as the
     flat [re, im] pair array that earlier versions wrote (their layout:
     single line, sorted keys), for tests that edit entries by hand."""
-    doc = _matrices_as_pairs(json.loads(Path(src).read_text(encoding="utf-8")))
+    write_whole_document(dst, _matrices_as_pairs(json.loads(Path(src).read_text(encoding="utf-8"))))
+
+
+def write_whole_document(path, doc: dict) -> None:
+    """The writer of earlier versions: the whole document as one single-line,
+    sorted-key JSON string, written at once."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(dst).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def save_whole_document(path, obj) -> None:
+    """The reference of ``save_problem`` and ``save_pencil``: a problem
+    (MatrixPoly2) or pencil file as earlier versions wrote it, every matrix
+    encoded into one document before :func:`write_whole_document`."""
+    doc = _header(obj)
+    if isinstance(obj, NewtonPencil):
+        mats = dict(zip(BLOCK_NAMES[doc["basis"]], obj.blocks()))
+        group = "blocks"
+    else:
+        mats = {name: obj.coeff(*key) for name, key in COEFF_NAMES.items()}
+        group = "coefficients"
+    doc[group] = {name: _matrix_to_flat(m).decode() for name, m in mats.items()}
+    write_whole_document(path, doc)
 
 
 def params_to_dict(params) -> dict:
     """The Y11/Z1/Z2 object of a parameter file (base64 matrices), as
     ``construct --params FILE`` and ``delta --params FILE`` read it."""
-    return {name: _matrix_to_flat(m) for name, m in
+    return {name: _matrix_to_flat(m).decode() for name, m in
             (("Y11", params.y11), ("Z1", params.z1), ("Z2", params.z2))}
 
 

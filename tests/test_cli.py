@@ -317,7 +317,8 @@ class TestVerify:
                     built = construct_general_ansatz(q, v)
                     m, params = built.M, built.params
                 doc["provenance"] = {"command": "construct", "seed": 3,
-                                     "M": _matrix_to_flat(m), "params": params_to_dict(params)}
+                                     "M": _matrix_to_flat(m).decode(),
+                                     "params": params_to_dict(params)}
                 out.write_text(json.dumps(doc))
             with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = main(["verify", qfile, str(out)])

@@ -1,13 +1,16 @@
 """JSON file layer: base64 and [re, im] pair encodings, layout compatibility."""
 
+import binascii
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import COEFF_KEYS, MatrixPoly2, NewtonNodes, companion_pencil
+from newton2pep import (COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil,
+                        complex_normal)
 from newton2pep.fileio import (
     FileFormatError,
     _flat_to_matrix,
@@ -19,7 +22,8 @@ from newton2pep.fileio import (
     save_problem,
 )
 
-from helpers import flat_to_matrix_reference, rewrite_as_pairs
+from helpers import (flat_to_matrix_reference, random_coeffs, random_newton, rewrite_as_pairs,
+                     save_whole_document)
 
 # Values a [re, im] entry may hold in a valid file, including the ones whose
 # bits a careless conversion changes: signed zero, subnormals, integers that
@@ -101,7 +105,7 @@ def matrices(draw):
 @example(np.array([[complex(-0.0, 5e-324)]]))
 @example(np.array([[complex(1.7976931348623157e308, -1.7976931348623157e308)]]))
 def test_matrix_encoding_round_trips_bitwise(mat):
-    text = json.loads(json.dumps(_matrix_to_flat(mat)))
+    text = json.loads(json.dumps(_matrix_to_flat(mat).decode()))
     assert isinstance(text, str)
     back = _flat_to_matrix(text, *mat.shape, "f.json: blocks.A1")
     assert back.dtype == np.complex128 and back.shape == mat.shape
@@ -116,11 +120,11 @@ def test_encoded_non_finite_value_names_the_entry(bad):
     mat.flat[5] = bad
     mat.flat[7] = bad
     with pytest.raises(FileFormatError, match=r"^f\.json: blocks\.A2\[5\]: non-finite value"):
-        _flat_to_matrix(_matrix_to_flat(mat), 6, 6, "f.json: blocks.A2")
+        _flat_to_matrix(_matrix_to_flat(mat).decode(), 6, 6, "f.json: blocks.A2")
 
 
 def test_encoded_byte_count_must_match_shape():
-    text = _matrix_to_flat(np.ones((2, 3), complex))
+    text = _matrix_to_flat(np.ones((2, 3), complex)).decode()
     with pytest.raises(FileFormatError, match="expected 64 bytes .* got 96"):
         _flat_to_matrix(text, 2, 2, "f.json: blocks.A1")
 
@@ -236,6 +240,44 @@ def test_writer_is_single_line_and_byte_deterministic(tmp_path, nodes):
     text = first.read_bytes()
     assert text.endswith(b"\n") and text.count(b"\n") == 1
     assert second.read_bytes() == text and resaved.read_bytes() == text
+
+
+def distinct_blocks_pencil(rng, n, nodes):
+    """A pencil whose three blocks differ, so that their order in the file shows."""
+    return NewtonPencil.from_blocks(nodes, *(complex_normal(rng, 3 * n, 3 * n) for _ in "abc"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: companion_pencil(random_newton(rng, 3)),
+    lambda rng: distinct_blocks_pencil(rng, 3, NewtonNodes()),
+    lambda rng: distinct_blocks_pencil(rng, 2, NewtonNodes(1, -0.0, 0.5j, -2)),
+    lambda rng: random_newton(rng, 3),
+    lambda rng: MatrixPoly2.newton(random_coeffs(rng, 3)),
+    lambda rng: tricky_poly(NewtonNodes(1, -0.0, 0.5j, -2)),
+], ids=["newton-pencil", "monomial-pencil", "newton-distinct-pencil", "newton-problem",
+        "monomial-problem", "tricky-problem"])
+def test_streaming_writer_matches_the_whole_document(tmp_path, build):
+    # Matrices go out in sorted-name order (A00 < A01 < ... < A20 and
+    # L0 < L1 < L2), not in COEFF_NAMES or BLOCK_NAMES order.
+    obj = build(np.random.default_rng(41))
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    (save_pencil if isinstance(obj, NewtonPencil) else save_problem)(streamed, obj)
+    save_whole_document(whole, obj)
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+def test_pencil_writer_holds_one_block_of_text(tmp_path):
+    # At n = 32 one 96 x 96 block is 196,608 bytes of base64; the whole
+    # document writer peaked at about 12 times that.
+    pencil = distinct_blocks_pencil(np.random.default_rng(42), 32, NewtonNodes(1, 2, 3, 4))
+    block_text = len(binascii.b2a_base64(pencil.A1.tobytes(), newline=False))
+    tracemalloc.start()
+    try:
+        save_pencil(tmp_path / "p.json", pencil)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block_text
 
 
 @pytest.mark.parametrize("kind", ["problem", "pencil"])

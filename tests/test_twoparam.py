@@ -477,6 +477,26 @@ class TestSliceStacks:
         assert looped == []
         assert report.all_contained
 
+    @pytest.mark.parametrize("n, members", [(4, 3), (3, 1), (5, 16)])
+    def test_certificate_svds_are_chunked(self, monkeypatch, n, members):
+        # The 2n slice values and n made-up ones are certified in SVD stacks
+        # of at most chunk_step(n) members, and keep bitwise what one stack keeps.
+        rng = np.random.default_rng(53)
+        q = random_newton(rng, n)
+        mu0 = complex(annulus_points(rng, 1)[0])
+        lam = twoparam._q_slice_eigenvalues(q, [mu0])[0]
+        lam = np.concatenate([lam, lam[:n] + 1e-3 * (1 + np.abs(lam[:n]))])
+        one_stack = twoparam._certified(q, mu0, lam)
+        assert 0 < len(one_stack) < len(lam)
+        monkeypatch.setattr(spaces, "STACK_BYTES", 16 * n ** 2 * members)
+        stacks, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: stacks.append(a.shape) or svd(a, **kw))
+        kept = twoparam._certified(q, mu0, lam)
+        assert max(shape[0] for shape in stacks) <= spaces.chunk_step(n) == members
+        assert sum(shape[0] for shape in stacks) == len(lam)
+        assert_bitwise_equal(kept, one_stack)
+
     def test_spectrum_slice_is_the_one_slice_stack(self):
         rng = np.random.default_rng(52)
         q = random_newton(rng, 3)

@@ -1,8 +1,8 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1035 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on the
-three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
+``src`` directory. Its 1035 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
 the (1, 1, 1) ansatz at n = 64. At n = 64 the Q slices have size 2n = 128, where LAPACK's
@@ -20,28 +20,30 @@ on problems with C20 = 0, whose every slice drops degree, and for the (0, 1, 0) 
 the third construction of the large-certify workload. Then 36 more, per node kind: construct,
 verify, spectrum for --companion and the (0, 1, 0) ansatz at n in {32, 64} with C20 = 0, so that
 the degree-drop slices are compared at the large-certify sizes too. The later blocks are drawn
-after the earlier ones, so adding them does not change the earlier draws. Every spectrum job writes its CSV with
---out, as construct writes its pencil. Each tree runs the jobs in process through its own
-``cli.main``. It names every job whose report differs, with up to three of its differing lines and
-then the lines of the longer report that have no counterpart (a job whose exit code changes may
-print nothing on one side), and every job whose written file differs in more than digits; either
-makes the exit status 1. A written CSV whose text matches once its numbers are masked counts as
-digits only, as a report does; a pencil file is base64, so any byte that differs there counts. For
-the reports that differ in digits only, each run of consecutive point lines (`` lambda=``: the Q
-values of a slice, the points of a pair, the determinant samples) is first matched line to line by
-nearest (lambda, mu), so that two points whose sort keys tie and swap at rounding level count as
-the rounding-level moves they are. It then groups the differing lines by their prefix, the text
-before the first number, and prints for each prefix the count of lines and the largest relative
-move of each field on them (``lambda`` and ``distance`` apart), so a move at rounding level in one
-field does not hide whether another field moved. A complex field moves as one number, |z - z'| /
-max(|z|, |z'|), so a part of size 1e-16 at a zero that changes sign is a rounding-level move. The
-lambda and mu of a point line move relative to max(|z|, |z'|, s) with s the largest |lambda| (or
-|mu|) on the job's point lines and at least 1, the max(1, |lambda|) of the slice matching: a whole
-point at zero, such as the 2-fold point (0, 0) of lambda mu with lambda + mu, moves by rounding,
-not by O(1). A distance moves relative to what the slice matching compares it with, match_tol
-max(1, |lambda|): a point line's own lambda, and for a slice line's max distance the lambda of the
-point that attains it. So two rounding-level distances such as 1e-15 and 5e-15 move by 4e-9 of
-that, not by 0.8 of their own size.
+after the earlier ones, so adding them does not change the earlier draws. Every spectrum job writes
+its CSV with --out, as construct writes its pencil. Each tree runs the jobs in process through its
+own ``cli.main``, and then loads every problem file the jobs read and writes it again with its own
+``fileio.save_problem`` (counted under "files written"), so that the problem writer, which no job
+reaches, is compared too. It names every job whose report differs, with up to three of its
+differing lines and then the lines of the longer report that have no counterpart (a job whose exit
+code changes may print nothing on one side), and every job or problem whose written file differs in
+more than digits; either makes the exit status 1. A written CSV whose text matches once its numbers
+are masked counts as digits only, as a report does; a pencil or rewritten problem file is base64,
+so any byte that differs there counts. For the reports that differ in digits only, each run of
+consecutive point lines (`` lambda=``: the Q values of a slice, the points of a pair, the
+determinant samples) is first matched line to line by nearest (lambda, mu), so that two points
+whose sort keys tie and swap at rounding level count as the rounding-level moves they are. It then
+groups the differing lines by their prefix, the text before the first number, and prints for each
+prefix the count of lines and the largest relative move of each field on them (``lambda`` and
+``distance`` apart), so a move at rounding level in one field does not hide whether another field
+moved. A complex field moves as one number, |z - z'| / max(|z|, |z'|), so a part of size 1e-16 at a
+zero that changes sign is a rounding-level move. The lambda and mu of a point line move relative to
+max(|z|, |z'|, s) with s the largest |lambda| (or |mu|) on the job's point lines and at least 1,
+the max(1, |lambda|) of the slice matching: a whole point at zero, such as the 2-fold point (0, 0)
+of lambda mu with lambda + mu, moves by rounding, not by O(1). A distance moves relative to what
+the slice matching compares it with, match_tol max(1, |lambda|): a point line's own lambda, and for
+a slice line's max distance the lambda of the point that attains it. So two rounding-level
+distances such as 1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
@@ -211,6 +213,23 @@ def build_jobs(work: Path, rng) -> list:
     return jobs
 
 
+def problem_files(jobs) -> list:
+    """Every problem file the jobs read, once each, in job order."""
+    files = {}
+    for _, argv in jobs:
+        files.update(dict.fromkeys(argv[1:3] if argv[0] == "delta" else argv[1:2]))
+        if "--pair" in argv:
+            files[argv[argv.index("--pair") + 1]] = None
+    return list(files)
+
+
+def resave_problems(fileio, files) -> dict:
+    """{file: bytes of the file loaded and written again by this tree's fileio}."""
+    for name in files:
+        fileio.save_problem(name + ".resaved", fileio.load_problem(name))
+    return {name: Path(name + ".resaved").read_bytes() for name in files}
+
+
 def subcommand(argv) -> str:
     return argv[0] + (" --pair" if "--pair" in argv else "")
 
@@ -273,7 +292,7 @@ def fresh_seconds(tree, name, argv) -> float:
 
 
 def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
-    runs, trees = [], []
+    runs, trees, resaved = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, src in enumerate(sources):
             (work := Path(tmp, str(i))).mkdir()
@@ -281,9 +300,10 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
             for name in [m for m in sys.modules if m.split(".")[0] == "newton2pep"]:
                 del sys.modules[name]
             sys.path.insert(0, src := str(Path(src).resolve()))
-            from newton2pep import cli
+            from newton2pep import cli, fileio
             with contextlib.chdir(work), contextlib.redirect_stderr(io.StringIO()):
                 runs.append({name: run_job(cli, argv)[:3] for name, argv in jobs})
+                resaved.append(resave_problems(fileio, problem_files(jobs)))
             trees.append({"work": work, "cli": cli, "src": src, "run": runs[-1], "fresh": [],
                           "modules": {m: module for m, module in sys.modules.items()
                                       if m.split(".")[0] == "newton2pep"}})
@@ -325,13 +345,16 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                     size = allowed[i]
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
-    written = [(name, argv) for name, argv in jobs
+    written = [(name, argv[argv.index("--out") + 1].endswith(".csv"),
+                runs[0][name][2], runs[1][name][2]) for name, argv in jobs
                if {runs[0][name][2], runs[1][name][2]} != {None}]
+    written += [(name + ".resaved", False, resaved[0][name], resaved[1][name])
+                for name in resaved[0]]
     files_moved, files_differ = [], []
-    for name, argv in written:
-        if (a := runs[0][name][2]) == (b := runs[1][name][2]):
+    for name, csv, a, b in written:
+        if a == b:
             continue
-        csv = argv[argv.index("--out") + 1].endswith(".csv") and None not in (a, b)
+        csv = csv and None not in (a, b)
         if csv and NUMBER.sub("#", a.decode()) == NUMBER.sub("#", b.decode()):
             files_moved.append(name)
         else:
