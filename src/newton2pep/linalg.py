@@ -78,8 +78,10 @@ def smallest_singular_value(a) -> float:
 # Fixed (so output is deterministic) shifts of modulus about one, away from the
 # small integers and fractions of hand-made examples; the second is a fallback.
 SHIFTS = (0.6180339887498949 + 0.5772156649015329j, -0.4142135623730950 - 0.7320508075688772j)
-# An eigenvalue with |lambda| >= 1 / INFINITE_TOL is infinite; a shifted pencil
-# with sigma_min <= SINGULAR_TOL sigma_max is singular.
+# An eigenvalue with |lambda| >= 1 / INFINITE_TOL is infinite. A singular value
+# at most SINGULAR_TOL times a norm is zero: it makes a shifted pencil with
+# sigma_min <= SINGULAR_TOL sigma_max singular and cuts each rank of the Delta
+# triple's staircase and of its regular part's normal rank.
 INFINITE_TOL = SINGULAR_TOL = 1e-10
 ANNULUS = (0.5, 2.0)  # inner and outer radius of annulus_points
 

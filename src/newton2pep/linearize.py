@@ -263,7 +263,6 @@ class LinearizationReport:
     gamma_estimate: complex
     log_gamma: complex
     max_relative_deviation: float
-    sample_count: int
     verdict: str
     tol: float
     samples: tuple
@@ -323,8 +322,8 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     verdict = "pass" if (worst < tol and phase != 0) else "fail"
     return LinearizationReport(gamma_estimate=gamma,
                                log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
-                               max_relative_deviation=worst, sample_count=samples,
-                               verdict=verdict, tol=tol, samples=records)
+                               max_relative_deviation=worst, verdict=verdict, tol=tol,
+                               samples=records)
 
 
 @dataclass(frozen=True)

@@ -173,11 +173,10 @@ def require_matching(q: MatrixPoly2, pencil: NewtonPencil | None = None, *,
 def _least_squares(s: np.ndarray, c: np.ndarray):
     """(v, ||s - v c^T||_F, ||v|| ||c||) for the least-squares v of s ~ v c^T
     (s is 3 x N, c has N entries)."""
-    with np.errstate(over="ignore"):  # an S too large is scaled and fitted again
-        v = (s @ c.conj()) / np.vdot(c, c).real
-        r = np.outer(v, c)
-        r -= s
-        return v, float(np.linalg.norm(r)), float(np.linalg.norm(v) * np.linalg.norm(c))
+    v = (s @ c.conj()) / np.vdot(c, c).real
+    r = np.outer(v, c)
+    r -= s
+    return v, float(np.linalg.norm(r)), float(np.linalg.norm(v) * np.linalg.norm(c))
 
 
 def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
@@ -207,13 +206,11 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     c = np.hstack([q.coeff(*key) for key in COEFF_KEYS]).reshape(-1)
     if (c_max := float(np.abs(c).max())) == 0:
         raise DegenerateProblemError("the polynomial is zero; membership is ill posed")
-    # Powers of two bring C, and S when its norm is far from 1, to unit size
-    # exactly, so that no squared entry under- or overflows.
-    c_scale, s_scale = 2.0 ** -np.frexp(c_max)[1], 1.0
+    # Powers of two bring C and S to unit size exactly, so that no squared
+    # entry under- or overflows (a zero S has exponent 0: scale 1).
+    c_scale, s_scale = (2.0 ** -np.frexp(m)[1] for m in (c_max, float(np.abs(s).max())))
+    s *= s_scale
     v, resid, fit = _least_squares(s, c * c_scale)
-    if not 1e-100 <= math.hypot(resid, fit) <= 1e100 and (s_max := float(np.abs(s).max())):
-        s_scale = 2.0 ** -np.frexp(s_max)[1]
-        v, resid, fit = _least_squares(s * s_scale, c * c_scale)
     s_norm = math.hypot(resid, fit)
     rel = resid / s_norm if s_norm > 0 else 0.0
 

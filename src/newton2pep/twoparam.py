@@ -40,9 +40,6 @@ from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
 DESK_SCALE_LIMIT = 3
-# Relative singular-value cut-off for each rank of the staircase reduction of
-# the Delta triple and for the normal rank of its regular part.
-RANK_TOL = 1e-10
 # Largest entry, relative to the block's, of a structural zero of an e1 pencil.
 STRUCTURE_TOL = 1e-12
 # Eigenvalues sigma closer than CLUSTER_TOL max(1, |sigma|), or whose error
@@ -440,12 +437,12 @@ def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
     """Normal-rank deficiency of a - sigma b: the smaller count of singular
-    values at most RANK_TOL times the largest, at two random sigma (0 for
+    values at most SINGULAR_TOL times the largest, at two random sigma (0 for
     an empty pencil)."""
     counts = []
     for sigma in complex_normal(rng, 2):
         sv = np.linalg.svd(a - sigma * b, compute_uv=False)
-        counts.append(int(np.count_nonzero(sv <= RANK_TOL * sv[:1])))
+        counts.append(int(np.count_nonzero(sv <= SINGULAR_TOL * sv[:1])))
     return min(counts)
 
 
@@ -476,14 +473,14 @@ def _regular_part(delta: DeltaTriple):
 
     Right steps (:func:`_right_step`) and left steps, the same on the
     conjugate transposes, repeat until neither deflates; ranks are cut at
-    RANK_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
+    SINGULAR_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
     from 9 p1 p2 to 4 p1 p2, deflates p1 p2 and ends with Delta0
     nonsingular: a square Delta0 whose singular values show full rank ends
     the loop, with no round that deflates nothing. Raises
     :class:`DegenerateProblemError` when the result is not square.
     """
     ops = (delta.delta0, delta.delta1, delta.delta2)
-    tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
+    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in ops)
     deflated = 0
     while True:
         shape = ops[0].shape

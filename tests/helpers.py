@@ -165,10 +165,11 @@ def regular_part_reference(delta):
     """twoparam._regular_part with every round taken in full: right and left
     steps with vectors until a round deflates nothing (reference for the
     loop that ends on singular values)."""
-    from newton2pep.twoparam import RANK_TOL, _adjoint, _right_step
+    from newton2pep.linalg import SINGULAR_TOL
+    from newton2pep.twoparam import _adjoint, _right_step
 
     ops = (delta.delta0, delta.delta1, delta.delta2)
-    tol = RANK_TOL * max(np.linalg.norm(d) for d in ops)
+    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in ops)
     deflated = 0
     while True:
         shape = ops[0].shape

@@ -211,6 +211,31 @@ class TestConstruct:
             assert "unrecognized arguments: --samples " + value in captured.err
             assert not out.exists()
 
+    def test_singular_z_params_is_usage_error(self, tmp_path, qfile, capsys):
+        # An inadmissible parameter file is bad input, reported as every usage error is.
+        zero = np.zeros((2, 2))
+        z = np.vstack([np.ones((2, 2)), zero, zero])
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params_to_dict(E1FreeParams.build(zero, z, z))))
+        out = tmp_path / "pencil.json"
+        code = main(["construct", qfile, "--ansatz", "1,0,0", "--params", str(pfile),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: Z block is numerically singular" in captured.err
+        assert not out.exists()
+
+    def test_companion_with_params_is_usage_error(self, tmp_path, qfile, capsys):
+        # The companion pencil has no free parameters: --params goes with --ansatz only.
+        out = tmp_path / "pencil.json"
+        code = main(["construct", qfile, "--companion", "--params", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: --params goes with --ansatz, not with --companion" in captured.err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_companion_passes_with_gamma(self, tmp_path, qfile, capsys):
@@ -354,8 +379,11 @@ class TestVerify:
     def test_too_few_samples_is_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
         run(capsys, ["construct", qfile, "--companion", "--out", str(out)])
-        code, _ = run(capsys, ["verify", qfile, str(out), "--samples", "3"])
+        code = main(["verify", qfile, str(out), "--samples", "3"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert "error: samples must be at least 6" in captured.err
 
     def test_node_mismatch_is_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
@@ -627,12 +655,13 @@ class TestDeterminism:
             assert code == 0 and f"\nseed: {seed}\n" in report
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, qfile, capsys, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, tmp_path, qfile, capsys, monkeypatch):
+        # The seed comes from --seed or is 0; no environment variable is read.
         out = tmp_path / "pencil.json"
         monkeypatch.setenv("NEWTON2PEP_SEED", "42")
         _, report = run(capsys, ["construct", qfile, "--companion",
                                  "--out", str(out)])
-        assert "seed: 42" in report
+        assert "\nseed: 0\n" in report
 
     def test_roundtrip_without_loss(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"
@@ -654,7 +683,6 @@ class TestToleranceFlags:
         "construct": ["construct", "{q}", "--companion", "--out", "{out}", "--tol"],
         "verify": ["verify", "{q}", "{pencil}", "--tol"],
         "delta": ["delta", "{p1}", "{p2}", "--check-singular", "--tol"],
-        "spectrum": ["spectrum", "{q}", "{pencil}", "--tol"],
         "spectrum-match": ["spectrum", "{q}", "{pencil}", "--match-tol"],
     }
 
@@ -687,6 +715,15 @@ class TestToleranceFlags:
         assert code == 0
         assert report
 
+    def test_spectrum_takes_no_tol(self, tmp_path, qfile, scalar_pair_files, capsys):
+        # spectrum compares with --match-tol only; a --tol would be read by nothing.
+        argv = self._argv("spectrum-match", tmp_path, qfile, scalar_pair_files, capsys)
+        code = main(argv[:-1] + ["--tol", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-9" in captured.err
+
 
 class TestSeedInputs:
     # numpy.random.default_rng takes only integers >= 0; a negative seed is a
@@ -707,17 +744,6 @@ class TestSeedInputs:
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be a non-negative integer, got '-1'" in captured.err
         assert not (tmp_path / "new.json").exists()
-
-    @pytest.mark.parametrize("value", ["-1", "seven"])
-    def test_bad_env_seed_is_named_usage_error(self, tmp_path, qfile, capsys, monkeypatch,
-                                               value):
-        monkeypatch.setenv("NEWTON2PEP_SEED", value)
-        code = main(["construct", qfile, "--companion", "--out", str(tmp_path / "p.json")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert (f"environment variable NEWTON2PEP_SEED must be a non-negative integer, "
-                f"got {value!r}") in captured.err
 
     def test_delta_params_seed_and_file(self, tmp_path, scalar_pair_files, capsys):
         p1, p2 = scalar_pair_files

@@ -43,7 +43,9 @@ the max(1, |lambda|) of the slice matching: a whole point at zero, such as the 2
 of lambda mu with lambda + mu, moves by rounding, not by O(1). A distance moves relative to what
 the slice matching compares it with, match_tol max(1, |lambda|): a point line's own lambda, and for
 a slice line's max distance the lambda of the point that attains it. So two rounding-level
-distances such as 1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size.
+distances such as 1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size. In the same
+way a ``witness gamma agreement`` value of verify moves relative to GAMMA_AGREEMENT_TOL, the bound
+verify compares it with: the value is itself at rounding level, so a rounding move would read 1.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
@@ -97,6 +99,7 @@ DEGENERATE_PAIRS = (
 )
 NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
 POINT = "  lambda="  # a point line of a report
+AGREEMENT = "witness gamma agreement:"  # a verify line, compared with GAMMA_AGREEMENT_TOL
 
 
 def line_fields(x: str, y: str) -> dict:
@@ -315,6 +318,7 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
             print(f"fresh runs per tree: {len(jobs) * fresh}  equal to in-process: "
                   + " and ".join(map(str, fresh_equal)))
     diff = [name for name, _ in jobs if runs[0][name][:2] != runs[1][name][:2]]
+    agreement_tol = trees[0]["modules"]["newton2pep.linearize"].GAMMA_AGREEMENT_TOL
     digits = []
     moved, largest = Counter(), {}  # by line prefix: lines that differ; per field: largest move
     for name in diff:
@@ -343,6 +347,8 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                            floor.get(field, 0.0) if x.startswith(POINT) else 0.0)
                 if field.endswith("distance") and i in allowed:
                     size = allowed[i]
+                elif x.startswith(AGREEMENT):
+                    size = agreement_tol
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     written = [(name, argv[argv.index("--out") + 1].endswith(".csv"),
