@@ -217,7 +217,7 @@ def load_pencil(path) -> NewtonPencil:
         if name not in raw:
             raise FileFormatError(f"{path}: blocks.{name} is missing")
         mats.append(_flat_to_matrix(raw[name], 3 * n, 3 * n, f"{path}: blocks.{name}"))
-    return NewtonPencil.from_blocks(nodes, *mats)
+    return NewtonPencil._of_owned(nodes, *mats)
 
 
 def save_pencil(path, pencil: NewtonPencil) -> None:

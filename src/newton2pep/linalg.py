@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 
-def as_matrix(value, rows=None, cols=None, name: str = "matrix") -> np.ndarray:
+def as_matrix(value, rows=None, cols=None, name: str = "matrix", copy: bool = True) -> np.ndarray:
     """Coerce ``value`` to a finite complex 2-D array, optionally checking shape."""
-    a = np.array(value, dtype=complex)
+    a = np.array(value, dtype=complex) if copy else np.asarray(value, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if rows is not None and a.shape != (rows, cols if cols is not None else rows):

@@ -25,7 +25,7 @@ Newton evaluation rule reduces to lam A1 + mu A2 + A3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class E1FreeParams:
+class E1FreeParams(NamedTuple):
     """Free parameters of the e1-ansatz construction.
 
     y11 is n x n; z1 and z2 are 3n x n stacks (Z11; Z21; Z31) and
@@ -157,7 +156,7 @@ def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
     """
     require_matching(q, params=params)
     params.require_admissible(tol)
-    return NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, params))
+    return NewtonPencil._of_owned(q.nodes, *assemble_e1_blocks(q, params))
 
 
 def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
@@ -180,8 +179,7 @@ def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
 newton_companion = companion_pencil
 
 
-@dataclass(frozen=True)
-class UnimodularWitnessPair:
+class UnimodularWitnessPair(NamedTuple):
     """Outcome of the unimodular-witness check of an e1-form pencil.
 
     E(lam, mu) = [[n1 I, I, 0], [m1 I, 0, I], [I, 0, 0]] has determinant 1
@@ -211,12 +209,12 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     require_matching(q, pencil, params=params)
     params.require_admissible(tol)
     target = assemble_e1_blocks(q, params)
-    scale = 2.0 ** -np.frexp(max(np.abs(t).max() for t in target))[1]
+    e = -np.frexp(max(np.abs(t).max() for t in target))[1]  # np.ldexp: 2.0 ** e may overflow
     diff, size = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge pencil reads inf or nan: fail
         for block, t in zip(pencil.blocks(), target):
-            t *= scale  # exact, in assemble_e1_blocks' own array
-            diff.append(np.linalg.norm(block * scale - t))
+            np.ldexp(t.view(float), e, out=t.view(float))  # exact, in assemble_e1_blocks' array
+            diff.append(np.linalg.norm(np.ldexp(block.view(float), e).view(complex) - t))
             size.append(np.linalg.norm(t))
         residual = float(np.linalg.norm(diff) / np.linalg.norm(size))
     sign_z, log_z = np.linalg.slogdet(params.z_block)
@@ -242,12 +240,11 @@ def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
         raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
     witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
     sign_m, log_m = np.linalg.slogdet(m)
-    return replace(witnesses, log_predicted_gamma=witnesses.log_predicted_gamma
-                   - q.n * (log_m + 1j * np.angle(sign_m)))
+    return witnesses._replace(log_predicted_gamma=witnesses.log_predicted_gamma
+                              - q.n * (log_m + 1j * np.angle(sign_m)))
 
 
-@dataclass(frozen=True)
-class LinearizationReport:
+class LinearizationReport(NamedTuple):
     """Result of the determinant-ratio linearization check.
 
     gamma is estimated at the sample point where |det Q| is largest; every
@@ -326,8 +323,7 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
                                samples=records)
 
 
-@dataclass(frozen=True)
-class GeneralAnsatzPencil:
+class GeneralAnsatzPencil(NamedTuple):
     """Outcome of the general-ansatz construction.
 
     ``pencil`` is the e1-form linearization built from the parameters

@@ -16,7 +16,7 @@ or label. Which file layout a polynomial is written in is decided by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,28 +35,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NewtonNodes:
-    """Interpolation nodes defining the Newton basis. Nodes may coincide."""
-
+class _Nodes(NamedTuple):
     alpha1: complex = 0j
     alpha2: complex = 0j
     beta1: complex = 0j
     beta2: complex = 0j
 
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            value = complex(getattr(self, name))
+
+class NewtonNodes(_Nodes):
+    """Interpolation nodes defining the Newton basis. Nodes may coincide."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        nodes = tuple(map(complex, _Nodes(*args, **kwargs)))
+        for name, value in zip(cls._fields, nodes):
             if not (np.isfinite(value.real) and np.isfinite(value.imag)):
                 raise ValueError(f"node {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.alpha1, self.alpha2, self.beta1, self.beta2)
+        return super().__new__(cls, *nodes)
 
     @property
     def is_zero(self) -> bool:
-        return all(z == 0 for z in self.as_tuple())
+        return all(z == 0 for z in self)
 
 
 def _mul(a, b):
@@ -93,15 +94,14 @@ def newton_line(nodes: NewtonNodes, p, r) -> np.ndarray:
     f(p) g(p) are its coefficients exactly."""
     def factors(point):  # (f_j, g_j) at the point: l - alpha1 z, l - alpha2 z, ..., z
         l, m, z = np.asarray(point, dtype=complex)
-        node = np.reshape(nodes.as_tuple(), (4,) + (1,) * z.ndim)
+        node = np.reshape(nodes, (4,) + (1,) * z.ndim)
         forms = np.concatenate([np.array([l, l, m, m]) - _mul(node, z), z[None]])
         return forms[[0, 0, 2, 0, 2, 4]], forms[[1, 2, 3, 4, 4, 4]]
     (fp, gp), (fr, gr) = factors(p), factors(r)
     return np.stack([_mul(fr, gr), _mul(fp, gr) + _mul(fr, gp), _mul(fp, gp)], axis=1)
 
 
-@dataclass(frozen=True)
-class MatrixPoly2:
+class MatrixPoly2(NamedTuple):
     """Quadratic two-parameter matrix polynomial in the Newton basis on ``nodes``.
 
     ``coeffs`` maps (i, j) in COEFF_KEYS to the n x n block multiplying the

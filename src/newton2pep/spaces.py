@@ -23,7 +23,7 @@ basis label: :mod:`newton2pep.fileio` picks a file layout from its nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def chunk_step(m: int) -> int:
     return max(1, STACK_BYTES // (16 * m ** 2))
 
 
-@dataclass(frozen=True)
-class NewtonPencil:
+class NewtonPencil(NamedTuple):
     """Newton-form pencil A1 Gamma2(lam) + A2 Gamma2t(mu) + A3.
 
     With all nodes zero this is the monomial pencil lam A1 + mu A2 + A3.
@@ -66,16 +65,19 @@ class NewtonPencil:
 
     @classmethod
     def from_blocks(cls, nodes, a1, a2, a3) -> "NewtonPencil":
-        if not isinstance(nodes, NewtonNodes):
-            nodes = NewtonNodes(*nodes)
-        a1 = np.asarray(a1, dtype=complex)
+        """The pencil of copies of three finite 3n x 3n blocks."""
+        return cls._of_owned(nodes, *(np.array(a, dtype=complex) for a in (a1, a2, a3)))
+
+    @classmethod
+    def _of_owned(cls, nodes, a1, a2, a3) -> "NewtonPencil":
+        """from_blocks without the copies, for complex blocks that the caller has
+        just built: they are checked and frozen in place."""
         if a1.ndim != 2 or a1.shape[0] % 3 != 0:
             raise ValueError(f"pencil blocks must be 3n x 3n, got {a1.shape}")
         n = a1.shape[0] // 3
-        a1 = freeze(as_matrix(a1, 3 * n, 3 * n, name="A1"))
-        a2 = freeze(as_matrix(a2, 3 * n, 3 * n, name="A2"))
-        a3 = freeze(as_matrix(a3, 3 * n, 3 * n, name="A3"))
-        return cls(n=n, nodes=nodes, A1=a1, A2=a2, A3=a3)
+        return cls(n, nodes if isinstance(nodes, NewtonNodes) else NewtonNodes(*nodes),
+                   *(freeze(as_matrix(a, 3 * n, 3 * n, name=f"A{k}", copy=False))
+                     for k, a in enumerate((a1, a2, a3), 1)))
 
     def eval(self, lam, mu) -> np.ndarray:
         """Value at (lam, mu): 3n x 3n, or a (K, 3n, 3n) stack as in MatrixPoly2.eval.
@@ -85,7 +87,7 @@ class NewtonPencil:
         this reproduces lam A1 + mu A2 + A3 bit for bit.
         """
         n = self.n
-        a1, a2, b1, b2 = self.nodes.as_tuple()
+        a1, a2, b1, b2 = self.nodes
         lam = np.asarray(lam)[..., None, None]
         mu = np.asarray(mu)[..., None, None]
         out = np.empty(lam.shape[:-2] + (3 * n, 3 * n), dtype=complex)
@@ -109,7 +111,7 @@ class NewtonPencil:
     def left_multiply(self, m) -> "NewtonPencil":
         """(m kron I_n) L for a 3 x 3 matrix m; it maps ansatz vector v to m v."""
         t = kron(m, np.eye(self.n))
-        return NewtonPencil.from_blocks(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3)
+        return NewtonPencil._of_owned(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3)
 
 
 # The benchmark tracer (perfbench/tracing.py) looks this name up; it has no
@@ -117,8 +119,7 @@ class NewtonPencil:
 MonomialPencil = NewtonPencil
 
 
-@dataclass(frozen=True)
-class AnsatzVector:
+class AnsatzVector(NamedTuple):
     """An ansatz vector in C^3 with its zero/nonzero pattern.
 
     ``pattern[i]`` is True when component i is nonzero under the shared
@@ -145,8 +146,7 @@ class AnsatzVector:
         return not any(self.pattern)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Outcome of an ansatz-space membership test.
 
     ``ansatz`` always holds the best least-squares fit; ``member`` records
@@ -166,7 +166,7 @@ def require_matching(q: MatrixPoly2, pencil: NewtonPencil | None = None, *,
     for what, part in (("pencil", pencil), ("params", params)):
         if part is not None and part.n != q.n:
             raise ValueError(f"size mismatch: {what} n={part.n}, polynomial n={q.n}")
-    if pencil is not None and pencil.nodes.as_tuple() != q.nodes.as_tuple():
+    if pencil is not None and pencil.nodes != q.nodes:
         raise NodeMismatchError("pencil and polynomial carry different nodes")
 
 
@@ -207,14 +207,15 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     if (c_max := float(np.abs(c).max())) == 0:
         raise DegenerateProblemError("the polynomial is zero; membership is ill posed")
     # Powers of two bring C and S to unit size exactly, so that no squared
-    # entry under- or overflows (a zero S has exponent 0: scale 1).
-    c_scale, s_scale = (2.0 ** -np.frexp(m)[1] for m in (c_max, float(np.abs(s).max())))
-    s *= s_scale
-    v, resid, fit = _least_squares(s, c * c_scale)
+    # entry under- or overflows (a zero S has exponent 0: scale 1). np.ldexp on
+    # the float views, as 2.0 ** e overflows for a subnormal maximum (e > 1023).
+    c_exp, s_exp = (-np.frexp(m)[1] for m in (c_max, float(np.abs(s).max())))
+    np.ldexp(s.view(float), s_exp, out=s.view(float))
+    v, resid, fit = _least_squares(s, np.ldexp(c.view(float), c_exp).view(complex))
     s_norm = math.hypot(resid, fit)
     rel = resid / s_norm if s_norm > 0 else 0.0
 
-    ansatz = AnsatzVector.classify(v * (c_scale / s_scale), tol=tol)
+    ansatz = AnsatzVector.classify(np.ldexp(v.view(float), c_exp - s_exp).view(complex), tol=tol)
     return MembershipResult(member=bool(rel <= tol), ansatz=ansatz, residual=rel, tol=tol)
 
 

@@ -28,7 +28,7 @@ is decided on a random line. One-parameter slices check single pencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,16 +70,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QtepPair:
-    """Two quadratic polynomials sharing one node set (zero for monomial input)."""
-
+class _Pair(NamedTuple):
     q1: MatrixPoly2
     q2: MatrixPoly2
 
-    def __post_init__(self):
-        if self.q1.nodes.as_tuple() != self.q2.nodes.as_tuple():
+
+class QtepPair(_Pair):
+    """Two quadratic polynomials sharing one node set (zero for monomial input)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        pair = _Pair(*args, **kwargs)
+        if pair.q1.nodes != pair.q2.nodes:
             raise NodeMismatchError("pair polynomials must share one node set")
+        return super().__new__(cls, *pair)
 
     @property
     def p1(self) -> int:
@@ -101,8 +107,7 @@ def pair_linearize(pair: QtepPair, params1: E1FreeParams,
             construct_e1_newton(pair.q2, params2))
 
 
-@dataclass(frozen=True)
-class DeltaTriple:
+class DeltaTriple(NamedTuple):
     """Operator determinants of a pencil pair; each is k1 k2 x k1 k2."""
 
     delta0: np.ndarray
@@ -121,7 +126,7 @@ def _coefficients(ln) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not hasattr(ln, "blocks"):
         return tuple(np.asarray(x, dtype=complex) for x in ln)
-    a1, a2, b1, b2 = ln.nodes.as_tuple()
+    a1, a2, b1, b2 = ln.nodes
     d_alpha = np.repeat([a2, a1, a1], ln.n)
     d_beta = np.repeat([b1, b2, b1], ln.n)
     return ln.A1, ln.A2, ln.A3 - ln.A1 * d_alpha - ln.A2 * d_beta
@@ -168,8 +173,7 @@ KERNEL_WITNESS = "kernel witness"
 DENSE_SIGMA_MIN = "dense sigma_min"
 
 
-@dataclass(frozen=True)
-class SingularityCertificate:
+class SingularityCertificate(NamedTuple):
     """Verdict on Delta0 with the quantity that decided it.
 
     ``route`` is :data:`KERNEL_WITNESS`, where ``value`` is
@@ -327,8 +331,7 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SliceRecord:
+class SliceRecord(NamedTuple):
     mu0: complex
     q_eigenvalues: tuple
     pencil_eigenvalues: tuple
@@ -337,8 +340,7 @@ class SliceRecord:
     pencil_singular: bool
 
 
-@dataclass(frozen=True)
-class SpectrumMatchReport:
+class SpectrumMatchReport(NamedTuple):
     records: tuple[SliceRecord, ...]
     all_contained: bool
     match_tol: float
@@ -395,16 +397,14 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
                                match_tol=match_tol)
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     lam: complex
     mu: complex
     multiplicity: int
     residual: float
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
+class SpectrumSample(NamedTuple):
     """Joint spectrum of a pair, with multiplicity-aware count."""
 
     points: tuple[SpectrumPoint, ...]
@@ -431,8 +431,9 @@ def _backward_errors(pair: QtepPair, norms, lams, mus) -> np.ndarray:
 def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
     """Q divided by the power of two nearest its coefficient scale: the same
     zeros and backward errors, exactly."""
-    factor = 2.0 ** -np.frexp(q.coefficient_scale())[1]
-    return MatrixPoly2.newton({key: factor * c for key, c in q.coeffs.items()}, q.nodes)
+    e = -np.frexp(q.coefficient_scale())[1]  # np.ldexp: 2.0 ** e overflows for e > 1023
+    return MatrixPoly2.newton({key: np.ldexp(c.view(float), e).view(complex)
+                               for key, c in q.coeffs.items()}, q.nodes)
 
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:

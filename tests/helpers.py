@@ -88,7 +88,7 @@ def gamma_blocks(nodes, n, lam, mu):
     form A1 Gamma2 + A2 Gamma2t + A3 of a pencil's value."""
     if n < 1:
         raise ValueError(f"block size must be positive, got {n}")
-    a1, a2, b1, b2 = nodes.as_tuple()
+    a1, a2, b1, b2 = nodes
     eye = np.eye(n)
     g = np.kron(np.diag([lam - a2, lam - a1, lam - a1]).astype(complex), eye)
     gt = np.kron(np.diag([mu - b1, mu - b2, mu - b1]).astype(complex), eye)
@@ -424,7 +424,7 @@ def witness_factors(q, params, lam, mu):
     for j in range(3):
         e[..., j * n:(j + 1) * n, :n] = triple[j] * np.eye(n)
     e[..., :n, n:2 * n] = e[..., n:2 * n, 2 * n:] = np.eye(n)
-    a1, a2, b1, b2 = q.nodes.as_tuple()
+    a1, a2, b1, b2 = q.nodes
     lam = np.asarray(lam)[..., None, None]
     mu = np.asarray(mu)[..., None, None]
     c = q.coeff

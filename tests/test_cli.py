@@ -796,6 +796,7 @@ def test_fresh_process_imports_no_scipy(tmp_path, qfile, scalar_pair_files):
                     if line.startswith("import time:")]
         assert "numpy" in imported
         assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")], argv
+        assert "dataclasses" not in imported, argv  # the records are named tuples
 
 
 def test_module_run_matches_in_process_main(tmp_path, qfile, scalar_pair_files, capsys,

@@ -244,6 +244,19 @@ class TestWitnesses:
             assert predicted == pytest.approx(det(params.z_block), rel=1e-10)
             assert abs(report.gamma_estimate - predicted) <= 1e-8 * abs(predicted)
 
+    def test_subnormal_e1_pencil_has_zero_residual(self):
+        # Problem, parameters and pencil all times 2^-1030: the blocks are brought
+        # to unit size by np.ldexp (the factor 2.0 ** 1030 overflows, and the
+        # residual read nan). det Z underflows here, so only the residual is read.
+        q = random_newton(np.random.default_rng(101), 3)
+        params = E1FreeParams.companion(q)
+        f = 2.0 ** -1030
+        tiny = E1FreeParams.build(*(f * x for x in params))
+        pencil = NewtonPencil.from_blocks(q.nodes, *(f * b for b in companion_pencil(q).blocks()))
+        with np.errstate(divide="ignore", invalid="ignore"):  # slogdet of the subnormal Z
+            wit = unimodular_witnesses(scaled(q, f), pencil, tiny)
+        assert wit.reduction_residual == 0.0
+
     def test_size_mismatch_names_the_sizes(self):
         rng = np.random.default_rng(28)
         q2, q3 = random_newton(rng, 2, NewtonNodes()), random_newton(rng, 3, NewtonNodes())

@@ -106,7 +106,7 @@ class TestEval:
         # gives point by point (no fused multiply-add in numpy's vector loops).
         rng = np.random.default_rng(32)
         q = random_newton(rng, 2)
-        a1, a2, b1, b2 = q.nodes.as_tuple()
+        a1, a2, b1, b2 = q.nodes
         lams, mus = annulus_points(rng, 64), annulus_points(rng, 64)
         stack = q.eval(lams, mus)
         for k in range(64):

@@ -22,6 +22,7 @@ from newton2pep import (
     select_M,
 )
 from newton2pep import spaces
+from newton2pep.fileio import load_pencil, save_pencil
 
 from helpers import (NODE_KINDS, gamma_blocks, newton_triple, nodes_of_kind, pencil_in_space,
                      random_coeffs, random_monomial, random_newton, random_nodes, s_map,
@@ -169,6 +170,22 @@ class TestMembershipMonomial:
                 assert (res.member, res.residual) == (ref.member, ref.residual)
                 np.testing.assert_array_equal(res.ansatz.vector * fq / fp, ref.ansatz.vector)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_pencil_is_scaled_without_overflow(self):
+        # The companion pencil times 2^-k: its largest entry is subnormal, so its
+        # scale 2^e, e > 1023, is applied by np.ldexp (2.0 ** e overflows and read
+        # member, residual 0, ansatz nan). At 2^-1030 the fit is v = 2^-1030 e1; at
+        # 2^-1060 the blocks have lost digits to the subnormal range.
+        q = random_newton(np.random.default_rng(101), 3)
+        blocks = companion_pencil(q).blocks()
+        for k, member, (low, high) in ((1030, True, (0, 1e-12)), (1060, False, (1e-6, 1e-4))):
+            res = membership_newton(NewtonPencil.from_blocks(
+                q.nodes, *(2.0 ** -k * b for b in blocks)), q)
+            assert res.member == member and low <= res.residual <= high, (k, res.residual)
+            if member:
+                v = np.ldexp(res.ansatz.vector.view(float), k).view(complex)
+                np.testing.assert_allclose(v, [1, 0, 0], atol=1e-12)
+
     def test_zero_polynomial_is_ill_posed(self):
         zero = np.zeros((2, 2))
         q = MatrixPoly2.newton({k: zero for k in
@@ -176,6 +193,37 @@ class TestMembershipMonomial:
         c = NewtonPencil.from_blocks(q.nodes, np.eye(6), np.eye(6), np.eye(6))
         with pytest.raises(DegenerateProblemError):
             membership_newton(c, q)
+
+
+class TestFromBlocks:
+    def test_copies_the_callers_blocks(self):
+        rng = np.random.default_rng(8)
+        blocks = [complex_normal(rng, 6, 6) for _ in range(3)]
+        pencil = NewtonPencil.from_blocks(NewtonNodes(), *blocks)
+        for block, own in zip(blocks, pencil.blocks()):
+            assert not np.shares_memory(block, own)
+            assert block.flags.writeable and not own.flags.writeable
+            np.testing.assert_array_equal(block, own)
+
+    def test_builders_hand_over_their_blocks(self, tmp_path, monkeypatch):
+        # The e1 constructor, left_multiply and load_pencil build their blocks
+        # themselves: they are frozen as they are, not copied by from_blocks.
+        q = random_newton(np.random.default_rng(9), 2)
+        save_pencil(tmp_path / "p.json", companion_pencil(q))
+        monkeypatch.setattr(NewtonPencil, "from_blocks", None)
+        built = companion_pencil(q)
+        assert built.A1.base is built.A2.base is built.A3.base  # one assembled array
+        for pencil in (built, built.left_multiply(select_M((1, 2, 3))),
+                       load_pencil(tmp_path / "p.json")):
+            assert not any(block.flags.writeable for block in pencil.blocks())
+
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_nonfinite_block_rejected(self, owned):
+        blocks = [np.eye(3, dtype=complex) for _ in range(3)]
+        blocks[1][2, 0] = np.nan
+        build = NewtonPencil._of_owned if owned else NewtonPencil.from_blocks
+        with pytest.raises(ValueError, match="A2 contains non-finite entries"):
+            build(NewtonNodes(), *blocks)
 
 
 class TestMembershipNewton:

@@ -58,7 +58,9 @@ under the module's ``__main__`` check runs, which the in-process runs never reac
 exit code, stdout bytes and written file bytes must equal that tree's in-process run, or the job
 is named and the exit status is 1. The median over the repeats of each subcommand's summed wall
 time, interpreter start and imports included, is printed per tree, with the ratio
-parent / change."""
+parent / change. Then a bare ``python -c "import newton2pep.cli"`` runs R times per tree, the
+trees alternating run by run, with the bytecode the job runs left; its median wall time is
+printed per tree, with the number of the R pairs of runs in which the change was faster."""
 
 import argparse
 import contextlib
@@ -273,16 +275,37 @@ def in_process_seconds(tree, name, argv) -> float:
         return run_job(tree["cli"], argv)[3]
 
 
+def fresh_env(tree) -> dict:
+    """This process's environment with the tree's src first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([tree["src"]] + ([path] if path else [])))
+
+
+def import_times(trees, repeat: int) -> None:
+    """Time ``repeat`` fresh ``python -c "import newton2pep.cli"`` runs per tree, the trees
+    alternating (and which goes first alternating too); print the median per tree and the
+    number of pairs of runs in which the change was faster."""
+    seconds = [[], []]
+    for r in range(repeat):
+        for i in (0, 1) if r % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import newton2pep.cli"], env=fresh_env(trees[i]),
+                           check=True)
+            seconds[i].append(time.perf_counter() - start)
+    parent, change = (1e3 * statistics.median(t) for t in seconds)
+    wins = sum(c < p for p, c in zip(*seconds))
+    print(f"median fresh import of newton2pep.cli over {repeat} runs, parent / change: "
+          f"{parent:.1f} ms {change:.1f} ms  change faster in {wins} of {repeat}")
+
+
 def fresh_seconds(tree, name, argv) -> float:
     """Wall time of one ``python -m newton2pep.cli`` run of a job; a run whose exit code, stdout
     or written file differs from the tree's in-process run is named and kept in tree["fresh"]."""
     out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     if out_file is not None:
         out_file.unlink(missing_ok=True)  # so that a run writing nothing reads as None
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([tree["src"]] + ([path] if path else [])))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "newton2pep.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "newton2pep.cli", *argv], env=fresh_env(tree),
                           capture_output=True)
     seconds = time.perf_counter() - start
     written = out_file.read_bytes() if out_file is not None and out_file.exists() else None
@@ -317,6 +340,7 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
             fresh_equal = [sum(tree["fresh"]) for tree in trees]
             print(f"fresh runs per tree: {len(jobs) * fresh}  equal to in-process: "
                   + " and ".join(map(str, fresh_equal)))
+            import_times(trees, fresh)
     diff = [name for name, _ in jobs if runs[0][name][:2] != runs[1][name][:2]]
     agreement_tol = trees[0]["modules"]["newton2pep.linearize"].GAMMA_AGREEMENT_TOL
     digits = []
@@ -386,6 +410,7 @@ if __name__ == "__main__":
                         help="time every job R more times per tree, alternating the trees")
     parser.add_argument("--fresh", type=int, default=0, metavar="R",
                         help="run every job R times per tree as python -m newton2pep.cli, "
-                             "alternating the trees, and compare it with the in-process run")
+                             "alternating the trees, and compare it with the in-process run; "
+                             "then time R bare imports of newton2pep.cli per tree")
     args = parser.parse_args()
     sys.exit(main(*args.sources, repeat=args.repeat, fresh=args.fresh))
