@@ -24,6 +24,7 @@ __all__ = [
     "small_dense_eigen",
     "quadratic_eigen",
     "row_space",
+    "scale_to_unit",
     "complex_normal",
     "annulus_points",
 ]
@@ -200,6 +201,15 @@ def quadratic_eigen(k2, k1, k0) -> list:
         return np.concatenate([(low - np.eye(n, 2 * n)) / s, low], axis=-2)
 
     return _shift_invert(lambda s, c2, c1, c0: s * c2 + c1 + c0 / s, (k2, k1, k0), companion_op)
+
+
+def scale_to_unit(a: np.ndarray):
+    """Scale the complex array a in place by 2^e, for the e that brings its largest
+    |entry| into [1/2, 1) (e = 0 for a zero a), and return (a, e): exact, so that no
+    squared entry under- or overflows. 2^e is applied by np.ldexp on the float view,
+    as 2.0 ** e overflows for e > 1023."""
+    e, f = -int(np.frexp(np.abs(a).max(initial=0.0))[1]), a.view(float)
+    return np.ldexp(f, e, out=f).view(complex), e
 
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:

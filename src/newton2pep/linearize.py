@@ -30,13 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateProblemError
-from .linalg import annulus_points, as_matrix, complex_normal, kron, smallest_singular_value
+from .linalg import (annulus_points, as_matrix, complex_normal, kron, scale_to_unit,
+                     smallest_singular_value)
 from .matpoly import MatrixPoly2
 from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
                      select_M)
 
-MAX_DRAWS = 32  # Z draws of E1FreeParams.random before it gives up
-RANDOM_MIN_SIGMA = 0.05  # sigma_min(Z) a random draw of unit-variance entries must exceed
 # Largest |gamma_estimate / gamma_predicted - 1| a witness accepts: the estimate, a ratio of sampled
 # determinants, rounds worse as n and the conditioning grow; a pencil not witnessed misses by O(1).
 GAMMA_AGREEMENT_TOL = 1e-6
@@ -62,7 +61,8 @@ class E1FreeParams(NamedTuple):
     y11 is n x n; z1 and z2 are 3n x n stacks (Z11; Z21; Z31) and
     (Z12; Z22; Z32). Admissibility means the 2n x 2n block built from the
     lower four sub-blocks is nonsingular. It is decided relative to ||Z||_F,
-    so every nonzero multiple of an admissible Z is admissible.
+    on Z brought to unit size by a power of two, so every nonzero multiple
+    of an admissible Z is admissible.
     """
 
     y11: np.ndarray
@@ -89,13 +89,12 @@ class E1FreeParams(NamedTuple):
         return np.concatenate((self.z1[n:], self.z2[n:]), axis=1)
 
     def require_admissible(self, tol: float = DEFAULT_TOL) -> None:
-        zb = self.z_block
-        smin = smallest_singular_value(zb)
-        bound = tol * float(np.linalg.norm(zb))
-        if smin <= bound:
+        zb, e = scale_to_unit(self.z_block)
+        smin, bound = smallest_singular_value(zb), tol * float(np.linalg.norm(zb))
+        if smin <= bound:  # reported for Z as given
             raise AdmissibilityError(
-                f"Z block is numerically singular: sigma_min = {smin:.3e} "
-                f"<= {bound:.3e}; the construction needs det Z != 0"
+                f"Z block is numerically singular: sigma_min = {np.ldexp(smin, -e):.3e} "
+                f"<= {np.ldexp(bound, -e):.3e}; the construction needs det Z != 0"
             )
 
     @classmethod
@@ -106,19 +105,15 @@ class E1FreeParams(NamedTuple):
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "E1FreeParams":
-        """Random admissible draw (rejection sampling on the Z block: at most
-        MAX_DRAWS draws, accepted when sigma_min(Z) > RANDOM_MIN_SIGMA)."""
-        y11 = complex_normal(rng, n, n)
-        for _ in range(MAX_DRAWS):
-            z1 = complex_normal(rng, 3 * n, n)
-            z2 = complex_normal(rng, 3 * n, n)
-            params = cls.build(y11, z1, z2)
-            if smallest_singular_value(params.z_block) > RANDOM_MIN_SIGMA:
-                return params
-        raise AdmissibilityError(
-            f"failed to draw admissible Z after {MAX_DRAWS} tries "
-            f"(min_sigma = {RANDOM_MIN_SIGMA})"
-        )
+        """Random admissible draw: Y11 and the top rows (Z11, Z12) complex normal,
+        and the Z block Haar unitary, the Q factor of a complex normal matrix
+        with its column phases fixed by diag(R) (Mezzadri, Notices AMS 54,
+        2007), so sigma_min(Z) = sigma_max(Z) = 1 and no draw is rejected."""
+        y11, top = complex_normal(rng, n, n), complex_normal(rng, n, 2 * n)
+        q, r = np.linalg.qr(complex_normal(rng, 2 * n, 2 * n))
+        d = r.diagonal()
+        z = np.vstack([top, q * (d / abs(d))])
+        return cls.build(y11, z[:, :n], z[:, n:])
 
     @classmethod
     def companion(cls, q: MatrixPoly2) -> "E1FreeParams":
@@ -131,7 +126,8 @@ class E1FreeParams(NamedTuple):
 
 
 def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
-    """Raw e1-form block triple (A1, A2, A3); no admissibility check.
+    """Raw e1-form block triple (A1, A2, A3), one (3, 3n, 3n) array; no
+    admissibility check.
 
     Exposed separately so degenerate parameter choices (for instance a zero
     Z block) can be assembled and studied; :func:`construct_e1_newton`
@@ -144,7 +140,7 @@ def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
     # 0 - Z is -Z + 0 bit for bit: the lower rows of -Z + e1 x C read +0.0 where Z is 0.
     a1[n:, 2 * n:], a2[n:, 2 * n:] = 0 - z1[n:], 0 - z2[n:]
     a3[:, :n], a3[:, n:2 * n], a3[:n, 2 * n:] = z1, z2, c(0, 0)
-    return tuple(blocks)
+    return blocks
 
 
 def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
@@ -204,22 +200,21 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     blocks, so that no squared entry over- or underflows; it is measured one
     block at a time. No node and no sample point is read. A numerically
     singular Z is rejected. The predicted gamma is det Z, from the log
-    determinant of Z itself.
+    determinant of 2^e Z at unit size, less 2n e log 2.
     """
     require_matching(q, pencil, params=params)
     params.require_admissible(tol)
-    target = assemble_e1_blocks(q, params)
-    e = -np.frexp(max(np.abs(t).max() for t in target))[1]  # np.ldexp: 2.0 ** e may overflow
+    target, e = scale_to_unit(assemble_e1_blocks(q, params))
     diff, size = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge pencil reads inf or nan: fail
         for block, t in zip(pencil.blocks(), target):
-            np.ldexp(t.view(float), e, out=t.view(float))  # exact, in assemble_e1_blocks' array
             diff.append(np.linalg.norm(np.ldexp(block.view(float), e).view(complex) - t))
             size.append(np.linalg.norm(t))
         residual = float(np.linalg.norm(diff) / np.linalg.norm(size))
-    sign_z, log_z = np.linalg.slogdet(params.z_block)
-    return UnimodularWitnessPair(log_predicted_gamma=log_z + 1j * np.angle(sign_z),
-                                 reduction_residual=residual)
+    z, z_exp = scale_to_unit(params.z_block)
+    sign_z, log_z = np.linalg.slogdet(z)
+    return UnimodularWitnessPair(log_predicted_gamma=log_z - 2 * q.n * z_exp * np.log(2)
+                                 + 1j * np.angle(sign_z), reduction_residual=residual)
 
 
 def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,

@@ -150,7 +150,3 @@ class MatrixPoly2(NamedTuple):
         p + t r, C20 l^2 + C11 l m + C02 m^2 where z = 0: shape (3, n, n), or for
         (3, K) p and r (3, K, n, n), each line bit for bit its one-line call."""
         return self._combine(newton_line(self.nodes, p, r))
-
-    def coefficient_scale(self) -> float:
-        """Largest Frobenius norm among the six blocks."""
-        return max(float(np.linalg.norm(self.coeffs[k])) for k in COEFF_KEYS)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
-from .linalg import as_matrix, freeze, kron
+from .linalg import as_matrix, freeze, kron, scale_to_unit
 from .matpoly import COEFF_KEYS, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
@@ -202,16 +202,13 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     # The S_k side by side, so that row block i of the 3 x 6n^2 stack holds
     # row block i of every S_k, laid out as the n x 6n stack of the C_k.
     s = np.hstack([a1[0], a2[0] + a1[1], a2[1], a3[0] + a1[2], a3[1] + a2[2], a3[2]])
-    s = s.reshape(3, -1)
     c = np.hstack([q.coeff(*key) for key in COEFF_KEYS]).reshape(-1)
-    if (c_max := float(np.abs(c).max())) == 0:
+    if not c.any():
         raise DegenerateProblemError("the polynomial is zero; membership is ill posed")
-    # Powers of two bring C and S to unit size exactly, so that no squared
-    # entry under- or overflows (a zero S has exponent 0: scale 1). np.ldexp on
-    # the float views, as 2.0 ** e overflows for a subnormal maximum (e > 1023).
-    c_exp, s_exp = (-np.frexp(m)[1] for m in (c_max, float(np.abs(s).max())))
-    np.ldexp(s.view(float), s_exp, out=s.view(float))
-    v, resid, fit = _least_squares(s, np.ldexp(c.view(float), c_exp).view(complex))
+    # C and S at unit size (exact powers of two); v is scaled back by 2^(c_exp - s_exp).
+    c, c_exp = scale_to_unit(c)
+    s, s_exp = scale_to_unit(s.reshape(3, -1))
+    v, resid, fit = _least_squares(s, c)
     s_norm = math.hypot(resid, fit)
     rel = resid / s_norm if s_norm > 0 else 0.0
 

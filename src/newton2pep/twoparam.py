@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal, kron,
-                     quadratic_eigen, row_space, smallest_singular_value)
-from .matpoly import MatrixPoly2, newton_line, newton_six
+                     quadratic_eigen, row_space, scale_to_unit, smallest_singular_value)
+from .matpoly import COEFF_KEYS, MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
@@ -429,11 +429,10 @@ def _backward_errors(pair: QtepPair, norms, lams, mus) -> np.ndarray:
 
 
 def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
-    """Q divided by the power of two nearest its coefficient scale: the same
-    zeros and backward errors, exactly."""
-    e = -np.frexp(q.coefficient_scale())[1]  # np.ldexp: 2.0 ** e overflows for e > 1023
-    return MatrixPoly2.newton({key: np.ldexp(c.view(float), e).view(complex)
-                               for key, c in q.coeffs.items()}, q.nodes)
+    """Q divided by a power of two near its largest entry: the same zeros and
+    backward errors, exactly, over the whole exponent range."""
+    coeffs, _ = scale_to_unit(np.stack([q.coeff(*key) for key in COEFF_KEYS]))
+    return MatrixPoly2.newton(dict(zip(COEFF_KEYS, coeffs)), q.nodes)
 
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
@@ -628,7 +627,8 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
         raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
                          f"got p1={pair.p1}, p2={pair.p2}")
-    # The e1 pencils (unit-variance Y, Z) are balanced for Qi of unit scale.
+    # The e1 pencils (unit-variance Y11 and top rows, unitary Z block) are balanced for Qi
+    # whose largest entry is near 1, as a power of two brings each Qi there exactly.
     pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
     norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
     bound = 4 * pair.p1 * pair.p2

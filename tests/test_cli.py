@@ -28,7 +28,7 @@ from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_
                                save_problem)
 
 from helpers import (NODE_KINDS, nodes_of_kind, params_to_dict, random_coeffs, random_monomial,
-                     random_newton, rewrite_as_pairs, scalar_newton)
+                     random_newton, rewrite_as_pairs, scalar_newton, scaled)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -195,6 +195,20 @@ class TestConstruct:
                                "--params", str(pfile), "--out", str(out)])
         assert code == 0
         code, report = run(capsys, ["verify", qfile, str(out)])
+        assert code == 0 and "verdict: PASS" in report
+
+    def test_params_from_file_at_huge_scale(self, tmp_path, capsys):
+        # Problem and parameters times 1e160: ||Z||_F overflows, so admissibility
+        # is decided on Z at unit size (it read "sigma_min = 3.749e+159 <= inf").
+        qfile, pfile, out = (str(tmp_path / name) for name in ("q.json", "p.json", "l.json"))
+        save_problem(qfile, scaled(random_newton(np.random.default_rng(3), 2), 1e160))
+        drawn = E1FreeParams.random(2, np.random.default_rng(4))
+        params = E1FreeParams(*(1e160 * x for x in drawn))
+        Path(pfile).write_text(json.dumps(params_to_dict(params)))
+        code, report = run(capsys, ["construct", qfile, "--ansatz", "1,0,0",
+                                    "--params", pfile, "--out", out])
+        assert code == 0 and "membership: member\n" in report
+        code, report = run(capsys, ["verify", qfile, out])
         assert code == 0 and "verdict: PASS" in report
 
     @pytest.mark.parametrize("samples", ["0", "1", "5"])

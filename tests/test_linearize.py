@@ -125,6 +125,14 @@ class TestE1Monomial:
             assert res.member
             np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-10)
 
+    def test_random_z_block_is_unitary(self):
+        # One unitary draw, never redrawn: sigma_min(Z) = sigma_max(Z) = 1 to rounding.
+        for n in range(1, 9):
+            for seed in range(200):
+                z = E1FreeParams.random(n, np.random.default_rng(seed)).z_block
+                sv = np.linalg.svd(z, compute_uv=False)
+                assert max(abs(sv[0] - 1), abs(sv[-1] - 1)) <= 1e-14, (n, seed)
+
     def test_antidiagonal_identity_blocks_admissible(self):
         n = 2
         eye, zero = np.eye(n), np.zeros((n, n))
@@ -245,17 +253,22 @@ class TestWitnesses:
             assert abs(report.gamma_estimate - predicted) <= 1e-8 * abs(predicted)
 
     def test_subnormal_e1_pencil_has_zero_residual(self):
-        # Problem, parameters and pencil all times 2^-1030: the blocks are brought
-        # to unit size by np.ldexp (the factor 2.0 ** 1030 overflows, and the
-        # residual read nan). det Z underflows here, so only the residual is read.
+        # Problem, parameters and pencil all times 2^-1030: the blocks and Z are
+        # brought to unit size by np.ldexp (the factor 2.0 ** 1030 overflows, and
+        # the residual read nan). det Z underflows, yet log det Z is finite: it
+        # is log det(2^e Z) - 2n e log 2 (slogdet of Z itself read nan).
         q = random_newton(np.random.default_rng(101), 3)
         params = E1FreeParams.companion(q)
         f = 2.0 ** -1030
         tiny = E1FreeParams.build(*(f * x for x in params))
         pencil = NewtonPencil.from_blocks(q.nodes, *(f * b for b in companion_pencil(q).blocks()))
-        with np.errstate(divide="ignore", invalid="ignore"):  # slogdet of the subnormal Z
-            wit = unimodular_witnesses(scaled(q, f), pencil, tiny)
+        tiny_q = scaled(q, f)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            wit = unimodular_witnesses(tiny_q, pencil, tiny)
         assert wit.reduction_residual == 0.0
+        sign, log_z = np.linalg.slogdet(params.z_block)
+        want = log_z + 2 * q.n * np.log(f) + 1j * np.angle(sign)
+        assert wit.log_predicted_gamma == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_size_mismatch_names_the_sizes(self):
         rng = np.random.default_rng(28)

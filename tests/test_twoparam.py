@@ -949,6 +949,14 @@ class TestSpectrumPairOracle:
         assert ref.total_count == 16
         assert got == ref
 
+    @pytest.mark.parametrize("k", [-600, -540, 540, 600, 900])
+    def test_spectrum_invariant_beyond_the_squared_range(self, k):
+        # 2^k with |k| > 511: a Frobenius norm of the blocks under- or overflows
+        # (exit 3 or "SVD did not converge"), their largest entry does not.
+        pair = random_pair(np.random.default_rng(5), 2, 2, NewtonNodes())
+        got = spectrum_pair_oracle(QtepPair(scaled(pair.q1, 2.0 ** k), scaled(pair.q2, 2.0 ** k)))
+        assert got == spectrum_pair_oracle(pair)
+
     @pytest.mark.parametrize("name", DEGREE_DROP_PAIRS)
     def test_shared_line_at_infinity_is_solved(self, name):
         # lam - 1 with mu - 1 (one common zero) or lam - 2 (none), and so on:

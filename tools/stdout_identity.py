@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1035 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1039 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -19,19 +19,22 @@ construct, verify, spectrum for --companion and the (1, 1, 1) and (0, 1, 0) ansa
 on problems with C20 = 0, whose every slice drops degree, and for the (0, 1, 0) ansatz at n = 64,
 the third construction of the large-certify workload. Then 36 more, per node kind: construct,
 verify, spectrum for --companion and the (0, 1, 0) ansatz at n in {32, 64} with C20 = 0, so that
-the degree-drop slices are compared at the large-certify sizes too. The later blocks are drawn
-after the earlier ones, so adding them does not change the earlier draws. Every spectrum job writes
-its CSV with --out, as construct writes its pencil. Each tree runs the jobs in process through its
-own ``cli.main``, and then loads every problem file the jobs read and writes it again with its own
-``fileio.save_problem`` (counted under "files written"), so that the problem writer, which no job
-reaches, is compared too. It names every job whose report differs, with up to three of its
-differing lines and then the lines of the longer report that have no counterpart (a job whose exit
-code changes may print nothing on one side), and every job or problem whose written file differs in
-more than digits; either makes the exit status 1. A written CSV whose text matches once its numbers
-are masked counts as digits only, as a report does; a pencil or rewritten problem file is base64,
-so any byte that differs there counts. For the reports that differ in digits only, each run of
-consecutive point lines (`` lambda=``: the Q values of a slice, the points of a pair, the
-determinant samples) is first matched line to line by nearest (lambda, mu), so that two points
+the degree-drop slices are compared at the large-certify sizes too. Then 4 more beyond the squared
+range of doubles: construct --params FILE and verify at n = 2 with the problem and the parameters
+times 1e160, where ||Z||_F overflows, and spectrum --pair on a 2 x 2 monomial pair (rng seed 5)
+times 2^-540 and times 2^600, where a Frobenius norm of its blocks under- or overflows. The later
+blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
+spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
+process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
+again with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
+writer, which no job reaches, is compared too. It names every job whose report differs, with up to
+three of its differing lines and then the lines of the longer report that have no counterpart (a
+job whose exit code changes may print nothing on one side), and every job or problem whose written
+file differs in more than digits; either makes the exit status 1. A written CSV whose text matches
+once its numbers are masked counts as digits only, as a report does; a pencil or rewritten problem
+file is base64, so any byte that differs there counts. For the reports that differ in digits only,
+each run of consecutive point lines (`` lambda=``: the Q values of a slice, the points of a pair,
+the determinant samples) is first matched line to line by nearest (lambda, mu), so that two points
 whose sort keys tie and swap at rounding level count as the rounding-level moves they are. It then
 groups the differing lines by their prefix, the text before the first number, and prints for each
 prefix the count of lines and the largest relative move of each field on them (``lambda`` and
@@ -215,6 +218,22 @@ def build_jobs(work: Path, rng) -> list:
     for kind in NODE_KINDS:  # degree-drop slices at the large-certify sizes
         for n, c in itertools.product((32, 64), ("companion", (0, 1, 0))):
             jobs += chain(kind, n, c, None, drop=True)
+    def times(factor, name, key=None):  # the [re, im] lists of a file, or of its key, times factor
+        doc = json.loads((work / name).read_text())
+        part = doc[key] if key else doc
+        part.update({k: [[factor * x for x in z] for z in v] for k, v in part.items()})
+        (work / name).write_text(json.dumps(doc))
+        return name
+    q = times(1e160, _write_problem(work / "huge.q", 2, rng, _nodes(rng, "newton")), "coefficients")
+    jobs += [("huge.construct", ["construct", q, "--ansatz", "1,0,0", "--params",
+                                 times(1e160, pfile("huge.p", 2)), "--out", "huge"]),
+             ("huge.verify", ["verify", q, "huge", "--seed", _int(rng)])]
+    for k in (-540, 600):  # fixed seeds: no draw from rng
+        pair_rng = np.random.default_rng(5)
+        f1, f2 = (times(2.0 ** k, _write_problem(work / f"scaled{k}{ab}", 2, pair_rng, None),
+                        "coefficients") for ab in "ab")
+        jobs.append((f"scaled{k}.pair", ["spectrum", f1, "--pair", f2, "--seed", "0",
+                                         "--out", f"scaled{k}.csv"]))
     return jobs
 
 
