@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except (AdmissibilityError, FileFormatError, NodeMismatchError, ValueError) as exc:
+    except (AdmissibilityError, FileFormatError, NodeMismatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SharedFactorError as exc:

@@ -26,6 +26,16 @@ are exact (signed zeros and subnormals included). Readers accept any
 whitespace. A string must be strict base64 of exactly 16 bytes per entry;
 non-finite or out-of-double-range numbers raise a FileFormatError naming
 the entry.
+
+Readers parse a document of ORJSON_MIN_BYTES (256 KiB) or more with
+orjson, and a smaller one, or one that orjson rejects (NaN, Infinity,
+1e400, a lone surrogate, bad syntax), with the standard library's json.
+Both give bit-identical values, and rejected text gets the json path's
+messages. orjson parses the [re, im] pair layout 4-5 times faster, saving
+about 22 ns per byte (base64 text: about 1 ns), but importing it costs a fresh
+process about 4 ms, so below about 256 KiB a CLI job would lose time. One
+difference shows: in a large file, an integer wider than 64 bits is read
+as the nearest double, which is the value a matrix entry takes anyway.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ COEFF_NAMES = {"A20": (2, 0), "A11": (1, 1), "A02": (0, 2),
 MONOMIAL = "monomial"
 NEWTON = "newton"
 BLOCK_NAMES = {MONOMIAL: ("L1", "L2", "L0"), NEWTON: ("A1", "A2", "A3")}
+# Documents of at least this many bytes are parsed by orjson (see the module docstring).
+ORJSON_MIN_BYTES = 1 << 18
 
 __all__ = [
     "FileFormatError",
@@ -116,13 +128,27 @@ def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise FileFormatError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}: {exc.msg}")
+    doc = None
+    if len(data) >= ORJSON_MIN_BYTES:
+        import orjson
+
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:  # NaN, 1e400, a lone surrogate, bad syntax
+            pass  # json below reads the document or names what is wrong with it
+    if doc is None:
+        try:
+            # Universal newlines, as a text-mode read gives, keep error positions as they were.
+            doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
+                                  f"column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     return doc

@@ -3,10 +3,14 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import newton2pep
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         annulus_points, companion_pencil, complex_normal,
                         construct_e1_newton, construct_general_ansatz, newton_six)
@@ -581,3 +585,23 @@ def point_quotients_reference(delta, x, y):
         lams.append(lam_mu[0, 0])
         mus.append(lam_mu[0, 1])
     return np.array(lams), np.array(mus)
+
+
+def fresh_python(*args, cwd=None):
+    """A new interpreter with this tree's ``src`` first on its path: (exit code, stdout, stderr)
+    as bytes. A subprocess, because the test process has scipy loaded already."""
+    src = str(Path(newton2pep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          timeout=120)
+
+
+def fresh_cli_imports(argv, cwd) -> list[str]:
+    """The modules that one fresh ``python -m newton2pep.cli`` process running argv imports, in
+    the order of ``-X importtime``; the process must exit 0."""
+    proc = fresh_python("-X", "importtime", "-m", "newton2pep.cli", *argv, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")]

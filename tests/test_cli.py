@@ -5,10 +5,7 @@ import contextlib
 import gc
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import tomllib
 import warnings
@@ -19,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import newton2pep
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         assemble_e1_blocks, companion_pencil, construct_general_ansatz)
 from newton2pep import cli
@@ -27,8 +23,9 @@ from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
                                save_problem)
 
-from helpers import (NODE_KINDS, nodes_of_kind, params_to_dict, random_coeffs, random_monomial,
-                     random_newton, rewrite_as_pairs, scalar_newton, scaled)
+from helpers import (NODE_KINDS, fresh_cli_imports, fresh_python, nodes_of_kind, params_to_dict,
+                     random_coeffs, random_monomial, random_newton, rewrite_as_pairs,
+                     scalar_newton, scaled)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -767,6 +764,44 @@ class TestSeedInputs:
         assert code == 2
 
 
+class TestFileAccess:
+    """A path that cannot be opened, or a file that is not UTF-8 text, is a usage error (exit 2)
+    whose message names the path; nothing is printed on stdout."""
+
+    @staticmethod
+    def usage_error(capsys, argv, path):
+        code = main([str(arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        return captured.err
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        (folder := tmp_path / "somedir").mkdir()
+        self.usage_error(capsys, ["construct", folder, "--companion", "--out",
+                                  tmp_path / "p.json"], folder)
+        assert not (tmp_path / "p.json").exists()
+
+    def test_missing_output_directory(self, tmp_path, qfile, capsys):
+        out = tmp_path / "nonexistent" / "p.json"
+        self.usage_error(capsys, ["construct", qfile, "--companion", "--out", out], out)
+
+    def test_missing_csv_directory(self, tmp_path, qfile, capsys):
+        pencil = tmp_path / "p.json"
+        assert main(["construct", qfile, "--companion", "--out", str(pencil)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "nonexistent" / "s.csv"
+        self.usage_error(capsys, ["spectrum", qfile, pencil, "--slices", "1", "--out", out], out)
+
+    def test_input_that_is_not_utf8(self, tmp_path, qfile, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(Path(qfile).read_bytes().replace(b'"basis"', b'"b\xe4sis"'))
+        err = self.usage_error(capsys, ["construct", bad, "--companion", "--out",
+                                        tmp_path / "p.json"], bad)
+        assert f"error: {bad}: not UTF-8 text" in err
+
+
 def one_job_per_subcommand(q, p1, p2):
     """construct, verify, delta --check-singular, slice spectrum and spectrum --pair, each
     writing its file relative to the working directory."""
@@ -775,17 +810,6 @@ def one_job_per_subcommand(q, p1, p2):
             ["delta", p1, p2, "--check-singular"],
             ["spectrum", q, "pencil.json", "--slices", "2", "--out", "slices.csv"],
             ["spectrum", p1, "--pair", p2, "--out", "pair.csv"]]
-
-
-def fresh_python(*args, cwd=None):
-    """A new interpreter with this tree's ``src`` first on its path: (exit code, stdout, stderr)
-    as bytes. A subprocess, because this test process has scipy loaded already."""
-    src = str(Path(newton2pep.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
-                          timeout=120)
 
 
 _FRESH_PROCESS_SCRIPT = """
@@ -804,10 +828,7 @@ def test_fresh_process_imports_no_scipy(tmp_path, qfile, scalar_pair_files):
     proc = fresh_python("-c", _FRESH_PROCESS_SCRIPT, json.dumps(jobs), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     for argv in jobs:  # and each job as its own ``python -m newton2pep.cli`` process
-        proc = fresh_python("-X", "importtime", "-m", "newton2pep.cli", *argv, cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr.decode()
-        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
-                    if line.startswith("import time:")]
+        imported = fresh_cli_imports(argv, tmp_path)
         assert "numpy" in imported
         assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")], argv
         assert "dataclasses" not in imported, argv  # the records are named tuples

@@ -2,6 +2,8 @@
 
 import binascii
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,12 @@ from hypothesis import strategies as st
 
 from newton2pep import (COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil,
                         complex_normal)
+from newton2pep import fileio
 from newton2pep.fileio import (
+    BLOCK_NAMES,
+    COEFF_NAMES,
+    NEWTON,
+    ORJSON_MIN_BYTES,
     FileFormatError,
     _flat_to_matrix,
     _matrix_to_flat,
@@ -22,8 +29,8 @@ from newton2pep.fileio import (
     save_problem,
 )
 
-from helpers import (flat_to_matrix_reference, random_coeffs, random_newton, rewrite_as_pairs,
-                     save_whole_document)
+from helpers import (flat_to_matrix_reference, fresh_cli_imports, random_coeffs, random_newton,
+                     rewrite_as_pairs, save_whole_document)
 
 # Values a [re, im] entry may hold in a valid file, including the ones whose
 # bits a careless conversion changes: signed zero, subnormals, integers that
@@ -312,3 +319,166 @@ def test_layout_is_read_from_the_nodes(tmp_path, nodes, want):
     names = {"A1", "A2", "A3"} if want == "newton" else {"L1", "L2", "L0"}
     assert set(pencil["blocks"]) == names
     assert load_problem(tmp_path / "q.json").nodes == q.nodes
+
+
+# ---------------------------------------------------------------- the two parse paths
+
+# Number literals whose double is easy to get wrong: exact halfway cases (to even), one just
+# past halfway that only a digit 754 places after the point decides, a 770-digit mantissa, the
+# subnormal edge, integers that are not exact doubles, past int64 and past 64 bits (the only
+# literals the two parsers read as different types, int and float, of the same value), booleans.
+_HALF = "1.00000000000000011102230246251565404236316680908203125"  # 1 + 2^-53
+HARD_LITERALS = [
+    _HALF, _HALF + "0" * 700 + "1", "0." + "9" * 770, "-0.0", "-0", "0e-999", "1e-400",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+    "2.2250738585072011e-308", "1.7976931348623157e308", "-1.7976931348623158e308",
+    "9007199254740993", "9223372036854775808", "18446744073709551615",
+    "18446744073709553664", "18446744073709553665", "-9223372036854775809",
+    "123456789012345678901234567890", "1E5", "true", "false",
+]
+
+
+def pair_array_text(rng, rows, cols):
+    """The [re, im] pair array of a random rows x cols matrix as JSON text, its first entries
+    taken from HARD_LITERALS in a random order."""
+    parts = [repr(x) for x in complex_normal(rng, rows * cols).view(float).tolist()]
+    parts[:len(HARD_LITERALS)] = rng.permutation(HARD_LITERALS)
+    return "[" + ",".join(f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])) + "]"
+
+
+def write_large_file(path, kind, encoding, rng):
+    """A problem (n = 8) or pencil (n = 4) file whose matrices are written as pair arrays, as
+    base64 strings, or alternately as both, padded with spaces to ORJSON_MIN_BYTES."""
+    n = 8 if kind == "problem" else 4
+    names, size = ((COEFF_NAMES, n) if kind == "problem" else (BLOCK_NAMES[NEWTON], 3 * n))
+    values = []
+    for k, name in enumerate(names):
+        if encoding == "pairs" or (encoding == "mixed" and k % 2):
+            text = pair_array_text(rng, size, size)
+        else:
+            text = json.dumps(_matrix_to_flat(complex_normal(rng, size, size)).decode())
+        values.append(f'"{name}":{text}')
+    group = "coefficients" if kind == "problem" else "blocks"
+    text = (f'{{"n":{n},"basis":"newton","nodes":{{"alpha":[[1,-0.0],[0.5,2]],'
+            f'"beta":[[0,0],[-2,5e-324]]}},"{group}":{{{",".join(values)}}}}}')
+    path.write_text(padded(text))
+    return path
+
+
+def padded(text):
+    """A document padded with spaces to ORJSON_MIN_BYTES, so that it takes the orjson path."""
+    return text.rstrip().ljust(ORJSON_MIN_BYTES) + "\n"
+
+
+def loaded_values(obj):
+    """Every complex number of a loaded problem or pencil, nodes first."""
+    mats = obj.blocks() if isinstance(obj, NewtonPencil) else [obj.coeff(*k) for k in COEFF_KEYS]
+    return np.concatenate([node_values(obj.nodes)] + [m.ravel() for m in mats])
+
+
+@pytest.fixture
+def orjson_calls(monkeypatch):
+    """The outcome, "parsed" or "rejected", of each call the readers make to orjson.loads."""
+    import orjson
+
+    real, calls = orjson.loads, []
+
+    def spy(data):
+        try:
+            doc = real(data)
+        except orjson.JSONDecodeError:
+            calls.append("rejected")
+            raise
+        calls.append("parsed")
+        return doc
+
+    monkeypatch.setattr(orjson, "loads", spy)
+    return calls
+
+
+@pytest.mark.parametrize("encoding", ["pairs", "base64", "mixed"])
+@pytest.mark.parametrize("kind", ["problem", "pencil"])
+def test_large_file_parses_bit_identically_on_both_paths(tmp_path, monkeypatch, orjson_calls,
+                                                         kind, encoding):
+    path = write_large_file(tmp_path / "f.json", kind, encoding, np.random.default_rng(43))
+    assert path.stat().st_size >= ORJSON_MIN_BYTES
+    loader = load_problem if kind == "problem" else load_pencil
+    fast = loaded_values(loader(path))
+    assert orjson_calls == ["parsed"]
+    monkeypatch.setattr(fileio, "ORJSON_MIN_BYTES", math.inf)
+    slow = loaded_values(loader(path))
+    assert orjson_calls == ["parsed"]  # the second read took the json path
+    np.testing.assert_array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+
+def test_only_large_files_reach_orjson(tmp_path, orjson_calls):
+    save_problem(tmp_path / "q.json", tricky_poly(NewtonNodes(1, -0.0, 0.5j, -2)))
+    rewrite_as_pairs(tmp_path / "q.json", tmp_path / "q_pairs.json")
+    for name in ("q.json", "q_pairs.json"):
+        load_problem(tmp_path / name)
+    load_pencil(write_large_file(tmp_path / "p.json", "pencil", "pairs",
+                                 np.random.default_rng(44)))
+    assert orjson_calls == ["parsed"]
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "non-finite value [nan, "),
+    ("Infinity", "non-finite value [inf, "),
+    ("1e400", "non-finite value [inf, "),
+    ("1" + "0" * 400, "value out of double range [1000"),
+], ids=["nan", "infinity", "1e400", "10**400"])
+def test_large_file_orjson_rejects_names_the_entry(tmp_path, orjson_calls, literal, message):
+    # orjson reads none of these; the json path names the entry as it does for a small file.
+    path = write_large_file(tmp_path / "q.json", "problem", "pairs", np.random.default_rng(45))
+    text = path.read_text()
+    at = text.index('"A10":[[') + len('"A10":[[')
+    path.write_text(padded(text[:at] + literal + ",0]" + text[text.index("]", at) + 1:]))
+    with pytest.raises(FileFormatError) as large:
+        load_problem(path)
+    assert orjson_calls == ["rejected"]
+    assert str(large.value).startswith(f"{path}: coefficients.A10[0]: {message}")
+    path.write_text(path.read_text().rstrip() + "\n")
+    assert path.stat().st_size < ORJSON_MIN_BYTES
+    with pytest.raises(FileFormatError) as small:
+        load_problem(path)
+    assert str(small.value) == str(large.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"basis"', '"x":"\\ud800","basis"'),  # a lone surrogate
+    lambda text: text.replace('"basis"', '"x":NaN,"basis"'),  # json reads it, no one uses it
+], ids=["lone-surrogate", "nan-in-ignored-key"])
+def test_large_file_orjson_rejects_loads_as_json_reads_it(tmp_path, orjson_calls, edit):
+    path = write_large_file(tmp_path / "q.json", "problem", "mixed", np.random.default_rng(46))
+    want = loaded_values(load_problem(path))
+    path.write_text(padded(edit(path.read_text())))
+    got = loaded_values(load_problem(path))
+    assert orjson_calls == ["parsed", "rejected"]
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.replace(b'"n":', b'"n":,', 1),
+     r"invalid JSON at line 1, column 6: Expecting value$"),
+    (lambda data: b"\xef\xbb\xbf" + data,
+     r"invalid JSON at line 1, column 1: Unexpected UTF-8 BOM"),
+    (lambda data: data.replace(b"{", b"{\r\r\n", 1).replace(b'"n":', b'"n":,', 1),
+     r"invalid JSON at line 3, column 5: Expecting value$"),
+    (lambda data: data.replace(b'"basis"', b'"b\xe4sis"'),
+     r"not UTF-8 text \(invalid continuation byte at byte 9\)$"),
+], ids=["syntax", "bom", "carriage-returns", "latin-1"])
+def test_unreadable_text_names_the_file(tmp_path, size, edit, message):
+    path = write_large_file(tmp_path / "q.json", "problem", "base64", np.random.default_rng(47))
+    data = path.read_bytes()
+    path.write_bytes(edit(data if size == "large" else data.rstrip() + b"\n"))
+    assert (path.stat().st_size >= ORJSON_MIN_BYTES) == (size == "large")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        load_problem(path)
+
+
+def test_fresh_construct_on_a_small_file_does_not_import_orjson(tmp_path):
+    save_problem(tmp_path / "q.json", random_newton(np.random.default_rng(48), 2))
+    imported = fresh_cli_imports(["construct", "q.json", "--companion", "--out", "p.json"],
+                                 tmp_path)
+    assert "newton2pep.fileio" in imported and "orjson" not in imported
