@@ -6,7 +6,8 @@ the linearization property (determinant-ratio sampling, and the explicit
 unimodular factors checked exactly on the blocks), and assembles the
 Kronecker operator determinants coupling a pair of such problems. From
 those singular operators it solves the joint spectrum of a pair at desk
-scale on their regular part, found by a staircase reduction, using numpy only.
+scale on their regular part, found by a staircase reduction. The numerics
+use numpy only; large input files are parsed with orjson.
 """
 
 from .errors import (

@@ -2,11 +2,12 @@
 
 Everything here operates on plain ``numpy.ndarray`` values with dtype
 ``complex128``. Matrices are small (block sizes up to a few dozen rows), so
-all factorizations go straight to LAPACK through numpy, the package's only
-dependency. Eigenvalues of Q(t) are found by shift and invert with
-``numpy.linalg.eigvals`` (:func:`quadratic_eigen`; :func:`small_dense_eigen`,
-the same for a pencil, is the tests' reference), and a pencil's leading
-coefficient is factored once by :func:`row_space`.
+all factorizations go straight to LAPACK through numpy. The numerics use
+numpy only; large input files are parsed with orjson. Eigenvalues of Q(t)
+are found by shift and invert with ``numpy.linalg.eigvals``
+(:func:`quadratic_eigen`; :func:`small_dense_eigen`, the same for a pencil,
+is the tests' reference), and a pencil's leading coefficient is factored
+once by :func:`row_space`.
 """
 
 from __future__ import annotations

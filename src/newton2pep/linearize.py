@@ -36,7 +36,7 @@ from .matpoly import MatrixPoly2
 from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
                      select_M)
 
-# Largest |gamma_estimate / gamma_predicted - 1| a witness accepts: the estimate, a ratio of sampled
+# Largest |gamma / gamma_predicted - 1| a witness accepts: the sampled gamma, a ratio of sampled
 # determinants, rounds worse as n and the conditioning grow; a pencil not witnessed misses by O(1).
 GAMMA_AGREEMENT_TOL = 1e-6
 
@@ -244,24 +244,21 @@ class LinearizationReport(NamedTuple):
 
     gamma is estimated at the sample point where |det Q| is largest; every
     other sample must satisfy |det L - gamma det Q| <= tol |gamma det Q|,
-    compared in log space (``log_gamma`` = log|gamma| + i arg gamma; the
-    rounded values may read 0 or inf). The verdict is "pass" exactly when
-    the largest relative deviation stays below tol and gamma != 0. gamma scales
+    compared in log space. gamma and each sampled det L and det Q are kept
+    as complex logs, log|d| + i arg d, which no scale over- or underflows:
+    -inf for d = 0, nan where L overflowed. ``samples`` holds (lambda, mu,
+    log det L, log det Q, deviation). ``passed`` is true exactly when the
+    largest relative deviation stays below tol and gamma != 0. gamma scales
     with the pencil (as s^{3n} under L -> s L), so no absolute floor applies
-    to it: a pencil whose det L is exactly zero gets gamma = 0, and one whose
-    det L is only rounding noise fails the constancy test.
+    to it: a pencil whose det L is exactly zero gets log gamma = -inf, and
+    one whose det L is only rounding noise fails the constancy test.
     """
 
-    gamma_estimate: complex
     log_gamma: complex
     max_relative_deviation: float
-    verdict: str
+    passed: bool
     tol: float
     samples: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
@@ -305,17 +302,12 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         dev = np.where((sign_q == 0) | (phase == 0), np.where(sign_l == 0, 0.0, np.inf), dev)
         dev[overflow] = np.inf
         dev[ref] = 0.0
-        records = tuple((complex(lam), complex(mu), complex(sl * np.exp(ll)),
-                         complex(sq * np.exp(lq)), float(d))
-                        for lam, mu, sl, ll, sq, lq, d in zip(lams, mus, sign_l, log_l,
-                                                              sign_q, log_q, dev))
-        gamma = complex(phase * np.exp(log_abs_gamma))
     worst = float(dev.max())
-    verdict = "pass" if (worst < tol and phase != 0) else "fail"
-    return LinearizationReport(gamma_estimate=gamma,
-                               log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
-                               max_relative_deviation=worst, verdict=verdict, tol=tol,
-                               samples=records)
+    samples = zip(lams.tolist(), mus.tolist(), (log_l + 1j * np.angle(sign_l)).tolist(),
+                  (log_q + 1j * np.angle(sign_q)).tolist(), dev.tolist())
+    return LinearizationReport(log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
+                               max_relative_deviation=worst, passed=bool(worst < tol and phase != 0),
+                               tol=tol, samples=tuple(samples))
 
 
 class GeneralAnsatzPencil(NamedTuple):

@@ -180,7 +180,8 @@ class SingularityCertificate(NamedTuple):
     ||Delta0 (u kron v)||_2 for a unit vector u kron v and so an upper bound
     on sigma_min(Delta0), or :data:`DENSE_SIGMA_MIN`, where ``value`` is
     sigma_min(Delta0) itself. The pair is singular when
-    ``value <= threshold = tol * frobenius``.
+    ``value <= threshold = tol * frobenius``. ``margin`` is value / threshold,
+    at most 1 exactly when the verdict is singular.
     """
 
     is_singular: bool
@@ -188,14 +189,8 @@ class SingularityCertificate(NamedTuple):
     value: float
     frobenius: float
     threshold: float
+    margin: float
     structural_zero_pattern: bool | None  # None for raw triples
-
-    @property
-    def margin(self) -> float:
-        """value / threshold; at most 1 exactly when the verdict is singular."""
-        if self.threshold > 0:
-            return self.value / self.threshold
-        return 0.0 if self.value == 0 else float("inf")
 
 
 def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
@@ -204,7 +199,11 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     The criterion is sigma_min(Delta0) <= tol * ||Delta0||_F, with the
     Frobenius norm computed from the blocks (:func:`_delta0_frobenius`).
     Pencils or raw (A, B, C) triples are accepted, as in
-    :func:`delta_operators`.
+    :func:`delta_operators`. Each side's (A, B, C) is first brought to unit
+    size by one power of two, which scales Delta0 by their product: the
+    verdict and the margin are decided there, so no squared entry over- or
+    underflows, and value, frobenius and threshold are scaled back for the
+    report (inf or 0 only where they leave the double range).
 
     Kernel witness first: u and v are the unit right singular vectors of
     the smallest singular values of B1 and B2, and
@@ -221,8 +220,8 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     For a pencil pair ``structural_zero_pattern`` records the zero pattern
     behind the e1 singularity; it is None for raw triples.
     """
-    a1, b1 = _coefficients(ln1)[:2]
-    a2, b2 = _coefficients(ln2)[:2]
+    (a1, b1, c1), e1 = scale_to_unit(np.stack(_coefficients(ln1)))
+    (a2, b2, c2), e2 = scale_to_unit(np.stack(_coefficients(ln2)))
     frob = _delta0_frobenius(a1, b1, a2, b2)
     threshold = tol * frob
     u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
@@ -230,14 +229,18 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     value = float(np.linalg.norm(kron(a1 @ u, b2 @ v) - kron(b1 @ u, a2 @ v)))
     if value > threshold:
         route = DENSE_SIGMA_MIN
-        value = smallest_singular_value(delta_operators(ln1, ln2).delta0)
+        value = smallest_singular_value(delta_operators((a1, b1, c1), (a2, b2, c2)).delta0)
+    singular = bool(value <= threshold)
+    margin = value / threshold if threshold > 0 else 0.0 if value == 0 else float("inf")
     pattern = None
     if isinstance(ln1, NewtonPencil) and isinstance(ln2, NewtonPencil):
         pattern = (_lower_rows_supported_on_last_column(ln1.A2, ln1.n)
                    and _lower_rows_supported_on_last_column(ln2.A2, ln2.n))
-    return SingularityCertificate(is_singular=bool(value <= threshold),
-                                  route=route, value=value, frobenius=frob,
-                                  threshold=threshold, structural_zero_pattern=pattern)
+    with np.errstate(over="ignore", under="ignore"):
+        value, frob, threshold = (float(np.ldexp(x, -e1 - e2)) for x in (value, frob, threshold))
+    return SingularityCertificate(is_singular=singular, route=route, value=value,
+                                  frobenius=frob, threshold=threshold, margin=margin,
+                                  structural_zero_pattern=pattern)
 
 
 def _slice_lines(mus):

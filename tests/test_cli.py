@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        assemble_e1_blocks, companion_pencil, construct_general_ansatz)
+                        assemble_e1_blocks, companion_pencil, construct_e1_newton,
+                        construct_general_ansatz)
 from newton2pep import cli
 from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
@@ -65,6 +66,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def complex_field(report, label):
+    """The complex number a report prints on its line ``label: (re, im)``."""
+    line = next(x for x in report.splitlines() if x.startswith(label + ": "))
+    return complex(*map(float, line.split(": ")[1].strip("()").split(", ")))
 
 
 def overflow_member(q):
@@ -273,9 +280,11 @@ class TestVerify:
         assert "witness check: pass" in report and "verdict: PASS" in report
         assert code == 0
 
-    def test_gamma_prediction_out_of_range_prints_inf_without_warning(self, tmp_path, capsys):
+    def test_gamma_prediction_out_of_range_prints_finite_log_without_warning(self, tmp_path,
+                                                                             capsys):
         # An ansatz of 1e200 at n = 2 scales gamma past the double range; the
-        # prediction prints as inf and agreement is compared in log space.
+        # prediction and the estimate print as finite logs beyond log(max
+        # double), and agreement is compared in log space.
         qfile, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
         save_problem(qfile, random_newton(np.random.default_rng(3), 2))
         code, _ = run(capsys, ["construct", qfile, "--ansatz=1e200,0,0", "--out", out])
@@ -283,7 +292,24 @@ class TestVerify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, report = run(capsys, ["verify", qfile, out])
-        assert "witness gamma prediction: (inf, " in report
+        for label in ("witness log gamma prediction", "log gamma estimate"):
+            log_gamma = complex_field(report, label)
+            assert np.log(np.finfo(float).max) < log_gamma.real < np.inf, label
+            assert np.isfinite(log_gamma.imag), label
+        assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+
+    def test_large_scaled_companion_prints_finite_logs(self, tmp_path, capsys):
+        # At n = 64 with coefficients of size 1e4, det L and det Q leave the
+        # double range at every sample: their logs print, never inf or nan.
+        qfile, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qfile, scaled(random_newton(np.random.default_rng(64), 64), 1e4))
+        assert run(capsys, ["construct", qfile, "--companion", "--out", out])[0] == 0
+        code, report = run(capsys, ["verify", qfile, out])
+        samples = [x for x in report.splitlines() if x.startswith("  lambda=")]
+        assert len(samples) == 12 and all(" log detL=(" in x for x in samples)
+        for line in samples + [next(x for x in report.splitlines() if "log gamma" in x)]:
+            assert not re.search(r"\b(inf|nan)\b", line), line
+        assert complex_field(report, "log gamma estimate").real == pytest.approx(0, abs=1e-9)
         assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
 
     @pytest.mark.parametrize("change", ["moved-A3-entry"])
@@ -359,7 +385,7 @@ class TestVerify:
             with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = main(["verify", qfile, str(out)])
         report = stdout.getvalue()
-        for prefix in ("witness reduction residual:", "witness gamma prediction:",
+        for prefix in ("witness reduction residual:", "witness log gamma prediction:",
                        "witness gamma agreement:", "witness check: pass"):
             assert "\n" + prefix in report
         assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
@@ -482,6 +508,29 @@ class TestDelta:
         eye, zero = np.eye(3), np.zeros((3, 3))
         cert = certify_singular((eye, eye, zero), (eye, zero, eye))
         assert not cert.is_singular
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-1000, 1000), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_e1_pair_singular_at_every_scale(self, k, p1, p2, seed):
+        # Both problems times 2^k: the verdict is decided on each side's
+        # blocks at unit size, so Delta0's squared entries never over- or
+        # underflow (at 2^600 the threshold read nan and the verdict "no").
+        rng = np.random.default_rng(seed)
+        q1 = scaled(random_newton(rng, p1), 2.0 ** k)
+        q2 = scaled(random_newton(rng, p2, q1.nodes), 2.0 ** k)
+        draw = np.random.default_rng(0)  # as delta draws the parameters from --seed 0
+        for q in (q1, q2):  # wherever the pencil blocks stay finite and normal
+            blocks = np.abs(construct_e1_newton(q, E1FreeParams.random(q.n, draw)).blocks())
+            assume(np.isfinite(blocks).all() and blocks[blocks > 0].min() >= np.finfo(float).tiny)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [str(Path(tmp, name)) for name in ("q1.json", "q2.json")]
+            for path, q in zip(files, (q1, q2)):
+                save_problem(path, q)
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+                warnings.simplefilter("error")
+                code = main(["delta", *files, "--check-singular"])
+        assert (code, "singular: yes") == (0, out.getvalue().splitlines()[-1])
 
     def test_e1_pair_never_forms_dense_delta(self, tmp_path, capsys, monkeypatch):
         import newton2pep.twoparam as twoparam

@@ -250,7 +250,7 @@ class TestWitnesses:
             report = verify_linearization(pencil, qn)
             predicted = np.exp(wit.log_predicted_gamma)
             assert predicted == pytest.approx(det(params.z_block), rel=1e-10)
-            assert abs(report.gamma_estimate - predicted) <= 1e-8 * abs(predicted)
+            assert abs(np.exp(report.log_gamma - wit.log_predicted_gamma) - 1) <= 1e-8
 
     def test_subnormal_e1_pencil_has_zero_residual(self):
         # Problem, parameters and pencil all times 2^-1030: the blocks and Z are
@@ -420,7 +420,7 @@ class TestVerifyLinearization:
         pencil = companion_pencil(qn)
         report = verify_linearization(pencil, qn)
         assert report.passed
-        assert report.gamma_estimate == pytest.approx(-1.0, rel=1e-10)
+        assert np.exp(report.log_gamma) == pytest.approx(-1.0, rel=1e-10)
 
     def test_zero_z_block_fails(self):
         rng = np.random.default_rng(14)
@@ -473,6 +473,19 @@ class TestVerifyLinearization:
         v = membership_newton(moved, qn).ansatz.vector
         np.testing.assert_allclose(v, m @ np.array([1, 0, 0]), atol=1e-9)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(NODE_KINDS), st.integers(0, 2**32 - 1))
+    def test_sample_logs_are_the_determinants(self, n, kind, seed):
+        # Each sample keeps det L and det Q as log|d| + i arg d; exp of it is
+        # the determinant at that point, for a pencil that is no linearization too.
+        rng = np.random.default_rng(seed)
+        q = MatrixPoly2.newton(random_coeffs(rng, n), nodes_of_kind(rng, kind))
+        pencil = NewtonPencil.from_blocks(q.nodes, *complex_normal(rng, 3, 3 * n, 3 * n))
+        report = verify_linearization(pencil, q, seed=seed % 100)
+        assert len(report.samples) == 12
+        for lam, mu, log_det_l, log_det_q, _ in report.samples:
+            for log_d, value in ((log_det_l, pencil.eval(lam, mu)), (log_det_q, q.eval(lam, mu))):
+                assert np.exp(log_d) == pytest.approx(np.linalg.det(value), rel=1e-12)
 
     @pytest.mark.parametrize("n", [64, 96])
     def test_large_well_conditioned_q_passes(self, n):

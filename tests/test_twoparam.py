@@ -167,6 +167,23 @@ class TestCertifySingular:
         assert cert.margin == pytest.approx(1.0 / (1e-7 * 3.0))
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(-1074, 1023))
+    def test_identity_delta0_not_singular_at_every_scale(self, k):
+        # The triples times 2^k give Delta0 = 4^k I9. The verdict and the
+        # margin are taken at unit size, so they do not move by a bit; the
+        # reported sizes are 4^k times those at k = 0, inf or 0 out of range
+        # (at 1e80 the threshold read inf and the verdict "singular").
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        base = certify_singular((eye, eye, zero), (eye, zero, eye))
+        s = np.ldexp(1.0, k)
+        cert = certify_singular((s * eye, s * eye, zero), (s * eye, zero, s * eye))
+        assert not cert.is_singular and cert.route == DENSE_SIGMA_MIN
+        assert cert.margin == base.margin
+        with np.errstate(over="ignore", under="ignore"):
+            for field in ("value", "frobenius", "threshold"):
+                assert getattr(cert, field) == np.ldexp(getattr(base, field), 2 * k), field
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.integers(-60, 60))
     def test_e1_witness_bounds_dense_sigma_min(self, p1, p2, seed, k):

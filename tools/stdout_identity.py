@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1039 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1043 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -22,7 +22,9 @@ verify, spectrum for --companion and the (0, 1, 0) ansatz at n in {32, 64} with 
 the degree-drop slices are compared at the large-certify sizes too. Then 4 more beyond the squared
 range of doubles: construct --params FILE and verify at n = 2 with the problem and the parameters
 times 1e160, where ||Z||_F overflows, and spectrum --pair on a 2 x 2 monomial pair (rng seed 5)
-times 2^-540 and times 2^600, where a Frobenius norm of its blocks under- or overflows. The later
+times 2^-540 and times 2^600, where a Frobenius norm of its blocks under- or overflows. Then 4
+more: delta --check-singular on those two pairs, and construct --companion and verify at n = 64
+with the problem times 1e4, where every sampled det L and det Q leaves the double range. The later
 blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
 spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
 process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
@@ -234,6 +236,11 @@ def build_jobs(work: Path, rng) -> list:
                         "coefficients") for ab in "ab")
         jobs.append((f"scaled{k}.pair", ["spectrum", f1, "--pair", f2, "--seed", "0",
                                          "--out", f"scaled{k}.csv"]))
+    jobs += [(f"scaled{k}.delta", ["delta", f"scaled{k}a", f"scaled{k}b", "--check-singular",
+                                   "--seed", "0"]) for k in (-540, 600)]
+    q = times(1e4, _write_problem(work / "large.q", 64, rng, _nodes(rng, "newton")), "coefficients")
+    jobs += [("large.construct", ["construct", q, "--companion", "--out", "large"]),
+             ("large.verify", ["verify", q, "large", "--seed", _int(rng)])]
     return jobs
 
 
