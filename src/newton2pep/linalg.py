@@ -206,10 +206,10 @@ def quadratic_eigen(k2, k1, k0) -> list:
 
 def scale_to_unit(a: np.ndarray):
     """Scale the complex array a in place by 2^e, for the e that brings its largest
-    |entry| into [1/2, 1) (e = 0 for a zero a), and return (a, e): exact, so that no
-    squared entry under- or overflows. 2^e is applied by np.ldexp on the float view,
-    as 2.0 ** e overflows for e > 1023."""
-    e, f = -int(np.frexp(np.abs(a).max(initial=0.0))[1]), a.view(float)
+    |real or imaginary part| into [1/2, 1) (e = 0 for a zero a; |z| of finite parts can
+    overflow), and return (a, e): exact, so that no squared entry under- or overflows.
+    2^e is applied by np.ldexp on the float view, as 2.0 ** e overflows for e > 1023."""
+    e = -int(np.frexp(np.abs(f := a.view(float)).max(initial=0.0))[1])
     return np.ldexp(f, e, out=f).view(complex), e
 
 

@@ -25,6 +25,7 @@ Newton evaluation rule reduces to lam A1 + mu A2 + A3.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -224,9 +225,9 @@ def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
     M = select_M(v) maps v to e1, and :func:`unimodular_witnesses` checks
     (M kron I) L against the e1 pencil of the parameters read off its
     blocks. det L = det((M kron I) L) / det(M)^n, so the predicted gamma of
-    L is det Z / det(M)^n, in log space. Raises AdmissibilityError for a
-    zero v (no M exists), a (M kron I) L out of double range, or a
-    numerically singular Z.
+    L is det Z / det(M)^n, in log space with its phase in (-pi, pi]. Raises
+    AdmissibilityError for a zero v (no M exists), a (M kron I) L out of
+    double range, or a numerically singular Z.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
@@ -235,8 +236,9 @@ def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
         raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
     witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
     sign_m, log_m = np.linalg.slogdet(m)
-    return witnesses._replace(log_predicted_gamma=witnesses.log_predicted_gamma
-                              - q.n * (log_m + 1j * np.angle(sign_m)))
+    log_gamma = witnesses.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
+    phase = math.remainder(log_gamma.imag, 2 * math.pi)  # exact; the identity on (-pi, pi]
+    return witnesses._replace(log_predicted_gamma=complex(log_gamma.real, phase))
 
 
 class LinearizationReport(NamedTuple):

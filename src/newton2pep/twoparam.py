@@ -281,23 +281,37 @@ def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     return lam[sigma_min <= RESIDUAL_TOL * scale]
 
 
+def _staircase_step(ops, sigma, cut):
+    """One staircase step on ``ops`` whose leading matrix is B = diag(sigma, 0):
+    keep the leading columns and the rows orthogonal to the image of ker B (the
+    trailing columns) under ``ops``, one SVD cut at ``cut``, and factor what is
+    left of B again. Returns (sigma', ops', the image's singular values) with B =
+    diag(sigma', 0). A tall block is factored through its adjoint: OpenBLAS 0.3.31's
+    gesdd failed on 2 tall blocks of 360 random pairs at p = 2 to 7, on no adjoint."""
+    r = len(sigma)
+    p, image, _ = np.linalg.svd(np.hstack([d[:, r:] for d in ops]))
+    rest = p[:, np.count_nonzero(image > cut):].conj().T  # the rows that the image leaves
+    b = rest[:, :r] * sigma
+    u, sv, vh = np.linalg.svd(b) if len(b) <= r else [
+        x.conj().T for x in np.linalg.svd(b.conj().T)][::-1]
+    left = u.conj().T @ rest
+    return sv[sv > cut], tuple(left @ d[:, :r] @ vh.conj().T for d in ops), image
+
+
 def _deflate_infinite(w, sigma) -> list | None:
     """Finite lambda of lam diag(sigma, 0) + W sorted by (real, imag), or None
     for a singular slice, by the staircase for the infinite eigenvalues of a
     pencil (Van Dooren, LAA 27, 1979; Demmel and Kagstrom, GUPTRI, ACM TOMS 19,
-    1993): while B = diag(sigma, 0) is singular, drop the columns of ker B and
-    the rows of their image W ker B (one SVD of W[:, r:]; a rank loss of the
-    image is a singular slice) and factor what is left of B again. Ranks are
-    cut at SINGULAR_TOL ||W||_F; then the values are those of -sigma^-1 W below
-    1 / INFINITE_TOL, so a Jordan block at infinity of any size reads infinite."""
+    1993): while B = diag(sigma, 0) is singular, :func:`_staircase_step` drops
+    the columns of ker B and the rows of their image W ker B (a rank loss of
+    the image is a singular slice). Ranks are cut at SINGULAR_TOL ||W||_F;
+    then the values are those of -sigma^-1 W below 1 / INFINITE_TOL, so a
+    Jordan block at infinity of any size reads infinite."""
     cut = SINGULAR_TOL * np.linalg.norm(w)
-    while (r := len(sigma)) < len(w):
-        p, image, _ = np.linalg.svd(w[:, r:])
+    while len(sigma) < len(w):
+        sigma, (w,), image = _staircase_step((w,), sigma, cut)
         if image[-1] <= cut:
             return None
-        rest = p[:, len(image):].conj().T  # the rows that W ker B leaves
-        u, sv, vh = np.linalg.svd(rest[:, :r] * sigma)
-        sigma, w = sv[sv > cut], u.conj().T @ rest @ w[:, :r] @ vh.conj().T
     lam = np.linalg.eigvals(-w / sigma[:, None])
     return np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
 
@@ -449,22 +463,6 @@ def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
     return min(counts)
 
 
-def _right_step(ops, tol: float):
-    """One right step of the staircase: the triple, the nullity of its
-    Delta0 and the deflation, the ranks cut at ``tol``. With Z = ker Delta0,
-    when range [Delta1 Z, Delta2 Z] is smaller than Z, the triple keeps only
-    the columns orthogonal to Z and the rows orthogonal to that range, and
-    deflates nullity - image; otherwise it deflates 0."""
-    _, s, vh = np.linalg.svd(ops[0])
-    rank = int(np.count_nonzero(s > tol))
-    z = vh[rank:].conj().T
-    u, s, _ = np.linalg.svd(np.hstack([ops[1] @ z, ops[2] @ z]))
-    nullity, image = z.shape[1], int(np.count_nonzero(s > tol))
-    if image < nullity:
-        ops = tuple(u[:, image:].conj().T @ d @ vh[:rank].conj().T for d in ops)
-    return ops, nullity, max(nullity - image, 0)
-
-
 def _adjoint(ops):
     return tuple(d.conj().T for d in ops)
 
@@ -472,33 +470,32 @@ def _adjoint(ops):
 def _regular_part(delta: DeltaTriple):
     """The regular part (Delta0, Delta1, Delta2) of the Delta triple, whether
     its Delta0 is singular, and the deflation summed over the right steps
-    (Muhic and Plestenjak, ELA 18, 2009).
-
-    Right steps (:func:`_right_step`) and left steps, the same on the
-    conjugate transposes, repeat until neither deflates; ranks are cut at
-    SINGULAR_TOL max_j ||Delta_j||_F. A generic pair takes one step of each,
-    from 9 p1 p2 to 4 p1 p2, deflates p1 p2 and ends with Delta0
-    nonsingular: a square Delta0 whose singular values show full rank ends
-    the loop, with no round that deflates nothing. Raises
-    :class:`DegenerateProblemError` when the result is not square.
-    """
-    ops = (delta.delta0, delta.delta1, delta.delta2)
-    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in ops)
+    (Muhic and Plestenjak, ELA 18, 2009). Delta0 is factored once, and the
+    triple kept where Delta0 = diag(sigma, 0). A right step
+    (:func:`_staircase_step` on Delta1 and Delta2) deflates nullity - rank when
+    the image of ker Delta0 has a smaller rank, and else leaves the triple; a
+    left step is the same on the conjugate transposes. Ranks are cut at
+    SINGULAR_TOL max_j ||Delta_j||_F. Rounds of both repeat until one deflates
+    nothing or Delta0 is square of full rank: a generic pair takes one, from
+    9 p1 p2 to 4 p1 p2, and deflates p1 p2. Raises
+    :class:`DegenerateProblemError` when the result is not square."""
+    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in delta[:3])
+    u, s, vh = np.linalg.svd(delta.delta0)
+    sigma, ops = s[s > tol], tuple(u.conj().T @ d @ vh.conj().T for d in delta[1:3])
     deflated = 0
-    while True:
-        shape = ops[0].shape
-        ops, nullity, step = _right_step(ops, tol)
-        deflated += step
-        ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
-        rows, cols = ops[0].shape
-        if (rows, cols) == shape:
+    while (shape := ops[0].shape) != (len(sigma),) * 2:
+        for right in (True, False):  # a right step, then a left step on the adjoints
+            step = _staircase_step(ops, sigma, tol)
+            if (loss := ops[0].shape[1] - len(sigma) - np.count_nonzero(step[2] > tol)) > 0:
+                (sigma, ops, _), deflated = step, deflated + right * loss
+            ops = _adjoint(ops)
+        if ops[0].shape == shape:
             break
-        if rows == cols and (np.linalg.svd(ops[0], compute_uv=False) > tol).all():
-            return ops, False, deflated
-    if rows != cols:
+    if shape[0] != shape[1]:
         raise DegenerateProblemError(f"the staircase reduction of the Delta triple stops "
-                                     f"at {rows} x {cols}, not at a square triple")
-    return ops, nullity > 0, deflated
+                                     f"at {shape[0]} x {shape[1]}, not at a square triple")
+    d0 = np.diag(np.concatenate([sigma, np.zeros(shape[1] - len(sigma))])).astype(complex)
+    return (d0, *ops), len(sigma) < shape[1], deflated
 
 
 def _meet_on_line(pair: QtepPair, norms, p, r) -> float:

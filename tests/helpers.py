@@ -167,21 +167,28 @@ def companion_linearization_reference(k2, k1, k0):
 
 def regular_part_reference(delta):
     """twoparam._regular_part with every round taken in full: right and left
-    steps with vectors until a round deflates nothing (reference for the
-    loop that ends on singular values)."""
+    steps on the shared staircase step until a round deflates nothing
+    (reference for the loop that also ends on a square Delta0 of full rank)."""
     from newton2pep.linalg import SINGULAR_TOL
-    from newton2pep.twoparam import _adjoint, _right_step
+    from newton2pep.twoparam import _adjoint, _staircase_step
 
-    ops = (delta.delta0, delta.delta1, delta.delta2)
-    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in ops)
+    tol = SINGULAR_TOL * max(np.linalg.norm(d) for d in delta[:3])
+    u, s, vh = np.linalg.svd(delta.delta0)
+    sigma, ops = s[s > tol], tuple(u.conj().T @ d @ vh.conj().T for d in delta[1:3])
     deflated = 0
     while True:
         shape = ops[0].shape
-        ops, nullity, step = _right_step(ops, tol)
-        deflated += step
-        ops = _adjoint(_right_step(_adjoint(ops), tol)[0])
+        for right in (True, False):
+            nullity = ops[0].shape[1] - len(sigma)
+            new_sigma, new_ops, image = _staircase_step(ops, sigma, tol)
+            rank = int(np.count_nonzero(image > tol))
+            if rank < nullity:
+                sigma, ops = new_sigma, new_ops
+                deflated += (nullity - rank) if right else 0
+            ops = _adjoint(ops)
         if ops[0].shape == shape:
-            return ops, nullity > 0, deflated
+            d0 = np.diag(np.concatenate([sigma, np.zeros(shape[1] - len(sigma))])).astype(complex)
+            return (d0, *ops), len(sigma) < shape[1], deflated
 
 
 def assert_bitwise_equal(a, b):

@@ -298,6 +298,20 @@ class TestVerify:
             assert np.isfinite(log_gamma.imag), label
         assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
 
+    def test_witness_prediction_phase_is_reduced(self, tmp_path, capsys):
+        # The ansatz (1, 1j, 1) at n = 8 subtracts n arg det M = -4 pi: the
+        # prediction printed phase 12.566370614359172 next to an estimate of
+        # phase 9.6e-15. Both phases lie in (-pi, pi] and read alike.
+        qfile, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qfile, random_newton(np.random.default_rng(3), 8))
+        assert run(capsys, ["construct", qfile, "--ansatz", "1,1j,1", "--out", out])[0] == 0
+        code, report = run(capsys, ["verify", qfile, out])
+        predicted, estimate = (complex_field(report, label) for label in
+                               ("witness log gamma prediction", "log gamma estimate"))
+        assert -np.pi < predicted.imag <= np.pi
+        assert predicted.imag == pytest.approx(estimate.imag, abs=1e-12)
+        assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+
     def test_large_scaled_companion_prints_finite_logs(self, tmp_path, capsys):
         # At n = 64 with coefficients of size 1e4, det L and det Q leave the
         # double range at every sample: their logs print, never inf or nan.

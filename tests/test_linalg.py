@@ -11,7 +11,7 @@ from newton2pep import (
     smallest_singular_value,
 )
 from newton2pep.linalg import (SHIFTS, as_matrix, det, kron, quadratic_eigen, row_space,
-                               small_dense_eigen)
+                               scale_to_unit, small_dense_eigen)
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix,
                      companion_linearization_reference, eig_reference, kron_oracle,
@@ -28,6 +28,24 @@ class TestAsMatrix:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             as_matrix(np.eye(2), 3, 3)
+
+
+class TestScaleToUnit:
+    def test_exponent_reads_the_parts_where_the_modulus_overflows(self):
+        # (-1.73e308, 5.47e307) has finite parts, but |z| = 1.81e308 is inf in
+        # doubles, whose frexp exponent 0 would leave the array unscaled.
+        a = np.array([[-1.73e308 + 5.47e307j, 1.0], [0.0, -2.5e-310j]])
+        want = np.ldexp(a.view(float), -1024).view(complex)
+        got, e = scale_to_unit(a)
+        assert e == -1024
+        assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("k", [-1074, -600, 0, 1, 1023])
+    @pytest.mark.parametrize("part", [-1.0, 1j, 0.75 + 0.75j])
+    def test_largest_part_lands_in_half_to_one(self, part, k):
+        a = np.ldexp(np.array([part, 0.25, -0.25j]).view(float), k).view(complex)
+        got, _ = scale_to_unit(a)
+        assert 0.5 <= np.abs(got.view(float)).max() < 1.0
 
 
 class TestKron:

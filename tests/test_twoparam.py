@@ -183,6 +183,17 @@ class TestCertifySingular:
             for field in ("value", "frobenius", "threshold"):
                 assert getattr(cert, field) == np.ldexp(getattr(base, field), 2 * k), field
 
+    def test_identity_delta0_margin_where_the_modulus_overflows(self):
+        # s = (-1.73e308, 5.47e307) has finite parts but |s| overflows. Read
+        # from |s|, the unit-size exponent was 0, and the margin read inf.
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        base = certify_singular((eye, eye, zero), (eye, zero, eye))
+        s = np.diag(np.full(3, -1.73e308 + 5.47e307j))
+        with np.errstate(all="raise"):
+            cert = certify_singular((s, s, zero), (s, zero, s))
+        assert not cert.is_singular and cert.route == DENSE_SIGMA_MIN
+        assert cert.margin == pytest.approx(base.margin, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.integers(-60, 60))
@@ -930,6 +941,16 @@ class TestSpectrumPairOracle:
         with pytest.raises(ValueError, match="desk scale"):
             spectrum_pair_oracle(pair)
 
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_staircase_above_desk_scale(self, monkeypatch, kind, p):
+        # With the limit raised, random p x p pairs still give all 4 p^2
+        # points, each within RESIDUAL_TOL (or the solve raises).
+        monkeypatch.setattr(twoparam, "DESK_SCALE_LIMIT", 6)
+        rng = np.random.default_rng(40 + p)
+        sample = spectrum_pair_oracle(random_pair(rng, p, p, nodes_of_kind(rng, kind)), seed=p)
+        assert sample.total_count == sample.bezout_bound == 4 * p * p
+
     @pytest.mark.parametrize("nodes", [NewtonNodes(1, 2, 0.5, -1), NewtonNodes()],
                              ids=["newton", "zero"])
     def test_full_3x3_spectrum_lies_on_both_slices(self, nodes):
@@ -1097,6 +1118,20 @@ class TestSpectrumPairOracle:
             sample = spectrum_pair_oracle(pair, seed=int(rng.integers(1000)))
             assert sample.total_count == 4 * p1 * p2
             assert all(p.residual <= 1e-12 for p in sample.points)
+
+    @pytest.mark.parametrize("p,seed", [(5, 5005), (6, 6000)])
+    def test_tall_right_step_blocks_are_factored(self, p, seed):
+        # The right step's kept block of Delta0 is tall. On these two triples
+        # the divide and conquer SVD of OpenBLAS 0.3.31 (x86-64) did not
+        # converge on it ("SVD did not converge"), and it does on its adjoint.
+        rng = np.random.default_rng(seed)
+        nodes = nodes_of_kind(rng, "newton")
+        pair = QtepPair(*(twoparam._rescaled(random_newton(rng, p, nodes)) for _ in range(2)))
+        delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(p, rng),
+                                                E1FreeParams.random(p, rng)))
+        (d0, _, _), at_infinity, deflated = twoparam._regular_part(delta)
+        assert d0.shape == (4 * p * p, 4 * p * p)
+        assert (at_infinity, deflated) == (False, p * p)
 
     @pytest.mark.parametrize("coeffs,meets", [
         (((1, 0, 1, 0, 0, -2), (0, 1, 0, 0, 0, -1)), False),    # l^2 + m^2, l m

@@ -50,7 +50,9 @@ the slice matching compares it with, match_tol max(1, |lambda|): a point line's 
 a slice line's max distance the lambda of the point that attains it. So two rounding-level
 distances such as 1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own size. In the same
 way a ``witness gamma agreement`` value of verify moves relative to GAMMA_AGREEMENT_TOL, the bound
-verify compares it with: the value is itself at rounding level, so a rounding move would read 1.
+verify compares it with, and the ``residual`` of a pair point moves relative to RESIDUAL_TOL, the
+largest backward error the pair solver returns: each value is itself at rounding level, so a
+rounding move would read 1.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
@@ -369,6 +371,7 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
             import_times(trees, fresh)
     diff = [name for name, _ in jobs if runs[0][name][:2] != runs[1][name][:2]]
     agreement_tol = trees[0]["modules"]["newton2pep.linearize"].GAMMA_AGREEMENT_TOL
+    residual_tol = trees[0]["modules"]["newton2pep.twoparam"].RESIDUAL_TOL
     digits = []
     moved, largest = Counter(), {}  # by line prefix: lines that differ; per field: largest move
     for name in diff:
@@ -399,6 +402,8 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                     size = allowed[i]
                 elif x.startswith(AGREEMENT):
                     size = agreement_tol
+                elif x.startswith(POINT) and field == "residual":
+                    size = residual_tol
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     written = [(name, argv[argv.index("--out") + 1].endswith(".csv"),
