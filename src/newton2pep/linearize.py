@@ -268,16 +268,21 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
                          tol: float = DEFAULT_TOL) -> LinearizationReport:
     """Sample det L against det Q and decide whether the ratio is a nonzero constant.
 
-    2 ``samples`` annulus points are drawn from ``seed``: lambda is the first
-    half, mu the second. Inconclusive (DegenerateProblemError) when
-    sigma_min(Q) <= n eps sigma_max(Q) at every sample, the relative rank
-    test of numpy.linalg.matrix_rank. A quadratic in (lambda, mu) has 6
-    coefficients, so ``samples`` below 6 raises ValueError. A sample where L
-    or det L overflows the double range has deviation inf.
+    2 ``samples`` annulus points are drawn from ``seed``: lambda is the first half, mu the
+    second. Inconclusive (DegenerateProblemError) when sigma_min(Q) <= n eps sigma_max(Q)
+    at every sample, the relative rank test of numpy.linalg.matrix_rank. A quadratic in
+    (lambda, mu) has 6 coefficients, so ``samples`` below 6 raises ValueError. Q and L are
+    evaluated as 2^a Q and 2^b L at unit size, where the deviations are taken; log det Q,
+    log det L and log gamma then subtract n a, 3n b and (3b - a) n times log 2. A sample
+    where L or det L overflows has deviation inf; Q holds products of two node differences,
+    L single ones, so large nodes mostly overflow Q first, and its SVD raises LinAlgError.
     """
     if samples < 6:
         raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
     require_matching(q, pencil)
+    q, a = q.at_unit_size()
+    blocks, b = scale_to_unit(np.stack(pencil.blocks()))
+    pencil = NewtonPencil._of_owned(pencil.nodes, *blocks)
     points = annulus_points(np.random.default_rng(seed), 2 * samples)
     lams, mus = points[:samples], points[samples:]
     q_values = q.eval(lams, mus)
@@ -305,6 +310,8 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         dev[overflow] = np.inf
         dev[ref] = 0.0
     worst = float(dev.max())
+    log_q, log_l = log_q - q.n * a * np.log(2), log_l - 3 * q.n * b * np.log(2)
+    log_abs_gamma -= (3 * b - a) * q.n * np.log(2)
     samples = zip(lams.tolist(), mus.tolist(), (log_l + 1j * np.angle(sign_l)).tolist(),
                   (log_q + 1j * np.angle(sign_q)).tolist(), dev.tolist())
     return LinearizationReport(log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
@@ -333,20 +340,22 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
                              *, tol: float = DEFAULT_TOL) -> GeneralAnsatzPencil:
     """Linearization construction for an arbitrary nonzero ansatz vector.
 
-    Pick M with M v = e1 from the pattern table and build an e1 pencil, whose
-    product with M^{-1} kron I has ansatz v. With ``params`` it is the e1
-    pencil of the transformed parameters (m11 Y11, (M kron I) Z1,
-    (M kron I) Z2), with Y11 forced to 0 unless m21 = m31 = 0. Without, it is
-    the e1 pencil of Y11 = 0, Z1 = (0; I; 0), Z2 = (0; 0; I) for every M: its
-    Z block is I_2n, so the construction is closed form and always admissible.
+    Pick M with M v = e1 from the pattern table and build an e1 pencil, whose product with
+    M^{-1} kron I has ansatz v. With ``params`` it is the e1 pencil of the transformed
+    parameters (m11 Y11, (M kron I) Z1, (M kron I) Z2), with Y11 forced to 0 unless
+    m21 = m31 = 0. Without, it is the e1 pencil of Y11 = 0, Z1 = 2^-(e+1) (0; I; 0),
+    Z2 = 2^-(e+1) (0; 0; I) for every M, 2^e Q at unit size (:meth:`MatrixPoly2.at_unit_size`):
+    Z is at Q's scale, never above Q's largest part, so the construction is closed form and
+    always admissible. Where that part is 2^1023 or more, M^{-1} kron I can overflow L.
     """
     n = q.n
     if not isinstance(v, AnsatzVector):
         v = AnsatzVector.classify(v, tol=tol)
     m = select_M(v, tol=tol)
     zero = np.zeros((n, n))
-    if params is None:  # [Z1 Z2] = [0; I_2n]
-        hat = E1FreeParams.build(zero, *np.hsplit(np.eye(3 * n, 2 * n, -n), 2))
+    if params is None:  # [Z1 Z2] = 2^-(e+1) [0; I_2n]
+        z = np.ldexp(np.eye(3 * n, 2 * n, -n), -1 - q.at_unit_size()[1])
+        hat = E1FreeParams.build(zero, *np.hsplit(z, 2))
     else:
         require_matching(q, params=params)
         t = kron(m, np.eye(n))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, freeze
+from .linalg import as_matrix, freeze, scale_to_unit
 
 # Coefficient keys (i, j) for the lambda-degree-i, mu-degree-j basis function.
 # The order matches the six-vector returned by newton_six.
@@ -144,6 +144,11 @@ class MatrixPoly2(NamedTuple):
         """Value at (lam, mu): n x n, or for 1-D lam, mu of length K the
         (K, n, n) stack of those values, bit for bit."""
         return self._combine(newton_six(self.nodes, lam, mu))
+
+    def at_unit_size(self) -> tuple["MatrixPoly2", int]:
+        """(2^e Q, e), e from :func:`scale_to_unit` of the six blocks: exact at any scale."""
+        coeffs, e = scale_to_unit(np.stack([self.coeffs[key] for key in COEFF_KEYS]))
+        return self._replace(coeffs=dict(zip(COEFF_KEYS, map(freeze, coeffs)))), e
 
     def on_line(self, p, r) -> np.ndarray:
         """(K2, K1, K0) with t^2 K2 + t K1 + K0 = z^2 Q(l / z, m / z) at (l, m, z) =

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal, kron,
                      quadratic_eigen, row_space, scale_to_unit, smallest_singular_value)
-from .matpoly import COEFF_KEYS, MatrixPoly2, newton_line, newton_six
+from .matpoly import MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
@@ -48,7 +48,7 @@ CLUSTER_TOL = 1e-4
 DISC_FACTOR = 3.0
 # Largest backward error of a returned point, and of a Q slice eigenvalue.
 RESIDUAL_TOL = 1e-8
-# Relative sigma_min below which Q2 counts as singular at a root of det Q1 on a
+# Largest backward error at which Q2 counts as singular at a root of det Q1 on a
 # line (_meet_on_line), and relative |1 + t1 lam' + t2 mu'| below which a point
 # of the shifted regular part lies at infinity; looser than RESIDUAL_TOL
 # because a double root comes out to sqrt(eps).
@@ -263,22 +263,26 @@ def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
     return out
 
 
+def _backward_error(n: int, values_at, weight) -> np.ndarray:
+    """sigma_min(Q) / weight at each point (0 where the weight is 0), the normwise backward
+    error of Tisseur (LAA 309, 2000) for each caller's weight. ``values_at(sl)`` returns Q's
+    n x n values at the points sl; values-only SVDs take at most STACK_BYTES of them at once."""
+    step, sigma_min = chunk_step(n), np.empty(len(weight))
+    for start in range(0, len(weight), step):
+        sl = slice(start, start + step)
+        sigma_min[sl] = np.linalg.svd(values_at(sl), compute_uv=False)[:, -1]
+    return np.divide(sigma_min, weight, out=np.zeros_like(sigma_min), where=weight > 0)
+
+
 def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
-    """The values lam of the slice at mu0 whose backward error
-    sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F) is
-    at most RESIDUAL_TOL, from stacked SVDs without vectors of at most
-    STACK_BYTES of n x n matrices (at least one). The measure reads the same
-    for Q and 2^k Q, and is at most the eigenvector residual
-    ||Q(lam, mu0) x|| / ||x|| over the same denominator for every x != 0."""
+    """The values lam of the slice at mu0 whose :func:`_backward_error`, weight |lam|^2 ||K2||_F
+    + |lam| ||K1||_F + ||K0||_F, is at most RESIDUAL_TOL: it reads the same for Q and 2^k Q, and
+    is at most ||Q(lam, mu0) x|| / ||x|| over the same weight for every x != 0."""
     k2, k1, k0 = q.on_line(*_slice_lines(mu0))
-    step, sigma_min = chunk_step(q.n), np.empty(len(lam))
-    for start in range(0, len(lam), step):
-        t = lam[start:start + step, None, None]
-        sigma_min[start:start + step] = np.linalg.svd(t * t * k2 + t * k1 + k0,
-                                                      compute_uv=False)[:, -1]
-    norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
-    scale = np.abs(lam) ** 2 * norms[0] + np.abs(lam) * norms[1] + norms[2]
-    return lam[sigma_min <= RESIDUAL_TOL * scale]
+    f2, f1, f0 = (float(np.linalg.norm(k)) for k in (k2, k1, k0))
+    error = _backward_error(q.n, lambda sl: (t := lam[sl, None, None]) * t * k2 + t * k1 + k0,
+                            np.abs(lam) ** 2 * f2 + np.abs(lam) * f1 + f0)
+    return lam[error <= RESIDUAL_TOL]
 
 
 def _staircase_step(ops, sigma, cut):
@@ -429,27 +433,11 @@ class SpectrumSample(NamedTuple):
     bezout_bound: int
 
 
-def _coefficient_norm(q: MatrixPoly2) -> float:
-    """max_j ||C_j||_2 over the six coefficient blocks, from one stacked SVD."""
-    return float(np.linalg.svd(np.stack(list(q.coeffs.values())), compute_uv=False)[:, 0].max())
-
-
-def _backward_errors(pair: QtepPair, norms, lams, mus) -> np.ndarray:
-    """Backward error max_i sigma_min(Qi) / (max_j ||C_ij||_2 sum_j |phi_j|) of
-    each point (Newton basis phi_j). ``norms`` holds max_j ||C_ij||_2 of each Qi."""
-    errors = []
-    for q, norm in zip((pair.q1, pair.q2), norms):
-        sigma_min = np.linalg.svd(q.eval(lams, mus), compute_uv=False)[:, -1]
-        scale = norm * np.abs(newton_six(q.nodes, lams, mus)).sum(axis=0)
-        errors.append(np.divide(sigma_min, scale, out=np.zeros_like(scale), where=scale > 0))
-    return np.maximum(*errors)
-
-
-def _rescaled(q: MatrixPoly2) -> MatrixPoly2:
-    """Q divided by a power of two near its largest entry: the same zeros and
-    backward errors, exactly, over the whole exponent range."""
-    coeffs, _ = scale_to_unit(np.stack([q.coeff(*key) for key in COEFF_KEYS]))
-    return MatrixPoly2.newton(dict(zip(COEFF_KEYS, coeffs)), q.nodes)
+def _newton_weight(q: MatrixPoly2, phi) -> np.ndarray:
+    """max_j ||C_j||_2 sum_j |phi_j| at each point of the (6, K) Newton basis values phi:
+    every term gets the same weight, so a sparse Q such as mu still reads small at its zeros."""
+    norm = np.linalg.svd(np.stack(list(q.coeffs.values())), compute_uv=False)[:, 0].max()
+    return norm * np.abs(phi).sum(axis=0)
 
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
@@ -498,25 +486,22 @@ def _regular_part(delta: DeltaTriple):
     return (d0, *ops), len(sigma) < shape[1], deflated
 
 
-def _meet_on_line(pair: QtepPair, norms, p, r) -> float:
-    """The least sigma_min(Q2) / (INFINITY_TOL max_j ||C_2j||_2 sum_j |phi_j|)
-    (:func:`newton_line`, ``norms`` as in :func:`_backward_errors`) at the roots
-    t of det Q1(p + t r), the finite eigenvalues of the companion pencil of Q1
-    restricted to a projective line, with Q2 and phi_j restricted to the same
-    line: det Q1 and det Q2 meet there when it is at most 1. It is 0 when Q1
-    is singular on the line, inf when det Q1 has no root on it. On a random
-    line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
-    fewer than 4 p1 p2 finite common zeros (Bezout); on a random finite line,
-    (p, 1) + t (r, 0), whose t = inf lies at infinity, when they share a factor."""
+def _meet_on_line(pair: QtepPair, p, r) -> float:
+    """Q2's least :func:`_backward_error` (weight :func:`_newton_weight` of the
+    :func:`newton_line` basis) over INFINITY_TOL at the roots t of det Q1(p + t r), the finite
+    eigenvalues of Q1's companion pencil on that projective line: det Q1 and det Q2 meet there
+    when it is at most 1. It is 0 when Q1 is singular on the line, inf when det Q1 has no root
+    on it. On a random line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
+    fewer than 4 p1 p2 finite common zeros (Bezout); on a random finite line, (p, 1) + t (r,
+    0), whose t = inf lies at infinity, when they share a factor."""
     roots = quadratic_eigen(*pair.q1.on_line(p, r)[:, None])[0]
     if roots is None:
         return 0.0
     powers = np.vander(roots, 3)  # (t^2, t, 1) at each root
-    weights = np.abs(powers @ newton_line(pair.nodes, p, r).T).sum(axis=1)
     q2 = np.tensordot(powers, pair.q2.on_line(p, r), 1)
-    margins = [smallest_singular_value(m) / (INFINITY_TOL * norms[1] * w)
-               for m, w in zip(q2, weights)]
-    return float(min(margins, default=np.inf))
+    error = _backward_error(pair.p2, lambda sl: q2[sl],
+                            _newton_weight(pair.q2, (powers @ newton_line(pair.nodes, p, r).T).T))
+    return float(error.min(initial=np.inf)) / INFINITY_TOL
 
 
 def _clusters(theta: np.ndarray, radius: np.ndarray, shift: complex) -> list[np.ndarray]:
@@ -629,8 +614,7 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
                          f"got p1={pair.p1}, p2={pair.p2}")
     # The e1 pencils (unit-variance Y11 and top rows, unitary Z block) are balanced for Qi
     # whose largest entry is near 1, as a power of two brings each Qi there exactly.
-    pair = QtepPair(_rescaled(pair.q1), _rescaled(pair.q2))
-    norms = (_coefficient_norm(pair.q1), _coefficient_norm(pair.q2))
+    pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
     bound = 4 * pair.p1 * pair.p2
     rng = np.random.default_rng(seed)
     delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
@@ -640,7 +624,7 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     k = deflated + _rank_deficiency(d1 + c * d2, d0, rng)
     def line(z):  # (p, z) + t (r, 0) at random: finite at z = 1, at infinity at z = 0
         return np.append(complex_normal(rng, 2), z), np.append(complex_normal(rng, 2), 0)
-    if k > pair.p1 * pair.p2 and (margin := _meet_on_line(pair, norms, *line(1))) <= 1:
+    if k > pair.p1 * pair.p2 and (margin := _meet_on_line(pair, *line(1))) <= 1:
         raise SharedFactorError(
             f"the Delta pencil has rank deficiency {k} > p1 p2 = {pair.p1 * pair.p2}, and the "
             f"determinants meet on a random finite line (sigma_min / threshold {margin:.2g} "
@@ -652,7 +636,9 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     denom = 1 + t1 * lams + t2 * mus
     finite = np.abs(denom) > INFINITY_TOL * (1 + np.abs(t1 * lams) + np.abs(t2 * mus))
     lams, mus, mults = lams[finite] / denom[finite], mus[finite] / denom[finite], mults[finite]
-    error = _backward_errors(pair, norms, lams, mus)
+    error = np.maximum(*(_backward_error(q.n, lambda sl, q=q: q.eval(lams[sl], mus[sl]),
+                                         _newton_weight(q, newton_six(q.nodes, lams, mus)))
+                         for q in pair))
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(
             f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "
@@ -660,7 +646,7 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     total = int(mults.sum())
     if total > bound:
         raise DegenerateProblemError(f"found {total} common zeros, more than 4 p1 p2 = {bound}")
-    if total < bound and (margin := _meet_on_line(pair, norms, *line(0))) > 1:
+    if total < bound and (margin := _meet_on_line(pair, *line(0))) > 1:
         raise DegenerateProblemError(
             f"found {total} common zeros, but the curves share no point at infinity "
             f"(sigma_min / threshold {margin:.2g} > 1), so there are 4 p1 p2 = {bound}")

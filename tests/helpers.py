@@ -203,6 +203,15 @@ def scaled(q, factor):
     return MatrixPoly2.newton({k: factor * c for k, c in q.coeffs.items()}, q.nodes)
 
 
+def parameter_scaled(q, a, b):
+    """Q'(lam, mu) = Q(2^a lam, 2^b mu), exactly: C_ij times 2^(i a + j b), the alpha
+    nodes times 2^-a and the beta nodes times 2^-b."""
+    coeffs = {(i, j): 2.0 ** (i * a + j * b) * c for (i, j), c in q.coeffs.items()}
+    a1, a2, b1, b2 = q.nodes
+    return MatrixPoly2.newton(coeffs, NewtonNodes(2.0 ** -a * a1, 2.0 ** -a * a2,
+                                                  2.0 ** -b * b1, 2.0 ** -b * b2))
+
+
 def with_zero_nodes(q):
     """The coefficient blocks of q read in the monomial basis (zero nodes)."""
     return MatrixPoly2.newton(dict(q.coeffs))

@@ -1,6 +1,7 @@
 """Companion and e1-ansatz constructors, witnesses and the det-ratio verifier."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from newton2pep import (
     select_M,
     unimodular_witnesses,
     verify_linearization,
+    verify_spectrum_match,
 )
 
 from newton2pep.linalg import det
@@ -34,9 +36,9 @@ from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
 from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
                      cofactor_det, companion_params_reference, companion_reference,
-                     newton_triple, nodes_of_kind, random_coeffs, random_monomial,
-                     random_newton, sampled_witness, scaled, witness_factors, with_signed_zeros,
-                     z_block_reference)
+                     newton_triple, nodes_of_kind, parameter_scaled, random_coeffs,
+                     random_monomial, random_newton, sampled_witness, scaled, witness_factors,
+                     with_signed_zeros, z_block_reference)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -497,6 +499,37 @@ class TestVerifyLinearization:
         assert report.passed
         assert report.max_relative_deviation < 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_companion_with_c20_near_the_double_range_passes(self, seed):
+        # C20 times 1e308: Q and L evaluated as given overflow (numpy warnings,
+        # a nan deviation). Evaluated at unit size they pass, and log gamma,
+        # less the exact multiples of log 2, is that of the companion, 0.
+        q = random_newton(np.random.default_rng(seed), 2)
+        q = MatrixPoly2.newton({**q.coeffs, (2, 0): 1e308 * q.coeff(2, 0)}, q.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_linearization(companion_pencil(q), q)
+        assert report.passed
+        assert abs(report.log_gamma) < 1e-9
+
+    def test_sample_where_det_l_overflows_has_deviation_inf(self):
+        # L's values grow with lambda - alpha1 = -8e307, while this Q has no
+        # lambda term and stays in range. At one of the 12 samples the LU of
+        # L overflows: log det L reads nan and the deviation inf, with no
+        # numpy warning.
+        rng = np.random.default_rng(14)
+        q = random_newton(rng, 2, NewtonNodes(8e307))
+        q = MatrixPoly2.newton({k: c if k[0] == 0 else 0 * c for k, c in q.coeffs.items()},
+                               q.nodes)
+        pencil = NewtonPencil.from_blocks(q.nodes, *complex_normal(rng, 3, 6, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_linearization(pencil, q)
+        overflowed = [s for s in report.samples if np.isnan(s[2].real)]
+        assert len(overflowed) == 1 and overflowed[0][4] == np.inf
+        assert np.isfinite([s[3].real for s in report.samples]).all()
+        assert report.max_relative_deviation == np.inf and not report.passed
+
     def test_shared_samples_bound_peak_memory(self):
         # The three certificates on one sample set at n = 48 hold pencil values
         # in chunks: the peak stays below two (K, 3n, 3n) stacks (without
@@ -606,14 +639,16 @@ class TestGeneralAnsatz:
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_default_z_is_the_identity_for_every_scale(self, pattern, scale):
-        # Without params the e1 pencil is that of Y11 = 0, Z1 = (0; I; 0),
-        # Z2 = (0; 0; I) whatever M is, and M^{-1} kron I carries the scale.
+        # Without params the e1 pencil is that of Y11 = 0, Z1 = 2^-(e+1) (0; I; 0),
+        # Z2 = 2^-(e+1) (0; 0; I), the identity at Q's scale (2^e Q at unit size),
+        # whatever M is, and M^{-1} kron I carries the scale of v.
         rng = np.random.default_rng(24)
         qn = random_newton(rng, 2)
         r = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
         v = scale * r * np.array(pattern)
         built = construct_general_ansatz(qn, v)
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        eye *= 2.0 ** (-1 - qn.at_unit_size()[1])
         assert_bitwise_equal(built.params.y11, zero)
         assert_bitwise_equal(built.params.z1, np.vstack([zero, eye, zero]))
         assert_bitwise_equal(built.params.z2, np.vstack([zero, zero, eye]))
@@ -621,6 +656,39 @@ class TestGeneralAnsatz:
         res = membership_newton(built.pencil_v, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz.vector, v, rtol=1e-8, atol=1e-8 * scale)
+
+    def test_default_member_of_a_scaled_problem_passes(self):
+        # With Z = I_2n, far below this Q's scale, the sampled deviation of the
+        # (1, 1, 1) member was 3.8e-9 against 1e-9; with Z at Q's scale it passes.
+        q = scaled(random_newton(np.random.default_rng(101), 3), 1.37e6)
+        assert verify_linearization(construct_general_ansatz(q, (1, 1, 1)).pencil_v, q).passed
+
+    @pytest.mark.parametrize("v", [(1, 0, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("a, b, k", [(0, 0, 0), (0, -16, 0), (16, 16, 0), (24, -24, 0),
+                                         (-20, 12, 0), (0, 0, -200), (0, 0, 100), (0, 0, 300)])
+    def test_default_members_pass_at_every_scale(self, v, a, b, k):
+        # 2^k Q(2^a lam, 2^b mu) is Q in other units, so its default members must
+        # pass both checks as Q's do.
+        for seed in range(500, 508):
+            q = scaled(parameter_scaled(random_newton(np.random.default_rng(seed), 3), a, b),
+                       2.0 ** k)
+            pencil = construct_general_ansatz(q, v).pencil_v
+            assert verify_linearization(pencil, q).passed
+            assert verify_spectrum_match(q, pencil).all_contained
+
+    @pytest.mark.parametrize("v", [(1, 0, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_default_members_at_the_top_of_the_double_range_verify(self, seed, v):
+        # C20 times 1e308 has a part of at least 2^1023 (e = -1024): the default
+        # Z sits in that binade, 2^1023 I, finite and below Q's largest part.
+        q = random_newton(np.random.default_rng(seed), 2)
+        q = MatrixPoly2.newton({**q.coeffs, (2, 0): 1e308 * q.coeff(2, 0)}, q.nodes)
+        assert q.at_unit_size()[1] == -1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = construct_general_ansatz(q, v)
+            assert_bitwise_equal(built.params.z1[2:4], 2.0 ** 1023 * np.eye(2, dtype=complex))
+            assert verify_linearization(built.pencil_v, q).passed
 
     def test_explicit_params_respected(self):
         rng = np.random.default_rng(21)

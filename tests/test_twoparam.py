@@ -478,7 +478,8 @@ class TestCertificateOnDemand:
 
 
 class TestSliceStacks:
-    # Each side's slices are solved as stacks of at most STACK_BYTES.
+    # Each side's slices are solved, and backward errors taken, as stacks of at
+    # most STACK_BYTES.
     @pytest.mark.parametrize("n, stack_bytes, calls", [
         (1, 1 << 20, (1, 1)), (8, 1 << 20, (1, 1)), (32, 1 << 20, (1, 1)),
         (2, 16 * 6 ** 2 * 2, (2, 3)),
@@ -524,6 +525,19 @@ class TestSliceStacks:
         assert max(shape[0] for shape in stacks) <= spaces.chunk_step(n) == members
         assert sum(shape[0] for shape in stacks) == len(lam)
         assert_bitwise_equal(kept, one_stack)
+
+    def test_pair_backward_errors_are_chunked(self, monkeypatch):
+        # With STACK_BYTES for one 3 x 3 value, each point's backward error
+        # takes its own SVD, and the sample is bitwise the one-stack sample.
+        pair = random_pair(np.random.default_rng(54), 3, 3)
+        one_stack = spectrum_pair_oracle(pair, seed=2)
+        monkeypatch.setattr(spaces, "STACK_BYTES", 16 * 3 ** 2)
+        chunks, real = [], twoparam._backward_error
+        monkeypatch.setattr(twoparam, "_backward_error", lambda n, values_at, weight: real(
+            n, lambda sl: chunks.append(len(values_at(sl))) or values_at(sl), weight))
+        sample = spectrum_pair_oracle(pair, seed=2)
+        assert chunks == [1] * 2 * len(sample.points) and sample.total_count == 36
+        assert_bitwise_equal(*(np.array(s.points, dtype=complex) for s in (sample, one_stack)))
 
     def test_spectrum_slice_is_the_one_slice_stack(self):
         rng = np.random.default_rng(52)
@@ -856,9 +870,8 @@ def diagonal_pair(diagonals):
 
 def meets_at_infinity(pair, rng) -> bool:
     """The count check's line test on a random parametrization of the line at infinity."""
-    norms = [twoparam._coefficient_norm(q) for q in (pair.q1, pair.q2)]
     p, r = (np.append(complex_normal(rng, 2), 0) for _ in range(2))
-    return twoparam._meet_on_line(pair, norms, p, r) <= 1
+    return twoparam._meet_on_line(pair, p, r) <= 1
 
 
 def staircase_and_full_deficiency(pair, seed):
@@ -867,7 +880,7 @@ def staircase_and_full_deficiency(pair, seed):
     normal-rank deficiency of the whole 9 p1 p2 pencil Delta1 + c Delta2 -
     sigma Delta0."""
     rng = np.random.default_rng(seed)
-    pair = QtepPair(twoparam._rescaled(pair.q1), twoparam._rescaled(pair.q2))
+    pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
     delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
                                             E1FreeParams.random(pair.p2, rng)))
     c = complex_normal(rng)
@@ -1126,7 +1139,7 @@ class TestSpectrumPairOracle:
         # converge on it ("SVD did not converge"), and it does on its adjoint.
         rng = np.random.default_rng(seed)
         nodes = nodes_of_kind(rng, "newton")
-        pair = QtepPair(*(twoparam._rescaled(random_newton(rng, p, nodes)) for _ in range(2)))
+        pair = QtepPair(*(random_newton(rng, p, nodes).at_unit_size()[0] for _ in range(2)))
         delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(p, rng),
                                                 E1FreeParams.random(p, rng)))
         (d0, _, _), at_infinity, deflated = twoparam._regular_part(delta)
@@ -1207,7 +1220,7 @@ class TestInPlaceForms:
         at_infinity = 0
         for pair, seed in ((pair, seed) for pair in pairs for seed in (0, 1)):
             rng = np.random.default_rng(seed)
-            pair = QtepPair(twoparam._rescaled(pair.q1), twoparam._rescaled(pair.q2))
+            pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
             delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
                                                     E1FreeParams.random(pair.p2, rng)))
             ops, flag, deflated = twoparam._regular_part(delta)

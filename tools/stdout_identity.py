@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1043 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1053 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -24,8 +24,12 @@ range of doubles: construct --params FILE and verify at n = 2 with the problem a
 times 1e160, where ||Z||_F overflows, and spectrum --pair on a 2 x 2 monomial pair (rng seed 5)
 times 2^-540 and times 2^600, where a Frobenius norm of its blocks under- or overflows. Then 4
 more: delta --check-singular on those two pairs, and construct --companion and verify at n = 64
-with the problem times 1e4, where every sampled det L and det Q leaves the double range. The later
-blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
+with the problem times 1e4, where every sampled det L and det Q leaves the double range. Then 10
+more from fixed seeds, each problem's nodes drawn before its blocks: construct --ansatz 1,1,1
+without --params and verify of seed 101 at n = 3 times 1.37e6, whose default Z must sit at Q's
+scale, and construct --companion and verify of seeds 0, 1, 2 and 4 at n = 2 with C20 times 1e308,
+whose values verify must take at unit size. The later blocks are
+drawn after the earlier ones, so adding them does not change the earlier draws. Every
 spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
 process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
 again with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
@@ -222,10 +226,12 @@ def build_jobs(work: Path, rng) -> list:
     for kind in NODE_KINDS:  # degree-drop slices at the large-certify sizes
         for n, c in itertools.product((32, 64), ("companion", (0, 1, 0))):
             jobs += chain(kind, n, c, None, drop=True)
-    def times(factor, name, key=None):  # the [re, im] lists of a file, or of its key, times factor
+    def times(factor, name, key=None, only=None):
+        # The [re, im] lists of a file, or of its key (its entry ``only`` alone), times factor.
         doc = json.loads((work / name).read_text())
         part = doc[key] if key else doc
-        part.update({k: [[factor * x for x in z] for z in v] for k, v in part.items()})
+        part.update({k: [[factor * x for x in z] for z in v] for k, v in part.items()
+                     if only in (None, k)})
         (work / name).write_text(json.dumps(doc))
         return name
     q = times(1e160, _write_problem(work / "huge.q", 2, rng, _nodes(rng, "newton")), "coefficients")
@@ -243,6 +249,17 @@ def build_jobs(work: Path, rng) -> list:
     q = times(1e4, _write_problem(work / "large.q", 64, rng, _nodes(rng, "newton")), "coefficients")
     jobs += [("large.construct", ["construct", q, "--companion", "--out", "large"]),
              ("large.verify", ["verify", q, "large", "--seed", _int(rng)])]
+    seeded = np.random.default_rng(101)  # fixed seeds: no draw from rng
+    q = times(1.37e6, _write_problem(work / "million111.q", 3, seeded, _nodes(seeded, "newton")),
+              "coefficients")
+    jobs += [("million111.construct", ["construct", q, "--ansatz", "1,1,1", "--out", "million111"]),
+             ("million111.verify", ["verify", q, "million111", "--seed", "0"])]
+    for s in (0, 1, 2, 4):
+        seeded = np.random.default_rng(s)
+        q = times(1e308, _write_problem(work / f"c20huge{s}.q", 2, seeded, _nodes(seeded, "newton")),
+                  "coefficients", "A20")
+        jobs += [(f"c20huge{s}.construct", ["construct", q, "--companion", "--out", f"c20huge{s}"]),
+                 (f"c20huge{s}.verify", ["verify", q, f"c20huge{s}", "--seed", "0"])]
     return jobs
 
 
