@@ -20,6 +20,7 @@ __all__ = [
     "as_matrix",
     "freeze",
     "kron",
+    "block_rows",
     "det",
     "smallest_singular_value",
     "small_dense_eigen",
@@ -58,6 +59,14 @@ def kron(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
 
 
+def block_rows(m, a) -> np.ndarray:
+    """(m kron I_n) a for a 3 x 3 matrix m and a matrix a of 3n rows, from m's nine scalars:
+    row block i is m_i1 a_1 + m_i2 a_2 + m_i3 a_3, with no 3n x 3n product."""
+    a = np.asarray(a).reshape(3, -1, np.shape(a)[-1])
+    m = np.asarray(m)[..., None, None]
+    return (m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]).reshape(-1, a.shape[-1])
+
+
 def det(a):
     """Determinant via LU with partial pivoting (an array of them for a stack)."""
     a = np.asarray(a, dtype=complex)
@@ -89,8 +98,12 @@ ANNULUS = (0.5, 2.0)  # inner and outer radius of annulus_points
 
 
 def _row_scales(*mats) -> np.ndarray:
-    """The largest magnitude in each row across ``mats`` (1 for a zero row)."""
-    rows = np.max([np.abs(m).max(axis=-1, initial=0.0) for m in mats], axis=0)
+    """The largest magnitude in each row across ``mats`` (1 for a zero row); that of the halved
+    row where it leaves the double range, as |z| of a complex entry with finite parts can."""
+    with np.errstate(over="ignore"):
+        rows = np.max([np.abs(m).max(axis=-1, initial=0.0) for m in mats], axis=0)
+    if np.isinf(rows).any():
+        rows = np.where(np.isinf(rows), _row_scales(*(m / 2 for m in mats)), rows)
     rows[rows == 0] = 1.0
     return rows
 

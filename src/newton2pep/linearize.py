@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateProblemError
-from .linalg import (annulus_points, as_matrix, complex_normal, kron, scale_to_unit,
+from .linalg import (annulus_points, as_matrix, block_rows, complex_normal, scale_to_unit,
                      smallest_singular_value)
 from .matpoly import MatrixPoly2
 from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
@@ -270,12 +270,14 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
 
     2 ``samples`` annulus points are drawn from ``seed``: lambda is the first half, mu the
     second. Inconclusive (DegenerateProblemError) when sigma_min(Q) <= n eps sigma_max(Q)
-    at every sample, the relative rank test of numpy.linalg.matrix_rank. A quadratic in
+    at every sample, the relative rank test of numpy.linalg.matrix_rank; the values-only SVD
+    of the other samples is taken only when the first is singular. A quadratic in
     (lambda, mu) has 6 coefficients, so ``samples`` below 6 raises ValueError. Q and L are
     evaluated as 2^a Q and 2^b L at unit size, where the deviations are taken; log det Q,
     log det L and log gamma then subtract n a, 3n b and (3b - a) n times log 2. A sample
     where L or det L overflows has deviation inf; Q holds products of two node differences,
-    L single ones, so large nodes mostly overflow Q first, and its SVD raises LinAlgError.
+    L single ones, so large nodes mostly overflow Q first, which raises ValueError naming
+    the sample and its (lambda, mu).
     """
     if samples < 6:
         raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
@@ -285,10 +287,19 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     pencil = NewtonPencil._of_owned(pencil.nodes, *blocks)
     points = annulus_points(np.random.default_rng(seed), 2 * samples)
     lams, mus = points[:samples], points[samples:]
-    q_values = q.eval(lams, mus)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample is named below
+        q_values = q.eval(lams, mus)
+    if not (finite := np.isfinite(q_values).all(axis=(1, 2))).all():
+        k = int(np.argmin(finite))
+        lam, mu = complex(lams[k]), complex(mus[k])
+        raise ValueError(f"the Q values at sample {k + 1}, lambda=({lam.real:.17g}, "
+                         f"{lam.imag:.17g}) mu=({mu.real:.17g}, {mu.imag:.17g}), overflow "
+                         "the double range")
 
-    sigma = np.linalg.svd(q_values, compute_uv=False)
-    if np.all(sigma[:, -1] <= q.n * np.finfo(float).eps * sigma[:, 0]):
+    def singular(values):  # sigma_min <= n eps sigma_max at every one of the values
+        sigma = np.linalg.svd(values, compute_uv=False)
+        return bool(np.all(sigma[..., -1] <= q.n * np.finfo(float).eps * sigma[..., 0]))
+    if singular(q_values[0]) and singular(q_values[1:]):
         raise DegenerateProblemError(
             "det Q vanishes at every sample point (Q is numerically singular "
             "there); the determinant-ratio check is inconclusive for this polynomial"
@@ -358,8 +369,7 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
         hat = E1FreeParams.build(zero, *np.hsplit(z, 2))
     else:
         require_matching(q, params=params)
-        t = kron(m, np.eye(n))
         y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
         hat = E1FreeParams.build(m[0, 0] * (params.y11 if y_free else zero),
-                                 t @ params.z1, t @ params.z2)
+                                 block_rows(m, params.z1), block_rows(m, params.z2))
     return GeneralAnsatzPencil(M=m, params=hat, pencil=construct_e1_newton(q, hat, tol=tol))

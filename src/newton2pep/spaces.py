@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateProblemError, NodeMismatchError
-from .linalg import as_matrix, freeze, kron, scale_to_unit
+from .linalg import as_matrix, block_rows, freeze, scale_to_unit
 from .matpoly import COEFF_KEYS, MatrixPoly2, NewtonNodes
 
 DEFAULT_TOL = 1e-9
@@ -83,18 +83,20 @@ class NewtonPencil(NamedTuple):
         """Value at (lam, mu): 3n x 3n, or a (K, 3n, 3n) stack as in MatrixPoly2.eval.
 
         Gamma2 / Gamma2t are block-diagonal with scalar blocks, so the
-        right-multiplication is column-block scaling. With all nodes zero
-        this reproduces lam A1 + mu A2 + A3 bit for bit.
+        right-multiplication is column-block scaling: each column of A1 and
+        A2 is multiplied by its block's scalar, whole rows at a time, and
+        (gl A1 + gm A2) + A3 is accumulated in place in that order. With all
+        nodes zero this reproduces lam A1 + mu A2 + A3 bit for bit.
         """
         n = self.n
         a1, a2, b1, b2 = self.nodes
         lam = np.asarray(lam)[..., None, None]
         mu = np.asarray(mu)[..., None, None]
-        out = np.empty(lam.shape[:-2] + (3 * n, 3 * n), dtype=complex)
-        for j, (gl, gm) in enumerate(((lam - a2, mu - b1), (lam - a1, mu - b2),
-                                      (lam - a1, mu - b1))):
-            cols = slice(j * n, (j + 1) * n)
-            out[..., cols] = gl * self.A1[:, cols] + gm * self.A2[:, cols] + self.A3[:, cols]
+        gl = np.repeat(np.concatenate([lam - a2, lam - a1, lam - a1], axis=-1), n, axis=-1)
+        gm = np.repeat(np.concatenate([mu - b1, mu - b2, mu - b1], axis=-1), n, axis=-1)
+        out = gl * self.A1
+        out += gm * self.A2
+        out += self.A3
         return out
 
     def eval_chunks(self, lams, mus):
@@ -109,9 +111,9 @@ class NewtonPencil(NamedTuple):
         return (self.A1, self.A2, self.A3)
 
     def left_multiply(self, m) -> "NewtonPencil":
-        """(m kron I_n) L for a 3 x 3 matrix m; it maps ansatz vector v to m v."""
-        t = kron(m, np.eye(self.n))
-        return NewtonPencil._of_owned(self.nodes, t @ self.A1, t @ self.A2, t @ self.A3)
+        """(m kron I_n) L for a 3 x 3 matrix m, by :func:`block_rows`; it maps ansatz vector v
+        to m v."""
+        return NewtonPencil._of_owned(self.nodes, *(block_rows(m, a) for a in self.blocks()))
 
 
 # The benchmark tracer (perfbench/tracing.py) looks this name up; it has no

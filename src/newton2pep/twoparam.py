@@ -127,9 +127,9 @@ def _coefficients(ln) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not hasattr(ln, "blocks"):
         return tuple(np.asarray(x, dtype=complex) for x in ln)
     a1, a2, b1, b2 = ln.nodes
-    d_alpha = np.repeat([a2, a1, a1], ln.n)
-    d_beta = np.repeat([b1, b2, b1], ln.n)
-    return ln.A1, ln.A2, ln.A3 - ln.A1 * d_alpha - ln.A2 * d_beta
+    c = ln.A3 - ln.A1 * np.repeat([a2, a1, a1], ln.n)
+    c -= ln.A2 * np.repeat([b1, b2, b1], ln.n)
+    return ln.A1, ln.A2, c
 
 
 def delta_operators(ln1, ln2) -> DeltaTriple:
@@ -249,15 +249,29 @@ def _slice_lines(mus):
     return np.array([zero, mus, one]), np.array([one, zero, zero])
 
 
+def _overflow(what: str, mus, finite) -> ValueError:
+    """The error for the first slice mu0 where ``finite`` is False: its ``what`` overflow."""
+    mu0 = complex(mus[np.argmin(finite)])
+    return ValueError(f"the {what} values at the slice mu0=({mu0.real:.17g}, {mu0.imag:.17g}) "
+                      "overflow the double range")
+
+
 def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
     """Every finite eigenvalue of Q(., mu0) at each mu0, as an array sorted by
     (real, imag), before the certificate of :func:`_certified`: each slice, Q
     on its :func:`_slice_lines`, by :func:`quadratic_eigen`, in stacks of at
     most STACK_BYTES of 2n x 2n operators (at least one). A Q singular on a
-    slice raises :class:`DegenerateProblemError`."""
-    step = chunk_step(2 * q.n)
-    out = [lam for start in range(0, len(mus), step)
-           for lam in quadratic_eigen(*q.on_line(*_slice_lines(mus[start:start + step])))]
+    slice raises :class:`DegenerateProblemError`. Q is taken at unit size
+    (:meth:`MatrixPoly2.at_unit_size`), whose power of two the row scaling of
+    :func:`quadratic_eigen` cancels; a slice whose coefficients still overflow,
+    as nodes near 1e154 make them, raises ValueError naming its mu0."""
+    q, step, out = q.at_unit_size()[0], chunk_step(2 * q.n), []
+    for start in range(0, len(mus), step):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named
+            k = q.on_line(*_slice_lines(chunk := mus[start:start + step]))
+        if not (finite := np.isfinite(k).all(axis=(0, 2, 3))).all():
+            raise _overflow("Q", chunk, finite)
+        out += quadratic_eigen(*k)
     if any(lam is None for lam in out):
         raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
     return out
@@ -277,8 +291,9 @@ def _backward_error(n: int, values_at, weight) -> np.ndarray:
 def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
     """The values lam of the slice at mu0 whose :func:`_backward_error`, weight |lam|^2 ||K2||_F
     + |lam| ||K1||_F + ||K0||_F, is at most RESIDUAL_TOL: it reads the same for Q and 2^k Q, and
-    is at most ||Q(lam, mu0) x|| / ||x|| over the same weight for every x != 0."""
-    k2, k1, k0 = q.on_line(*_slice_lines(mu0))
+    is at most ||Q(lam, mu0) x|| / ||x|| over the same weight for every x != 0. It is taken on
+    Q at unit size, where the slice was solved."""
+    k2, k1, k0 = q.at_unit_size()[0].on_line(*_slice_lines(mu0))
     f2, f1, f0 = (float(np.linalg.norm(k)) for k in (k2, k1, k0))
     error = _backward_error(q.n, lambda sl: (t := lam[sl, None, None]) * t * k2 + t * k1 + k0,
                             np.abs(lam) ** 2 * f2 + np.abs(lam) * f1 + f0)
@@ -321,34 +336,41 @@ def _deflate_infinite(w, sigma) -> list | None:
 
 
 def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
-    """Finite lambda with det(lam A1 + L(0, mu0)) = 0 for each mu0, sorted by
-    (real, imag); None for a singular slice. A1 is factored once, D^-1 A1 =
-    U diag(Sigma_r, 0) V* (:func:`row_space`, D the row scales across A1, A2
-    and A3, so that W is of unit size; r = 2n for an e1 pencil), and a slice
-    maps to W = U* D^-1 L(0, mu0) V. If sigma_min(W22) > SINGULAR_TOL ||W||_F
+    """Finite lambda with det(lam A + mu0 B + C) = 0 for each mu0, sorted by
+    (real, imag); None for a singular slice. The blocks are divided once by
+    their row scales D across A1, A2 and A3 (:func:`row_space`), so every row
+    has unit size, and D^-1 A1 = U diag(Sigma_r, 0) V* is factored once (r = 2n
+    for an e1 pencil). The affine coefficients B and C of that unit-row pencil
+    (:func:`_coefficients`) are transformed once, B^ = U* B V and C^ = U* C V,
+    and a slice is W = mu0 B^ + C^. If sigma_min(W22) > SINGULAR_TOL ||W||_F
     (the whole slice's norm: a degree drop leaves a rounding-sized W22), its
     finite values are those of -Sigma_r^-1 (W11 - W12 W22^-1 W21) below
     1 / INFINITE_TOL; every other slice, and all when A1 has full rank or is
     zero, goes through the deflation loop :func:`_deflate_infinite`. A chunk
-    is one stack; a slice whose values overflow raises ValueError naming its mu0."""
-    scales, u, sigma, vh = row_space(*pencil.blocks())
-    r, m, left, out = len(sigma), 3 * pencil.n, u.conj().T / scales, []
+    of STACK_BYTES is one stack. W is finite for finite blocks unless nodes
+    near the top of the double range overflow C; such a W raises ValueError
+    naming its mu0."""
+    scales, left, sigma, right = row_space(*pencil.blocks())
+    left, right, d = left.conj().T, right.conj().T, scales[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named below
-        for sl, constants in pencil.eval_chunks(np.zeros(len(mus)), mus):
-            if not (finite := np.isfinite(constants).all(axis=(1, 2))).all():
-                mu0 = complex(mus[sl][np.argmin(finite)])
-                raise ValueError(f"the pencil values at the slice mu0=({mu0.real:.17g}, "
-                                 f"{mu0.imag:.17g}) overflow the double range")
-            w = left @ constants @ vh.conj().T
-            generic = np.full(len(w), False) if r in (0, m) else (
-                np.linalg.svd(w[:, r:, r:], compute_uv=False)[:, -1]
-                > SINGULAR_TOL * np.linalg.norm(w, axis=(1, 2)))
-            lams = [None if g else _deflate_infinite(wk, sigma) for g, wk in zip(generic, w)]
-            w = w[generic]
-            schur = w[:, :r, :r] - w[:, :r, r:] @ np.linalg.solve(w[:, r:, r:], w[:, r:, :r])
-            for k, lam in zip(np.flatnonzero(generic), np.linalg.eigvals(-schur / sigma[:, None])):
-                lams[k] = np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
-            out += lams
+        _, b, c = _coefficients(pencil._replace(A1=pencil.A1 / d, A2=pencil.A2 / d,
+                                                A3=pencil.A3 / d))
+        b = left @ b @ right
+        c = left @ c @ right
+    r, m, step, out = len(sigma), 3 * pencil.n, chunk_step(3 * pencil.n), []
+    for start in range(0, len(mus), step):
+        w = (chunk := mus[start:start + step, None, None]) * b + c
+        if not (finite := np.isfinite(w).all(axis=(1, 2))).all():
+            raise _overflow("pencil", chunk.ravel(), finite)
+        generic = np.full(len(w), False) if r in (0, m) else (
+            np.linalg.svd(w[:, r:, r:], compute_uv=False)[:, -1]
+            > SINGULAR_TOL * np.linalg.norm(w, axis=(1, 2)))
+        lams = [None if g else _deflate_infinite(wk, sigma) for g, wk in zip(generic, w)]
+        w = w[generic]
+        schur = w[:, :r, :r] - w[:, :r, r:] @ np.linalg.solve(w[:, r:, r:], w[:, r:, :r])
+        for k, lam in zip(np.flatnonzero(generic), np.linalg.eigvals(-schur / sigma[:, None])):
+            lams[k] = np.sort_complex(lam[np.abs(lam) < 1 / INFINITE_TOL]).tolist()
+        out += lams
     return out
 
 

@@ -468,6 +468,25 @@ class TestVerify:
         assert code == 3
 
 
+    @pytest.mark.parametrize("cmd, where", [
+        ("verify", r"at sample 1, lambda=\(\S+, \S+\) mu=\(\S+, \S+\),"),
+        ("spectrum", r"at the slice mu0=\(\S+, \S+\)")])
+    def test_q_values_out_of_range_are_a_usage_error(self, tmp_path, capsys, cmd, where):
+        # Nodes of 1e155 (1 + i): (lam - alpha1)(mu - beta1) leaves the double
+        # range, while the companion pencil holds single node differences.
+        nodes = NewtonNodes(alpha1=1e155 * (1 + 1j), beta1=1e155 * (1 + 1j))
+        qpath, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qpath, random_newton(np.random.default_rng(8), 2, nodes))
+        assert run(capsys, ["construct", qpath, "--companion", "--out", out])[0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([cmd, qpath, out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.search(rf"^error: the Q values {where} overflow the double range$",
+                         captured.err, re.M)
+
+
 class TestDelta:
     def test_companion_pair_singular_verdict(self, scalar_pair_files, capsys):
         p1, p2 = scalar_pair_files
@@ -595,16 +614,38 @@ class TestSpectrum:
         assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,residual"
         assert len(lines) == 5  # header + 4 points
 
-    def test_overflowing_pencil_slice_is_usage_error(self, tmp_path, qfile, capsys):
+    def test_pencil_near_the_top_of_the_range_has_singular_slices(self, tmp_path, qfile,
+                                                                  capsys):
+        # The slices are taken from blocks with unit rows, so the overflow
+        # member's slices are finite: its rows of 1.5e308 leave the rest of
+        # their rows at rounding level, and each slice is singular, as verify
+        # fails this pencil too.
         out = str(tmp_path / "p.json")
         save_pencil(out, overflow_member(load_problem(qfile)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["spectrum", qfile, out])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert re.search(r"^error: the pencil values at the slice mu0=\(\S+, \S+\) overflow "
-                         r"the double range$", captured.err, re.M)
+            code, report = run(capsys, ["spectrum", qfile, out])
+        assert code == 1
+        slices = [x for x in report.splitlines() if x.startswith("slice ")]
+        assert len(slices) == 5 and all("PENCIL-SINGULAR" in x for x in slices)
+        assert report.splitlines()[-1] == "containment: FAIL"
+
+    @pytest.mark.parametrize("v", ["1,0,0", "0,1,0"])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_default_members_at_the_top_of_the_double_range_pass(self, tmp_path, capsys,
+                                                                 seed, v):
+        # C20 times 1e308: the default Z is 2^1023 I, and the member adds it to
+        # Q's blocks. Seed 2's C20 has an entry whose modulus overflows, which
+        # the row scales of the slices read from the halved row.
+        q = random_newton(np.random.default_rng(seed), 2)
+        q = MatrixPoly2.newton({**q.coeffs, (2, 0): 1e308 * q.coeff(2, 0)}, q.nodes)
+        qpath, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qpath, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, ["construct", qpath, "--ansatz", v, "--out", out])[0] == 0
+            code, report = run(capsys, ["spectrum", qpath, out])
+        assert (code, report.splitlines()[-1]) == (0, "containment: PASS")
 
     def test_zero_slices_usage_error(self, tmp_path, qfile, capsys):
         out = tmp_path / "pencil.json"

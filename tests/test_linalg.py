@@ -10,8 +10,8 @@ from newton2pep import (
     complex_normal,
     smallest_singular_value,
 )
-from newton2pep.linalg import (SHIFTS, as_matrix, det, kron, quadratic_eigen, row_space,
-                               scale_to_unit, small_dense_eigen)
+from newton2pep.linalg import (SHIFTS, as_matrix, block_rows, det, kron, quadratic_eigen,
+                               row_space, scale_to_unit, small_dense_eigen)
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix,
                      companion_linearization_reference, eig_reference, kron_oracle,
@@ -89,6 +89,21 @@ class TestKron:
             b = with_signed_zeros(rng, complex_normal(rng, *shape_b))
             for x, y in ((a, b), (a, b.real), (a.real, b), (a.real, b.real)):
                 assert_bitwise_equal(kron(x, y), np.kron(x, y))
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("n, cols", [(1, 3), (2, 6), (4, 4), (3, 1)])
+    def test_is_the_kronecker_product(self, n, cols):
+        rng = np.random.default_rng(5)
+        m, a = complex_normal(rng, 3, 3), complex_normal(rng, 3 * n, cols)
+        np.testing.assert_allclose(block_rows(m, a), kron(m, np.eye(n)) @ a, rtol=1e-14,
+                                   atol=1e-14)
+
+    def test_a_permutation_moves_the_rows_exactly(self):
+        rng = np.random.default_rng(6)
+        a = complex_normal(rng, 6, 6)
+        got = block_rows(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), a)
+        assert_bitwise_equal(got, np.vstack([a[2:4], a[4:], a[:2]]))
 
 
 class TestDet:

@@ -454,6 +454,17 @@ class TestVerifyLinearization:
         with pytest.raises(DegenerateProblemError):
             verify_linearization(pencil, qn)
 
+    def test_generic_q_takes_one_values_only_svd(self, monkeypatch):
+        # det Q vanishes at every sample only if it vanishes at the first, so
+        # the other samples' SVDs are taken only when the first is singular.
+        rng = np.random.default_rng(17)
+        qn = random_newton(rng, 4)
+        pencil, shapes, real = companion_pencil(qn), [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw))
+        assert verify_linearization(pencil, qn).passed
+        assert shapes == [(4, 4)]
+
     @pytest.mark.parametrize("samples", [0, 1, 5])
     def test_fewer_than_six_samples_rejected(self, samples):
         # A single point used to pass, and zero points read "det Q vanishes".

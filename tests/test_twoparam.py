@@ -1,5 +1,6 @@
 """Pencil pairs, operator determinants, singularity and spectrum oracles."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -642,6 +643,30 @@ class TestSliceDeflation:
         assert ("svd", (5, n, n)) in shapes and ("eigvals", (5, 2 * n, 2 * n)) in shapes
         assert [len(g) for g in got] == [2 * n] * 5
         assert_same_finite_eigenvalues(got, want)
+
+    def test_generic_slice_pass_evaluates_no_pencil(self, monkeypatch):
+        # The unit-row pencil's mu coefficient and constant term are moved to
+        # A1's singular bases once, so a slice is W = mu0 B^ + C^.
+        rng = np.random.default_rng(46)
+        q = random_newton(rng, 64)
+        calls, real = [], NewtonPencil.eval
+        monkeypatch.setattr(NewtonPencil, "eval",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        assert verify_spectrum_match(q, companion_pencil(q)).all_contained
+        assert calls == []
+
+    def test_slice_out_of_range_is_named(self):
+        # Unit rows keep a slice of finite blocks finite unless nodes near the
+        # top of the double range overflow C = A3 - A1 D_alpha - A2 D_beta.
+        rng = np.random.default_rng(47)
+        ones = np.ones((3, 3))
+        pencil = NewtonPencil.from_blocks(NewtonNodes(1e308, 1e308, 1e308, 1e308), ones, ones,
+                                          np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the pencil values at the slice "
+                                                 r"mu0=\(\S+, \S+\) overflow the double range$"):
+                twoparam._pencil_slice_eigenvalues(pencil, annulus_points(rng, 2))
 
     @pytest.mark.parametrize("case", ["degree drop", "full-rank A1", "zero A1"])
     def test_degenerate_slices_take_the_row_space_solve(self, case):

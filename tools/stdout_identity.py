@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1053 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1059 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -28,8 +28,10 @@ with the problem times 1e4, where every sampled det L and det Q leaves the doubl
 more from fixed seeds, each problem's nodes drawn before its blocks: construct --ansatz 1,1,1
 without --params and verify of seed 101 at n = 3 times 1.37e6, whose default Z must sit at Q's
 scale, and construct --companion and verify of seeds 0, 1, 2 and 4 at n = 2 with C20 times 1e308,
-whose values verify must take at unit size. The later blocks are
-drawn after the earlier ones, so adding them does not change the earlier draws. Every
+whose values verify must take at unit size. Then 6 more, with fixed seeds: spectrum of those four
+companion pencils, and construct --ansatz 1,0,0 without --params and spectrum of seed 0's default
+member, whose Z is 2^1023 I, so that slices at the top of the double range are compared. The
+later blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
 spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
 process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
 again with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
@@ -56,7 +58,11 @@ distances such as 1e-15 and 5e-15 move by 4e-9 of that, not by 0.8 of their own 
 way a ``witness gamma agreement`` value of verify moves relative to GAMMA_AGREEMENT_TOL, the bound
 verify compares it with, and the ``residual`` of a pair point moves relative to RESIDUAL_TOL, the
 largest backward error the pair solver returns: each value is itself at rounding level, so a
-rounding move would read 1.
+rounding move would read 1. So do the ``max relative deviation``, each sample's ``deviation``, the
+``membership residual`` and the ``witness reduction residual`` relative to the job's tolerance,
+which the verdict compares them with, and the logs ``log gamma estimate``, ``witness log gamma
+prediction`` and each sample's ``log detL`` and ``log detQ`` by their absolute move, as the
+agreement of two logs is read from their difference.
 
 With --repeat R, after the comparison every job runs R more times per tree in this process, the
 trees alternating job by job with each tree's modules swapped in, and the median over the
@@ -113,6 +119,11 @@ DEGENERATE_PAIRS = (
 NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")  # not mu0's 0
 POINT = "  lambda="  # a point line of a report
 AGREEMENT = "witness gamma agreement:"  # a verify line, compared with GAMMA_AGREEMENT_TOL
+# Fields of construct and verify reports that move in absolute terms: logs against 1, and
+# deviations and residuals against the job's tolerance, the bound that verify compares them with.
+LOGS = ("log gamma estimate", "witness log gamma prediction", "log detL", "log detQ")
+AGAINST_TOL = ("max relative deviation", "deviation", "membership residual",
+               "witness reduction residual")
 
 
 def line_fields(x: str, y: str) -> dict:
@@ -260,6 +271,12 @@ def build_jobs(work: Path, rng) -> list:
                   "coefficients", "A20")
         jobs += [(f"c20huge{s}.construct", ["construct", q, "--companion", "--out", f"c20huge{s}"]),
                  (f"c20huge{s}.verify", ["verify", q, f"c20huge{s}", "--seed", "0"])]
+    jobs += [(f"c20huge{s}.spectrum", ["spectrum", f"c20huge{s}.q", f"c20huge{s}", "--seed", "0",
+                                       "--out", f"c20huge{s}.csv"]) for s in (0, 1, 2, 4)]
+    jobs += [("c20huge0.e1.construct", ["construct", "c20huge0.q", "--ansatz", "1,0,0",
+                                        "--out", "c20huge0.e1"]),
+             ("c20huge0.e1.spectrum", ["spectrum", "c20huge0.q", "c20huge0.e1", "--seed", "0",
+                                       "--out", "c20huge0.e1.csv"])]
     return jobs
 
 
@@ -409,6 +426,7 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                               for f, uw in line_fields(x, y).items() if f in floor):
             floor[field] = max(floor[field], np.linalg.norm(u), np.linalg.norm(w))
         allowed = allowed_distances(lines)
+        tol = [float(x.split(":")[1]) for x, _ in lines if x.startswith("tolerance:")]
         for i, (x, y) in ((i, xy) for i, xy in enumerate(lines) if xy[0] != xy[1]):
             moved[prefix := NUMBER.split(x, 1)[0]] += 1
             fields = largest.setdefault(prefix, {})
@@ -421,6 +439,10 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                     size = agreement_tol
                 elif x.startswith(POINT) and field == "residual":
                     size = residual_tol
+                elif field in LOGS:
+                    size = 1.0
+                elif field in AGAINST_TOL and tol:
+                    size = tol[0]
                 move = np.linalg.norm(u - w) / (size or 1.0)
                 fields[field] = max(fields.get(field, 0.0), move)
     written = [(name, argv[argv.index("--out") + 1].endswith(".csv"),
