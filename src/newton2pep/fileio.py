@@ -27,24 +27,31 @@ whitespace. A string must be strict base64 of exactly 16 bytes per entry;
 non-finite or out-of-double-range numbers raise a FileFormatError naming
 the entry.
 
-Readers parse a document of ORJSON_MIN_BYTES (256 KiB) or more with
-orjson, and a smaller one, or one that orjson rejects (NaN, Infinity,
-1e400, a lone surrogate, bad syntax), with the standard library's json.
-Both give bit-identical values, and rejected text gets the json path's
-messages. orjson parses the [re, im] pair layout 4-5 times faster, saving
-about 22 ns per byte (base64 text: about 1 ns), but importing it costs a fresh
-process about 4 ms, so below about 256 KiB a CLI job would lose time. One
-difference shows: in a large file, an integer wider than 64 bits is read
-as the nearest double, which is the value a matrix entry takes anyway.
+Readers parse a document of ORJSON_MIN_BYTES (256 KiB) or more with orjson
+unless it holds ORJSON_MAX_OPENINGS '[' and '{' bytes or more (orjson
+recurses once per level with no limit: 55,000 nested objects overflowed an
+8 MiB stack). json parses the rest and what orjson rejects (NaN, Infinity,
+1e400, a lone surrogate, bad syntax) to the same values and messages, and
+stops at its recursion limit. orjson reads the [re, im] pair layout 4-5
+times faster, saving about 22 ns per byte (base64: about 1 ns), but its
+import costs a fresh process about 4 ms, so below 256 KiB a CLI job would
+lose time. In a large file an integer wider than 64 bits is read as the
+nearest double, as a matrix entry is anyway. Loaders pause the cyclic
+garbage collector, for every thread, until the parsed tree is released (its
+young lists set off full collections of the heap), then restore its state.
 """
 
 from __future__ import annotations
 
 import binascii
+import functools
+import gc
+import itertools
 import json
 
 import numpy as np
 
+from .linearize import E1FreeParams
 from .matpoly import MatrixPoly2, NewtonNodes
 from .spaces import NewtonPencil
 
@@ -53,8 +60,10 @@ COEFF_NAMES = {"A20": (2, 0), "A11": (1, 1), "A02": (0, 2),
 MONOMIAL = "monomial"
 NEWTON = "newton"
 BLOCK_NAMES = {MONOMIAL: ("L1", "L2", "L0"), NEWTON: ("A1", "A2", "A3")}
-# Documents of at least this many bytes are parsed by orjson (see the module docstring).
+# orjson parses documents of at least ORJSON_MIN_BYTES and with fewer '[' and '{' bytes than
+# ORJSON_MAX_OPENINGS, so that they nest less deep (see the module docstring).
 ORJSON_MIN_BYTES = 1 << 18
+ORJSON_MAX_OPENINGS = 1 << 15
 
 __all__ = [
     "FileFormatError",
@@ -64,7 +73,6 @@ __all__ = [
     "load_pencil",
     "save_pencil",
     "load_params",
-    "params_from_dict",
 ]
 
 
@@ -113,17 +121,31 @@ def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
     if len(data) != rows * cols:
         raise FileFormatError(f"{where}: expected {rows * cols} [re, im] pairs (row-major "
                               f"{rows}x{cols}), got {len(data)}")
-    try:
-        pairs = np.array(data)
-    except ValueError:  # ragged nesting; the per-entry scan below names the entry
-        pairs = None
-    # Kinds "biuf" are exactly the bool/int/float entries the scan accepts; the
-    # complex view keeps signed zeros, which re + 1j*im would lose.
-    if (pairs is not None and pairs.shape == (rows * cols, 2)
-            and pairs.dtype.kind in "biuf" and np.isfinite(pairs).all()):
-        return np.ascontiguousarray(pairs, np.float64).view(np.complex128).reshape(rows, cols)
+    parts = None  # the entries flattened, once each is a list or tuple of two (not str or dict)
+    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
+        try:
+            parts = np.array(list(itertools.chain.from_iterable(data)))
+        except ValueError:  # ragged parts; the per-entry scan below names the entry
+            pass
+    # The shape rejects a part that is a sequence, and kinds "biuf" are exactly the bool/int/float
+    # parts the scan accepts; the complex view keeps signed zeros, which re + 1j*im would lose.
+    if (parts is not None and parts.shape == (2 * rows * cols,)
+            and parts.dtype.kind in "biuf" and np.isfinite(parts).all()):
+        return np.ascontiguousarray(parts, np.float64).view(np.complex128).reshape(rows, cols)
     values = [_pair_to_complex(entry, f"{where}[{k}]") for k, entry in enumerate(data)]
     return np.array(values, dtype=complex).reshape(rows, cols)
+
+
+def _collector_paused(load):  # see the module docstring
+    @functools.wraps(load)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+    return paused
 
 
 def _load_json(path) -> dict:
@@ -133,7 +155,8 @@ def _load_json(path) -> dict:
     except FileNotFoundError:
         raise FileFormatError(f"{path}: file not found")
     doc = None
-    if len(data) >= ORJSON_MIN_BYTES:
+    if len(data) >= ORJSON_MIN_BYTES and ORJSON_MAX_OPENINGS > sum(
+            np.count_nonzero(np.frombuffer(data, np.uint8) == c) for c in b"[{"):
         import orjson
 
         try:
@@ -149,6 +172,8 @@ def _load_json(path) -> dict:
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                   f"column {exc.colno}: {exc.msg}")
+        except RecursionError:
+            raise FileFormatError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     return doc
@@ -191,15 +216,19 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
             if not isinstance(raw.get(key), list) or len(raw[key]) != 2:
                 raise FileFormatError(
                     f"{path}: nodes.{key} must be a list of two [re, im] pairs")
-        nodes = NewtonNodes(
-            _pair_to_complex(raw["alpha"][0], "nodes.alpha[0]"),
-            _pair_to_complex(raw["alpha"][1], "nodes.alpha[1]"),
-            _pair_to_complex(raw["beta"][0], "nodes.beta[0]"),
-            _pair_to_complex(raw["beta"][1], "nodes.beta[1]"),
-        )
+        nodes = NewtonNodes(*(_pair_to_complex(raw[key][i], f"nodes.{key}[{i}]")
+                              for key in ("alpha", "beta") for i in (0, 1)))
     elif "nodes" in doc:
         raise FileFormatError(f"{path}: 'nodes' is only valid with basis 'newton'")
     return n, basis, nodes
+
+
+def _matrices(raw: dict, where: str, shapes: dict) -> list:  # {name: (rows, cols)}, in order
+    for name in shapes:
+        if name not in raw:
+            raise FileFormatError(f"{where}.{name} is missing")
+    return [_flat_to_matrix(raw[name], *shape, f"{where}.{name}")
+            for name, shape in shapes.items()]
 
 
 def _header(obj) -> dict:
@@ -212,18 +241,14 @@ def _header(obj) -> dict:
     return doc
 
 
+@_collector_paused
 def load_problem(path) -> MatrixPoly2:
     doc = _load_json(path)
     n, _, nodes = _parse_header(doc, path)
-    raw = doc.get("coefficients")
-    if not isinstance(raw, dict):
+    if not isinstance(raw := doc.get("coefficients"), dict):
         raise FileFormatError(f"{path}: missing 'coefficients' object")
-    coeffs = {}
-    for name, key in COEFF_NAMES.items():
-        if name not in raw:
-            raise FileFormatError(f"{path}: coefficients.{name} is missing")
-        coeffs[key] = _flat_to_matrix(raw[name], n, n, f"{path}: coefficients.{name}")
-    return MatrixPoly2.newton(coeffs, nodes)
+    mats = _matrices(raw, f"{path}: coefficients", dict.fromkeys(COEFF_NAMES, (n, n)))
+    return MatrixPoly2.newton(dict(zip(COEFF_NAMES.values(), mats)), nodes)
 
 
 def save_problem(path, poly: MatrixPoly2) -> None:
@@ -231,19 +256,15 @@ def save_problem(path, poly: MatrixPoly2) -> None:
           {name: poly.coeff(*key) for name, key in COEFF_NAMES.items()})
 
 
+@_collector_paused
 def load_pencil(path) -> NewtonPencil:
     """Read a pencil file (keys other than the header and blocks are ignored)."""
     doc = _load_json(path)
     n, basis, nodes = _parse_header(doc, path)
-    raw = doc.get("blocks")
-    if not isinstance(raw, dict):
+    if not isinstance(raw := doc.get("blocks"), dict):
         raise FileFormatError(f"{path}: missing 'blocks' object")
-    mats = []
-    for name in BLOCK_NAMES[basis]:
-        if name not in raw:
-            raise FileFormatError(f"{path}: blocks.{name} is missing")
-        mats.append(_flat_to_matrix(raw[name], 3 * n, 3 * n, f"{path}: blocks.{name}"))
-    return NewtonPencil._of_owned(nodes, *mats)
+    shapes = dict.fromkeys(BLOCK_NAMES[basis], (3 * n, 3 * n))
+    return NewtonPencil._of_owned(nodes, *_matrices(raw, f"{path}: blocks", shapes))
 
 
 def save_pencil(path, pencil: NewtonPencil) -> None:
@@ -251,27 +272,21 @@ def save_pencil(path, pencil: NewtonPencil) -> None:
     _save(path, header, "blocks", dict(zip(BLOCK_NAMES[header["basis"]], pencil.blocks())))
 
 
-def params_from_dict(doc: dict, n: int, where: str = "params"):
-    from .linearize import E1FreeParams
-
+def _params_from_dict(doc: dict, n: int, where: str):
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where} must be an object with Y11, Z1 and Z2, got {doc!r:.40}")
-    for name in ("Y11", "Z1", "Z2"):
-        if name not in doc:
-            raise FileFormatError(f"{where}.{name} is missing")
-    y11 = _flat_to_matrix(doc["Y11"], n, n, f"{where}.Y11")
-    z1 = _flat_to_matrix(doc["Z1"], 3 * n, n, f"{where}.Z1")
-    z2 = _flat_to_matrix(doc["Z2"], 3 * n, n, f"{where}.Z2")
-    return E1FreeParams.build(y11, z1, z2)
+    shapes = {"Y11": (n, n), "Z1": (3 * n, n), "Z2": (3 * n, n)}
+    return E1FreeParams.build(*_matrices(doc, where, shapes))
 
 
+@_collector_paused
 def load_params(path, *sizes: int) -> tuple:
     """Free parameters, one per block size: a file holds one Y11/Z1/Z2 object
     for one size, or 'params1' and 'params2' objects for the two of a pair."""
     doc = _load_json(path)
     if len(sizes) == 1:
-        return (params_from_dict(doc, sizes[0], where=f"{path}: params"),)
+        return (_params_from_dict(doc, sizes[0], f"{path}: params"),)
     if "params1" not in doc or "params2" not in doc:
         raise FileFormatError(f"{path}: expected 'params1' and 'params2'")
-    return tuple(params_from_dict(doc[key], size, f"{path}: {key}")
+    return tuple(_params_from_dict(doc[key], size, f"{path}: {key}")
                  for key, size in zip(("params1", "params2"), sizes))

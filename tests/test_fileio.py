@@ -1,6 +1,7 @@
 """JSON file layer: base64 and [re, im] pair encodings, layout compatibility."""
 
 import binascii
+import gc
 import json
 import math
 import re
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton2pep import (COEFF_KEYS, MatrixPoly2, NewtonNodes, NewtonPencil, companion_pencil,
-                        complex_normal)
+from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
+                        companion_pencil, complex_normal)
 from newton2pep import fileio
 from newton2pep.fileio import (
     BLOCK_NAMES,
@@ -23,14 +24,15 @@ from newton2pep.fileio import (
     _flat_to_matrix,
     _matrix_to_flat,
     layout,
+    load_params,
     load_pencil,
     load_problem,
     save_pencil,
     save_problem,
 )
 
-from helpers import (flat_to_matrix_reference, fresh_cli_imports, random_coeffs, random_newton,
-                     rewrite_as_pairs, save_whole_document)
+from helpers import (flat_to_matrix_reference, fresh_cli_imports, fresh_python, params_to_dict,
+                     random_coeffs, random_newton, rewrite_as_pairs, save_whole_document)
 
 # Values a [re, im] entry may hold in a valid file, including the ones whose
 # bits a careless conversion changes: signed zero, subnormals, integers that
@@ -80,6 +82,10 @@ def flat_lists(draw):
 @example(([[1.0, 2.0], [0.0, 10 ** 400]], 1, 2))
 @example(([[1.0, "2"]], 1, 1))
 @example(([[[1.0, 2.0]]], 1, 1))
+@example(([[[1.0, 2.0], [3.0, 4.0]]], 1, 1))
+@example((["12"], 1, 1))
+@example(([{1.0: 0.0, 2.0: 0.0}], 1, 1))
+@example(([[1.0, 2.0, 3.0], [4.0]], 1, 2))
 def test_flat_to_matrix_matches_per_entry_reference(case):
     data, rows, cols = case
     try:
@@ -482,3 +488,66 @@ def test_fresh_construct_on_a_small_file_does_not_import_orjson(tmp_path):
     imported = fresh_cli_imports(["construct", "q.json", "--companion", "--out", "p.json"],
                                  tmp_path)
     assert "newton2pep.fileio" in imported and "orjson" not in imported
+
+
+# ---------------------------------------------------------------- the paused collector
+
+def test_pair_layout_load_runs_no_collection(tmp_path):
+    save_problem(tmp_path / "q.json", random_newton(np.random.default_rng(49), 64))
+    rewrite_as_pairs(tmp_path / "q.json", tmp_path / "q_pairs.json")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        load_problem(tmp_path / "q_pairs.json")
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["loads", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("kind", ["problem", "pencil", "params"])
+def test_load_restores_the_callers_collector_state(tmp_path, kind, enabled, valid):
+    q = random_newton(np.random.default_rng(50), 2)
+    path = tmp_path / f"{kind}.json"
+    if not valid:
+        path.write_text('{"n": 0}')
+    elif kind == "problem":
+        save_problem(path, q)
+    elif kind == "pencil":
+        save_pencil(path, companion_pencil(q))
+    else:
+        params = E1FreeParams.random(2, np.random.default_rng(51))
+        path.write_text(json.dumps(params_to_dict(params)))
+    load = {"problem": load_problem, "pencil": load_pencil,
+            "params": lambda p: load_params(p, 2)}[kind]
+    gc.enable() if enabled else gc.disable()
+    try:
+        if valid:
+            load(path)
+        else:
+            with pytest.raises(FileFormatError):
+                load(path)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------- nesting depth
+
+@pytest.mark.parametrize("depth", [2_000, 150_000])
+def test_deeply_nested_file_is_a_usage_error(tmp_path, depth):
+    # 150,000 levels is past ORJSON_MIN_BYTES and deeper than orjson parses without crashing.
+    path = tmp_path / "q.json"
+    path.write_text('{"n": 1, "basis": "monomial", "coefficients": '
+                    + "[" * depth + "]" * depth + "}")
+    assert (path.stat().st_size >= ORJSON_MIN_BYTES) == (depth > 100_000)
+    proc = fresh_python("-m", "newton2pep.cli", "construct", "q.json", "--companion",
+                        "--out", "p.json", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr.decode()[-400:]
+    assert proc.stderr.decode().startswith("error: q.json: ")

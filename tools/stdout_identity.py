@@ -39,8 +39,10 @@ writer, which no job reaches, is compared too. It names every job whose report d
 three of its differing lines and then the lines of the longer report that have no counterpart (a
 job whose exit code changes may print nothing on one side), and every job or problem whose written
 file differs in more than digits; either makes the exit status 1. A written CSV whose text matches
-once its numbers are masked counts as digits only, as a report does; a pencil or rewritten problem
-file is base64, so any byte that differs there counts. For the reports that differ in digits only,
+once its numbers are masked counts as digits only, as a report does. So does a pencil or rewritten
+problem file whose header (all but its base64 matrices) is equal and whose matrices have the same
+names and sizes; the largest move of a matrix's real and imaginary parts, relative to its largest
+part, is printed over all such files. For the reports that differ in digits only,
 each run of consecutive point lines (`` lambda=``: the Q values of a slice, the points of a pair,
 the determinant samples) is first matched line to line by nearest (lambda, mu), so that two points
 whose sort keys tie and swap at rounding level count as the rounding-level moves they are. It then
@@ -80,6 +82,7 @@ trees alternating run by run, with the bytecode the job runs left; its median wa
 printed per tree, with the number of the R pairs of runs in which the change was faster."""
 
 import argparse
+import binascii
 import contextlib
 import io
 import itertools
@@ -280,6 +283,24 @@ def build_jobs(work: Path, rng) -> list:
     return jobs
 
 
+def matrix_move(a: bytes, b: bytes):
+    """The largest relative move of the matrices of two written pencil or problem files whose
+    headers agree and whose matrices have the same names and sizes, or None."""
+    docs = [json.loads(x) for x in (a, b)]
+    group = "blocks" if "blocks" in docs[0] else "coefficients"
+    mats = [doc.pop(group, {}) for doc in docs]
+    if docs[0] != docs[1] or mats[0].keys() != mats[1].keys():
+        return None
+    move = 0.0
+    for name in mats[0]:
+        u, w = (np.frombuffer(binascii.a2b_base64(m[name]), "<f8") for m in mats)
+        if u.shape != w.shape:
+            return None
+        size = max(np.abs(u).max(initial=0.0), np.abs(w).max(initial=0.0))
+        move = max(move, np.abs(u - w).max(initial=0.0) / (size or 1.0))
+    return move
+
+
 def problem_files(jobs) -> list:
     """Every problem file the jobs read, once each, in job order."""
     files = {}
@@ -450,12 +471,17 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
                if {runs[0][name][2], runs[1][name][2]} != {None}]
     written += [(name + ".resaved", False, resaved[0][name], resaved[1][name])
                 for name in resaved[0]]
-    files_moved, files_differ = [], []
+    files_moved, files_differ, matrices_moved = [], [], []
     for name, csv, a, b in written:
         if a == b:
             continue
-        csv = csv and None not in (a, b)
-        if csv and NUMBER.sub("#", a.decode()) == NUMBER.sub("#", b.decode()):
+        if None in (a, b):
+            move = None
+        elif csv:
+            move = 0.0 if NUMBER.sub("#", a.decode()) == NUMBER.sub("#", b.decode()) else None
+        else:
+            matrices_moved.append(move := matrix_move(a, b))
+        if move is not None:
             files_moved.append(name)
         else:
             files_differ.append(name)
@@ -469,6 +495,9 @@ def main(*sources, repeat: int = 0, fresh: int = 0) -> int:
     print(f"files written: {len(written)}  "
           f"byte-equal: {len(written) - len(files_moved) - len(files_differ)}  "
           f"digits only: {len(files_moved)}")
+    if moves := [move for move in matrices_moved if move is not None]:
+        print(f"  pencil and problem files moved in digits: {len(moves)}  "
+              f"largest relative move: {max(moves):.3g}")
     return int(len(digits) < len(diff) or bool(files_differ)
                or fresh > 0 and min(fresh_equal) < len(jobs) * fresh)
 
