@@ -30,7 +30,6 @@ from .matpoly import (
     newton_six,
 )
 from .spaces import (
-    AnsatzVector,
     MembershipResult,
     NewtonPencil,
     membership_newton,

@@ -35,6 +35,9 @@ from .linearize import (
 )
 from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, membership_newton
 from .twoparam import (
+    DEFAULT_MATCH_TOL,
+    DEFAULT_SINGULAR_TOL,
+    DEFAULT_SLICES,
     KERNEL_WITNESS,
     QtepPair,
     certify_singular,
@@ -117,7 +120,7 @@ def _cmd_construct(args) -> int:
 
     membership = membership_newton(pencil, q, tol=args.tol)
     report.append(f"membership: {'member' if membership.member else 'not-member'}")
-    report.append(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
+    report.append(f"ansatz recovered: {_fmt_cvec(membership.ansatz)}")
     report.append(f"membership residual: {_fmt_f(membership.residual)}")
 
     save_pencil(args.out, pencil)
@@ -137,7 +140,7 @@ def _cmd_verify(args) -> int:
 
     membership = membership_newton(pencil, q, tol=args.tol)
     report.append(f"membership: {'member' if membership.member else 'not-member'}")
-    report.append(f"ansatz recovered: {_fmt_cvec(membership.ansatz.vector)}")
+    report.append(f"ansatz recovered: {_fmt_cvec(membership.ansatz)}")
     report.append(f"membership residual: {_fmt_f(membership.residual)}")
 
     lin = verify_linearization(pencil, q, samples=args.samples, seed=args.seed, tol=args.tol)
@@ -336,17 +339,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="free parameters for both pencils")
     p.add_argument("--check-singular", action="store_true",
                    help="exit nonzero unless Delta0 is certified singular")
-    common(p, 1e-7, "singularity threshold relative to ||Delta0||_F")
+    common(p, DEFAULT_SINGULAR_TOL, "singularity threshold relative to ||Delta0||_F")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("spectrum", help="slice containment table or joint spectrum of a pair")
     p.add_argument("problem")
     p.add_argument("pencil", nargs="?", default=None)
-    p.add_argument("--slices", type=int, default=5)
+    p.add_argument("--slices", type=int, default=DEFAULT_SLICES)
     p.add_argument("--pair", metavar="Q2FILE", default=None,
                    help="second problem file: solve the joint spectrum from the "
                         "pair's Delta operators (e1 pencils drawn from the seed)")
-    p.add_argument("--match-tol", type=_tolerance, default=1e-6)
+    p.add_argument("--match-tol", type=_tolerance, default=DEFAULT_MATCH_TOL)
     p.add_argument("--out", default=None, help="CSV output path")
     common(p)
     p.set_defaults(func=_cmd_spectrum)

@@ -83,13 +83,13 @@ class FileFormatError(ValueError):
 def _pair_to_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
-        raise FileFormatError(f"{where}: expected a [re, im] number pair, got {value!r}")
+        raise FileFormatError(f"{where}: expected a [re, im] number pair, got {value!r:.40}")
     try:
         z = complex(value[0], value[1])
     except OverflowError:
-        raise FileFormatError(f"{where}: value out of double range {value!r}") from None
+        raise FileFormatError(f"{where}: value out of double range {value!r:.40}") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise FileFormatError(f"{where}: non-finite value {value!r}")
+        raise FileFormatError(f"{where}: non-finite value {value!r:.40}")
     return z
 
 
@@ -206,7 +206,7 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
     basis = doc.get("basis")
     if basis not in (MONOMIAL, NEWTON):
         raise FileFormatError(f"{path}: field 'basis' must be 'monomial' or "
-                              f"'newton', got {basis!r}")
+                              f"'newton', got {basis!r:.40}")
     nodes = NewtonNodes()
     if basis == NEWTON:
         raw = doc.get("nodes")
@@ -216,7 +216,7 @@ def _parse_header(doc: dict, path) -> tuple[int, str, NewtonNodes]:
             if not isinstance(raw.get(key), list) or len(raw[key]) != 2:
                 raise FileFormatError(
                     f"{path}: nodes.{key} must be a list of two [re, im] pairs")
-        nodes = NewtonNodes(*(_pair_to_complex(raw[key][i], f"nodes.{key}[{i}]")
+        nodes = NewtonNodes(*(_pair_to_complex(raw[key][i], f"{path}: nodes.{key}[{i}]")
                               for key in ("alpha", "beta") for i in (0, 1)))
     elif "nodes" in doc:
         raise FileFormatError(f"{path}: 'nodes' is only valid with basis 'newton'")

@@ -34,7 +34,7 @@ from .errors import AdmissibilityError, DegenerateProblemError
 from .linalg import (annulus_points, as_matrix, block_rows, complex_normal, scale_to_unit,
                      smallest_singular_value)
 from .matpoly import MatrixPoly2
-from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, AnsatzVector, NewtonPencil, require_matching,
+from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, chunk_step, require_matching,
                      select_M)
 
 # Largest |gamma / gamma_predicted - 1| a witness accepts: the sampled gamma, a ratio of sampled
@@ -218,11 +218,11 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
                                  + 1j * np.angle(sign_z), reduction_residual=residual)
 
 
-def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
+def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v,
                    *, tol: float = DEFAULT_TOL) -> UnimodularWitnessPair:
     """The unimodular witness of a pencil with ansatz vector v, read from its own blocks.
 
-    M = select_M(v) maps v to e1, and :func:`unimodular_witnesses` checks
+    M = select_M(v, tol=tol) maps v to e1, and :func:`unimodular_witnesses` checks
     (M kron I) L against the e1 pencil of the parameters read off its
     blocks. det L = det((M kron I) L) / det(M)^n, so the predicted gamma of
     L is det Z / det(M)^n, in log space with its phase in (-pi, pi]. Raises
@@ -231,7 +231,7 @@ def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v: AnsatzVector,
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
-            e1 = pencil.left_multiply(m := select_M(v))
+            e1 = pencil.left_multiply(m := select_M(v, tol=tol))
     except ValueError as exc:  # select_M of a zero v, or non-finite blocks
         raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
     witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
@@ -305,9 +305,12 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
             "there); the determinant-ratio check is inconclusive for this polynomial"
         )
     sign_q, log_q = np.linalg.slogdet(q_values)
-    chunks = pencil.eval_chunks(lams, mus)
+    sign_l, log_l = np.empty(samples, dtype=complex), np.empty(samples)
+    step = chunk_step(3 * q.n)  # at n = 64 one 3n x 3n value is held at once
     with np.errstate(over="ignore", invalid="ignore"):
-        sign_l, log_l = (np.concatenate(p) for p in zip(*(np.linalg.slogdet(v) for _, v in chunks)))
+        for start in range(0, samples, step):
+            sl = slice(start, start + step)
+            sign_l[sl], log_l[sl] = np.linalg.slogdet(pencil.eval(lams[sl], mus[sl]))
     overflow = np.isnan(log_l) | (log_l == np.inf)  # never the reference sample
 
     ref = int(np.argmax(np.where(overflow, -np.inf, log_q)))
@@ -360,8 +363,6 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
     always admissible. Where that part is 2^1023 or more, M^{-1} kron I can overflow L.
     """
     n = q.n
-    if not isinstance(v, AnsatzVector):
-        v = AnsatzVector.classify(v, tol=tol)
     m = select_M(v, tol=tol)
     zero = np.zeros((n, n))
     if params is None:  # [Z1 Z2] = 2^-(e+1) [0; I_2n]

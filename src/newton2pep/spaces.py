@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_SAMPLES",
     "NewtonPencil",
-    "AnsatzVector",
     "MembershipResult",
     "membership_newton",
     "select_M",
@@ -99,14 +98,6 @@ class NewtonPencil(NamedTuple):
         out += self.A3
         return out
 
-    def eval_chunks(self, lams, mus):
-        """(slice, value stack) over the points, STACK_BYTES at a time (at
-        least one point: at n = 64 one 3n x 3n value is held at once)."""
-        step = chunk_step(3 * self.n)
-        for start in range(0, len(lams), step):
-            sl = slice(start, start + step)
-            yield sl, self.eval(lams[sl], mus[sl])
-
     def blocks(self):
         return (self.A1, self.A2, self.A3)
 
@@ -121,42 +112,16 @@ class NewtonPencil(NamedTuple):
 MonomialPencil = NewtonPencil
 
 
-class AnsatzVector(NamedTuple):
-    """An ansatz vector in C^3 with its zero/nonzero pattern.
-
-    ``pattern[i]`` is True when component i is nonzero under the shared
-    classification tolerance (relative to the largest component). Only the
-    exact zero vector has an all-False pattern: every nonzero multiple of an
-    ansatz vector is one too.
-    """
-
-    vector: np.ndarray
-    pattern: tuple[bool, bool, bool]
-
-    @classmethod
-    def classify(cls, v, tol: float = DEFAULT_TOL) -> "AnsatzVector":
-        v = np.asarray(v, dtype=complex).reshape(3)
-        scale = float(np.abs(v).max())
-        if scale == 0:
-            pattern = (False, False, False)
-        else:
-            pattern = tuple(bool(abs(x) > tol * scale) for x in v)
-        return cls(vector=freeze(v.copy()), pattern=pattern)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.pattern)
-
-
 class MembershipResult(NamedTuple):
     """Outcome of an ansatz-space membership test.
 
-    ``ansatz`` always holds the best least-squares fit; ``member`` records
-    whether the residual stayed below the tolerance.
+    ``ansatz`` always holds the best least-squares fit, a read-only (3,)
+    complex array; ``member`` records whether the residual stayed below the
+    tolerance.
     """
 
     member: bool
-    ansatz: AnsatzVector
+    ansatz: np.ndarray
     residual: float
     tol: float
 
@@ -214,22 +179,25 @@ def membership_newton(pencil: NewtonPencil, q: MatrixPoly2, *,
     s_norm = math.hypot(resid, fit)
     rel = resid / s_norm if s_norm > 0 else 0.0
 
-    ansatz = AnsatzVector.classify(np.ldexp(v.view(float), c_exp - s_exp).view(complex), tol=tol)
+    ansatz = freeze(np.ldexp(v.view(float), c_exp - s_exp).view(complex))
     return MembershipResult(member=bool(rel <= tol), ansatz=ansatz, residual=rel, tol=tol)
 
 
 def select_M(v, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A nonsingular 3 x 3 matrix M with M v = e1, chosen by v's zero pattern.
 
-    One fixed template per zero pattern of (a, b, c); every template maps v
-    to e1 exactly and has nonzero determinant.
+    Component i counts as nonzero when |v_i| > tol max|v|, so every nonzero
+    multiple of v has the same pattern. A v with no such component (the zero
+    vector, or one holding inf or nan) raises ValueError. One fixed template
+    per pattern of (a, b, c); every template maps v to e1 exactly and has
+    nonzero determinant.
     """
-    if not isinstance(v, AnsatzVector):
-        v = AnsatzVector.classify(v, tol=tol)
-    if v.is_zero:
+    v = np.asarray(v, dtype=complex).reshape(3)
+    size = np.hypot(v.real, v.imag)  # as Python's abs rounds |v_i|; numpy's complex abs may not
+    za, zb, zc = pattern = (size > tol * size.max()).tolist()
+    if not any(pattern):
         raise ValueError("zero ansatz vector: no pencil with v = 0 is a linearization")
-    a, b, c = (complex(x) for x in v.vector)
-    za, zb, zc = v.pattern
+    a, b, c = v.tolist()
 
     if (za, zb, zc) == (True, True, True):
         m = [[1 / a, 0, 0], [1 / a, -1 / b, 0], [1 / a, 0, -1 / c]]

@@ -40,6 +40,10 @@ from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunk_step, require_matching
 
 DESK_SCALE_LIMIT = 3
+# Defaults of certify_singular's tol, and of verify_spectrum_match's slices and match_tol.
+DEFAULT_SINGULAR_TOL = 1e-7
+DEFAULT_SLICES = 5
+DEFAULT_MATCH_TOL = 1e-6
 # Largest entry, relative to the block's, of a structural zero of an e1 pencil.
 STRUCTURE_TOL = 1e-12
 # Eigenvalues sigma closer than CLUSTER_TOL max(1, |sigma|), or whose error
@@ -193,7 +197,7 @@ class SingularityCertificate(NamedTuple):
     structural_zero_pattern: bool | None  # None for raw triples
 
 
-def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
+def certify_singular(ln1, ln2, *, tol: float = DEFAULT_SINGULAR_TOL) -> SingularityCertificate:
     """Certify whether Delta0 = A1 kron B2 - B1 kron A2 is singular.
 
     The criterion is sigma_min(Delta0) <= tol * ||Delta0||_F, with the
@@ -213,15 +217,16 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     Gamma2t (mu) coefficients have their lower block rows supported on the
     last block column only, which leaves them rank deficient.
 
-    Only when the witness does not certify is the dense operator formed and
-    its sigma_min compared with the same threshold; so a "not singular"
-    verdict always rests on the dense sigma_min.
+    Only when the witness does not certify is Delta0 (alone, not Delta1 or
+    Delta2) formed densely and its sigma_min compared with the same
+    threshold; so a "not singular" verdict always rests on the dense
+    sigma_min.
 
     For a pencil pair ``structural_zero_pattern`` records the zero pattern
     behind the e1 singularity; it is None for raw triples.
     """
-    (a1, b1, c1), e1 = scale_to_unit(np.stack(_coefficients(ln1)))
-    (a2, b2, c2), e2 = scale_to_unit(np.stack(_coefficients(ln2)))
+    (a1, b1, _), e1 = scale_to_unit(np.stack(_coefficients(ln1)))
+    (a2, b2, _), e2 = scale_to_unit(np.stack(_coefficients(ln2)))
     frob = _delta0_frobenius(a1, b1, a2, b2)
     threshold = tol * frob
     u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
@@ -229,7 +234,7 @@ def certify_singular(ln1, ln2, *, tol: float = 1e-7) -> SingularityCertificate:
     value = float(np.linalg.norm(kron(a1 @ u, b2 @ v) - kron(b1 @ u, a2 @ v)))
     if value > threshold:
         route = DENSE_SIGMA_MIN
-        value = smallest_singular_value(delta_operators((a1, b1, c1), (a2, b2, c2)).delta0)
+        value = smallest_singular_value(kron(a1, b2) - kron(b1, a2))
     singular = bool(value <= threshold)
     margin = value / threshold if threshold > 0 else 0.0 if value == 0 else float("inf")
     pattern = None
@@ -401,8 +406,8 @@ def _match(q_eigs, l_eigs, match_tol: float):
 
 
 def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
-                          slices: int = 5, seed: int = 0,
-                          match_tol: float = 1e-6) -> SpectrumMatchReport:
+                          slices: int = DEFAULT_SLICES, seed: int = 0,
+                          match_tol: float = DEFAULT_MATCH_TOL) -> SpectrumMatchReport:
     """Check slice-wise spectrum containment of Q in the pencil.
 
     For each random mu0, every finite eigenvalue of Q(., mu0) must appear

@@ -296,13 +296,13 @@ def flat_to_matrix_reference(data, rows, cols, where):
         at = f"{where}[{k}]"
         if (not isinstance(value, (list, tuple)) or len(value) != 2
                 or not all(isinstance(x, (int, float)) for x in value)):
-            raise FileFormatError(f"{at}: expected a [re, im] number pair, got {value!r}")
+            raise FileFormatError(f"{at}: expected a [re, im] number pair, got {value!r:.40}")
         try:
             z = complex(value[0], value[1])
         except OverflowError:
-            raise FileFormatError(f"{at}: value out of double range {value!r}") from None
+            raise FileFormatError(f"{at}: value out of double range {value!r:.40}") from None
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise FileFormatError(f"{at}: non-finite value {value!r}")
+            raise FileFormatError(f"{at}: non-finite value {value!r:.40}")
         values.append(z)
     return np.array(values, dtype=complex).reshape(rows, cols)
 

@@ -91,8 +91,8 @@ def test_criterion_04_lemma_transfer_same_ansatz():
         qn = random_newton(rng, n)
         q = with_zero_nodes(qn)
         mono = NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, _random_raw_params(rng, n)))
-        v1 = membership_newton(mono, q).ansatz.vector
-        v2 = membership_newton(transfer_to_newton(mono, qn), qn).ansatz.vector
+        v1 = membership_newton(mono, q).ansatz
+        v2 = membership_newton(transfer_to_newton(mono, qn), qn).ansatz
         assert np.abs(v1 - v2).max() < 1e-8, trial
     _passed(4, "monomial and transferred Newton pencils share the ansatz, 1e-8")
 

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import gc
+import inspect
 import io
 import json
 import re
@@ -17,8 +18,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        assemble_e1_blocks, companion_pencil, construct_e1_newton,
-                        construct_general_ansatz)
+                        assemble_e1_blocks, certify_singular, companion_pencil,
+                        construct_e1_newton, construct_general_ansatz, membership_newton,
+                        verify_linearization, verify_spectrum_match)
 from newton2pep import cli
 from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
@@ -539,7 +541,6 @@ class TestDelta:
     def test_identity_delta_reported_nonsingular(self):
         # The CLI certifier itself, on triples with Delta0 = I9
         # (B1 = C2 = I3, C1 = 0).
-        from newton2pep import certify_singular
         eye, zero = np.eye(3), np.zeros((3, 3))
         cert = certify_singular((eye, eye, zero), (eye, zero, eye))
         assert not cert.is_singular
@@ -831,6 +832,18 @@ class TestToleranceFlags:
         code, report = run(capsys, argv + ["1e-5"])
         assert code == 0
         assert report
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+        parse = cli._build_parser().parse_args
+        for argv in (["construct", "q", "--companion", "--out", "p"], ["verify", "q", "p"]):
+            assert parse(argv).tol == default(membership_newton, "tol")
+        assert parse(["verify", "q", "p"]).samples == default(verify_linearization, "samples")
+        assert parse(["delta", "q1", "q2"]).tol == default(certify_singular, "tol")
+        args = parse(["spectrum", "q", "p"])
+        assert args.slices == default(verify_spectrum_match, "slices")
+        assert args.match_tol == default(verify_spectrum_match, "match_tol")
 
     def test_spectrum_takes_no_tol(self, tmp_path, qfile, scalar_pair_files, capsys):
         # spectrum compares with --match-tol only; a --tol would be read by nothing.

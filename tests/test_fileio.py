@@ -551,3 +551,23 @@ def test_deeply_nested_file_is_a_usage_error(tmp_path, depth):
                         "--out", "p.json", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr.decode()[-400:]
     assert proc.stderr.decode().startswith("error: q.json: ")
+
+
+NESTED = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize("header, prefix", [
+    (f'"basis": "newton", "nodes": {{"alpha": [{NESTED}, [0, 0]], "beta": [[0, 0], [0, 0]]}}',
+     "error: q.json: nodes.alpha[0]: expected a [re, im] number pair, got "),
+    (f'"basis": {NESTED}', "error: q.json: field 'basis' must be 'monomial' or 'newton', got "),
+    ('"basis": "' + "x" * 10 ** 5 + '"',
+     "error: q.json: field 'basis' must be 'monomial' or 'newton', got "),
+], ids=["nested-node", "nested-basis", "long-basis"])
+def test_malformed_header_message_names_the_file_and_is_bounded(tmp_path, header, prefix):
+    # The malformed value is echoed to 40 characters, however deep or long it is.
+    (tmp_path / "q.json").write_text('{"n": 1, ' + header + ', "coefficients": {}}')
+    proc = fresh_python("-m", "newton2pep.cli", "construct", "q.json", "--companion",
+                        "--out", "p.json", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr.decode()[-400:]
+    message = proc.stderr.decode().splitlines()[0]
+    assert message.startswith(prefix) and len(message) == len(prefix) + 40

@@ -31,6 +31,7 @@ from newton2pep import (
     verify_spectrum_match,
 )
 
+from newton2pep import spaces
 from newton2pep.linalg import det
 from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
@@ -51,7 +52,7 @@ class TestCompanion:
             q = random_monomial(rng, 3)
             res = membership_newton(companion_pencil(q), q)
             assert res.member
-            np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
+            np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-12)
 
     def test_scalar_determinant_is_minus_q(self):
         rng = np.random.default_rng(1)
@@ -125,7 +126,7 @@ class TestE1Monomial:
             pencil = construct_e1_newton(q, E1FreeParams.random(2, rng))
             res = membership_newton(pencil, q)
             assert res.member
-            np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-10)
+            np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-10)
 
     def test_random_z_block_is_unitary(self):
         # One unitary draw, never redrawn: sigma_min(Z) = sigma_max(Z) = 1 to rounding.
@@ -410,12 +411,27 @@ class TestMemberWitness:
         zero = np.zeros((6, 6))
         pencil = NewtonPencil.from_blocks(q.nodes, zero, zero, zero)
         membership = membership_newton(pencil, q)
-        assert membership.member and membership.ansatz.is_zero
+        assert membership.member
+        with pytest.raises(ValueError, match="zero ansatz"):
+            select_M(membership.ansatz)
         with pytest.raises(AdmissibilityError, match="zero ansatz"):
             member_witness(q, pencil, membership.ansatz)
 
 
 class TestVerifyLinearization:
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_report_is_the_same_in_any_chunking(self, n, monkeypatch):
+        # det L is taken STACK_BYTES of values at a time: all 12 points at n = 2, one at
+        # n = 64. One point per chunk or all at once gives the same report, bit for bit.
+        rng = np.random.default_rng(18)
+        q = random_newton(rng, n)
+        pencil = construct_e1_newton(q, E1FreeParams.random(n, rng))
+        reports = set()
+        for stack_bytes in (1, spaces.STACK_BYTES, 1 << 30):
+            monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
+            reports.add(repr(verify_linearization(pencil, q)))
+        assert len(reports) == 1
+
     def test_companion_gamma_minus_one_scalar(self):
         rng = np.random.default_rng(13)
         qn = random_newton(rng, 1, NewtonNodes())
@@ -483,7 +499,7 @@ class TestVerifyLinearization:
         t = np.kron(m, np.eye(2))
         moved = NewtonPencil.from_blocks(qn.nodes, t @ pencil.A1,
                                          t @ pencil.A2, t @ pencil.A3)
-        v = membership_newton(moved, qn).ansatz.vector
+        v = membership_newton(moved, qn).ansatz
         np.testing.assert_allclose(v, m @ np.array([1, 0, 0]), atol=1e-9)
 
     @settings(max_examples=20, deadline=None)
@@ -617,7 +633,7 @@ class TestGeneralAnsatz:
         np.testing.assert_allclose(built.M, select_M(np.array([1.0, 0, 0])))
         res = membership_newton(built.pencil, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-10)
+        np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-10)
         assert verify_linearization(built.pencil, qn).passed
 
     def test_last_component_pattern_verifies(self):
@@ -633,7 +649,7 @@ class TestGeneralAnsatz:
         built = construct_general_ansatz(qn, v)
         res = membership_newton(built.pencil_v, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, v, atol=1e-9)
+        np.testing.assert_allclose(res.ansatz, v, atol=1e-9)
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_every_pattern_linearizes(self, pattern):
@@ -645,7 +661,7 @@ class TestGeneralAnsatz:
         assert verify_linearization(built.pencil, qn).passed
         res = membership_newton(built.pencil_v, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, v, atol=1e-8)
+        np.testing.assert_allclose(res.ansatz, v, atol=1e-8)
 
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
     @pytest.mark.parametrize("pattern", PATTERNS)
@@ -666,7 +682,7 @@ class TestGeneralAnsatz:
         assert verify_linearization(built.pencil, qn).passed
         res = membership_newton(built.pencil_v, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, v, rtol=1e-8, atol=1e-8 * scale)
+        np.testing.assert_allclose(res.ansatz, v, rtol=1e-8, atol=1e-8 * scale)
 
     def test_default_member_of_a_scaled_problem_passes(self):
         # With Z = I_2n, far below this Q's scale, the sampled deviation of the
@@ -709,7 +725,7 @@ class TestGeneralAnsatz:
         built = construct_general_ansatz(qn, v, params)
         assert verify_linearization(built.pencil, qn).passed
         res = membership_newton(built.pencil_v, qn)
-        np.testing.assert_allclose(res.ansatz.vector, v, atol=1e-8)
+        np.testing.assert_allclose(res.ansatz, v, atol=1e-8)
 
     def test_zero_vector_rejected(self):
         rng = np.random.default_rng(22)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton2pep import (
-    AnsatzVector,
     DegenerateProblemError,
     MatrixPoly2,
     NewtonNodes,
@@ -88,18 +87,6 @@ class TestGammaBlocks:
                 want = pencil.A1 @ g + pencil.A2 @ gt + pencil.A3
                 np.testing.assert_allclose(stack[k], want, rtol=0, atol=1e-13)
 
-    def test_eval_chunks_cover_the_points_in_order(self):
-        # Chunks hold at most STACK_BYTES of values (one point at n = 64).
-        rng = np.random.default_rng(18)
-        lams, mus = annulus_points(rng, 12), annulus_points(rng, 12)
-        for n, size in ((2, 12), (64, 1)):
-            blocks = (complex_normal(rng, 3 * n, 3 * n) for _ in range(3))
-            pencil = NewtonPencil.from_blocks(random_nodes(rng), *blocks)
-            chunks = list(pencil.eval_chunks(lams, mus))
-            assert [len(values) for _, values in chunks] == [size] * (12 // size)
-            for sl, values in chunks:
-                np.testing.assert_array_equal(values, pencil.eval(lams[sl], mus[sl]))
-
 
 class TestMembershipMonomial:
     def test_companion_has_e1_ansatz(self):
@@ -107,8 +94,9 @@ class TestMembershipMonomial:
         q = random_monomial(rng, 3)
         res = membership_newton(companion_pencil(q), q)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
-        assert res.ansatz.pattern == (True, False, False)
+        np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(select_M(res.ansatz), [[1, 0, 0], [0, 1, 0], [0, 1, 1]],
+                                   atol=1e-12)  # the template of the pattern (a, 0, 0)
 
     def test_zero_pencil_is_member_with_zero_ansatz(self):
         rng = np.random.default_rng(3)
@@ -116,7 +104,8 @@ class TestMembershipMonomial:
         zero = np.zeros((6, 6))
         res = membership_newton(NewtonPencil.from_blocks(q.nodes, zero, zero, zero), q)
         assert res.member
-        assert res.ansatz.is_zero
+        with pytest.raises(ValueError, match="zero ansatz"):
+            select_M(res.ansatz)
 
     def test_perturbed_companion_is_not_member(self):
         rng = np.random.default_rng(4)
@@ -168,7 +157,7 @@ class TestMembershipMonomial:
                     q.nodes, *(fp * b for b in blocks)), qk)
                 assert len(fits) == 1
                 assert (res.member, res.residual) == (ref.member, ref.residual)
-                np.testing.assert_array_equal(res.ansatz.vector * fq / fp, ref.ansatz.vector)
+                np.testing.assert_array_equal(res.ansatz * fq / fp, ref.ansatz)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_pencil_is_scaled_without_overflow(self):
@@ -183,7 +172,7 @@ class TestMembershipMonomial:
                 q.nodes, *(2.0 ** -k * b for b in blocks)), q)
             assert res.member == member and low <= res.residual <= high, (k, res.residual)
             if member:
-                v = np.ldexp(res.ansatz.vector.view(float), k).view(complex)
+                v = np.ldexp(res.ansatz.view(float), k).view(complex)
                 np.testing.assert_allclose(v, [1, 0, 0], atol=1e-12)
 
     def test_zero_polynomial_is_ill_posed(self):
@@ -233,7 +222,7 @@ class TestMembershipNewton:
         pencil = transfer_to_newton(companion_pencil(with_zero_nodes(qn)), qn)
         res = membership_newton(pencil, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-12)
 
     def test_zero_pencil_has_zero_ansatz(self):
         rng = np.random.default_rng(16)
@@ -241,7 +230,8 @@ class TestMembershipNewton:
         zero = np.zeros((6, 6))
         res = membership_newton(NewtonPencil.from_blocks(qn.nodes, zero, zero, zero), qn)
         assert res.member
-        assert res.ansatz.is_zero
+        with pytest.raises(ValueError, match="zero ansatz"):
+            select_M(res.ansatz)
 
     def test_node_mismatch_rejected(self):
         rng = np.random.default_rng(6)
@@ -265,7 +255,7 @@ class TestMembershipNewton:
                                      2.0 * pencil1.A3 + pencil2.A3)
         res = membership_newton(s, qn)
         assert res.member
-        np.testing.assert_allclose(res.ansatz.vector, [3, 0, 0], atol=1e-10)
+        np.testing.assert_allclose(res.ansatz, [3, 0, 0], atol=1e-10)
 
 
 CONSTRUCTIONS = ["companion", "e1", *PATTERNS]
@@ -285,7 +275,7 @@ class TestExactMembership:
         v, rel = sampled_membership(pencil, q)
         assert exact.member and exact.residual <= 1e-13
         assert rel <= 1e-9
-        np.testing.assert_allclose(exact.ansatz.vector, v, rtol=0,
+        np.testing.assert_allclose(exact.ansatz, v, rtol=0,
                                    atol=1e-9 * np.abs(v).max())
         a3 = pencil.A3.copy()
         a3[0, 0] += 1e-3 * np.abs(a3).max()
@@ -311,7 +301,7 @@ class TestExactMembership:
             nodes = nodes_of_kind(rng, kind)
             res = membership_newton(NewtonPencil.from_blocks(nodes, *blocks),
                                     MatrixPoly2.newton(coeffs, nodes))
-            results.append((res.member, res.residual, res.ansatz.vector.tobytes()))
+            results.append((res.member, res.residual, res.ansatz.tobytes()))
         assert results == results[:1] * len(results)
         assert results[0][0] is not perturb
 
@@ -402,8 +392,8 @@ class TestTransfer:
             qn = random_newton(rng, n)
             q = with_zero_nodes(qn)
             mono = construct_e1_newton(q, E1FreeParams.random(n, rng))
-            v_mono = membership_newton(mono, q).ansatz.vector
-            v_newt = membership_newton(transfer_to_newton(mono, qn), qn).ansatz.vector
+            v_mono = membership_newton(mono, q).ansatz
+            v_newt = membership_newton(transfer_to_newton(mono, qn), qn).ansatz
             np.testing.assert_allclose(v_mono, v_newt, atol=1e-8)
 
 
@@ -446,9 +436,11 @@ class TestSelectM:
             select_M(np.zeros(3))
 
     def test_classification_threshold_is_relative(self):
-        v = AnsatzVector.classify(np.array([1e-12, 1.0, 1.0]))
-        assert v.pattern == (False, True, True)
-        tiny = AnsatzVector.classify(np.array([1e-12, 1e-13, 0.0]))
-        assert tiny.pattern == AnsatzVector.classify(np.array([1.0, 0.1, 0.0])).pattern
-        assert tiny.pattern == (True, True, False)
-        assert AnsatzVector.classify(np.zeros(3)).is_zero
+        # Each pattern has its own template, told apart by where M is zero.
+        np.testing.assert_array_equal(select_M(np.array([1e-12, 1.0, 1.0])),
+                                      [[0, 1, 0], [0, -1, 1], [1, 0, 0]])  # (0, b, c)
+        tiny = select_M(np.array([1e-12, 1e-13, 0.0]))
+        np.testing.assert_array_equal(tiny != 0, select_M(np.array([1.0, 0.1, 0.0])) != 0)
+        np.testing.assert_allclose(tiny, [[1e12, 0, 1], [1e12, -1e13, 1], [-1e12, 1e13, 0]])
+        with pytest.raises(ValueError, match="zero ansatz"):
+            select_M(np.zeros(3))

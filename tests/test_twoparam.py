@@ -30,7 +30,7 @@ from newton2pep import (
 )
 from newton2pep import spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
-from newton2pep.linalg import det
+from newton2pep.linalg import det, scale_to_unit, smallest_singular_value
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
@@ -231,6 +231,22 @@ class TestCertifySingular:
             d0 = delta_operators(t1, t2).delta0
             assert cert.value == np.linalg.svd(d0, compute_uv=False)[-1]
             assert cert.structural_zero_pattern is None
+
+    def test_dense_route_forms_delta0_alone(self, monkeypatch):
+        # The fallback reads sigma_min of Delta0 at unit size, as delta_operators forms it, bit
+        # for bit, but forms neither Delta1 nor Delta2 (13 MB each at p = 10).
+        rng = np.random.default_rng(21)
+        t1, t2 = ([2.0 ** s * complex_normal(rng, k, k) for _ in range(3)]
+                  for k, s in ((3, 40), (6, -30)))
+        (a1, b1, c1), e1 = scale_to_unit(np.stack(t1))
+        (a2, b2, c2), e2 = scale_to_unit(np.stack(t2))
+        value = smallest_singular_value(delta_operators((a1, b1, c1), (a2, b2, c2)).delta0)
+        threshold = 1e-7 * _delta0_frobenius(a1, b1, a2, b2)
+        monkeypatch.setattr(twoparam, "delta_operators", None)
+        cert = certify_singular(t1, t2)
+        assert cert.route == DENSE_SIGMA_MIN
+        assert (cert.value, cert.threshold, cert.margin) == (
+            np.ldexp(value, -e1 - e2), np.ldexp(threshold, -e1 - e2), value / threshold)
 
     def test_shared_c_kernels_found_by_dense_route(self):
         # Kernels in the lambda coefficients, c1 x = 0 and c2 y = 0, give

@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1059 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1071 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -30,11 +30,14 @@ without --params and verify of seed 101 at n = 3 times 1.37e6, whose default Z m
 scale, and construct --companion and verify of seeds 0, 1, 2 and 4 at n = 2 with C20 times 1e308,
 whose values verify must take at unit size. Then 6 more, with fixed seeds: spectrum of those four
 companion pencils, and construct --ansatz 1,0,0 without --params and spectrum of seed 0's default
-member, whose Z is 2^1023 I, so that slices at the top of the double range are compared. The
-later blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
-spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
-process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
-again with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
+member, whose Z is 2^1023 I, so that slices at the top of the double range are compared. Then 12
+more, per node kind: construct --ansatz and verify at n = 3 with the ansatz 1e-12,1,1 and 1e-8,1,1,
+whose leading entry lies just below and just above tol max|v| at the default tol 1e-9, so that the
+zero pattern that select_M decides, and the M it picks, are compared. The later blocks are drawn
+after the earlier ones, so adding them does not change the earlier draws. Every spectrum job
+writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in process
+through its own ``cli.main``, and then loads every problem file the jobs read and writes it again
+with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
 writer, which no job reaches, is compared too. It names every job whose report differs, with up to
 three of its differing lines and then the lines of the longer report that have no counterpart (a
 job whose exit code changes may print nothing on one side), and every job or problem whose written
@@ -280,6 +283,12 @@ def build_jobs(work: Path, rng) -> list:
                                         "--out", "c20huge0.e1"]),
              ("c20huge0.e1.spectrum", ["spectrum", "c20huge0.q", "c20huge0.e1", "--seed", "0",
                                        "--out", "c20huge0.e1.csv"])]
+    for kind in NODE_KINDS:  # a leading entry below and above tol max|v| = 1e-9: the zero pattern
+        q = _write_problem(work / f"{kind}.leading.q", 3, rng, _nodes(rng, kind))
+        for label, v in (("below", "1e-12,1,1"), ("above", "1e-8,1,1")):
+            tag = f"{kind}.leading-{label}"
+            jobs += [(f"{tag}.construct", ["construct", q, "--ansatz", v, "--out", tag]),
+                     (f"{tag}.verify", ["verify", q, tag, "--seed", _int(rng)])]
     return jobs
 
 
