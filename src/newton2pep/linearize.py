@@ -31,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateProblemError
-from .linalg import (annulus_points, as_matrix, block_rows, complex_normal, scale_to_unit,
-                     smallest_singular_value)
+from .linalg import (annulus_points, as_matrix, block_rows, complex_normal, freeze,
+                     scale_to_unit, smallest_singular_value)
 from .matpoly import MatrixPoly2
-from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, NewtonPencil, chunk_step, require_matching,
-                     select_M)
+from .spaces import (DEFAULT_SAMPLES, DEFAULT_TOL, MembershipResult, NewtonPencil, chunks,
+                     membership_newton, require_matching, select_M)
 
 # Largest |gamma / gamma_predicted - 1| a witness accepts: the sampled gamma, a ratio of sampled
 # determinants, rounds worse as n and the conditioning grow; a pencil not witnessed misses by O(1).
@@ -48,7 +48,6 @@ __all__ = [
     "construct_e1_newton",
     "UnimodularWitnessPair",
     "unimodular_witnesses",
-    "member_witness",
     "LinearizationReport",
     "verify_linearization",
     "GeneralAnsatzPencil",
@@ -185,7 +184,7 @@ class UnimodularWitnessPair(NamedTuple):
     diag(Q, I_2n) holds identically exactly when L is the e1 pencil of the
     parameters, so ``reduction_residual`` compares blocks, and the predicted
     ratio det L / det Q is 1 / (det E * det F) = det Z (det Z / det(M)^n
-    from :func:`member_witness`).
+    in the report of :func:`verify_linearization`).
     """
 
     log_predicted_gamma: complex  # log of det L / det Q; det(Z^{-1}) overflows for large n, small Z
@@ -218,46 +217,25 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
                                  + 1j * np.angle(sign_z), reduction_residual=residual)
 
 
-def member_witness(q: MatrixPoly2, pencil: NewtonPencil, v,
-                   *, tol: float = DEFAULT_TOL) -> UnimodularWitnessPair:
-    """The unimodular witness of a pencil with ansatz vector v, read from its own blocks.
-
-    M = select_M(v, tol=tol) maps v to e1, and :func:`unimodular_witnesses` checks
-    (M kron I) L against the e1 pencil of the parameters read off its
-    blocks. det L = det((M kron I) L) / det(M)^n, so the predicted gamma of
-    L is det Z / det(M)^n, in log space with its phase in (-pi, pi]. Raises
-    AdmissibilityError for a zero v (no M exists), a (M kron I) L out of
-    double range, or a numerically singular Z.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
-            e1 = pencil.left_multiply(m := select_M(v, tol=tol))
-    except ValueError as exc:  # select_M of a zero v, or non-finite blocks
-        raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
-    witnesses = unimodular_witnesses(q, e1, E1FreeParams.of_e1_pencil(e1), tol=tol)
-    sign_m, log_m = np.linalg.slogdet(m)
-    log_gamma = witnesses.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
-    phase = math.remainder(log_gamma.imag, 2 * math.pi)  # exact; the identity on (-pi, pi]
-    return witnesses._replace(log_predicted_gamma=complex(log_gamma.real, phase))
-
-
 class LinearizationReport(NamedTuple):
-    """Result of the determinant-ratio linearization check.
+    """The certificate of ``verify``, from :func:`verify_linearization`.
 
-    gamma is estimated at the sample point where |det Q| is largest; every
-    other sample must satisfy |det L - gamma det Q| <= tol |gamma det Q|,
-    compared in log space. gamma and each sampled det L and det Q are kept
-    as complex logs, log|d| + i arg d, which no scale over- or underflows:
-    -inf for d = 0, nan where L overflowed. ``samples`` holds (lambda, mu,
-    log det L, log det Q, deviation). ``passed`` is true exactly when the
-    largest relative deviation stays below tol and gamma != 0. gamma scales
-    with the pencil (as s^{3n} under L -> s L), so no absolute floor applies
-    to it: a pencil whose det L is exactly zero gets log gamma = -inf, and
-    one whose det L is only rounding noise fails the constancy test.
+    ``membership`` is the :class:`MembershipResult` of L, its ansatz inf where v leaves the
+    double range. gamma and each sampled det L and det Q are complex logs, log|d| + i arg d:
+    -inf for d = 0, nan where L overflowed; ``samples`` holds (lambda, mu, log det L,
+    log det Q, deviation). ``witness`` is the :class:`UnimodularWitnessPair` of L, predicting
+    det Z / det(M)^n with the phase in (-pi, pi], or the AdmissibilityError that says why there
+    is none. ``gamma_agreement`` is |gamma / gamma_predicted - 1|, nan without a witness;
+    ``witness_passed`` means a reduction residual <= tol and an agreement <= GAMMA_AGREEMENT_TOL,
+    ``passed`` a member, a nonzero constant ratio and a passed witness.
     """
 
+    membership: MembershipResult
     log_gamma: complex
     max_relative_deviation: float
+    witness: UnimodularWitnessPair | AdmissibilityError
+    gamma_agreement: float
+    witness_passed: bool
     passed: bool
     tol: float
     samples: tuple
@@ -266,25 +244,31 @@ class LinearizationReport(NamedTuple):
 def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
                          samples: int = DEFAULT_SAMPLES, seed: int = 0,
                          tol: float = DEFAULT_TOL) -> LinearizationReport:
-    """Sample det L against det Q and decide whether the ratio is a nonzero constant.
+    """Decide membership, the determinant ratio and the witness on one unit-size (Q, L).
 
-    2 ``samples`` annulus points are drawn from ``seed``: lambda is the first half, mu the
-    second. Inconclusive (DegenerateProblemError) when sigma_min(Q) <= n eps sigma_max(Q)
-    at every sample, the relative rank test of numpy.linalg.matrix_rank; the values-only SVD
-    of the other samples is taken only when the first is singular. A quadratic in
-    (lambda, mu) has 6 coefficients, so ``samples`` below 6 raises ValueError. Q and L are
-    evaluated as 2^a Q and 2^b L at unit size, where the deviations are taken; log det Q,
-    log det L and log gamma then subtract n a, 3n b and (3b - a) n times log 2. A sample
+    Q and L are taken once as 2^a Q and 2^b L at unit size, exact powers of two, and every
+    route reads that pair. Membership is that of Q and L as given, bit for bit while no value
+    it sums leaves the normal range. M = select_M(v') maps its finite ansatz v' = 2^(b - a) v
+    to e1, and the witness checks (M kron I) 2^b L (:func:`unimodular_witnesses`). The ratio
+    draws 2 ``samples`` annulus points from ``seed``, lambda the first half and mu the second,
+    estimates gamma where |det Q| is largest and wants |det L - gamma det Q| <= tol
+    |gamma det Q| at every other sample, in log space. gamma scales as s^{3n} under
+    L -> s L, so it has no absolute floor: det L = 0 gives log gamma = -inf, and rounding
+    noise fails the constancy test. Inconclusive (DegenerateProblemError) when sigma_min(Q)
+    <= n eps sigma_max(Q) at every sample, the relative rank test of numpy.linalg.matrix_rank;
+    the values-only SVD of the other samples is taken only when the first is singular. Fewer
+    than 6 ``samples`` (a quadratic has 6 coefficients) raise ValueError. The logs of det Q,
+    det L, gamma and the prediction subtract n a, 3n b and (3b - a) n times log 2. A sample
     where L or det L overflows has deviation inf; Q holds products of two node differences,
     L single ones, so large nodes mostly overflow Q first, which raises ValueError naming
     the sample and its (lambda, mu).
     """
-    if samples < 6:
-        raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
-    require_matching(q, pencil)
     q, a = q.at_unit_size()
     blocks, b = scale_to_unit(np.stack(pencil.blocks()))
     pencil = NewtonPencil._of_owned(pencil.nodes, *blocks)
+    membership = membership_newton(pencil, q, tol=tol)  # raises unless L was built for Q
+    if samples < 6:
+        raise ValueError(f"samples must be at least 6 (6 coefficients), got {samples}")
     points = annulus_points(np.random.default_rng(seed), 2 * samples)
     lams, mus = points[:samples], points[samples:]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample is named below
@@ -306,10 +290,8 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         )
     sign_q, log_q = np.linalg.slogdet(q_values)
     sign_l, log_l = np.empty(samples, dtype=complex), np.empty(samples)
-    step = chunk_step(3 * q.n)  # at n = 64 one 3n x 3n value is held at once
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, samples, step):
-            sl = slice(start, start + step)
+    with np.errstate(over="ignore", invalid="ignore"):  # at n = 64 one 3n x 3n value at once
+        for sl in chunks(samples, 3 * q.n):
             sign_l[sl], log_l[sl] = np.linalg.slogdet(pencil.eval(lams[sl], mus[sl]))
     overflow = np.isnan(log_l) | (log_l == np.inf)  # never the reference sample
 
@@ -324,13 +306,37 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         dev[overflow] = np.inf
         dev[ref] = 0.0
     worst = float(dev.max())
+    shift = (3 * b - a) * q.n * np.log(2)
+    log_gamma = complex(log_abs_gamma - shift + 1j * np.angle(phase))
     log_q, log_l = log_q - q.n * a * np.log(2), log_l - 3 * q.n * b * np.log(2)
-    log_abs_gamma -= (3 * b - a) * q.n * np.log(2)
     samples = zip(lams.tolist(), mus.tolist(), (log_l + 1j * np.angle(sign_l)).tolist(),
                   (log_q + 1j * np.angle(sign_q)).tolist(), dev.tolist())
-    return LinearizationReport(log_gamma=complex(log_abs_gamma + 1j * np.angle(phase)),
-                               max_relative_deviation=worst, passed=bool(worst < tol and phase != 0),
-                               tol=tol, samples=tuple(samples))
+
+    del q_values, blocks  # pencil is rebound below, so the witness does not also hold 2^b L
+    try:  # det L = det((M kron I) L) / det(M)^n: gamma is predicted as det Z / det(M)^n
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
+                pencil = pencil.left_multiply(m := select_M(membership.ansatz, tol=tol))
+        except ValueError as exc:  # select_M of a zero v, or non-finite blocks
+            raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
+        witness = unimodular_witnesses(q, pencil, E1FreeParams.of_e1_pencil(pencil), tol=tol)
+    except AdmissibilityError as exc:  # no M or a numerically singular Z: no witness exists
+        witness, agreement, witness_ok = exc, math.nan, False
+    else:
+        sign_m, log_m = np.linalg.slogdet(m)
+        log_w = witness.log_predicted_gamma - q.n * (log_m + 1j * np.angle(sign_m))
+        witness = witness._replace(log_predicted_gamma=complex(  # the phase exactly in (-pi, pi]
+            log_w.real - shift, math.remainder(log_w.imag, 2 * math.pi)))
+        with np.errstate(over="ignore"):  # a gamma far from the prediction: inf, a fail
+            agreement = float(abs(np.exp(log_gamma - witness.log_predicted_gamma) - 1))
+        witness_ok = witness.reduction_residual <= tol and agreement <= GAMMA_AGREEMENT_TOL
+    with np.errstate(over="ignore"):  # v' scaled back: inf where v leaves the double range
+        ansatz = freeze(np.ldexp(membership.ansatz.view(float), a - b).view(complex))
+    return LinearizationReport(
+        membership=membership._replace(ansatz=ansatz), log_gamma=log_gamma,
+        max_relative_deviation=worst, witness=witness, gamma_agreement=agreement,
+        witness_passed=witness_ok, tol=tol, samples=tuple(samples),
+        passed=bool(membership.member and worst < tol and phase != 0 and witness_ok))
 
 
 class GeneralAnsatzPencil(NamedTuple):

@@ -50,6 +50,12 @@ def chunk_step(m: int) -> int:
     return max(1, STACK_BYTES // (16 * m ** 2))
 
 
+def chunks(count: int, m: int):
+    """Consecutive slices of range(count), chunk_step(m) indices each (the last may be short)."""
+    step = chunk_step(m)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 class NewtonPencil(NamedTuple):
     """Newton-form pencil A1 Gamma2(lam) + A2 Gamma2t(mu) + A3.
 

@@ -37,7 +37,7 @@ from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal,
                      quadratic_eigen, row_space, scale_to_unit, smallest_singular_value)
 from .matpoly import MatrixPoly2, newton_line, newton_six
 from .linearize import E1FreeParams, construct_e1_newton
-from .spaces import NewtonPencil, chunk_step, require_matching
+from .spaces import NewtonPencil, chunks, require_matching
 
 DESK_SCALE_LIMIT = 3
 # Defaults of certify_singular's tol, and of verify_spectrum_match's slices and match_tol.
@@ -261,46 +261,46 @@ def _overflow(what: str, mus, finite) -> ValueError:
                       "overflow the double range")
 
 
-def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> list:
+def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> tuple[list, list]:
     """Every finite eigenvalue of Q(., mu0) at each mu0, as an array sorted by
-    (real, imag), before the certificate of :func:`_certified`: each slice, Q
-    on its :func:`_slice_lines`, by :func:`quadratic_eigen`, in stacks of at
-    most STACK_BYTES of 2n x 2n operators (at least one). A Q singular on a
+    (real, imag), before the certificate of :func:`_certified`, and each slice's
+    (K2, K1, K0), Q on its :func:`_slice_lines`: each slice by :func:`quadratic_eigen`, in
+    stacks of at most STACK_BYTES of 2n x 2n operators (at least one). A Q singular on a
     slice raises :class:`DegenerateProblemError`. Q is taken at unit size
     (:meth:`MatrixPoly2.at_unit_size`), whose power of two the row scaling of
     :func:`quadratic_eigen` cancels; a slice whose coefficients still overflow,
     as nodes near 1e154 make them, raises ValueError naming its mu0."""
-    q, step, out = q.at_unit_size()[0], chunk_step(2 * q.n), []
-    for start in range(0, len(mus), step):
+    q, values, lines = q.at_unit_size()[0], [], []
+    for sl in chunks(len(mus), 2 * q.n):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named
-            k = q.on_line(*_slice_lines(chunk := mus[start:start + step]))
+            k = q.on_line(*_slice_lines(chunk := mus[sl]))
         if not (finite := np.isfinite(k).all(axis=(0, 2, 3))).all():
             raise _overflow("Q", chunk, finite)
-        out += quadratic_eigen(*k)
-    if any(lam is None for lam in out):
+        values += quadratic_eigen(*k)
+        lines += list(k.swapaxes(0, 1))
+    if any(lam is None for lam in values):
         raise DegenerateProblemError("Q(lambda, mu0) is singular for every lambda")
-    return out
+    return values, lines
 
 
 def _backward_error(n: int, values_at, weight) -> np.ndarray:
     """sigma_min(Q) / weight at each point (0 where the weight is 0), the normwise backward
     error of Tisseur (LAA 309, 2000) for each caller's weight. ``values_at(sl)`` returns Q's
     n x n values at the points sl; values-only SVDs take at most STACK_BYTES of them at once."""
-    step, sigma_min = chunk_step(n), np.empty(len(weight))
-    for start in range(0, len(weight), step):
-        sl = slice(start, start + step)
+    sigma_min = np.empty(len(weight))
+    for sl in chunks(len(weight), n):
         sigma_min[sl] = np.linalg.svd(values_at(sl), compute_uv=False)[:, -1]
     return np.divide(sigma_min, weight, out=np.zeros_like(sigma_min), where=weight > 0)
 
 
-def _certified(q: MatrixPoly2, mu0: complex, lam: np.ndarray) -> np.ndarray:
-    """The values lam of the slice at mu0 whose :func:`_backward_error`, weight |lam|^2 ||K2||_F
+def _certified(line: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The values lam of a slice whose :func:`_backward_error`, weight |lam|^2 ||K2||_F
     + |lam| ||K1||_F + ||K0||_F, is at most RESIDUAL_TOL: it reads the same for Q and 2^k Q, and
-    is at most ||Q(lam, mu0) x|| / ||x|| over the same weight for every x != 0. It is taken on
-    Q at unit size, where the slice was solved."""
-    k2, k1, k0 = q.at_unit_size()[0].on_line(*_slice_lines(mu0))
-    f2, f1, f0 = (float(np.linalg.norm(k)) for k in (k2, k1, k0))
-    error = _backward_error(q.n, lambda sl: (t := lam[sl, None, None]) * t * k2 + t * k1 + k0,
+    is at most ||Q(lam, mu0) x|| / ||x|| over the same weight for every x != 0. ``line`` holds
+    the (K2, K1, K0) that :func:`_q_slice_eigenvalues` solved the slice on, Q at unit size."""
+    k2, k1, k0 = line
+    f2, f1, f0 = (float(np.linalg.norm(k)) for k in line)
+    error = _backward_error(len(k0), lambda sl: (t := lam[sl, None, None]) * t * k2 + t * k1 + k0,
                             np.abs(lam) ** 2 * f2 + np.abs(lam) * f1 + f0)
     return lam[error <= RESIDUAL_TOL]
 
@@ -362,9 +362,9 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
                                                 A3=pencil.A3 / d))
         b = left @ b @ right
         c = left @ c @ right
-    r, m, step, out = len(sigma), 3 * pencil.n, chunk_step(3 * pencil.n), []
-    for start in range(0, len(mus), step):
-        w = (chunk := mus[start:start + step, None, None]) * b + c
+    r, m, out = len(sigma), 3 * pencil.n, []
+    for sl in chunks(len(mus), m):
+        w = (chunk := mus[sl, None, None]) * b + c
         if not (finite := np.isfinite(w).all(axis=(1, 2))).all():
             raise _overflow("pencil", chunk.ravel(), finite)
         generic = np.full(len(w), False) if r in (0, m) else (
@@ -429,11 +429,11 @@ def verify_spectrum_match(q: MatrixPoly2, pencil: NewtonPencil, *,
     require_matching(q, pencil)
     rng = np.random.default_rng(seed)
     mus = annulus_points(rng, slices)
-    q_side = _q_slice_eigenvalues(q, mus)
+    q_side, q_lines = _q_slice_eigenvalues(q, mus)
     l_side = _pencil_slice_eigenvalues(pencil, mus)
     matches = [_match(q_eigs, l_eigs, match_tol) for q_eigs, l_eigs in zip(q_side, l_side)]
     for k in [k for k, (_, ok) in enumerate(matches) if not ok]:
-        q_side[k] = _certified(q, mus[k], q_side[k])
+        q_side[k] = _certified(q_lines[k], q_side[k])
         matches[k] = _match(q_side[k], l_side[k], match_tol)
     # Both slice sides sort their finite values by (real, imag) already.
     records = tuple(SliceRecord(mu0=complex(mu0), q_eigenvalues=tuple(q_eigs.tolist()),

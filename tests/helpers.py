@@ -401,6 +401,12 @@ def select_M_alternate_ac(v):
     return np.array([[1 / a, 0, 0], [1 / a, 0, -1 / c], [0, 1, 0]], dtype=complex)
 
 
+def ratio_passed(report):
+    """The determinant-ratio route of a verify_linearization report on its own: every
+    deviation below tol and gamma != 0."""
+    return report.max_relative_deviation < report.tol and report.log_gamma.real > -np.inf
+
+
 def sample_points(q, samples=12, seed=0):
     """(lams, mus, Q values) at the points verify_linearization draws."""
     pts = annulus_points(np.random.default_rng(seed), 2 * samples)
@@ -540,8 +546,16 @@ def spectrum_slice(q, mu0):
     twoparam._certified, as a list sorted by (real, imag)."""
     from newton2pep.twoparam import _certified, _q_slice_eigenvalues
 
-    mus = np.array([mu0], dtype=complex)
-    return _certified(q, mus[0], _q_slice_eigenvalues(q, mus)[0]).tolist()
+    (lam,), (line,) = _q_slice_eigenvalues(q, np.array([mu0], dtype=complex))
+    return _certified(line, lam).tolist()
+
+
+def slice_line(q, mu0):
+    """(K2, K1, K0) of Q at unit size on the slice at mu0, from its own one-line call: the
+    coefficients twoparam._certified reads."""
+    from newton2pep.twoparam import _slice_lines
+
+    return q.at_unit_size()[0].on_line(*_slice_lines(mu0))
 
 
 def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):
@@ -553,7 +567,7 @@ def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):
 
     mus = annulus_points(np.random.default_rng(seed), slices)
     records = []
-    for mu0, q_all, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus),
+    for mu0, q_all, l_eigs in zip(mus, _q_slice_eigenvalues(q, mus)[0],
                                   _pencil_slice_eigenvalues(pencil, mus)):
         q_eigs = [lam for lam in q_all.tolist()
                   if backward_error_reference(q, mu0, lam) <= RESIDUAL_TOL]

@@ -31,7 +31,7 @@ from newton2pep.fileio import save_problem
 from newton2pep.linalg import det
 from newton2pep.spaces import NewtonPencil
 
-from helpers import (cofactor_det, random_monomial, random_newton, random_nodes,
+from helpers import (cofactor_det, random_monomial, random_newton, random_nodes, ratio_passed,
                      sampled_witness, transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
@@ -150,7 +150,7 @@ def test_criterion_07_zeroed_z_block_is_never_a_linearization():
         for lam, mu in zip(pts[:12], pts[12:]):
             assert abs(det(pencil.eval(lam, mu))) < 1e-9, trial
         report = verify_linearization(pencil, qn)
-        assert not report.passed, trial
+        assert not report.passed and not ratio_passed(report), trial
     _passed(7, "zeroed Z block: det L identically 0 across samples, verdict fail")
 
 

@@ -21,6 +21,7 @@ from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         assemble_e1_blocks, certify_singular, companion_pencil,
                         construct_e1_newton, construct_general_ansatz, membership_newton,
                         verify_linearization, verify_spectrum_match)
+import newton2pep
 from newton2pep import cli
 from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
@@ -327,6 +328,30 @@ class TestVerify:
             assert not re.search(r"\b(inf|nan)\b", line), line
         assert complex_field(report, "log gamma estimate").real == pytest.approx(0, abs=1e-9)
         assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+
+    def test_ansatz_out_of_double_range_passes_without_warning(self, tmp_path, capsys):
+        # Q times 1e-300 against its companion pencil times 1e300: the ansatz,
+        # 1e600 e1, prints as inf, and the witness, taken at unit size, passes.
+        q0 = random_newton(np.random.default_rng(3), 2)
+        qfile, out = str(tmp_path / "q.json"), str(tmp_path / "p.json")
+        save_problem(qfile, scaled(q0, 1e-300))
+        save_pencil(out, NewtonPencil.from_blocks(q0.nodes, *(1e300 * a for a in
+                                                              companion_pencil(q0).blocks())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(capsys, ["verify", qfile, out])
+        assert "membership: member" in report and "witness check: pass" in report
+        assert "\nansatz recovered: (inf, " in report
+        assert (code, report.splitlines()[-1]) == (0, "verdict: PASS")
+
+    def test_verdict_is_read_from_the_report(self):
+        # The verify command prints the library's certificate: no comparison or
+        # arithmetic on its values, and no witness call of its own.
+        tree = ast.parse(inspect.getsource(cli._cmd_verify))
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Compare, ast.BinOp))]
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names.isdisjoint({"GAMMA_AGREEMENT_TOL", "membership_newton", "np"})
+        assert not hasattr(newton2pep, "member_witness")
 
     @pytest.mark.parametrize("change", ["moved-A3-entry"])
     def test_witness_check_fails(self, tmp_path, qfile, capsys, change):

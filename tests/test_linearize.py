@@ -1,5 +1,6 @@
 """Companion and e1-ansatz constructors, witnesses and the det-ratio verifier."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -22,7 +23,6 @@ from newton2pep import (
     complex_normal,
     construct_e1_newton,
     construct_general_ansatz,
-    member_witness,
     membership_newton,
     newton_six,
     select_M,
@@ -38,8 +38,8 @@ from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
                      cofactor_det, companion_params_reference, companion_reference,
                      newton_triple, nodes_of_kind, parameter_scaled, random_coeffs,
-                     random_monomial, random_newton, sampled_witness, scaled, witness_factors,
-                     with_signed_zeros, z_block_reference)
+                     random_monomial, random_newton, ratio_passed, sampled_witness, scaled,
+                     witness_factors, with_signed_zeros, z_block_reference)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -382,12 +382,13 @@ class TestMemberWitness:
         scale = max(np.abs(getattr(params, name)).max() for name in ("y11", "z1", "z2"))
         for name in ("y11", "z1", "z2"):
             assert np.abs(getattr(read, name) - getattr(params, name)).max() <= 1e-13 * scale
-        membership = membership_newton(pencil, q)
-        assert membership.member
-        wit = member_witness(q, pencil, membership.ansatz)
+        report = verify_linearization(pencil, q, seed=seed % 100)
+        assert report.membership.member
+        wit = report.witness
         assert wit.reduction_residual <= 1e-13
-        log_gamma = verify_linearization(pencil, q, seed=seed % 100).log_gamma
-        assert abs(np.exp(log_gamma - wit.log_predicted_gamma) - 1) <= GAMMA_AGREEMENT_TOL
+        agreement = abs(np.exp(report.log_gamma - wit.log_predicted_gamma) - 1)
+        assert agreement == report.gamma_agreement <= GAMMA_AGREEMENT_TOL
+        assert report.witness_passed and report.passed
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.sampled_from(NODE_KINDS), st.integers(0, 2**32 - 1))
@@ -401,24 +402,42 @@ class TestMemberWitness:
         a2[n:, :n] += y
         a1[n:, n:2 * n] -= y
         pencil = NewtonPencil.from_blocks(q.nodes, a1, a2, a3)
-        membership = membership_newton(pencil, q)
-        assert membership.member
-        assert member_witness(q, pencil, membership.ansatz).reduction_residual > 1e-3
-        assert not verify_linearization(pencil, q, seed=seed % 100).passed
+        report = verify_linearization(pencil, q, seed=seed % 100)
+        assert report.membership.member
+        assert report.witness.reduction_residual > 1e-3
+        assert not report.witness_passed and not report.passed
+        assert not ratio_passed(report)
 
     def test_zero_ansatz_has_no_witness(self):
         q = random_newton(np.random.default_rng(8), 2)
         zero = np.zeros((6, 6))
         pencil = NewtonPencil.from_blocks(q.nodes, zero, zero, zero)
-        membership = membership_newton(pencil, q)
-        assert membership.member
+        report = verify_linearization(pencil, q)
+        assert report.membership.member
         with pytest.raises(ValueError, match="zero ansatz"):
-            select_M(membership.ansatz)
-        with pytest.raises(AdmissibilityError, match="zero ansatz"):
-            member_witness(q, pencil, membership.ansatz)
+            select_M(report.membership.ansatz)
+        assert isinstance(report.witness, AdmissibilityError)
+        assert re.search("zero ansatz", str(report.witness))
+        assert np.isnan(report.gamma_agreement) and not report.witness_passed
 
 
 class TestVerifyLinearization:
+    def test_ansatz_out_of_double_range_is_witnessed_at_unit_size(self):
+        # Q times 1e-300 against its companion pencil times 1e300: v = 1e600 e1
+        # leaves the double range and reads inf, with no numpy warning, but M and
+        # the witness are taken on the unit-size pair, so all three routes pass.
+        q0 = random_newton(np.random.default_rng(3), 2)
+        pencil = NewtonPencil.from_blocks(q0.nodes, *(1e300 * a for a in
+                                                      companion_pencil(q0).blocks()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_linearization(pencil, scaled(q0, 1e-300))
+        assert report.membership.member and report.membership.ansatz[0].real == np.inf
+        assert report.witness.reduction_residual <= 1e-13
+        assert report.gamma_agreement <= GAMMA_AGREEMENT_TOL and report.witness_passed
+        assert report.log_gamma.real == pytest.approx(2400 * np.log(10), rel=1e-12)
+        assert report.passed and ratio_passed(report)
+
     @pytest.mark.parametrize("n", [2, 64])
     def test_report_is_the_same_in_any_chunking(self, n, monkeypatch):
         # det L is taken STACK_BYTES of values at a time: all 12 points at n = 2, one at
@@ -454,7 +473,7 @@ class TestVerifyLinearization:
         for lam, mu in zip(pts[:12], pts[12:]):
             assert abs(det(pencil.eval(lam, mu))) < 1e-10
         report = verify_linearization(pencil, qn)
-        assert not report.passed
+        assert not report.passed and not ratio_passed(report)
 
     def test_degenerate_polynomial_inconclusive(self):
         rng = np.random.default_rng(15)
@@ -472,14 +491,15 @@ class TestVerifyLinearization:
 
     def test_generic_q_takes_one_values_only_svd(self, monkeypatch):
         # det Q vanishes at every sample only if it vanishes at the first, so
-        # the other samples' SVDs are taken only when the first is singular.
+        # the other samples' SVDs are taken only when the first is singular. The
+        # one other SVD is the witness's admissibility test of the 2n x 2n Z block.
         rng = np.random.default_rng(17)
         qn = random_newton(rng, 4)
         pencil, shapes, real = companion_pencil(qn), [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw))
         assert verify_linearization(pencil, qn).passed
-        assert shapes == [(4, 4)]
+        assert shapes == [(4, 4), (8, 8)]
 
     @pytest.mark.parametrize("samples", [0, 1, 5])
     def test_fewer_than_six_samples_rejected(self, samples):

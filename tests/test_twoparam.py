@@ -40,8 +40,8 @@ from helpers import (NODE_KINDS, assert_bitwise_equal, backward_error_reference,
                      kron_oracle, masked_jordan, nodes_of_kind, pencil_in_space,
                      point_quotients_reference, random_coeffs, random_newton, random_nodes,
                      random_unitary, regular_part_reference,
-                     scalar_newton, scaled, spectrum_match_reference, spectrum_slice,
-                     with_signed_zeros)
+                     scalar_newton, scaled, slice_line, spectrum_match_reference,
+                     spectrum_slice, with_signed_zeros)
 
 
 def random_pair(rng, p1, p2, nodes=None):
@@ -457,9 +457,9 @@ class TestCertificateOnDemand:
             pencil = NewtonPencil.from_blocks(pencil.nodes, pencil.A1, pencil.A2, a3)
         certified, real = [], twoparam._certified
 
-        def spy(q, mu0, lam):
-            certified.append(mu0)
-            return real(q, mu0, lam)
+        def spy(line, lam):
+            certified.append(line)
+            return real(line, lam)
 
         with mock.patch.object(twoparam, "_certified", spy):
             got = verify_spectrum_match(q, pencil, slices=3, seed=seed % 1000)
@@ -467,7 +467,8 @@ class TestCertificateOnDemand:
         assert got.all_contained == want.all_contained == (case in ("in space", "C20 = 0"))
         for g, w in zip(got.records, want.records, strict=True):
             assert g.contained == w.contained
-            assert g == w if g.mu0 in certified else g.contained
+            line = slice_line(q, g.mu0)
+            assert g == w if any(np.array_equal(k, line) for k in certified) else g.contained
 
     def test_only_the_mismatch_slice_is_certified(self, monkeypatch):
         # The pencil is the companion of Q + (mu - mu1)(mu - mu2) E, which
@@ -484,13 +485,12 @@ class TestCertificateOnDemand:
         monkeypatch.setattr(twoparam, "quadratic_eigen",
                             lambda k2, k1, k0: sizes.append(k0.shape) or real_eigen(k2, k1, k0))
         monkeypatch.setattr(twoparam, "_certified",
-                            lambda q, mu0, lam: certified.append(mu0) or
-                            real_certified(q, mu0, lam))
+                            lambda line, lam: certified.append(line) or real_certified(line, lam))
         report = verify_spectrum_match(q, pencil, slices=3, seed=5)
         assert [rec.contained for rec in report.records] == [False, True, True]
         # One chunk: one Q solve of all three slices, and no second solve.
         assert sizes == [(3, 3, 3)]
-        assert certified == [mus[0]]
+        assert len(certified) == 1 and np.array_equal(certified[0], slice_line(q, mus[0]))
         assert report == spectrum_match_reference(q, pencil, slices=3, seed=5)
 
 
@@ -530,15 +530,15 @@ class TestSliceStacks:
         rng = np.random.default_rng(53)
         q = random_newton(rng, n)
         mu0 = complex(annulus_points(rng, 1)[0])
-        lam = twoparam._q_slice_eigenvalues(q, [mu0])[0]
+        (lam,), (line,) = twoparam._q_slice_eigenvalues(q, [mu0])
         lam = np.concatenate([lam, lam[:n] + 1e-3 * (1 + np.abs(lam[:n]))])
-        one_stack = twoparam._certified(q, mu0, lam)
+        one_stack = twoparam._certified(line, lam)
         assert 0 < len(one_stack) < len(lam)
         monkeypatch.setattr(spaces, "STACK_BYTES", 16 * n ** 2 * members)
         stacks, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, **kw: stacks.append(a.shape) or svd(a, **kw))
-        kept = twoparam._certified(q, mu0, lam)
+        kept = twoparam._certified(line, lam)
         assert max(shape[0] for shape in stacks) <= spaces.chunk_step(n) == members
         assert sum(shape[0] for shape in stacks) == len(lam)
         assert_bitwise_equal(kept, one_stack)
@@ -560,9 +560,10 @@ class TestSliceStacks:
         rng = np.random.default_rng(52)
         q = random_newton(rng, 3)
         mus = annulus_points(rng, 4)
-        stacked = twoparam._q_slice_eigenvalues(q, mus)
-        assert ([twoparam._certified(q, mu0, lam).tolist() for mu0, lam in zip(mus, stacked)]
+        values, lines = twoparam._q_slice_eigenvalues(q, mus)
+        assert ([twoparam._certified(line, lam).tolist() for line, lam in zip(lines, values)]
                 == [spectrum_slice(q, mu0) for mu0 in mus])
+        assert all(np.array_equal(line, slice_line(q, mu0)) for line, mu0 in zip(lines, mus))
 
 
 def assert_same_finite_eigenvalues(got, want):

@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1071 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1073 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -33,11 +33,14 @@ companion pencils, and construct --ansatz 1,0,0 without --params and spectrum of
 member, whose Z is 2^1023 I, so that slices at the top of the double range are compared. Then 12
 more, per node kind: construct --ansatz and verify at n = 3 with the ansatz 1e-12,1,1 and 1e-8,1,1,
 whose leading entry lies just below and just above tol max|v| at the default tol 1e-9, so that the
-zero pattern that select_M decides, and the M it picks, are compared. The later blocks are drawn
-after the earlier ones, so adding them does not change the earlier draws. Every spectrum job
-writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in process
-through its own ``cli.main``, and then loads every problem file the jobs read and writes it again
-with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
+zero pattern that select_M decides, and the M it picks, are compared. Then 2 more from rng seed 3,
+at n = 2 with the problem times 1e-300: construct --companion, and verify against the companion
+pencil of the unscaled problem times 1e300, written in the [re, im] pair layout, whose ansatz
+1e600 e1 leaves the double range while M and the witness are taken at unit size. The later
+blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
+spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
+process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
+again with its own ``fileio.save_problem`` (counted under "files written"), so that the problem
 writer, which no job reaches, is compared too. It names every job whose report differs, with up to
 three of its differing lines and then the lines of the longer report that have no counterpart (a
 job whose exit code changes may print nothing on one side), and every job or problem whose written
@@ -289,6 +292,19 @@ def build_jobs(work: Path, rng) -> list:
             tag = f"{kind}.leading-{label}"
             jobs += [(f"{tag}.construct", ["construct", q, "--ansatz", v, "--out", tag]),
                      (f"{tag}.verify", ["verify", q, tag, "--seed", _int(rng)])]
+    seeded = np.random.default_rng(3)  # fixed seeds: no draw from rng
+    q = _write_problem(work / "outrange.q", 2, seeded, _nodes(seeded, "newton"))
+    doc = json.loads((work / q).read_text())
+    c = {k: (np.array(v) @ [1, 1j]).reshape(2, 2) for k, v in doc.pop("coefficients").items()}
+    i, o = np.eye(2), np.zeros((2, 2))  # the companion pencil's blocks, in the pair layout
+    doc["blocks"] = {k: _pairs(np.block(b)) for k, b in (
+        ("A1", [[c["A20"], c["A11"], o], [o, o, o], [o, o, i]]),
+        ("A2", [[o, c["A02"], o], [o, o, i], [o, o, o]]),
+        ("A3", [[c["A10"], c["A01"], c["A00"]], [o, -i, o], [-i, o, o]]))}
+    (work / "outrange.L").write_text(json.dumps(doc))
+    q, pencil = times(1e-300, q, "coefficients"), times(1e300, "outrange.L", "blocks")
+    jobs += [("outrange.construct", ["construct", q, "--companion", "--out", "outrange"]),
+             ("outrange.verify", ["verify", q, pencil, "--seed", "0"])]
     return jobs
 
 
