@@ -27,7 +27,6 @@ from .matpoly import (
     COEFF_KEYS,
     MatrixPoly2,
     NewtonNodes,
-    newton_six,
 )
 from .spaces import (
     MembershipResult,

@@ -2,16 +2,19 @@
 
 A polynomial is a sum of six n x n coefficient blocks weighted by the scalar
 Newton basis functions of total degree at most two on the nodes
-(alpha1, alpha2, beta1, beta2):
+(alpha1, alpha2, beta1, beta2). In homogeneous coordinates (l, m, z) each is
+a product of two of the linear forms l - alpha1 z, l - alpha2 z, m - beta1 z,
+m - beta2 z and z (:func:`newton_line`); at z = 1 they are
 
     n_0 = 1, n_1 = lambda - alpha1, n_2 = n_1 * (lambda - alpha2)
     m_0 = 1, m_1 = mu - beta1,      m_2 = m_1 * (mu - beta2)
 
 Nodes may coincide; the Newton basis degenerates gracefully. With all nodes
-zero it is the monomial basis 1, lambda, mu, lambda^2, lambda*mu, mu^2 bit
-for bit, so monomial input is the zero-node case and needs no second type
-or label. Which file layout a polynomial is written in is decided by
-:mod:`newton2pep.fileio` from the nodes alone.
+zero it is the monomial basis 1, lambda, mu, lambda^2, lambda*mu, mu^2
+(equal as numbers: a zero part may change its sign), so monomial input is
+the zero-node case and needs no second type or label. Which file layout a
+polynomial is written in is decided by :mod:`newton2pep.fileio` from the
+nodes alone.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ import numpy as np
 from .linalg import as_matrix, freeze, scale_to_unit
 
 # Coefficient keys (i, j) for the lambda-degree-i, mu-degree-j basis function.
-# The order matches the six-vector returned by newton_six.
+# The order matches the six rows returned by newton_line.
 COEFF_KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 __all__ = [
     "COEFF_KEYS",
     "NewtonNodes",
-    "newton_six",
     "newton_line",
     "MatrixPoly2",
 ]
@@ -71,27 +73,14 @@ def _mul(a, b):
     return out[()]
 
 
-def newton_six(nodes: NewtonNodes, lam, mu) -> np.ndarray:
-    """Degree-two Newton basis (n2, n1*m1, m2, n1, m1, 1), shape (6,) + shape(lam).
-
-    n2 and m2 are computed through the multiplicative recurrence
-    n2 = n1 * (lam - alpha2), m2 = m1 * (mu - beta2), so the recurrence holds
-    exactly as evaluated in floating point. With all nodes zero this equals
-    (lambda^2, lambda*mu, mu^2, lambda, mu, 1) entry for entry.
-    """
-    lam, mu = np.asarray(lam), np.asarray(mu)
-    n1, m1 = lam - nodes.alpha1, mu - nodes.beta1
-    return np.array([_mul(n1, lam - nodes.alpha2), _mul(n1, m1), _mul(m1, mu - nodes.beta2),
-                     n1, m1, np.ones_like(n1)], dtype=complex)
-
-
 def newton_line(nodes: NewtonNodes, p, r) -> np.ndarray:
-    """The homogeneous Newton basis, z^2 times newton_six at (l / z, m / z),
-    on the projective line (l, m, z) = p + t r as its (t^2, t, 1) coefficients:
-    shape (6, 3) + shape(p[0]), for p and r of one shape, (3,) or (3, K). Each
-    function is a product f g of the linear forms l - alpha1 z, ..., z, and
-    f(p + t r) = f(p) + t f(r), so f(r) g(r), f(p) g(r) + f(r) g(p) and
-    f(p) g(p) are its coefficients exactly."""
+    """The Newton basis on the projective line (l, m, z) = p + t r as its (t^2, t, 1)
+    coefficients: shape (6, 3) + shape(p[0]), for p and r of one shape, (3,) or (3, K).
+    In COEFF_KEYS order the functions are the products f g = (l - alpha1 z)(l - alpha2 z),
+    (l - alpha1 z)(m - beta1 z), (m - beta1 z)(m - beta2 z), (l - alpha1 z) z,
+    (m - beta1 z) z and z z, and f(p + t r) = f(p) + t f(r), so f(r) g(r),
+    f(p) g(r) + f(r) g(p) and f(p) g(p) are their coefficients exactly. A point
+    (lambda, mu) is p = (lambda, mu, 1) with r = 0: the t^0 column is the basis there."""
     def factors(point):  # (f_j, g_j) at the point: l - alpha1 z, l - alpha2 z, ..., z
         l, m, z = np.asarray(point, dtype=complex)
         node = np.reshape(nodes, (4,) + (1,) * z.ndim)
@@ -132,8 +121,9 @@ class MatrixPoly2(NamedTuple):
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
 
-    def _combine(self, weights) -> np.ndarray:
-        """sum_j w_j C_j, elementwise in COEFF_KEYS order, for w of shape (6,) + s."""
+    def combine(self, weights) -> np.ndarray:
+        """sum_j w_j C_j, elementwise in COEFF_KEYS order, for w of shape (6,) + s:
+        Q at the :func:`newton_line` weights w."""
         w = weights[..., None, None]
         out = np.zeros(w.shape[1:-2] + (self.n, self.n), dtype=complex)
         for weight, key in zip(w, COEFF_KEYS):
@@ -141,9 +131,10 @@ class MatrixPoly2(NamedTuple):
         return out
 
     def eval(self, lam, mu) -> np.ndarray:
-        """Value at (lam, mu): n x n, or for 1-D lam, mu of length K the
-        (K, n, n) stack of those values, bit for bit."""
-        return self._combine(newton_six(self.nodes, lam, mu))
+        """Value at (lam, mu), the line through (lam, mu, 1) at t = 0: n x n, or for
+        1-D lam, mu of length K the (K, n, n) stack of those values, bit for bit."""
+        point = np.array(np.broadcast_arrays(lam, mu, 1), dtype=complex)
+        return self.combine(newton_line(self.nodes, point, np.zeros_like(point))[:, 2])
 
     def at_unit_size(self) -> tuple["MatrixPoly2", int]:
         """(2^e Q, e), e from :func:`scale_to_unit` of the six blocks: exact at any scale."""
@@ -154,4 +145,4 @@ class MatrixPoly2(NamedTuple):
         """(K2, K1, K0) with t^2 K2 + t K1 + K0 = z^2 Q(l / z, m / z) at (l, m, z) =
         p + t r, C20 l^2 + C11 l m + C02 m^2 where z = 0: shape (3, n, n), or for
         (3, K) p and r (3, K, n, n), each line bit for bit its one-line call."""
-        return self._combine(newton_line(self.nodes, p, r))
+        return self.combine(newton_line(self.nodes, p, r))

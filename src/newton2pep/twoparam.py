@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegenerateProblemError, NodeMismatchError, SharedFactorError
 from .linalg import (INFINITE_TOL, SINGULAR_TOL, annulus_points, complex_normal, kron,
                      quadratic_eigen, row_space, scale_to_unit, smallest_singular_value)
-from .matpoly import MatrixPoly2, newton_line, newton_six
+from .matpoly import MatrixPoly2, newton_line
 from .linearize import E1FreeParams, construct_e1_newton
 from .spaces import NewtonPencil, chunks, require_matching
 
@@ -524,10 +524,9 @@ def _meet_on_line(pair: QtepPair, p, r) -> float:
     roots = quadratic_eigen(*pair.q1.on_line(p, r)[:, None])[0]
     if roots is None:
         return 0.0
-    powers = np.vander(roots, 3)  # (t^2, t, 1) at each root
-    q2 = np.tensordot(powers, pair.q2.on_line(p, r), 1)
-    error = _backward_error(pair.p2, lambda sl: q2[sl],
-                            _newton_weight(pair.q2, (powers @ newton_line(pair.nodes, p, r).T).T))
+    phi = newton_line(pair.nodes, p, r) @ np.vander(roots, 3).T  # the basis at each root
+    error = _backward_error(pair.p2, lambda sl: pair.q2.combine(phi[:, sl]),
+                            _newton_weight(pair.q2, phi))
     return float(error.min(initial=np.inf)) / INFINITY_TOL
 
 
@@ -663,9 +662,10 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     denom = 1 + t1 * lams + t2 * mus
     finite = np.abs(denom) > INFINITY_TOL * (1 + np.abs(t1 * lams) + np.abs(t2 * mus))
     lams, mus, mults = lams[finite] / denom[finite], mus[finite] / denom[finite], mults[finite]
-    error = np.maximum(*(_backward_error(q.n, lambda sl, q=q: q.eval(lams[sl], mus[sl]),
-                                         _newton_weight(q, newton_six(q.nodes, lams, mus)))
-                         for q in pair))
+    point = np.array([lams, mus, np.ones_like(lams)])
+    phi = newton_line(pair.nodes, point, np.zeros_like(point))[:, 2]  # the basis of Q1 and Q2
+    error = np.maximum(*(_backward_error(q.n, lambda sl, q=q: q.combine(phi[:, sl]),
+                                         _newton_weight(q, phi)) for q in pair))
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(
             f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "

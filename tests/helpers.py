@@ -13,9 +13,10 @@ import numpy as np
 import newton2pep
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         annulus_points, companion_pencil, complex_normal,
-                        construct_e1_newton, construct_general_ansatz, newton_six)
+                        construct_e1_newton, construct_general_ansatz)
 from newton2pep.fileio import BLOCK_NAMES, COEFF_NAMES, _header, _matrix_to_flat
 from newton2pep.linalg import small_dense_eigen
+from newton2pep.matpoly import _mul
 
 
 def random_coeffs(rng, n):
@@ -217,10 +218,21 @@ def with_zero_nodes(q):
     return MatrixPoly2.newton(dict(q.coeffs))
 
 
+def newton_products(nodes, lam, mu):
+    """The degree-two Newton basis at (lambda, mu) from its definition: with
+    n1 = lambda - alpha1 and m1 = mu - beta1, the products n1 (lambda - alpha2),
+    n1 m1, m1 (mu - beta2), each rounded as complex scalars round it, then n1,
+    m1 and 1. Shape (6,) + shape(lam)."""
+    lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
+    n1, m1 = lam - nodes.alpha1, mu - nodes.beta1
+    return np.array([_mul(n1, lam - nodes.alpha2), _mul(n1, m1), _mul(m1, mu - nodes.beta2),
+                     n1, m1, np.ones_like(n1)])
+
+
 def newton_triple(nodes, lam, mu):
-    """The vector N = (n1(lambda), m1(mu), 1): rows 3 to 5 of newton_six,
+    """The vector N = (n1(lambda), m1(mu), 1): rows 3 to 5 of newton_products,
     shape (3,) + shape(lam)."""
-    return newton_six(nodes, lam, mu)[3:]
+    return newton_products(nodes, lam, mu)[3:]
 
 
 def monomial_triple(lam, mu):
@@ -230,7 +242,7 @@ def monomial_triple(lam, mu):
 
 def monomial_six(lam, mu):
     """Degree-two monomials (lambda^2, lambda*mu, mu^2, lambda, mu, 1): the
-    zero-node reference for newton_six."""
+    zero-node reference for the Newton basis."""
     return np.array([lam * lam, lam * mu, mu * mu, lam, mu, 1.0], dtype=complex)
 
 

@@ -131,6 +131,17 @@ class TestConstruct:
         assert f"error: --ansatz must be a finite nonzero vector, got {ansatz!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ansatz, message", [
+        ("1,2", "--ansatz expects three comma-separated complex numbers, got '1,2'"),
+        ("1,x,2", "--ansatz could not parse '1,x,2' as complex numbers"),
+    ])
+    def test_malformed_ansatz_is_named_usage_error(self, tmp_path, qfile, capsys, ansatz,
+                                                   message):
+        out = tmp_path / "pencil.json"
+        assert main(["construct", qfile, f"--ansatz={ansatz}", "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_nonzero_ansatz_accepted(self, tmp_path, qfile, capsys):
         # Every nonzero multiple of an ansatz vector is an ansatz vector, and
         # its pencil a linearization (gamma ~ 1e-20 here).
@@ -563,6 +574,17 @@ class TestDelta:
         assert main(["delta", *scalar_pair_files, "--params", str(pfile)]) == 2
         assert f"error: {pfile}: params2.Z2 is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["params1", "params2"])
+    def test_params_file_without_both_pencils_is_usage_error(self, tmp_path, scalar_pair_files,
+                                                             capsys, key):
+        rng = np.random.default_rng(6)
+        doc = {name: params_to_dict(E1FreeParams.random(1, rng)) for name in ("params1", "params2")}
+        del doc[key]
+        pfile = tmp_path / "pp.json"
+        pfile.write_text(json.dumps(doc))
+        assert main(["delta", *scalar_pair_files, "--params", str(pfile)]) == 2
+        assert f"error: {pfile}: expected 'params1' and 'params2'" in capsys.readouterr().err
+
     def test_identity_delta_reported_nonsingular(self):
         # The CLI certifier itself, on triples with Delta0 = I9
         # (B1 = C2 = I3, C1 = 0).
@@ -639,6 +661,15 @@ class TestSpectrum:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "re_lambda,im_lambda,re_mu,im_mu,residual"
         assert len(lines) == 5  # header + 4 points
+
+    def test_pair_mode_takes_no_pencil_file(self, scalar_pair_files, capsys):
+        p1, p2 = scalar_pair_files
+        assert main(["spectrum", p1, p2, "--pair", p2]) == 2
+        assert "error: pair mode does not take a pencil file" in capsys.readouterr().err
+
+    def test_slice_mode_requires_a_pencil_file(self, qfile, capsys):
+        assert main(["spectrum", qfile]) == 2
+        assert "error: slice mode requires a pencil file" in capsys.readouterr().err
 
     def test_pencil_near_the_top_of_the_range_has_singular_slices(self, tmp_path, qfile,
                                                                   capsys):

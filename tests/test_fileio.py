@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,23 @@ def test_monomial_file_rejects_nodes(tmp_path, kind):
         loader(path)
 
 
+@pytest.mark.parametrize("load, body", [(load_problem, "coefficients"), (load_pencil, "blocks")])
+@pytest.mark.parametrize("text, message", [
+    ('[1, 2]', "top-level value must be an object"),
+    ('{"n": 1, "basis": "chebyshev", "BODY": {}}',
+     "field 'basis' must be 'monomial' or 'newton', got 'chebyshev'"),
+    ('{"n": 1, "basis": "newton", "nodes": {"alpha": [[0, 0]], "beta": [[0, 0], [0, 0]]}, '
+     '"BODY": {}}', "nodes.alpha must be a list of two [re, im] pairs"),
+    ('{"n": 1, "basis": "monomial"}', "missing 'BODY' object"),
+], ids=["array", "basis", "alpha", "body"])
+def test_malformed_document_names_the_file(tmp_path, load, body, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text.replace("BODY", body))
+    with pytest.raises(FileFormatError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: " + message.replace("BODY", body)
+
+
 @pytest.mark.parametrize("nodes, want", [(NewtonNodes(), "monomial"),
                                          (NewtonNodes(-0.0, 0, 0j, 0), "monomial"),
                                          (NewtonNodes(0, 0, 0, 5e-324), "newton")])
@@ -551,6 +569,17 @@ def test_deeply_nested_file_is_a_usage_error(tmp_path, depth):
                         "--out", "p.json", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr.decode()[-400:]
     assert proc.stderr.decode().startswith("error: q.json: ")
+
+
+def test_file_nested_past_the_json_recursion_limit_is_a_format_error(tmp_path):
+    # Under ORJSON_MIN_BYTES, so json reads it and raises RecursionError in this process.
+    depth = sys.getrecursionlimit() + 100
+    path = tmp_path / "q.json"
+    path.write_text('{"n": 1, "basis": "monomial", "coefficients": '
+                    + "[" * depth + "]" * depth + "}")
+    assert path.stat().st_size < ORJSON_MIN_BYTES
+    with pytest.raises(FileFormatError, match="q.json: JSON nested too deeply to read$"):
+        load_problem(path)
 
 
 NESTED = "[" * 900 + "]" * 900

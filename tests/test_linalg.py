@@ -29,6 +29,10 @@ class TestAsMatrix:
         with pytest.raises(ValueError, match="shape"):
             as_matrix(np.eye(2), 3, 3)
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="must be 2-dimensional, got ndim=3"):
+            as_matrix(np.zeros((2, 2, 2)))
+
 
 class TestScaleToUnit:
     def test_exponent_reads_the_parts_where_the_modulus_overflows(self):
@@ -153,6 +157,9 @@ class TestSmallestSingularValue:
     def test_rejects_nonsquare(self):
         with pytest.raises(NonSquareError):
             smallest_singular_value(np.ones((2, 3)))
+
+    def test_empty_matrix_is_zero(self):
+        assert smallest_singular_value(np.zeros((0, 0))) == 0.0
 
 
 def solve1(a, b):

@@ -24,7 +24,6 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     membership_newton,
-    newton_six,
     select_M,
     unimodular_witnesses,
     verify_linearization,
@@ -37,9 +36,10 @@ from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
 from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
                      cofactor_det, companion_params_reference, companion_reference,
-                     newton_triple, nodes_of_kind, parameter_scaled, random_coeffs,
-                     random_monomial, random_newton, ratio_passed, sampled_witness, scaled,
-                     witness_factors, with_signed_zeros, z_block_reference)
+                     newton_products, newton_triple, nodes_of_kind, parameter_scaled,
+                     random_coeffs, random_monomial, random_newton, ratio_passed,
+                     sampled_witness, scaled, witness_factors, with_signed_zeros,
+                     z_block_reference)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -640,7 +640,7 @@ class TestVerifyLinearization:
         lams, mus = annulus_points(rng, 8), annulus_points(rng, 8)
         dets = det(companion_pencil(qn).eval(lams, mus))
         qvals = qn.eval(lams, mus)[:, 0, 0]
-        terms = np.abs(newton_six(qn.nodes, lams, mus)).T @ np.abs(
+        terms = np.abs(newton_products(qn.nodes, lams, mus)).T @ np.abs(
             [qn.coeff(*key)[0, 0] for key in COEFF_KEYS])
         assert np.all(np.abs(dets + qvals) <= 1e-12 * terms)
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2pep import (
     COEFF_KEYS,
@@ -12,29 +14,35 @@ from newton2pep import (
     NewtonPencil,
     annulus_points,
     complex_normal,
-    newton_six,
 )
+from newton2pep.matpoly import newton_line
 
 from helpers import (NODE_KINDS, assert_bitwise_equal, monomial_six, monomial_triple,
-                     newton_triple, nodes_of_kind, random_monomial, random_newton,
-                     random_nodes, scalar_newton)
+                     newton_products, newton_triple, nodes_of_kind, random_monomial,
+                     random_newton, random_nodes, scalar_newton)
+
+
+def at_point(nodes, lam, mu):
+    """The Newton basis at (lam, mu): the t^0 column of newton_line on the line
+    through (lam, mu, 1) with direction 0."""
+    return newton_line(nodes, np.array([lam, mu, 1], dtype=complex), np.zeros(3))[:, 2]
 
 
 class TestNewtonScalars:
     def test_vanish_at_their_nodes(self):
         nodes = NewtonNodes(1, 2, 0, 0)
-        n2, _, m2, n1, m1, one = newton_six(nodes, 1.0, 5.0)
+        n2, _, m2, n1, m1, one = at_point(nodes, 1.0, 5.0)
         assert (n1, n2) == (0, 0)
         assert m1 == 5 and m2 == 25
         assert one == 1
 
     def test_monomial_reduction(self):
-        n2, n1m1, m2, n1, m1, one = newton_six(NewtonNodes(), 3.0, 4.0)
+        n2, n1m1, m2, n1, m1, one = at_point(NewtonNodes(), 3.0, 4.0)
         assert (one, n1, n2, m1, m2, n1m1) == (1, 3, 9, 4, 16, 12)
 
     def test_product_values(self):
         nodes = NewtonNodes(1, 2, 0, 0)
-        n2, _, m2, _, _, _ = newton_six(nodes, 3.0, 0.0)
+        n2, _, m2, _, _, _ = at_point(nodes, 3.0, 0.0)
         assert n2 == (3 - 1) * (3 - 2)
         assert m2 == 0
 
@@ -43,13 +51,13 @@ class TestNewtonScalars:
         for _ in range(100):
             nodes = random_nodes(rng)
             lam, mu = annulus_points(rng, 2)
-            n2, _, m2, n1, m1, _ = newton_six(nodes, lam, mu)
+            n2, _, m2, n1, m1, _ = at_point(nodes, lam, mu)
             assert n2 == n1 * (lam - nodes.alpha2)
             assert m2 == m1 * (mu - nodes.beta2)
 
     def test_coincident_nodes_accepted(self):
         nodes = NewtonNodes(1.5, 1.5, -2j, -2j)
-        n2, _, _, n1, _, _ = newton_six(nodes, 1.5, 0.0)
+        n2, _, _, n1, _, _ = at_point(nodes, 1.5, 0.0)
         assert n1 == 0 and n2 == 0
 
     def test_nonfinite_node_rejected(self):
@@ -57,7 +65,23 @@ class TestNewtonScalars:
             NewtonNodes(np.nan, 0, 0, 0)
 
 
+PART = st.sampled_from([0.0, -0.0]) | st.floats(-2, 2)
+
+
 class TestBasisVectors:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["zero", "coincident", "random"]), st.integers(-150, 150),
+           st.tuples(*[PART] * 8), st.tuples(*[PART] * 4))
+    def test_point_column_is_the_newton_products(self, kind, exponent, parts, point):
+        # Equal as numbers, so signed zeros compare equal: n1 z can turn a -0 part into +0.
+        scale = 10.0 ** exponent
+        z = [complex(scale * re, scale * im) for re, im in zip(parts[::2], parts[1::2])]
+        nodes = {"zero": NewtonNodes(), "coincident": NewtonNodes(z[0], z[0], z[1], z[1]),
+                 "random": NewtonNodes(*z)}[kind]
+        lam, mu = complex(scale * point[0], scale * point[1]), complex(scale * point[2],
+                                                                       scale * point[3])
+        np.testing.assert_array_equal(at_point(nodes, lam, mu), newton_products(nodes, lam, mu))
+
     def test_zero_nodes_triple_matches_monomial(self):
         rng = np.random.default_rng(1)
         lam, mu = annulus_points(rng, 2)
@@ -67,7 +91,7 @@ class TestBasisVectors:
     def test_zero_nodes_six_matches_monomial(self):
         rng = np.random.default_rng(2)
         lam, mu = annulus_points(rng, 2)
-        np.testing.assert_array_equal(newton_six(NewtonNodes(), lam, mu),
+        np.testing.assert_array_equal(at_point(NewtonNodes(), lam, mu),
                                       monomial_six(lam, mu))
 
 
@@ -123,6 +147,10 @@ class TestEval:
         # n1=1, n2=0, m1=1, m2=1 at (2, 1): 0 + 1 + 1 + 1 + 1 + 1
         assert qn.eval(2.0, 1.0)[0, 0] == pytest.approx(5.0)
 
+    def test_nodes_as_a_plain_tuple(self):
+        q = MatrixPoly2.newton({k: [[1.0]] for k in COEFF_KEYS}, (1, 2, 3j, 4))
+        assert type(q.nodes) is NewtonNodes and q.nodes == (1, 2, 3j, 4)
+
     def test_requires_all_blocks(self):
         with pytest.raises(ValueError, match="missing"):
             MatrixPoly2.newton({(2, 0): [[1.0]]})
@@ -161,7 +189,7 @@ class TestOnLine:
             for t in complex_normal(rng, 4):
                 l, m, z = p + t * r
                 want = z * z * q.eval(l / z, m / z)
-                weights = np.abs(z * z * newton_six(q.nodes, l / z, m / z))
+                weights = np.abs(z * z * newton_products(q.nodes, l / z, m / z))
                 scale = sum(w * np.abs(q.coeff(*key)).max()
                             for w, key in zip(weights, COEFF_KEYS))
                 assert np.abs(t * t * k2 + t * k1 + k0 - want).max() <= 1e-13 * scale

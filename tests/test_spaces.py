@@ -17,16 +17,15 @@ from newton2pep import (
     construct_e1_newton,
     E1FreeParams,
     membership_newton,
-    newton_six,
     select_M,
 )
 from newton2pep import spaces
 from newton2pep.fileio import load_pencil, save_pencil
 
-from helpers import (NODE_KINDS, gamma_blocks, newton_triple, nodes_of_kind, pencil_in_space,
-                     random_coeffs, random_monomial, random_newton, random_nodes, s_map,
-                     sampled_membership, select_M_alternate_ac, to_monomial_space,
-                     to_newton_space, transfer_to_newton, with_zero_nodes)
+from helpers import (NODE_KINDS, gamma_blocks, newton_products, newton_triple, nodes_of_kind,
+                     pencil_in_space, random_coeffs, random_monomial, random_newton,
+                     random_nodes, s_map, sampled_membership, select_M_alternate_ac,
+                     to_monomial_space, to_newton_space, transfer_to_newton, with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -62,7 +61,7 @@ class TestGammaBlocks:
             lam, mu = annulus_points(rng, 2)
             g, gt = gamma_blocks(nodes, n, lam, mu)
             stack = np.kron(newton_triple(nodes, lam, mu).reshape(3, 1), np.eye(n))
-            n2, _, m2, n1, m1, _ = newton_six(nodes, lam, mu)
+            n2, _, m2, n1, m1, _ = newton_products(nodes, lam, mu)
             left = np.kron(np.array([n2, n1 * m1, n1]).reshape(3, 1), np.eye(n))
             right = np.kron(np.array([n1 * m1, m2, m1]).reshape(3, 1), np.eye(n))
             np.testing.assert_allclose(g @ stack, left, atol=1e-12)
@@ -213,6 +212,10 @@ class TestFromBlocks:
         build = NewtonPencil._of_owned if owned else NewtonPencil.from_blocks
         with pytest.raises(ValueError, match="A2 contains non-finite entries"):
             build(NewtonNodes(), *blocks)
+
+    def test_blocks_not_3n_square_rejected(self):
+        with pytest.raises(ValueError, match=r"pencil blocks must be 3n x 3n, got \(4, 4\)"):
+            NewtonPencil.from_blocks(NewtonNodes(), *[np.eye(4)] * 3)
 
 
 class TestMembershipNewton:
