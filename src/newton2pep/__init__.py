@@ -54,7 +54,6 @@ from .twoparam import (
     SpectrumSample,
     certify_singular,
     delta_operators,
-    pair_linearize,
     spectrum_pair_oracle,
     verify_spectrum_match,
 )

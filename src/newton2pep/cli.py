@@ -25,8 +25,8 @@ from .errors import (
     SharedFactorError,
 )
 from .fileio import FileFormatError, layout, load_params, load_pencil, load_problem, save_pencil
-from .linearize import (E1FreeParams, companion_pencil, construct_general_ansatz,
-                        verify_linearization)
+from .linearize import (E1FreeParams, companion_pencil, construct_e1_newton,
+                        construct_general_ansatz, verify_linearization)
 from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, membership_newton
 from .twoparam import (
     DEFAULT_MATCH_TOL,
@@ -35,7 +35,6 @@ from .twoparam import (
     KERNEL_WITNESS,
     QtepPair,
     certify_singular,
-    pair_linearize,
     spectrum_pair_oracle,
     verify_spectrum_match,
 )
@@ -168,8 +167,8 @@ def _cmd_delta(args) -> int:
     params1, params2 = _params_for(source, pair.p1, pair.p2)
     params_note = f"file {source}" if isinstance(source, str) else f"random(seed={source})"
 
-    ln1, ln2 = pair_linearize(pair, params1, params2)
-    cert = certify_singular(ln1, ln2, tol=args.tol)
+    cert = certify_singular(construct_e1_newton(q1, params1), construct_e1_newton(q2, params2),
+                            tol=args.tol)
 
     report = ["command: delta", f"inputs: {args.problem1} {args.problem2}", f"seed: {args.seed}",
               f"singularity tolerance: {_fmt_f(args.tol)}", f"pair: p1={pair.p1} p2={pair.p2}",

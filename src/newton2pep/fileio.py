@@ -52,11 +52,10 @@ import json
 import numpy as np
 
 from .linearize import E1FreeParams
-from .matpoly import MatrixPoly2, NewtonNodes
+from .matpoly import COEFF_KEYS, MatrixPoly2, NewtonNodes
 from .spaces import NewtonPencil
 
-COEFF_NAMES = {"A20": (2, 0), "A11": (1, 1), "A02": (0, 2),
-               "A10": (1, 0), "A01": (0, 1), "A00": (0, 0)}
+COEFF_NAMES = {f"A{i}{j}": (i, j) for i, j in COEFF_KEYS}
 MONOMIAL = "monomial"
 NEWTON = "newton"
 BLOCK_NAMES = {MONOMIAL: ("L1", "L2", "L0"), NEWTON: ("A1", "A2", "A3")}

@@ -6,9 +6,10 @@ shared node set defines the joint spectrum
     { (lam, mu) : det Q1(lam, mu) = det Q2(lam, mu) = 0 },
 
 with at most 4 p1 p2 isolated points (Bezout). Each polynomial is
-linearized with the e1-ansatz construction, Li = lam Ai + mu Bi + Ci with
-the affine constant term Ci = A3 - A1 D_alpha - A2 D_beta, and the pencils
-are coupled through the operator determinants
+linearized with the e1-ansatz construction (:func:`construct_e1_newton`),
+Li = lam Ai + mu Bi + Ci with Ai and Bi its blocks A1 and A2 and the affine
+constant term Ci = Li(0, 0), and the pencils are coupled through the
+operator determinants
 
     Delta0 = A1 kron B2 - B1 kron A2
     Delta1 = B1 kron C2 - C1 kron B2
@@ -60,7 +61,6 @@ INFINITY_TOL = 1e-6
 
 __all__ = [
     "QtepPair",
-    "pair_linearize",
     "DeltaTriple",
     "delta_operators",
     "SingularityCertificate",
@@ -104,13 +104,6 @@ class QtepPair(_Pair):
         return self.q1.nodes
 
 
-def pair_linearize(pair: QtepPair, params1: E1FreeParams,
-                   params2: E1FreeParams) -> tuple[NewtonPencil, NewtonPencil]:
-    """e1-ansatz linearization of each polynomial in the pair."""
-    return (construct_e1_newton(pair.q1, params1),
-            construct_e1_newton(pair.q2, params2))
-
-
 class DeltaTriple(NamedTuple):
     """Operator determinants of a pencil pair; each is k1 k2 x k1 k2."""
 
@@ -121,32 +114,15 @@ class DeltaTriple(NamedTuple):
     k2: int
 
 
-def _coefficients(ln) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) with L(lam, mu) = lam A + mu B + C, of a pencil or a raw triple.
-
-    A pencil's Gamma factors subtract the nodes column block by column
-    block, so its constant term is C = A3 - A1 D_alpha - A2 D_beta with
-    D_alpha = diag(a2, a1, a1) kron I and D_beta = diag(b1, b2, b1) kron I.
-    """
-    if not hasattr(ln, "blocks"):
-        return tuple(np.asarray(x, dtype=complex) for x in ln)
-    a1, a2, b1, b2 = ln.nodes
-    c = ln.A3 - ln.A1 * np.repeat([a2, a1, a1], ln.n)
-    c -= ln.A2 * np.repeat([b1, b2, b1], ln.n)
-    return ln.A1, ln.A2, c
-
-
-def delta_operators(ln1, ln2) -> DeltaTriple:
+def delta_operators(ln1: NewtonPencil, ln2: NewtonPencil) -> DeltaTriple:
     """Kronecker operator determinants of the pencil pair.
 
-    With Li = lam Ai + mu Bi + Ci (see :func:`_coefficients`),
-    Delta0 = A1 kron B2 - B1 kron A2, Delta1 = B1 kron C2 - C1 kron B2 and
-    Delta2 = C1 kron A2 - A1 kron C2. Raw (A, B, C) triples of square
-    matrices are accepted in place of pencils, so the formulas can be
-    exercised at any block size.
+    With Li = lam Ai + mu Bi + Ci, Ai and Bi pencil i's blocks A1 and A2 and
+    Ci = Li(0, 0), Delta0 = A1 kron B2 - B1 kron A2, Delta1 = B1 kron C2 -
+    C1 kron B2 and Delta2 = C1 kron A2 - A1 kron C2.
     """
-    a1, b1, c1 = _coefficients(ln1)
-    a2, b2, c2 = _coefficients(ln2)
+    a1, b1, c1 = ln1.A1, ln1.A2, ln1.eval(0, 0)
+    a2, b2, c2 = ln2.A1, ln2.A2, ln2.eval(0, 0)
     d0 = kron(a1, b2) - kron(b1, a2)
     d1 = kron(b1, c2) - kron(c1, b2)
     d2 = kron(c1, a2) - kron(a1, c2)
@@ -194,16 +170,17 @@ class SingularityCertificate(NamedTuple):
     frobenius: float
     threshold: float
     margin: float
-    structural_zero_pattern: bool | None  # None for raw triples
+    structural_zero_pattern: bool
 
 
-def certify_singular(ln1, ln2, *, tol: float = DEFAULT_SINGULAR_TOL) -> SingularityCertificate:
+def certify_singular(ln1: NewtonPencil, ln2: NewtonPencil, *,
+                     tol: float = DEFAULT_SINGULAR_TOL) -> SingularityCertificate:
     """Certify whether Delta0 = A1 kron B2 - B1 kron A2 is singular.
 
     The criterion is sigma_min(Delta0) <= tol * ||Delta0||_F, with the
     Frobenius norm computed from the blocks (:func:`_delta0_frobenius`).
-    Pencils or raw (A, B, C) triples are accepted, as in
-    :func:`delta_operators`. Each side's (A, B, C) is first brought to unit
+    Ai and Bi are pencil i's blocks A1 and A2, as in :func:`delta_operators`;
+    Delta0 has no constant term. Each side's (A, B) is first brought to unit
     size by one power of two, which scales Delta0 by their product: the
     verdict and the margin are decided there, so no squared entry over- or
     underflows, and value, frobenius and threshold are scaled back for the
@@ -222,11 +199,11 @@ def certify_singular(ln1, ln2, *, tol: float = DEFAULT_SINGULAR_TOL) -> Singular
     threshold; so a "not singular" verdict always rests on the dense
     sigma_min.
 
-    For a pencil pair ``structural_zero_pattern`` records the zero pattern
-    behind the e1 singularity; it is None for raw triples.
+    ``structural_zero_pattern`` records the zero pattern behind the e1
+    singularity.
     """
-    (a1, b1, _), e1 = scale_to_unit(np.stack(_coefficients(ln1)))
-    (a2, b2, _), e2 = scale_to_unit(np.stack(_coefficients(ln2)))
+    (a1, b1), e1 = scale_to_unit(np.stack([ln1.A1, ln1.A2]))
+    (a2, b2), e2 = scale_to_unit(np.stack([ln2.A1, ln2.A2]))
     frob = _delta0_frobenius(a1, b1, a2, b2)
     threshold = tol * frob
     u, v = (np.linalg.svd(b)[2][-1].conj() for b in (b1, b2))
@@ -237,10 +214,8 @@ def certify_singular(ln1, ln2, *, tol: float = DEFAULT_SINGULAR_TOL) -> Singular
         value = smallest_singular_value(kron(a1, b2) - kron(b1, a2))
     singular = bool(value <= threshold)
     margin = value / threshold if threshold > 0 else 0.0 if value == 0 else float("inf")
-    pattern = None
-    if isinstance(ln1, NewtonPencil) and isinstance(ln2, NewtonPencil):
-        pattern = (_lower_rows_supported_on_last_column(ln1.A2, ln1.n)
-                   and _lower_rows_supported_on_last_column(ln2.A2, ln2.n))
+    pattern = (_lower_rows_supported_on_last_column(ln1.A2, ln1.n)
+               and _lower_rows_supported_on_last_column(ln2.A2, ln2.n))
     with np.errstate(over="ignore", under="ignore"):
         value, frob, threshold = (float(np.ldexp(x, -e1 - e2)) for x in (value, frob, threshold))
     return SingularityCertificate(is_singular=singular, route=route, value=value,
@@ -345,9 +320,10 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     (real, imag); None for a singular slice. The blocks are divided once by
     their row scales D across A1, A2 and A3 (:func:`row_space`), so every row
     has unit size, and D^-1 A1 = U diag(Sigma_r, 0) V* is factored once (r = 2n
-    for an e1 pencil). The affine coefficients B and C of that unit-row pencil
-    (:func:`_coefficients`) are transformed once, B^ = U* B V and C^ = U* C V,
-    and a slice is W = mu0 B^ + C^. If sigma_min(W22) > SINGULAR_TOL ||W||_F
+    for an e1 pencil). The affine coefficients of that unit-row pencil, its
+    block B = D^-1 A2 and its value C at (0, 0), are transformed once,
+    B^ = U* B V and C^ = U* C V, and a slice is W = mu0 B^ + C^: no pencil is
+    evaluated per slice. If sigma_min(W22) > SINGULAR_TOL ||W||_F
     (the whole slice's norm: a degree drop leaves a rounding-sized W22), its
     finite values are those of -Sigma_r^-1 (W11 - W12 W22^-1 W21) below
     1 / INFINITE_TOL; every other slice, and all when A1 has full rank or is
@@ -358,10 +334,9 @@ def _pencil_slice_eigenvalues(pencil: NewtonPencil, mus) -> list:
     scales, left, sigma, right = row_space(*pencil.blocks())
     left, right, d = left.conj().T, right.conj().T, scales[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named below
-        _, b, c = _coefficients(pencil._replace(A1=pencil.A1 / d, A2=pencil.A2 / d,
-                                                A3=pencil.A3 / d))
-        b = left @ b @ right
-        c = left @ c @ right
+        unit = pencil._replace(A1=pencil.A1 / d, A2=pencil.A2 / d, A3=pencil.A3 / d)
+        b = left @ unit.A2 @ right
+        c = left @ unit.eval(0, 0) @ right
     r, m, out = len(sigma), 3 * pencil.n, []
     for sl in chunks(len(mus), m):
         w = (chunk := mus[sl, None, None]) * b + c
@@ -643,8 +618,8 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
     bound = 4 * pair.p1 * pair.p2
     rng = np.random.default_rng(seed)
-    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
-                                            E1FreeParams.random(pair.p2, rng)))
+    delta = delta_operators(*(construct_e1_newton(q, E1FreeParams.random(q.n, rng))
+                              for q in pair))
     c = complex_normal(rng)
     (d0, d1, d2), at_infinity, deflated = _regular_part(delta)
     k = deflated + _rank_deficiency(d1 + c * d2, d0, rng)

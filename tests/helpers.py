@@ -615,14 +615,14 @@ def clusters_reference(theta, radius, shift):
     return groups
 
 
-def point_quotients_reference(delta, x, y):
+def point_quotients_reference(ops, x, y):
     """(lam, mu) of each column pair (x, y) by its own 1 x 1 solve of
-    y* Delta0 x [lam, mu] = [y* Delta1 x, y* Delta2 x] (loop form of
-    twoparam._point_quotients)."""
+    y* Delta0 x [lam, mu] = [y* Delta1 x, y* Delta2 x], ``ops`` = (Delta0,
+    Delta1, Delta2) (loop form of twoparam._point_quotients)."""
     lams, mus = [], []
     for k in range(x.shape[1]):
         qx, qy = x[:, k:k + 1], y[:, k:k + 1]
-        b0, b1, b2 = (qy.conj().T @ d @ qx for d in (delta.delta0, delta.delta1, delta.delta2))
+        b0, b1, b2 = (qy.conj().T @ d @ qx for d in ops)
         lam_mu = np.linalg.solve(b0, np.concatenate([b1, b2], axis=1))
         lams.append(lam_mu[0, 0])
         mus.append(lam_mu[0, 1])

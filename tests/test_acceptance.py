@@ -19,7 +19,6 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     membership_newton,
-    pair_linearize,
     select_M,
     spectrum_pair_oracle,
     unimodular_witnesses,
@@ -176,8 +175,7 @@ def test_criterion_09_delta0_singularity():
         p1, p2 = (int(x) for x in rng.integers(1, 4, 2))
         nodes = random_nodes(rng)
         pair = QtepPair(random_newton(rng, p1, nodes), random_newton(rng, p2, nodes))
-        ln1, ln2 = pair_linearize(pair, E1FreeParams.random(p1, rng),
-                                  E1FreeParams.random(p2, rng))
+        ln1, ln2 = (construct_e1_newton(q, E1FreeParams.random(q.n, rng)) for q in pair)
         cert = certify_singular(ln1, ln2, tol=1e-7)
         assert cert.value < 1e-7 * cert.frobenius, (trial, cert.route, cert.value)
         assert cert.is_singular
@@ -193,8 +191,7 @@ def test_criterion_10_bezout_count_scalar_pairs():
         assert sample.total_count == 4, (trial, sample.total_count)
         assert len(sample.points) == 4
         assert all(p.residual < 1e-8 for p in sample.points)
-        ln1, ln2 = pair_linearize(pair, E1FreeParams.random(1, rng),
-                                  E1FreeParams.random(1, rng))
+        ln1, ln2 = (construct_e1_newton(q, E1FreeParams.random(1, rng)) for q in pair)
         ref = annulus_points(rng, 16)
         for ln in (ln1, ln2):
             scale = max(abs(det(ln.eval(l, m))) for l, m in zip(ref[:8], ref[8:]))

@@ -27,9 +27,9 @@ from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
                                save_problem)
 
-from helpers import (NODE_KINDS, fresh_cli_imports, fresh_python, nodes_of_kind, params_to_dict,
-                     random_coeffs, random_monomial, random_newton, rewrite_as_pairs,
-                     scalar_newton, scaled)
+from helpers import (NODE_KINDS, assert_bitwise_equal, fresh_cli_imports, fresh_python,
+                     nodes_of_kind, params_to_dict, random_coeffs, random_monomial, random_newton,
+                     rewrite_as_pairs, scalar_newton, scaled)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -586,11 +586,41 @@ class TestDelta:
         assert f"error: {pfile}: expected 'params1' and 'params2'" in capsys.readouterr().err
 
     def test_identity_delta_reported_nonsingular(self):
-        # The CLI certifier itself, on triples with Delta0 = I9
+        # The CLI certifier itself, on zero-node pencils with Delta0 = -I9
         # (B1 = C2 = I3, C1 = 0).
         eye, zero = np.eye(3), np.zeros((3, 3))
-        cert = certify_singular((eye, eye, zero), (eye, zero, eye))
+        cert = certify_singular(NewtonPencil.from_blocks(NewtonNodes(), eye, eye, zero),
+                                NewtonPencil.from_blocks(NewtonNodes(), eye, zero, eye))
         assert not cert.is_singular
+
+    def test_delta_and_pair_spectrum_draw_the_same_params(self, tmp_path, monkeypatch, capsys):
+        # delta --seed s and spectrum --pair --seed s linearize each problem with the same
+        # e1 parameters, q1's drawn before q2's.
+        from newton2pep import twoparam
+        rng = np.random.default_rng(9)
+        nodes = NewtonNodes(0.5, -1, 2j, 1 + 1j)
+        files = [str(tmp_path / f"q{p}.json") for p in (1, 2)]
+        for path, p in zip(files, (1, 2)):
+            save_problem(path, random_newton(rng, p, nodes))
+        drawn = {}
+
+        def record(module):
+            def spy(q, params, **kwargs):
+                drawn[module.__name__].append(params)
+                return construct_e1_newton(q, params, **kwargs)
+            drawn[module.__name__] = []
+            monkeypatch.setattr(module, "construct_e1_newton", spy)
+
+        record(cli)
+        record(twoparam)
+        assert run(capsys, ["delta", *files, "--seed", "17"])[0] == 0
+        assert run(capsys, ["spectrum", files[0], "--pair", files[1], "--seed", "17"])[0] == 0
+        by_delta, by_pair = drawn.values()
+        assert [params.n for params in by_delta] == [1, 2]
+        assert len(by_pair) == 2
+        for a, b in zip(by_delta, by_pair):
+            for x, y in zip(a, b):
+                assert_bitwise_equal(x, y)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(-1000, 1000), st.integers(1, 3), st.integers(1, 3),

@@ -23,14 +23,13 @@ from newton2pep import (
     construct_e1_newton,
     construct_general_ansatz,
     delta_operators,
-    pair_linearize,
     spectrum_pair_oracle,
     verify_linearization,
     verify_spectrum_match,
 )
 from newton2pep import spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
-from newton2pep.linalg import det, scale_to_unit, smallest_singular_value
+from newton2pep.linalg import det, kron, scale_to_unit, smallest_singular_value
 from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
@@ -62,8 +61,7 @@ class TestPairLinearize:
     def test_scalar_pair_both_verify(self):
         rng = np.random.default_rng(1)
         pair = random_pair(rng, 1, 1)
-        ln1, ln2 = pair_linearize(pair, E1FreeParams.random(1, rng),
-                                  E1FreeParams.random(1, rng))
+        ln1, ln2 = (construct_e1_newton(q, E1FreeParams.random(1, rng)) for q in pair)
         assert verify_linearization(ln1, pair.q1).passed
         assert verify_linearization(ln2, pair.q2).passed
 
@@ -72,7 +70,7 @@ class TestPairLinearize:
         pair = random_pair(rng, 1, 2, NewtonNodes())
         p1 = E1FreeParams.random(1, rng)
         p2 = E1FreeParams.random(2, rng)
-        ln1, ln2 = pair_linearize(pair, p1, p2)
+        ln1, ln2 = construct_e1_newton(pair.q1, p1), construct_e1_newton(pair.q2, p2)
         pts = annulus_points(rng, 10)
         for lam, mu in zip(pts[:5], pts[5:]):
             expected = lam * ln1.A1 + mu * ln1.A2 + ln1.A3
@@ -81,22 +79,45 @@ class TestPairLinearize:
     def test_companion_params_give_transferred_companions(self):
         rng = np.random.default_rng(3)
         pair = random_pair(rng, 2, 2)
-        ln1, ln2 = pair_linearize(pair, E1FreeParams.companion(pair.q1),
-                                  E1FreeParams.companion(pair.q2))
+        ln1, ln2 = (construct_e1_newton(q, E1FreeParams.companion(q)) for q in pair)
         for ln, q in ((ln1, pair.q1), (ln2, pair.q2)):
             cn = companion_pencil(q)
             for a, b in zip(ln.blocks(), cn.blocks()):
                 np.testing.assert_array_equal(a, b)
 
 
+def zero_node_pencil(a, b, c):
+    """The pencil lam A + mu B + C (up to the sign of zero entries) on zero nodes."""
+    return NewtonPencil.from_blocks(NewtonNodes(), a, b, c)
+
+
+def identity_delta0_pair(s=1.0):
+    """Zero-node pencils with B1 = C2 = s I3 and C1 = 0, so Delta0 = -s^2 I9."""
+    eye, zero = np.diag(np.full(3, s)), np.zeros((3, 3))
+    return zero_node_pencil(eye, eye, zero), zero_node_pencil(eye, zero, eye)
+
+
 class TestDeltaOperators:
     def test_scalar_blocks_commute_to_zero(self):
-        triple = ([[2.0]], [[3.0]], [[5.0]])
-        delta = delta_operators(triple, triple)
-        assert delta.k1 == delta.k2 == 1
-        assert delta.delta0[0, 0] == 0
-        assert delta.delta1[0, 0] == 0
-        assert delta.delta2[0, 0] == 0
+        eye = np.eye(3)
+        ln = zero_node_pencil(2 * eye, 3 * eye, 5 * eye)
+        delta = delta_operators(ln, ln)
+        assert delta.k1 == delta.k2 == 3
+        assert not delta.delta0.any()
+        assert not delta.delta1.any()
+        assert not delta.delta2.any()
+
+    def test_constant_term_is_the_value_at_zero(self):
+        # C = L(0, 0) as NewtonPencil.eval rounds it, bit for bit, so the node
+        # order of the Gamma factors is read in one place.
+        rng = np.random.default_rng(8)
+        nodes = random_nodes(rng)
+        ln1, ln2 = (NewtonPencil.from_blocks(nodes, *complex_normal(rng, 3, 3 * p, 3 * p))
+                    for p in (1, 2))
+        delta = delta_operators(ln1, ln2)
+        c1, c2 = ln1.eval(0, 0), ln2.eval(0, 0)
+        assert_bitwise_equal(delta.delta1, kron(ln1.A2, c2) - kron(c1, ln2.A2))
+        assert_bitwise_equal(delta.delta2, kron(c1, ln2.A1) - kron(ln1.A1, c2))
 
     def test_identical_identity_pencils_vanish(self):
         nodes = NewtonNodes()
@@ -151,16 +172,13 @@ class TestCertifySingular:
         for _ in range(10):
             p1, p2 = rng.integers(1, 4, 2)
             pair = random_pair(rng, int(p1), int(p2))
-            ln1, ln2 = pair_linearize(pair, E1FreeParams.random(int(p1), rng),
-                                      E1FreeParams.random(int(p2), rng))
+            ln1, ln2 = (construct_e1_newton(q, E1FreeParams.random(q.n, rng)) for q in pair)
             cert = certify_singular(ln1, ln2)
             assert cert.is_singular
             assert cert.structural_zero_pattern
 
     def test_identity_delta0_not_singular(self):
-        # B1 = C2 = I3 and C1 = 0 give Delta0 = I9.
-        eye, zero = np.eye(3), np.zeros((3, 3))
-        cert = certify_singular((eye, eye, zero), (eye, zero, eye))
+        cert = certify_singular(*identity_delta0_pair())
         assert not cert.is_singular
         assert cert.route == DENSE_SIGMA_MIN
         assert cert.value == pytest.approx(1.0)
@@ -170,14 +188,12 @@ class TestCertifySingular:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-1074, 1023))
     def test_identity_delta0_not_singular_at_every_scale(self, k):
-        # The triples times 2^k give Delta0 = 4^k I9. The verdict and the
+        # The pencils times 2^k give Delta0 = -4^k I9. The verdict and the
         # margin are taken at unit size, so they do not move by a bit; the
         # reported sizes are 4^k times those at k = 0, inf or 0 out of range
         # (at 1e80 the threshold read inf and the verdict "singular").
-        eye, zero = np.eye(3), np.zeros((3, 3))
-        base = certify_singular((eye, eye, zero), (eye, zero, eye))
-        s = np.ldexp(1.0, k)
-        cert = certify_singular((s * eye, s * eye, zero), (s * eye, zero, s * eye))
+        base = certify_singular(*identity_delta0_pair())
+        cert = certify_singular(*identity_delta0_pair(np.ldexp(1.0, k)))
         assert not cert.is_singular and cert.route == DENSE_SIGMA_MIN
         assert cert.margin == base.margin
         with np.errstate(over="ignore", under="ignore"):
@@ -187,11 +203,10 @@ class TestCertifySingular:
     def test_identity_delta0_margin_where_the_modulus_overflows(self):
         # s = (-1.73e308, 5.47e307) has finite parts but |s| overflows. Read
         # from |s|, the unit-size exponent was 0, and the margin read inf.
-        eye, zero = np.eye(3), np.zeros((3, 3))
-        base = certify_singular((eye, eye, zero), (eye, zero, eye))
-        s = np.diag(np.full(3, -1.73e308 + 5.47e307j))
+        base = certify_singular(*identity_delta0_pair())
+        pair = identity_delta0_pair(-1.73e308 + 5.47e307j)
         with np.errstate(all="raise"):
-            cert = certify_singular((s, s, zero), (s, zero, s))
+            cert = certify_singular(*pair)
         assert not cert.is_singular and cert.route == DENSE_SIGMA_MIN
         assert cert.margin == pytest.approx(base.margin, rel=1e-12)
 
@@ -207,7 +222,7 @@ class TestCertifySingular:
         def certificate(scale):
             q1, q2 = (MatrixPoly2.newton({key: scale * c for key, c in coeffs.items()},
                                          nodes) for coeffs in (coeffs1, coeffs2))
-            ln1, ln2 = pair_linearize(QtepPair(q1, q2), params1, params2)
+            ln1, ln2 = construct_e1_newton(q1, params1), construct_e1_newton(q2, params2)
             return ln1, ln2, certify_singular(ln1, ln2)
 
         ln1, ln2, cert = certificate(1.0)
@@ -222,25 +237,26 @@ class TestCertifySingular:
 
     def test_non_e1_triples_take_dense_route(self):
         rng = np.random.default_rng(17)
-        for k1, k2 in ((1, 1), (3, 3), (3, 6), (6, 3)):
-            t1 = [complex_normal(rng, k1, k1) for _ in range(3)]
-            t2 = [complex_normal(rng, k2, k2) for _ in range(3)]
+        for k1, k2 in ((3, 3), (3, 3), (3, 6), (6, 3)):
+            t1 = zero_node_pencil(*(complex_normal(rng, k1, k1) for _ in range(3)))
+            t2 = zero_node_pencil(*(complex_normal(rng, k2, k2) for _ in range(3)))
             cert = certify_singular(t1, t2)
             assert cert.route == DENSE_SIGMA_MIN
             assert not cert.is_singular
             d0 = delta_operators(t1, t2).delta0
             assert cert.value == np.linalg.svd(d0, compute_uv=False)[-1]
-            assert cert.structural_zero_pattern is None
+            assert cert.structural_zero_pattern is False
 
     def test_dense_route_forms_delta0_alone(self, monkeypatch):
         # The fallback reads sigma_min of Delta0 at unit size, as delta_operators forms it, bit
         # for bit, but forms neither Delta1 nor Delta2 (13 MB each at p = 10).
         rng = np.random.default_rng(21)
-        t1, t2 = ([2.0 ** s * complex_normal(rng, k, k) for _ in range(3)]
+        t1, t2 = (zero_node_pencil(*(2.0 ** s * complex_normal(rng, k, k) for _ in range(3)))
                   for k, s in ((3, 40), (6, -30)))
-        (a1, b1, c1), e1 = scale_to_unit(np.stack(t1))
-        (a2, b2, c2), e2 = scale_to_unit(np.stack(t2))
-        value = smallest_singular_value(delta_operators((a1, b1, c1), (a2, b2, c2)).delta0)
+        (a1, b1), e1 = scale_to_unit(np.stack([t1.A1, t1.A2]))
+        (a2, b2), e2 = scale_to_unit(np.stack([t2.A1, t2.A2]))
+        unit = (zero_node_pencil(a, b, np.zeros_like(a)) for a, b in ((a1, b1), (a2, b2)))
+        value = smallest_singular_value(delta_operators(*unit).delta0)
         threshold = 1e-7 * _delta0_frobenius(a1, b1, a2, b2)
         monkeypatch.setattr(twoparam, "delta_operators", None)
         cert = certify_singular(t1, t2)
@@ -262,7 +278,7 @@ class TestCertifySingular:
             b1, b2 = complex_normal(rng, k1, k1), complex_normal(rng, k2, k2)
             assert np.linalg.svd(b1, compute_uv=False)[-1] > 1e-3
             assert np.linalg.svd(b2, compute_uv=False)[-1] > 1e-3
-            cert = certify_singular((c1, b1, b1), (c2, b2, b2))
+            cert = certify_singular(zero_node_pencil(c1, b1, b1), zero_node_pencil(c2, b2, b2))
             assert cert.route == DENSE_SIGMA_MIN
             assert cert.is_singular
 
@@ -279,8 +295,8 @@ class TestCertifySingular:
                 if case == "unbalanced":
                     c1 = c1 * 1e3
             got = _delta0_frobenius(b1, c1, b2, c2)
-            # As (lam, mu) coefficients (b1, c1) and (b2, c2): Delta0 = b1 kron c2 - c1 kron b2.
-            ref = np.linalg.norm(delta_operators((b1, c1, c1), (b2, c2, c2)).delta0)
+            # As (lam, mu) blocks (b1, c1) and (b2, c2): Delta0 = b1 kron c2 - c1 kron b2.
+            ref = np.linalg.norm(kron_oracle(b1, c2) - kron_oracle(c1, b2))
             # Rounding the Kronecker products already moves the dense
             # reference by about eps (||B1|| ||C2|| + ||C1|| ||B2||), which is
             # ~1e-8 of ||Delta0||_F in the near-commuting case; the Gram
@@ -300,7 +316,7 @@ class TestCertifySingular:
                                                    for _ in range(3))) for p in (1, 2)]
         assert certify_singular(*dense).structural_zero_pattern is False
         pair = random_pair(rng, 1, 2, nodes)
-        lns = pair_linearize(pair, E1FreeParams.random(1, rng), E1FreeParams.random(2, rng))
+        lns = [construct_e1_newton(q, E1FreeParams.random(q.n, rng)) for q in pair]
         for scale in (1.0, 1e-13):
             e1 = [NewtonPencil.from_blocks(nodes, *(scale * b for b in ln.blocks()))
                   for ln in lns]
@@ -310,8 +326,7 @@ class TestCertifySingular:
         # u in ker A2(1), v in ker A2(2) gives Delta0 (u kron v) = 0 exactly.
         rng = np.random.default_rng(7)
         pair = random_pair(rng, 2, 2)
-        ln1, ln2 = pair_linearize(pair, E1FreeParams.random(2, rng),
-                                  E1FreeParams.random(2, rng))
+        ln1, ln2 = (construct_e1_newton(q, E1FreeParams.random(2, rng)) for q in pair)
         delta = delta_operators(ln1, ln2)
         from scipy.linalg import null_space
         u = null_space(ln1.A2)[:, 0]
@@ -662,19 +677,20 @@ class TestSliceDeflation:
         assert_same_finite_eigenvalues(got, want)
 
     def test_generic_slice_pass_evaluates_no_pencil(self, monkeypatch):
-        # The unit-row pencil's mu coefficient and constant term are moved to
-        # A1's singular bases once, so a slice is W = mu0 B^ + C^.
+        # The unit-row pencil's mu coefficient and constant term L(0, 0) are moved
+        # to A1's singular bases once, so a slice is W = mu0 B^ + C^: the pencil
+        # is evaluated once, at (0, 0), and never per slice.
         rng = np.random.default_rng(46)
         q = random_newton(rng, 64)
         calls, real = [], NewtonPencil.eval
         monkeypatch.setattr(NewtonPencil, "eval",
                             lambda self, *args: calls.append(args) or real(self, *args))
-        assert verify_spectrum_match(q, companion_pencil(q)).all_contained
-        assert calls == []
+        assert verify_spectrum_match(q, companion_pencil(q), slices=7).all_contained
+        assert calls == [(0, 0)]
 
     def test_slice_out_of_range_is_named(self):
         # Unit rows keep a slice of finite blocks finite unless nodes near the
-        # top of the double range overflow C = A3 - A1 D_alpha - A2 D_beta.
+        # top of the double range overflow C = L(0, 0).
         rng = np.random.default_rng(47)
         ones = np.ones((3, 3))
         pencil = NewtonPencil.from_blocks(NewtonNodes(1e308, 1e308, 1e308, 1e308), ones, ones,
@@ -923,8 +939,8 @@ def staircase_and_full_deficiency(pair, seed):
     sigma Delta0."""
     rng = np.random.default_rng(seed)
     pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
-    delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
-                                            E1FreeParams.random(pair.p2, rng)))
+    delta = delta_operators(*(construct_e1_newton(q, E1FreeParams.random(q.n, rng))
+                              for q in pair))
     c = complex_normal(rng)
     (d0, d1, d2), _, deflated = twoparam._regular_part(delta)
     part = twoparam._rank_deficiency(d1 + c * d2, d0, np.random.default_rng(seed))
@@ -973,7 +989,7 @@ class TestSpectrumPairOracle:
         pair = random_pair(rng, 1, 1)
         params1 = E1FreeParams.random(1, rng)
         params2 = E1FreeParams.random(1, rng)
-        ln1, ln2 = pair_linearize(pair, params1, params2)
+        ln1, ln2 = construct_e1_newton(pair.q1, params1), construct_e1_newton(pair.q2, params2)
         sample = spectrum_pair_oracle(pair)
         ref = annulus_points(rng, 16)
         for ln in (ln1, ln2):
@@ -1164,7 +1180,7 @@ class TestSpectrumPairOracle:
             pair = random_pair(rng, p1, p2, nodes_of_kind(rng, kind))
             params = E1FreeParams.random(p1, rng), E1FreeParams.random(p2, rng)
             (d0, d1, d2), at_infinity, deflated = twoparam._regular_part(
-                delta_operators(*pair_linearize(pair, *params)))
+                delta_operators(*map(construct_e1_newton, pair, params)))
             assert d0.shape == d1.shape == d2.shape == (4 * p1 * p2, 4 * p1 * p2)
             assert not at_infinity
             assert deflated == p1 * p2
@@ -1182,8 +1198,8 @@ class TestSpectrumPairOracle:
         rng = np.random.default_rng(seed)
         nodes = nodes_of_kind(rng, "newton")
         pair = QtepPair(*(random_newton(rng, p, nodes).at_unit_size()[0] for _ in range(2)))
-        delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(p, rng),
-                                                E1FreeParams.random(p, rng)))
+        delta = delta_operators(*(construct_e1_newton(q, E1FreeParams.random(p, rng))
+                                  for q in pair))
         (d0, _, _), at_infinity, deflated = twoparam._regular_part(delta)
         assert d0.shape == (4 * p * p, 4 * p * p)
         assert (at_infinity, deflated) == (False, p * p)
@@ -1263,8 +1279,8 @@ class TestInPlaceForms:
         for pair, seed in ((pair, seed) for pair in pairs for seed in (0, 1)):
             rng = np.random.default_rng(seed)
             pair = QtepPair(*(q.at_unit_size()[0] for q in pair))
-            delta = delta_operators(*pair_linearize(pair, E1FreeParams.random(pair.p1, rng),
-                                                    E1FreeParams.random(pair.p2, rng)))
+            delta = delta_operators(*(construct_e1_newton(q, E1FreeParams.random(q.n, rng))
+                                      for q in pair))
             ops, flag, deflated = twoparam._regular_part(delta)
             want_ops, want_flag, want_deflated = regular_part_reference(delta)
             for got, want in zip(ops, want_ops):
@@ -1309,21 +1325,20 @@ class TestPairVectorized:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1))
     def test_point_quotients_match_per_point_solves(self, k1, k2, count, seed):
         rng = np.random.default_rng(seed)
-        delta = delta_operators(*(complex_normal(rng, 3, k, k) for k in (k1, k2)))
         size = k1 * k2
+        ops = tuple(complex_normal(rng, 3, size, size))
         x, y = complex_normal(rng, size, count), complex_normal(rng, size, count)
-        ops = (delta.delta0, delta.delta1, delta.delta2)
-        got, want = twoparam._point_quotients(ops, x, y), point_quotients_reference(delta, x, y)
+        got, want = twoparam._point_quotients(ops, x, y), point_quotients_reference(ops, x, y)
         # Relative to the quotient, or to its terms' scale when they cancel.
-        b0 = np.abs(np.einsum("ik,ij,jk->k", y.conj(), delta.delta0, x))
-        for g, w, d in zip(got, want, (delta.delta1, delta.delta2)):
+        b0 = np.abs(np.einsum("ik,ij,jk->k", y.conj(), ops[0], x))
+        for g, w, d in zip(got, want, ops[1:]):
             terms = np.einsum("ik,ij,jk->k", np.abs(y), np.abs(d), np.abs(x)) / b0
             assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(np.abs(w), terms))
 
     def test_zero_point_quotient_denominator_raises(self):
         rng = np.random.default_rng(53)
-        delta = delta_operators(*(complex_normal(rng, 3, 2, 2) for _ in range(2)))
+        ops = tuple(complex_normal(rng, 3, 4, 4))
         x, y = complex_normal(rng, 4, 2), complex_normal(rng, 4, 2)
         x[:, 1] = 0  # y* Delta0 x = 0 exactly
         with pytest.raises(DegenerateProblemError, match="singular for a finite eigenvalue"):
-            twoparam._point_quotients((delta.delta0, delta.delta1, delta.delta2), x, y)
+            twoparam._point_quotients(ops, x, y)
