@@ -81,13 +81,12 @@ def newton_line(nodes: NewtonNodes, p, r) -> np.ndarray:
     (m - beta1 z) z and z z, and f(p + t r) = f(p) + t f(r), so f(r) g(r),
     f(p) g(r) + f(r) g(p) and f(p) g(p) are their coefficients exactly. A point
     (lambda, mu) is p = (lambda, mu, 1) with r = 0: the t^0 column is the basis there."""
-    def factors(point):  # (f_j, g_j) at the point: l - alpha1 z, l - alpha2 z, ..., z
-        l, m, z = np.asarray(point, dtype=complex)
-        node = np.reshape(nodes, (4,) + (1,) * z.ndim)
-        forms = np.concatenate([np.array([l, l, m, m]) - _mul(node, z), z[None]])
-        return forms[[0, 0, 2, 0, 2, 4]], forms[[1, 2, 3, 4, 4, 4]]
-    (fp, gp), (fr, gr) = factors(p), factors(r)
-    return np.stack([_mul(fr, gr), _mul(fp, gr) + _mul(fr, gp), _mul(fp, gp)], axis=1)
+    l, m, z = np.moveaxis(np.array([p, r], dtype=complex), 1, 0)  # each at p, then at r
+    node = np.reshape(nodes, (4,) + (1,) * z.ndim)
+    forms = np.concatenate([np.array([l, l, m, m]) - _mul(node, z), z[None]])
+    f, g = forms[[0, 0, 2, 0, 2, 4]], forms[[1, 2, 3, 4, 4, 4]]  # (6, 2) + shape(p[0])
+    rr, pr, rp, pp = np.moveaxis(_mul(f[:, [1, 0, 1, 0]], g[:, [1, 1, 0, 0]]), 1, 0)
+    return np.stack([rr, pr + rp, pp], axis=1)
 
 
 class MatrixPoly2(NamedTuple):
@@ -140,9 +139,3 @@ class MatrixPoly2(NamedTuple):
         """(2^e Q, e), e from :func:`scale_to_unit` of the six blocks: exact at any scale."""
         coeffs, e = scale_to_unit(np.stack([self.coeffs[key] for key in COEFF_KEYS]))
         return self._replace(coeffs=dict(zip(COEFF_KEYS, map(freeze, coeffs)))), e
-
-    def on_line(self, p, r) -> np.ndarray:
-        """(K2, K1, K0) with t^2 K2 + t K1 + K0 = z^2 Q(l / z, m / z) at (l, m, z) =
-        p + t r, C20 l^2 + C11 l m + C02 m^2 where z = 0: shape (3, n, n), or for
-        (3, K) p and r (3, K, n, n), each line bit for bit its one-line call."""
-        return self.combine(newton_line(self.nodes, p, r))

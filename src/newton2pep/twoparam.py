@@ -248,7 +248,7 @@ def _q_slice_eigenvalues(q: MatrixPoly2, mus) -> tuple[list, list]:
     q, values, lines = q.at_unit_size()[0], [], []
     for sl in chunks(len(mus), 2 * q.n):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slice is named
-            k = q.on_line(*_slice_lines(chunk := mus[sl]))
+            k = q.combine(newton_line(q.nodes, *_slice_lines(chunk := mus[sl])))
         if not (finite := np.isfinite(k).all(axis=(0, 2, 3))).all():
             raise _overflow("Q", chunk, finite)
         values += quadratic_eigen(*k)
@@ -435,11 +435,12 @@ class SpectrumSample(NamedTuple):
     bezout_bound: int
 
 
-def _newton_weight(q: MatrixPoly2, phi) -> np.ndarray:
-    """max_j ||C_j||_2 sum_j |phi_j| at each point of the (6, K) Newton basis values phi:
-    every term gets the same weight, so a sparse Q such as mu still reads small at its zeros."""
+def _newton_backward_error(q: MatrixPoly2, phi) -> np.ndarray:
+    """Q's :func:`_backward_error` at each point of the (6, K) Newton basis values phi, with
+    weight max_j ||C_j||_2 sum_j |phi_j|: every term gets the same weight, so a sparse Q such
+    as mu still reads small at its zeros."""
     norm = np.linalg.svd(np.stack(list(q.coeffs.values())), compute_uv=False)[:, 0].max()
-    return norm * np.abs(phi).sum(axis=0)
+    return _backward_error(q.n, lambda sl: q.combine(phi[:, sl]), norm * np.abs(phi).sum(axis=0))
 
 
 def _rank_deficiency(a: np.ndarray, b: np.ndarray, rng) -> int:
@@ -489,19 +490,19 @@ def _regular_part(delta: DeltaTriple):
 
 
 def _meet_on_line(pair: QtepPair, p, r) -> float:
-    """Q2's least :func:`_backward_error` (weight :func:`_newton_weight` of the
-    :func:`newton_line` basis) over INFINITY_TOL at the roots t of det Q1(p + t r), the finite
-    eigenvalues of Q1's companion pencil on that projective line: det Q1 and det Q2 meet there
-    when it is at most 1. It is 0 when Q1 is singular on the line, inf when det Q1 has no root
-    on it. On a random line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
+    """Q2's least :func:`_newton_backward_error` over INFINITY_TOL at the roots t of
+    det Q1(p + t r), the finite eigenvalues of Q1's companion pencil on that projective line:
+    det Q1 and det Q2 meet there when it is at most 1. The line's one :func:`newton_line`
+    basis gives Q1's (K2, K1, K0) and, times the roots' Vandermonde columns, Q2's basis values
+    at the roots. It is 0 when Q1 is singular on the line, inf when det Q1 has no root on it.
+    On a random line at infinity, (r0, 0) + t (r1, 0), the curves meet when there can be
     fewer than 4 p1 p2 finite common zeros (Bezout); on a random finite line, (p, 1) + t (r,
     0), whose t = inf lies at infinity, when they share a factor."""
-    roots = quadratic_eigen(*pair.q1.on_line(p, r)[:, None])[0]
+    basis = newton_line(pair.nodes, p, r)
+    roots = quadratic_eigen(*pair.q1.combine(basis)[:, None])[0]
     if roots is None:
         return 0.0
-    phi = newton_line(pair.nodes, p, r) @ np.vander(roots, 3).T  # the basis at each root
-    error = _backward_error(pair.p2, lambda sl: pair.q2.combine(phi[:, sl]),
-                            _newton_weight(pair.q2, phi))
+    error = _newton_backward_error(pair.q2, basis @ np.vander(roots, 3).T)
     return float(error.min(initial=np.inf)) / INFINITY_TOL
 
 
@@ -606,9 +607,11 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     whose divisor is at most INFINITY_TOL (1 + |t1 lam'| + |t2 mu'|).
 
     Nothing is dropped in silence: :class:`DegenerateProblemError` is raised
-    when a point's backward error exceeds RESIDUAL_TOL, when the count
-    exceeds 4 p1 p2, or when it is below 4 p1 p2 although the curves share
-    no point at infinity (:func:`_meet_on_line` on a random line there).
+    when a point's :func:`_newton_backward_error` for Q1 or Q2 exceeds
+    RESIDUAL_TOL, when the count exceeds 4 p1 p2 or the rank of the part's
+    Delta0 (a regular pencil has at most that many finite eigenvalues), or
+    when it is below 4 p1 p2 although the curves share no point at infinity
+    (:func:`_meet_on_line` on a random line there).
     """
     if pair.p1 > DESK_SCALE_LIMIT or pair.p2 > DESK_SCALE_LIMIT:
         raise ValueError(f"joint spectrum is desk scale only (p <= {DESK_SCALE_LIMIT}), "
@@ -639,15 +642,15 @@ def spectrum_pair_oracle(pair: QtepPair, *, seed: int = 0) -> SpectrumSample:
     lams, mus, mults = lams[finite] / denom[finite], mus[finite] / denom[finite], mults[finite]
     point = np.array([lams, mus, np.ones_like(lams)])
     phi = newton_line(pair.nodes, point, np.zeros_like(point))[:, 2]  # the basis of Q1 and Q2
-    error = np.maximum(*(_backward_error(q.n, lambda sl, q=q: q.combine(phi[:, sl]),
-                                         _newton_weight(q, phi)) for q in pair))
+    error = np.maximum(*(_newton_backward_error(q, phi) for q in pair))
     if (error > RESIDUAL_TOL).any():
         raise DegenerateProblemError(
             f"{int(np.count_nonzero(error > RESIDUAL_TOL))} of {len(error)} computed points "
             f"have backward error above {RESIDUAL_TOL:g} (largest {error.max():.1e})")
-    total = int(mults.sum())
-    if total > bound:
-        raise DegenerateProblemError(f"found {total} common zeros, more than 4 p1 p2 = {bound}")
+    total, rank = int(mults.sum()), np.count_nonzero(d0)
+    if total > min(bound, rank):
+        raise DegenerateProblemError(f"found {total} common zeros, more than min(4 p1 p2, rank "
+                                     f"of the regular part's Delta0) = min({bound}, {rank})")
     if total < bound and (margin := _meet_on_line(pair, *line(0))) > 1:
         raise DegenerateProblemError(
             f"found {total} common zeros, but the curves share no point at infinity "

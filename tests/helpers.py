@@ -16,7 +16,7 @@ from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, Newt
                         construct_e1_newton, construct_general_ansatz)
 from newton2pep.fileio import BLOCK_NAMES, COEFF_NAMES, _header, _matrix_to_flat
 from newton2pep.linalg import small_dense_eigen
-from newton2pep.matpoly import _mul
+from newton2pep.matpoly import _mul, newton_line
 
 
 def random_coeffs(rng, n):
@@ -546,7 +546,7 @@ def eig_reference(a, b):
 def backward_error_reference(q, mu0, lam):
     """sigma_min(Q(lam, mu0)) / (|lam|^2 ||K2||_F + |lam| ||K1||_F + ||K0||_F)
     of one value, from its own SVD (loop form of twoparam._certified)."""
-    k2, k1, k0 = q.on_line([0, mu0, 1], [1, 0, 0])
+    k2, k1, k0 = q.combine(newton_line(q.nodes, [0, mu0, 1], [1, 0, 0]))
     sigma_min = np.linalg.svd(lam * lam * k2 + lam * k1 + k0, compute_uv=False)[-1]
     norms = [float(np.linalg.norm(k)) for k in (k2, k1, k0)]
     return sigma_min / (abs(lam) ** 2 * norms[0] + abs(lam) * norms[1] + norms[2])
@@ -567,7 +567,8 @@ def slice_line(q, mu0):
     coefficients twoparam._certified reads."""
     from newton2pep.twoparam import _slice_lines
 
-    return q.at_unit_size()[0].on_line(*_slice_lines(mu0))
+    q = q.at_unit_size()[0]
+    return q.combine(newton_line(q.nodes, *_slice_lines(mu0)))
 
 
 def spectrum_match_reference(q, pencil, *, slices=5, seed=0, match_tol=1e-6):

@@ -15,7 +15,7 @@ from newton2pep import (
     annulus_points,
     complex_normal,
 )
-from newton2pep.matpoly import newton_line
+from newton2pep.matpoly import _mul, newton_line
 
 from helpers import (NODE_KINDS, assert_bitwise_equal, monomial_six, monomial_triple,
                      newton_products, newton_triple, nodes_of_kind, random_monomial,
@@ -66,21 +66,52 @@ class TestNewtonScalars:
 
 
 PART = st.sampled_from([0.0, -0.0]) | st.floats(-2, 2)
+NODE_KIND = st.sampled_from(["zero", "coincident", "random"])
+
+
+def scaled_complex(scale, parts):
+    """The complex numbers scale (re + i im) of the parts (re, im, re, im, ...)."""
+    return [complex(scale * re, scale * im) for re, im in zip(parts[::2], parts[1::2])]
+
+
+def nodes_from(kind, z):
+    return {"zero": NewtonNodes(), "coincident": NewtonNodes(z[0], z[0], z[1], z[1]),
+            "random": NewtonNodes(*z)}[kind]
+
+
+def linear_forms(nodes, point):
+    """(f, g) with f g the six Newton basis functions at (l, m, z), from their definition:
+    (l - alpha1 z)(l - alpha2 z), (l - alpha1 z)(m - beta1 z), (m - beta1 z)(m - beta2 z),
+    (l - alpha1 z) z, (m - beta1 z) z and z z, each node times z rounded as a complex scalar."""
+    l, m, z = point
+    a1, a2, b1, b2 = (l - _mul(nodes.alpha1, z), l - _mul(nodes.alpha2, z),
+                      m - _mul(nodes.beta1, z), m - _mul(nodes.beta2, z))
+    return np.array([a1, a1, b1, a1, b1, z]), np.array([a2, b1, b2, z, z, z])
 
 
 class TestBasisVectors:
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["zero", "coincident", "random"]), st.integers(-150, 150),
-           st.tuples(*[PART] * 8), st.tuples(*[PART] * 4))
+    @given(NODE_KIND, st.integers(-150, 150), st.tuples(*[PART] * 8), st.tuples(*[PART] * 4))
     def test_point_column_is_the_newton_products(self, kind, exponent, parts, point):
         # Equal as numbers, so signed zeros compare equal: n1 z can turn a -0 part into +0.
         scale = 10.0 ** exponent
-        z = [complex(scale * re, scale * im) for re, im in zip(parts[::2], parts[1::2])]
-        nodes = {"zero": NewtonNodes(), "coincident": NewtonNodes(z[0], z[0], z[1], z[1]),
-                 "random": NewtonNodes(*z)}[kind]
-        lam, mu = complex(scale * point[0], scale * point[1]), complex(scale * point[2],
-                                                                       scale * point[3])
+        nodes = nodes_from(kind, scaled_complex(scale, parts))
+        lam, mu = scaled_complex(scale, point)
         np.testing.assert_array_equal(at_point(nodes, lam, mu), newton_products(nodes, lam, mu))
+
+    @settings(max_examples=300, deadline=None)
+    @given(NODE_KIND, st.integers(-75, 75), st.tuples(*[PART] * 8), st.tuples(*[PART] * 12))
+    def test_line_columns_are_the_products_of_linear_forms(self, kind, exponent, parts, line):
+        # On p + t r each basis function f g is f(p + t r) g(p + t r), with f(p + t r) =
+        # f(p) + t f(r): its (t^2, t, 1) coefficients are f(r) g(r), f(p) g(r) + f(r) g(p)
+        # and f(p) g(p). Lines at infinity (z = 0) and signed zeros are drawn too; a
+        # coefficient is of size scale^4 at most, so none overflows.
+        scale = 10.0 ** exponent
+        nodes = nodes_from(kind, scaled_complex(scale, parts))
+        x = scaled_complex(scale, line)
+        (fp, gp), (fr, gr) = linear_forms(nodes, x[:3]), linear_forms(nodes, x[3:])
+        want = np.stack([_mul(fr, gr), _mul(fp, gr) + _mul(fr, gp), _mul(fp, gp)], axis=1)
+        np.testing.assert_array_equal(newton_line(nodes, x[:3], x[3:]), want)
 
     def test_zero_nodes_triple_matches_monomial(self):
         rng = np.random.default_rng(1)
@@ -180,12 +211,13 @@ def line_cases(rng):
 
 
 class TestOnLine:
-    """MatrixPoly2.on_line: the coefficients (K2, K1, K0) of Q on p + t r."""
+    """q.combine(newton_line(q.nodes, p, r)): the coefficients (K2, K1, K0) of Q on
+    p + t r."""
 
     def test_is_homogeneous_value_on_the_line(self):
         rng = np.random.default_rng(11)
         for q, p, r in line_cases(rng):
-            k2, k1, k0 = q.on_line(p, r)
+            k2, k1, k0 = q.combine(newton_line(q.nodes, p, r))
             for t in complex_normal(rng, 4):
                 l, m, z = p + t * r
                 want = z * z * q.eval(l / z, m / z)
@@ -198,7 +230,7 @@ class TestOnLine:
         rng = np.random.default_rng(12)
         for q, p, r in line_cases(rng):
             p[2] = r[2] = 0
-            k2, k1, k0 = q.on_line(p, r)
+            k2, k1, k0 = q.combine(newton_line(q.nodes, p, r))
             for t in complex_normal(rng, 4):
                 l, m, _ = p + t * r
                 want = l * l * q.coeff(2, 0) + l * m * q.coeff(1, 1) + m * m * q.coeff(0, 2)
@@ -212,9 +244,10 @@ class TestOnLine:
             q = random_newton(rng, n, line_nodes(rng, kind))
             p, r = complex_normal(rng, 3, 7), complex_normal(rng, 3, 7)
             p[2, :2] = r[2, :2] = 0  # two lines at infinity
-            stack = q.on_line(p, r)
+            stack = q.combine(newton_line(q.nodes, p, r))
             assert stack.shape == (3, 7, n, n)
             for k in range(7):
-                assert_bitwise_equal(stack[:, k], q.on_line(p[:, k], r[:, k]))
+                assert_bitwise_equal(stack[:, k],
+                                     q.combine(newton_line(q.nodes, p[:, k], r[:, k])))
 
 

@@ -27,10 +27,11 @@ from newton2pep import (
     verify_linearization,
     verify_spectrum_match,
 )
-from newton2pep import spaces, twoparam
+from newton2pep import matpoly, spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
 from newton2pep.linalg import det, kron, scale_to_unit, smallest_singular_value
 from newton2pep.linearize import assemble_e1_blocks
+from newton2pep.matpoly import newton_line
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
@@ -384,7 +385,7 @@ def loop_spectrum_slice(q, mu0, residual_tol=1e-8):
     """Per-eigenvalue reference for spectrum_slice (its loop form): each value
     of the slice solve is kept when its own sigma_min backward error is at
     most residual_tol."""
-    k2, k1, k0 = q.on_line([0, mu0, 1], [1, 0, 0])
+    k2, k1, k0 = q.combine(newton_line(q.nodes, [0, mu0, 1], [1, 0, 0]))
     values, = twoparam.quadratic_eigen(k2[None], k1[None], k0[None])
     return [lam for lam in values.tolist()
             if backward_error_reference(q, mu0, lam) <= residual_tol]
@@ -918,6 +919,30 @@ MIXED_PAIRS = {
 }
 
 
+# Sparse 2 x 2 integer pairs: per polynomial its blocks in COEFF_KEYS order (0 for a
+# zero block), then the nodes. The resultant of the first pair's determinants has
+# degree 7, so it has 7 finite common zeros. The second has determinants of gcd 1 and
+# 9 finite common zeros.
+SEVEN_ZERO_PAIR = (
+    ([[-2, -2], [0, 2]], 0, [[0, 2], [0, 0]], 0, [[0, -2], [0, 1]], [[1, -1], [0, 0]]),
+    ([[-1, 0], [0, 2]], [[-1, -2], [0, 0]], 0, [[0, -1], [-1, 0]], [[2, 0], [0, 0]],
+     [[0, -2], [-1, 0]]),
+    NewtonNodes(),
+)
+COPRIME_PAIR = (
+    ([[0, 0], [2, 0]], [[0, 0], [1, 2]], [[-1, 0], [-1, -2]], [[-1, 2], [0, 0]],
+     [[-1, 0], [0, -1]], [[0, 1], [0, 1]]),
+    ([[0, 0], [0, -1]], 0, [[0, 0], [2, 0]], [[0, 0], [-2, 1]], [[0, -1], [0, -1]], 0),
+    NewtonNodes(0, -1, -1, -1),
+)
+
+
+def integer_pair(q1, q2, nodes):
+    return QtepPair(*(MatrixPoly2.newton({key: np.zeros((2, 2)) + block
+                                          for key, block in zip(COEFF_KEYS, blocks)}, nodes)
+                      for blocks in (q1, q2)))
+
+
 def diagonal_pair(diagonals):
     """The pair of diagonal polynomials given by ``diagonals``: per polynomial,
     one tuple of coefficients in COEFF_KEYS order per diagonal entry."""
@@ -1216,6 +1241,46 @@ class TestSpectrumPairOracle:
             assert meets_at_infinity(pair, np.random.default_rng(seed)) is meets
         generic = random_pair(np.random.default_rng(19), 2, 3)
         assert not meets_at_infinity(generic, np.random.default_rng(0))
+
+    def test_line_test_builds_one_basis(self, monkeypatch):
+        # Q1's (K2, K1, K0) on the line and Q2's basis at its roots come from
+        # one newton_line call.
+        calls, real = [], matpoly.newton_line
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(matpoly, "newton_line", spy)
+        monkeypatch.setattr(twoparam, "newton_line", spy)
+        rng = np.random.default_rng(22)
+        pair = random_pair(rng, 2, 3)
+        assert np.isfinite(twoparam._meet_on_line(pair, *complex_normal(rng, 2, 3)))
+        assert len(calls) == 1
+
+    def test_count_is_capped_by_the_rank_of_delta0(self):
+        # At seed 3 a 9-fold point near (0.25 + 0.61i, 31720 - 10127i), residual
+        # 1.3e-10, made 16 = 4 p1 p2 points, while the regular part's Delta0 has
+        # rank 13. A regular pencil has at most rank Delta0 finite eigenvalues, so
+        # every seed gives the 7 points or raises.
+        outcomes = {}
+        for seed in range(12):
+            try:
+                sample = spectrum_pair_oracle(integer_pair(*SEVEN_ZERO_PAIR), seed=seed)
+                outcomes[seed] = sample.total_count, len(sample.points)
+            except DegenerateProblemError:
+                outcomes[seed] = "exit 3"
+        assert set(outcomes.values()) == {(7, 7), "exit 3"}, outcomes
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_gate_keeps_a_coprime_pair(self, seed):
+        # The line test on a random finite line runs only when k > p1 p2. With k
+        # left out, so that the line test alone decided, it raised SharedFactorError
+        # here at seed 2, although the determinants have gcd 1.
+        try:
+            sample = spectrum_pair_oracle(integer_pair(*COPRIME_PAIR), seed=seed)
+        except DegenerateProblemError as exc:
+            assert not isinstance(exc, SharedFactorError), exc
+            return
+        assert sample.total_count == 9
 
     def test_staircase_deficiency_is_the_full_pencil_deficiency(self):
         # Second route for k: the rank the staircase deflates plus the regular
