@@ -36,10 +36,8 @@ from .spaces import (
 )
 from .linearize import (
     E1FreeParams,
-    GeneralAnsatzPencil,
     LinearizationReport,
     UnimodularWitnessPair,
-    assemble_e1_blocks,
     companion_pencil,
     construct_e1_newton,
     construct_general_ansatz,

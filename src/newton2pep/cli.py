@@ -27,7 +27,7 @@ from .errors import (
 from .fileio import FileFormatError, layout, load_params, load_pencil, load_problem, save_pencil
 from .linearize import (E1FreeParams, companion_pencil, construct_e1_newton,
                         construct_general_ansatz, verify_linearization)
-from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, membership_newton
+from .spaces import DEFAULT_SAMPLES, DEFAULT_TOL, membership_newton, select_M
 from .twoparam import (
     DEFAULT_MATCH_TOL,
     DEFAULT_SINGULAR_TOL,
@@ -108,11 +108,10 @@ def _cmd_construct(args) -> int:
     else:
         v = _parse_ansatz(args.ansatz)
         params = None if args.params is None else _params_for(args.params, q.n)[0]
-        built = construct_general_ansatz(q, v, params, tol=args.tol)
-        pencil = built.pencil_v
+        pencil = construct_general_ansatz(q, v, params, tol=args.tol)
         ansatz_note = _fmt_cvec(v)
         report.append("M:")
-        for row in built.M:
+        for row in select_M(v, tol=args.tol):
             report.append("  " + _fmt_cvec(row))
 
     report.append(f"ansatz requested: {ansatz_note}")

@@ -44,13 +44,11 @@ GAMMA_AGREEMENT_TOL = 1e-6
 __all__ = [
     "E1FreeParams",
     "companion_pencil",
-    "assemble_e1_blocks",
     "construct_e1_newton",
     "UnimodularWitnessPair",
     "unimodular_witnesses",
     "LinearizationReport",
     "verify_linearization",
-    "GeneralAnsatzPencil",
     "construct_general_ansatz",
 ]
 
@@ -125,34 +123,24 @@ class E1FreeParams(NamedTuple):
         return cls.build(np.zeros((n, n)), z1, z2)
 
 
-def assemble_e1_blocks(q: MatrixPoly2, params: E1FreeParams):
-    """Raw e1-form block triple (A1, A2, A3), one (3, 3n, 3n) array; no
-    admissibility check.
+def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
+                        tol: float = DEFAULT_TOL) -> NewtonPencil:
+    """e1-ansatz pencil on the nodes of q; a linearization of q.
 
-    Exposed separately so degenerate parameter choices (for instance a zero
-    Z block) can be assembled and studied; :func:`construct_e1_newton`
-    validates admissibility before calling this.
+    Every constructor of this module ends here, and :func:`unimodular_witnesses` builds its
+    target through it: the one place where e1 blocks are written and their parameters are
+    tested for admissibility.
     """
-    n, c, (y11, z1, z2) = q.n, q.coeff, (params.y11, params.z1, params.z2)
+    require_matching(q, params=params)
+    params.require_admissible(tol)
+    n, c, (y11, z1, z2) = q.n, q.coeff, params
     a1, a2, a3 = blocks = np.zeros((3, 3 * n, 3 * n), dtype=complex)
     a1[:n, :n], a1[:n, n:2 * n], a1[:n, 2 * n:] = c(2, 0), c(1, 1) - y11, c(1, 0) - z1[:n]
     a2[:n, :n], a2[:n, n:2 * n], a2[:n, 2 * n:] = y11, c(0, 2), c(0, 1) - z2[:n]
     # 0 - Z is -Z + 0 bit for bit: the lower rows of -Z + e1 x C read +0.0 where Z is 0.
     a1[n:, 2 * n:], a2[n:, 2 * n:] = 0 - z1[n:], 0 - z2[n:]
     a3[:, :n], a3[:, n:2 * n], a3[:n, 2 * n:] = z1, z2, c(0, 0)
-    return blocks
-
-
-def construct_e1_newton(q: MatrixPoly2, params: E1FreeParams, *,
-                        tol: float = DEFAULT_TOL) -> NewtonPencil:
-    """e1-ansatz pencil on the nodes of q; a linearization of q.
-
-    Every constructor of this module ends here: the one place where a pencil
-    is assembled and its parameters are tested for admissibility.
-    """
-    require_matching(q, params=params)
-    params.require_admissible(tol)
-    return NewtonPencil._of_owned(q.nodes, *assemble_e1_blocks(q, params))
+    return NewtonPencil._of_owned(q.nodes, *blocks)
 
 
 def companion_pencil(q: MatrixPoly2) -> NewtonPencil:
@@ -198,13 +186,13 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     The residual is ||L - L_e1||_F / ||L_e1||_F over the three blocks, both
     first brought to unit size by one power of two, taken over all three
     blocks, so that no squared entry over- or underflows; it is measured one
-    block at a time. No node and no sample point is read. A numerically
-    singular Z is rejected. The predicted gamma is det Z, from the log
-    determinant of 2^e Z at unit size, less 2n e log 2.
+    block at a time. No node and no sample point is read. L_e1 is built by
+    :func:`construct_e1_newton`, which rejects a numerically singular Z
+    (AdmissibilityError) and blocks that overflow (ValueError). The predicted
+    gamma is det Z, from the log determinant of 2^e Z at unit size, less 2n e log 2.
     """
-    require_matching(q, pencil, params=params)
-    params.require_admissible(tol)
-    target, e = scale_to_unit(assemble_e1_blocks(q, params))
+    require_matching(q, pencil)
+    target, e = scale_to_unit(np.stack(construct_e1_newton(q, params, tol=tol).blocks()))
     diff, size = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge pencil reads inf or nan: fail
         for block, t in zip(pencil.blocks(), target):
@@ -315,7 +303,7 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
     del q_values, blocks  # pencil is rebound below, so the witness does not also hold 2^b L
     try:  # det L = det((M kron I) L) / det(M)^n: gamma is predicted as det Z / det(M)^n
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # from_blocks rejects inf and nan
+            with np.errstate(over="ignore", invalid="ignore"):  # left_multiply rejects inf, nan
                 pencil = pencil.left_multiply(m := select_M(membership.ansatz, tol=tol))
         except ValueError as exc:  # select_M of a zero v, or non-finite blocks
             raise AdmissibilityError(f"no e1 pencil (M kron I) L: {exc}") from None
@@ -339,34 +327,17 @@ def verify_linearization(pencil: NewtonPencil, q: MatrixPoly2, *,
         passed=bool(membership.member and worst < tol and phase != 0 and witness_ok))
 
 
-class GeneralAnsatzPencil(NamedTuple):
-    """Outcome of the general-ansatz construction.
-
-    ``pencil`` is the e1-form linearization built from the parameters
-    ``params``; ``pencil_v`` applies M^{-1} kron I on the left and
-    is the member of the Newton space with the requested ansatz vector.
-    """
-
-    M: np.ndarray
-    params: E1FreeParams
-    pencil: NewtonPencil
-
-    @property
-    def pencil_v(self) -> NewtonPencil:
-        return self.pencil.left_multiply(np.linalg.inv(self.M))
-
-
 def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = None,
-                             *, tol: float = DEFAULT_TOL) -> GeneralAnsatzPencil:
-    """Linearization construction for an arbitrary nonzero ansatz vector.
+                             *, tol: float = DEFAULT_TOL) -> NewtonPencil:
+    """The linearization (M^{-1} kron I) L_e1 of q, whose ansatz vector is v (nonzero).
 
-    Pick M with M v = e1 from the pattern table and build an e1 pencil, whose product with
-    M^{-1} kron I has ansatz v. With ``params`` it is the e1 pencil of the transformed
+    M = select_M(v) maps v to e1. With ``params``, L_e1 is the e1 pencil of the transformed
     parameters (m11 Y11, (M kron I) Z1, (M kron I) Z2), with Y11 forced to 0 unless
     m21 = m31 = 0. Without, it is the e1 pencil of Y11 = 0, Z1 = 2^-(e+1) (0; I; 0),
     Z2 = 2^-(e+1) (0; 0; I) for every M, 2^e Q at unit size (:meth:`MatrixPoly2.at_unit_size`):
     Z is at Q's scale, never above Q's largest part, so the construction is closed form and
-    always admissible. Where that part is 2^1023 or more, M^{-1} kron I can overflow L.
+    always admissible. Where that part is 2^1023 or more, M^{-1} kron I can overflow L, a
+    ValueError.
     """
     n = q.n
     m = select_M(v, tol=tol)
@@ -379,4 +350,4 @@ def construct_general_ansatz(q: MatrixPoly2, v, params: E1FreeParams | None = No
         y_free = abs(m[1, 0]) == 0 and abs(m[2, 0]) == 0
         hat = E1FreeParams.build(m[0, 0] * (params.y11 if y_free else zero),
                                  block_rows(m, params.z1), block_rows(m, params.z2))
-    return GeneralAnsatzPencil(M=m, params=hat, pencil=construct_e1_newton(q, hat, tol=tol))
+    return construct_e1_newton(q, hat, tol=tol).left_multiply(np.linalg.inv(m))

@@ -13,7 +13,7 @@ import numpy as np
 import newton2pep
 from newton2pep import (COEFF_KEYS, E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
                         annulus_points, companion_pencil, complex_normal,
-                        construct_e1_newton, construct_general_ansatz)
+                        construct_e1_newton, construct_general_ansatz, select_M)
 from newton2pep.fileio import BLOCK_NAMES, COEFF_NAMES, _header, _matrix_to_flat
 from newton2pep.linalg import small_dense_eigen
 from newton2pep.matpoly import _mul, newton_line
@@ -74,7 +74,7 @@ def pencil_in_space(q, construction, rng):
     if construction == "e1":
         return construct_e1_newton(q, E1FreeParams.random(q.n, rng))
     v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
-    return construct_general_ansatz(q, v).pencil_v
+    return construct_general_ansatz(q, v)
 
 
 def scalar_monomial(a20, a11, a02, a10, a01, a00):
@@ -130,7 +130,8 @@ def with_signed_zeros(rng, z):
 def assemble_e1_blocks_reference(q, params):
     """The e1 blocks (A1, A2, A3) stacked as the formula reads,
     -Y1 + e1 x C and -Z + e1 x C with zero lower blocks (bitwise reference
-    for linearize.assemble_e1_blocks)."""
+    for the blocks of linearize.construct_e1_newton). No admissibility check,
+    so degenerate parameters, such as a zero Z block, can be assembled."""
     zero2 = np.zeros((2 * q.n, q.n))
 
     def e1_col(block):
@@ -142,6 +143,21 @@ def assemble_e1_blocks_reference(q, params):
     a2 = np.hstack([y1, e1_col(q.coeff(0, 2)), -params.z2 + e1_col(q.coeff(0, 1))])
     a3 = np.hstack([params.z1, params.z2, e1_col(q.coeff(0, 0))])
     return a1, a2, a3
+
+
+def general_ansatz_params_reference(q, v, params=None):
+    """The e1 parameters that construct_general_ansatz documents for v, M = select_M(v):
+    with ``params``, (m11 Y11, (M kron I) Z1, (M kron I) Z2) by np.kron, Y11 taken as 0
+    unless m21 = m31 = 0; without, Y11 = 0, Z1 = 2^-(e+1) (0; I; 0) and
+    Z2 = 2^-(e+1) (0; 0; I), with 2^e Q at unit size."""
+    m, zero = select_M(v), np.zeros((q.n, q.n))
+    if params is None:
+        eye = np.ldexp(np.eye(q.n), -1 - q.at_unit_size()[1])
+        return E1FreeParams.build(zero, np.vstack([zero, eye, zero]),
+                                  np.vstack([zero, zero, eye]))
+    mk = np.kron(m, np.eye(q.n))
+    y11 = m[0, 0] * params.y11 if m[1, 0] == 0 and m[2, 0] == 0 else zero
+    return E1FreeParams.build(y11, mk @ params.z1, mk @ params.z2)
 
 
 def z_block_reference(params):

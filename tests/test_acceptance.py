@@ -12,7 +12,6 @@ from newton2pep import (
     NewtonNodes,
     QtepPair,
     annulus_points,
-    assemble_e1_blocks,
     certify_singular,
     companion_pencil,
     complex_normal,
@@ -30,8 +29,9 @@ from newton2pep.fileio import save_problem
 from newton2pep.linalg import det
 from newton2pep.spaces import NewtonPencil
 
-from helpers import (cofactor_det, random_monomial, random_newton, random_nodes, ratio_passed,
-                     sampled_witness, transfer_to_newton, with_zero_nodes)
+from helpers import (assemble_e1_blocks_reference, cofactor_det, random_monomial, random_newton,
+                     random_nodes, ratio_passed, sampled_witness, transfer_to_newton,
+                     with_zero_nodes)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -89,7 +89,8 @@ def test_criterion_04_lemma_transfer_same_ansatz():
         n = int(rng.integers(1, 4))
         qn = random_newton(rng, n)
         q = with_zero_nodes(qn)
-        mono = NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks(q, _random_raw_params(rng, n)))
+        params = _random_raw_params(rng, n)
+        mono = NewtonPencil.from_blocks(q.nodes, *assemble_e1_blocks_reference(q, params))
         v1 = membership_newton(mono, q).ansatz
         v2 = membership_newton(transfer_to_newton(mono, qn), qn).ansatz
         assert np.abs(v1 - v2).max() < 1e-8, trial
@@ -130,8 +131,7 @@ def test_criterion_06_appendix_table_and_pipeline():
             assert abs(np.linalg.det(m)) > 1e-13
         qn = random_newton(rng, 2)
         v = np.array([r[i] if pattern[i] else 0.0 for i in range(3)])
-        built = construct_general_ansatz(qn, v)
-        assert verify_linearization(built.pencil, qn).passed, pattern
+        assert verify_linearization(construct_general_ansatz(qn, v), qn).passed, pattern
     _passed(6, "M v = e1 (1e-13) over 7 patterns x 100 draws; pipeline verifies")
 
 
@@ -144,7 +144,7 @@ def test_criterion_07_zeroed_z_block_is_never_a_linearization():
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
         params = E1FreeParams.build(complex_normal(rng, n, n), z1, z2)
-        pencil = NewtonPencil.from_blocks(qn.nodes, *assemble_e1_blocks(qn, params))
+        pencil = NewtonPencil.from_blocks(qn.nodes, *assemble_e1_blocks_reference(qn, params))
         pts = annulus_points(rng, 24)
         for lam, mu in zip(pts[:12], pts[12:]):
             assert abs(det(pencil.eval(lam, mu))) < 1e-9, trial

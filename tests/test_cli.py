@@ -18,16 +18,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newton2pep import (E1FreeParams, MatrixPoly2, NewtonNodes, NewtonPencil,
-                        assemble_e1_blocks, certify_singular, companion_pencil,
-                        construct_e1_newton, construct_general_ansatz, membership_newton,
-                        verify_linearization, verify_spectrum_match)
+                        certify_singular, companion_pencil, construct_e1_newton,
+                        membership_newton, select_M, verify_linearization,
+                        verify_spectrum_match)
 import newton2pep
 from newton2pep import cli
 from newton2pep.cli import main
 from newton2pep.fileio import (_matrix_to_flat, load_pencil, load_problem, save_pencil,
                                save_problem)
 
-from helpers import (NODE_KINDS, assert_bitwise_equal, fresh_cli_imports, fresh_python,
+from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
+                     fresh_cli_imports, fresh_python, general_ansatz_params_reference,
                      nodes_of_kind, params_to_dict, random_coeffs, random_monomial, random_newton,
                      rewrite_as_pairs, scalar_newton, scaled)
 
@@ -390,7 +391,7 @@ class TestVerify:
         n = q.n
         if pencil == "singular-Z":
             zero = np.zeros((3 * n, n))
-            blocks = assemble_e1_blocks(q, E1FreeParams.build(np.eye(n), zero, zero))
+            blocks = assemble_e1_blocks_reference(q, E1FreeParams.build(np.eye(n), zero, zero))
         elif pencil == "zero":
             blocks = [np.zeros((3 * n, 3 * n))] * 3
         else:
@@ -430,8 +431,7 @@ class TestVerify:
                     m, params = np.eye(3), E1FreeParams.companion(q)
                 else:
                     v = np.array([1.5 - 0.5j if x else 0 for x in construction])
-                    built = construct_general_ansatz(q, v)
-                    m, params = built.M, built.params
+                    m, params = select_M(v), general_ansatz_params_reference(q, v)
                 doc["provenance"] = {"command": "construct", "seed": 3,
                                      "M": _matrix_to_flat(m).decode(),
                                      "params": params_to_dict(params)}
@@ -532,6 +532,17 @@ class TestDelta:
         assert code == 0
         assert "singular: yes" in report
         assert "structural zero pattern: yes" in report
+
+    def test_check_singular_exits_1_on_a_nonsingular_verdict(self, tmp_path, capsys):
+        # One 2 x 2 problem twice: sigma_min(Delta0) is about 4e-18 of a
+        # Frobenius norm of 24, under the default threshold and over 1e-30's.
+        path = str(tmp_path / "q.json")
+        save_problem(path, random_newton(np.random.default_rng(1), 2, NewtonNodes(1, 2, 0.5, -1)))
+        code, report = run(capsys, ["delta", path, path, "--check-singular", "--tol", "1e-30"])
+        assert code == 1
+        assert "\ncertificate: dense sigma_min, " in report and "\nsingular: no\n" in report
+        code, report = run(capsys, ["delta", path, path, "--check-singular"])
+        assert (code, "\nsingular: yes\n" in report) == (0, True)
 
     def test_node_mismatch_rejected(self, tmp_path, scalar_pair_files, capsys):
         p1, _ = scalar_pair_files

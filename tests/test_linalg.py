@@ -10,8 +10,8 @@ from newton2pep import (
     complex_normal,
     smallest_singular_value,
 )
-from newton2pep.linalg import (SHIFTS, as_matrix, block_rows, det, kron, quadratic_eigen,
-                               row_space, scale_to_unit, small_dense_eigen)
+from newton2pep.linalg import (SHIFTS, _error_radius, as_matrix, block_rows, det, kron,
+                               quadratic_eigen, row_space, scale_to_unit, small_dense_eigen)
 
 from helpers import (assert_bitwise_equal, cofactor_det, commutation_matrix,
                      companion_linearization_reference, eig_reference, kron_oracle,
@@ -232,6 +232,15 @@ class TestSmallDenseEigen:
         assert calls == []
         assert len(eig_reference(a[0], b)) == 5  # the spy sees an eig call
         assert calls == [1]
+
+    def test_error_radius_of_a_stack_with_a_singular_member(self):
+        # inv raises on the whole stack, so each member is inverted alone: the
+        # exactly singular one reads inf, the other unit ||w|| for each row w of X^-1.
+        x = np.array([[[1, 1], [1, 1]], [[2, 0], [1, 1]]], dtype=complex)
+        unit = np.array([[1e-16], [2e-16]])
+        got = _error_radius(unit, x)
+        np.testing.assert_array_equal(got[0], [np.inf, np.inf])
+        np.testing.assert_array_equal(got[1], 2e-16 * np.linalg.norm(np.linalg.inv(x[1]), axis=-1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["generic", "second shift", "singular"]),

@@ -18,7 +18,6 @@ from newton2pep import (
     NewtonNodes,
     NewtonPencil,
     annulus_points,
-    assemble_e1_blocks,
     companion_pencil,
     complex_normal,
     construct_e1_newton,
@@ -36,10 +35,10 @@ from newton2pep.linearize import GAMMA_AGREEMENT_TOL
 
 from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
                      cofactor_det, companion_params_reference, companion_reference,
-                     newton_products, newton_triple, nodes_of_kind, parameter_scaled,
-                     random_coeffs, random_monomial, random_newton, ratio_passed,
-                     sampled_witness, scaled, witness_factors, with_signed_zeros,
-                     z_block_reference)
+                     general_ansatz_params_reference, newton_products, newton_triple,
+                     nodes_of_kind, parameter_scaled, random_coeffs, random_monomial,
+                     random_newton, ratio_passed, sampled_witness, scaled, witness_factors,
+                     with_signed_zeros, z_block_reference)
 
 PATTERNS = [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1),
             (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -97,9 +96,11 @@ class TestE1Monomial:
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("kind", ["random", "companion", "zero"])
     def test_in_place_assembly_is_the_stacked_formula_bitwise(self, n, kind):
-        # assemble_e1_blocks, z_block and E1FreeParams.companion fill
+        # construct_e1_newton, z_block and E1FreeParams.companion fill
         # preallocated arrays; the stacked formulas are the reference, signed
-        # zeros included (-Z + 0 reads +0.0 where Z is -0.0 or +0.0).
+        # zeros included (-Z + 0 reads +0.0 where Z is -0.0 or +0.0). The
+        # "zero" parameters are signed zeros but for the diagonal of the Z
+        # block, which is 1, so that they are admissible.
         rng = np.random.default_rng(40 + n)
         for _ in range(3):
             q = MatrixPoly2.newton({key: with_signed_zeros(rng, c)
@@ -112,9 +113,13 @@ class TestE1Monomial:
                     assert_bitwise_equal(got_m, want_m)
             else:
                 shapes = ((n, n), (3 * n, n), (3 * n, n))
-                params = E1FreeParams.build(*(with_signed_zeros(rng, complex_normal(rng, *shape))
-                                              * (kind == "random") for shape in shapes))
-            for got, want in zip(assemble_e1_blocks(q, params),
+                y11, z1, z2 = (with_signed_zeros(rng, complex_normal(rng, *shape))
+                               * (kind == "random") for shape in shapes)
+                if kind == "zero":
+                    z1[n:2 * n] += np.eye(n)
+                    z2[2 * n:] += np.eye(n)
+                params = E1FreeParams.build(y11, z1, z2)
+            for got, want in zip(construct_e1_newton(q, params).blocks(),
                                  assemble_e1_blocks_reference(q, params)):
                 assert_bitwise_equal(got, want)
             assert_bitwise_equal(params.z_block, z_block_reference(params))
@@ -287,10 +292,24 @@ class TestWitnesses:
         qn = random_newton(rng, 2)
         zero = np.zeros((2, 2))
         bad = E1FreeParams.build(zero, np.zeros((6, 2)), np.zeros((6, 2)))
-        pencil = NewtonPencil.from_blocks(qn.nodes,
-                                          *assemble_e1_blocks(qn, bad))
+        pencil = NewtonPencil.from_blocks(qn.nodes, *assemble_e1_blocks_reference(qn, bad))
         with pytest.raises(AdmissibilityError):
             unimodular_witnesses(qn, pencil, bad)
+
+    def test_overflowing_e1_blocks_raise(self):
+        # C11 - Y11 = 3e308 leaves the double range. The witness builds its
+        # target through construct_e1_newton, which rejects non-finite blocks.
+        rng = np.random.default_rng(29)
+        q = random_newton(rng, 2)
+        eye = np.eye(2)
+        q = MatrixPoly2.newton({**q.coeffs, (1, 1): 1.5e308 * eye}, q.nodes)
+        z = E1FreeParams.random(2, rng)
+        params = E1FreeParams.build(-1.5e308 * eye, z.z1, z.z2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="A1 contains non-finite entries"):
+                construct_e1_newton(q, params)
+            with pytest.raises(ValueError, match="A1 contains non-finite entries"):
+                unimodular_witnesses(q, companion_pencil(q), params)
 
 
 WITNESS_CONSTRUCTIONS = ["e1", "companion", *PATTERNS]
@@ -306,8 +325,8 @@ def e1_pencil_and_params(q, construction, rng):
     if construction == "companion":
         return companion_pencil(q), E1FreeParams.companion(q)
     v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
-    built = construct_general_ansatz(q, v)
-    return built.pencil_v.left_multiply(built.M), built.params
+    return (construct_general_ansatz(q, v).left_multiply(select_M(v)),
+            general_ansatz_params_reference(q, v))
 
 
 class TestWitnessRoutes:
@@ -363,8 +382,8 @@ def member_with_construction(q, construction, explicit, rng):
         return companion_pencil(q), np.eye(3), E1FreeParams.companion(q)
     v = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3)) * np.array(construction)
     params = E1FreeParams.random(q.n, rng) if explicit else None
-    built = construct_general_ansatz(q, v, params)
-    return built.pencil_v, built.M, built.params
+    return (construct_general_ansatz(q, v, params), select_M(v),
+            general_ansatz_params_reference(q, v, params))
 
 
 class TestMemberWitness:
@@ -397,7 +416,7 @@ class TestMemberWitness:
         # block of S, so L stays in the e1 space; but the family has Y1 = (Y11; 0; 0).
         rng = np.random.default_rng(seed)
         q = MatrixPoly2.newton(random_coeffs(rng, n), nodes_of_kind(rng, kind))
-        a1, a2, a3 = assemble_e1_blocks(q, E1FreeParams.random(n, rng))
+        a1, a2, a3 = assemble_e1_blocks_reference(q, E1FreeParams.random(n, rng))
         y = complex_normal(rng, 2 * n, n)
         a2[n:, :n] += y
         a1[n:, n:2 * n] -= y
@@ -466,7 +485,8 @@ class TestVerifyLinearization:
         zero = np.zeros((n, n))
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
-        blocks = assemble_e1_blocks(qn, E1FreeParams.build(complex_normal(rng, n, n), z1, z2))
+        blocks = assemble_e1_blocks_reference(
+            qn, E1FreeParams.build(complex_normal(rng, n, n), z1, z2))
         pencil = NewtonPencil.from_blocks(qn.nodes, *blocks)
         # Rows n..3n of the pencil vanish in two block columns: det == 0.
         pts = annulus_points(rng, 24)
@@ -611,11 +631,11 @@ class TestVerifyLinearization:
         for q, p in ((qn, params), (scaled(qn, 2.0 ** k),
                                     E1FreeParams.build(*(2.0 ** k * x for x in
                                                          (params.y11, params.z1, params.z2))))):
-            built = construct_general_ansatz(q, v, p)
-            assert membership_newton(built.pencil, q).member
-            report = verify_linearization(built.pencil, q)
+            pencil = construct_general_ansatz(q, v, p).left_multiply(select_M(v))
+            assert membership_newton(pencil, q).member
+            report = verify_linearization(pencil, q)
             assert report.passed
-            wit = unimodular_witnesses(q, built.pencil_v.left_multiply(built.M), built.params)
+            wit = unimodular_witnesses(q, pencil, general_ansatz_params_reference(q, v, p))
             assert wit.reduction_residual < 1e-13
             residuals.append(wit.reduction_residual)
             assert abs(np.exp(report.log_gamma - wit.log_predicted_gamma) - 1) < 1e-6
@@ -649,25 +669,27 @@ class TestGeneralAnsatz:
     def test_e1_target_matches_direct_construction_shape(self):
         rng = np.random.default_rng(17)
         qn = random_newton(rng, 2)
-        built = construct_general_ansatz(qn, np.array([1.0, 0, 0]))
-        np.testing.assert_allclose(built.M, select_M(np.array([1.0, 0, 0])))
-        res = membership_newton(built.pencil, qn)
+        v = np.array([1.0, 0, 0])
+        pencil = construct_general_ansatz(qn, v)
+        e1 = construct_e1_newton(qn, general_ansatz_params_reference(qn, v))
+        for got, want in zip(pencil.left_multiply(select_M(v)).blocks(), e1.blocks()):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        res = membership_newton(pencil, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz, [1, 0, 0], atol=1e-10)
-        assert verify_linearization(built.pencil, qn).passed
+        assert verify_linearization(pencil, qn).passed
 
     def test_last_component_pattern_verifies(self):
         rng = np.random.default_rng(18)
         qn = random_newton(rng, 2)
-        built = construct_general_ansatz(qn, np.array([0.0, 0, 1.0]))
-        assert verify_linearization(built.pencil, qn).passed
+        pencil = construct_general_ansatz(qn, np.array([0.0, 0, 1.0]))
+        assert verify_linearization(pencil, qn).passed
 
     def test_all_ones_recovers_requested_ansatz(self):
         rng = np.random.default_rng(19)
         qn = random_newton(rng, 2)
         v = np.array([1.0, 1.0, 1.0])
-        built = construct_general_ansatz(qn, v)
-        res = membership_newton(built.pencil_v, qn)
+        res = membership_newton(construct_general_ansatz(qn, v), qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz, v, atol=1e-9)
 
@@ -677,9 +699,9 @@ class TestGeneralAnsatz:
         qn = random_newton(rng, 2)
         r = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
         v = np.array([r[i] if pattern[i] else 0.0 for i in range(3)])
-        built = construct_general_ansatz(qn, v)
-        assert verify_linearization(built.pencil, qn).passed
-        res = membership_newton(built.pencil_v, qn)
+        pencil = construct_general_ansatz(qn, v)
+        assert verify_linearization(pencil, qn).passed
+        res = membership_newton(pencil, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz, v, atol=1e-8)
 
@@ -693,14 +715,16 @@ class TestGeneralAnsatz:
         qn = random_newton(rng, 2)
         r = rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
         v = scale * r * np.array(pattern)
-        built = construct_general_ansatz(qn, v)
+        pencil = construct_general_ansatz(qn, v)
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
         eye *= 2.0 ** (-1 - qn.at_unit_size()[1])
-        assert_bitwise_equal(built.params.y11, zero)
-        assert_bitwise_equal(built.params.z1, np.vstack([zero, eye, zero]))
-        assert_bitwise_equal(built.params.z2, np.vstack([zero, zero, eye]))
-        assert verify_linearization(built.pencil, qn).passed
-        res = membership_newton(built.pencil_v, qn)
+        params = E1FreeParams.build(zero, np.vstack([zero, eye, zero]),
+                                    np.vstack([zero, zero, eye]))
+        want = construct_e1_newton(qn, params).left_multiply(np.linalg.inv(select_M(v)))
+        for got, block in zip(pencil.blocks(), want.blocks()):
+            assert_bitwise_equal(got, block)
+        assert verify_linearization(pencil, qn).passed
+        res = membership_newton(pencil, qn)
         assert res.member
         np.testing.assert_allclose(res.ansatz, v, rtol=1e-8, atol=1e-8 * scale)
 
@@ -708,7 +732,7 @@ class TestGeneralAnsatz:
         # With Z = I_2n, far below this Q's scale, the sampled deviation of the
         # (1, 1, 1) member was 3.8e-9 against 1e-9; with Z at Q's scale it passes.
         q = scaled(random_newton(np.random.default_rng(101), 3), 1.37e6)
-        assert verify_linearization(construct_general_ansatz(q, (1, 1, 1)).pencil_v, q).passed
+        assert verify_linearization(construct_general_ansatz(q, (1, 1, 1)), q).passed
 
     @pytest.mark.parametrize("v", [(1, 0, 0), (1, 1, 1)])
     @pytest.mark.parametrize("a, b, k", [(0, 0, 0), (0, -16, 0), (16, 16, 0), (24, -24, 0),
@@ -719,7 +743,7 @@ class TestGeneralAnsatz:
         for seed in range(500, 508):
             q = scaled(parameter_scaled(random_newton(np.random.default_rng(seed), 3), a, b),
                        2.0 ** k)
-            pencil = construct_general_ansatz(q, v).pencil_v
+            pencil = construct_general_ansatz(q, v)
             assert verify_linearization(pencil, q).passed
             assert verify_spectrum_match(q, pencil).all_contained
 
@@ -733,18 +757,22 @@ class TestGeneralAnsatz:
         assert q.at_unit_size()[1] == -1024
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            built = construct_general_ansatz(q, v)
-            assert_bitwise_equal(built.params.z1[2:4], 2.0 ** 1023 * np.eye(2, dtype=complex))
-            assert verify_linearization(built.pencil_v, q).passed
+            pencil = construct_general_ansatz(q, v)
+            params = general_ansatz_params_reference(q, v)
+            assert_bitwise_equal(params.z1[2:4], 2.0 ** 1023 * np.eye(2, dtype=complex))
+            want = construct_e1_newton(q, params).left_multiply(np.linalg.inv(select_M(v)))
+            for got, block in zip(pencil.blocks(), want.blocks()):
+                assert_bitwise_equal(got, block)
+            assert verify_linearization(pencil, q).passed
 
     def test_explicit_params_respected(self):
         rng = np.random.default_rng(21)
         qn = random_newton(rng, 2)
         params = E1FreeParams.random(2, rng)
         v = np.array([0.0, 2.0, 0.0])
-        built = construct_general_ansatz(qn, v, params)
-        assert verify_linearization(built.pencil, qn).passed
-        res = membership_newton(built.pencil_v, qn)
+        pencil = construct_general_ansatz(qn, v, params)
+        assert verify_linearization(pencil, qn).passed
+        res = membership_newton(pencil, qn)
         np.testing.assert_allclose(res.ansatz, v, atol=1e-8)
 
     def test_zero_vector_rejected(self):

@@ -10,7 +10,6 @@ from newton2pep import (
     QtepPair,
     certify_singular,
     companion_pencil,
-    construct_general_ansatz,
     delta_operators,
     membership_newton,
     spectrum_pair_oracle,
@@ -39,13 +38,13 @@ def records():
     sample = spectrum_pair_oracle(pair)
     found = [q.nodes, q, pencil, membership, params,
              unimodular_witnesses(q, pencil, params), verify_linearization(pencil, q),
-             construct_general_ansatz(q, (1, 1, 1)), pair, delta_operators(pencil, pencil),
+             pair, delta_operators(pencil, pencil),
              certify_singular(pencil, pencil), match.records[0], match, sample.points[0], sample]
     return {type(record).__name__: record for record in found}
 
 
 def test_every_record_type_is_built(records):
-    assert len(RECORD_TYPES) == 15
+    assert len(RECORD_TYPES) == 14
     assert sorted(records) == sorted(RECORD_TYPES)
 
 

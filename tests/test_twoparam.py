@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from newton2pep import (
     COEFF_KEYS,
+    DeltaTriple,
     E1FreeParams,
     MatrixPoly2,
     NewtonNodes,
@@ -30,16 +31,15 @@ from newton2pep import (
 from newton2pep import matpoly, spaces, twoparam
 from newton2pep.errors import DegenerateProblemError
 from newton2pep.linalg import det, kron, scale_to_unit, smallest_singular_value
-from newton2pep.linearize import assemble_e1_blocks
 from newton2pep.matpoly import newton_line
 from newton2pep.spaces import NewtonPencil
 from newton2pep.twoparam import DENSE_SIGMA_MIN, KERNEL_WITNESS, _delta0_frobenius
 
-from helpers import (NODE_KINDS, assert_bitwise_equal, backward_error_reference,
-                     clusters_reference, commutation_matrix, full_slice_eigenvalues, gamma_blocks,
-                     kron_oracle, masked_jordan, nodes_of_kind, pencil_in_space,
-                     point_quotients_reference, random_coeffs, random_newton, random_nodes,
-                     random_unitary, regular_part_reference,
+from helpers import (NODE_KINDS, assemble_e1_blocks_reference, assert_bitwise_equal,
+                     backward_error_reference, clusters_reference, commutation_matrix,
+                     full_slice_eigenvalues, gamma_blocks, kron_oracle, masked_jordan,
+                     nodes_of_kind, pencil_in_space, point_quotients_reference, random_coeffs,
+                     random_newton, random_nodes, random_unitary, regular_part_reference,
                      scalar_newton, scaled, slice_line, spectrum_match_reference,
                      spectrum_slice, with_signed_zeros)
 
@@ -623,7 +623,7 @@ class TestSliceRowSpace:
         # A1 with unit rows, so they keep their rank.
         rng = np.random.default_rng(41)
         q = random_newton(rng, 3)
-        pencil = construct_general_ansatz(q, [scale, 0, 0]).pencil_v
+        pencil = construct_general_ansatz(q, [scale, 0, 0])
         assert len(twoparam.row_space(pencil.A1)[2]) == 6
         mus = annulus_points(rng, 3)
         got = twoparam._pencil_slice_eigenvalues(pencil, mus)
@@ -850,8 +850,8 @@ class TestVerifySpectrumMatch:
         zero = np.zeros((n, n))
         z1 = np.vstack([complex_normal(rng, n, n), zero, zero])
         z2 = np.vstack([complex_normal(rng, n, n), zero, zero])
-        pencil = NewtonPencil.from_blocks(qn.nodes,
-                                          *assemble_e1_blocks(qn, E1FreeParams.build(zero, z1, z2)))
+        pencil = NewtonPencil.from_blocks(
+            qn.nodes, *assemble_e1_blocks_reference(qn, E1FreeParams.build(zero, z1, z2)))
         report = verify_spectrum_match(qn, pencil, slices=3, seed=3)
         assert not report.all_contained
         assert any(rec.pencil_singular for rec in report.records)
@@ -1407,3 +1407,18 @@ class TestPairVectorized:
         x[:, 1] = 0  # y* Delta0 x = 0 exactly
         with pytest.raises(DegenerateProblemError, match="singular for a finite eigenvalue"):
             twoparam._point_quotients(ops, x, y)
+
+    def test_singular_block_quotient_denominator_raises(self):
+        # Delta0 = 0, so Y* Delta0 X = 0 for X = Y = the first two columns of I3.
+        eye = np.eye(3, dtype=complex)
+        with pytest.raises(DegenerateProblemError, match="singular for a finite eigenvalue"):
+            twoparam._block_quotients((np.zeros((3, 3), dtype=complex), eye, eye),
+                                      eye[:, :2], eye[:, :2])
+
+    def test_regular_part_that_is_not_square_raises(self):
+        # Delta0 = diag(1, 0, 0), Delta1 the shift matrix and Delta2 = 0: the
+        # staircase reduction stops at a 1 x 2 triple, which is not square.
+        delta = DeltaTriple(np.diag([1.0, 0, 0]).astype(complex),
+                            np.eye(3, k=1, dtype=complex), np.zeros((3, 3), dtype=complex), 3, 1)
+        with pytest.raises(DegenerateProblemError, match="stops at 1 x 2, not at a square"):
+            twoparam._regular_part(delta)
