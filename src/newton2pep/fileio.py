@@ -27,6 +27,14 @@ whitespace. A string must be strict base64 of exactly 16 bytes per entry;
 non-finite or out-of-double-range numbers raise a FileFormatError naming
 the entry.
 
+A problem whose six coefficients are all lists of n^2 [re, im] pairs is
+converted in one pass into one (6, n, n) buffer; any other problem is read
+one matrix at a time, as pencils and parameters are, which names what is
+wrong. json parses the decoded text as it is (CR is JSON whitespace, and a
+raw CR in a string is invalid either way); a document it rejects is parsed
+again with CR LF and CR read as LF, so that the error names the line and
+column of a text-mode read.
+
 Readers parse a document of ORJSON_MIN_BYTES (256 KiB) or more with orjson
 unless it holds ORJSON_MAX_OPENINGS '[' and '{' bytes or more (orjson
 recurses once per level with no limit: 55,000 nested objects overflowed an
@@ -48,6 +56,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -87,7 +96,7 @@ def _pair_to_complex(value, where: str) -> complex:
         z = complex(value[0], value[1])
     except OverflowError:
         raise FileFormatError(f"{where}: value out of double range {value!r:.40}") from None
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise FileFormatError(f"{where}: non-finite value {value!r:.40}")
     return z
 
@@ -120,19 +129,28 @@ def _flat_to_matrix(data, rows: int, cols: int, where: str) -> np.ndarray:
     if len(data) != rows * cols:
         raise FileFormatError(f"{where}: expected {rows * cols} [re, im] pairs (row-major "
                               f"{rows}x{cols}), got {len(data)}")
-    parts = None  # the entries flattened, once each is a list or tuple of two (not str or dict)
-    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
-        try:
-            parts = np.array(list(itertools.chain.from_iterable(data)))
-        except ValueError:  # ragged parts; the per-entry scan below names the entry
-            pass
-    # The shape rejects a part that is a sequence, and kinds "biuf" are exactly the bool/int/float
-    # parts the scan accepts; the complex view keeps signed zeros, which re + 1j*im would lose.
-    if (parts is not None and parts.shape == (2 * rows * cols,)
-            and parts.dtype.kind in "biuf" and np.isfinite(parts).all()):
-        return np.ascontiguousarray(parts, np.float64).view(np.complex128).reshape(rows, cols)
+    if (flat := _pair_values(data)) is not None:
+        return flat.reshape(rows, cols)
     values = [_pair_to_complex(entry, f"{where}[{k}]") for k, entry in enumerate(data)]
     return np.array(values, dtype=complex).reshape(rows, cols)
+
+
+def _pair_values(entries: list):
+    """The owned complex vector of a list of [re, im] pairs of finite numbers, converted
+    through one flat list of their parts; None where an entry is anything else, which the
+    per-entry scan of :func:`_flat_to_matrix` then names."""
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}):
+        return None
+    try:
+        parts = np.array(list(itertools.chain.from_iterable(entries)))
+    except ValueError:  # ragged parts
+        return None
+    # The shape rejects a part that is a sequence, and kinds "biuf" are exactly the bool/int/float
+    # parts the scan accepts; the complex view keeps signed zeros, which re + 1j*im would lose.
+    if (parts.shape == (2 * len(entries),) and parts.dtype.kind in "biuf"
+            and np.isfinite(parts).all()):
+        return np.ascontiguousarray(parts, np.float64).view(np.complex128)
+    return None
 
 
 def _collector_paused(load):  # see the module docstring
@@ -164,8 +182,11 @@ def _load_json(path) -> dict:
             pass  # json below reads the document or names what is wrong with it
     if doc is None:
         try:
-            # Universal newlines, as a text-mode read gives, keep error positions as they were.
-            doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+            text = data.decode("utf-8")
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError:  # named at its position in universal newlines
+                doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
         except json.JSONDecodeError as exc:
@@ -246,8 +267,14 @@ def load_problem(path) -> MatrixPoly2:
     n, _, nodes = _parse_header(doc, path)
     if not isinstance(raw := doc.get("coefficients"), dict):
         raise FileFormatError(f"{path}: missing 'coefficients' object")
-    mats = _matrices(raw, f"{path}: coefficients", dict.fromkeys(COEFF_NAMES, (n, n)))
-    return MatrixPoly2.newton(dict(zip(COEFF_NAMES.values(), mats)), nodes)
+    blocks = [raw.get(name) for name in COEFF_NAMES]
+    stack = None  # all six in one pass when each is a list of n^2 pairs, else one at a time
+    if all(isinstance(block, list) and len(block) == n * n for block in blocks):
+        stack = _pair_values(list(itertools.chain.from_iterable(blocks)))
+    if stack is None:
+        shapes = dict.fromkeys(COEFF_NAMES, (n, n))
+        stack = np.stack(_matrices(raw, f"{path}: coefficients", shapes))
+    return MatrixPoly2._of_owned(stack.reshape(6, n, n), nodes)
 
 
 def save_problem(path, poly: MatrixPoly2) -> None:

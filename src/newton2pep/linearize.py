@@ -192,10 +192,13 @@ def unimodular_witnesses(q: MatrixPoly2, pencil: NewtonPencil, params: E1FreePar
     gamma is det Z, from the log determinant of 2^e Z at unit size, less 2n e log 2.
     """
     require_matching(q, pencil)
-    target, e = scale_to_unit(np.stack(construct_e1_newton(q, params, tol=tol).blocks()))
+    target = construct_e1_newton(q, params, tol=tol).blocks()
+    # The e of scale_to_unit over the three frozen blocks, applied out of place to each.
+    e = -int(np.frexp(max(np.abs(t.view(float)).max(initial=0.0) for t in target))[1])
     diff, size = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge pencil reads inf or nan: fail
         for block, t in zip(pencil.blocks(), target):
+            t = np.ldexp(t.view(float), e).view(complex)
             diff.append(np.linalg.norm(np.ldexp(block.view(float), e).view(complex) - t))
             size.append(np.linalg.norm(t))
         residual = float(np.linalg.norm(diff) / np.linalg.norm(size))

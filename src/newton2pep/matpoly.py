@@ -19,6 +19,7 @@ nodes alone.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,7 @@ class NewtonNodes(_Nodes):
     def __new__(cls, *args, **kwargs):
         nodes = tuple(map(complex, _Nodes(*args, **kwargs)))
         for name, value in zip(cls._fields, nodes):
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"node {name} must be finite, got {value!r}")
         return super().__new__(cls, *nodes)
 
@@ -94,8 +95,9 @@ class MatrixPoly2(NamedTuple):
 
     ``coeffs`` maps (i, j) in COEFF_KEYS to the n x n block multiplying the
     basis function of lambda-degree i and mu-degree j. All six blocks are
-    stored explicitly (zero blocks included). A monomial polynomial is the
-    one with all nodes zero, the default.
+    stored explicitly (zero blocks included), as read-only views of one frozen
+    C-contiguous (6, n, n) buffer in COEFF_KEYS order. A monomial polynomial is
+    the one with all nodes zero, the default.
     """
 
     n: int
@@ -109,13 +111,22 @@ class MatrixPoly2(NamedTuple):
         missing = [k for k in COEFF_KEYS if k not in coeffs]
         if missing:
             raise ValueError(f"missing coefficient blocks: {missing}")
-        first = np.atleast_2d(np.asarray(coeffs[COEFF_KEYS[0]], dtype=complex))
-        n = first.shape[0]
-        clean = {}
-        for key in COEFF_KEYS:
-            block = np.atleast_2d(np.asarray(coeffs[key], dtype=complex))
-            clean[key] = freeze(as_matrix(block, n, n, name=f"coefficient {key}"))
-        return cls(n=n, coeffs=clean, nodes=nodes)
+        blocks = [np.atleast_2d(np.asarray(coeffs[key], dtype=complex)) for key in COEFF_KEYS]
+        n = blocks[0].shape[0]
+        for key, block in zip(COEFF_KEYS, blocks):
+            as_matrix(block, n, n, name=f"coefficient {key}", copy=False)
+        return cls._of_owned(np.stack(blocks), nodes)
+
+    @classmethod
+    def _of_owned(cls, stack, nodes: NewtonNodes) -> "MatrixPoly2":
+        """newton without the copies, for a complex (6, n, n) stack in COEFF_KEYS order that
+        the caller has just built: it is checked once and frozen in place, and the blocks
+        are views of it."""
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            key = COEFF_KEYS[np.argmin(finite)]
+            raise ValueError(f"coefficient {key} contains non-finite entries")
+        return cls(len(stack[0]), dict(zip(COEFF_KEYS, freeze(stack))), nodes)
 
     def coeff(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[(i, j)]
@@ -138,4 +149,4 @@ class MatrixPoly2(NamedTuple):
     def at_unit_size(self) -> tuple["MatrixPoly2", int]:
         """(2^e Q, e), e from :func:`scale_to_unit` of the six blocks: exact at any scale."""
         coeffs, e = scale_to_unit(np.stack([self.coeffs[key] for key in COEFF_KEYS]))
-        return self._replace(coeffs=dict(zip(COEFF_KEYS, map(freeze, coeffs)))), e
+        return self._replace(coeffs=dict(zip(COEFF_KEYS, freeze(coeffs)))), e

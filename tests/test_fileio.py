@@ -600,3 +600,167 @@ def test_malformed_header_message_names_the_file_and_is_bounded(tmp_path, header
     assert proc.returncode == 2, proc.stderr.decode()[-400:]
     message = proc.stderr.decode().splitlines()[0]
     assert message.startswith(prefix) and len(message) == len(prefix) + 40
+
+
+# ---------------------------------------------------------------- the one-pass problem reader
+
+def pair_layout_problem(tmp_path, n=2, nodes=NewtonNodes(1, -0.0, 0.5j, -2)):
+    """A pair-layout problem file of random_newton(n) and its parsed document."""
+    save_problem(tmp_path / "q_base64.json", random_newton(np.random.default_rng(52), n, nodes))
+    rewrite_as_pairs(tmp_path / "q_base64.json", tmp_path / "q.json")
+    return tmp_path / "q.json", json.loads((tmp_path / "q.json").read_text())
+
+
+def reference_load(path, doc):
+    """The six blocks of a problem document, each by the per-entry reference, in COEFF_NAMES
+    order, or the FileFormatError of the first one that the reference rejects."""
+    n, where = doc["n"], f"{path}: coefficients"
+    for name in COEFF_NAMES:
+        if name not in doc["coefficients"]:
+            raise FileFormatError(f"{where}.{name} is missing")
+    return [flat_to_matrix_reference(doc["coefficients"][name], n, n, f"{where}.{name}")
+            for name in COEFF_NAMES]
+
+
+@pytest.mark.parametrize("literal, message", [
+    ('"x"', "expected a [re, im] number pair, got 'x'"),
+    ("[1,2,3]", "expected a [re, im] number pair, got [1, 2, 3]"),
+    ("null", "expected a [re, im] number pair, got None"),
+    ("[1e400,0]", "non-finite value [inf, 0]"),
+    ("[" + "1" * 400 + ",0]", "value out of double range [1111"),
+], ids=["string", "three-parts", "null", "1e400", "400-digits"])
+def test_bad_entry_in_the_last_block_names_it(tmp_path, literal, message):
+    # A00 is the last of the six blocks read: the five before it are valid pair lists.
+    path, doc = pair_layout_problem(tmp_path)
+    doc["coefficients"]["A00"][3] = "BAD"
+    path.write_text(json.dumps(doc).replace('"BAD"', literal))
+    with pytest.raises(FileFormatError) as want:
+        reference_load(path, json.loads(path.read_text()))
+    assert str(want.value).startswith(f"{path}: coefficients.A00[3]: {message}")
+    with pytest.raises(FileFormatError) as got:
+        load_problem(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_problem_without_the_last_block_names_it(tmp_path):
+    path, doc = pair_layout_problem(tmp_path)
+    del doc["coefficients"]["A00"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as got:
+        load_problem(path)
+    assert str(got.value) == f"{path}: coefficients.A00 is missing"
+
+
+# Blocks whose parts one np.array reads as a dtype that no single block has on its own: int64,
+# bool and uint64 blocks next to float blocks, ints past 2^53 that are not exact doubles.
+NUMBER_BLOCKS = {
+    "ints": [[3, -7], [0, 1], [-(2 ** 63), 2 ** 62], [5, 9]],
+    "bools": [[True, False], [False, True], [True, True], [False, False]],
+    "signed-zeros": [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.5, -0.0]],
+    "subnormals": [[5e-324, -5e-324], [2.225073858507201e-308, 1e-310], [-1e-320, 0.5],
+                   [2.2250738585072014e-308, -4.9e-324]],
+    "past-2^53": [[2 ** 53 + 1, -(2 ** 53) - 3], [2 ** 63 + 1025, 2 ** 64 - 1],
+                  [2 ** 60 + 1, 12345678901234567], [-(2 ** 62) - 1, 2 ** 63 - 1]],
+}
+
+
+@pytest.mark.parametrize("kinds", [
+    ("ints", "bools", "signed-zeros", "subnormals", "past-2^53", "ints"),
+    ("ints",) * 6,
+    ("bools", "ints", "bools", "past-2^53", "bools", "ints"),
+    ("past-2^53",) * 6,
+    ("subnormals", "signed-zeros") * 3,
+], ids=["all-kinds", "ints", "ints-bools", "past-2^53", "floats"])
+def test_problem_of_number_kinds_loads_as_the_per_entry_reference(tmp_path, kinds):
+    path, doc = pair_layout_problem(tmp_path)
+    doc["coefficients"] = {name: NUMBER_BLOCKS[kind] for name, kind in zip(COEFF_NAMES, kinds)}
+    path.write_text(json.dumps(doc))
+    q = load_problem(path)
+    for key, want in zip(COEFF_KEYS, reference_load(path, json.loads(path.read_text()))):
+        assert_bitwise(q.coeff(*key), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_problem_loads_as_the_per_entry_reference(tmp_path_factory, n, data):
+    # Six pair lists, one or two entries of them malformed at times: the loaded blocks, or the
+    # message, are those of the per-entry reference read block by block.
+    blocks = [data.draw(st.lists(valid_pair, min_size=n * n, max_size=n * n)) for _ in "abcdef"]
+    for _ in range(data.draw(st.integers(0, 2))):
+        block, k = data.draw(st.sampled_from(blocks)), data.draw(st.integers(0, n * n - 1))
+        block[k] = data.draw(data.draw(st.sampled_from(MALFORMED)))
+    path = tmp_path_factory.mktemp("q") / "q.json"
+    path.write_text(json.dumps({"n": n, "basis": "monomial",
+                                "coefficients": dict(zip(COEFF_NAMES, blocks))}))
+    try:
+        want = reference_load(path, json.loads(path.read_text()))
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as got:
+            load_problem(path)
+        assert str(got.value) == str(exc)
+        return
+    q = load_problem(path)
+    for key, block in zip(COEFF_KEYS, want):
+        assert_bitwise(q.coeff(*key), block)
+
+
+def test_problem_blocks_are_views_of_one_frozen_buffer(tmp_path):
+    n = 3
+    q = random_newton(np.random.default_rng(53), n, NewtonNodes(1, -0.0, 0.5j, -2))
+    save_problem(tmp_path / "base64.json", q)
+    rewrite_as_pairs(tmp_path / "base64.json", tmp_path / "pairs.json")
+    doc = json.loads((tmp_path / "base64.json").read_text())
+    doc["coefficients"]["A11"] = json.loads((tmp_path / "pairs.json").read_text())[
+        "coefficients"]["A11"]
+    (tmp_path / "mixed.json").write_text(json.dumps(doc))
+    for name in ("pairs.json", "base64.json", "mixed.json"):
+        loaded = load_problem(tmp_path / name)
+        blocks = [loaded.coeff(*key) for key in COEFF_KEYS]
+        start = blocks[0].__array_interface__["data"][0]
+        owner = blocks[0].base
+        for k, (key, block) in enumerate(zip(COEFF_KEYS, blocks)):
+            assert block.shape == (n, n) and block.flags.c_contiguous
+            assert not block.flags.writeable
+            assert block.__array_interface__["data"][0] == start + 16 * n * n * k
+            assert np.shares_memory(block, owner)
+            assert_bitwise(block, q.coeff(*key))
+        before = [block.copy() for block in blocks]
+        unit, e = loaded.at_unit_size()
+        assert e != 0
+        for block, old, scaled in zip(blocks, before, (unit.coeff(*key) for key in COEFF_KEYS)):
+            assert_bitwise(block, old)
+            assert not block.flags.writeable and not np.shares_memory(block, scaled)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_owned_constructor_names_the_non_finite_block(k):
+    coeffs = random_coeffs(np.random.default_rng(54), 2)
+    coeffs[COEFF_KEYS[k]][1, 0] = complex(0, float("nan"))
+    with pytest.raises(ValueError) as want:
+        MatrixPoly2.newton(coeffs)
+    assert str(want.value) == f"coefficient {COEFF_KEYS[k]} contains non-finite entries"
+    stack = np.stack([coeffs[key] for key in COEFF_KEYS])
+    with pytest.raises(ValueError) as got:
+        MatrixPoly2._of_owned(stack, NewtonNodes())
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_newlines_keep_error_positions_and_values(tmp_path, newline):
+    path, doc = pair_layout_problem(tmp_path)
+    text = json.dumps(doc, indent=1)
+    at = text.index("]", text.index('"A01"'))  # a comma lost after the first entry of A01
+    malformed = text[:at + 1] + text[at + 2:]
+    messages, values = [], []
+    for body, sep in ((malformed, "\n"), (malformed, newline), (text, "\n"), (text, newline)):
+        path.write_bytes(body.replace("\n", sep).encode())
+        if body is text:
+            values.append(loaded_values(load_problem(path)))
+            continue
+        with pytest.raises(FileFormatError) as info:
+            load_problem(path)
+        messages.append(str(info.value))
+    line = int(re.search(r"at line (\d+), column \d+: Expecting ',' delimiter$",
+                         messages[0]).group(1))
+    assert line > 20 and messages[1] == messages[0]
+    np.testing.assert_array_equal(values[1].view(np.uint64), values[0].view(np.uint64))

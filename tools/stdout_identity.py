@@ -1,7 +1,7 @@
 """Compare the CLI reports of two source trees job by job.
 
 Usage: python tools/stdout_identity.py PARENT_SRC CHANGE_SRC [--repeat R] [--fresh R], each a
-``src`` directory. Its 1073 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
+``src`` directory. Its 1078 jobs come from ``perfbench/workloads.py`` helpers, rng seed 2024, on
 the three node kinds: construct, verify, spectrum for --companion and the seven ansatz patterns (no
 --params, SEED or FILE) at n in {1, 3, 8, 32}; delta --check-singular, delta --params SEED or FILE
 and spectrum --pair at p1 <= p2 <= 3; then 18 more, construct, verify, spectrum for --companion and
@@ -36,7 +36,12 @@ whose leading entry lies just below and just above tol max|v| at the default tol
 zero pattern that select_M decides, and the M it picks, are compared. Then 2 more from rng seed 3,
 at n = 2 with the problem times 1e-300: construct --companion, and verify against the companion
 pencil of the unscaled problem times 1e300, written in the [re, im] pair layout, whose ansatz
-1e600 e1 leaves the double range while M and the witness are taken at unit size. The later
+1e600 e1 leaves the double range while M and the witness are taken at unit size. Then 5 more
+from rng seed 4, at n = 3, so that both sides of the problem reader's one-pass conversion are
+compared: construct --companion and verify of a problem whose A20, A02 and A01 are base64 and
+whose other blocks are [re, im] pairs, and of an indented pair-layout problem written with CR LF
+newlines, and construct --companion of that file with one comma removed, which exits 2.
+A problem file that does not load is compared by the text of its error. The later
 blocks are drawn after the earlier ones, so adding them does not change the earlier draws. Every
 spectrum job writes its CSV with --out, as construct writes its pencil. Each tree runs the jobs in
 process through its own ``cli.main``, and then loads every problem file the jobs read and writes it
@@ -305,13 +310,34 @@ def build_jobs(work: Path, rng) -> list:
     q, pencil = times(1e-300, q, "coefficients"), times(1e300, "outrange.L", "blocks")
     jobs += [("outrange.construct", ["construct", q, "--companion", "--out", "outrange"]),
              ("outrange.verify", ["verify", q, pencil, "--seed", "0"])]
+    seeded = np.random.default_rng(4)  # fixed seeds: no draw from rng
+    q = _write_problem(work / "mixed.q", 3, seeded, _nodes(seeded, "newton"))
+    doc = json.loads((work / q).read_text())
+    for name in COEFF_NAMES[::2]:  # A20, A02 and A01 as base64, the others as [re, im] pairs
+        values = (np.array(doc["coefficients"][name]) @ [1, 1j]).astype("<c16")
+        doc["coefficients"][name] = binascii.b2a_base64(values, newline=False).decode()
+    (work / q).write_text(json.dumps(doc))
+    q = _write_problem(work / "crlf.q", 3, seeded, _nodes(seeded, "newton"))
+    text = json.dumps(json.loads((work / q).read_text()), indent=1)
+    (work / q).write_bytes(text.replace("\n", "\r\n").encode())
+    at = text.index("]", text.index('"A01"'))  # the comma after A01's first entry lost
+    (work / "malformed.q").write_bytes((text[:at + 1] + text[at + 2:]).replace("\n", "\r\n")
+                                       .encode())
+    jobs += [(f"{tag}.{cmd}", [cmd, f"{tag}.q", *rest]) for tag in ("mixed", "crlf")
+             for cmd, rest in (("construct", ["--companion", "--out", tag]),
+                               ("verify", [tag, "--seed", "0"]))]
+    jobs.append(("malformed.construct", ["construct", "malformed.q", "--companion",
+                                         "--out", "malformed"]))
     return jobs
 
 
 def matrix_move(a: bytes, b: bytes):
     """The largest relative move of the matrices of two written pencil or problem files whose
     headers agree and whose matrices have the same names and sizes, or None."""
-    docs = [json.loads(x) for x in (a, b)]
+    try:
+        docs = [json.loads(x) for x in (a, b)]
+    except ValueError:  # the message of a problem that does not load
+        return None
     group = "blocks" if "blocks" in docs[0] else "coefficients"
     mats = [doc.pop(group, {}) for doc in docs]
     if docs[0] != docs[1] or mats[0].keys() != mats[1].keys():
@@ -337,10 +363,16 @@ def problem_files(jobs) -> list:
 
 
 def resave_problems(fileio, files) -> dict:
-    """{file: bytes of the file loaded and written again by this tree's fileio}."""
+    """{file: bytes of the file loaded and written again by this tree's fileio, or of the
+    message of the FileFormatError that loading it raises}."""
+    resaved = {}
     for name in files:
-        fileio.save_problem(name + ".resaved", fileio.load_problem(name))
-    return {name: Path(name + ".resaved").read_bytes() for name in files}
+        try:
+            fileio.save_problem(name + ".resaved", fileio.load_problem(name))
+            resaved[name] = Path(name + ".resaved").read_bytes()
+        except fileio.FileFormatError as exc:
+            resaved[name] = str(exc).encode()
+    return resaved
 
 
 def subcommand(argv) -> str:
